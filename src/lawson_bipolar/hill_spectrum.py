@@ -1,20 +1,23 @@
 """Periodic spectrum of the Hill equation phi'' + [lambda f(y) - p^2] phi = 0.
 
 For each Fourier index p the eigenvalues gamma_i(p) of the a-periodic
-problem are the roots of Psi(p^2, lambda)^2 = 4, where Psi is the
-discriminant z1(b) + z2'(b) of the fundamental pair integrated over the
-half period b = a/2 (f has period b and is even).  Roots of Psi - 2 and
-Psi + 2 are bracketed separately on a lambda grid and polished by
-bisection; each eigenfunction is classified even or odd from which of
-z1'(b), z2(b) vanishes.
+problem come from Hill's method (Deconinck & Kutz, J. Comput. Phys. 219,
+2006), a Fourier-Galerkin truncation of -phi'' + p^2 phi = lambda f phi.
+As f is even with period b = a/2, it splits exactly into four
+symmetric-definite blocks: cosine or sine modes give the eigenfunction
+parity, even or odd mode index a b-periodic (Psi = +2) or b-antiperiodic
+(Psi = -2) eigenfunction, Psi = z1(b) + z2'(b) being the Floquet
+discriminant of the fundamental pair over the half period.
+
+The Floquet propagation is the oracle: one batched pass over every
+located eigenvalue checks Psi against the block target and the parity
+against which of z1'(b), z2(b) vanishes.  It is a fixed-step
+Cooper-Verner RK8 vectorized across (p, lambda) columns, with f
+precomputed at all stage nodes.
 
 Counting the eigenvalues below lambda = 2 with the torus or Klein-bottle
 selection rules yields the rank of the extremal eigenvalue and the
 multiplicity-5 cluster at 2.
-
-The propagation uses a fixed-step Cooper-Verner RK8 vectorized across
-(p, lambda) columns, with f precomputed at all stage nodes; grid scans
-and bisections therefore batch into a handful of array sweeps.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import IO, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .surface_model import (
     SurfaceParams,
@@ -34,6 +39,7 @@ from .surface_model import (
     area_closed_form,
     derive_params,
     metric_f_array,
+    params_from_nm,
     period_a,
 )
 
@@ -59,21 +65,23 @@ __all__ = [
     "count_zeros",
     "write_spectrum_csv",
     "DEFAULT_SOLVER_TOL",
-    "BISECTION_TOL",
     "CLUSTER_DELTA",
 ]
 
 DEFAULT_SOLVER_TOL = 1e-9
-BISECTION_TOL = 1e-11
 #: half-width of the eigenvalue cluster identified with lambda = 2
 CLUSTER_DELTA = 1e-6
 #: below this, a located root counts as the zero eigenvalue
 ZERO_EIGENVALUE_TOL = 1e-6
 PARITY_THRESHOLD = 1e-7
-#: lambda grid for bracketing; offset keeps exact eigenvalues off the grid
-GRID_STEP = 0.01
-LAMBDA_MIN = -0.0503713
 LAMBDA_MAX_COUNT = 2.0513713
+#: Galerkin modes per parity block: frequencies 2 pi j / a with j < 2 N_MODES
+N_MODES = 48
+#: samples of f over one period for its cosine coefficients
+_F_SAMPLES = 512
+#: largest Fourier coefficient of f at or past index 2 N_MODES, relative to
+#: the mean c_0, that the truncation accepts (r <= 40 stays below 1e-16)
+TAIL_BOUND = 1e-12
 
 
 class SpectrumMismatchError(RuntimeError):
@@ -115,18 +123,15 @@ _CV_A = [
 ]
 _CV_B = [(0, 1 / 20), (7, 49 / 180), (8, 16 / 45), (9, 49 / 180), (10, 1 / 20)]
 
-_F_NODE_CACHE: dict[tuple, np.ndarray] = {}
 
-
-def _f_nodes(params: SurfaceParams, y_end: float, n_steps: int) -> np.ndarray:
-    key = (params.n, params.m, float(y_end), int(n_steps))
-    cached = _F_NODE_CACHE.get(key)
-    if cached is None:
-        h = y_end / n_steps
-        nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
-        cached = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11)
-        _F_NODE_CACHE[key] = cached
-    return cached
+@lru_cache(maxsize=8)
+def _f_nodes(n: int, m: int, y_end: float, n_steps: int) -> np.ndarray:
+    """f at the RK8 stage nodes of n_steps steps over [0, y_end]."""
+    h = y_end / n_steps
+    nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
+    out = metric_f_array(nodes.ravel(), params_from_nm(n, m)).reshape(n_steps, 11)
+    out.flags.writeable = False
+    return out
 
 
 def _steps_for(params: SurfaceParams, tol: float, y_end: float) -> int:
@@ -145,7 +150,7 @@ def _propagate(params: SurfaceParams, p2, lam, y_end: float,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
-    nodes = _f_nodes(params, y_end, n_steps)
+    nodes = _f_nodes(params.n, params.m, float(y_end), int(n_steps))
     h = y_end / n_steps
     rows = [[(j, h * a) for j, a in row] for row in _CV_A]
     weights = [(i, h * w) for i, w in _CV_B]
@@ -278,165 +283,112 @@ def discriminant(fm: FloquetMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# root location
+# Hill's method: Fourier-Galerkin parity blocks, checked by the Floquet oracle
 # ---------------------------------------------------------------------------
 
-# objective kinds for bracketing: the discriminant offset plus the two
-# auxiliary functions whose zeros are exactly the even/odd eigenvalues
-_KIND_PSI = 0
-_KIND_Z2 = 1      # z2(b) = 0  <=>  odd a-periodic eigenfunction
-_KIND_DZ1 = 2     # z1'(b) = 0 <=>  even a-periodic eigenfunction
+@lru_cache(maxsize=64)
+def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
+    """The four blocks (parity, psi_target, j, k_j^2, F) of profile (n, m).
 
-
-def _state_grid(params: SurfaceParams, p_values: Sequence[float],
-                lam_grid: np.ndarray, n_steps: int) -> np.ndarray:
-    b = period_a(params) / 2.0
-    p2 = np.repeat(np.square(np.asarray(p_values, float)), lam_grid.size)
-    lam = np.tile(lam_grid, len(p_values))
-    st = _propagate(params, p2, lam, b, n_steps)
-    return st.reshape(4, len(p_values), lam_grid.size)
-
-
-def _objective(st: np.ndarray, kind: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.where(kind == _KIND_PSI, st[0] + st[3] - target,
-                    np.where(kind == _KIND_Z2, st[2], st[1]))
-
-
-def _bisect_batch(params: SurfaceParams, p2: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, g_lo: np.ndarray, kind: np.ndarray,
-                  target: np.ndarray, n_steps: int) -> np.ndarray:
-    """Vectorized bisection of the per-column objective on given brackets."""
-    b = period_a(params) / 2.0
-    iters = int(math.ceil(math.log2(GRID_STEP / BISECTION_TOL))) + 3
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        st = _propagate(params, p2, mid, b, n_steps)
-        g_mid = _objective(st, kind, target)
-        same = g_lo * g_mid > 0.0
-        lo = np.where(same, mid, lo)
-        g_lo = np.where(same, g_mid, g_lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _expected_targets(count: int) -> list[float]:
-    """Discriminant signs along a line: +2, -2, -2, +2, +2, -2, -2, ..."""
-    out = [2.0]
-    sign = -2.0
-    while len(out) < count:
-        out.extend([sign, sign])
-        sign = -sign
-    return out[:count]
-
-
-def _line_roots_raw(params, p_values, lam_grid, n_steps):
-    """Bracket sign changes on the grid; per line, a list of
-    (lo, hi, g_lo, kind, target).
-
-    Psi - 2 and Psi + 2 are bracketed separately (kind _KIND_PSI); in
-    addition the auxiliaries z2(b) and z1'(b) are bracketed so that a
-    narrow instability interval whose two discriminant roots fall inside
-    one grid cell is still recovered (each family has simple, well
-    separated zeros, and every zero is an a-periodic eigenvalue).
+    With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
+    orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
+    scaled by 1/sqrt 2) and on the sine modes as c_|i-j| - c_(i+j).  As f
+    has period a/2, c_l vanishes for odd l and each block splits again by
+    the parity of j: even j are b-periodic (Psi = +2), odd j
+    b-antiperiodic (Psi = -2).  Each block's eigenvalues at p solve
+    diag(k_j^2 + p^2) v = lambda F v.
     """
-    st = _state_grid(params, p_values, lam_grid, n_steps)
-    psi = st[0] + st[3]
-    jobs: list[list[tuple]] = [[] for _ in p_values]
-    for li in range(len(p_values)):
-        for target in (2.0, -2.0):
-            g = psi[li] - target
-            crossings = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-            for i in crossings:
-                jobs[li].append((lam_grid[i], lam_grid[i + 1], g[i],
-                                 _KIND_PSI, target))
-            for i in np.nonzero(g == 0.0)[0]:
-                # grid point exactly on a root (the offsets make this rare)
-                jobs[li].append((lam_grid[i] - 1e-12, lam_grid[i] + 1e-12,
-                                 -1.0, _KIND_PSI, target))
-        for kind, row in ((_KIND_Z2, st[2, li]), (_KIND_DZ1, st[1, li])):
-            crossings = np.nonzero(row[:-1] * row[1:] < 0.0)[0]
-            for i in crossings:
-                jobs[li].append((lam_grid[i], lam_grid[i + 1], row[i],
-                                 kind, 0.0))
-    return jobs
+    params = params_from_nm(n, m)
+    a = period_a(params)
+    ys = a * np.arange(_F_SAMPLES) / _F_SAMPLES
+    c = np.fft.rfft(metric_f_array(ys, params)).real / _F_SAMPLES
+    tail = float(np.max(np.abs(c[2 * N_MODES:])) / c[0])
+    if tail > TAIL_BOUND:
+        raise SpectrumMismatchError(
+            f"Fourier tail of f for (n,m)=({n},{m}) is {tail:.3e} c_0 past "
+            f"index {2 * N_MODES}, above {TAIL_BOUND:g}: {N_MODES} modes per "
+            "block do not resolve the profile")
+    blocks = []
+    for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
+        for target, first in ((2.0, first_even), (-2.0, 1)):
+            j = first + 2 * np.arange(N_MODES)
+            F = c[np.abs(j[:, None] - j)] + sign * c[j[:, None] + j]
+            if first == 0:
+                F[0] /= math.sqrt(2.0)
+                F[:, 0] /= math.sqrt(2.0)
+            k2 = (2.0 * math.pi * j / a) ** 2
+            for arr in (j, k2, F):
+                arr.flags.writeable = False
+            blocks.append((parity, target, j, k2, F))
+    return tuple(blocks)
 
 
-def _classify(params: SurfaceParams, p: float, roots: list[float],
-              n_steps: int) -> SpectralLine:
-    """Build a SpectralLine from bisected roots."""
-    b = period_a(params) / 2.0
-    roots = sorted(roots)
+def _classify(p: float, b: float, roots: list[tuple], st: np.ndarray) -> SpectralLine:
+    """Check block eigenvalues against the Floquet oracle and label them.
+
+    roots holds (gamma, parity, psi_target) in increasing gamma, st the
+    fundamental pair (z1, z1', z2, z2') at b, one column per root.
+    """
     flags = []
     eigs = []
-    if roots:
-        lam = np.array(roots)
-        st = _propagate(params, p * p, lam, b, n_steps)
-        for idx, gamma in enumerate(roots):
-            fm = FloquetMatrix(z1_b=float(st[0, idx]), dz1_b=float(st[1, idx]),
-                               z2_b=float(st[2, idx]), dz2_b=float(st[3, idx]),
-                               p=p, lam=gamma)
-            psi = fm.z1_b + fm.dz2_b
-            target = 2.0 if psi > 0.0 else -2.0
-            if abs(psi - target) > 1e-6:
-                raise SpectrumMismatchError(
-                    f"located root gamma={gamma!r} at p={p} has Psi={psi!r}, "
-                    "not an eigenvalue")
-            s_even = abs(fm.dz1_b)
-            s_odd = abs(fm.z2_b) / b
-            anomaly = None
-            if s_even < PARITY_THRESHOLD and s_odd < PARITY_THRESHOLD:
-                anomaly = "coexistence: both z2(b) and z1'(b) vanish"
-                flags.append(f"gamma_{idx}({p})={gamma:.12g}: {anomaly}")
-            elif min(s_even, s_odd) >= PARITY_THRESHOLD:
-                anomaly = (f"unresolved parity: |z1'(b)|={s_even:.3e}, "
-                           f"|z2(b)|/b={s_odd:.3e}")
-                flags.append(f"gamma_{idx}({p})={gamma:.12g}: {anomaly}")
-            parity = Parity.EVEN if s_even < s_odd else Parity.ODD
-            eigs.append(Eigenvalue(gamma=gamma, index=idx, parity=parity,
-                                   psi_target=target, fm=fm, anomaly=anomaly))
+    for idx, (gamma, parity, target) in enumerate(roots):
+        fm = FloquetMatrix(z1_b=float(st[0, idx]), dz1_b=float(st[1, idx]),
+                           z2_b=float(st[2, idx]), dz2_b=float(st[3, idx]),
+                           p=p, lam=gamma)
+        psi = fm.z1_b + fm.dz2_b
+        if abs(psi - target) > 1e-6:
+            raise SpectrumMismatchError(
+                f"Galerkin root gamma={gamma!r} at p={p} has Psi={psi!r}, "
+                f"not the block target {target:+g}")
+        s_even = abs(fm.dz1_b)
+        s_odd = abs(fm.z2_b) / b
+        anomaly = None
+        if s_even < PARITY_THRESHOLD and s_odd < PARITY_THRESHOLD:
+            anomaly = "coexistence: both z2(b) and z1'(b) vanish"
+        elif min(s_even, s_odd) >= PARITY_THRESHOLD:
+            anomaly = (f"unresolved parity: |z1'(b)|={s_even:.3e}, "
+                       f"|z2(b)|/b={s_odd:.3e}")
+        elif (s_even < s_odd) != (parity is Parity.EVEN):
+            anomaly = (f"parity mismatch: block {parity.value}, "
+                       f"|z1'(b)|={s_even:.3e}, |z2(b)|/b={s_odd:.3e}")
+        if anomaly:
+            flags.append(f"gamma_{idx}({p})={gamma:.12g}: {anomaly}")
+        eigs.append(Eigenvalue(gamma=gamma, index=idx, parity=parity,
+                               psi_target=target, fm=fm, anomaly=anomaly))
     return SpectralLine(p=p, eigenvalues=tuple(eigs),
                         double_root_flags=tuple(flags))
 
 
 def _scan_lines(params: SurfaceParams, p_values: Sequence[float],
                 lambda_max: float, tol: float) -> list[SpectralLine]:
-    """Locate all eigenvalues in (LAMBDA_MIN, lambda_max] for several lines."""
+    """All eigenvalues <= lambda_max on several lines, from the Galerkin
+    blocks, checked by one batched Floquet propagation."""
+    roots = []
+    for li, p in enumerate(p_values):
+        for parity, target, _, k2, F in _galerkin_blocks(params.n, params.m):
+            gammas = scipy.linalg.eigh(np.diag(k2 + p * p), F, eigvals_only=True,
+                                       subset_by_value=(-np.inf, lambda_max))
+            roots.extend((li, float(g), parity, target) for g in gammas)
+    roots.sort(key=lambda root: root[:2])
     b = period_a(params) / 2.0
-    n_steps = _steps_for(params, tol, b)
-    npts = int(math.ceil((lambda_max - LAMBDA_MIN) / GRID_STEP)) + 1
-    lam_grid = LAMBDA_MIN + GRID_STEP * np.arange(npts)
-    jobs = _line_roots_raw(params, p_values, lam_grid, n_steps)
-    flat = [(li, job) for li, line_jobs in enumerate(jobs) for job in line_jobs]
-    if flat:
-        lo = np.array([j[1][0] for j in flat])
-        hi = np.array([j[1][1] for j in flat])
-        glo = np.array([j[1][2] for j in flat])
-        kind = np.array([j[1][3] for j in flat])
-        tgt = np.array([j[1][4] for j in flat])
-        p2 = np.array([p_values[li] ** 2 for li, _ in flat])
-        roots = _bisect_batch(params, p2, lo, hi, glo, kind, tgt, n_steps)
+    p2 = [float(p_values[root[0]]) ** 2 for root in roots]
+    st = _propagate(params, p2, [root[1] for root in roots], b,
+                    _steps_for(params, tol, b))
     lines: list[SpectralLine] = []
     for li, p in enumerate(p_values):
-        primary = [float(roots[i]) for i in range(len(flat))
-                   if flat[i][0] == li and flat[i][1][3] == _KIND_PSI]
-        recovered = [float(roots[i]) for i in range(len(flat))
-                     if flat[i][0] == li and flat[i][1][3] != _KIND_PSI]
-        mine = sorted(primary)
-        for root in recovered:
-            if not mine or min(abs(root - r) for r in mine) > 1e-9:
-                mine.append(root)
-                mine.sort()
-        line = _classify(params, p, mine, n_steps)
+        cols = [i for i, root in enumerate(roots) if root[0] == li]
+        line = _classify(p, b, [roots[i][1:] for i in cols], st[:, cols])
         _check_sign_pattern(line)
         lines.append(line)
     return lines
 
 
 def _check_sign_pattern(line: SpectralLine) -> None:
-    """The target signs must follow the +, -, -, +, +, ... interlacing;
-    a violation means a bracket was missed on the grid."""
+    """The target signs must follow the +, -, -, +, +, -, -, ... interlacing;
+    a violation means a block lost or gained an eigenvalue."""
     targets = [e.psi_target for e in line.eigenvalues]
-    if targets != _expected_targets(len(targets)):
+    if targets != [2.0 if (i + 1) // 2 % 2 == 0 else -2.0
+                   for i in range(len(targets))]:
         raise SpectrumMismatchError(
             f"discriminant sign pattern broken on line p={line.p}: {targets}")
 
@@ -445,26 +397,24 @@ def find_branch(p: int, lambda_max: float, params: SurfaceParams,
                 tol: float = DEFAULT_SOLVER_TOL) -> SpectralLine:
     """All eigenvalues gamma_i(p) <= lambda_max with parity labels.
 
-    lambda_max may not exceed 3: beyond that simple-root bracketing loses
-    its guarantee (coexistence becomes possible).
+    lambda_max may not exceed 3: beyond that coexistence becomes possible,
+    and the oracle's Floquet parity test is ambiguous for a double root.
     """
     if lambda_max > 3.0:
         raise ValueError("lambda_max above 3 voids the simplicity guarantee")
     return _scan_lines(params, [p], lambda_max, tol)[0]
 
 
-_SURFACE_LINES_CACHE: dict[tuple, tuple[SpectralLine, ...]] = {}
-
-
 def surface_lines(params: SurfaceParams,
                   tol: float = DEFAULT_SOLVER_TOL) -> tuple[SpectralLine, ...]:
     """Spectral lines p = 0..n+1 up to just past lambda = 2 (cached)."""
-    key = (params.n, params.m, tol)
-    if key not in _SURFACE_LINES_CACHE:
-        p_values = list(range(params.n + 2))
-        _SURFACE_LINES_CACHE[key] = tuple(
-            _scan_lines(params, p_values, LAMBDA_MAX_COUNT, tol))
-    return _SURFACE_LINES_CACHE[key]
+    return _surface_lines(params.n, params.m, float(tol))
+
+
+@lru_cache(maxsize=64)
+def _surface_lines(n: int, m: int, tol: float) -> tuple[SpectralLine, ...]:
+    return tuple(_scan_lines(params_from_nm(n, m), list(range(n + 2)),
+                             LAMBDA_MAX_COUNT, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -613,33 +563,31 @@ def extremal_rank(r: int, k: int, tol: float = DEFAULT_SOLVER_TOL) -> ExtremalRe
 def eigenfunction_samples(params: SurfaceParams, p: float, gamma: float,
                           parity: Parity, n_samples: int = 4096,
                           tol: float = DEFAULT_SOLVER_TOL):
-    """Sample the eigenfunction (z1 if even, z2 if odd) on [0, a)."""
+    """Sample the eigenfunction of gamma on [0, a), scaled like z1 (even,
+    phi(0) = 1) or z2 (odd, phi'(0) = 1).
+
+    Sums the cosine or sine series of the Galerkin eigenvector whose
+    eigenvalue lies within 1e-8 of gamma (block spectra are simple, so it
+    is unique).  The series needs no step size, so tol is not used.
+    """
+    for blk_parity, _, j, k2, F in _galerkin_blocks(params.n, params.m):
+        if blk_parity is parity:
+            w, v = scipy.linalg.eigh(np.diag(k2 + p * p), F,
+                                     subset_by_value=(gamma - 1e-8, gamma + 1e-8))
+            if w.size:
+                break
+    else:
+        raise SpectrumMismatchError(
+            f"no {parity.value} Galerkin eigenvalue within 1e-8 of "
+            f"gamma={gamma!r} at p={p}")
+    coef = v[:, 0]
     a = period_a(params)
-    n_steps = max(_steps_for(params, tol, a), n_samples)
-    n_steps = int(math.ceil(n_steps / n_samples)) * n_samples
-    nodes = _f_nodes(params, a, n_steps)
-    h = a / n_steps
-    rows = [[(j, h * c) for j, c in row] for row in _CV_A]
-    weights = [(i, h * w) for i, w in _CV_B]
-    state = np.array([1.0, 0.0]) if parity is Parity.EVEN else np.array([0.0, 1.0])
-    keep_every = n_steps // n_samples
-    ys = np.empty(n_samples)
-    vals = np.empty(n_samples)
-    for step in range(n_steps):
-        if step % keep_every == 0:
-            ys[step // keep_every] = step * h
-            vals[step // keep_every] = state[0]
-        fj = nodes[step]
-        ks = []
-        for i in range(11):
-            yi = state
-            for j, ha in rows[i]:
-                yi = yi + ha * ks[j]
-            q = p * p - gamma * fj[i]
-            ks.append(np.array([yi[1], q * yi[0]]))
-        for i, hw in weights:
-            state = state + hw * ks[i]
-    return ys, vals
+    k = 2.0 * math.pi * j / a
+    ys = a * np.arange(n_samples) / n_samples
+    if parity is Parity.EVEN:
+        coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
+        return ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
+    return ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)
 
 
 def count_zeros(values: np.ndarray, rel_tol: float = 1e-9) -> int:

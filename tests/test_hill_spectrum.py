@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
@@ -119,6 +120,16 @@ class TestBranches:
         with pytest.raises(ValueError):
             find_branch(0, 3.5, P31)
 
+    @pytest.mark.parametrize("r,k", [(6, 1), (7, 5)])
+    def test_window_excludes_eigenvalues_above_lambda_max(self, r, k):
+        # at p = 1 both surfaces have an eigenvalue just past the window
+        # (about 2.0566 and 2.0563), which must not be returned
+        params = derive_params(r, k)
+        gammas = [e.gamma for e in find_branch(1, 2.0513713, params).eigenvalues]
+        gammas += [e.gamma for line in surface_lines(params)
+                   for e in line.eigenvalues]
+        assert max(gammas) <= 2.0513713
+
     def test_monotonicity_of_gamma0(self):
         grid = np.arange(0.5, P31.n + 0.01, 0.25)
         rep = branch_monotonicity(P31, 0, grid)
@@ -138,13 +149,20 @@ class TestBranches:
         assert linem.gamma(1) == pytest.approx(2.0, abs=1e-7)
 
     def test_narrow_gap_recovered_for_flat_profile(self):
-        # (n, m) = (15, 1): gamma_1(1) = 2 and gamma_2(1) differ by less
-        # than the bracketing grid step; both must be located
+        # (n, m) = (15, 1): gamma_1(1) = 2 and gamma_2(1) bound an
+        # instability interval narrower than 0.02; both must be located,
+        # each from its own parity block
         p151 = params_from_nm(15, 1)
         line = find_branch(1, 2.0513713, p151)
         gammas = [e.gamma for e in line.eigenvalues]
         assert gammas[1] == pytest.approx(2.0, abs=1e-7)
         assert 2.0 + CLUSTER_DELTA < gammas[2] < 2.02
+
+    def test_unresolved_fourier_tail_raises(self, monkeypatch):
+        # a profile the Galerkin modes cannot resolve is refused, not truncated
+        monkeypatch.setattr(hs, "TAIL_BOUND", 0.0)
+        with pytest.raises(hs.SpectrumMismatchError, match="Fourier tail"):
+            hs._galerkin_blocks.__wrapped__(P31.n, P31.m)
 
     def test_fourier_galerkin_oracle(self):
         # modes e^{2 pi i j y / a}: ((2 pi j / a)^2 + p^2) c = lambda (F c)
@@ -218,6 +236,21 @@ class TestCounting:
             rel=1e-12)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(20)))
+def test_rank_properties_beyond_table(pair):
+    rep = extremal_rank(*pair)
+    params = rep.params
+    assert rep.rank_i == rank_formula(params)
+    assert rep.multiplicity == 5
+    for key, value in rep.residuals.items():
+        if key.startswith("anchor"):
+            assert value < 1e-7, key
+    if params.topology is Topology.KLEIN_BOTTLE:
+        cover = count_below_two(params, topology_override=Topology.TORUS)
+        assert cover.count == 2 * (params.n + params.m) - 3
+
+
 class TestEigenfunctions:
     def test_zero_counts(self):
         lines = {int(l.p): l for l in surface_lines(P31)}
@@ -236,6 +269,9 @@ class TestEigenfunctions:
         assert count_zeros(np.sin(2 * t)) == 4
         assert count_zeros(np.cos(t) + 2.0) == 0
         assert count_zeros(np.sin(t)) == 2
+
+    def test_surface_lines_cache_ignores_default_spelling(self):
+        assert surface_lines(P31) is surface_lines(P31, hs.DEFAULT_SOLVER_TOL)
 
     def test_double_root_flags_empty_below_three(self):
         for line in surface_lines(P31):
