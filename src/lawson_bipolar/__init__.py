@@ -19,6 +19,7 @@ from .special_functions import (
     weierstrass_p,
 )
 from .surface_model import (
+    ExcludedDirectionError,
     InvalidParametersError,
     ParityClass,
     SurfaceParams,

@@ -237,7 +237,8 @@ def run(config: RunConfig) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
     except (hs.SpectrumMismatchError, IntegrationFailureError,
-            vf.VerificationError, PoleProximityError, DomainError) as exc:
+            vf.VerificationError, PoleProximityError, DomainError,
+            sm.ExcludedDirectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
         if args.grid < 2:
             print("grid must be at least 2", file=sys.stderr)
             return 1
-        grid_sizes = {"u": args.grid, "v": args.grid, "check": args.grid}
+        grid_sizes = {"u": args.grid, "v": args.grid}
     config = RunConfig(
         command=args.command, r=args.r, k=args.k, tolerances=tolerances,
         grid_sizes=grid_sizes, output_path=args.out, fmt=args.fmt,

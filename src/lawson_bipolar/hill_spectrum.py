@@ -561,14 +561,13 @@ def extremal_rank(r: int, k: int, tol: float = DEFAULT_SOLVER_TOL) -> ExtremalRe
 # ---------------------------------------------------------------------------
 
 def eigenfunction_samples(params: SurfaceParams, p: float, gamma: float,
-                          parity: Parity, n_samples: int = 4096,
-                          tol: float = DEFAULT_SOLVER_TOL):
+                          parity: Parity, n_samples: int = 4096):
     """Sample the eigenfunction of gamma on [0, a), scaled like z1 (even,
     phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
     Sums the cosine or sine series of the Galerkin eigenvector whose
     eigenvalue lies within 1e-8 of gamma (block spectra are simple, so it
-    is unique).  The series needs no step size, so tol is not used.
+    is unique).
     """
     for blk_parity, _, j, k2, F in _galerkin_blocks(params.n, params.m):
         if blk_parity is parity:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .special_functions import (
+    PoleProximityError,
     WeierstrassInvariants,
     complete_K,
     weierstrass_p,
@@ -265,7 +266,9 @@ def closed_form_weierstrass(y: float, params: SurfaceParams) -> tuple[float, flo
     for i in range(3):
         inv = WeierstrassInvariants(g2=tab.a_matrix[i, 0], g3=tab.a_matrix[i, 1])
         den = 2.0 * weierstrass_p(args[i], inv) + tab.b_vector[i]
-        assert abs(den) > 1e-6, f"denominator 2P+b_{i+1} too close to zero at y={y}"
+        if not abs(den) > 1e-6:
+            raise PoleProximityError(
+                f"denominator 2P+b_{i+1} too close to zero at y={y}")
         dens.append(den)
     phi0 = math.sqrt((n * n + m * m) / (2.0 * n * n)) * (1.0 - (n * n - m * m) / dens[0])
     phi1 = (1.0 / math.sqrt(2.0)) * (-1.0 + n * n / dens[1])

@@ -12,12 +12,12 @@ else is a pure function of its arguments.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import IO
 
 import numpy as np
@@ -34,6 +34,7 @@ from .special_functions import (
 
 __all__ = [
     "InvalidParametersError",
+    "ExcludedDirectionError",
     "Topology",
     "ParityClass",
     "HTransform",
@@ -51,6 +52,7 @@ __all__ = [
     "lawson_I",
     "lawson_normal",
     "bipolar_immersion",
+    "bipolar_immersion_array",
     "bipolar_column",
     "parambip_column",
     "bipolar_metric",
@@ -69,6 +71,17 @@ __all__ = [
 
 class InvalidParametersError(ValueError):
     """(r, k) is not an admissible Lawson parameter pair."""
+
+
+class ExcludedDirectionError(RuntimeError):
+    """A rotated wedge I ^ I* has a component along the direction the S^4
+    projection drops; carries the worst sampled point and its residual."""
+
+    def __init__(self, u: float, v: float, residual: float):
+        super().__init__(
+            f"orthogonality to the excluded direction violated: residual "
+            f"{residual:.3e} at (u, v) = ({u!r}, {v!r})")
+        self.u, self.v, self.residual = u, v, residual
 
 
 class Topology(Enum):
@@ -245,30 +258,43 @@ def metric_f(y: float, params: SurfaceParams) -> MetricSample:
 # immersions
 # ---------------------------------------------------------------------------
 
-def lawson_I(u: float, v: float, r: int, k: int) -> np.ndarray:
-    """Lawson's doubly periodic minimal immersion of tau_{r,k} into S^3."""
+def _sq(x) -> np.ndarray:
+    """x ** 2 elementwise, rounded as Python's float power rounds it (the
+    C library's pow).  numpy squares by x * x, which differs from pow in
+    the last bit for about one value in a thousand; pow keeps every mesh
+    bit-identical to the point-by-point evaluation."""
+    x = np.asarray(x, float)
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
+
+
+def lawson_I(u, v, r: int, k: int) -> np.ndarray:
+    """Lawson's doubly periodic minimal immersion of tau_{r,k} into S^3.
+    u and v are scalars or equal-shape arrays; components run along axis 0."""
+    cv, sv = np.cos(v), np.sin(v)
     return np.array([
-        math.cos(r * u) * math.cos(v),
-        math.sin(r * u) * math.cos(v),
-        math.cos(k * u) * math.sin(v),
-        math.sin(k * u) * math.sin(v),
+        np.cos(r * u) * cv,
+        np.sin(r * u) * cv,
+        np.cos(k * u) * sv,
+        np.sin(k * u) * sv,
     ])
 
 
-def lawson_normal(u: float, v: float, r: int, k: int) -> np.ndarray:
-    """Unit normal of tau_{r,k} tangent to S^3."""
-    w = math.sqrt(r * r * math.cos(v) ** 2 + k * k * math.sin(v) ** 2)
+def lawson_normal(u, v, r: int, k: int) -> np.ndarray:
+    """Unit normal of tau_{r,k} tangent to S^3 (shapes as lawson_I)."""
+    cv, sv = np.cos(v), np.sin(v)
+    w = np.sqrt(r * r * _sq(cv) + k * k * _sq(sv))
     return np.array([
-        k * math.sin(r * u) * math.sin(v),
-        -k * math.cos(r * u) * math.sin(v),
-        -r * math.sin(k * u) * math.cos(v),
-        r * math.cos(k * u) * math.cos(v),
+        k * np.sin(r * u) * sv,
+        -k * np.cos(r * u) * sv,
+        -r * np.sin(k * u) * cv,
+        r * np.cos(k * u) * cv,
     ]) / w
 
 
 def _wedge6(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exterior product of two 4-vectors, components ordered
-    (12, 34, 13, 24, 23, 14) so rotation pairs sit in adjacent slots."""
+    """Exterior product of two 4-vectors (or columns of 4-vectors along
+    axis 0), components ordered (12, 34, 13, 24, 23, 14) so rotation pairs
+    sit in adjacent slots."""
     return np.array([
         x[0] * y[1] - x[1] * y[0],
         x[2] * y[3] - x[3] * y[2],
@@ -297,37 +323,60 @@ EXCLUDED_DIRECTION_NOTE = (
 )
 
 
-def _project5(w6: np.ndarray, r: int, k: int) -> np.ndarray:
+def _row_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Dot product of each row with vec (a vector, or rows of the same
+    shape).  The stacked (1, n) @ (n, 1) matmul takes the same per-row dot
+    as rows[i] @ vec, so the bits do not depend on how many rows are
+    evaluated together."""
+    return np.matmul(rows[:, None, :], vec[..., None])[:, 0, 0]
+
+
+def _project5(w6: np.ndarray, r: int, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of rotated 6-vectors -> rows of 5-vectors on the S^4 equator.
+    Every row must be orthogonal to the excluded direction; (u, v) only
+    name the worst point when one is not."""
     norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
     excluded = np.array([r + k, k - r, 0.0, 0.0, 0.0, 0.0]) / norm
-    dot = float(w6 @ excluded)
-    if abs(dot) > 1e-12:
-        raise RuntimeError(f"orthogonality to the excluded direction violated: {dot:.3e}")
+    dots = np.abs(_row_dot(w6, excluded))
+    worst = int(np.argmax(dots))
+    if dots[worst] > 1e-12:
+        raise ExcludedDirectionError(float(u[worst]), float(v[worst]), float(dots[worst]))
     kept = np.array([r - k, r + k, 0.0, 0.0, 0.0, 0.0]) / norm
-    return np.array([float(w6 @ kept), w6[5], w6[2], w6[4], w6[3]])
+    return np.column_stack((_row_dot(w6, kept), w6[:, 5], w6[:, 2], w6[:, 4], w6[:, 3]))
+
+
+def bipolar_immersion_array(u, v, params: SurfaceParams) -> np.ndarray:
+    """Bipolar surface points at 1-D arrays u, v, one row (x1..x5) each,
+    built as the wedge I ^ I* of the Lawson immersion with its normal,
+    rotated by the block matrix A and projected onto the S^4 equator (see
+    EXCLUDED_DIRECTION_NOTE for the basis).  A is applied one point at a
+    time by a stacked matmul, which keeps every row bit-identical to the
+    one-point evaluation; a single 2-D product rounds differently."""
+    r, k = params.r, params.k
+    wedge = _wedge6(lawson_I(u, v, r, k), lawson_normal(u, v, r, k))
+    w6 = np.matmul(_A_BLOCKS, wedge.T[:, :, None])[:, :, 0]
+    return _project5(w6, r, k, u, v)
 
 
 def bipolar_immersion(u: float, v: float, params: SurfaceParams) -> ImmersionPoint5:
-    """Bipolar surface point, built as the wedge I ^ I* of the Lawson
-    immersion with its normal, rotated by the block matrix A and projected
-    onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the basis)."""
-    r, k = params.r, params.k
-    w6 = _A_BLOCKS @ _wedge6(lawson_I(u, v, r, k), lawson_normal(u, v, r, k))
-    return ImmersionPoint5(coords=_project5(w6, r, k))
+    """The one-point case of bipolar_immersion_array."""
+    coords = bipolar_immersion_array(np.array([u], float), np.array([v], float), params)
+    return ImmersionPoint5(coords=coords[0])
 
 
-def bipolar_column(u: float, v: float, r: int, k: int) -> np.ndarray:
-    """Closed-form 6-vector of the rotated bipolar immersion A o (I ^ I*)."""
-    w = math.sqrt(r * r * math.cos(v) ** 2 + k * k * math.sin(v) ** 2)
+def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
+    """Closed-form 6-vector of the rotated bipolar immersion A o (I ^ I*);
+    u and v are scalars or equal-shape arrays, components along axis 0."""
+    w = np.sqrt(r * r * _sq(np.cos(v)) + k * k * _sq(np.sin(v)))
     pref = 1.0 / (math.sqrt(8.0) * w)
-    c2v = math.cos(2 * v)
+    c2v = np.cos(2 * v)
     return pref * np.array([
-        (r - k) * math.sin(2 * v),
-        (r + k) * math.sin(2 * v),
-        ((r - k) + (r + k) * c2v) * math.sin((r - k) * u),
-        ((r + k) + (r - k) * c2v) * math.sin((r + k) * u),
-        ((r + k) + (r - k) * c2v) * math.cos((r + k) * u),
-        ((r - k) + (r + k) * c2v) * math.cos((r - k) * u),
+        (r - k) * np.sin(2 * v),
+        (r + k) * np.sin(2 * v),
+        ((r - k) + (r + k) * c2v) * np.sin((r - k) * u),
+        ((r + k) + (r - k) * c2v) * np.sin((r + k) * u),
+        ((r + k) + (r - k) * c2v) * np.cos((r + k) * u),
+        ((r - k) + (r + k) * c2v) * np.cos((r - k) * u),
     ])
 
 
@@ -444,39 +493,45 @@ def area_closed_form(params: SurfaceParams) -> float:
 
 def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
     """Sample the fundamental domain on an n_u x n_v grid; rows are
-    (u, v, x1..x5).  The u-period is 2 pi for even rk and pi otherwise."""
+    (u, v, x1..x5), u-major.  The u-period is 2 pi for even rk and pi
+    otherwise."""
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
-    rows = np.empty((n_u * n_v, 7))
-    i = 0
-    for u in np.linspace(0.0, u_period, n_u, endpoint=False):
-        for v in np.linspace(0.0, math.pi, n_v, endpoint=False):
-            rows[i, 0] = u
-            rows[i, 1] = v
-            rows[i, 2:] = bipolar_immersion(u, v, params).coords
-            i += 1
-    return rows
+    u = np.repeat(np.linspace(0.0, u_period, n_u, endpoint=False), n_v)
+    v = np.tile(np.linspace(0.0, math.pi, n_v, endpoint=False), n_u)
+    return np.column_stack((u, v, bipolar_immersion_array(u, v, params)))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# every value is rendered with 17 significant digits, so files round-trip
+# double precision exactly; one %-format call renders a whole mesh
+_COLUMNS = ["u", "v", "x1", "x2", "x3", "x4", "x5"]
+_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
+_JSON_ROW = "  [\n" + ",\n".join(['   "%.17g"'] * 7) + "\n  ]"
+
+
+def _values(rows: np.ndarray) -> tuple:
+    return tuple(np.asarray(rows, float).ravel().tolist())
 
 
 def write_immersion_csv(stream: IO[str], params: SurfaceParams, rows: np.ndarray) -> None:
     stream.write(f"# r={params.r} k={params.k} n={params.n} m={params.m} "
                  f"topology={params.topology.value}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["u", "v", "x1", "x2", "x3", "x4", "x5"])
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    stream.write(",".join(_COLUMNS) + "\n")
+    stream.write(_CSV_ROW * len(rows) % _values(rows))
 
 
 def write_immersion_json(stream: IO[str], params: SurfaceParams, rows: np.ndarray) -> None:
+    """The document json.dump(indent=1) would write with every value a
+    17-digit string; the rows are rendered by one %-format call."""
     doc = {
         "params": {"r": params.r, "k": params.k, "n": params.n, "m": params.m},
         "topology": params.topology.value,
         "basis_note": EXCLUDED_DIRECTION_NOTE,
-        "columns": ["u", "v", "x1", "x2", "x3", "x4", "x5"],
-        "rows": [[_fmt(x) for x in row] for row in rows],
+        "columns": _COLUMNS,
+        "rows": [],
     }
-    json.dump(doc, stream, indent=1)
-    stream.write("\n")
+    text = json.dumps(doc, indent=1)
+    if len(rows):
+        head, tail = text.rsplit("[]", 1)
+        body = ",\n".join([_JSON_ROW] * len(rows)) % _values(rows)
+        text = f"{head}[\n{body}\n ]{tail}"
+    stream.write(text + "\n")

@@ -243,14 +243,10 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
     else:
         gens = [("v+pi", lambda u, v: (u, v + math.pi)),
                 ("u+pi", lambda u, v: (u + math.pi, v))]
-    res = 0.0
-    for _ in range(n_points):
-        u = rng.uniform(0.0, 2.0 * math.pi)
-        v = rng.uniform(0.0, math.pi)
-        base = sm.bipolar_column(u, v, r, k)
-        for _, gen in gens:
-            u2, v2 = gen(u, v)
-            res = max(res, float(np.max(np.abs(sm.bipolar_column(u2, v2, r, k) - base))))
+    u, v = rng.uniform(0.0, [2.0 * math.pi, math.pi], size=(n_points, 2)).T
+    base = sm.bipolar_column(u, v, r, k)
+    res = max(float(np.max(np.abs(sm.bipolar_column(*gen(u, v), r, k) - base)))
+              for _, gen in gens)
     out = [CheckResult("group_invariance", res, 1e-12,
                        "generators " + ", ".join(name for name, _ in gens))]
     if params.topology is Topology.KLEIN_BOTTLE:
@@ -269,15 +265,13 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
 def immersion_agreement_check(params: SurfaceParams, n_points: int = 50) -> CheckResult:
     """Wedge-product route against the printed closed-form column."""
     rng = np.random.default_rng(RANDOM_SEED + 1)
-    res = 0.0
-    for _ in range(n_points):
-        u = rng.uniform(0.0, 2.0 * math.pi)
-        v = rng.uniform(0.0, math.pi)
-        wedge = sm.bipolar_immersion(u, v, params).coords
-        col6 = sm.bipolar_column(u, v, params.r, params.k)
-        closed = sm._project5(col6, params.r, params.k)
-        res = max(res, float(np.max(np.abs(wedge - closed))),
-                  abs(float(np.linalg.norm(wedge)) - 1.0))
+    u, v = rng.uniform(0.0, [2.0 * math.pi, math.pi], size=(n_points, 2)).T
+    wedge = sm.bipolar_immersion_array(u, v, params)
+    col6 = sm.bipolar_column(u, v, params.r, params.k)
+    closed = sm._project5(col6.T, params.r, params.k, u, v)
+    norm = np.sqrt(sm._row_dot(wedge, wedge))
+    res = max(float(np.max(np.abs(wedge - closed))),
+              float(np.max(np.abs(norm - 1.0))))
     return CheckResult("immersion_column_agreement", res, 1e-12)
 
 

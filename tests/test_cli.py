@@ -1,7 +1,11 @@
 """Tests for the command-line interface: output shapes, exit codes, and
 byte-level determinism."""
 
+import hashlib
 import json
+
+import numpy as np
+import pytest
 
 from lawson_bipolar.cli import RunConfig, main, run, _json17
 
@@ -70,6 +74,26 @@ class TestSpectrumAndImmerse:
         assert len(doc["rows"]) == 16
 
 
+class TestImmerseBytes:
+    """sha256 of immerse outputs written by the point-by-point evaluation
+    and the csv/json module writers the vectorized path replaced.  The
+    (2, 1) grid-78 mesh contains v values whose squared cosine or sine
+    rounds differently under x * x than under Python's float power."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--r", "2", "--k", "1", "--grid", "16", "--format", "csv"],
+         "8a548b89238196c9be7e6c1dc1dd4774801e1f7dfd79b0086495359d90fa35b1"),
+        (["--r", "5", "--k", "2", "--grid", "16", "--format", "json"],
+         "0e918055eca8c9740b6b705586968762b1d96aa4da5089f52a0ce970007436cf"),
+        (["--r", "2", "--k", "1", "--grid", "78", "--format", "csv"],
+         "95ac5202df7a22f8982f73288062ac3944e1cf7e94f4135964f9066e32de6095"),
+    ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv"])
+    def test_output_digest(self, tmp_path, args, digest):
+        out = tmp_path / "mesh"
+        assert main(["immerse", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestArea:
     def test_prints_quadrature_and_closed_form(self, capsys):
         assert main(["area", "--r", "3", "--k", "1"]) == 0
@@ -129,6 +153,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(climod.hs, "extremal_rank", boom)
         assert main(["rank", "--r", "2", "--k", "1"]) == 3
+
+    def test_excluded_direction_failure_exits_3(self, monkeypatch, capsys):
+        from lawson_bipolar import cli as climod
+
+        # without the rotation A the wedge leaves the S^4 equator
+        monkeypatch.setattr(climod.sm, "_A_BLOCKS", np.eye(6))
+        assert main(["immerse", "--r", "2", "--k", "1", "--grid", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: orthogonality")
+        assert "at (u, v) = (" in err
 
 
 class TestArgumentValidation:

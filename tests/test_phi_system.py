@@ -182,6 +182,16 @@ class TestWeierstrassClosedForm:
         got = closed_form_weierstrass(1e-4, P21)[0]
         assert abs(got - initial_state(P21).phi0) < 1e-6
 
+    def test_near_zero_denominator_raises_typed_error(self, monkeypatch):
+        from lawson_bipolar import phi_system
+        from lawson_bipolar.special_functions import PoleProximityError
+
+        b1 = weierstrass_tables(P21).b_vector[0]
+        monkeypatch.setattr(phi_system, "weierstrass_p",
+                            lambda y, inv: -0.5 * b1 + 1e-9)
+        with pytest.raises(PoleProximityError, match=r"2P\+b_1 too close to zero"):
+            closed_form_weierstrass(0.3, P21)
+
 
 class TestFirstIntegrals:
     def test_value_at_origin(self):

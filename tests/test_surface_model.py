@@ -6,16 +6,22 @@ substitution, and the wedge-product construction for the printed
 immersion columns.
 """
 
+import csv
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.special as ss
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from lawson_bipolar.special_functions import complete_E, complete_K
+from lawson_bipolar import surface_model as sm
 from lawson_bipolar.surface_model import (
+    EXCLUDED_DIRECTION_NOTE,
+    ExcludedDirectionError,
     HTransform,
     InvalidParametersError,
     ParityClass,
@@ -24,6 +30,7 @@ from lawson_bipolar.surface_model import (
     area_closed_form,
     bipolar_column,
     bipolar_immersion,
+    bipolar_immersion_array,
     bipolar_metric,
     derive_params,
     h1_inverse,
@@ -339,7 +346,93 @@ class TestAreaAndExport:
 
         jbuf = io.StringIO()
         write_immersion_json(jbuf, p, rows)
-        import json
         doc = json.loads(jbuf.getvalue())
         assert doc["params"] == {"r": 2, "k": 1, "n": 3, "m": 1}
         assert len(doc["rows"]) == 30
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 9])
+    def test_writers_match_csv_and_json_modules(self, n_rows):
+        """The one-call %-format writers against csv.writer and
+        json.dump(indent=1) with every value rendered by format(x, ".17g")."""
+        p = derive_params(3, 1)
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(n_rows, 7)) * 10.0 ** rng.integers(-300, 300, (n_rows, 7))
+        if n_rows:
+            rows[0, 1:] = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+        columns = ["u", "v", "x1", "x2", "x3", "x4", "x5"]
+
+        ref = io.StringIO()
+        ref.write("# r=3 k=1 n=2 m=1 topology=KleinBottle\n")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format(float(x), ".17g") for x in row])
+        got = io.StringIO()
+        write_immersion_csv(got, p, rows)
+        assert got.getvalue() == ref.getvalue()
+
+        doc = {"params": {"r": 3, "k": 1, "n": 2, "m": 1},
+               "topology": "KleinBottle", "basis_note": EXCLUDED_DIRECTION_NOTE,
+               "columns": columns,
+               "rows": [[format(float(x), ".17g") for x in row] for row in rows]}
+        got = io.StringIO()
+        write_immersion_json(got, p, rows)
+        assert got.getvalue() == json.dumps(doc, indent=1) + "\n"
+
+
+class TestExcludedDirectionGuard:
+    def test_every_row_is_checked(self):
+        r, k = 2, 1
+        w6 = np.zeros((40, 6))
+        w6[:, 5] = 1.0
+        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
+        w6[33, :2] = 1e-9 * excluded
+        w6[37, :2] = 1e-6 * excluded
+        u = np.arange(40) * 0.1
+        v = np.arange(40) * 0.01
+        with pytest.raises(ExcludedDirectionError) as info:
+            sm._project5(w6, r, k, u, v)
+        assert (info.value.u, info.value.v) == (u[37], v[37])
+        assert info.value.residual == pytest.approx(1e-6, rel=1e-12)
+        assert "at (u, v) = (3.7" in str(info.value)
+
+    def test_projection_passes_orthogonal_rows(self):
+        rng = np.random.default_rng(53)
+        u, v = rng.uniform(0, 2 * math.pi, 64), rng.uniform(0, math.pi, 64)
+        pts = bipolar_immersion_array(u, v, derive_params(7, 6))
+        assert pts.shape == (64, 5)
+
+
+def _scalar_immersion(u, v, r, k):
+    """Point-by-point reference: the scalar math construction the array
+    path replaced, same operations in the same order."""
+    lawson = np.array([math.cos(r * u) * math.cos(v), math.sin(r * u) * math.cos(v),
+                       math.cos(k * u) * math.sin(v), math.sin(k * u) * math.sin(v)])
+    w = math.sqrt(r * r * math.cos(v) ** 2 + k * k * math.sin(v) ** 2)
+    normal = np.array([k * math.sin(r * u) * math.sin(v), -k * math.cos(r * u) * math.sin(v),
+                       -r * math.sin(k * u) * math.cos(v), r * math.cos(k * u) * math.cos(v)]) / w
+    w6 = sm._A_BLOCKS @ sm._wedge6(lawson, normal)
+    kept = np.array([r - k, r + k, 0.0, 0.0, 0.0, 0.0]) / math.hypot(r + k, r - k)
+    return np.array([float(w6 @ kept), w6[5], w6[2], w6[4], w6[3]])
+
+
+@pytest.mark.parametrize("r, k", [(2, 1), (3, 1), (7, 6), (13, 4)])
+def test_array_path_matches_scalar_reference(r, k):
+    rng = np.random.default_rng(59)
+    u, v = rng.uniform(-20.0, 20.0, 20000), rng.uniform(-10.0, 10.0, 20000)
+    got = bipolar_immersion_array(u, v, derive_params(r, k))
+    want = np.array([_scalar_immersion(a, b, r, k) for a, b in zip(u.tolist(), v.tolist())])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(20)), st.integers(1, 12), st.integers(1, 12))
+def test_immersion_rows_match_pointwise(pair, n_u, n_v):
+    """The vectorized mesh is the point-by-point immersion, bit for bit."""
+    params = derive_params(*pair)
+    rows = immersion_rows(params, n_u, n_v)
+    assert rows.shape == (n_u * n_v, 7)
+    for row in rows:
+        assert np.array_equal(row[2:], bipolar_immersion(row[0], row[1], params).coords)
+    np.testing.assert_allclose(np.linalg.norm(rows[:, 2:], axis=1), 1.0,
+                               rtol=0.0, atol=1e-12)
