@@ -89,7 +89,7 @@ def _solver_tol(config: RunConfig) -> float:
 
 def _cmd_classify(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
-    if config.fmt == "json" and config.output_path:
+    if config.output_path:
         doc = {"r": params.r, "k": params.k, "n": params.n, "m": params.m,
                "topology": params.topology.value,
                "parity_class": params.parity_class.value}
@@ -243,32 +243,53 @@ def run(config: RunConfig) -> int:
         return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1: argparse's own code 2 means a failed check here."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# the optional flags each subcommand honours; no other flag is accepted
+_SUBCOMMANDS = {
+    "classify": ("print (n, m), parity class, and topology", {"out"}),
+    "spectrum": ("write the located eigenvalue table for p = 0..n",
+                 {"tol", "format", "out"}),
+    "immerse": ("sample the bipolar immersion on a (u, v) grid",
+                {"grid", "format", "out"}),
+    "verify": ("run the full verification battery, emit JSON", {"strict", "out"}),
+    "rank": ("compute the extremal eigenvalue rank", {"tol", "out", "sweep"}),
+    "area": ("compare area quadrature against the closed form", set()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lawson-bipolar",
         description="Bipolar Lawson surfaces: classification, Hill spectra, "
                     "immersion sampling, and verification.")
+    parser.set_defaults(tol=None, grid=None, out="", fmt="json", strict=False,
+                        sweep=0, jobs=1)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-            ("classify", "print (n, m), parity class, and topology"),
-            ("spectrum", "write the located eigenvalue table for p = 0..n"),
-            ("immerse", "sample the bipolar immersion on a (u, v) grid"),
-            ("verify", "run the full verification battery, emit JSON"),
-            ("rank", "compute the extremal eigenvalue rank"),
-            ("area", "compare area quadrature against the closed form")]:
+    for name, (blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--r", type=int, default=0, help="Lawson parameter r")
         p.add_argument("--k", type=int, default=0, help="Lawson parameter k")
-        p.add_argument("--tol", type=float, default=None,
-                       help="solver tolerance override, within [1e-13, 1e-6]")
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid size override (immerse: per axis)")
-        p.add_argument("--out", type=str, default="", help="output file path")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"],
-                       default="json", help="output format")
-        p.add_argument("--strict", action="store_true",
-                       help="halve every verification threshold")
-        if name == "rank":
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=None,
+                           help="solver tolerance override, within [1e-13, 1e-6]")
+        if "grid" in flags:
+            p.add_argument("--grid", type=int, default=None,
+                           help="grid size per axis")
+        if "out" in flags:
+            p.add_argument("--out", type=str, default="", help="output file path")
+        if "format" in flags:
+            p.add_argument("--format", dest="fmt", choices=["json", "csv"],
+                           default="json", help="output format")
+        if "strict" in flags:
+            p.add_argument("--strict", action="store_true",
+                           help="halve every verification threshold")
+        if "sweep" in flags:
             p.add_argument("--sweep", type=int, default=0, metavar="RMAX",
                            help="emit the rank table for all r <= RMAX")
             p.add_argument("--jobs", type=int, default=1,
@@ -279,10 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     tolerances = {}
-    # the LAWSON_BIPOLAR_TOL environment variable supplies a default
-    # solver tolerance; an explicit --tol wins
+    # the LAWSON_BIPOLAR_TOL environment variable supplies the default of
+    # --tol on the subcommands that take it; an explicit --tol wins
     env_tol = os.environ.get("LAWSON_BIPOLAR_TOL")
-    if args.tol is None and env_tol is not None:
+    if "tol" in _SUBCOMMANDS[args.command][1] and args.tol is None and env_tol is not None:
         try:
             args.tol = float(env_tol)
         except ValueError:
@@ -299,11 +320,16 @@ def main(argv=None) -> int:
             print("grid must be at least 2", file=sys.stderr)
             return 1
         grid_sizes = {"u": args.grid, "v": args.grid}
+    if args.sweep < 0:
+        print("sweep must not be negative", file=sys.stderr)
+        return 1
+    if args.jobs < 1:
+        print("jobs must be at least 1", file=sys.stderr)
+        return 1
     config = RunConfig(
         command=args.command, r=args.r, k=args.k, tolerances=tolerances,
         grid_sizes=grid_sizes, output_path=args.out, fmt=args.fmt,
-        sweep=getattr(args, "sweep", 0), strict=args.strict,
-        jobs=getattr(args, "jobs", 1))
+        sweep=args.sweep, strict=args.strict, jobs=args.jobs)
     return run(config)
 
 

@@ -15,7 +15,6 @@ are evaluated for drift checks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .special_functions import (
     complete_K,
     weierstrass_p,
 )
-from .surface_model import SurfaceParams, period_a, theta_of_y
+from .surface_model import SurfaceParams, _sq, _theta_array, period_a
 
 __all__ = [
     "IntegrationFailureError",
@@ -42,6 +41,7 @@ __all__ = [
     "integrate_system",
     "integrate_states",
     "closed_form_theta",
+    "closed_form_theta_array",
     "closed_form_profile",
     "closed_form_weierstrass",
     "weierstrass_tables",
@@ -101,9 +101,6 @@ class PhiProfile:
     states: np.ndarray
     tolerance: float
     end_state: np.ndarray
-
-    def state_at(self, index: int) -> PhiState:
-        return PhiState.from_array(self.states[index])
 
     def periodicity_residual(self) -> float:
         return float(np.max(np.abs(self.end_state - self.states[0])))
@@ -176,27 +173,32 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
 # theta closed form
 # ---------------------------------------------------------------------------
 
-def closed_form_theta(y: float, params: SurfaceParams) -> PhiState:
-    """Profile state from the theta parametrization.
+def closed_form_theta_array(y, params: SurfaceParams) -> np.ndarray:
+    """Profile states from the theta parametrization at a 1-D array of y,
+    one row (phi0, phi1, phi2, phi0', phi1', phi2') each.
 
     phi0 = sqrt((n^2+m^2)/(2n^2)) cos(theta), phi1 = sin(theta)/sqrt(2),
     phi2 the positive square root of the remainder (phi2 never vanishes);
     derivatives use theta' = sqrt(n^2 - m^2 cos^2 theta) > 0.
     """
     n, m = params.n, params.m
-    th = theta_of_y(y, params)
-    c, s = math.cos(th), math.sin(th)
-    dth = math.sqrt(n * n - m * m * c * c)
+    th = _theta_array(y, params)
+    c, s = np.cos(th), np.sin(th)
+    dth = np.sqrt(n * n - m * m * c * c)
     c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
-    phi2 = math.sqrt(n * n - m * m * c * c) / (math.sqrt(2.0) * n)
-    return PhiState(
-        phi0=c0 * c,
-        phi1=s / math.sqrt(2.0),
-        phi2=phi2,
-        dphi0=-c0 * s * dth,
-        dphi1=c * dth / math.sqrt(2.0),
-        dphi2=m * m * s * c / (math.sqrt(2.0) * n),
-    )
+    return np.column_stack((
+        c0 * c,
+        s / math.sqrt(2.0),
+        dth / (math.sqrt(2.0) * n),
+        -c0 * s * dth,
+        c * dth / math.sqrt(2.0),
+        m * m * s * c / (math.sqrt(2.0) * n),
+    ))
+
+
+def closed_form_theta(y: float, params: SurfaceParams) -> PhiState:
+    """The one-point case of closed_form_theta_array."""
+    return PhiState.from_array(closed_form_theta_array(np.array([y], float), params)[0])
 
 
 def closed_form_profile(params: SurfaceParams,
@@ -204,10 +206,9 @@ def closed_form_profile(params: SurfaceParams,
     """PhiProfile sampled from the theta closed form (no integration)."""
     a = period_a(params)
     grid = np.linspace(0.0, a, n_points, endpoint=False)
-    states = np.array([closed_form_theta(y, params).as_array() for y in grid])
-    end_state = closed_form_theta(a, params).as_array()
-    return PhiProfile(params=params, grid=grid, states=states,
-                      tolerance=0.0, end_state=end_state)
+    states = closed_form_theta_array(np.append(grid, a), params)
+    return PhiProfile(params=params, grid=grid, states=states[:-1],
+                      tolerance=0.0, end_state=states[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +281,17 @@ def closed_form_weierstrass(y: float, params: SurfaceParams) -> tuple[float, flo
 # first integrals
 # ---------------------------------------------------------------------------
 
-def first_integrals(state: PhiState, params: SurfaceParams) -> tuple[float, float]:
-    """The two conserved quantities E1, E2 of the profile system.
+def first_integrals(states, params: SurfaceParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two conserved quantities E1, E2 of the profile system at one
+    state vector (phi0..phi2, phi0'..phi2') or at rows of them.
 
     E1 doubles as a Hamiltonian under q_i = phi_i, p_i = 2 m_i^2 phi_i'
     (making the (phi1, phi2) equations an integrable system with E2 the
     second integral); only the conserved-quantity role is implemented
     here, for drift checks."""
     n2, m2 = params.n ** 2, params.m ** 2
-    p1, p2 = state.phi1, state.phi2
-    d1, d2 = state.dphi1, state.dphi2
-    e1 = ((m2 * p1 * p1 + n2 * p2 * p2) ** 2
+    _, p1, p2, _, d1, d2 = np.asarray(states, float).T
+    e1 = (_sq(m2 * p1 * p1 + n2 * p2 * p2)
           - (m2 * m2 * p1 * p1 + n2 * n2 * p2 * p2)
           + m2 * d1 * d1 + n2 * d2 * d2)
     e2 = (n2 * (n2 - m2) * p2 * p2 * (p2 * p2 - 1.0)
@@ -298,15 +299,16 @@ def first_integrals(state: PhiState, params: SurfaceParams) -> tuple[float, floa
           + m2 * p2 * p2 * d1 * d1
           - 2.0 * m2 * p1 * p2 * d1 * d2
           + d2 * d2 * ((n2 - m2) + m2 * p1 * p1))
-    return float(e1), float(e2)
+    return e1, e2
+
+
+_PROFILE_ROW = ",".join(["%.17g"] * 9) + "\n"
 
 
 def write_profile_csv(stream: IO[str], profile: PhiProfile) -> None:
-    """Dump columns y, phi0..phi2, derivatives, and E1, E2."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["y", "phi0", "phi1", "phi2", "dphi0", "dphi1", "dphi2",
-                     "E1", "E2"])
-    for y, row in zip(profile.grid, profile.states):
-        e1, e2 = first_integrals(PhiState.from_array(row), profile.params)
-        writer.writerow([format(float(x), ".17g")
-                         for x in (y, *row, e1, e2)])
+    """Dump columns y, phi0..phi2, derivatives, and E1, E2, every value
+    with 17 significant digits; one %-format call renders all rows."""
+    e1, e2 = first_integrals(profile.states, profile.params)
+    table = np.column_stack((profile.grid, profile.states, e1, e2))
+    stream.write("y,phi0,phi1,phi2,dphi0,dphi1,dphi2,E1,E2\n")
+    stream.write(_PROFILE_ROW * len(table) % tuple(table.ravel().tolist()))

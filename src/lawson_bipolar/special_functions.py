@@ -120,7 +120,7 @@ def complete_E(modulus: EllipticModulus) -> float:
     return math.pi / (2.0 * a) * (1.0 - s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _landen_chain(kp2: float):
     """Descending Landen chain for complementary parameter kp2 = k'^2.
 
@@ -220,7 +220,7 @@ def jacobi_am(w: float, modulus: EllipticModulus) -> float:
     return float(_am_array(w, modulus))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _wp_reduction(g2: float, g3: float):
     """Root data for P(y; g2, g3) on the real axis.
 

@@ -39,7 +39,6 @@ __all__ = [
     "ParityClass",
     "HTransform",
     "SurfaceParams",
-    "MetricSample",
     "ImmersionPoint5",
     "derive_params",
     "params_from_nm",
@@ -47,7 +46,6 @@ __all__ = [
     "period_a",
     "theta_of_y",
     "theta_of_y_quadrature",
-    "metric_f",
     "metric_f_array",
     "lawson_I",
     "lawson_normal",
@@ -126,14 +124,6 @@ class SurfaceParams:
     def __str__(self):
         return (f"(r,k)=({self.r},{self.k}) -> (n,m)=({self.n},{self.m}), "
                 f"{self.topology.value}, {self.parity_class.value}")
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Conformal factor f at profile coordinate y: metric f (dx^2 + dy^2)."""
-
-    y: float
-    f: float
 
 
 @dataclass(frozen=True)
@@ -243,15 +233,11 @@ def theta_of_y_quadrature(y: float, params: SurfaceParams) -> float:
 
 
 def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
-    """Conformal factor f(y) = (m^2+n^2)/2 - m^2 cos^2(theta(y)) as array."""
+    """Conformal factor f(y) = (m^2+n^2)/2 - m^2 cos^2(theta(y)) of the
+    metric f (dx^2 + dy^2); f > 0 with f(y) = f(-y) = f(y + a/2)."""
     K = complete_K(params.modulus)
     sn, _, _ = _sncndn_array(K - params.n * np.asarray(y, float), params.modulus)
     return (params.m ** 2 + params.n ** 2) / 2.0 - params.m ** 2 * sn ** 2
-
-
-def metric_f(y: float, params: SurfaceParams) -> MetricSample:
-    """Metric sample at y; f > 0 with f(y) = f(-y) = f(y + a/2)."""
-    return MetricSample(y=float(y), f=float(metric_f_array(y, params)))
 
 
 # ---------------------------------------------------------------------------

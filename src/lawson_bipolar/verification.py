@@ -34,17 +34,12 @@ from .surface_model import (
 __all__ = [
     "VerificationError",
     "CheckResult",
-    "OrbitPoint",
     "FullReport",
-    "orbit_point_from_state",
-    "takahashi_check",
     "profile_checks",
     "isometry_checks",
-    "isometry_check",
     "invariance_checks",
     "area_quadrature",
     "area_and_lambda",
-    "orbit_space_check",
     "orbit_space_checks",
     "floquet_structure_checks",
     "full_report",
@@ -76,25 +71,6 @@ class CheckResult:
         return f"[{tag}] {self.name}: residual {self.residual:.3e} < {self.threshold:.1e}"
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """Orbit-space coordinates of a profile point on the psi = 0 slice.
-
-    orbit_alpha is the angular coordinate of the orbit space; it is
-    unrelated to the profile modulus m/n.
-    """
-
-    rho: float
-    orbit_alpha: float
-    psi: float = 0.0
-
-
-def orbit_point_from_state(state: ps.PhiState) -> OrbitPoint:
-    """Identify (phi0, phi1, phi2) = (sin rho, cos rho cos a, cos rho sin a)."""
-    return OrbitPoint(rho=math.asin(state.phi0),
-                      orbit_alpha=math.atan2(state.phi2, state.phi1))
-
-
 # ---------------------------------------------------------------------------
 # profile checks
 # ---------------------------------------------------------------------------
@@ -112,17 +88,8 @@ def _takahashi_residual(profile: ps.PhiProfile) -> tuple[float, str]:
         "phi1": np.max(np.abs((m2 * p1 - (m2 - twof_hat) * p1) / f - 2.0 * p1)),
         "phi2": np.max(np.abs((n2 * p2 - (n2 - twof_hat) * p2) / f - 2.0 * p2)),
     }
-    worst = max(parts.values())
     ctx = ", ".join(f"{k}: {v:.3e}" for k, v in parts.items())
-    return float(worst), ctx
-
-
-def takahashi_check(params: SurfaceParams, grid_size: int = 1024,
-                    tol: float = 1e-10) -> CheckResult:
-    """Each immersion component is a Laplace eigenfunction of eigenvalue 2."""
-    profile = ps.integrate_system(params, tol=tol, n_points=grid_size)
-    worst, ctx = _takahashi_residual(profile)
-    return CheckResult("takahashi_identity", worst, 1e-8, ctx)
+    return float(np.max(list(parts.values()))), ctx
 
 
 def profile_checks(params: SurfaceParams, grid_size: int = 1024,
@@ -145,27 +112,20 @@ def profile_checks(params: SurfaceParams, grid_size: int = 1024,
         (params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2) - f)))
     taka, taka_ctx = _takahashi_residual(profile)
 
-    e = np.array([ps.first_integrals(profile.state_at(i), params)
-                  for i in range(len(profile.grid))])
-    e1_drift = float(np.max(np.abs(e[:, 0] - e[0, 0])))
-    e2_drift = float(np.max(np.abs(e[:, 1] - e[0, 1])))
+    e1, e2 = ps.first_integrals(st, params)
+    e1_drift = float(np.max(np.abs(e1 - e1[0])))
+    e2_drift = float(np.max(np.abs(e2 - e2[0])))
+    cross_theta = float(np.max(np.abs(ps.closed_form_theta_array(profile.grid, params) - st)))
 
-    theta_states = np.array([ps.closed_form_theta(y, params).as_array()
-                             for y in profile.grid])
-    cross_theta = float(np.max(np.abs(theta_states - st)))
-
+    # the Weierstrass route is an independent cross-check, point by point;
+    # only magnitudes compare, as the printed phi1 P-form does not fix the
+    # odd sign convention (the signed gap is a diagnostic)
     a = period_a(params)
     ys = np.linspace(0.037 * a, 0.963 * a, 100)
-    cross_wp = 0.0
-    signed_gap = 0.0        # diagnostic only: the printed phi1 P-form does
-    for y in ys:            # not fix the odd sign convention
-        mags = ps.closed_form_weierstrass(y, params)
-        ref = ps.closed_form_theta(y, params)
-        cross_wp = max(cross_wp,
-                       abs(mags[0] - abs(ref.phi0)),
-                       abs(mags[1] - abs(ref.phi1)),
-                       abs(mags[2] - abs(ref.phi2)))
-        signed_gap = max(signed_gap, abs(mags[1] - ref.phi1))
+    mags = np.array([ps.closed_form_weierstrass(y, params) for y in ys])
+    ref = ps.closed_form_theta_array(ys, params)[:, :3]
+    cross_wp = float(np.max(np.abs(mags - np.abs(ref))))
+    signed_gap = float(np.max(np.abs(mags[:, 1] - ref[:, 1])))
 
     return [
         CheckResult("sphere_constraint", sphere, 1e-8),
@@ -176,7 +136,7 @@ def profile_checks(params: SurfaceParams, grid_size: int = 1024,
         CheckResult("first_integral_E2_drift", e2_drift, 1e-8),
         CheckResult("phi_periodicity", profile.periodicity_residual(), 1e-8),
         CheckResult("phi_theta_vs_ode", cross_theta, 1e-8),
-        CheckResult("phi_weierstrass_vs_theta", float(cross_wp), 1e-6,
+        CheckResult("phi_weierstrass_vs_theta", cross_wp, 1e-6,
                     f"signed phi1 comparison (diagnostic) {signed_gap:.3e}"),
     ]
 
@@ -196,41 +156,26 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     dx_du = 1.0 if even_rk else 2.0
     K = complete_K(params.modulus)
 
-    pull_res = 0.0
-    bridge_res = 0.0
-    vs = np.linspace(0.0, math.pi, grid, endpoint=False)
-    us = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    for v in vs:
+    pull, bridge = [], []
+    for v in np.linspace(0.0, math.pi, grid, endpoint=False):
         z = sm.z_of_v(v, params)
         _, y = h_transforms((0.0, z), which, params)
         ftil = float(metric_f_array(y, params))
         P = (n + m) ** 2 - 4.0 * m * n * math.sin(v) ** 2
-        # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P)
-        pb_uu = ftil * dx_du ** 2
-        pb_vv = ftil * 4.0 / P
-        for u in us:
-            g_uu, g_vv = sm.bipolar_metric(u, v, params)
-            pull_res = max(pull_res, abs(pb_uu - g_uu), abs(pb_vv - g_vv))
+        # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P); the
+        # bipolar metric depends on v alone, so one u stands for the row
+        g_uu, g_vv = sm.bipolar_metric(0.0, v, params)
+        pull += [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
         # bridging identities at this z
         sn2, cn2, _ = jacobi_sncndn(2.0 * n * z, params.modulus)
         th = sm.theta_of_y(y, params)
         sny, _, _ = jacobi_sncndn(K - n * y, params.modulus)
-        bridge_res = max(bridge_res,
-                         abs(math.cos(th) + sn2),
-                         abs(math.sin(th) - cn2),
-                         abs(math.cos(th) - sny))
+        bridge += [math.cos(th) + sn2, math.sin(th) - cn2, math.cos(th) - sny]
     return [
-        CheckResult("isometry_pullback", float(pull_res), 1e-8,
-                    f"chart {which.value}, {grid}x{grid} grid"),
-        CheckResult("bridging_identities", float(bridge_res), 1e-10),
+        CheckResult("isometry_pullback", float(np.max(np.abs(pull))), 1e-8,
+                    f"chart {which.value}, {grid} values of v"),
+        CheckResult("bridging_identities", float(np.max(np.abs(bridge))), 1e-10),
     ]
-
-
-def isometry_check(r: int, k: int, grid: int = 64) -> CheckResult:
-    """Metric pullback agreement (the bridging residual rides in context)."""
-    pull, bridge = isometry_checks(r, k, grid)
-    ctx = f"{pull.context}; bridging residual {bridge.residual:.3e}"
-    return CheckResult(pull.name, pull.residual, pull.threshold, ctx)
 
 
 def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckResult]:
@@ -245,19 +190,19 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
                 ("u+pi", lambda u, v: (u + math.pi, v))]
     u, v = rng.uniform(0.0, [2.0 * math.pi, math.pi], size=(n_points, 2)).T
     base = sm.bipolar_column(u, v, r, k)
-    res = max(float(np.max(np.abs(sm.bipolar_column(*gen(u, v), r, k) - base)))
-              for _, gen in gens)
+    res = float(np.max([np.max(np.abs(sm.bipolar_column(*gen(u, v), r, k) - base))
+                        for _, gen in gens]))
     out = [CheckResult("group_invariance", res, 1e-12,
                        "generators " + ", ".join(name for name, _ in gens))]
     if params.topology is Topology.KLEIN_BOTTLE:
-        kres = 0.0
+        kres = []
         for _ in range(n_points):
             u = rng.uniform(0.0, 2.0 * math.pi)
             v = rng.uniform(0.01, math.pi - 0.01)
             u2, v2 = klein_deck_map(u, v, params)
-            kres = max(kres, float(np.max(np.abs(
-                sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params)))))
-        out.append(CheckResult("klein_invariance", kres, 1e-9,
+            kres.append(np.max(np.abs(
+                sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params))))
+        out.append(CheckResult("klein_invariance", float(np.max(kres)), 1e-9,
                                "deck map H1^-1 o H2 o H1"))
     return out
 
@@ -270,8 +215,7 @@ def immersion_agreement_check(params: SurfaceParams, n_points: int = 50) -> Chec
     col6 = sm.bipolar_column(u, v, params.r, params.k)
     closed = sm._project5(col6.T, params.r, params.k, u, v)
     norm = np.sqrt(sm._row_dot(wedge, wedge))
-    res = max(float(np.max(np.abs(wedge - closed))),
-              float(np.max(np.abs(norm - 1.0))))
+    res = float(np.max([np.max(np.abs(wedge - closed)), np.max(np.abs(norm - 1.0))]))
     return CheckResult("immersion_column_agreement", res, 1e-12)
 
 
@@ -310,88 +254,57 @@ def area_and_lambda(r: int, k: int) -> tuple[float, float, int]:
 # orbit space
 # ---------------------------------------------------------------------------
 
-def _fd1(fun, x: float, h: float) -> float:
-    return (8.0 * (fun(x + h) - fun(x - h)) - (fun(x + 2 * h) - fun(x - 2 * h))) / (12.0 * h)
-
-
-def _fd2(fun, x: float, h: float) -> float:
-    return (-fun(x + 2 * h) + 16.0 * fun(x + h) - 30.0 * fun(x)
-            + 16.0 * fun(x - h) - fun(x - 2 * h)) / (12.0 * h * h)
-
-
 def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResult]:
     """The profile curve is a unit-speed geodesic of the psi = 0 slice
-    metric cos^2(rho) (m^2 cos^2 a + n^2 sin^2 a)(d rho^2 + cos^2 rho d a^2)
-    after reparametrizing by ds/dy = m^2 phi1^2 + n^2 phi2^2."""
-    n, m = params.n, params.m
+    metric g11 d rho^2 + g22 d a^2, g11 = cos^2(rho) (m^2 cos^2 a +
+    n^2 sin^2 a), g22 = g11 cos^2(rho), after reparametrizing by
+    ds/dy = f = m^2 phi1^2 + n^2 phi2^2, where (phi0, phi1, phi2) =
+    (sin rho, cos rho cos a, cos rho sin a).
+
+    phi and phi' come from the theta closed form, phi'' from the profile
+    system, the y-derivatives of rho, a and f from the chain rule, and
+    the Christoffel symbols from the closed-form partials of g11, g22;
+    no step size enters."""
+    n2, m2 = params.n ** 2, params.m ** 2
     a_per = period_a(params)
-    h = 1e-4
-
-    def rho_of(y):
-        return math.asin(ps.closed_form_theta(y, params).phi0)
-
-    def alpha_of(y):
-        st = ps.closed_form_theta(y, params)
-        return math.atan2(st.phi2, st.phi1)
-
-    def f_of(y):
-        st = ps.closed_form_theta(y, params)
-        return m * m * st.phi1 ** 2 + n * n * st.phi2 ** 2
-
-    def g11(rho, al):
-        return math.cos(rho) ** 2 * (m * m * math.cos(al) ** 2 + n * n * math.sin(al) ** 2)
-
-    def g22(rho, al):
-        return g11(rho, al) * math.cos(rho) ** 2
-
-    ident_res = 0.0
-    ellipse_res = 0.0
-    geo_res = 0.0
     ys = np.linspace(0.03 * a_per, 0.97 * a_per, grid)
-    for y in ys:
-        st = ps.closed_form_theta(y, params)
-        op = orbit_point_from_state(st)
-        ident_res = max(
-            ident_res,
-            abs(st.phi0 - math.sin(op.rho)),
-            abs(st.phi1 - math.cos(op.rho) * math.cos(op.orbit_alpha)),
-            abs(st.phi2 - math.cos(op.rho) * math.sin(op.orbit_alpha)))
-        ellipse_res = max(ellipse_res, abs(
-            2.0 * st.phi1 ** 2 + (2.0 * n * n / (n * n + m * m)) * st.phi0 ** 2 - 1.0))
+    st = ps.closed_form_theta_array(ys, params)
+    p0, p1, p2, d0, d1, d2 = st.T
+    _, _, _, dd0, dd1, dd2 = ps.odesystem_rhs(ys, st.T, params)
 
-        f0 = f_of(y)
-        fy = _fd1(f_of, y, h)
-        r_y, r_yy = _fd1(rho_of, y, h), _fd2(rho_of, y, h)
-        a_y, a_yy = _fd1(alpha_of, y, h), _fd2(alpha_of, y, h)
-        rho, al = rho_of(y), alpha_of(y)
-        rdot, adot = r_y / f0, a_y / f0
-        rddot = r_yy / f0 ** 2 - fy * r_y / f0 ** 3
-        addot = a_yy / f0 ** 2 - fy * a_y / f0 ** 3
-        g11_r = _fd1(lambda t: g11(t, al), rho, h)
-        g11_a = _fd1(lambda t: g11(rho, t), al, h)
-        g22_r = _fd1(lambda t: g22(t, al), rho, h)
-        g22_a = _fd1(lambda t: g22(rho, t), al, h)
-        c111 = g11_r / (2.0 * g11(rho, al))
-        c112 = g11_a / (2.0 * g11(rho, al))
-        c122 = -g22_r / (2.0 * g11(rho, al))
-        c211 = -g11_a / (2.0 * g22(rho, al))
-        c212 = g22_r / (2.0 * g22(rho, al))
-        c222 = g22_a / (2.0 * g22(rho, al))
-        geo_res = max(
-            geo_res,
-            abs(rddot + c111 * rdot ** 2 + 2.0 * c112 * rdot * adot + c122 * adot ** 2),
-            abs(addot + c211 * rdot ** 2 + 2.0 * c212 * rdot * adot + c222 * adot ** 2))
+    rho, al = np.arcsin(p0), np.arctan2(p2, p1)
+    cr, sr, ca, sa = np.cos(rho), np.sin(rho), np.cos(al), np.sin(al)
+    ident = np.abs([p0 - sr, p1 - cr * ca, p2 - cr * sa])
+    ellipse = np.abs(2.0 * sm._sq(p1) + (2.0 * n2 / (n2 + m2)) * sm._sq(p0) - 1.0)
+
+    # y-derivatives of rho = asin(phi0), a = atan2(phi2, phi1) and f
+    cos2, cos2_r = cr * cr, -2.0 * sr * cr
+    w, q = p1 * d2 - p2 * d1, p1 * d1 + p2 * d2
+    r_y = d0 / cr
+    r_yy = (dd0 + p0 * r_y * r_y) / cr
+    a_y = w / cos2
+    a_yy = (p1 * dd2 - p2 * dd1) / cos2 - 2.0 * w * q / (cos2 * cos2)
+    f = m2 * p1 * p1 + n2 * p2 * p2
+    f_y = 2.0 * (m2 * p1 * d1 + n2 * p2 * d2)
+    rdot, adot = r_y / f, a_y / f
+    rddot = r_yy / (f * f) - f_y * r_y / (f * f * f)
+    addot = a_yy / (f * f) - f_y * a_y / (f * f * f)
+
+    # the metric and its partials in (rho, a)
+    G, G_a = m2 * ca * ca + n2 * sa * sa, 2.0 * (n2 - m2) * sa * ca
+    g11, g11_r, g11_a = cos2 * G, cos2_r * G, cos2 * G_a
+    g22, g22_r, g22_a = g11 * cos2, g11_r * cos2 + g11 * cos2_r, g11_a * cos2
+    c111, c112, c122 = g11_r / (2.0 * g11), g11_a / (2.0 * g11), -g22_r / (2.0 * g11)
+    c211, c212, c222 = -g11_a / (2.0 * g22), g22_r / (2.0 * g22), g22_a / (2.0 * g22)
+    geo = np.abs([
+        rddot + c111 * rdot * rdot + 2.0 * c112 * rdot * adot + c122 * adot * adot,
+        addot + c211 * rdot * rdot + 2.0 * c212 * rdot * adot + c222 * adot * adot])
     return [
-        CheckResult("orbit_identification", float(ident_res), 1e-10),
-        CheckResult("orbit_ellipse", float(ellipse_res), 1e-12),
-        CheckResult("orbit_geodesic", float(geo_res), 1e-6,
-                    f"{grid} interior points, fd step {h}"),
+        CheckResult("orbit_identification", float(np.max(ident)), 1e-10),
+        CheckResult("orbit_ellipse", float(np.max(ellipse)), 1e-12),
+        CheckResult("orbit_geodesic", float(np.max(geo)), 1e-6,
+                    f"{grid} interior points, exact derivatives"),
     ]
-
-
-def orbit_space_check(params: SurfaceParams, grid: int = 512) -> CheckResult:
-    """Geodesic-equation residual on the psi = 0 slice."""
-    return orbit_space_checks(params, grid)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,26 +330,27 @@ def floquet_structure_checks(params: SurfaceParams,
     z1b, dz1b, z2b, dz2b = full
     z1h, dz1h, z2h, dz2h = half
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
-    half_ids = float(max(
+    half_ids = float(np.max([
         np.max(np.abs(z1b - (2.0 * z1h * dz2h - 1.0))),
         np.max(np.abs(z1b - (1.0 + 2.0 * z2h * dz1h))),
         np.max(np.abs(dz1b - 2.0 * z1h * dz1h)),
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
-        np.max(np.abs(dz2b - z1b))))
+        np.max(np.abs(dz2b - z1b))]))
 
-    simp = 0.0
+    simp = []
     flags = []
     for line in hs.surface_lines(params):
         flags.extend(line.double_root_flags)
         for eig in line.eigenvalues:
             if 0.0 < eig.gamma < 3.0:
-                simp = max(simp, min(abs(eig.fm.dz1_b), abs(eig.fm.z2_b) / b))
+                simp.append(np.minimum(abs(eig.fm.dz1_b), abs(eig.fm.z2_b) / b))
     simp_ctx = "; ".join(flags) if flags else "no double-root flags below 3"
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10,
                     f"{n_random} random (p, lambda)"),
         CheckResult("half_period_identities", half_ids, 1e-9),
-        CheckResult("simplicity_in_window", simp + (1.0 if flags else 0.0),
+        CheckResult("simplicity_in_window",
+                    float(np.max(simp, initial=0.0)) + (1.0 if flags else 0.0),
                     1e-7, simp_ctx),
     ]
 
@@ -525,9 +439,9 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
                               float(abs(report.multiplicity - 5)), 0.5))
     checks.append(CheckResult(
         "branch_anchors",
-        max(report.residuals[key] for key in
-            ("anchor_gamma0_at_0", "anchor_gamma2_at_0",
-             "anchor_gamma1_at_m", "anchor_gamma0_at_n")), 1e-7))
+        float(np.max([report.residuals[key] for key in
+                      ("anchor_gamma0_at_0", "anchor_gamma2_at_0",
+                       "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7))
 
     if strict:
         checks = [CheckResult(c.name, c.residual, c.threshold / 2.0, c.context)

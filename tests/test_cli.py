@@ -180,3 +180,45 @@ class TestArgumentValidation:
 
     def test_run_rejects_unknown_command(self):
         assert run(RunConfig(command="nope", r=2, k=1)) == 1
+
+    # every flag a subcommand does not honour is a usage error
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--tol", "1e-9"], ["classify", "--grid", "8"],
+        ["classify", "--format", "csv"], ["classify", "--strict"],
+        ["spectrum", "--grid", "8"], ["spectrum", "--strict"],
+        ["immerse", "--tol", "1e-9"], ["immerse", "--strict"],
+        ["verify", "--tol", "1e-9"], ["verify", "--grid", "8"],
+        ["verify", "--format", "json"],
+        ["rank", "--grid", "8"], ["rank", "--format", "csv"], ["rank", "--strict"],
+        ["area", "--tol", "1e-9"], ["area", "--grid", "8"], ["area", "--out", "f"],
+        ["area", "--format", "json"], ["area", "--strict"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    def test_flag_not_honoured_is_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--r", "2", "--k", "1", *argv[1:]])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--r", "2", "--k", "1", "--format", "xml"],
+        ["rank", "--r", "2", "--k", "1", "--bogus"],
+        ["rank", "--r", "two", "--k", "1"],
+        ["nope"],
+        [],
+    ], ids=["bad-choice", "unknown-flag", "bad-int", "unknown-command", "no-command"])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        # exit 2 is reserved for a failed verification check
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
+    def test_negative_sweep(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["rank", "--sweep", "-3", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_jobs_below_one(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["rank", "--sweep", "3", "--jobs", "0", "--out", str(out)]) == 1
+        assert not out.exists()

@@ -25,7 +25,7 @@ from lawson_bipolar.phi_system import (
     weierstrass_tables_exact,
     write_profile_csv,
 )
-from lawson_bipolar.surface_model import metric_f, params_from_nm, period_a
+from lawson_bipolar.surface_model import metric_f_array, params_from_nm, period_a
 
 P21 = params_from_nm(2, 1)
 P31 = params_from_nm(3, 1)
@@ -91,7 +91,7 @@ class TestIntegration:
         n2, m2 = 4.0, 1.0
         for y, row in zip(profile.grid, profile.states):
             rhs = odesystem_rhs(y, row, P21)
-            f = metric_f(y, P21).f
+            f = float(metric_f_array(y, P21))
             assert abs(-rhs[3] - 2 * f * row[0]) < 1e-8
             assert abs(-rhs[4] + m2 * row[1] - 2 * f * row[1]) < 1e-8
             assert abs(-rhs[5] + n2 * row[2] - 2 * f * row[2]) < 1e-8
@@ -198,17 +198,16 @@ class TestFirstIntegrals:
         # E1(0) = n^4 phi2^4(0) - n^2 (n^2 - m^2) phi2^2(0) = -(n^2-m^2)^2/4
         for nm in [(2, 1), (3, 2), (7, 3)]:
             p = params_from_nm(*nm)
-            e1, e2 = first_integrals(initial_state(p), p)
+            e1, e2 = first_integrals(initial_state(p).as_array(), p)
             expected = -((p.n ** 2 - p.m ** 2) ** 2) / 4.0
             assert e1 == pytest.approx(expected, rel=1e-13)
             assert e2 == pytest.approx(expected, rel=1e-13)
 
     def test_drift_along_trajectory(self):
         profile = integrate_system(P21, tol=1e-10)
-        e = np.array([first_integrals(profile.state_at(i), P21)
-                      for i in range(0, len(profile.grid), 8)])
-        assert np.max(np.abs(e[:, 0] - e[0, 0])) < 1e-8
-        assert np.max(np.abs(e[:, 1] - e[0, 1])) < 1e-8
+        e1, e2 = first_integrals(profile.states[::8], P21)
+        assert np.max(np.abs(e1 - e1[0])) < 1e-8
+        assert np.max(np.abs(e2 - e2[0])) < 1e-8
 
 
 class TestProfileDump:

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import verification as vf
-from lawson_bipolar.phi_system import closed_form_theta
+from lawson_bipolar.phi_system import closed_form_theta, closed_form_theta_array
 from lawson_bipolar.special_functions import EllipticModulus, complete_E
 from lawson_bipolar.surface_model import (
     Topology,
+    admissible_pairs,
     derive_params,
     params_from_nm,
     period_a,
@@ -25,7 +27,8 @@ class TestCheckResult:
 
 class TestProfileBattery:
     def test_takahashi_check(self):
-        res = vf.takahashi_check(derive_params(2, 1), grid_size=1024)
+        checks = vf.profile_checks(derive_params(2, 1), grid_size=1024, tol=1e-10)
+        res = next(c for c in checks if c.name == "takahashi_identity")
         assert res.passed
         assert res.residual < 1e-8
 
@@ -50,7 +53,7 @@ class TestProfileBattery:
 class TestIsometry:
     @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (5, 1)])
     def test_pullback(self, r, k):
-        res = vf.isometry_check(r, k, grid=64)
+        res, _ = vf.isometry_checks(r, k, grid=64)
         assert res.passed
         assert res.residual < 1e-8
 
@@ -91,16 +94,14 @@ class TestAreaAndLambda:
 
 class TestOrbitSpace:
     def test_identification_from_state(self):
-        p = params_from_nm(2, 1)
-        st = closed_form_theta(0.37, p)
-        op = vf.orbit_point_from_state(st)
-        assert st.phi0 == pytest.approx(math.sin(op.rho), abs=1e-12)
-        assert st.phi1 == pytest.approx(math.cos(op.rho) * math.cos(op.orbit_alpha), abs=1e-12)
-        assert st.phi2 == pytest.approx(math.cos(op.rho) * math.sin(op.orbit_alpha), abs=1e-12)
-        assert op.psi == 0.0
+        # (phi0, phi1, phi2) = (sin rho, cos rho cos a, cos rho sin a)
+        ident, _, _ = vf.orbit_space_checks(params_from_nm(2, 1), grid=512)
+        assert ident.name == "orbit_identification"
+        assert ident.residual < 1e-12
 
     def test_geodesic_residual_2_1(self):
-        res = vf.orbit_space_check(params_from_nm(2, 1), grid=512)
+        res = vf.orbit_space_checks(params_from_nm(2, 1), grid=512)[-1]
+        assert res.name == "orbit_geodesic"
         assert res.passed
         assert res.residual < 1e-6
 
@@ -108,6 +109,33 @@ class TestOrbitSpace:
         ident, ellipse, _ = vf.orbit_space_checks(params_from_nm(2, 1), grid=128)
         assert ident.residual < 1e-10
         assert ellipse.residual < 1e-12
+
+    def test_non_finite_residual_fails(self, monkeypatch):
+        rhs = vf.ps.odesystem_rhs
+
+        def nan_at_one_point(y, state, params):
+            out = rhs(y, state, params).copy()
+            out[3, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(vf.ps, "odesystem_rhs", nan_at_one_point)
+        geo = vf.orbit_space_checks(params_from_nm(2, 1))[-1]
+        assert math.isnan(geo.residual)
+        assert not geo.passed
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(pair=st.sampled_from(admissible_pairs(20)),
+       ys=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+def test_theta_rows_and_exact_geodesic_beyond_table(pair, ys):
+    # the array path is the scalar closed form row for row, bit for bit,
+    # and the exact-derivative geodesic residual sits near rounding
+    params = derive_params(*pair)
+    rows = closed_form_theta_array(np.array(ys), params)
+    scalar = np.array([closed_form_theta(y, params).as_array() for y in ys])
+    assert np.array_equal(rows, scalar)
+    geo = vf.orbit_space_checks(params)[-1]
+    assert geo.residual < 1e-10, (pair, geo.residual)
 
 
 class TestFullReport:
