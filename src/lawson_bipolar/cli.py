@@ -269,12 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bipolar Lawson surfaces: classification, Hill spectra, "
                     "immersion sampling, and verification.")
     parser.set_defaults(tol=None, grid=None, out="", fmt="json", strict=False,
-                        sweep=0, jobs=1)
+                        sweep=0, jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--r", type=int, default=0, help="Lawson parameter r")
-        p.add_argument("--k", type=int, default=0, help="Lawson parameter k")
+        p.add_argument("--r", type=int, help="Lawson parameter r")
+        p.add_argument("--k", type=int, help="Lawson parameter k")
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=None,
                            help="solver tolerance override, within [1e-13, 1e-6]")
@@ -292,13 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if "sweep" in flags:
             p.add_argument("--sweep", type=int, default=0, metavar="RMAX",
                            help="emit the rank table for all r <= RMAX")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers for the sweep")
+            p.add_argument("--jobs", type=int, default=None,
+                           help="parallel workers for the sweep (default 1)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.sweep and (args.r is not None or args.k is not None):
+        parser.error("rank: --sweep takes no --r or --k")
+    if args.jobs is not None and not args.sweep:
+        parser.error("rank: --jobs needs --sweep")
     tolerances = {}
     # the LAWSON_BIPOLAR_TOL environment variable supplies the default of
     # --tol on the subcommands that take it; an explicit --tol wins
@@ -323,13 +328,14 @@ def main(argv=None) -> int:
     if args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
         return 1
-    if args.jobs < 1:
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
         print("jobs must be at least 1", file=sys.stderr)
         return 1
     config = RunConfig(
-        command=args.command, r=args.r, k=args.k, tolerances=tolerances,
-        grid_sizes=grid_sizes, output_path=args.out, fmt=args.fmt,
-        sweep=args.sweep, strict=args.strict, jobs=args.jobs)
+        command=args.command, r=args.r or 0, k=args.k or 0,
+        tolerances=tolerances, grid_sizes=grid_sizes, output_path=args.out,
+        fmt=args.fmt, sweep=args.sweep, strict=args.strict, jobs=jobs)
     return run(config)
 
 

@@ -12,8 +12,9 @@ discriminant of the fundamental pair over the half period.
 The Floquet propagation is the oracle: one batched pass over every
 located eigenvalue checks Psi against the block target and the parity
 against which of z1'(b), z2(b) vanishes.  It is a fixed-step
-Cooper-Verner RK8 vectorized across (p, lambda) columns, with f
-precomputed at all stage nodes.
+Cooper-Verner RK8 taken as a product of per-step transfer matrices,
+built for all steps and (p, lambda) columns at once from f precomputed
+at the stage nodes.
 
 Counting the eigenvalues below lambda = 2 with the torus or Klein-bottle
 selection rules yields the rank of the extremal eigenvalue and the
@@ -82,6 +83,11 @@ _F_SAMPLES = 512
 #: largest Fourier coefficient of f at or past index 2 N_MODES, relative to
 #: the mean c_0, that the truncation accepts (r <= 40 stays below 1e-16)
 TAIL_BOUND = 1e-12
+#: most RK8 steps of one Floquet propagation
+MAX_STEPS = 4096
+#: steps x columns of one batch of the Floquet propagation (about 12 MB of
+#: stage arrays, whatever the number of columns)
+_BLOCK = 1 << 15
 
 
 class SpectrumMismatchError(RuntimeError):
@@ -135,47 +141,85 @@ def _f_nodes(n: int, m: int, y_end: float, n_steps: int) -> np.ndarray:
 
 
 def _steps_for(params: SurfaceParams, tol: float, y_end: float) -> int:
-    """Fixed step count giving global error below tol for the RK8 scheme."""
+    """Fixed step count giving global error below tol for the RK8 scheme.
+
+    Raises SpectrumMismatchError past MAX_STEPS, where fewer steps would
+    miss tol.
+    """
     n, m = params.n, params.m
     omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
     n_steps = int(math.ceil(1.5 * omega * y_end * tol ** (-1.0 / 8.0)))
-    return min(max(n_steps, 96), 4096)
+    if n_steps > MAX_STEPS:
+        raise SpectrumMismatchError(
+            f"Floquet propagation for (n,m)=({n},{m}) to y_end={y_end!r} at "
+            f"tol={tol:g} needs {n_steps} RK8 steps, above {MAX_STEPS}")
+    return max(n_steps, 96)
 
 
 def _propagate(params: SurfaceParams, p2, lam, y_end: float,
                n_steps: int) -> np.ndarray:
     """Fundamental pair of the Hill equation at y_end, batched over columns.
 
+    The equation is linear, so one RK8 step is a 2x2 matrix per column,
+    S = I + h sum_i b_i K_i with K_i = A_i (I + h sum_j a_ij K_j) and
+    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i.  The
+    step matrices of all steps are built at once and multiplied pairwise,
+    later @ earlier.  Columns go in blocks of at most _BLOCK / n_steps;
+    each column's result does not depend on the others.
+
     Returns shape (4, B): rows z1, z1', z2, z2'.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
-    nodes = _f_nodes(params.n, params.m, float(y_end), int(n_steps))
+    f = _f_nodes(params.n, params.m, float(y_end), int(n_steps)).T[:, :, None]
     h = y_end / n_steps
-    rows = [[(j, h * a) for j, a in row] for row in _CV_A]
-    weights = [(i, h * w) for i, w in _CV_B]
-    state = np.zeros((4, lam.shape[0]))
-    state[0] = 1.0
-    state[3] = 1.0
-    for step in range(n_steps):
-        fj = nodes[step]
-        ks: list[np.ndarray] = []
-        for i in range(11):
-            yi = state
-            for j, ha in rows[i]:
-                yi = yi + ha * ks[j]
-            q = p2 - lam * fj[i]
-            ki = np.empty_like(state)
-            ki[0] = yi[1]
-            ki[1] = q * yi[0]
-            ki[2] = yi[3]
-            ki[3] = q * yi[2]
-            ks.append(ki)
-        acc = state
-        for i, hw in weights:
-            acc = acc + hw * ks[i]
-        state = acc
-    return state
+    width = max(1, _BLOCK // n_steps)
+    out = np.empty((4, lam.shape[0]))
+    for lo in range(0, lam.shape[0], width):
+        cols = slice(lo, lo + width)
+        prod = _pairwise_product(_step_matrices(p2[cols] - lam[cols] * f, h))
+        out[:, cols] = prod[[0, 2, 1, 3], 0]
+    return out
+
+
+def _identity(shape: tuple) -> np.ndarray:
+    """2x2 identities as (4, *shape) entry rows 00, 01, 10, 11."""
+    eye = np.zeros((4,) + shape)
+    eye[0] = eye[3] = 1.0
+    return eye
+
+
+def _step_matrices(q: np.ndarray, h: float) -> np.ndarray:
+    """RK8 step matrices (4, n_steps, B) from q (11, n_steps, B) at the nodes."""
+    shape = q.shape[1:]
+    k = np.empty((11, 4) + shape)
+    for i, row in enumerate(_CV_A):
+        m = _identity(shape)
+        for j, a in row:
+            m += (h * a) * k[j]
+        k[i, 0] = m[2]
+        k[i, 1] = m[3]
+        np.multiply(q[i], m[0], out=k[i, 2])
+        np.multiply(q[i], m[1], out=k[i, 3])
+    s = _identity(shape)
+    for i, w in _CV_B:
+        s += (h * w) * k[i]
+    return s
+
+
+def _pairwise_product(s: np.ndarray) -> np.ndarray:
+    """Product s[:, -1] @ ... @ s[:, 0] of 2x2 matrices (4, n, B), as (4, 1, B).
+
+    Neighbours multiply level by level; an odd level gets an identity last.
+    """
+    while s.shape[1] > 1:
+        if s.shape[1] % 2:
+            s = np.concatenate([s, _identity((1,) + s.shape[2:])], axis=1)
+        e00, e01, e10, e11 = s[:, 0::2]
+        o00, o01, o10, o11 = s[:, 1::2]
+        s = np.stack([o00 * e00 + o01 * e10, o00 * e01 + o01 * e11,
+                      o10 * e00 + o11 * e10, o10 * e01 + o11 * e11])
+    return s
 
 
 # ---------------------------------------------------------------------------

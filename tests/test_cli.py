@@ -94,6 +94,24 @@ class TestImmerseBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestRankBytes:
+    """sha256 of rank outputs written by the stage-by-stage Floquet loop
+    that the transfer-matrix product replaced.  The Floquet values reach a
+    rank only through the oracle's checks, so its rounding must not move a
+    byte."""
+
+    def test_sweep_stdout_digest(self, capsys):
+        assert main(["rank", "--sweep", "8"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "3f2854067431778ad8dc1603941f21d6c2d697b09114b951fd6a0c43d362b67f")
+
+    def test_report_json_digest(self, tmp_path, capsys):
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--r", "8", "--k", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f3c7c78252344d6c3ae0a3184de2e43b5ef1a192313beaf65ba68491b073c9b1")
+
+
 class TestArea:
     def test_prints_quadrature_and_closed_form(self, capsys):
         assert main(["area", "--r", "3", "--k", "1"]) == 0
@@ -212,6 +230,25 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+    # a flag that the rest of the invocation leaves unread is a usage error
+    @pytest.mark.parametrize("argv, message", [
+        (["--r", "2", "--k", "1", "--jobs", "4"], "--jobs needs --sweep"),
+        (["--r", "2", "--k", "1", "--jobs", "1"], "--jobs needs --sweep"),
+        (["--sweep", "1", "--r", "9", "--k", "5"], "--sweep takes no --r or --k"),
+        (["--sweep", "3", "--k", "1"], "--sweep takes no --r or --k"),
+        (["--sweep", "3", "--r", "2"], "--sweep takes no --r or --k"),
+    ], ids=["jobs-without-sweep", "jobs-1-without-sweep", "sweep-with-r-k",
+            "sweep-with-k", "sweep-with-r"])
+    def test_unread_rank_flag_is_rejected(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert message in err
+        assert not out.exists()
 
     def test_negative_sweep(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -7,6 +7,7 @@ the closed-form counting identities for ranks.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,48 @@ from lawson_bipolar.surface_model import (
 
 P21 = params_from_nm(2, 1)     # (r, k) = (3, 1), Klein bottle
 P31 = params_from_nm(3, 1)     # (r, k) = (2, 1), torus
+
+
+def _propagate_reference(params, p, lam, y_end, n_steps):
+    """(z1, z1', z2, z2') at y_end by the stage-by-stage RK8 loop over one
+    (p, lambda) column in Python floats, f taken at the same stage nodes:
+    the reference for the batched transfer-matrix product."""
+    h = y_end / n_steps
+    nodes = (np.arange(n_steps)[:, None] + hs._CV_C) * h
+    f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).tolist()
+    state = [1.0, 0.0, 0.0, 1.0]
+    for f_step in f:
+        ks = []
+        for row, f_node in zip(hs._CV_A, f_step):
+            y = state
+            for j, a in row:
+                y = [yv + (h * a) * kv for yv, kv in zip(y, ks[j])]
+            q = p * p - lam * f_node
+            ks.append([y[1], q * y[0], y[3], q * y[2]])
+        for i, w in hs._CV_B:
+            state = [sv + (h * w) * kv for sv, kv in zip(state, ks[i])]
+    return state
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(pair=st.sampled_from(admissible_pairs(20)),
+       cols=st.lists(st.tuples(st.floats(0.0, 1.0),
+                               st.floats(0.0, 3.0, exclude_max=True)),
+                     min_size=1, max_size=4),
+       half=st.booleans(),
+       n_steps=st.sampled_from([96, 97, 128, 129]))
+def test_transfer_product_matches_stage_loop(pair, cols, half, n_steps):
+    params = derive_params(*pair)
+    b = period_a(params) / 2.0
+    y_end = b / 2.0 if half else b
+    p = np.array([u * params.n for u, _ in cols])
+    lam = np.array([lam for _, lam in cols])
+    got = hs._propagate(params, p * p, lam, y_end, n_steps)
+    for col in range(len(cols)):
+        ref = np.array(_propagate_reference(params, p[col], lam[col], y_end, n_steps))
+        assert np.all(np.abs(got[:, col] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    z1, dz1, z2, dz2 = got
+    assert np.max(np.abs(z1 * dz2 - z2 * dz1 - 1.0)) < 1e-11
 
 
 class TestFloquetBasics:
@@ -93,6 +136,40 @@ class TestFloquetBasics:
             assert abs(dz1b - 2.0 * z1h * dz1h) < 1e-9
             assert abs(z2b - 2.0 * z2h * dz2h) < 1e-9
             assert abs(dz2b - z1b) < 1e-9
+
+    def test_column_blocks_keep_each_column(self):
+        # 300 columns of 129 steps fill more than one block of the batch;
+        # every column keeps the bits it has when propagated alone
+        b = period_a(P31) / 2.0
+        rng = np.random.default_rng(79)
+        p2 = rng.uniform(0.0, float(P31.n), 300) ** 2
+        lam = rng.uniform(0.0, 3.0, 300)
+        assert 300 * 129 > hs._BLOCK
+        batch = hs._propagate(P31, p2, lam, b, 129)
+        for i in (0, 1, 253, 254, 299):
+            alone = hs._propagate(P31, p2[i], lam[i], b, 129)[:, 0]
+            np.testing.assert_array_equal(batch[:, i], alone)
+
+    def test_working_memory_is_bounded(self):
+        # in one piece, 4096 steps x 64 columns would take about 92 MB of
+        # stage arrays
+        lam = np.linspace(0.0, 3.0, 64)
+        tracemalloc.start()
+        try:
+            hs._propagate(P21, 1.0, lam, 1.0, hs.MAX_STEPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_step_count_above_cap_raises(self):
+        b = period_a(P21) / 2.0
+        with pytest.raises(hs.SpectrumMismatchError) as exc:
+            transfer_state(P21, 1.0, 1.0, 40.0 * b)
+        msg = str(exc.value)
+        assert "(n,m)=(2,1)" in msg and "tol=1e-09" in msg
+        assert f"y_end={40.0 * b!r}" in msg
+        assert f"needs 6203 RK8 steps, above {hs.MAX_STEPS}" in msg
 
     @pytest.mark.parametrize("p_lam", [("n", 2.0), ("m", 2.0)])
     def test_known_eigenvalues_close_discriminant(self, p_lam):
