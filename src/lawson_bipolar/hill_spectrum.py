@@ -637,24 +637,11 @@ def count_zeros(values: np.ndarray, rel_tol: float = 1e-9) -> int:
     """Zeros of a sampled function on one period (sign changes plus
     isolated zero samples; a zero run and its sign flip count once)."""
     scale = float(np.max(np.abs(values)))
-    zeros = 0
-    last_sign = 0
-    after_zero_run = False
-    in_zero_run = False
-    for v in values:
-        if abs(v) <= rel_tol * scale:
-            if not in_zero_run:
-                zeros += 1
-                in_zero_run = True
-                after_zero_run = True
-            continue
-        in_zero_run = False
-        s = 1 if v > 0 else -1
-        if last_sign != 0 and s != last_sign and not after_zero_run:
-            zeros += 1
-        last_sign = s
-        after_zero_run = False
-    return zeros
+    sign = np.where(np.abs(values) <= rel_tol * scale, 0, np.sign(values))
+    zero = sign == 0
+    runs = int(zero[0]) + np.count_nonzero(zero[1:] & ~zero[:-1])
+    flips = np.count_nonzero(sign[1:] * sign[:-1] < 0)
+    return int(runs + flips)
 
 
 # ---------------------------------------------------------------------------

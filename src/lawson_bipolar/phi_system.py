@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,13 +41,11 @@ __all__ = [
     "integrate_states",
     "closed_form_theta",
     "closed_form_theta_array",
-    "closed_form_profile",
     "closed_form_weierstrass",
     "weierstrass_tables",
     "weierstrass_tables_exact",
     "first_integrals",
     "odesystem_rhs",
-    "write_profile_csv",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -77,14 +74,6 @@ class PhiState:
     @classmethod
     def from_array(cls, arr) -> "PhiState":
         return cls(*(float(x) for x in arr))
-
-    def sphere_residual(self) -> float:
-        return abs(self.phi0 ** 2 + self.phi1 ** 2 + self.phi2 ** 2 - 1.0)
-
-    def conformal_residual(self, params: SurfaceParams) -> float:
-        lhs = self.dphi0 ** 2 + self.dphi1 ** 2 + self.dphi2 ** 2
-        rhs = params.m ** 2 * self.phi1 ** 2 + params.n ** 2 * self.phi2 ** 2
-        return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -201,16 +190,6 @@ def closed_form_theta(y: float, params: SurfaceParams) -> PhiState:
     return PhiState.from_array(closed_form_theta_array(np.array([y], float), params)[0])
 
 
-def closed_form_profile(params: SurfaceParams,
-                        n_points: int = DEFAULT_POINTS) -> PhiProfile:
-    """PhiProfile sampled from the theta closed form (no integration)."""
-    a = period_a(params)
-    grid = np.linspace(0.0, a, n_points, endpoint=False)
-    states = closed_form_theta_array(np.append(grid, a), params)
-    return PhiProfile(params=params, grid=grid, states=states[:-1],
-                      tolerance=0.0, end_state=states[-1])
-
-
 # ---------------------------------------------------------------------------
 # Weierstrass closed form
 # ---------------------------------------------------------------------------
@@ -252,8 +231,9 @@ def weierstrass_tables(params: SurfaceParams) -> WeierstrassTables:
     return _tables_cached(params.n, params.m)
 
 
-def closed_form_weierstrass(y: float, params: SurfaceParams) -> tuple[float, float, float]:
-    """Magnitudes (|phi0|, |phi1|, |phi2|) from the P-function closed forms.
+def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
+    """Magnitudes (|phi0|, |phi1|, |phi2|) from the P-function closed forms,
+    at a scalar y (three floats) or an array (three arrays of its shape).
 
     The phi1 formula carries the shift y + K(m/n)/n in its argument; only
     magnitudes are comparable across routes because the printed phi1 form
@@ -261,20 +241,23 @@ def closed_form_weierstrass(y: float, params: SurfaceParams) -> tuple[float, flo
     """
     n, m = params.n, params.m
     tab = _tables_cached(n, m)
+    y = np.asarray(y, float)
     shift = complete_K(params.modulus) / n
-    args = (y, y + shift, y)
     dens = []
-    for i in range(3):
+    for i, arg in enumerate((y, y + shift, y)):
         inv = WeierstrassInvariants(g2=tab.a_matrix[i, 0], g3=tab.a_matrix[i, 1])
-        den = 2.0 * weierstrass_p(args[i], inv) + tab.b_vector[i]
-        if not abs(den) > 1e-6:
+        den = 2.0 * weierstrass_p(arg, inv) + tab.b_vector[i]
+        gap = np.abs(np.ravel(den))
+        worst = int(np.argmin(gap))
+        if not gap[worst] > 1e-6:
             raise PoleProximityError(
-                f"denominator 2P+b_{i+1} too close to zero at y={y}")
+                f"denominator 2P+b_{i+1} too close to zero at y={float(np.ravel(y)[worst])}")
         dens.append(den)
     phi0 = math.sqrt((n * n + m * m) / (2.0 * n * n)) * (1.0 - (n * n - m * m) / dens[0])
     phi1 = (1.0 / math.sqrt(2.0)) * (-1.0 + n * n / dens[1])
     phi2 = math.sqrt((n * n - m * m) / (2.0 * n * n)) * (1.0 + m * m / dens[2])
-    return abs(phi0), abs(phi1), abs(phi2)
+    mags = (np.abs(phi0), np.abs(phi1), np.abs(phi2))
+    return tuple(map(float, mags)) if y.ndim == 0 else mags
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +283,3 @@ def first_integrals(states, params: SurfaceParams) -> tuple[np.ndarray, np.ndarr
           - 2.0 * m2 * p1 * p2 * d1 * d2
           + d2 * d2 * ((n2 - m2) + m2 * p1 * p1))
     return e1, e2
-
-
-_PROFILE_ROW = ",".join(["%.17g"] * 9) + "\n"
-
-
-def write_profile_csv(stream: IO[str], profile: PhiProfile) -> None:
-    """Dump columns y, phi0..phi2, derivatives, and E1, E2, every value
-    with 17 significant digits; one %-format call renders all rows."""
-    e1, e2 = first_integrals(profile.states, profile.params)
-    table = np.column_stack((profile.grid, profile.states, e1, e2))
-    stream.write("y,phi0,phi1,phi2,dphi0,dphi1,dphi2,E1,E2\n")
-    stream.write(_PROFILE_ROW * len(table) % tuple(table.ravel().tolist()))

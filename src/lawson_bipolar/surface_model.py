@@ -5,9 +5,8 @@ surface; the derived pair (n, m) indexes the conformal model of its
 bipolar surface.  This module holds the parameter map, the immersions
 (Lawson in S^3, bipolar in S^4), the flat-chart metrics, the profile
 coordinate change theta(y), and the H-transforms gluing the charts.
-
-A per-(n, m) quadrature table is built lazily and cached; everything
-else is a pure function of its arguments.
+Everything is a pure function of its arguments; the chart maps take
+scalars or equal-shape arrays.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import repeat
 from typing import IO
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .special_functions import (
     EllipticModulus,
@@ -29,6 +26,8 @@ from .special_functions import (
     complete_K,
     jacobi_am,
     _am_array,
+    _ellip_f_array,
+    _finite,
     _sncndn_array,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "admissible_pairs",
     "period_a",
     "theta_of_y",
-    "theta_of_y_quadrature",
     "metric_f_array",
     "lawson_I",
     "lawson_normal",
@@ -202,36 +200,6 @@ def _theta_array(y, params: SurfaceParams):
     return math.pi / 2.0 - _am_array(K - params.n * np.asarray(y, float), params.modulus)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _cumulative_gauss(fun, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of fun over a grid, Gauss-Legendre per cell."""
-    mid = 0.5 * (grid[1:] + grid[:-1])
-    half = 0.5 * np.diff(grid)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    cell = half * (fun(nodes) @ _GL_WEIGHTS)
-    return np.concatenate(([0.0], np.cumsum(cell)))
-
-
-@lru_cache(maxsize=None)
-def _theta_inversion_table(n: int, m: int):
-    """Spline of the quadrature inversion theta(y) over one period."""
-    alpha2 = (m / n) ** 2
-    theta_grid = np.linspace(0.0, 2.0 * math.pi, 2049)
-    y_grid = _cumulative_gauss(
-        lambda t: 1.0 / (n * np.sqrt(1.0 - alpha2 * np.cos(t) ** 2)), theta_grid)
-    return CubicSpline(y_grid, theta_grid), y_grid[-1]
-
-
-def theta_of_y_quadrature(y: float, params: SurfaceParams) -> float:
-    """Cross-check path for theta(y): dense cumulative quadrature of the
-    defining integral, inverted by spline interpolation."""
-    spline, a = _theta_inversion_table(params.n, params.m)
-    cycles = math.floor(y / a)
-    return float(spline(y - cycles * a)) + 2.0 * math.pi * cycles
-
-
 def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
     """Conformal factor f(y) = (m^2+n^2)/2 - m^2 cos^2(theta(y)) of the
     metric f (dx^2 + dy^2); f > 0 with f(y) = f(-y) = f(y + a/2)."""
@@ -366,29 +334,32 @@ def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
     ])
 
 
-def parambip_column(u: float, v: float, params: SurfaceParams) -> np.ndarray:
-    """Odd-rk form of the closed-form column, written in (n, m)."""
+def parambip_column(u, v, params: SurfaceParams) -> np.ndarray:
+    """Odd-rk form of the closed-form column, written in (n, m); shapes as
+    in bipolar_column."""
     if params.parity_class is ParityClass.EVEN_RK:
         raise InvalidParametersError("the (n, m) column form applies to odd rk only")
     n, m = params.n, params.m
-    P = (n + m) ** 2 - 4.0 * m * n * math.sin(v) ** 2
-    pref = 1.0 / (_SQRT2 * math.sqrt(P))
-    c2v = math.cos(2 * v)
+    sv, s2v, c2v = np.sin(v), np.sin(2 * v), np.cos(2 * v)
+    P = (n + m) ** 2 - 4.0 * m * n * sv * sv
+    pref = 1.0 / (_SQRT2 * np.sqrt(P))
     return pref * np.array([
-        m * math.sin(2 * v),
-        n * math.sin(2 * v),
-        (m + n * c2v) * math.sin(2 * m * u),
-        (n + m * c2v) * math.sin(2 * n * u),
-        (n + m * c2v) * math.cos(2 * n * u),
-        (m + n * c2v) * math.cos(2 * m * u),
+        m * s2v,
+        n * s2v,
+        (m + n * c2v) * np.sin(2 * m * u),
+        (n + m * c2v) * np.sin(2 * n * u),
+        (n + m * c2v) * np.cos(2 * n * u),
+        (m + n * c2v) * np.cos(2 * m * u),
     ])
 
 
-def bipolar_metric(u: float, v: float, params: SurfaceParams) -> tuple[float, float]:
+def bipolar_metric(u, v, params: SurfaceParams):
     """Diagonal first-fundamental-form coefficients (g_uu, g_vv) of the
-    bipolar surface in the (u, v) chart.  There is no cross term."""
+    bipolar surface in the (u, v) chart, at scalars or equal-shape
+    arrays.  There is no cross term."""
     r, k = params.r, params.k
-    w2 = r * r - (r * r - k * k) * math.sin(v) ** 2
+    sv = np.sin(v)
+    w2 = r * r - (r * r - k * k) * sv * sv
     mcoef = (w2 * w2 + r * r * k * k) / w2
     return mcoef, mcoef / w2
 
@@ -396,40 +367,23 @@ def bipolar_metric(u: float, v: float, params: SurfaceParams) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 # chart changes H1, H2, H3, H3'
 # ---------------------------------------------------------------------------
+# Points are (u, z) pairs of scalars or of equal-shape arrays; a scalar
+# coordinate maps to a float.
 
-@lru_cache(maxsize=None)
-def _z_table(n: int, m: int):
-    """Cumulative quadrature of dz/dv = 1/((n+m) sqrt(1 - kh^2 sin^2 v))."""
-    kh2 = (2.0 * math.sqrt(m * n) / (n + m)) ** 2
-    v_grid = np.linspace(0.0, math.pi, 2049)
-    z_grid = _cumulative_gauss(
-        lambda t: 1.0 / ((n + m) * np.sqrt(1.0 - kh2 * np.sin(t) ** 2)), v_grid)
-    return CubicSpline(v_grid, z_grid), z_grid[-1]
-
-
-def z_of_v(v: float, params: SurfaceParams) -> float:
-    """The H1 substitution z(v); quadrature table seed polished by Newton
-    on the Jacobi-amplitude inverse v = am((n+m) z, kh)."""
-    n, m = params.n, params.m
-    spline, z_half = _z_table(n, m)
-    cycles = math.floor(v / math.pi)
-    vr = v - cycles * math.pi
-    z = float(spline(vr)) + cycles * z_half
-    kh = params.h_modulus
-    s = n + m
-    for _ in range(3):
-        resid = jacobi_am(s * z, kh) - v
-        z -= resid / (s * math.sqrt(1.0 - (kh.k * math.sin(v)) ** 2))
-    return z
+def z_of_v(v, params: SurfaceParams):
+    """The H1 substitution z(v) = F(v, kh)/(n+m), with F the incomplete
+    elliptic integral of the first kind and kh = 2 sqrt(mn)/(n+m)."""
+    z = _ellip_f_array(v, params.h_modulus) / (params.n + params.m)
+    return float(z) if np.ndim(v) == 0 else z
 
 
-def v_of_z(z: float, params: SurfaceParams) -> float:
+def v_of_z(z, params: SurfaceParams):
     """Inverse of the H1 substitution, v = am((n+m) z, kh)."""
-    return jacobi_am((params.n + params.m) * z, params.h_modulus)
+    v = _am_array((params.n + params.m) * _finite(z), params.h_modulus)
+    return float(v) if np.ndim(z) == 0 else v
 
 
-def h_transforms(point: tuple[float, float], which: HTransform,
-                 params: SurfaceParams) -> tuple[float, float]:
+def h_transforms(point: tuple, which: HTransform, params: SurfaceParams) -> tuple:
     """Apply one of the chart transforms.
 
     H1: (u, v) -> (u, z(v));  H2: (u, z) -> (u + pi/2, a/4 - z);
@@ -448,12 +402,12 @@ def h_transforms(point: tuple[float, float], which: HTransform,
     raise ValueError(f"unknown transform {which!r}")
 
 
-def h1_inverse(point: tuple[float, float], params: SurfaceParams) -> tuple[float, float]:
+def h1_inverse(point: tuple, params: SurfaceParams) -> tuple:
     """(u, z) -> (u, v) with v = am((n+m) z, kh)."""
     return point[0], v_of_z(point[1], params)
 
 
-def klein_deck_map(u: float, v: float, params: SurfaceParams) -> tuple[float, float]:
+def klein_deck_map(u, v, params: SurfaceParams) -> tuple:
     """The composite H1^{-1} o H2 o H1 turning the torus into a Klein bottle
     when n is even and m is odd; the immersion is pointwise invariant."""
     p = h_transforms((u, v), HTransform.H1, params)

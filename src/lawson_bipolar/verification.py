@@ -18,7 +18,7 @@ import numpy as np
 from . import hill_spectrum as hs
 from . import phi_system as ps
 from . import surface_model as sm
-from .special_functions import complete_K, jacobi_sncndn
+from .special_functions import _sncndn_array, complete_K
 from .surface_model import (
     HTransform,
     SurfaceParams,
@@ -117,12 +117,12 @@ def profile_checks(params: SurfaceParams, grid_size: int = 1024,
     e2_drift = float(np.max(np.abs(e2 - e2[0])))
     cross_theta = float(np.max(np.abs(ps.closed_form_theta_array(profile.grid, params) - st)))
 
-    # the Weierstrass route is an independent cross-check, point by point;
-    # only magnitudes compare, as the printed phi1 P-form does not fix the
-    # odd sign convention (the signed gap is a diagnostic)
+    # the Weierstrass route is an independent cross-check; only magnitudes
+    # compare, as the printed phi1 P-form does not fix the odd sign
+    # convention (the signed gap is a diagnostic)
     a = period_a(params)
     ys = np.linspace(0.037 * a, 0.963 * a, 100)
-    mags = np.array([ps.closed_form_weierstrass(y, params) for y in ys])
+    mags = np.column_stack(ps.closed_form_weierstrass(ys, params))
     ref = ps.closed_form_theta_array(ys, params)[:, :3]
     cross_wp = float(np.max(np.abs(mags - np.abs(ref))))
     signed_gap = float(np.max(np.abs(mags[:, 1] - ref[:, 1])))
@@ -156,21 +156,21 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     dx_du = 1.0 if even_rk else 2.0
     K = complete_K(params.modulus)
 
-    pull, bridge = [], []
-    for v in np.linspace(0.0, math.pi, grid, endpoint=False):
-        z = sm.z_of_v(v, params)
-        _, y = h_transforms((0.0, z), which, params)
-        ftil = float(metric_f_array(y, params))
-        P = (n + m) ** 2 - 4.0 * m * n * math.sin(v) ** 2
-        # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P); the
-        # bipolar metric depends on v alone, so one u stands for the row
-        g_uu, g_vv = sm.bipolar_metric(0.0, v, params)
-        pull += [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
-        # bridging identities at this z
-        sn2, cn2, _ = jacobi_sncndn(2.0 * n * z, params.modulus)
-        th = sm.theta_of_y(y, params)
-        sny, _, _ = jacobi_sncndn(K - n * y, params.modulus)
-        bridge += [math.cos(th) + sn2, math.sin(th) - cn2, math.cos(th) - sny]
+    v = np.linspace(0.0, math.pi, grid, endpoint=False)
+    z = sm.z_of_v(v, params)
+    _, y = h_transforms((0.0, z), which, params)
+    ftil = metric_f_array(y, params)
+    sv = np.sin(v)
+    P = (n + m) ** 2 - 4.0 * m * n * sv * sv
+    # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P); the bipolar
+    # metric depends on v alone, so u = 0 stands for each row
+    g_uu, g_vv = sm.bipolar_metric(0.0, v, params)
+    pull = [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
+    # the three sn/cn bridging identities at each z
+    sn2, cn2, _ = _sncndn_array(2.0 * n * z, params.modulus)
+    th = sm._theta_array(y, params)
+    sny, _, _ = _sncndn_array(K - n * y, params.modulus)
+    bridge = [np.cos(th) + sn2, np.sin(th) - cn2, np.cos(th) - sny]
     return [
         CheckResult("isometry_pullback", float(np.max(np.abs(pull))), 1e-8,
                     f"chart {which.value}, {grid} values of v"),
@@ -195,13 +195,10 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
     out = [CheckResult("group_invariance", res, 1e-12,
                        "generators " + ", ".join(name for name, _ in gens))]
     if params.topology is Topology.KLEIN_BOTTLE:
-        kres = []
-        for _ in range(n_points):
-            u = rng.uniform(0.0, 2.0 * math.pi)
-            v = rng.uniform(0.01, math.pi - 0.01)
-            u2, v2 = klein_deck_map(u, v, params)
-            kres.append(np.max(np.abs(
-                sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params))))
+        u, v = rng.uniform([0.0, 0.01], [2.0 * math.pi, math.pi - 0.01],
+                           size=(n_points, 2)).T
+        u2, v2 = klein_deck_map(u, v, params)
+        kres = np.abs(sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params))
         out.append(CheckResult("klein_invariance", float(np.max(kres)), 1e-9,
                                "deck map H1^-1 o H2 o H1"))
     return out

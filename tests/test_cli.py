@@ -3,6 +3,10 @@ byte-level determinism."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +263,13 @@ class TestArgumentValidation:
         out = tmp_path / "table.csv"
         assert main(["rank", "--sweep", "3", "--jobs", "0", "--out", str(out)]) == 1
         assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    """The chart maps need no spline tables, so the CLI import must not
+    pull scipy.interpolate in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import lawson_bipolar.cli; import sys; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "False"

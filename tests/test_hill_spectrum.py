@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
@@ -360,6 +360,43 @@ class TestEigenfunctions:
             for eig in line.eigenvalues:
                 if 0.0 < eig.gamma < 3.0:
                     assert min(abs(eig.fm.dz1_b), abs(eig.fm.z2_b) / b) < 1e-7
+
+
+def _count_zeros_loop(values, rel_tol=1e-9):
+    """Sample-by-sample reference for count_zeros: a zero run counts once,
+    and a sign change counts only between adjacent nonzero samples."""
+    scale = float(np.max(np.abs(values)))
+    zeros = 0
+    last_sign = 0
+    after_zero_run = False
+    in_zero_run = False
+    for v in values:
+        if abs(v) <= rel_tol * scale:
+            if not in_zero_run:
+                zeros += 1
+                in_zero_run = True
+                after_zero_run = True
+            continue
+        in_zero_run = False
+        s = 1 if v > 0 else -1
+        if last_sign != 0 and s != last_sign and not after_zero_run:
+            zeros += 1
+        last_sign = s
+        after_zero_run = False
+    return zeros
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.sampled_from([0.0, 1e-12, -1e-12, 0.5, -0.5, 1.0, -1.0, 3.0, -2.0]),
+                min_size=1, max_size=40))
+@example([0.0, 0.0, 0.0])
+@example([0.0, 1.0, -1.0, 0.0])
+@example([1.0, 0.0, 1e-12, -1.0, 1.0])
+def test_count_zeros_matches_loop_reference(values):
+    """Zero runs (1e-12 is below the relative threshold), zeros at either
+    end, all-zero arrays and sign flips right after a zero run."""
+    arr = np.array(values)
+    assert count_zeros(arr) == _count_zeros_loop(arr)
 
 
 class TestExport:

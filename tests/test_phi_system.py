@@ -4,7 +4,6 @@ serve as each other's oracles; conserved quantities are checked for
 drift along the trajectory.
 """
 
-import io
 import math
 from fractions import Fraction
 
@@ -13,8 +12,8 @@ import pytest
 
 from lawson_bipolar.phi_system import (
     PhiState,
-    closed_form_profile,
     closed_form_theta,
+    closed_form_theta_array,
     closed_form_weierstrass,
     first_integrals,
     initial_state,
@@ -23,7 +22,6 @@ from lawson_bipolar.phi_system import (
     odesystem_rhs,
     weierstrass_tables,
     weierstrass_tables_exact,
-    write_profile_csv,
 )
 from lawson_bipolar.surface_model import metric_f_array, params_from_nm, period_a
 
@@ -42,7 +40,7 @@ class TestInitialState:
     def test_on_sphere(self):
         for nm in [(2, 1), (5, 2), (15, 1)]:
             st = initial_state(params_from_nm(*nm))
-            assert st.sphere_residual() < 1e-15
+            assert abs(st.phi0 ** 2 + st.phi1 ** 2 + st.phi2 ** 2 - 1.0) < 1e-15
 
     def test_conformal_at_origin(self):
         # phi1'(0)^2 = n^2 phi2(0)^2 = (n^2 - m^2)/2
@@ -50,7 +48,9 @@ class TestInitialState:
             p = params_from_nm(*nm)
             st = initial_state(p)
             assert st.dphi1 ** 2 == pytest.approx(p.n ** 2 * st.phi2 ** 2, rel=1e-14)
-            assert st.conformal_residual(p) < 1e-14
+            lhs = st.dphi0 ** 2 + st.dphi1 ** 2 + st.dphi2 ** 2
+            rhs = p.m ** 2 * st.phi1 ** 2 + p.n ** 2 * st.phi2 ** 2
+            assert abs(lhs - rhs) < 1e-14
 
 
 class TestIntegration:
@@ -126,8 +126,9 @@ class TestThetaClosedForm:
             assert abs(2 * st.phi1 ** 2 + (2 * n2 / (n2 + m2)) * st.phi0 ** 2 - 1) < 1e-12
 
     def test_phi2_never_vanishes(self):
-        profile = closed_form_profile(P21, n_points=512)
-        assert np.min(profile.states[:, 2]) > 0.0
+        a = period_a(P21)
+        states = closed_form_theta_array(np.linspace(0.0, a, 512, endpoint=False), P21)
+        assert np.min(states[:, 2]) > 0.0
 
     def test_first_order_quartic_for_phi2(self):
         # (phi2')^2 = -2 n^2 phi2^4 + (2n^2 - m^2) phi2^2 + (m^2 - n^2)/2
@@ -192,6 +193,13 @@ class TestWeierstrassClosedForm:
         with pytest.raises(PoleProximityError, match=r"2P\+b_1 too close to zero"):
             closed_form_weierstrass(0.3, P21)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        from lawson_bipolar.special_functions import DomainError
+
+        with pytest.raises(DomainError, match="argument must be finite"):
+            closed_form_weierstrass(bad, P21)
+
 
 class TestFirstIntegrals:
     def test_value_at_origin(self):
@@ -209,14 +217,3 @@ class TestFirstIntegrals:
         assert np.max(np.abs(e1 - e1[0])) < 1e-8
         assert np.max(np.abs(e2 - e2[0])) < 1e-8
 
-
-class TestProfileDump:
-    def test_csv_columns_and_determinism(self):
-        profile = integrate_system(P21, tol=1e-10, n_points=64)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_profile_csv(buf1, profile)
-        write_profile_csv(buf2, profile)
-        assert buf1.getvalue() == buf2.getvalue()
-        lines = buf1.getvalue().splitlines()
-        assert lines[0] == "y,phi0,phi1,phi2,dphi0,dphi1,dphi2,E1,E2"
-        assert len(lines) == 65

@@ -22,8 +22,8 @@ from lawson_bipolar.special_functions import (
     jacobi_am,
     jacobi_sncndn,
     weierstrass_p,
-    weierstrass_real_period,
 )
+from lawson_bipolar.special_functions import _wp_reduction
 
 
 def mod(k):
@@ -157,6 +157,14 @@ class TestJacobi:
                 ref = ss.ellipj(w, k * k)[:3]
                 np.testing.assert_allclose(got, ref, atol=1e-12)
 
+    def test_tiny_argument(self):
+        # below 1e-150 the Landen recursion would overflow; the triple is
+        # (w, 1, 1) to double precision
+        m = mod(0.5)
+        assert jacobi_sncndn(1e-200, m) == (1e-200, 1.0, 1.0)
+        assert jacobi_sncndn(-1e-200, m) == (-1e-200, 1.0, 1.0)
+        assert jacobi_am(1e-200, m) == 1e-200
+
     def test_amplitude_matches_scipy(self):
         rng = np.random.default_rng(13)
         for k in (0.3, 0.77):
@@ -167,9 +175,14 @@ class TestJacobi:
                     ss.ellipj(w, k * k)[3], abs=1e-13)
 
 
+def _real_period(inv):
+    """Real lattice period of P(y; g2, g3); poles sit at its multiples."""
+    return _wp_reduction(inv.g2, inv.g3)[2]
+
+
 def _wp_band_points(inv, rng, count):
     """Sample arguments at least a quarter period from every pole."""
-    period = weierstrass_real_period(inv)
+    period = _real_period(inv)
     u = rng.uniform(0.25, 0.45, count)
     return period * np.where(rng.uniform(size=count) < 0.5, u, 1.0 - u)
 
@@ -199,18 +212,31 @@ class TestWeierstrass:
 
     @pytest.mark.parametrize("inv", WP_CASES)
     def test_periodicity(self, inv):
-        period = weierstrass_real_period(inv)
+        period = _real_period(inv)
         for y in (0.31 * period, 0.44 * period):
             assert weierstrass_p(y + period, inv) == pytest.approx(
                 weierstrass_p(y, inv), rel=1e-10)
 
     def test_pole_proximity_error(self):
         inv = WP_CASES[0]
-        period = weierstrass_real_period(inv)
+        period = _real_period(inv)
         with pytest.raises(PoleProximityError):
             weierstrass_p(1e-10, inv)
         with pytest.raises(PoleProximityError):
             weierstrass_p(period + 1e-10, inv)
+
+    def test_pole_error_names_the_worst_point_of_an_array(self):
+        inv = WP_CASES[0]
+        period = _real_period(inv)
+        with pytest.raises(PoleProximityError, match=repr(2.0 * period + 1e-11)):
+            weierstrass_p(np.array([0.3, 2.0 * period + 1e-11, 1e-10]), inv)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        with pytest.raises(DomainError, match="argument must be finite"):
+            weierstrass_p(bad, WP_CASES[0])
+        with pytest.raises(DomainError, match="argument must be finite"):
+            weierstrass_p(np.array([0.3, bad]), WP_CASES[1])
 
     def test_degenerate_invariants_rejected(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,9 @@
 """Tests for the parameter map, immersions, metrics, and chart changes.
 
-Oracles: quadrature of the defining integrals, finite-difference first
-fundamental forms, scipy's incomplete elliptic integral for the H1
-substitution, and the wedge-product construction for the printed
-immersion columns.
+Oracles: quadrature of the defining integrals (a spline-inverted
+Gauss-Legendre table for theta(y)), finite-difference first fundamental
+forms, scipy's incomplete elliptic integral for the H1 substitution, and
+the wedge-product construction for the printed immersion columns.
 """
 
 import csv
@@ -16,8 +16,17 @@ import pytest
 import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from lawson_bipolar.special_functions import complete_E, complete_K
+from lawson_bipolar.phi_system import closed_form_weierstrass, weierstrass_tables
+from lawson_bipolar.special_functions import (
+    DomainError,
+    PoleProximityError,
+    WeierstrassInvariants,
+    complete_E,
+    complete_K,
+    weierstrass_p,
+)
 from lawson_bipolar import surface_model as sm
 from lawson_bipolar.surface_model import (
     EXCLUDED_DIRECTION_NOTE,
@@ -44,7 +53,6 @@ from lawson_bipolar.surface_model import (
     parambip_column,
     period_a,
     theta_of_y,
-    theta_of_y_quadrature,
     v_of_z,
     write_immersion_csv,
     write_immersion_json,
@@ -88,6 +96,28 @@ class TestDeriveParams:
             assert params_from_nm(p.n, p.m) == p
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _theta_quadrature(params):
+    """Reference theta(y) as a function of y: the defining integral
+    y(theta) accumulated by 8-point Gauss-Legendre over 2048 cells of one
+    period, inverted by a cubic spline."""
+    n, alpha2 = params.n, (params.m / params.n) ** 2
+    grid = np.linspace(0.0, 2.0 * math.pi, 2049)
+    mid, half = 0.5 * (grid[1:] + grid[:-1]), 0.5 * np.diff(grid)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    cells = half * ((1.0 / (n * np.sqrt(1.0 - alpha2 * np.cos(nodes) ** 2))) @ _GL_WEIGHTS)
+    y_grid = np.concatenate(([0.0], np.cumsum(cells)))
+    spline, a = CubicSpline(y_grid, grid), y_grid[-1]
+
+    def theta(y):
+        cycles = math.floor(y / a)
+        return float(spline(y - cycles * a)) + 2.0 * math.pi * cycles
+
+    return theta
+
+
 class TestPeriodAndTheta:
     def test_period_formula(self):
         p = params_from_nm(2, 1)
@@ -117,8 +147,9 @@ class TestPeriodAndTheta:
         for nm in [(2, 1), (3, 2), (9, 7)]:
             p = params_from_nm(*nm)
             a = period_a(p)
+            theta_ref = _theta_quadrature(p)
             for y in np.linspace(-0.3 * a, 1.4 * a, 61):
-                assert abs(theta_of_y(y, p) - theta_of_y_quadrature(y, p)) < 1e-10
+                assert abs(theta_of_y(y, p) - theta_ref(y)) < 1e-10
 
     def test_metric_anchor_values(self):
         p = params_from_nm(2, 1)
@@ -287,6 +318,14 @@ class TestHTransforms:
                 oracle = ss.ellipkinc(v, kh2) / s
                 assert abs(z_of_v(v, p) - oracle) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_z_of_v_rejects_non_finite(self, bad):
+        p = params_from_nm(2, 1)
+        with pytest.raises(DomainError, match="argument must be finite"):
+            z_of_v(bad, p)
+        with pytest.raises(DomainError, match="argument must be finite"):
+            z_of_v(np.array([0.5, bad]), p)
+
     def test_v_of_z_round_trip(self):
         p = params_from_nm(2, 1)
         for v in np.linspace(0.0, math.pi, 21):
@@ -437,3 +476,41 @@ def test_immersion_rows_match_pointwise(pair, n_u, n_v):
         assert np.array_equal(row[2:], bipolar_immersion(row[0], row[1], params).coords)
     np.testing.assert_allclose(np.linalg.norm(rows[:, 2:], axis=1), 1.0,
                                rtol=0.0, atol=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, float).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(40)),
+       st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-20.0, 20.0)),
+                min_size=1, max_size=12))
+def test_array_chart_maps(pair, points):
+    """The chart maps on arrays: z(v) is scipy's F(v, kh)/(n+m), v(z(v)) = v,
+    and every element is bit-equal to the one-point call."""
+    params = derive_params(*pair)
+    u, v = np.array(points).T
+    z = z_of_v(v, params)
+    oracle = ss.ellipkinc(v, params.h_modulus.k ** 2) / (params.n + params.m)
+    np.testing.assert_allclose(z, oracle, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(v_of_z(z, params), v, rtol=0.0, atol=1e-12)
+    assert _bits(z) == _bits([z_of_v(x, params) for x in v.tolist()])
+    pointwise = [klein_deck_map(a, b, params) for a, b in zip(u.tolist(), v.tolist())]
+    assert _bits(klein_deck_map(u, v, params)) == _bits(list(zip(*pointwise)))
+
+    # P and the profile closed form at the points where the one-point call
+    # is defined (away from lattice poles)
+    row = weierstrass_tables(params).a_matrix[0]
+    inv = WeierstrassInvariants(g2=row[0], g3=row[1])
+    for fn in (lambda y: weierstrass_p(y, inv), lambda y: closed_form_weierstrass(y, params)):
+        defined, values = [], []
+        for y in v.tolist():
+            try:
+                values.append(fn(y))
+            except PoleProximityError:
+                continue
+            defined.append(y)
+        if defined:
+            got = np.asarray(fn(np.array(defined)), float)
+            assert _bits(got.T) == _bits(values)
