@@ -2,9 +2,9 @@
 
 Construct the bipolar surface of a Lawson torus or Klein bottle, compute
 its profile functions through elliptic closed forms and direct
-integration, solve the associated Hill equation's periodic spectrum with
-the Floquet discriminant, and verify the extremal-rank, multiplicity,
-isometry, and area identities.
+integration, solve the associated Hill equation's periodic spectrum by
+Hill's method, and verify the extremal-rank, multiplicity, isometry, and
+area identities, with the Floquet discriminant as a cross-check.
 """
 
 from .special_functions import (

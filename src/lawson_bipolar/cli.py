@@ -17,7 +17,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 from . import hill_spectrum as hs
 from . import surface_model as sm
@@ -38,13 +39,13 @@ _FORMULA_WORDS = {
 
 @dataclass
 class RunConfig:
-    """Parsed invocation; tolerances and grid sizes hold overrides only."""
+    """Parsed invocation; tol and grid hold overrides only."""
 
     command: str
     r: int = 0
     k: int = 0
-    tolerances: dict = field(default_factory=dict)
-    grid_sizes: dict = field(default_factory=dict)
+    tol: Optional[float] = None
+    grid: Optional[int] = None
     output_path: str = ""
     fmt: str = "json"
     sweep: int = 0
@@ -83,10 +84,6 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _solver_tol(config: RunConfig) -> float:
-    return config.tolerances.get("solver", hs.DEFAULT_SOLVER_TOL)
-
-
 def _cmd_classify(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
     if config.output_path:
@@ -101,7 +98,7 @@ def _cmd_classify(config: RunConfig) -> int:
 def _cmd_rank(config: RunConfig) -> int:
     if config.sweep:
         return _cmd_sweep(config)
-    report = hs.extremal_rank(config.r, config.k, tol=_solver_tol(config))
+    report = hs.extremal_rank(config.r, config.k)
     params = report.params
     print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[params.topology]}, "
           f"{_FORMULA_WORDS[params.parity_class]}")
@@ -124,9 +121,9 @@ def _report_doc(report: hs.ExtremalReport) -> dict:
     }
 
 
-def _sweep_row(args) -> tuple:
-    r, k, tol = args
-    report = hs.extremal_rank(r, k, tol=tol)
+def _sweep_row(pair: tuple[int, int]) -> tuple:
+    r, k = pair
+    report = hs.extremal_rank(r, k)
     p = report.params
     return (r, k, p.n, p.m, p.topology.value, p.parity_class.value,
             report.rank_i, _FORMULA_WORDS[p.parity_class],
@@ -134,14 +131,12 @@ def _sweep_row(args) -> tuple:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    tol = _solver_tol(config)
     pairs = sm.admissible_pairs(config.sweep)
-    jobs = [(r, k, tol) for r, k in pairs]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
+            rows = list(pool.map(_sweep_row, pairs))
     else:
-        rows = [_sweep_row(j) for j in jobs]
+        rows = [_sweep_row(pair) for pair in pairs]
     rows.sort(key=lambda row: (row[0], row[1]))
     buf = io.StringIO()
     buf.write("r,k,n,m,topology,parity_class,rank_i,rank_formula,"
@@ -155,12 +150,11 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _cmd_spectrum(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
-    tol = _solver_tol(config)
-    lines = [line for line in hs.surface_lines(params, tol=tol)
-             if line.p <= params.n]
+    lines = [line for line in hs.surface_lines(params) if line.p <= params.n]
     buf = io.StringIO()
     if config.fmt == "csv":
-        hs.write_spectrum_csv(buf, lines)
+        tol = hs.DEFAULT_SOLVER_TOL if config.tol is None else config.tol
+        hs.write_spectrum_csv(buf, params, lines, tol)
     else:
         doc = {"params": {"r": params.r, "k": params.k,
                           "n": params.n, "m": params.m},
@@ -178,9 +172,8 @@ def _cmd_spectrum(config: RunConfig) -> int:
 
 def _cmd_immerse(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
-    n_u = config.grid_sizes.get("u", 64)
-    n_v = config.grid_sizes.get("v", 64)
-    rows = sm.immersion_rows(params, n_u, n_v)
+    grid = 64 if config.grid is None else config.grid
+    rows = sm.immersion_rows(params, grid, grid)
     buf = io.StringIO()
     if config.fmt == "csv":
         sm.write_immersion_csv(buf, params, rows)
@@ -258,7 +251,7 @@ _SUBCOMMANDS = {
     "immerse": ("sample the bipolar immersion on a (u, v) grid",
                 {"grid", "format", "out"}),
     "verify": ("run the full verification battery, emit JSON", {"strict", "out"}),
-    "rank": ("compute the extremal eigenvalue rank", {"tol", "out", "sweep"}),
+    "rank": ("compute the extremal eigenvalue rank", {"out", "sweep"}),
     "area": ("compare area quadrature against the closed form", set()),
 }
 
@@ -277,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="Lawson parameter k")
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=None,
-                           help="solver tolerance override, within [1e-13, 1e-6]")
+                           help="tolerance of the Floquet columns of --format csv, "
+                                "within [1e-13, 1e-6]")
         if "grid" in flags:
             p.add_argument("--grid", type=int, default=None,
                            help="grid size per axis")
@@ -304,27 +298,25 @@ def main(argv=None) -> int:
         parser.error("rank: --sweep takes no --r or --k")
     if args.jobs is not None and not args.sweep:
         parser.error("rank: --jobs needs --sweep")
-    tolerances = {}
-    # the LAWSON_BIPOLAR_TOL environment variable supplies the default of
-    # --tol on the subcommands that take it; an explicit --tol wins
+    # the tolerance sets only the Floquet columns of the spectrum CSV
+    csv_spectrum = args.command == "spectrum" and args.fmt == "csv"
+    if args.tol is not None and not csv_spectrum:
+        parser.error("spectrum: --tol needs --format csv")
+    # LAWSON_BIPOLAR_TOL supplies the default of --tol there; an explicit
+    # --tol wins
     env_tol = os.environ.get("LAWSON_BIPOLAR_TOL")
-    if "tol" in _SUBCOMMANDS[args.command][1] and args.tol is None and env_tol is not None:
+    if csv_spectrum and args.tol is None and env_tol is not None:
         try:
             args.tol = float(env_tol)
         except ValueError:
             print(f"bad LAWSON_BIPOLAR_TOL value {env_tol!r}", file=sys.stderr)
             return 1
-    if args.tol is not None:
-        if not (1e-13 <= args.tol <= 1e-6):
-            print("tolerance must lie within [1e-13, 1e-6]", file=sys.stderr)
-            return 1
-        tolerances["solver"] = args.tol
-    grid_sizes = {}
-    if args.grid is not None:
-        if args.grid < 2:
-            print("grid must be at least 2", file=sys.stderr)
-            return 1
-        grid_sizes = {"u": args.grid, "v": args.grid}
+    if args.tol is not None and not (1e-13 <= args.tol <= 1e-6):
+        print("tolerance must lie within [1e-13, 1e-6]", file=sys.stderr)
+        return 1
+    if args.grid is not None and args.grid < 2:
+        print("grid must be at least 2", file=sys.stderr)
+        return 1
     if args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
         return 1
@@ -334,7 +326,7 @@ def main(argv=None) -> int:
         return 1
     config = RunConfig(
         command=args.command, r=args.r or 0, k=args.k or 0,
-        tolerances=tolerances, grid_sizes=grid_sizes, output_path=args.out,
+        tol=args.tol, grid=args.grid, output_path=args.out,
         fmt=args.fmt, sweep=args.sweep, strict=args.strict, jobs=jobs)
     return run(config)
 

@@ -9,12 +9,11 @@ parity, even or odd mode index a b-periodic (Psi = +2) or b-antiperiodic
 (Psi = -2) eigenfunction, Psi = z1(b) + z2'(b) being the Floquet
 discriminant of the fundamental pair over the half period.
 
-The Floquet propagation is the oracle: one batched pass over every
-located eigenvalue checks Psi against the block target and the parity
-against which of z1'(b), z2(b) vanishes.  It is a fixed-step
-Cooper-Verner RK8 taken as a product of per-step transfer matrices,
-built for all steps and (p, lambda) columns at once from f precomputed
-at the stage nodes.
+The eigenvalues come from the blocks alone.  The Floquet propagation is
+kept as an independent oracle for the verification battery and the
+Floquet columns of the spectrum CSV: a fixed-step Cooper-Verner RK8
+taken as a product of per-step transfer matrices, built for all steps
+and (p, lambda) columns at once from f precomputed at the stage nodes.
 
 Counting the eigenvalues below lambda = 2 with the torus or Klein-bottle
 selection rules yields the rank of the extremal eigenvalue and the
@@ -74,7 +73,6 @@ DEFAULT_SOLVER_TOL = 1e-9
 CLUSTER_DELTA = 1e-6
 #: below this, a located root counts as the zero eigenvalue
 ZERO_EIGENVALUE_TOL = 1e-6
-PARITY_THRESHOLD = 1e-7
 LAMBDA_MAX_COUNT = 2.0513713
 #: Galerkin modes per parity block: frequencies 2 pi j / a with j < 2 N_MODES
 N_MODES = 48
@@ -249,8 +247,6 @@ class Eigenvalue:
     index: int
     parity: Parity
     psi_target: float          # +2 (b-periodic) or -2 (b-antiperiodic)
-    fm: FloquetMatrix
-    anomaly: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -327,7 +323,7 @@ def discriminant(fm: FloquetMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hill's method: Fourier-Galerkin parity blocks, checked by the Floquet oracle
+# Hill's method: Fourier-Galerkin parity blocks
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -367,64 +363,36 @@ def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
     return tuple(blocks)
 
 
-def _classify(p: float, b: float, roots: list[tuple], st: np.ndarray) -> SpectralLine:
-    """Check block eigenvalues against the Floquet oracle and label them.
-
-    roots holds (gamma, parity, psi_target) in increasing gamma, st the
-    fundamental pair (z1, z1', z2, z2') at b, one column per root.
-    """
-    flags = []
-    eigs = []
-    for idx, (gamma, parity, target) in enumerate(roots):
-        fm = FloquetMatrix(z1_b=float(st[0, idx]), dz1_b=float(st[1, idx]),
-                           z2_b=float(st[2, idx]), dz2_b=float(st[3, idx]),
-                           p=p, lam=gamma)
-        psi = fm.z1_b + fm.dz2_b
-        if abs(psi - target) > 1e-6:
-            raise SpectrumMismatchError(
-                f"Galerkin root gamma={gamma!r} at p={p} has Psi={psi!r}, "
-                f"not the block target {target:+g}")
-        s_even = abs(fm.dz1_b)
-        s_odd = abs(fm.z2_b) / b
-        anomaly = None
-        if s_even < PARITY_THRESHOLD and s_odd < PARITY_THRESHOLD:
-            anomaly = "coexistence: both z2(b) and z1'(b) vanish"
-        elif min(s_even, s_odd) >= PARITY_THRESHOLD:
-            anomaly = (f"unresolved parity: |z1'(b)|={s_even:.3e}, "
-                       f"|z2(b)|/b={s_odd:.3e}")
-        elif (s_even < s_odd) != (parity is Parity.EVEN):
-            anomaly = (f"parity mismatch: block {parity.value}, "
-                       f"|z1'(b)|={s_even:.3e}, |z2(b)|/b={s_odd:.3e}")
-        if anomaly:
-            flags.append(f"gamma_{idx}({p})={gamma:.12g}: {anomaly}")
-        eigs.append(Eigenvalue(gamma=gamma, index=idx, parity=parity,
-                               psi_target=target, fm=fm, anomaly=anomaly))
-    return SpectralLine(p=p, eigenvalues=tuple(eigs),
-                        double_root_flags=tuple(flags))
-
-
 def _scan_lines(params: SurfaceParams, p_values: Sequence[float],
-                lambda_max: float, tol: float) -> list[SpectralLine]:
+                lambda_max: float) -> list[SpectralLine]:
     """All eigenvalues <= lambda_max on several lines, from the Galerkin
-    blocks, checked by one batched Floquet propagation."""
-    roots = []
-    for li, p in enumerate(p_values):
-        for parity, target, _, k2, F in _galerkin_blocks(params.n, params.m):
-            gammas = scipy.linalg.eigh(np.diag(k2 + p * p), F, eigvals_only=True,
-                                       subset_by_value=(-np.inf, lambda_max))
-            roots.extend((li, float(g), parity, target) for g in gammas)
-    roots.sort(key=lambda root: root[:2])
-    b = period_a(params) / 2.0
-    p2 = [float(p_values[root[0]]) ** 2 for root in roots]
-    st = _propagate(params, p2, [root[1] for root in roots], b,
-                    _steps_for(params, tol, b))
-    lines: list[SpectralLine] = []
-    for li, p in enumerate(p_values):
-        cols = [i for i, root in enumerate(roots) if root[0] == li]
-        line = _classify(p, b, [roots[i][1:] for i in cols], st[:, cols])
+    blocks, each line checked against the interlacing sign pattern."""
+    blocks = _galerkin_blocks(params.n, params.m)
+    lines = []
+    for p in p_values:
+        roots = sorted(
+            ((float(g), parity, target)
+             for parity, target, _, k2, F in blocks
+             for g in scipy.linalg.eigh(np.diag(k2 + p * p), F, eigvals_only=True,
+                                        subset_by_value=(-np.inf, lambda_max))),
+            key=lambda root: root[0])
+        eigs = tuple(Eigenvalue(gamma=g, index=i, parity=parity, psi_target=target)
+                     for i, (g, parity, target) in enumerate(roots))
+        line = SpectralLine(p=p, eigenvalues=eigs,
+                            double_root_flags=_double_root_flags(p, eigs))
         _check_sign_pattern(line)
         lines.append(line)
     return lines
+
+
+def _double_root_flags(p: float, eigs: Sequence[Eigenvalue]) -> tuple[str, ...]:
+    """Adjacent roots of one Floquet target closer than CLUSTER_DELTA: an
+    even and an odd eigenfunction sharing an eigenvalue (coexistence)."""
+    return tuple(
+        f"gamma_{lo.index}({p})={lo.gamma:.12g}, gamma_{hi.index}({p})="
+        f"{hi.gamma:.12g}: coexistence at Psi={lo.psi_target:+g}"
+        for lo, hi in zip(eigs, eigs[1:])
+        if lo.psi_target == hi.psi_target and hi.gamma - lo.gamma < CLUSTER_DELTA)
 
 
 def _check_sign_pattern(line: SpectralLine) -> None:
@@ -437,28 +405,27 @@ def _check_sign_pattern(line: SpectralLine) -> None:
             f"discriminant sign pattern broken on line p={line.p}: {targets}")
 
 
-def find_branch(p: int, lambda_max: float, params: SurfaceParams,
-                tol: float = DEFAULT_SOLVER_TOL) -> SpectralLine:
+def find_branch(p: int, lambda_max: float, params: SurfaceParams) -> SpectralLine:
     """All eigenvalues gamma_i(p) <= lambda_max with parity labels.
 
     lambda_max may not exceed 3: beyond that coexistence becomes possible,
-    and the oracle's Floquet parity test is ambiguous for a double root.
+    and an eigenvalue shared by an even and an odd eigenfunction has no
+    single parity label.
     """
     if lambda_max > 3.0:
         raise ValueError("lambda_max above 3 voids the simplicity guarantee")
-    return _scan_lines(params, [p], lambda_max, tol)[0]
+    return _scan_lines(params, [p], lambda_max)[0]
 
 
-def surface_lines(params: SurfaceParams,
-                  tol: float = DEFAULT_SOLVER_TOL) -> tuple[SpectralLine, ...]:
+def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
     """Spectral lines p = 0..n+1 up to just past lambda = 2 (cached)."""
-    return _surface_lines(params.n, params.m, float(tol))
+    return _surface_lines(params.n, params.m)
 
 
 @lru_cache(maxsize=64)
-def _surface_lines(n: int, m: int, tol: float) -> tuple[SpectralLine, ...]:
+def _surface_lines(n: int, m: int) -> tuple[SpectralLine, ...]:
     return tuple(_scan_lines(params_from_nm(n, m), list(range(n + 2)),
-                             LAMBDA_MAX_COUNT, tol))
+                             LAMBDA_MAX_COUNT))
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +433,9 @@ def _surface_lines(n: int, m: int, tol: float) -> tuple[SpectralLine, ...]:
 # ---------------------------------------------------------------------------
 
 def branch_monotonicity(params: SurfaceParams, branch_index: int,
-                        p_grid: Sequence[float],
-                        tol: float = DEFAULT_SOLVER_TOL) -> MonotonicityReport:
+                        p_grid: Sequence[float]) -> MonotonicityReport:
     """gamma_{branch_index}(p) on a real p grid with consecutive differences."""
-    lines = _scan_lines(params, list(p_grid), LAMBDA_MAX_COUNT, tol)
+    lines = _scan_lines(params, list(p_grid), LAMBDA_MAX_COUNT)
     gammas = []
     for line in lines:
         if branch_index >= len(line.eigenvalues):
@@ -495,8 +461,7 @@ def _keeps(parity: Parity, p: int, topology: Topology) -> bool:
 
 
 def count_below_two(params: SurfaceParams,
-                    topology_override: Optional[Topology] = None,
-                    tol: float = DEFAULT_SOLVER_TOL) -> CountResult:
+                    topology_override: Optional[Topology] = None) -> CountResult:
     """Count nonzero eigenvalues of the surface below lambda = 2.
 
     Every root located on the lines p = 0..n+1 is inspected, so a stray
@@ -505,7 +470,7 @@ def count_below_two(params: SurfaceParams,
     SpectrumMismatchError with the branch data.
     """
     topo = topology_override or params.topology
-    lines = surface_lines(params, tol)
+    lines = surface_lines(params)
     contributing = []
     total = 0
     for line in lines:
@@ -536,13 +501,12 @@ def count_below_two(params: SurfaceParams,
 
 
 def multiplicity_at_two(params: SurfaceParams,
-                        topology_override: Optional[Topology] = None,
-                        tol: float = DEFAULT_SOLVER_TOL) -> tuple[int, tuple]:
+                        topology_override: Optional[Topology] = None) -> tuple[int, tuple]:
     """Weighted count of eigenvalues inside [2 - delta, 2 + delta]."""
     topo = topology_override or params.topology
     cluster = []
     mult = 0
-    for line in surface_lines(params, tol):
+    for line in surface_lines(params):
         p = int(line.p)
         for eig in line.eigenvalues:
             if abs(eig.gamma - 2.0) > CLUSTER_DELTA:
@@ -567,25 +531,25 @@ def rank_formula(params: SurfaceParams) -> int:
     return _RANK_FORMULAS[params.parity_class](params.r)
 
 
-def extremal_rank(r: int, k: int, tol: float = DEFAULT_SOLVER_TOL) -> ExtremalReport:
+def extremal_rank(r: int, k: int) -> ExtremalReport:
     """Smallest index i with lambda_i = 2, checked against the closed form.
 
     Also verifies mult(2) = 5 and the branch anchors gamma_0(n) = 2,
     gamma_1(m) = 2, gamma_2(0) = 2, gamma_0(0) = 0.
     """
     params = derive_params(r, k)
-    counted = count_below_two(params, tol=tol)
+    counted = count_below_two(params)
     rank = counted.count + 1
     expected = rank_formula(params)
     if rank != expected:
         raise SpectrumMismatchError(
             f"rank {rank} disagrees with the closed form {expected} for {params}")
-    mult, cluster = multiplicity_at_two(params, tol=tol)
+    mult, cluster = multiplicity_at_two(params)
     if mult != 5:
         raise SpectrumMismatchError(
             f"multiplicity at 2 is {mult}, expected 5 for {params}; "
             f"cluster: {cluster}")
-    lines = {int(line.p): line for line in surface_lines(params, tol)}
+    lines = {int(line.p): line for line in surface_lines(params)}
     anomalies = [f for line in lines.values() for f in line.double_root_flags]
     residuals = {
         "anchor_gamma0_at_0": abs(lines[0].gamma(0)),
@@ -648,14 +612,23 @@ def count_zeros(values: np.ndarray, rel_tol: float = 1e-9) -> int:
 # export
 # ---------------------------------------------------------------------------
 
-def write_spectrum_csv(stream: IO[str], lines: Sequence[SpectralLine]) -> None:
+def write_spectrum_csv(stream: IO[str], params: SurfaceParams,
+                       lines: Sequence[SpectralLine],
+                       tol: float = DEFAULT_SOLVER_TOL) -> None:
+    """One row per located eigenvalue, with z2(b), z1'(b) and Psi of the
+    Floquet oracle at tol (one batched propagation; each column equals
+    floquet(p, gamma, params, tol) bit for bit)."""
+    rows = [(line.p, eig) for line in lines for eig in line.eigenvalues]
+    b = period_a(params) / 2.0
+    z1, dz1, z2, dz2 = _propagate(
+        params, [float(p) ** 2 for p, _ in rows], [eig.gamma for _, eig in rows],
+        b, _steps_for(params, tol, b))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["p", "branch_index", "gamma", "parity", "z2_b", "dz1_b", "psi"])
-    for line in lines:
-        for eig in line.eigenvalues:
-            writer.writerow([
-                format(float(line.p), ".17g"), eig.index,
-                format(eig.gamma, ".17g"), eig.parity.value,
-                format(eig.fm.z2_b, ".17g"), format(eig.fm.dz1_b, ".17g"),
-                format(discriminant(eig.fm), ".17g"),
-            ])
+    for i, (p, eig) in enumerate(rows):
+        writer.writerow([
+            format(float(p), ".17g"), eig.index,
+            format(eig.gamma, ".17g"), eig.parity.value,
+            format(z2[i], ".17g"), format(dz1[i], ".17g"),
+            format(z1[i] + dz2[i], ".17g"),
+        ])

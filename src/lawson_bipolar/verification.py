@@ -308,6 +308,32 @@ def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResu
 # Floquet structure
 # ---------------------------------------------------------------------------
 
+#: below this, z1'(b) or z2(b)/b counts as vanishing at a located root
+PARITY_THRESHOLD = 1e-7
+
+
+def _oracle_flags(p: float, eig: hs.Eigenvalue, z1: float, dz1: float,
+                  z2: float, dz2: float, b: float) -> list[str]:
+    """The Floquet oracle's verdict on one located root: Psi must hit the
+    block target, and exactly one of z1'(b) (even) and z2(b) (odd) vanish,
+    the one of the block's parity."""
+    tag = f"gamma_{eig.index}({p})={eig.gamma:.12g}"
+    flags = []
+    psi = z1 + dz2
+    if abs(psi - eig.psi_target) > 1e-6:
+        flags.append(f"{tag}: Psi={psi!r}, not the block target {eig.psi_target:+g}")
+    s_even, s_odd = abs(dz1), abs(z2) / b
+    if s_even < PARITY_THRESHOLD and s_odd < PARITY_THRESHOLD:
+        flags.append(f"{tag}: coexistence: both z2(b) and z1'(b) vanish")
+    elif min(s_even, s_odd) >= PARITY_THRESHOLD:
+        flags.append(f"{tag}: unresolved parity: |z1'(b)|={s_even:.3e}, "
+                     f"|z2(b)|/b={s_odd:.3e}")
+    elif (s_even < s_odd) != (eig.parity is hs.Parity.EVEN):
+        flags.append(f"{tag}: parity mismatch: block {eig.parity.value}, "
+                     f"|z1'(b)|={s_even:.3e}, |z2(b)|/b={s_odd:.3e}")
+    return flags
+
+
 def floquet_structure_checks(params: SurfaceParams,
                              n_random: int = 50) -> list[CheckResult]:
     """Wronskian and half-period identities at random (p, lambda), and
@@ -316,7 +342,12 @@ def floquet_structure_checks(params: SurfaceParams,
     Draws come from the spectral window lambda in [0, 3), p in [0, n],
     where the fundamental pair stays O(1) (n * b = 2 K(m/n)); outside it
     the solutions grow exponentially and an absolute Wronskian residual
-    stops being meaningful."""
+    stops being meaningful.
+
+    Every located root is propagated in one batch and checked by
+    _oracle_flags; a flag of the oracle or a coexistence flag of the
+    Galerkin blocks fails simplicity_in_window, with the flag texts as
+    its context."""
     rng = np.random.default_rng(RANDOM_SEED + 2)
     b = period_a(params) / 2.0
     pvals = rng.uniform(0.0, float(params.n), n_random)
@@ -334,13 +365,16 @@ def floquet_structure_checks(params: SurfaceParams,
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
         np.max(np.abs(dz2b - z1b))]))
 
+    lines = hs.surface_lines(params)
+    roots = [(line.p, eig) for line in lines for eig in line.eigenvalues]
+    at_roots = hs._propagate(params, [float(p) ** 2 for p, _ in roots],
+                             [eig.gamma for _, eig in roots], b, n_steps)
+    flags = [f for line in lines for f in line.double_root_flags]
     simp = []
-    flags = []
-    for line in hs.surface_lines(params):
-        flags.extend(line.double_root_flags)
-        for eig in line.eigenvalues:
-            if 0.0 < eig.gamma < 3.0:
-                simp.append(np.minimum(abs(eig.fm.dz1_b), abs(eig.fm.z2_b) / b))
+    for (p, eig), col in zip(roots, at_roots.T):
+        flags.extend(_oracle_flags(p, eig, *col, b))
+        if 0.0 < eig.gamma < 3.0:
+            simp.append(min(abs(col[1]), abs(col[2]) / b))
     simp_ctx = "; ".join(flags) if flags else "no double-root flags below 3"
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10,
@@ -355,16 +389,16 @@ def floquet_structure_checks(params: SurfaceParams,
 def eigenfunction_zero_checks(params: SurfaceParams) -> CheckResult:
     """gamma_1 and gamma_2 eigenfunctions have exactly 2 zeros per period,
     the gamma_0 ground line none."""
-    lines = {int(line.p): line for line in hs.surface_lines(params)}
-    expected = [(lines[0].eigenvalues[1], 2), (lines[0].eigenvalues[2], 2),
-                (lines[1].eigenvalues[0], 0)]
+    lines = hs.surface_lines(params)
+    expected = [(lines[0], 1, 2), (lines[0], 2, 2), (lines[1], 0, 0)]
     worst = 0
     details = []
-    for eig, want in expected:
-        _, vals = hs.eigenfunction_samples(params, eig.fm.p, eig.gamma,
+    for line, index, want in expected:
+        eig = line.eigenvalues[index]
+        _, vals = hs.eigenfunction_samples(params, line.p, eig.gamma,
                                            eig.parity, n_samples=2048)
         got = hs.count_zeros(vals)
-        details.append(f"gamma_{eig.index}({eig.fm.p:g})={eig.gamma:.6f}: "
+        details.append(f"gamma_{index}({line.p:g})={eig.gamma:.6f}: "
                        f"{got} zeros (want {want})")
         worst = max(worst, abs(got - want))
     return CheckResult("eigenfunction_zero_counts", float(worst), 0.5,

@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar.cli import RunConfig, main, run, _json17
+
+RANK_8_1_DIGEST = "f3c7c78252344d6c3ae0a3184de2e43b5ef1a192313beaf65ba68491b073c9b1"
 
 
 class TestJsonFormatter:
@@ -100,9 +103,8 @@ class TestImmerseBytes:
 
 class TestRankBytes:
     """sha256 of rank outputs written by the stage-by-stage Floquet loop
-    that the transfer-matrix product replaced.  The Floquet values reach a
-    rank only through the oracle's checks, so its rounding must not move a
-    byte."""
+    that the transfer-matrix product replaced.  A rank comes from the
+    Galerkin blocks alone, so no Floquet rounding may move a byte."""
 
     def test_sweep_stdout_digest(self, capsys):
         assert main(["rank", "--sweep", "8"]) == 0
@@ -112,8 +114,46 @@ class TestRankBytes:
     def test_report_json_digest(self, tmp_path, capsys):
         out = tmp_path / "rank.json"
         assert main(["rank", "--r", "8", "--k", "1", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f3c7c78252344d6c3ae0a3184de2e43b5ef1a192313beaf65ba68491b073c9b1")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RANK_8_1_DIGEST
+
+
+class TestSpectrumAndVerifyBytes:
+    """sha256 of spectrum and verify outputs written while every located
+    root was propagated inside the spectral scan; the Floquet columns and
+    residuals now come from the CSV writer's and the verification
+    battery's own propagations, bit for bit."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
+         "6f0779fcb303ddab36e2cb477ead2094abd3239d968c02f3c522b609d048eb7a"),
+        (["spectrum", "--r", "8", "--k", "1", "--format", "csv", "--tol", "1e-11"],
+         "42942f679723c88fe60c3785c53330fd320448bc4a42fe8928ce730ec9198791"),
+        (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
+         "e52def9e553bfebf83a3c14b6e04b7e2709e54e9c673638b2054dac7bf1a3f4e"),
+        (["verify", "--r", "8", "--k", "1"],
+         "7de90360aaf7f77c0dffc06bcef7ddfa1aa511d13092608f8f26a0ce6cfc8080"),
+    ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv-tol", "spectrum-7-6-json",
+            "verify-8-1"])
+    def test_output_digest(self, tmp_path, args, digest):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rank_and_spectrum_json_run_no_floquet_propagation(monkeypatch, tmp_path,
+                                                           capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("Floquet propagation on a production path")
+
+    monkeypatch.setattr(hs, "_propagate", boom)
+    hs._surface_lines.cache_clear()
+    hs._galerkin_blocks.cache_clear()
+    assert hs.extremal_rank(8, 1).rank_i == 30
+    assert main(["rank", "--sweep", "3"]) == 0
+    out = tmp_path / "lines.json"
+    assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["n"] == 7
 
 
 class TestArea:
@@ -170,7 +210,7 @@ class TestExitCodes:
         from lawson_bipolar import cli as climod
         from lawson_bipolar.hill_spectrum import SpectrumMismatchError
 
-        def boom(r, k, tol=None):
+        def boom(r, k):
             raise SpectrumMismatchError("synthetic mismatch")
 
         monkeypatch.setattr(climod.hs, "extremal_rank", boom)
@@ -188,14 +228,29 @@ class TestExitCodes:
 
 
 class TestArgumentValidation:
-    def test_bad_tolerance(self, capsys):
-        assert main(["rank", "--r", "2", "--k", "1", "--tol", "1e-3"]) == 1
+    def test_bad_tolerance(self, tmp_path, capsys):
+        out = tmp_path / "lines.csv"
+        assert main(["spectrum", "--r", "2", "--k", "1", "--format", "csv",
+                     "--tol", "1e-3", "--out", str(out)]) == 1
+        assert not out.exists()
 
-    def test_env_var_tolerance(self, monkeypatch, capsys):
+    def test_env_var_tolerance(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "lines.csv"
+        csv_argv = ["spectrum", "--r", "2", "--k", "1", "--format", "csv",
+                    "--out", str(out)]
         monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-3")
-        assert main(["rank", "--r", "2", "--k", "1"]) == 1
+        assert main(csv_argv) == 1
+        assert not out.exists()
+        # read by the CSV alone: the JSON spectrum ignores it
+        assert main(["spectrum", "--r", "2", "--k", "1", "--format", "json"]) == 0
         monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-9")
-        assert main(["rank", "--r", "2", "--k", "1"]) == 0
+        assert main(csv_argv) == 0
+
+    def test_rank_ignores_env_tolerance(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-3")
+        out = tmp_path / "rank.json"
+        assert main(["rank", "--r", "8", "--k", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RANK_8_1_DIGEST
 
     def test_bad_grid(self, capsys):
         assert main(["immerse", "--r", "2", "--k", "1", "--grid", "1"]) == 1
@@ -212,6 +267,7 @@ class TestArgumentValidation:
         ["verify", "--tol", "1e-9"], ["verify", "--grid", "8"],
         ["verify", "--format", "json"],
         ["rank", "--grid", "8"], ["rank", "--format", "csv"], ["rank", "--strict"],
+        ["rank", "--tol", "1e-9"],
         ["area", "--tol", "1e-9"], ["area", "--grid", "8"], ["area", "--out", "f"],
         ["area", "--format", "json"], ["area", "--strict"],
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
@@ -252,6 +308,20 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert message in err
+        assert not out.exists()
+
+    # --tol sets only the Floquet columns of the CSV
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "1e-9"], ["--tol", "1e-9", "--format", "json"],
+    ], ids=["tol-default-format", "tol-json"])
+    def test_unread_spectrum_tol_is_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--r", "2", "--k", "1", *argv, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--tol needs --format csv" in err
         assert not out.exists()
 
     def test_negative_sweep(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ Fourier-Galerkin generalized eigenproblem for whole spectral lines, and
 the closed-form counting identities for ranks.
 """
 
+import csv
 import io
 import math
 import tracemalloc
@@ -16,8 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
+from lawson_bipolar import verification as vf
 from lawson_bipolar.hill_spectrum import (
     CLUSTER_DELTA,
+    Eigenvalue,
     Parity,
     branch_monotonicity,
     count_below_two,
@@ -328,16 +331,22 @@ def test_rank_properties_beyond_table(pair):
         assert cover.count == 2 * (params.n + params.m) - 3
 
 
+def _simplicity_check(params):
+    checks = {c.name: c for c in vf.floquet_structure_checks(params)}
+    return checks["simplicity_in_window"]
+
+
 class TestEigenfunctions:
     def test_zero_counts(self):
         lines = {int(l.p): l for l in surface_lines(P31)}
         cases = [
-            (lines[0].eigenvalues[1], 2),   # gamma_1(0), odd, two zeros
-            (lines[0].eigenvalues[2], 2),   # gamma_2(0), even, two zeros
-            (lines[1].eigenvalues[0], 0),   # gamma_0(1), ground, no zeros
+            (lines[0], 1, 2),   # gamma_1(0), odd, two zeros
+            (lines[0], 2, 2),   # gamma_2(0), even, two zeros
+            (lines[1], 0, 0),   # gamma_0(1), ground, no zeros
         ]
-        for eig, expected in cases:
-            _, vals = eigenfunction_samples(P31, eig.fm.p, eig.gamma,
+        for line, index, expected in cases:
+            eig = line.eigenvalues[index]
+            _, vals = eigenfunction_samples(P31, line.p, eig.gamma,
                                             eig.parity, n_samples=2048)
             assert count_zeros(vals) == expected
 
@@ -347,19 +356,42 @@ class TestEigenfunctions:
         assert count_zeros(np.cos(t) + 2.0) == 0
         assert count_zeros(np.sin(t)) == 2
 
-    def test_surface_lines_cache_ignores_default_spelling(self):
-        assert surface_lines(P31) is surface_lines(P31, hs.DEFAULT_SOLVER_TOL)
+    def test_surface_lines_cache_keyed_on_profile(self):
+        # (r, k) = (2, 1) has the profile (n, m) = (3, 1)
+        other = derive_params(2, 1)
+        assert other is not P31
+        assert surface_lines(other) is surface_lines(P31)
 
     def test_double_root_flags_empty_below_three(self):
         for line in surface_lines(P31):
             assert line.double_root_flags == ()
+        assert _simplicity_check(P31).context == "no double-root flags below 3"
 
     def test_simplicity_in_window(self):
-        b = period_a(P31) / 2.0
-        for line in surface_lines(P31):
-            for eig in line.eigenvalues:
-                if 0.0 < eig.gamma < 3.0:
-                    assert min(abs(eig.fm.dz1_b), abs(eig.fm.z2_b) / b) < 1e-7
+        # the check's residual is the largest min(|z1'(b)|, |z2(b)|/b) over
+        # the located roots in (0, 3), plus 1 for any flag
+        assert _simplicity_check(P31).residual < 1e-7
+
+
+class TestDoubleRootFlags:
+    @staticmethod
+    def _line(gammas, targets):
+        return [Eigenvalue(gamma=g, index=i, parity=Parity.EVEN, psi_target=t)
+                for i, (g, t) in enumerate(zip(gammas, targets))]
+
+    def test_same_target_pair_within_cluster_delta_is_flagged(self):
+        eigs = self._line([0.5, 1.2, 1.2 + 1e-9], [2.0, -2.0, -2.0])
+        flags = hs._double_root_flags(3, eigs)
+        assert len(flags) == 1
+        assert flags[0].startswith("gamma_1(3)=1.2, gamma_2(3)=1.200000001:")
+        assert "coexistence" in flags[0]
+
+    def test_separated_or_opposite_target_pairs_are_not_flagged(self):
+        # 3.2e-4 is the smallest same-target gap over the pairs with r <= 40
+        assert hs._double_root_flags(0, self._line([1.2, 1.2 + 3.2e-4],
+                                                   [-2.0, -2.0])) == ()
+        assert hs._double_root_flags(0, self._line([1.2, 1.2 + 1e-9],
+                                                   [2.0, -2.0])) == ()
 
 
 def _count_zeros_loop(values, rel_tol=1e-9):
@@ -403,7 +435,25 @@ class TestExport:
     def test_spectrum_csv(self):
         lines = [find_branch(p, 2.0513713, P31) for p in (0, 1)]
         buf = io.StringIO()
-        write_spectrum_csv(buf, lines)
+        write_spectrum_csv(buf, P31, lines)
         rows = buf.getvalue().splitlines()
         assert rows[0] == "p,branch_index,gamma,parity,z2_b,dz1_b,psi"
         assert len(rows) == 1 + sum(len(l.eigenvalues) for l in lines)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(pair=st.sampled_from(admissible_pairs(12)),
+       tol=st.sampled_from([1e-13, 1e-9, 1e-6]))
+def test_spectrum_csv_columns_are_floquet(pair, tol):
+    """The batched oracle of the CSV gives each row the bits of its own
+    floquet call."""
+    params = derive_params(*pair)
+    buf = io.StringIO()
+    write_spectrum_csv(buf, params, surface_lines(params), tol)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert len(rows) == sum(len(l.eigenvalues) for l in surface_lines(params))
+    for row in rows:
+        fm = floquet(int(float(row["p"])), float(row["gamma"]), params, tol)
+        assert float(row["z2_b"]) == fm.z2_b
+        assert float(row["dz1_b"]) == fm.dz1_b
+        assert float(row["psi"]) == discriminant(fm)

@@ -1,5 +1,6 @@
 """Tests for the aggregated verification battery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,50 @@ def test_theta_rows_and_exact_geodesic_beyond_table(pair, ys):
     assert np.array_equal(rows, scalar)
     geo = vf.orbit_space_checks(params)[-1]
     assert geo.residual < 1e-10, (pair, geo.residual)
+
+
+class TestFloquetStructure:
+    @staticmethod
+    def _simplicity(params):
+        checks = {c.name: c for c in vf.floquet_structure_checks(params)}
+        return checks["simplicity_in_window"]
+
+    def test_root_off_its_target_fails_simplicity(self, monkeypatch):
+        # gamma_0(1) shifted by 1e-3 moves Psi off +2 by far more than 1e-6
+        params = params_from_nm(3, 1)
+        lines = list(hs.surface_lines(params))
+        eigs = list(lines[1].eigenvalues)
+        eigs[0] = dataclasses.replace(eigs[0], gamma=eigs[0].gamma + 1e-3)
+        lines[1] = dataclasses.replace(lines[1], eigenvalues=tuple(eigs))
+        assert self._simplicity(params).passed
+        monkeypatch.setattr(hs, "surface_lines", lambda p: tuple(lines))
+        check = self._simplicity(params)
+        assert not check.passed
+        assert f"gamma_0(1)={eigs[0].gamma:.12g}: Psi=" in check.context
+        assert "not the block target +2" in check.context
+
+    def test_block_coexistence_flag_fails_simplicity(self, monkeypatch):
+        params = params_from_nm(3, 1)
+        lines = list(hs.surface_lines(params))
+        lines[2] = dataclasses.replace(lines[2], double_root_flags=("synthetic",))
+        monkeypatch.setattr(hs, "surface_lines", lambda p: tuple(lines))
+        check = self._simplicity(params)
+        assert not check.passed
+        assert check.context == "synthetic"
+
+    def test_oracle_flags(self):
+        eig = hs.Eigenvalue(gamma=1.5, index=1, parity=hs.Parity.ODD,
+                            psi_target=-2.0)
+        b = 0.5
+        # odd: z2(b) vanishes, z1'(b) does not
+        assert vf._oracle_flags(2, eig, -1.0, 0.3, 1e-9, -1.0, b) == []
+        assert "parity mismatch: block Odd" in vf._oracle_flags(
+            2, eig, -1.0, 1e-9, 0.3, -1.0, b)[0]
+        assert "coexistence" in vf._oracle_flags(2, eig, -1.0, 1e-9, 1e-9, -1.0, b)[0]
+        assert "unresolved parity" in vf._oracle_flags(
+            2, eig, -1.0, 0.3, 0.3, -1.0, b)[0]
+        assert vf._oracle_flags(2, eig, -1.0, 0.3, 1e-9, -0.99, b) == [
+            "gamma_1(2)=1.5: Psi=-1.99, not the block target -2"]
 
 
 class TestFullReport:
