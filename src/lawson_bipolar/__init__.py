@@ -51,7 +51,6 @@ from .hill_spectrum import (
     count_below_two,
     discriminant,
     extremal_rank,
-    find_branch,
     floquet,
 )
 from .verification import CheckResult, FullReport, full_report

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import IO, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .surface_model import (
     SurfaceParams,
@@ -55,7 +54,6 @@ __all__ = [
     "floquet",
     "transfer_state",
     "discriminant",
-    "find_branch",
     "branch_monotonicity",
     "count_below_two",
     "multiplicity_at_two",
@@ -73,6 +71,9 @@ DEFAULT_SOLVER_TOL = 1e-9
 CLUSTER_DELTA = 1e-6
 #: below this, a located root counts as the zero eigenvalue
 ZERO_EIGENVALUE_TOL = 1e-6
+#: top of every scanned spectral line, just past lambda = 2; it must stay
+#: below 3, where coexistence becomes possible and an eigenvalue shared by
+#: an even and an odd eigenfunction has no single parity label
 LAMBDA_MAX_COUNT = 2.0513713
 #: Galerkin modes per parity block: frequencies 2 pi j / a with j < 2 N_MODES
 N_MODES = 48
@@ -328,7 +329,7 @@ def discriminant(fm: FloquetMatrix) -> float:
 
 @lru_cache(maxsize=64)
 def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
-    """The four blocks (parity, psi_target, j, k_j^2, F) of profile (n, m).
+    """The four blocks (parity, psi_target, j, R, A, G) of profile (n, m).
 
     With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
     orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
@@ -336,7 +337,9 @@ def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
     has period a/2, c_l vanishes for odd l and each block splits again by
     the parity of j: even j are b-periodic (Psi = +2), odd j
     b-antiperiodic (Psi = -2).  Each block's eigenvalues at p solve
-    diag(k_j^2 + p^2) v = lambda F v.
+    diag(k_j^2 + p^2) v = lambda F v.  With F = L L^T and R = L^-1 that is
+    the standard problem (A + p^2 G) w = lambda w, A = R diag(k_j^2) R^T,
+    G = R R^T, v = R^T w: one Cholesky reduction serves every line.
     """
     params = params_from_nm(n, m)
     a = period_a(params)
@@ -356,25 +359,29 @@ def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
             if first == 0:
                 F[0] /= math.sqrt(2.0)
                 F[:, 0] /= math.sqrt(2.0)
-            k2 = (2.0 * math.pi * j / a) ** 2
-            for arr in (j, k2, F):
+            R = np.linalg.inv(np.linalg.cholesky(F))
+            A = (R * (2.0 * math.pi * j / a) ** 2) @ R.T
+            G = R @ R.T
+            for arr in (j, R, A, G):
                 arr.flags.writeable = False
-            blocks.append((parity, target, j, k2, F))
+            blocks.append((parity, target, j, R, A, G))
     return tuple(blocks)
 
 
-def _scan_lines(params: SurfaceParams, p_values: Sequence[float],
-                lambda_max: float) -> list[SpectralLine]:
-    """All eigenvalues <= lambda_max on several lines, from the Galerkin
-    blocks, each line checked against the interlacing sign pattern."""
+def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[SpectralLine]:
+    """All eigenvalues <= LAMBDA_MAX_COUNT on several lines, one eigvalsh
+    call over the four blocks per line, each line checked against the
+    interlacing sign pattern."""
     blocks = _galerkin_blocks(params.n, params.m)
+    A = np.stack([a for *_, a, _ in blocks])
+    G = np.stack([g for *_, g in blocks])
     lines = []
     for p in p_values:
+        gammas = np.linalg.eigvalsh(A + (p * p) * G)
         roots = sorted(
             ((float(g), parity, target)
-             for parity, target, _, k2, F in blocks
-             for g in scipy.linalg.eigh(np.diag(k2 + p * p), F, eigvals_only=True,
-                                        subset_by_value=(-np.inf, lambda_max))),
+             for (parity, target, *_), row in zip(blocks, gammas)
+             for g in row[row <= LAMBDA_MAX_COUNT]),
             key=lambda root: root[0])
         eigs = tuple(Eigenvalue(gamma=g, index=i, parity=parity, psi_target=target)
                      for i, (g, parity, target) in enumerate(roots))
@@ -405,18 +412,6 @@ def _check_sign_pattern(line: SpectralLine) -> None:
             f"discriminant sign pattern broken on line p={line.p}: {targets}")
 
 
-def find_branch(p: int, lambda_max: float, params: SurfaceParams) -> SpectralLine:
-    """All eigenvalues gamma_i(p) <= lambda_max with parity labels.
-
-    lambda_max may not exceed 3: beyond that coexistence becomes possible,
-    and an eigenvalue shared by an even and an odd eigenfunction has no
-    single parity label.
-    """
-    if lambda_max > 3.0:
-        raise ValueError("lambda_max above 3 voids the simplicity guarantee")
-    return _scan_lines(params, [p], lambda_max)[0]
-
-
 def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
     """Spectral lines p = 0..n+1 up to just past lambda = 2 (cached)."""
     return _surface_lines(params.n, params.m)
@@ -424,8 +419,7 @@ def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
 
 @lru_cache(maxsize=64)
 def _surface_lines(n: int, m: int) -> tuple[SpectralLine, ...]:
-    return tuple(_scan_lines(params_from_nm(n, m), list(range(n + 2)),
-                             LAMBDA_MAX_COUNT))
+    return tuple(_scan_lines(params_from_nm(n, m), list(range(n + 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +429,7 @@ def _surface_lines(n: int, m: int) -> tuple[SpectralLine, ...]:
 def branch_monotonicity(params: SurfaceParams, branch_index: int,
                         p_grid: Sequence[float]) -> MonotonicityReport:
     """gamma_{branch_index}(p) on a real p grid with consecutive differences."""
-    lines = _scan_lines(params, list(p_grid), LAMBDA_MAX_COUNT)
+    lines = _scan_lines(params, list(p_grid))
     gammas = []
     for line in lines:
         if branch_index >= len(line.eigenvalues):
@@ -460,6 +454,16 @@ def _keeps(parity: Parity, p: int, topology: Topology) -> bool:
     return even_p == (parity is Parity.EVEN)
 
 
+def _selected_roots(params: SurfaceParams, topology: Topology):
+    """(p, eig, weight) for every located root that survives the selection
+    rule of the topology; a line p > 0 carries cos(px) and sin(px)."""
+    for line in surface_lines(params):
+        p = int(line.p)
+        for eig in line.eigenvalues:
+            if _keeps(eig.parity, p, topology):
+                yield p, eig, 1 if p == 0 else 2
+
+
 def count_below_two(params: SurfaceParams,
                     topology_override: Optional[Topology] = None) -> CountResult:
     """Count nonzero eigenvalues of the surface below lambda = 2.
@@ -467,24 +471,15 @@ def count_below_two(params: SurfaceParams,
     Every root located on the lines p = 0..n+1 is inspected, so a stray
     branch would break the exact match with the closed-form count
     2(n+m) - 3 (torus) or n+m - 3 (Klein bottle), raising
-    SpectrumMismatchError with the branch data.
+    SpectrumMismatchError with the branch data.  Roots under
+    ZERO_EIGENVALUE_TOL are the zero mode gamma_0(0) = 0.
     """
     topo = topology_override or params.topology
-    lines = surface_lines(params)
-    contributing = []
-    total = 0
-    for line in lines:
-        p = int(line.p)
-        for eig in line.eigenvalues:
-            if eig.gamma < ZERO_EIGENVALUE_TOL:
-                continue          # the zero mode gamma_0(0) = 0
-            if eig.gamma >= 2.0 - CLUSTER_DELTA:
-                continue
-            if not _keeps(eig.parity, p, topo):
-                continue
-            weight = 1 if p == 0 else 2
-            total += weight
-            contributing.append((p, eig.index, eig.gamma, eig.parity.value, weight))
+    contributing = tuple(
+        (p, e.index, e.gamma, e.parity.value, w)
+        for p, e, w in _selected_roots(params, topo)
+        if ZERO_EIGENVALUE_TOL <= e.gamma < 2.0 - CLUSTER_DELTA)
+    total = sum(entry[-1] for entry in contributing)
     n, m = params.n, params.m
     closed = 2 * (n + m) - 3 if topo is Topology.TORUS else n + m - 3
     if total != closed:
@@ -492,31 +487,21 @@ def count_below_two(params: SurfaceParams,
             f"  p={line.p}: " + ", ".join(
                 f"g{e.index}={e.gamma:.9f}[{e.parity.value}]"
                 for e in line.eigenvalues)
-            for line in lines)
+            for line in surface_lines(params))
         raise SpectrumMismatchError(
             f"count below 2 is {total}, closed form {closed} "
             f"({params}, counting as {topo.value});\n{dump}")
-    return CountResult(count=total, closed_form=closed,
-                       contributing=tuple(contributing))
+    return CountResult(count=total, closed_form=closed, contributing=contributing)
 
 
 def multiplicity_at_two(params: SurfaceParams,
                         topology_override: Optional[Topology] = None) -> tuple[int, tuple]:
     """Weighted count of eigenvalues inside [2 - delta, 2 + delta]."""
     topo = topology_override or params.topology
-    cluster = []
-    mult = 0
-    for line in surface_lines(params):
-        p = int(line.p)
-        for eig in line.eigenvalues:
-            if abs(eig.gamma - 2.0) > CLUSTER_DELTA:
-                continue
-            if not _keeps(eig.parity, p, topo):
-                continue
-            weight = 1 if p == 0 else 2
-            mult += weight
-            cluster.append((p, eig.index, eig.gamma, eig.parity.value, weight))
-    return mult, tuple(cluster)
+    cluster = tuple((p, e.index, e.gamma, e.parity.value, w)
+                    for p, e, w in _selected_roots(params, topo)
+                    if abs(e.gamma - 2.0) <= CLUSTER_DELTA)
+    return sum(entry[-1] for entry in cluster), cluster
 
 
 _RANK_FORMULAS = {
@@ -577,17 +562,17 @@ def eigenfunction_samples(params: SurfaceParams, p: float, gamma: float,
     eigenvalue lies within 1e-8 of gamma (block spectra are simple, so it
     is unique).
     """
-    for blk_parity, _, j, k2, F in _galerkin_blocks(params.n, params.m):
+    for blk_parity, _, j, R, A, G in _galerkin_blocks(params.n, params.m):
         if blk_parity is parity:
-            w, v = scipy.linalg.eigh(np.diag(k2 + p * p), F,
-                                     subset_by_value=(gamma - 1e-8, gamma + 1e-8))
-            if w.size:
+            w, v = np.linalg.eigh(A + (p * p) * G)
+            hit = np.flatnonzero(np.abs(w - gamma) <= 1e-8)
+            if hit.size:
                 break
     else:
         raise SpectrumMismatchError(
             f"no {parity.value} Galerkin eigenvalue within 1e-8 of "
             f"gamma={gamma!r} at p={p}")
-    coef = v[:, 0]
+    coef = R.T @ v[:, hit[0]]
     a = period_a(params)
     k = 2.0 * math.pi * j / a
     ys = a * np.arange(n_samples) / n_samples

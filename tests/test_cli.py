@@ -14,7 +14,7 @@ import pytest
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar.cli import RunConfig, main, run, _json17
 
-RANK_8_1_DIGEST = "f3c7c78252344d6c3ae0a3184de2e43b5ef1a192313beaf65ba68491b073c9b1"
+RANK_8_1_DIGEST = "ddaadd90db58694149e9deb6b68be62f4f64fe327486df01ba923876a08ec9a6"
 
 
 class TestJsonFormatter:
@@ -102,9 +102,11 @@ class TestImmerseBytes:
 
 
 class TestRankBytes:
-    """sha256 of rank outputs written by the stage-by-stage Floquet loop
-    that the transfer-matrix product replaced.  A rank comes from the
-    Galerkin blocks alone, so no Floquet rounding may move a byte."""
+    """sha256 of rank outputs.  A rank comes from the Galerkin blocks
+    alone, so no Floquet rounding may move a byte.  The sweep stdout was
+    recorded from the stage-by-stage Floquet loop and has not moved since;
+    the report JSON carries the anchor residuals of the Cholesky-reduced
+    blocks."""
 
     def test_sweep_stdout_digest(self, capsys):
         assert main(["rank", "--sweep", "8"]) == 0
@@ -118,20 +120,20 @@ class TestRankBytes:
 
 
 class TestSpectrumAndVerifyBytes:
-    """sha256 of spectrum and verify outputs written while every located
-    root was propagated inside the spectral scan; the Floquet columns and
-    residuals now come from the CSV writer's and the verification
-    battery's own propagations, bit for bit."""
+    """sha256 of spectrum and verify outputs with the roots of the
+    Cholesky-reduced Galerkin blocks (one eigvalsh per line); the Floquet
+    columns and residuals come from the CSV writer's and the verification
+    battery's own propagations at those roots."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
-         "6f0779fcb303ddab36e2cb477ead2094abd3239d968c02f3c522b609d048eb7a"),
+         "808dc0ba82e4e4e7e4a806dfeba9626e4297e14bc0e0aa40c99da8abbad96c27"),
         (["spectrum", "--r", "8", "--k", "1", "--format", "csv", "--tol", "1e-11"],
-         "42942f679723c88fe60c3785c53330fd320448bc4a42fe8928ce730ec9198791"),
+         "593ca6ed61e8528fb34d85626a615e01e55db03ac20166c2d40880970dd2efd0"),
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
-         "e52def9e553bfebf83a3c14b6e04b7e2709e54e9c673638b2054dac7bf1a3f4e"),
+         "f8d94de74f6eb16bae9fb1852ea4ccea4e961d773ed181e24cf5788e61748c18"),
         (["verify", "--r", "8", "--k", "1"],
-         "7de90360aaf7f77c0dffc06bcef7ddfa1aa511d13092608f8f26a0ce6cfc8080"),
+         "c0329f6ee291658e1c7ab946cd3fbc1b024d95385b4e07b7d812bf463067ac8d"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv-tol", "spectrum-7-6-json",
             "verify-8-1"])
     def test_output_digest(self, tmp_path, args, digest):

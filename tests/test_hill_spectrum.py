@@ -1,8 +1,9 @@
 """Tests for the Floquet-discriminant spectrum machinery.
 
 Independent oracles: scipy's adaptive DOP853 for the propagation, a
-Fourier-Galerkin generalized eigenproblem for whole spectral lines, and
-the closed-form counting identities for ranks.
+Fourier-Galerkin generalized eigenproblem for whole spectral lines,
+scipy.linalg.eigh of the unreduced parity-block pencils, and the
+closed-form counting identities for ranks.
 """
 
 import csv
@@ -18,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import verification as vf
+from lawson_bipolar.cli import main
 from lawson_bipolar.hill_spectrum import (
     CLUSTER_DELTA,
     Eigenvalue,
@@ -28,7 +30,6 @@ from lawson_bipolar.hill_spectrum import (
     discriminant,
     eigenfunction_samples,
     extremal_rank,
-    find_branch,
     floquet,
     multiplicity_at_two,
     rank_formula,
@@ -184,7 +185,7 @@ class TestFloquetBasics:
 
 class TestBranches:
     def test_line_p0_anchors(self):
-        line = find_branch(0, 2.0513713, P31)
+        line = surface_lines(P31)[0]
         assert abs(line.gamma(0)) < 1e-7               # gamma_0(0) = 0
         assert line.gamma(2) == pytest.approx(2.0, abs=1e-7)
         assert line.eigenvalues[0].parity is Parity.EVEN
@@ -193,19 +194,15 @@ class TestBranches:
     def test_gamma1_odd_on_interval(self):
         # eigenfunctions of gamma_1(p) stay odd for 0 <= p <= m
         for p in range(P31.m + 1):
-            line = find_branch(p, 2.0513713, P31)
+            line = surface_lines(P31)[p]
             assert line.eigenvalues[1].parity is Parity.ODD
-
-    def test_lambda_max_guard(self):
-        with pytest.raises(ValueError):
-            find_branch(0, 3.5, P31)
 
     @pytest.mark.parametrize("r,k", [(6, 1), (7, 5)])
     def test_window_excludes_eigenvalues_above_lambda_max(self, r, k):
         # at p = 1 both surfaces have an eigenvalue just past the window
         # (about 2.0566 and 2.0563), which must not be returned
         params = derive_params(r, k)
-        gammas = [e.gamma for e in find_branch(1, 2.0513713, params).eigenvalues]
+        gammas = [e.gamma for e in surface_lines(params)[1].eigenvalues]
         gammas += [e.gamma for line in surface_lines(params)
                    for e in line.eigenvalues]
         assert max(gammas) <= 2.0513713
@@ -217,14 +214,14 @@ class TestBranches:
         assert rep.min_diff > 0.0
 
     def test_gamma0_endpoints(self):
-        line0 = find_branch(0, 2.0513713, P31)
-        linen = find_branch(P31.n, 2.0513713, P31)
+        line0 = surface_lines(P31)[0]
+        linen = surface_lines(P31)[P31.n]
         assert abs(line0.gamma(0)) < 1e-7
         assert linen.gamma(0) == pytest.approx(2.0, abs=1e-7)
 
     def test_gamma1_endpoints(self):
-        line0 = find_branch(0, 2.0513713, P31)
-        linem = find_branch(P31.m, 2.0513713, P31)
+        line0 = surface_lines(P31)[0]
+        linem = surface_lines(P31)[P31.m]
         assert line0.gamma(1) < 2.0
         assert linem.gamma(1) == pytest.approx(2.0, abs=1e-7)
 
@@ -233,7 +230,7 @@ class TestBranches:
         # instability interval narrower than 0.02; both must be located,
         # each from its own parity block
         p151 = params_from_nm(15, 1)
-        line = find_branch(1, 2.0513713, p151)
+        line = surface_lines(p151)[1]
         gammas = [e.gamma for e in line.eigenvalues]
         assert gammas[1] == pytest.approx(2.0, abs=1e-7)
         assert 2.0 + CLUSTER_DELTA < gammas[2] < 2.02
@@ -263,11 +260,100 @@ class TestBranches:
                     B[i, j] = fhat[(ji - jj) % nsamp]
             oracle = np.sort(scipy.linalg.eigh(A, B.real, eigvals_only=True))
             oracle = oracle[oracle < 2.049]
-            line = find_branch(p, 2.0513713, params)
+            line = surface_lines(params)[p]
             got = np.array([e.gamma for e in line.eigenvalues
                             if e.gamma < 2.049])
             np.testing.assert_allclose(got, oracle[:len(got)], atol=1e-8)
             assert len(got) == len(oracle)
+
+
+def _reference_pencils(params):
+    """The four Galerkin blocks as unreduced pencils (parity, psi_target,
+    j, k_j^2, F), built from the FFT coefficients of f."""
+    a = period_a(params)
+    ys = a * np.arange(hs._F_SAMPLES) / hs._F_SAMPLES
+    c = np.fft.rfft(metric_f_array(ys, params)).real / hs._F_SAMPLES
+    pencils = []
+    for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
+        for target, first in ((2.0, first_even), (-2.0, 1)):
+            j = first + 2 * np.arange(hs.N_MODES)
+            F = c[np.abs(j[:, None] - j)] + sign * c[j[:, None] + j]
+            if first == 0:
+                F[0] /= math.sqrt(2.0)
+                F[:, 0] /= math.sqrt(2.0)
+            pencils.append((parity, target, j, (2.0 * math.pi * j / a) ** 2, F))
+    return pencils
+
+
+def _reference_line(pencils, p):
+    """(gamma, parity, psi_target) up to LAMBDA_MAX_COUNT, ascending, from
+    one scipy.linalg.eigh of diag(k^2 + p^2) v = lambda F v per block."""
+    return sorted(
+        ((float(g), parity, target)
+         for parity, target, _, k2, F in pencils
+         for g in scipy.linalg.eigh(np.diag(k2 + p * p), F, eigvals_only=True,
+                                    subset_by_value=(-np.inf, hs.LAMBDA_MAX_COUNT))),
+        key=lambda root: root[0])
+
+
+def _reference_samples(params, pencils, p, gamma, parity, n_samples):
+    """eigenfunction_samples from the pencil eigenvector that scipy's
+    windowed eigh finds within 1e-8 of gamma."""
+    for blk_parity, _, j, k2, F in pencils:
+        if blk_parity is parity:
+            w, v = scipy.linalg.eigh(np.diag(k2 + p * p), F,
+                                     subset_by_value=(gamma - 1e-8, gamma + 1e-8))
+            if w.size:
+                break
+    coef = v[:, 0]
+    a = period_a(params)
+    k = 2.0 * math.pi * j / a
+    ys = a * np.arange(n_samples) / n_samples
+    if parity is Parity.EVEN:
+        coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
+        return np.cos(np.outer(ys, k)) @ coef / coef.sum()
+    return np.sin(np.outer(ys, k)) @ coef / (k @ coef)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(40)))
+def test_reduced_blocks_match_pencil_reference(pair):
+    """The Cholesky-reduced blocks give every line the roots, parities and
+    targets of the unreduced pencils, and the eigenfunctions of gamma_1(0),
+    gamma_2(0), gamma_0(1), gamma_1(m) and gamma_0(n) their samples."""
+    params = derive_params(*pair)
+    pencils = _reference_pencils(params)
+    lines = surface_lines(params)
+    for line in lines:
+        ref = _reference_line(pencils, line.p)
+        assert [(e.parity, e.psi_target) for e in line.eigenvalues] == [
+            (parity, target) for _, parity, target in ref]
+        got = np.array([e.gamma for e in line.eigenvalues])
+        assert np.max(np.abs(got - [g for g, *_ in ref]), initial=0.0) <= 1e-10
+    for p, index in ((0, 1), (0, 2), (1, 0), (params.m, 1), (params.n, 0)):
+        eig = lines[p].eigenvalues[index]
+        _, vals = eigenfunction_samples(params, p, eig.gamma, eig.parity,
+                                        n_samples=2048)
+        ref = _reference_samples(params, pencils, p, eig.gamma, eig.parity, 2048)
+        assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert count_zeros(vals) == count_zeros(ref)
+
+
+def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
+    def boom(*args, **kwargs):
+        raise AssertionError("scipy.linalg on a production path")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", boom)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", boom)
+    hs._surface_lines.cache_clear()
+    hs._galerkin_blocks.cache_clear()
+    assert extremal_rank(8, 1).rank_i == 30
+    out = tmp_path / "lines.json"
+    assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    eig = surface_lines(P31)[0].eigenvalues[2]
+    _, vals = eigenfunction_samples(P31, 0, eig.gamma, eig.parity, n_samples=2048)
+    assert count_zeros(vals) == 2
 
 
 class TestCounting:
@@ -372,6 +458,13 @@ class TestEigenfunctions:
         # the located roots in (0, 3), plus 1 for any flag
         assert _simplicity_check(P31).residual < 1e-7
 
+    @pytest.mark.parametrize("r", [160, 300])
+    def test_no_unresolved_parity_on_flat_profiles(self, r):
+        # roots accurate to rounding keep |z1'(b)| of the even
+        # eigenfunctions under the 1e-7 parity threshold
+        check = _simplicity_check(derive_params(r, 1))
+        assert check.passed, check.context
+
 
 class TestDoubleRootFlags:
     @staticmethod
@@ -433,7 +526,7 @@ def test_count_zeros_matches_loop_reference(values):
 
 class TestExport:
     def test_spectrum_csv(self):
-        lines = [find_branch(p, 2.0513713, P31) for p in (0, 1)]
+        lines = [surface_lines(P31)[p] for p in (0, 1)]
         buf = io.StringIO()
         write_spectrum_csv(buf, P31, lines)
         rows = buf.getvalue().splitlines()
