@@ -7,8 +7,8 @@ The profile solves the coupled second-order system
     phi2'' = (n^2 - 2 (m^2 phi1^2 + n^2 phi2^2)) phi2
 
 with phi1 odd, phi0 and phi2 even, and sits on the unit sphere.  Three
-evaluation routes are provided: direct adaptive integration, the theta
-closed form (authoritative; needs only Jacobi functions), and the
+evaluation routes are provided: direct fixed-step RK8 integration, the
+theta closed form (authoritative; needs only Jacobi functions), and the
 Weierstrass closed form (magnitudes only).  Two first integrals E1, E2
 are evaluated for drift checks.
 """
@@ -21,15 +21,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .hill_spectrum import _CV_A, _CV_B, _steps_for
 from .special_functions import (
     PoleProximityError,
     WeierstrassInvariants,
     complete_K,
     weierstrass_p,
 )
-from .surface_model import SurfaceParams, _sq, _theta_array, period_a
+from .surface_model import SurfaceParams, _sq, period_a, theta_of_y
 
 __all__ = [
     "IntegrationFailureError",
@@ -53,7 +53,7 @@ DEFAULT_POINTS = 2048
 
 
 class IntegrationFailureError(RuntimeError):
-    """The adaptive integrator failed or the orbit did not close up."""
+    """The integrated orbit did not close up after one period."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class PhiState:
     def as_array(self) -> np.ndarray:
         return np.array([self.phi0, self.phi1, self.phi2,
                          self.dphi0, self.dphi1, self.dphi2])
-
-    @classmethod
-    def from_array(cls, arr) -> "PhiState":
-        return cls(*(float(x) for x in arr))
 
 
 @dataclass(frozen=True)
@@ -110,20 +106,31 @@ def initial_state(params: SurfaceParams) -> PhiState:
     )
 
 
-def odesystem_rhs(y: float, state: np.ndarray, params: SurfaceParams) -> np.ndarray:
-    """First-order form of the coupled profile system."""
+def odesystem_rhs(y, state, params: SurfaceParams) -> tuple:
+    """First-order form of the coupled profile system, on floats or
+    equal-shape arrays; y is unused, as the system is autonomous."""
     p0, p1, p2, d0, d1, d2 = state
-    n2, m2 = params.n ** 2, params.m ** 2
+    n2, m2 = params.n * params.n, params.m * params.m
     twof = 2.0 * (m2 * p1 * p1 + n2 * p2 * p2)
-    return np.array([d0, d1, d2,
-                     -twof * p0,
-                     (m2 - twof) * p1,
-                     (n2 - twof) * p2])
+    return d0, d1, d2, -twof * p0, (m2 - twof) * p1, (n2 - twof) * p2
+
+
+def _stage_sum(s, row, k) -> tuple:
+    """s + sum of c * k[j] over the (j, c) of row, on 6-tuples of floats."""
+    s0, s1, s2, s3, s4, s5 = s
+    for j, c in row:
+        k0, k1, k2, k3, k4, k5 = k[j]
+        s0 += c * k0; s1 += c * k1; s2 += c * k2
+        s3 += c * k3; s4 += c * k4; s5 += c * k5
+    return s0, s1, s2, s3, s4, s5
 
 
 def integrate_states(params: SurfaceParams, state0: PhiState, tol: float,
                      n_points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate one period from an arbitrary initial state.
+    """Integrate one period from an arbitrary initial state by the
+    Cooper-Verner RK8 of the Floquet propagation, in Python floats with
+    Kahan-summed increments.  Its step count at tol, rounded up to a
+    multiple of n_points, makes every grid point a step end.
 
     Returns (grid, states, end_state); no periodicity requirement, so
     perturbed initial data can be propagated for orbit-selection tests.
@@ -131,19 +138,28 @@ def integrate_states(params: SurfaceParams, state0: PhiState, tol: float,
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
     a = period_a(params)
+    per = -(-_steps_for(params, tol, a) // n_points)
+    h = a / (n_points * per)
+    *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
+    x, comp = state0.as_array().tolist(), [0.0] * 6
+    states = []
+    for step in range(n_points * per):
+        if step % per == 0:
+            states.append(x)
+        k = []
+        for row in stages:
+            k.append(odesystem_rhs(0.0, _stage_sum(x, row, k), params))
+        d = [u - c for u, c in zip(_stage_sum((0.0,) * 6, weights, k), comp)]
+        new = [u + v for u, v in zip(x, d)]
+        comp = [(t - u) - v for t, u, v in zip(new, x, d)]
+        x = new
     grid = np.linspace(0.0, a, n_points, endpoint=False)
-    t_eval = np.concatenate([grid, [a]])
-    sol = solve_ivp(odesystem_rhs, (0.0, a), state0.as_array(), method="DOP853",
-                    t_eval=t_eval, rtol=tol, atol=tol, args=(params,))
-    if not sol.success:
-        raise IntegrationFailureError(f"integrator failed: {sol.message}")
-    states = sol.y.T
-    return grid, states[:-1], states[-1]
+    return grid, np.array(states), np.array(x)
 
 
 def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
                      n_points: int = DEFAULT_POINTS) -> PhiProfile:
-    """Adaptive integration of the profile system over [0, a].
+    """Fixed-step RK8 integration of the profile system over [0, a].
 
     The orbit must close up: |state(a) - state(0)| <= 10 * tol, else an
     IntegrationFailureError carries the residual.
@@ -171,7 +187,7 @@ def closed_form_theta_array(y, params: SurfaceParams) -> np.ndarray:
     derivatives use theta' = sqrt(n^2 - m^2 cos^2 theta) > 0.
     """
     n, m = params.n, params.m
-    th = _theta_array(y, params)
+    th = theta_of_y(y, params)
     c, s = np.cos(th), np.sin(th)
     dth = np.sqrt(n * n - m * m * c * c)
     c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
@@ -187,7 +203,7 @@ def closed_form_theta_array(y, params: SurfaceParams) -> np.ndarray:
 
 def closed_form_theta(y: float, params: SurfaceParams) -> PhiState:
     """The one-point case of closed_form_theta_array."""
-    return PhiState.from_array(closed_form_theta_array(np.array([y], float), params)[0])
+    return PhiState(*closed_form_theta_array(np.array([y], float), params)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

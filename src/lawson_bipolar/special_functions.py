@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -87,10 +88,6 @@ class WeierstrassInvariants:
     def __post_init__(self):
         if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
             raise DomainError("invariants must be finite")
-
-    @property
-    def discriminant(self) -> float:
-        return self.g2 ** 3 - 27.0 * self.g3 ** 2
 
 
 def complete_K(modulus: EllipticModulus) -> float:
@@ -274,15 +271,16 @@ def _wp_reduction(g2: float, g3: float):
     Roots of 4t^3 - g2 t - g3 are polished with Newton steps.  Two
     reductions apply: three real roots e1 >= e2 >= e3 (positive
     discriminant) or a single real root with a complex pair (negative
-    discriminant).  Returns (case, params, real_period).
+    discriminant), told apart exactly: in floats g2^3 - 27 g3^2 cancels to
+    0 for the phi2 row at (n, m) = (65, 1).  Returns (case, params, period).
     """
-    disc = g2 ** 3 - 27.0 * g3 ** 2
-    if disc == 0.0:
+    disc = Fraction(g2) ** 3 - 27 * Fraction(g3) ** 2
+    if disc == 0:
         raise DomainError("degenerate invariants: discriminant is zero")
     roots = np.roots([4.0, 0.0, -g2, -g3])
     for _ in range(4):
         roots = roots - (4.0 * roots ** 3 - g2 * roots - g3) / (12.0 * roots ** 2 - g2)
-    if disc > 0.0:
+    if disc > 0:
         e1, e2, e3 = np.sort(roots.real)[::-1]
         scale = math.sqrt(e1 - e3)
         mod = EllipticModulus.from_k(math.sqrt((e2 - e3) / (e1 - e3)))

@@ -24,7 +24,6 @@ from .special_functions import (
     EllipticModulus,
     complete_E,
     complete_K,
-    jacobi_am,
     _am_array,
     _ellip_f_array,
     _finite,
@@ -184,20 +183,17 @@ def period_a(params: SurfaceParams) -> float:
 # theta(y) and the metric profile
 # ---------------------------------------------------------------------------
 
-def theta_of_y(y: float, params: SurfaceParams) -> float:
+def theta_of_y(y, params: SurfaceParams):
     """Profile angle theta(y), the inversion of
-    y = (1/n) * integral_0^theta dt / sqrt(1 - (m/n)^2 cos^2 t).
+    y = (1/n) * integral_0^theta dt / sqrt(1 - (m/n)^2 cos^2 t), at a
+    scalar y (giving a float) or an array (giving an array of its shape).
 
     Evaluated through the Jacobi amplitude: theta = pi/2 - am(K - n y),
     which also encodes cos(theta(y)) = sn(K - n y, m/n).
     """
     K = complete_K(params.modulus)
-    return math.pi / 2.0 - jacobi_am(K - params.n * y, params.modulus)
-
-
-def _theta_array(y, params: SurfaceParams):
-    K = complete_K(params.modulus)
-    return math.pi / 2.0 - _am_array(K - params.n * np.asarray(y, float), params.modulus)
+    th = math.pi / 2.0 - _am_array(K - params.n * _finite(y), params.modulus)
+    return float(th) if np.ndim(y) == 0 else th
 
 
 def metric_f_array(y, params: SurfaceParams) -> np.ndarray:

@@ -168,7 +168,7 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     pull = [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
     # the three sn/cn bridging identities at each z
     sn2, cn2, _ = _sncndn_array(2.0 * n * z, params.modulus)
-    th = sm._theta_array(y, params)
+    th = sm.theta_of_y(y, params)
     sny, _, _ = _sncndn_array(K - n * y, params.modulus)
     bridge = [np.cos(th) + sn2, np.sin(th) - cn2, np.cos(th) - sny]
     return [

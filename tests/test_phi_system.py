@@ -1,7 +1,7 @@
 """Tests for the profile system: initial data, integration, closed forms,
-and first integrals.  The theta closed form and the adaptive integration
-serve as each other's oracles; conserved quantities are checked for
-drift along the trajectory.
+and first integrals.  The theta closed form and the fixed-step RK8
+integration serve as each other's oracles; conserved quantities are
+checked for drift along the trajectory.
 """
 
 import math
@@ -23,7 +23,7 @@ from lawson_bipolar.phi_system import (
     weierstrass_tables,
     weierstrass_tables_exact,
 )
-from lawson_bipolar.surface_model import metric_f_array, params_from_nm, period_a
+from lawson_bipolar.surface_model import derive_params, metric_f_array, params_from_nm, period_a
 
 P21 = params_from_nm(2, 1)
 P31 = params_from_nm(3, 1)
@@ -68,6 +68,14 @@ class TestIntegration:
         for y, row in zip(profile.grid, profile.states):
             ref = closed_form_theta(y, P21).as_array()
             np.testing.assert_allclose(row, ref, atol=1e-8)
+
+    def test_coarse_grid_points_are_step_ends(self):
+        # 16 grid points at tol 1e-13 take 51 RK8 steps each; one state
+        # is kept per grid point
+        profile = integrate_system(P31, tol=1e-13, n_points=16)
+        assert profile.states.shape == (16, 6)
+        ref = closed_form_theta_array(profile.grid, P31)
+        np.testing.assert_allclose(profile.states, ref, rtol=0.0, atol=1e-12)
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
@@ -178,6 +186,16 @@ class TestWeierstrassClosedForm:
             assert abs(mags[0] - abs(ref.phi0)) < 1e-6
             assert abs(mags[1] - abs(ref.phi1)) < 1e-6
             assert abs(mags[2] - abs(ref.phi2)) < 1e-6
+
+    @pytest.mark.parametrize("r,k", [(33, 32), (44, 43)])
+    def test_magnitudes_where_float_discriminant_cancels(self, r, k):
+        # the phi2 row's g2^3 - 27 g3^2 is 0.0 in floats at (n, m) = (65, 1)
+        # and (87, 1); the exact discriminant of the invariants is not
+        p = derive_params(r, k)
+        ys = np.linspace(0.037, 0.963, 100) * period_a(p)
+        mags = np.column_stack(closed_form_weierstrass(ys, p))
+        ref = np.abs(closed_form_theta_array(ys, p)[:, :3])
+        assert np.max(np.abs(mags - ref)) < 1e-12
 
     def test_initial_value_recovered_near_origin(self):
         got = closed_form_weierstrass(1e-4, P21)[0]
