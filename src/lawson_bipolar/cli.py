@@ -3,7 +3,7 @@
 Subcommands: classify, spectrum, immerse, verify, rank, area.  All
 floating-point output is rendered with 17 significant digits so files
 round-trip double precision exactly; identical invocations produce
-byte-identical files.
+byte-identical files on one platform's C library.
 
 Exit codes: 0 success, 1 invalid parameters, 2 a verification check
 failed, 3 numerical failure.
@@ -174,12 +174,13 @@ def _cmd_immerse(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
     grid = 64 if config.grid is None else config.grid
     rows = sm.immersion_rows(params, grid, grid)
-    buf = io.StringIO()
-    if config.fmt == "csv":
-        sm.write_immersion_csv(buf, params, rows)
+    writer = sm.write_immersion_csv if config.fmt == "csv" else sm.write_immersion_json
+    # the writer streams its blocks, so no string holds the whole mesh
+    if config.output_path:
+        with open(config.output_path, "w") as fh:
+            writer(fh, params, rows)
     else:
-        sm.write_immersion_json(buf, params, rows)
-    _emit(config, buf.getvalue())
+        writer(sys.stdout, params, rows)
     return 0
 
 
