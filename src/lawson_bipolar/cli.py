@@ -3,7 +3,7 @@
 Subcommands: classify, spectrum, immerse, verify, rank, area.  All
 floating-point output is rendered with 17 significant digits so files
 round-trip double precision exactly; identical invocations produce
-byte-identical files on one platform's C library.
+byte-identical files on one platform.  No environment variable is read.
 
 Exit codes: 0 success, 1 invalid parameters, 2 a verification check
 failed, 3 numerical failure.
@@ -12,13 +12,10 @@ failed, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 from . import hill_spectrum as hs
 from . import surface_model as sm
@@ -39,13 +36,12 @@ _FORMULA_WORDS = {
 
 @dataclass
 class RunConfig:
-    """Parsed invocation; tol and grid hold overrides only."""
+    """Parsed invocation."""
 
     command: str
     r: int = 0
     k: int = 0
-    tol: Optional[float] = None
-    grid: Optional[int] = None
+    grid: int = 64
     output_path: str = ""
     fmt: str = "json"
     sweep: int = 0
@@ -55,6 +51,10 @@ class RunConfig:
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _csv_line(row) -> str:
+    return ",".join(_fmt17(x) if isinstance(x, float) else str(x) for x in row) + "\n"
 
 
 def _json17(obj, indent: int = 0) -> str:
@@ -138,42 +138,35 @@ def _cmd_sweep(config: RunConfig) -> int:
     else:
         rows = [_sweep_row(pair) for pair in pairs]
     rows.sort(key=lambda row: (row[0], row[1]))
-    buf = io.StringIO()
-    buf.write("r,k,n,m,topology,parity_class,rank_i,rank_formula,"
-              "multiplicity,lambda_functional\n")
-    for row in rows:
-        buf.write(",".join(_fmt17(x) if isinstance(x, float) else str(x)
-                           for x in row) + "\n")
-    _emit(config, buf.getvalue())
+    _emit(config, "r,k,n,m,topology,parity_class,rank_i,rank_formula,"
+                  "multiplicity,lambda_functional\n" + "".join(map(_csv_line, rows)))
     return 0
 
 
 def _cmd_spectrum(config: RunConfig) -> int:
+    """One row per located eigenvalue for p = 0..n; the CSV lists the rows,
+    the JSON groups them by line."""
     params = sm.derive_params(config.r, config.k)
-    lines = [line for line in hs.surface_lines(params) if line.p <= params.n]
-    buf = io.StringIO()
+    lines = [(line.p, [{"gamma": e.gamma, "index": e.index,
+                        "parity": e.parity.value, "psi_target": e.psi_target}
+                       for e in line.eigenvalues])
+             for line in hs.surface_lines(params) if line.p <= params.n]
     if config.fmt == "csv":
-        tol = hs.DEFAULT_SOLVER_TOL if config.tol is None else config.tol
-        hs.write_spectrum_csv(buf, params, lines, tol)
+        text = "p,branch_index,gamma,parity,psi_target\n" + "".join(
+            _csv_line((p, e["index"], e["gamma"], e["parity"], e["psi_target"]))
+            for p, eigs in lines for e in eigs)
     else:
         doc = {"params": {"r": params.r, "k": params.k,
                           "n": params.n, "m": params.m},
-               "lines": [{"p": line.p,
-                          "eigenvalues": [
-                              {"gamma": e.gamma, "index": e.index,
-                               "parity": e.parity.value,
-                               "psi_target": e.psi_target}
-                              for e in line.eigenvalues]}
-                         for line in lines]}
-        buf.write(_json17(doc) + "\n")
-    _emit(config, buf.getvalue())
+               "lines": [{"p": p, "eigenvalues": eigs} for p, eigs in lines]}
+        text = _json17(doc) + "\n"
+    _emit(config, text)
     return 0
 
 
 def _cmd_immerse(config: RunConfig) -> int:
     params = sm.derive_params(config.r, config.k)
-    grid = 64 if config.grid is None else config.grid
-    rows = sm.immersion_rows(params, grid, grid)
+    rows = sm.immersion_rows(params, config.grid, config.grid)
     writer = sm.write_immersion_csv if config.fmt == "csv" else sm.write_immersion_json
     # the writer streams its blocks, so no string holds the whole mesh
     if config.output_path:
@@ -248,7 +241,7 @@ class _Parser(argparse.ArgumentParser):
 _SUBCOMMANDS = {
     "classify": ("print (n, m), parity class, and topology", {"out"}),
     "spectrum": ("write the located eigenvalue table for p = 0..n",
-                 {"tol", "format", "out"}),
+                 {"format", "out"}),
     "immerse": ("sample the bipolar immersion on a (u, v) grid",
                 {"grid", "format", "out"}),
     "verify": ("run the full verification battery, emit JSON", {"strict", "out"}),
@@ -262,20 +255,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lawson-bipolar",
         description="Bipolar Lawson surfaces: classification, Hill spectra, "
                     "immersion sampling, and verification.")
-    parser.set_defaults(tol=None, grid=None, out="", fmt="json", strict=False,
+    parser.set_defaults(grid=64, out="", fmt="json", strict=False,
                         sweep=0, jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--r", type=int, help="Lawson parameter r")
         p.add_argument("--k", type=int, help="Lawson parameter k")
-        if "tol" in flags:
-            p.add_argument("--tol", type=float, default=None,
-                           help="tolerance of the Floquet columns of --format csv, "
-                                "within [1e-13, 1e-6]")
         if "grid" in flags:
-            p.add_argument("--grid", type=int, default=None,
-                           help="grid size per axis")
+            p.add_argument("--grid", type=int, default=64,
+                           help="grid size per axis (default 64)")
         if "out" in flags:
             p.add_argument("--out", type=str, default="", help="output file path")
         if "format" in flags:
@@ -299,23 +288,7 @@ def main(argv=None) -> int:
         parser.error("rank: --sweep takes no --r or --k")
     if args.jobs is not None and not args.sweep:
         parser.error("rank: --jobs needs --sweep")
-    # the tolerance sets only the Floquet columns of the spectrum CSV
-    csv_spectrum = args.command == "spectrum" and args.fmt == "csv"
-    if args.tol is not None and not csv_spectrum:
-        parser.error("spectrum: --tol needs --format csv")
-    # LAWSON_BIPOLAR_TOL supplies the default of --tol there; an explicit
-    # --tol wins
-    env_tol = os.environ.get("LAWSON_BIPOLAR_TOL")
-    if csv_spectrum and args.tol is None and env_tol is not None:
-        try:
-            args.tol = float(env_tol)
-        except ValueError:
-            print(f"bad LAWSON_BIPOLAR_TOL value {env_tol!r}", file=sys.stderr)
-            return 1
-    if args.tol is not None and not (1e-13 <= args.tol <= 1e-6):
-        print("tolerance must lie within [1e-13, 1e-6]", file=sys.stderr)
-        return 1
-    if args.grid is not None and args.grid < 2:
+    if args.grid < 2:
         print("grid must be at least 2", file=sys.stderr)
         return 1
     if args.sweep < 0:
@@ -327,7 +300,7 @@ def main(argv=None) -> int:
         return 1
     config = RunConfig(
         command=args.command, r=args.r or 0, k=args.k or 0,
-        tol=args.tol, grid=args.grid, output_path=args.out,
+        grid=args.grid, output_path=args.out,
         fmt=args.fmt, sweep=args.sweep, strict=args.strict, jobs=jobs)
     return run(config)
 

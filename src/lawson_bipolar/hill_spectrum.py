@@ -10,10 +10,10 @@ parity, even or odd mode index a b-periodic (Psi = +2) or b-antiperiodic
 discriminant of the fundamental pair over the half period.
 
 The eigenvalues come from the blocks alone.  The Floquet propagation is
-kept as an independent oracle for the verification battery and the
-Floquet columns of the spectrum CSV: a fixed-step Cooper-Verner RK8
-taken as a product of per-step transfer matrices, built for all steps
-and (p, lambda) columns at once from f precomputed at the stage nodes.
+kept as an independent oracle for the verification battery: a fixed-step
+Cooper-Verner RK8 taken as a product of per-step transfer matrices,
+built for all steps and (p, lambda) columns at once from f precomputed
+at the stage nodes.
 
 Counting the eigenvalues below lambda = 2 with the torus or Klein-bottle
 selection rules yields the rank of the extremal eigenvalue and the
@@ -22,12 +22,11 @@ multiplicity-5 cluster at 2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +60,6 @@ __all__ = [
     "surface_lines",
     "eigenfunction_samples",
     "count_zeros",
-    "write_spectrum_csv",
     "DEFAULT_SOLVER_TOL",
     "CLUSTER_DELTA",
 ]
@@ -592,28 +590,3 @@ def count_zeros(values: np.ndarray, rel_tol: float = 1e-9) -> int:
     flips = np.count_nonzero(sign[1:] * sign[:-1] < 0)
     return int(runs + flips)
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def write_spectrum_csv(stream: IO[str], params: SurfaceParams,
-                       lines: Sequence[SpectralLine],
-                       tol: float = DEFAULT_SOLVER_TOL) -> None:
-    """One row per located eigenvalue, with z2(b), z1'(b) and Psi of the
-    Floquet oracle at tol (one batched propagation; each column equals
-    floquet(p, gamma, params, tol) bit for bit)."""
-    rows = [(line.p, eig) for line in lines for eig in line.eigenvalues]
-    b = period_a(params) / 2.0
-    z1, dz1, z2, dz2 = _propagate(
-        params, [float(p) ** 2 for p, _ in rows], [eig.gamma for _, eig in rows],
-        b, _steps_for(params, tol, b))
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["p", "branch_index", "gamma", "parity", "z2_b", "dz1_b", "psi"])
-    for i, (p, eig) in enumerate(rows):
-        writer.writerow([
-            format(float(p), ".17g"), eig.index,
-            format(eig.gamma, ".17g"), eig.parity.value,
-            format(z2[i], ".17g"), format(dz1[i], ".17g"),
-            format(z1[i] + dz2[i], ".17g"),
-        ])

@@ -29,7 +29,7 @@ from .special_functions import (
     complete_K,
     weierstrass_p,
 )
-from .surface_model import SurfaceParams, _sq, period_a, theta_of_y
+from .surface_model import SurfaceParams, period_a, theta_of_y
 
 __all__ = [
     "IntegrationFailureError",
@@ -290,7 +290,8 @@ def first_integrals(states, params: SurfaceParams) -> tuple[np.ndarray, np.ndarr
     here, for drift checks."""
     n2, m2 = params.n ** 2, params.m ** 2
     _, p1, p2, _, d1, d2 = np.asarray(states, float).T
-    e1 = (_sq(m2 * p1 * p1 + n2 * p2 * p2)
+    f = m2 * p1 * p1 + n2 * p2 * p2
+    e1 = (f * f
           - (m2 * m2 * p1 * p1 + n2 * n2 * p2 * p2)
           + m2 * d1 * d1 + n2 * d2 * d2)
     e2 = (n2 * (n2 - m2) * p2 * p2 * (p2 * p2 - 1.0)

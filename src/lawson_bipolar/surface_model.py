@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import IO
 
 import numpy as np
@@ -210,15 +209,6 @@ def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
 # immersions
 # ---------------------------------------------------------------------------
 
-def _sq(x) -> np.ndarray:
-    """x ** 2 elementwise, rounded as Python's float power rounds it (the
-    C library's pow).  numpy squares by x * x, which differs from pow in
-    the last bit for about one value in a thousand; pow keeps every mesh
-    bit-identical to the point-by-point evaluation."""
-    x = np.asarray(x, float)
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
-
-
 def lawson_I(u, v, r: int, k: int) -> np.ndarray:
     """Lawson's doubly periodic minimal immersion of tau_{r,k} into S^3.
     u and v are scalars or equal-shape arrays; components run along axis 0."""
@@ -234,7 +224,7 @@ def lawson_I(u, v, r: int, k: int) -> np.ndarray:
 def lawson_normal(u, v, r: int, k: int) -> np.ndarray:
     """Unit normal of tau_{r,k} tangent to S^3 (shapes as lawson_I)."""
     cv, sv = np.cos(v), np.sin(v)
-    w = np.sqrt(r * r * _sq(cv) + k * k * _sq(sv))
+    w = np.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
     return np.array([
         k * np.sin(r * u) * sv,
         -k * np.cos(r * u) * sv,
@@ -319,7 +309,8 @@ def bipolar_immersion(u: float, v: float, params: SurfaceParams) -> ImmersionPoi
 def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
     """Closed-form 6-vector of the rotated bipolar immersion A o (I ^ I*);
     u and v are scalars or equal-shape arrays, components along axis 0."""
-    w = np.sqrt(r * r * _sq(np.cos(v)) + k * k * _sq(np.sin(v)))
+    cv, sv = np.cos(v), np.sin(v)
+    w = np.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
     pref = 1.0 / (math.sqrt(8.0) * w)
     c2v = np.cos(2 * v)
     return pref * np.array([

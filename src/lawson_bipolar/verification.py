@@ -272,7 +272,7 @@ def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResu
     rho, al = np.arcsin(p0), np.arctan2(p2, p1)
     cr, sr, ca, sa = np.cos(rho), np.sin(rho), np.cos(al), np.sin(al)
     ident = np.abs([p0 - sr, p1 - cr * ca, p2 - cr * sa])
-    ellipse = np.abs(2.0 * sm._sq(p1) + (2.0 * n2 / (n2 + m2)) * sm._sq(p0) - 1.0)
+    ellipse = np.abs(2.0 * (p1 * p1) + (2.0 * n2 / (n2 + m2)) * (p0 * p0) - 1.0)
 
     # y-derivatives of rho = asin(phi0), a = atan2(phi2, phi1) and f
     cos2, cos2_r = cr * cr, -2.0 * sr * cr

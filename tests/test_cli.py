@@ -1,7 +1,9 @@
 """Tests for the command-line interface: output shapes, exit codes, and
 byte-level determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,8 +15,10 @@ import pytest
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar.cli import RunConfig, main, run, _json17
+from lawson_bipolar.surface_model import derive_params
 
 RANK_8_1_DIGEST = "ddaadd90db58694149e9deb6b68be62f4f64fe327486df01ba923876a08ec9a6"
+SPECTRUM_8_1_CSV_DIGEST = "c097dda5b4dbd65d2b6bd8941b4debc38b81688928e3dec2ac8f903ba9189ecf"
 
 
 class TestJsonFormatter:
@@ -62,8 +66,29 @@ class TestSpectrumAndImmerse:
         assert main(["spectrum", "--r", "3", "--k", "1", "--format", "csv",
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "p,branch_index,gamma,parity,z2_b,dz1_b,psi"
-        assert len(lines) > 3
+        assert lines[0] == "p,branch_index,gamma,parity,psi_target"
+        params = derive_params(3, 1)
+        assert len(lines) == 1 + sum(len(line.eigenvalues)
+                                     for line in hs.surface_lines(params)
+                                     if line.p <= params.n)
+
+    @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6)])
+    def test_spectrum_csv_rows_are_json_eigenvalues(self, tmp_path, r, k):
+        """The CSV lists the JSON's eigenvalues line by line, field by field."""
+        pair = ["--r", str(r), "--k", str(k)]
+        assert main(["spectrum", *pair, "--format", "csv",
+                     "--out", str(tmp_path / "lines.csv")]) == 0
+        assert main(["spectrum", *pair, "--format", "json",
+                     "--out", str(tmp_path / "lines.json")]) == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "lines.csv").read_text())))
+        doc = json.loads((tmp_path / "lines.json").read_text())
+        want = [{"p": line["p"], "branch_index": e["index"], "gamma": e["gamma"],
+                 "parity": e["parity"], "psi_target": e["psi_target"]}
+                for line in doc["lines"] for e in line["eigenvalues"]]
+        got = [{"p": int(row["p"]), "branch_index": int(row["branch_index"]),
+                "gamma": float(row["gamma"]), "parity": row["parity"],
+                "psi_target": float(row["psi_target"])} for row in rows]
+        assert rows and got == want
 
     def test_immerse_grid(self, tmp_path):
         out = tmp_path / "mesh.csv"
@@ -83,9 +108,10 @@ class TestSpectrumAndImmerse:
 
 class TestImmerseBytes:
     """sha256 of immerse outputs written by the point-by-point evaluation
-    and the csv/json module writers the vectorized path replaced.  The
-    (2, 1) grid-78 mesh contains v values whose squared cosine or sine
-    rounds differently under x * x than under Python's float power."""
+    (test_surface_model._scalar_immersion) and the csv/json module writers
+    the vectorized path replaced.  The (2, 1) grid-78 mesh contains a v
+    whose squared sine rounds differently under the C library's pow than
+    under x * x, so its digest pins that the immersion squares by x * x."""
 
     @pytest.mark.parametrize("args, digest", [
         (["--r", "2", "--k", "1", "--grid", "16", "--format", "csv"],
@@ -93,7 +119,7 @@ class TestImmerseBytes:
         (["--r", "5", "--k", "2", "--grid", "16", "--format", "json"],
          "0e918055eca8c9740b6b705586968762b1d96aa4da5089f52a0ce970007436cf"),
         (["--r", "2", "--k", "1", "--grid", "78", "--format", "csv"],
-         "95ac5202df7a22f8982f73288062ac3944e1cf7e94f4135964f9066e32de6095"),
+         "ba957b9d893f7a6352dc853a3b9c90852e080b7a2fbe1499e588ae548e6a2f42"),
     ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv"])
     def test_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "mesh"
@@ -133,22 +159,21 @@ class TestRankBytes:
 class TestSpectrumAndVerifyBytes:
     """sha256 of spectrum and verify outputs with the roots of the
     Cholesky-reduced Galerkin blocks (one eigvalsh per line); the Floquet
-    columns and residuals come from the CSV writer's and the verification
-    battery's own propagations at those roots, the profile residuals of
-    verify from the fixed-step RK8 integration of the profile, and its
-    chart residuals from the H1 modulus with the exact complement
-    (n-m)/(n+m)."""
+    residuals of verify come from the verification battery's own
+    propagation at those roots, its profile residuals from the fixed-step
+    RK8 integration of the profile, and its chart residuals from the H1
+    modulus with the exact complement (n-m)/(n+m).  The CSV digests were
+    recorded from the JSON spectrum's fields written by csv.writer."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
-         "808dc0ba82e4e4e7e4a806dfeba9626e4297e14bc0e0aa40c99da8abbad96c27"),
-        (["spectrum", "--r", "8", "--k", "1", "--format", "csv", "--tol", "1e-11"],
-         "593ca6ed61e8528fb34d85626a615e01e55db03ac20166c2d40880970dd2efd0"),
+         "d7067fdd15c0d2e3eff58ba56594a87db73ebcb9727893c7489ee5ea72ea518f"),
+        (["spectrum", "--r", "8", "--k", "1", "--format", "csv"], SPECTRUM_8_1_CSV_DIGEST),
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "f8d94de74f6eb16bae9fb1852ea4ccea4e961d773ed181e24cf5788e61748c18"),
         (["verify", "--r", "8", "--k", "1"],
          "7bfc687f62c002cd13fed6888c10f4432bb41a0c47dc8d8033515f0467d2b4b9"),
-    ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv-tol", "spectrum-7-6-json",
+    ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1"])
     def test_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "out"
@@ -170,6 +195,10 @@ def test_rank_and_spectrum_json_run_no_floquet_propagation(monkeypatch, tmp_path
     assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["params"]["n"] == 7
+    out = tmp_path / "lines.csv"
+    assert main(["spectrum", "--r", "5", "--k", "2", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert out.read_text().startswith("p,branch_index,gamma,parity,psi_target\n")
 
 
 class TestArea:
@@ -210,7 +239,6 @@ class TestExitCodes:
     def test_failed_check_exits_2(self, monkeypatch, tmp_path):
         from lawson_bipolar import cli as climod
         from lawson_bipolar.verification import CheckResult, FullReport
-        from lawson_bipolar.surface_model import derive_params
 
         def fake_report(r, k, strict=False):
             return FullReport(params=derive_params(r, k), rank_i=6,
@@ -244,29 +272,18 @@ class TestExitCodes:
 
 
 class TestArgumentValidation:
-    def test_bad_tolerance(self, tmp_path, capsys):
-        out = tmp_path / "lines.csv"
-        assert main(["spectrum", "--r", "2", "--k", "1", "--format", "csv",
-                     "--tol", "1e-3", "--out", str(out)]) == 1
-        assert not out.exists()
-
-    def test_env_var_tolerance(self, monkeypatch, tmp_path, capsys):
-        out = tmp_path / "lines.csv"
-        csv_argv = ["spectrum", "--r", "2", "--k", "1", "--format", "csv",
-                    "--out", str(out)]
-        monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-3")
-        assert main(csv_argv) == 1
-        assert not out.exists()
-        # read by the CSV alone: the JSON spectrum ignores it
-        assert main(["spectrum", "--r", "2", "--k", "1", "--format", "json"]) == 0
-        monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-9")
-        assert main(csv_argv) == 0
-
     def test_rank_ignores_env_tolerance(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "1e-3")
         out = tmp_path / "rank.json"
         assert main(["rank", "--r", "8", "--k", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RANK_8_1_DIGEST
+
+    def test_spectrum_csv_ignores_env_tolerance(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("LAWSON_BIPOLAR_TOL", "nope")
+        out = tmp_path / "lines.csv"
+        assert main(["spectrum", "--r", "8", "--k", "1", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRUM_8_1_CSV_DIGEST
 
     def test_bad_grid(self, capsys):
         assert main(["immerse", "--r", "2", "--k", "1", "--grid", "1"]) == 1
@@ -279,6 +296,9 @@ class TestArgumentValidation:
         ["classify", "--tol", "1e-9"], ["classify", "--grid", "8"],
         ["classify", "--format", "csv"], ["classify", "--strict"],
         ["spectrum", "--grid", "8"], ["spectrum", "--strict"],
+        ["spectrum", "--tol", "1e-9"],
+        pytest.param(["spectrum", "--format", "csv", "--tol", "1e-9"],
+                     id="spectrum-csv-tol"),
         ["immerse", "--tol", "1e-9"], ["immerse", "--strict"],
         ["verify", "--tol", "1e-9"], ["verify", "--grid", "8"],
         ["verify", "--format", "json"],
@@ -324,20 +344,6 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert message in err
-        assert not out.exists()
-
-    # --tol sets only the Floquet columns of the CSV
-    @pytest.mark.parametrize("argv", [
-        ["--tol", "1e-9"], ["--tol", "1e-9", "--format", "json"],
-    ], ids=["tol-default-format", "tol-json"])
-    def test_unread_spectrum_tol_is_rejected(self, argv, tmp_path, capsys):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--r", "2", "--k", "1", *argv, "--out", str(out)])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage:")
-        assert "--tol needs --format csv" in err
         assert not out.exists()
 
     def test_negative_sweep(self, tmp_path, capsys):

@@ -6,8 +6,6 @@ scipy.linalg.eigh of the unreduced parity-block pencils, and the
 closed-form counting identities for ranks.
 """
 
-import csv
-import io
 import math
 import tracemalloc
 
@@ -35,7 +33,6 @@ from lawson_bipolar.hill_spectrum import (
     rank_formula,
     surface_lines,
     transfer_state,
-    write_spectrum_csv,
 )
 from lawson_bipolar.surface_model import (
     Topology,
@@ -522,31 +519,3 @@ def test_count_zeros_matches_loop_reference(values):
     end, all-zero arrays and sign flips right after a zero run."""
     arr = np.array(values)
     assert count_zeros(arr) == _count_zeros_loop(arr)
-
-
-class TestExport:
-    def test_spectrum_csv(self):
-        lines = [surface_lines(P31)[p] for p in (0, 1)]
-        buf = io.StringIO()
-        write_spectrum_csv(buf, P31, lines)
-        rows = buf.getvalue().splitlines()
-        assert rows[0] == "p,branch_index,gamma,parity,z2_b,dz1_b,psi"
-        assert len(rows) == 1 + sum(len(l.eigenvalues) for l in lines)
-
-
-@settings(max_examples=12, derandomize=True, deadline=None, database=None)
-@given(pair=st.sampled_from(admissible_pairs(12)),
-       tol=st.sampled_from([1e-13, 1e-9, 1e-6]))
-def test_spectrum_csv_columns_are_floquet(pair, tol):
-    """The batched oracle of the CSV gives each row the bits of its own
-    floquet call."""
-    params = derive_params(*pair)
-    buf = io.StringIO()
-    write_spectrum_csv(buf, params, surface_lines(params), tol)
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-    assert len(rows) == sum(len(l.eigenvalues) for l in surface_lines(params))
-    for row in rows:
-        fm = floquet(int(float(row["p"])), float(row["gamma"]), params, tol)
-        assert float(row["z2_b"]) == fm.z2_b
-        assert float(row["dz1_b"]) == fm.dz1_b
-        assert float(row["psi"]) == discriminant(fm)

@@ -525,7 +525,8 @@ def _scalar_immersion(u, v, r, k):
     path replaced, same operations in the same order."""
     lawson = np.array([math.cos(r * u) * math.cos(v), math.sin(r * u) * math.cos(v),
                        math.cos(k * u) * math.sin(v), math.sin(k * u) * math.sin(v)])
-    w = math.sqrt(r * r * math.cos(v) ** 2 + k * k * math.sin(v) ** 2)
+    cv, sv = math.cos(v), math.sin(v)
+    w = math.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
     normal = np.array([k * math.sin(r * u) * math.sin(v), -k * math.cos(r * u) * math.sin(v),
                        -r * math.sin(k * u) * math.cos(v), r * math.cos(k * u) * math.cos(v)]) / w
     w6 = sm._A_BLOCKS @ sm._wedge6(lawson, normal)
