@@ -35,7 +35,6 @@ from .surface_model import (
 from .phi_system import (
     IntegrationFailureError,
     PhiProfile,
-    PhiState,
     closed_form_theta,
     closed_form_weierstrass,
     first_integrals,
@@ -44,12 +43,10 @@ from .phi_system import (
 )
 from .hill_spectrum import (
     ExtremalReport,
-    FloquetMatrix,
     Parity,
     SpectralLine,
     SpectrumMismatchError,
     count_below_two,
-    discriminant,
     extremal_rank,
     floquet,
 )

@@ -212,12 +212,6 @@ def run(config: RunConfig) -> int:
     if handler is None:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 1
-    if config.command != "rank" or not config.sweep:
-        try:
-            sm.derive_params(config.r, config.k)
-        except InvalidParametersError as exc:
-            print(f"invalid parameters: {exc}", file=sys.stderr)
-            return 1
     try:
         return handler(config)
     except InvalidParametersError as exc:

@@ -44,15 +44,12 @@ from .surface_model import (
 __all__ = [
     "SpectrumMismatchError",
     "Parity",
-    "FloquetMatrix",
     "Eigenvalue",
     "SpectralLine",
     "CountResult",
     "MonotonicityReport",
     "ExtremalReport",
     "floquet",
-    "transfer_state",
-    "discriminant",
     "branch_monotonicity",
     "count_below_two",
     "multiplicity_at_two",
@@ -224,21 +221,6 @@ def _pairwise_product(s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FloquetMatrix:
-    """Fundamental-solution data at the half period b = a/2."""
-
-    z1_b: float
-    dz1_b: float
-    z2_b: float
-    dz2_b: float
-    p: float
-    lam: float
-
-    def wronskian(self) -> float:
-        return self.z1_b * self.dz2_b - self.z2_b * self.dz1_b
-
-
-@dataclass(frozen=True)
 class Eigenvalue:
     """One located root gamma_index(p) with its parity label."""
 
@@ -299,26 +281,16 @@ class ExtremalReport:
 # basic operations
 # ---------------------------------------------------------------------------
 
-def transfer_state(params: SurfaceParams, p: float, lam: float, y_end: float,
-                   tol: float = DEFAULT_SOLVER_TOL) -> tuple[float, float, float, float]:
-    """(z1, z1', z2, z2') at y_end for initial data z1=1, z1'=0, z2=0, z2'=1."""
-    st = _propagate(params, p * p, [lam], y_end, _steps_for(params, tol, y_end))
-    return float(st[0, 0]), float(st[1, 0]), float(st[2, 0]), float(st[3, 0])
-
-
 def floquet(p: float, lam: float, params: SurfaceParams,
-            tol: float = DEFAULT_SOLVER_TOL) -> FloquetMatrix:
-    """Integrate the fundamental pair over [0, b], b = a/2."""
+            tol: float = DEFAULT_SOLVER_TOL) -> tuple[float, float, float, float]:
+    """(z1, z1', z2, z2') at the half period b = a/2 of the fundamental
+    pair, z1 = 1, z1' = 0, z2 = 0, z2' = 1 at y = 0.  The Floquet
+    discriminant is Psi = z1(b) + z2'(b); eigenvalues solve Psi^2 = 4."""
     if not math.isfinite(lam) or p < 0:
         raise ValueError("need finite lambda and p >= 0")
     b = period_a(params) / 2.0
-    z1, dz1, z2, dz2 = transfer_state(params, p, lam, b, tol)
-    return FloquetMatrix(z1_b=z1, dz1_b=dz1, z2_b=z2, dz2_b=dz2, p=p, lam=lam)
-
-
-def discriminant(fm: FloquetMatrix) -> float:
-    """Floquet discriminant Psi = z1(b) + z2'(b); eigenvalues solve Psi^2 = 4."""
-    return fm.z1_b + fm.dz2_b
+    st = _propagate(params, p * p, [lam], b, _steps_for(params, tol, b))
+    return tuple(st[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -551,30 +523,29 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
 # eigenfunction reconstruction
 # ---------------------------------------------------------------------------
 
-def eigenfunction_samples(params: SurfaceParams, p: float, gamma: float,
-                          parity: Parity, n_samples: int = 4096):
-    """Sample the eigenfunction of gamma on [0, a), scaled like z1 (even,
-    phi(0) = 1) or z2 (odd, phi'(0) = 1).
+def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue,
+                          n_samples: int = 4096):
+    """Sample the eigenfunction of the located root eig on line p over
+    [0, a), scaled like z1 (even, phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
-    Sums the cosine or sine series of the Galerkin eigenvector whose
-    eigenvalue lies within 1e-8 of gamma (block spectra are simple, so it
-    is unique).
+    Sums the cosine or sine series of the eigenvector of eig's
+    (parity, psi_target) block whose eigenvalue lies within 1e-8 of
+    eig.gamma (block spectra are simple, so it is unique).
     """
-    for blk_parity, _, j, R, A, G in _galerkin_blocks(params.n, params.m):
-        if blk_parity is parity:
-            w, v = np.linalg.eigh(A + (p * p) * G)
-            hit = np.flatnonzero(np.abs(w - gamma) <= 1e-8)
-            if hit.size:
-                break
-    else:
+    _, _, j, R, A, G = next(
+        blk for blk in _galerkin_blocks(params.n, params.m)
+        if blk[:2] == (eig.parity, eig.psi_target))
+    w, v = np.linalg.eigh(A + (p * p) * G)
+    hit = np.flatnonzero(np.abs(w - eig.gamma) <= 1e-8)
+    if not hit.size:
         raise SpectrumMismatchError(
-            f"no {parity.value} Galerkin eigenvalue within 1e-8 of "
-            f"gamma={gamma!r} at p={p}")
+            f"no {eig.parity.value} Galerkin eigenvalue with Psi = "
+            f"{eig.psi_target:+g} within 1e-8 of gamma={eig.gamma!r} at p={p}")
     coef = R.T @ v[:, hit[0]]
     a = period_a(params)
     k = 2.0 * math.pi * j / a
     ys = a * np.arange(n_samples) / n_samples
-    if parity is Parity.EVEN:
+    if eig.parity is Parity.EVEN:
         coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
         return ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
     return ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)

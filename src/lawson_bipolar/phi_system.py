@@ -33,14 +33,11 @@ from .surface_model import SurfaceParams, period_a, theta_of_y
 
 __all__ = [
     "IntegrationFailureError",
-    "PhiState",
     "PhiProfile",
-    "WeierstrassTables",
     "initial_state",
     "integrate_system",
     "integrate_states",
     "closed_form_theta",
-    "closed_form_theta_array",
     "closed_form_weierstrass",
     "weierstrass_tables",
     "weierstrass_tables_exact",
@@ -54,22 +51,6 @@ DEFAULT_POINTS = 2048
 
 class IntegrationFailureError(RuntimeError):
     """The integrated orbit did not close up after one period."""
-
-
-@dataclass(frozen=True)
-class PhiState:
-    """Profile values and y-derivatives at a single y."""
-
-    phi0: float
-    phi1: float
-    phi2: float
-    dphi0: float
-    dphi1: float
-    dphi2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi0, self.phi1, self.phi2,
-                         self.dphi0, self.dphi1, self.dphi2])
 
 
 @dataclass(frozen=True)
@@ -91,19 +72,15 @@ class PhiProfile:
         return float(np.max(np.abs(self.end_state - self.states[0])))
 
 
-def initial_state(params: SurfaceParams) -> PhiState:
-    """Periodic-orbit initial data: phi0(0) = sqrt((n^2+m^2)/(2n^2)),
-    phi2(0) = sqrt((n^2-m^2)/(2n^2)), phi1'(0) = sqrt((n^2-m^2)/2),
-    all other components zero."""
+def initial_state(params: SurfaceParams) -> np.ndarray:
+    """Periodic-orbit initial data (phi0, phi1, phi2, phi0', phi1', phi2')
+    at y = 0: phi0(0) = sqrt((n^2+m^2)/(2n^2)), phi2(0) =
+    sqrt((n^2-m^2)/(2n^2)), phi1'(0) = sqrt((n^2-m^2)/2), all other
+    components zero."""
     n2, m2 = params.n ** 2, params.m ** 2
-    return PhiState(
-        phi0=math.sqrt((n2 + m2) / (2.0 * n2)),
-        phi1=0.0,
-        phi2=math.sqrt((n2 - m2) / (2.0 * n2)),
-        dphi0=0.0,
-        dphi1=math.sqrt((n2 - m2) / 2.0),
-        dphi2=0.0,
-    )
+    return np.array([math.sqrt((n2 + m2) / (2.0 * n2)), 0.0,
+                     math.sqrt((n2 - m2) / (2.0 * n2)), 0.0,
+                     math.sqrt((n2 - m2) / 2.0), 0.0])
 
 
 def odesystem_rhs(y, state, params: SurfaceParams) -> tuple:
@@ -125,9 +102,9 @@ def _stage_sum(s, row, k) -> tuple:
     return s0, s1, s2, s3, s4, s5
 
 
-def integrate_states(params: SurfaceParams, state0: PhiState, tol: float,
+def integrate_states(params: SurfaceParams, state0, tol: float,
                      n_points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate one period from an arbitrary initial state by the
+    """Integrate one period from an arbitrary initial 6-vector by the
     Cooper-Verner RK8 of the Floquet propagation, in Python floats with
     Kahan-summed increments.  Its step count at tol, rounded up to a
     multiple of n_points, makes every grid point a step end.
@@ -141,7 +118,7 @@ def integrate_states(params: SurfaceParams, state0: PhiState, tol: float,
     per = -(-_steps_for(params, tol, a) // n_points)
     h = a / (n_points * per)
     *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
-    x, comp = state0.as_array().tolist(), [0.0] * 6
+    x, comp = np.asarray(state0, float).tolist(), [0.0] * 6
     states = []
     for step in range(n_points * per):
         if step % per == 0:
@@ -178,20 +155,22 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
 # theta closed form
 # ---------------------------------------------------------------------------
 
-def closed_form_theta_array(y, params: SurfaceParams) -> np.ndarray:
-    """Profile states from the theta parametrization at a 1-D array of y,
-    one row (phi0, phi1, phi2, phi0', phi1', phi2') each.
+def closed_form_theta(y, params: SurfaceParams) -> np.ndarray:
+    """Profile states (phi0, phi1, phi2, phi0', phi1', phi2') from the
+    theta parametrization, at a scalar y (giving one 6-vector) or a 1-D
+    array (giving one row each).
 
     phi0 = sqrt((n^2+m^2)/(2n^2)) cos(theta), phi1 = sin(theta)/sqrt(2),
     phi2 the positive square root of the remainder (phi2 never vanishes);
     derivatives use theta' = sqrt(n^2 - m^2 cos^2 theta) > 0.
     """
     n, m = params.n, params.m
-    th = theta_of_y(y, params)
+    ys = np.asarray(y, float)
+    th = theta_of_y(ys.reshape(-1), params)
     c, s = np.cos(th), np.sin(th)
     dth = np.sqrt(n * n - m * m * c * c)
     c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
-    return np.column_stack((
+    rows = np.column_stack((
         c0 * c,
         s / math.sqrt(2.0),
         dth / (math.sqrt(2.0) * n),
@@ -199,26 +178,12 @@ def closed_form_theta_array(y, params: SurfaceParams) -> np.ndarray:
         c * dth / math.sqrt(2.0),
         m * m * s * c / (math.sqrt(2.0) * n),
     ))
-
-
-def closed_form_theta(y: float, params: SurfaceParams) -> PhiState:
-    """The one-point case of closed_form_theta_array."""
-    return PhiState(*closed_form_theta_array(np.array([y], float), params)[0].tolist())
+    return rows[0] if ys.ndim == 0 else rows
 
 
 # ---------------------------------------------------------------------------
 # Weierstrass closed form
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeierstrassTables:
-    """Constant matrices feeding the P-function closed forms: row i of
-    a_matrix holds the invariants (g2, g3) of the i-th profile function,
-    b_vector the shifts in the denominators 2 P + b_i."""
-
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-
 
 def weierstrass_tables_exact(n: int, m: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Exact rational entries of the constant matrices."""
@@ -235,16 +200,13 @@ def weierstrass_tables_exact(n: int, m: int) -> tuple[list[list[Fraction]], list
     return a, b
 
 
-@lru_cache(maxsize=None)
-def _tables_cached(n: int, m: int) -> WeierstrassTables:
+@lru_cache(maxsize=64)
+def weierstrass_tables(n: int, m: int) -> tuple[tuple, tuple]:
+    """The constant tables feeding the P-function closed forms, in floats:
+    row i of a holds the invariants (g2, g3) of the i-th profile
+    function, b the shifts in the denominators 2 P + b_i."""
     a, b = weierstrass_tables_exact(n, m)
-    return WeierstrassTables(
-        a_matrix=np.array([[float(x) for x in row] for row in a]),
-        b_vector=np.array([float(x) for x in b]))
-
-
-def weierstrass_tables(params: SurfaceParams) -> WeierstrassTables:
-    return _tables_cached(params.n, params.m)
+    return tuple(tuple(map(float, row)) for row in a), tuple(map(float, b))
 
 
 def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
@@ -256,13 +218,12 @@ def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
     does not fix the odd sign convention.
     """
     n, m = params.n, params.m
-    tab = _tables_cached(n, m)
+    g, b = weierstrass_tables(n, m)
     y = np.asarray(y, float)
     shift = complete_K(params.modulus) / n
     dens = []
     for i, arg in enumerate((y, y + shift, y)):
-        inv = WeierstrassInvariants(g2=tab.a_matrix[i, 0], g3=tab.a_matrix[i, 1])
-        den = 2.0 * weierstrass_p(arg, inv) + tab.b_vector[i]
+        den = 2.0 * weierstrass_p(arg, WeierstrassInvariants(*g[i])) + b[i]
         gap = np.abs(np.ravel(den))
         worst = int(np.argmin(gap))
         if not gap[worst] > 1e-6:

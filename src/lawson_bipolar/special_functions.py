@@ -174,63 +174,53 @@ def _sncndn_reduced(u, kp2: float):
     return sn_out, cn_out, dn_out
 
 
-def _sncndn_array(w, modulus: EllipticModulus):
-    """sn, cn, dn for array argument, any real w (period reduction mod 2K)."""
-    w = np.asarray(w, dtype=float)
-    if modulus.k == 0.0:
-        return np.sin(w), np.cos(w), np.ones_like(w)
-    if modulus.k == 1.0:
-        sech = 1.0 / np.cosh(w)
-        return np.tanh(w), sech, sech
-    K = complete_K(modulus)
-    q = np.round(w / (2.0 * K))
-    wr = w - 2.0 * K * q
-    sn, cn, dn = _sncndn_reduced(wr, modulus.k_prime ** 2)
-    flip = (q % 2.0) != 0.0
-    sgn = np.where(flip, -1.0, 1.0)
-    return sgn * sn, sgn * cn, dn
-
-
-def jacobi_sncndn(w: float, modulus: EllipticModulus):
-    """Jacobi elliptic triple (sn, cn, dn) at real argument w.
-
-    The argument is reduced modulo the period 2K before the Landen
-    recursion, so any finite w is accepted.
-    """
-    if not math.isfinite(w):
-        raise DomainError("argument must be finite")
-    sn, cn, dn = _sncndn_array(w, modulus)
-    return float(sn), float(cn), float(dn)
-
-
-def _am_array(w, modulus: EllipticModulus):
-    """Continuous Jacobi amplitude am(w, k) for array argument."""
-    w = np.asarray(w, dtype=float)
-    if modulus.k == 0.0:
-        return w + 0.0
-    K = complete_K(modulus)
-    q = np.round(w / (2.0 * K))
-    wr = w - 2.0 * K * q
-    sn, cn, _ = _sncndn_reduced(wr, modulus.k_prime ** 2)
-    # sn^2 + cn^2 = 1 exactly by construction, so atan2 is uniformly stable
-    return q * math.pi + np.arctan2(sn, cn)
-
-
-def jacobi_am(w: float, modulus: EllipticModulus) -> float:
-    """Continuous (monotone) Jacobi amplitude, am(w + 2K) = am(w) + pi."""
-    if not math.isfinite(w):
-        raise DomainError("argument must be finite")
-    if modulus.k == 1.0:
-        return math.atan(math.sinh(w))  # gudermannian limit
-    return float(_am_array(w, modulus))
-
-
 def _finite(x) -> np.ndarray:
     """x as a float array; a NaN or an infinity raises DomainError."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("argument must be finite")
     return x
+
+
+def jacobi_sncndn(w, modulus: EllipticModulus):
+    """Jacobi elliptic triple (sn, cn, dn) at real w, a scalar (giving
+    three floats) or an array (giving three arrays of its shape).
+
+    The argument is reduced modulo the period 2K before the Landen
+    recursion, so any finite w is accepted; a NaN or an infinity raises
+    DomainError.
+    """
+    ws = _finite(w)
+    if modulus.k == 0.0:
+        out = np.sin(ws), np.cos(ws), np.ones_like(ws)
+    elif modulus.k == 1.0:
+        sech = 1.0 / np.cosh(ws)
+        out = np.tanh(ws), sech, sech
+    else:
+        K = complete_K(modulus)
+        q = np.round(ws / (2.0 * K))
+        sn, cn, dn = _sncndn_reduced(ws - 2.0 * K * q, modulus.k_prime ** 2)
+        sgn = np.where((q % 2.0) != 0.0, -1.0, 1.0)
+        out = sgn * sn, sgn * cn, dn
+    return tuple(map(float, out)) if ws.ndim == 0 else out
+
+
+def jacobi_am(w, modulus: EllipticModulus):
+    """Continuous (monotone) Jacobi amplitude, am(w + 2K) = am(w) + pi, at
+    a scalar w (giving a float) or an array (giving an array of its
+    shape); a NaN or an infinity raises DomainError."""
+    ws = _finite(w)
+    if modulus.k == 0.0:
+        am = ws + 0.0
+    elif modulus.k == 1.0:
+        am = np.arctan(np.sinh(ws))  # gudermannian limit
+    else:
+        K = complete_K(modulus)
+        q = np.round(ws / (2.0 * K))
+        sn, cn, _ = _sncndn_reduced(ws - 2.0 * K * q, modulus.k_prime ** 2)
+        # sn^2 + cn^2 = 1 exactly by construction, so atan2 is uniformly stable
+        am = q * math.pi + np.arctan2(sn, cn)
+    return float(am) if ws.ndim == 0 else am
 
 
 def _carlson_rf(x, y, z):
@@ -313,11 +303,11 @@ def weierstrass_p(y, inv: WeierstrassInvariants):
     mod: EllipticModulus
     if case == "real_roots":
         e1, e2, e3, scale, mod = par
-        sn, _, _ = _sncndn_array(ys * scale, mod)
+        sn, _, _ = jacobi_sncndn(ys * scale, mod)
         out = e3 + (e1 - e3) / (sn * sn)
     else:
         e, big_a, scale, mod = par
-        sn, cn, _ = _sncndn_array(ys * scale, mod)
+        sn, cn, _ = jacobi_sncndn(ys * scale, mod)
         # (1+cn)/(1-cn) in the form that avoids cancellation: near poles
         # (cn -> 1) divide by sn^2, near the minimum (cn -> -1) by (1-cn)^2
         near_pole = cn >= 0.0

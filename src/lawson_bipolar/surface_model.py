@@ -23,10 +23,10 @@ from .special_functions import (
     EllipticModulus,
     complete_E,
     complete_K,
-    _am_array,
     _ellip_f_array,
     _finite,
-    _sncndn_array,
+    jacobi_am,
+    jacobi_sncndn,
 )
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ParityClass",
     "HTransform",
     "SurfaceParams",
-    "ImmersionPoint5",
     "derive_params",
     "params_from_nm",
     "admissible_pairs",
@@ -46,12 +45,10 @@ __all__ = [
     "lawson_I",
     "lawson_normal",
     "bipolar_immersion",
-    "bipolar_immersion_array",
     "bipolar_column",
     "parambip_column",
     "bipolar_metric",
     "h_transforms",
-    "h1_inverse",
     "klein_deck_map",
     "z_of_v",
     "v_of_z",
@@ -124,16 +121,6 @@ class SurfaceParams:
                 f"{self.topology.value}, {self.parity_class.value}")
 
 
-@dataclass(frozen=True)
-class ImmersionPoint5:
-    """Point of the bipolar surface as a unit vector in R^5."""
-
-    coords: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
 def derive_params(r: int, k: int) -> SurfaceParams:
     """Classify the pair (r, k) and fill in (n, m), parity, and topology.
 
@@ -193,16 +180,17 @@ def theta_of_y(y, params: SurfaceParams):
     which also encodes cos(theta(y)) = sn(K - n y, m/n).
     """
     K = complete_K(params.modulus)
-    th = math.pi / 2.0 - _am_array(K - params.n * _finite(y), params.modulus)
-    return float(th) if np.ndim(y) == 0 else th
+    return math.pi / 2.0 - jacobi_am(K - params.n * np.asarray(y, float), params.modulus)
 
 
 def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
     """Conformal factor f(y) = (m^2+n^2)/2 - m^2 cos^2(theta(y)) of the
-    metric f (dx^2 + dy^2); f > 0 with f(y) = f(-y) = f(y + a/2)."""
+    metric f (dx^2 + dy^2); f > 0 with f(y) = f(-y) = f(y + a/2).  y is a
+    scalar (giving a float) or an array (giving an array of its shape); a
+    NaN or an infinity raises DomainError."""
     K = complete_K(params.modulus)
-    sn, _, _ = _sncndn_array(K - params.n * np.asarray(y, float), params.modulus)
-    return (params.m ** 2 + params.n ** 2) / 2.0 - params.m ** 2 * sn ** 2
+    sn, _, _ = jacobi_sncndn(K - params.n * np.asarray(y, float), params.modulus)
+    return (params.m ** 2 + params.n ** 2) / 2.0 - params.m ** 2 * (sn * sn)
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +275,23 @@ def _project5(w6: np.ndarray, r: int, k: int, u: np.ndarray, v: np.ndarray) -> n
     return np.column_stack((_row_dot(w6, kept), w6[:, 5], w6[:, 2], w6[:, 4], w6[:, 3]))
 
 
-def bipolar_immersion_array(u, v, params: SurfaceParams) -> np.ndarray:
-    """Bipolar surface points at 1-D arrays u, v, one row (x1..x5) each,
-    built as the wedge I ^ I* of the Lawson immersion with its normal,
-    rotated by the block matrix A and projected onto the S^4 equator (see
-    EXCLUDED_DIRECTION_NOTE for the basis).  A is applied one point at a
-    time by a stacked matmul, which keeps every row bit-identical to the
-    one-point evaluation; a single 2-D product rounds differently."""
+def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
+    """Bipolar surface points as unit vectors (x1..x5) in R^5, at scalars
+    u, v (giving one vector) or 1-D arrays, a scalar broadcast against
+    an array (giving one row each), built as the wedge I ^ I* of the
+    Lawson immersion with its normal, rotated by the block matrix A and
+    projected onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the
+    basis).  A is applied one point at a time by a stacked matmul, which
+    keeps every row bit-identical to the one-point evaluation; a single
+    2-D product rounds differently.  A NaN or an infinity raises
+    DomainError."""
+    us, vs = np.broadcast_arrays(_finite(u), _finite(v))
+    u1, v1 = us.reshape(-1), vs.reshape(-1)
     r, k = params.r, params.k
-    wedge = _wedge6(lawson_I(u, v, r, k), lawson_normal(u, v, r, k))
+    wedge = _wedge6(lawson_I(u1, v1, r, k), lawson_normal(u1, v1, r, k))
     w6 = np.matmul(_A_BLOCKS, wedge.T[:, :, None])[:, :, 0]
-    return _project5(w6, r, k, u, v)
-
-
-def bipolar_immersion(u: float, v: float, params: SurfaceParams) -> ImmersionPoint5:
-    """The one-point case of bipolar_immersion_array."""
-    coords = bipolar_immersion_array(np.array([u], float), np.array([v], float), params)
-    return ImmersionPoint5(coords=coords[0])
+    rows = _project5(w6, r, k, u1, v1)
+    return rows[0] if us.ndim == 0 else rows
 
 
 def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
@@ -368,8 +356,7 @@ def z_of_v(v, params: SurfaceParams):
 
 def v_of_z(z, params: SurfaceParams):
     """Inverse of the H1 substitution, v = am((n+m) z, kh)."""
-    v = _am_array((params.n + params.m) * _finite(z), params.h_modulus)
-    return float(v) if np.ndim(z) == 0 else v
+    return jacobi_am((params.n + params.m) * np.asarray(z, float), params.h_modulus)
 
 
 def h_transforms(point: tuple, which: HTransform, params: SurfaceParams) -> tuple:
@@ -391,17 +378,12 @@ def h_transforms(point: tuple, which: HTransform, params: SurfaceParams) -> tupl
     raise ValueError(f"unknown transform {which!r}")
 
 
-def h1_inverse(point: tuple, params: SurfaceParams) -> tuple:
-    """(u, z) -> (u, v) with v = am((n+m) z, kh)."""
-    return point[0], v_of_z(point[1], params)
-
-
 def klein_deck_map(u, v, params: SurfaceParams) -> tuple:
     """The composite H1^{-1} o H2 o H1 turning the torus into a Klein bottle
     when n is even and m is odd; the immersion is pointwise invariant."""
     p = h_transforms((u, v), HTransform.H1, params)
-    p = h_transforms(p, HTransform.H2, params)
-    return h1_inverse(p, params)
+    u2, z2 = h_transforms(p, HTransform.H2, params)
+    return u2, v_of_z(z2, params)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +415,7 @@ def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
     u = np.repeat(np.linspace(0.0, u_period, n_u, endpoint=False), n_v)
     v = np.tile(np.linspace(0.0, math.pi, n_v, endpoint=False), n_u)
-    return np.column_stack((u, v, bipolar_immersion_array(u, v, params)))
+    return np.column_stack((u, v, bipolar_immersion(u, v, params)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from . import hill_spectrum as hs
 from . import phi_system as ps
 from . import surface_model as sm
-from .special_functions import _sncndn_array, complete_K
+from .special_functions import complete_K, jacobi_sncndn
 from .surface_model import (
     HTransform,
     SurfaceParams,
@@ -115,7 +115,7 @@ def profile_checks(params: SurfaceParams, grid_size: int = 1024,
     e1, e2 = ps.first_integrals(st, params)
     e1_drift = float(np.max(np.abs(e1 - e1[0])))
     e2_drift = float(np.max(np.abs(e2 - e2[0])))
-    cross_theta = float(np.max(np.abs(ps.closed_form_theta_array(profile.grid, params) - st)))
+    cross_theta = float(np.max(np.abs(ps.closed_form_theta(profile.grid, params) - st)))
 
     # the Weierstrass route is an independent cross-check; only magnitudes
     # compare, as the printed phi1 P-form does not fix the odd sign
@@ -123,7 +123,7 @@ def profile_checks(params: SurfaceParams, grid_size: int = 1024,
     a = period_a(params)
     ys = np.linspace(0.037 * a, 0.963 * a, 100)
     mags = np.column_stack(ps.closed_form_weierstrass(ys, params))
-    ref = ps.closed_form_theta_array(ys, params)[:, :3]
+    ref = ps.closed_form_theta(ys, params)[:, :3]
     cross_wp = float(np.max(np.abs(mags - np.abs(ref))))
     signed_gap = float(np.max(np.abs(mags[:, 1] - ref[:, 1])))
 
@@ -167,9 +167,9 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     g_uu, g_vv = sm.bipolar_metric(0.0, v, params)
     pull = [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
     # the three sn/cn bridging identities at each z
-    sn2, cn2, _ = _sncndn_array(2.0 * n * z, params.modulus)
+    sn2, cn2, _ = jacobi_sncndn(2.0 * n * z, params.modulus)
     th = sm.theta_of_y(y, params)
-    sny, _, _ = _sncndn_array(K - n * y, params.modulus)
+    sny, _, _ = jacobi_sncndn(K - n * y, params.modulus)
     bridge = [np.cos(th) + sn2, np.sin(th) - cn2, np.cos(th) - sny]
     return [
         CheckResult("isometry_pullback", float(np.max(np.abs(pull))), 1e-8,
@@ -208,7 +208,7 @@ def immersion_agreement_check(params: SurfaceParams, n_points: int = 50) -> Chec
     """Wedge-product route against the printed closed-form column."""
     rng = np.random.default_rng(RANDOM_SEED + 1)
     u, v = rng.uniform(0.0, [2.0 * math.pi, math.pi], size=(n_points, 2)).T
-    wedge = sm.bipolar_immersion_array(u, v, params)
+    wedge = sm.bipolar_immersion(u, v, params)
     col6 = sm.bipolar_column(u, v, params.r, params.k)
     closed = sm._project5(col6.T, params.r, params.k, u, v)
     norm = np.sqrt(sm._row_dot(wedge, wedge))
@@ -265,7 +265,7 @@ def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResu
     n2, m2 = params.n ** 2, params.m ** 2
     a_per = period_a(params)
     ys = np.linspace(0.03 * a_per, 0.97 * a_per, grid)
-    st = ps.closed_form_theta_array(ys, params)
+    st = ps.closed_form_theta(ys, params)
     p0, p1, p2, d0, d1, d2 = st.T
     _, _, _, dd0, dd1, dd2 = ps.odesystem_rhs(ys, st.T, params)
 
@@ -395,8 +395,7 @@ def eigenfunction_zero_checks(params: SurfaceParams) -> CheckResult:
     details = []
     for line, index, want in expected:
         eig = line.eigenvalues[index]
-        _, vals = hs.eigenfunction_samples(params, line.p, eig.gamma,
-                                           eig.parity, n_samples=2048)
+        _, vals = hs.eigenfunction_samples(params, line.p, eig, n_samples=2048)
         got = hs.count_zeros(vals)
         details.append(f"gamma_{index}({line.p:g})={eig.gamma:.6f}: "
                        f"{got} zeros (want {want})")

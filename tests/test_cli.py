@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from lawson_bipolar import hill_spectrum as hs
+from lawson_bipolar import surface_model as sm
 from lawson_bipolar.cli import RunConfig, main, run, _json17
+from lawson_bipolar.phi_system import closed_form_theta, integrate_system
+from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
 
 RANK_8_1_DIGEST = "ddaadd90db58694149e9deb6b68be62f4f64fe327486df01ba923876a08ec9a6"
@@ -36,8 +39,17 @@ class TestClassify:
         assert main(["classify", "--r", "3", "--k", "1"]) == 0
         assert capsys.readouterr().out.strip() == "KleinBottle, n=2, m=1"
 
-    def test_invalid_pair_exit_code(self, capsys):
-        assert main(["classify", "--r", "4", "--k", "2"]) == 1
+    def test_invalid_pair_exit_code(self, tmp_path, capsys):
+        # every subcommand rejects a bad or missing pair before any output
+        for command in ("classify", "spectrum", "immerse", "verify", "rank", "area"):
+            for pair in (["--r", "4", "--k", "2"], ["--r", "2", "--k", "3"], []):
+                out = tmp_path / f"{command}.out"
+                argv = [command, *pair] + (["--out", str(out)] if command != "area" else [])
+                assert main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err.startswith("invalid parameters: "), argv
+                assert not out.exists(), argv
 
 
 class TestRank:
@@ -383,3 +395,29 @@ def test_verify_runs_without_scipy(tmp_path):
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_layer_probe_call_forms():
+    """The calls that perfbench/trace.py probe makes, with its arguments, so
+    that a rename or a signature change fails here rather than as a failed
+    traced run."""
+    params = derive_params(8, 1)
+    assert isinstance(jacobi_am(0.5, params.modulus), float)
+    assert all(isinstance(x, float) for x in jacobi_sncndn(0.5, params.modulus))
+    assert closed_form_theta(0.5, params).shape == (6,)
+    z1, dz1, z2, dz2 = hs.floquet(1.0, 1.0, params)
+    assert abs(z1 * dz2 - z2 * dz1 - 1.0) < 1e-10
+    assert integrate_system(params, tol=1e-13, n_points=1024).states.shape == (1024, 6)
+    for width in (1, 8, 32):
+        grid = np.linspace(0.5, params.n - 0.5, width)
+        assert hs.branch_monotonicity(params, 0, grid).gammas.shape == (width,)
+    residuals = hs.extremal_rank(8, 1).residuals
+    anchors = [v for key, v in residuals.items() if key.startswith("anchor")]
+    assert len(anchors) == 4 and max(anchors) < 1e-7
+    assert residuals["double_root_flags"] == 0.0
+    mesh = derive_params(2, 1)
+    rows = sm.immersion_rows(mesh, 128, 128)
+    for writer in (sm.write_immersion_csv, sm.write_immersion_json):
+        stream = io.StringIO()
+        writer(stream, mesh, rows)
+        assert stream.getvalue().count("\n") > 128 * 128

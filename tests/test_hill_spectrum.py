@@ -25,15 +25,14 @@ from lawson_bipolar.hill_spectrum import (
     branch_monotonicity,
     count_below_two,
     count_zeros,
-    discriminant,
     eigenfunction_samples,
     extremal_rank,
     floquet,
     multiplicity_at_two,
     rank_formula,
     surface_lines,
-    transfer_state,
 )
+from lawson_bipolar.phi_system import closed_form_theta
 from lawson_bipolar.surface_model import (
     Topology,
     admissible_pairs,
@@ -91,12 +90,12 @@ def test_transfer_product_matches_stage_loop(pair, cols, half, n_steps):
 
 class TestFloquetBasics:
     def test_zero_potential_zero_p(self):
-        fm = floquet(0.0, 0.0, P21)
+        z1, _, z2, dz2 = floquet(0.0, 0.0, P21)
         b = period_a(P21) / 2.0
-        assert fm.z1_b == pytest.approx(1.0, abs=1e-12)
-        assert fm.dz2_b == pytest.approx(1.0, abs=1e-12)
-        assert fm.z2_b == pytest.approx(b, abs=1e-12)
-        assert discriminant(fm) == pytest.approx(2.0, abs=1e-12)
+        assert z1 == pytest.approx(1.0, abs=1e-12)
+        assert dz2 == pytest.approx(1.0, abs=1e-12)
+        assert z2 == pytest.approx(b, abs=1e-12)
+        assert z1 + dz2 == pytest.approx(2.0, abs=1e-12)
 
     def test_wronskian_at_random_points(self):
         # sampled over the spectral window lambda in [0, 3), p in [0, n],
@@ -105,8 +104,8 @@ class TestFloquetBasics:
         for _ in range(50):
             p = rng.uniform(0.0, float(P21.n))
             lam = rng.uniform(0.0, 3.0)
-            fm = floquet(p, lam, P21)
-            assert abs(fm.wronskian() - 1.0) < 1e-11
+            z1, dz1, z2, dz2 = floquet(p, lam, P21)
+            assert abs(z1 * dz2 - z2 * dz1 - 1.0) < 1e-11
 
     def test_against_scipy_dop853(self):
         rng = np.random.default_rng(71)
@@ -121,7 +120,7 @@ class TestFloquetBasics:
 
             sol = solve_ivp(rhs, (0.0, b), [1.0, 0.0, 0.0, 1.0],
                             method="DOP853", rtol=1e-13, atol=1e-13)
-            got = transfer_state(P21, p, lam, b)
+            got = floquet(p, lam, P21)
             np.testing.assert_allclose(got, sol.y[:, -1], atol=1e-11)
 
     def test_half_period_identities(self):
@@ -130,8 +129,10 @@ class TestFloquetBasics:
         for _ in range(50):
             p = rng.uniform(0.0, float(P31.n))
             lam = rng.uniform(0.0, 3.0)
-            z1b, dz1b, z2b, dz2b = transfer_state(P31, p, lam, b)
-            z1h, dz1h, z2h, dz2h = transfer_state(P31, p, lam, b / 2.0)
+            z1b, dz1b, z2b, dz2b = floquet(p, lam, P31)
+            z1h, dz1h, z2h, dz2h = hs._propagate(
+                P31, p * p, [lam], b / 2.0,
+                hs._steps_for(P31, hs.DEFAULT_SOLVER_TOL, b / 2.0))[:, 0]
             assert abs(z1b - (2.0 * z1h * dz2h - 1.0)) < 1e-9
             assert abs(z1b - (1.0 + 2.0 * z2h * dz1h)) < 1e-9
             assert abs(dz1b - 2.0 * z1h * dz1h) < 1e-9
@@ -166,7 +167,7 @@ class TestFloquetBasics:
     def test_step_count_above_cap_raises(self):
         b = period_a(P21) / 2.0
         with pytest.raises(hs.SpectrumMismatchError) as exc:
-            transfer_state(P21, 1.0, 1.0, 40.0 * b)
+            hs._steps_for(P21, hs.DEFAULT_SOLVER_TOL, 40.0 * b)
         msg = str(exc.value)
         assert "(n,m)=(2,1)" in msg and "tol=1e-09" in msg
         assert f"y_end={40.0 * b!r}" in msg
@@ -176,8 +177,8 @@ class TestFloquetBasics:
     def test_known_eigenvalues_close_discriminant(self, p_lam):
         name, lam = p_lam
         p = getattr(P31, name)
-        fm = floquet(float(p), lam, P31)
-        assert discriminant(fm) ** 2 == pytest.approx(4.0, abs=1e-8)
+        z1, _, _, dz2 = floquet(float(p), lam, P31)
+        assert (z1 + dz2) ** 2 == pytest.approx(4.0, abs=1e-8)
 
 
 class TestBranches:
@@ -329,8 +330,7 @@ def test_reduced_blocks_match_pencil_reference(pair):
         assert np.max(np.abs(got - [g for g, *_ in ref]), initial=0.0) <= 1e-10
     for p, index in ((0, 1), (0, 2), (1, 0), (params.m, 1), (params.n, 0)):
         eig = lines[p].eigenvalues[index]
-        _, vals = eigenfunction_samples(params, p, eig.gamma, eig.parity,
-                                        n_samples=2048)
+        _, vals = eigenfunction_samples(params, p, eig, n_samples=2048)
         ref = _reference_samples(params, pencils, p, eig.gamma, eig.parity, 2048)
         assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert count_zeros(vals) == count_zeros(ref)
@@ -349,7 +349,7 @@ def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
     assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
                  "--out", str(out)]) == 0
     eig = surface_lines(P31)[0].eigenvalues[2]
-    _, vals = eigenfunction_samples(P31, 0, eig.gamma, eig.parity, n_samples=2048)
+    _, vals = eigenfunction_samples(P31, 0, eig, n_samples=2048)
     assert count_zeros(vals) == 2
 
 
@@ -429,9 +429,29 @@ class TestEigenfunctions:
         ]
         for line, index, expected in cases:
             eig = line.eigenvalues[index]
-            _, vals = eigenfunction_samples(P31, line.p, eig.gamma,
-                                            eig.parity, n_samples=2048)
+            _, vals = eigenfunction_samples(P31, line.p, eig, n_samples=2048)
             assert count_zeros(vals) == expected
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (8, 1), (7, 6), (5, 2),
+                                     (13, 12), (41, 40)])
+    def test_anchor_eigenfunctions_are_the_profile(self, r, k):
+        # the paper's immersion by eigenfunctions: gamma_2(0), gamma_1(m) and
+        # gamma_0(n) = 2 carry phi0, phi1 and phi2, scaled as z1 or z2
+        params = derive_params(r, k)
+        lines = surface_lines(params)
+        at_0 = closed_form_theta(0.0, params)
+        for p, index, col, scale in ((0, 2, 0, at_0[0]), (params.m, 1, 1, at_0[4]),
+                                     (params.n, 0, 2, at_0[2])):
+            ys, vals = eigenfunction_samples(params, p, lines[p].eigenvalues[index])
+            ref = closed_form_theta(ys, params)[:, col] / scale
+            assert np.max(np.abs(vals - ref)) <= 1e-10, (p, index)
+
+    def test_root_off_its_block_raises(self):
+        eig = surface_lines(P31)[0].eigenvalues[2]
+        off = Eigenvalue(gamma=eig.gamma + 1e-6, index=2, parity=eig.parity,
+                         psi_target=eig.psi_target)
+        with pytest.raises(hs.SpectrumMismatchError, match="within 1e-8"):
+            eigenfunction_samples(P31, 0, off)
 
     def test_count_zeros_helper(self):
         t = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from lawson_bipolar.phi_system import (
-    PhiState,
     closed_form_theta,
-    closed_form_theta_array,
     closed_form_weierstrass,
     first_integrals,
     initial_state,
@@ -31,25 +29,25 @@ P31 = params_from_nm(3, 1)
 
 class TestInitialState:
     def test_values_for_2_1(self):
-        st = initial_state(P21)
-        assert st.phi0 == pytest.approx(math.sqrt(5 / 8), abs=1e-15)
-        assert st.phi2 == pytest.approx(math.sqrt(3 / 8), abs=1e-15)
-        assert st.dphi1 == pytest.approx(math.sqrt(3 / 2), abs=1e-15)
-        assert st.phi1 == st.dphi0 == st.dphi2 == 0.0
+        phi0, phi1, phi2, dphi0, dphi1, dphi2 = initial_state(P21)
+        assert phi0 == pytest.approx(math.sqrt(5 / 8), abs=1e-15)
+        assert phi2 == pytest.approx(math.sqrt(3 / 8), abs=1e-15)
+        assert dphi1 == pytest.approx(math.sqrt(3 / 2), abs=1e-15)
+        assert phi1 == dphi0 == dphi2 == 0.0
 
     def test_on_sphere(self):
         for nm in [(2, 1), (5, 2), (15, 1)]:
-            st = initial_state(params_from_nm(*nm))
-            assert abs(st.phi0 ** 2 + st.phi1 ** 2 + st.phi2 ** 2 - 1.0) < 1e-15
+            phi0, phi1, phi2, *_ = initial_state(params_from_nm(*nm))
+            assert abs(phi0 ** 2 + phi1 ** 2 + phi2 ** 2 - 1.0) < 1e-15
 
     def test_conformal_at_origin(self):
         # phi1'(0)^2 = n^2 phi2(0)^2 = (n^2 - m^2)/2
         for nm in [(2, 1), (4, 3)]:
             p = params_from_nm(*nm)
-            st = initial_state(p)
-            assert st.dphi1 ** 2 == pytest.approx(p.n ** 2 * st.phi2 ** 2, rel=1e-14)
-            lhs = st.dphi0 ** 2 + st.dphi1 ** 2 + st.dphi2 ** 2
-            rhs = p.m ** 2 * st.phi1 ** 2 + p.n ** 2 * st.phi2 ** 2
+            phi0, phi1, phi2, dphi0, dphi1, dphi2 = initial_state(p)
+            assert dphi1 ** 2 == pytest.approx(p.n ** 2 * phi2 ** 2, rel=1e-14)
+            lhs = dphi0 ** 2 + dphi1 ** 2 + dphi2 ** 2
+            rhs = p.m ** 2 * phi1 ** 2 + p.n ** 2 * phi2 ** 2
             assert abs(lhs - rhs) < 1e-14
 
 
@@ -66,7 +64,7 @@ class TestIntegration:
     def test_matches_theta_closed_form(self):
         profile = integrate_system(P21, tol=1e-10, n_points=512)
         for y, row in zip(profile.grid, profile.states):
-            ref = closed_form_theta(y, P21).as_array()
+            ref = closed_form_theta(y, P21)
             np.testing.assert_allclose(row, ref, atol=1e-8)
 
     def test_coarse_grid_points_are_step_ends(self):
@@ -74,7 +72,7 @@ class TestIntegration:
         # is kept per grid point
         profile = integrate_system(P31, tol=1e-13, n_points=16)
         assert profile.states.shape == (16, 6)
-        ref = closed_form_theta_array(profile.grid, P31)
+        ref = closed_form_theta(profile.grid, P31)
         np.testing.assert_allclose(profile.states, ref, rtol=0.0, atol=1e-12)
 
     def test_tolerance_domain(self):
@@ -110,9 +108,7 @@ class TestIntegration:
         s = (p.n ** 2 - p.m ** 2) / (2.0 * p.n ** 2)
         for eps in (1e-2, -1e-2):
             phi2 = math.sqrt(s + eps)
-            perturbed = PhiState(
-                phi0=math.sqrt(1.0 - s - eps), phi1=0.0, phi2=phi2,
-                dphi0=0.0, dphi1=p.n * phi2, dphi2=0.0)
+            perturbed = [math.sqrt(1.0 - s - eps), 0.0, phi2, 0.0, p.n * phi2, 0.0]
             _, states, end = integrate_states(p, perturbed, tol=1e-10)
             assert np.max(np.abs(end - states[0])) > 1e-6
         _, states, end = integrate_states(p, initial_state(p), tol=1e-10)
@@ -122,20 +118,20 @@ class TestIntegration:
 class TestThetaClosedForm:
     def test_matches_initial_state_at_origin(self):
         st = closed_form_theta(0.0, P21)
-        ref = initial_state(P21)
-        np.testing.assert_allclose(st.as_array(), ref.as_array(), atol=1e-13)
+        assert st.shape == (6,)
+        np.testing.assert_allclose(st, initial_state(P21), atol=1e-13)
 
     def test_ellipse_constraint(self):
         rng = np.random.default_rng(59)
         a = period_a(P21)
         n2, m2 = 4.0, 1.0
         for y in rng.uniform(-a, 2 * a, 100):
-            st = closed_form_theta(y, P21)
-            assert abs(2 * st.phi1 ** 2 + (2 * n2 / (n2 + m2)) * st.phi0 ** 2 - 1) < 1e-12
+            phi0, phi1, *_ = closed_form_theta(y, P21)
+            assert abs(2 * phi1 ** 2 + (2 * n2 / (n2 + m2)) * phi0 ** 2 - 1) < 1e-12
 
     def test_phi2_never_vanishes(self):
         a = period_a(P21)
-        states = closed_form_theta_array(np.linspace(0.0, a, 512, endpoint=False), P21)
+        states = closed_form_theta(np.linspace(0.0, a, 512, endpoint=False), P21)
         assert np.min(states[:, 2]) > 0.0
 
     def test_first_order_quartic_for_phi2(self):
@@ -144,9 +140,9 @@ class TestThetaClosedForm:
         a = period_a(P21)
         n2, m2 = 4.0, 1.0
         for y in rng.uniform(0, a, 100):
-            st = closed_form_theta(y, P21)
-            q = -2 * n2 * st.phi2 ** 4 + (2 * n2 - m2) * st.phi2 ** 2 + (m2 - n2) / 2
-            assert abs(st.dphi2 ** 2 - q) < 1e-9
+            _, _, phi2, _, _, dphi2 = closed_form_theta(y, P21)
+            q = -2 * n2 * phi2 ** 4 + (2 * n2 - m2) * phi2 ** 2 + (m2 - n2) / 2
+            assert abs(dphi2 ** 2 - q) < 1e-9
 
     def test_derivatives_against_finite_differences(self):
         a = period_a(P31)
@@ -155,9 +151,8 @@ class TestThetaClosedForm:
             st = closed_form_theta(y, P31)
             up = closed_form_theta(y + h, P31)
             dn = closed_form_theta(y - h, P31)
-            assert abs((up.phi0 - dn.phi0) / (2 * h) - st.dphi0) < 1e-8
-            assert abs((up.phi1 - dn.phi1) / (2 * h) - st.dphi1) < 1e-8
-            assert abs((up.phi2 - dn.phi2) / (2 * h) - st.dphi2) < 1e-8
+            for i in range(3):
+                assert abs((up[i] - dn[i]) / (2 * h) - st[3 + i]) < 1e-8
 
 
 class TestWeierstrassClosedForm:
@@ -170,12 +165,12 @@ class TestWeierstrassClosedForm:
 
     def test_table_floats_match_exact(self):
         for nm in [(2, 1), (5, 2)]:
-            tab = weierstrass_tables(params_from_nm(*nm))
+            a_float, b_float = weierstrass_tables(*nm)
             a, b = weierstrass_tables_exact(*nm)
             for i in range(3):
-                assert tab.a_matrix[i, 0] == float(a[i][0])
-                assert tab.a_matrix[i, 1] == float(a[i][1])
-                assert tab.b_vector[i] == float(b[i])
+                assert a_float[i][0] == float(a[i][0])
+                assert a_float[i][1] == float(a[i][1])
+                assert b_float[i] == float(b[i])
 
     def test_magnitudes_match_theta_form(self):
         a = period_a(P21)
@@ -183,9 +178,9 @@ class TestWeierstrassClosedForm:
         for y in ys:
             mags = closed_form_weierstrass(y, P21)
             ref = closed_form_theta(y, P21)
-            assert abs(mags[0] - abs(ref.phi0)) < 1e-6
-            assert abs(mags[1] - abs(ref.phi1)) < 1e-6
-            assert abs(mags[2] - abs(ref.phi2)) < 1e-6
+            assert abs(mags[0] - abs(ref[0])) < 1e-6
+            assert abs(mags[1] - abs(ref[1])) < 1e-6
+            assert abs(mags[2] - abs(ref[2])) < 1e-6
 
     @pytest.mark.parametrize("r,k", [(33, 32), (44, 43)])
     def test_magnitudes_where_float_discriminant_cancels(self, r, k):
@@ -194,18 +189,18 @@ class TestWeierstrassClosedForm:
         p = derive_params(r, k)
         ys = np.linspace(0.037, 0.963, 100) * period_a(p)
         mags = np.column_stack(closed_form_weierstrass(ys, p))
-        ref = np.abs(closed_form_theta_array(ys, p)[:, :3])
+        ref = np.abs(closed_form_theta(ys, p)[:, :3])
         assert np.max(np.abs(mags - ref)) < 1e-12
 
     def test_initial_value_recovered_near_origin(self):
         got = closed_form_weierstrass(1e-4, P21)[0]
-        assert abs(got - initial_state(P21).phi0) < 1e-6
+        assert abs(got - initial_state(P21)[0]) < 1e-6
 
     def test_near_zero_denominator_raises_typed_error(self, monkeypatch):
         from lawson_bipolar import phi_system
         from lawson_bipolar.special_functions import PoleProximityError
 
-        b1 = weierstrass_tables(P21).b_vector[0]
+        b1 = weierstrass_tables(2, 1)[1][0]
         monkeypatch.setattr(phi_system, "weierstrass_p",
                             lambda y, inv: -0.5 * b1 + 1e-9)
         with pytest.raises(PoleProximityError, match=r"2P\+b_1 too close to zero"):
@@ -224,7 +219,7 @@ class TestFirstIntegrals:
         # E1(0) = n^4 phi2^4(0) - n^2 (n^2 - m^2) phi2^2(0) = -(n^2-m^2)^2/4
         for nm in [(2, 1), (3, 2), (7, 3)]:
             p = params_from_nm(*nm)
-            e1, e2 = first_integrals(initial_state(p).as_array(), p)
+            e1, e2 = first_integrals(initial_state(p), p)
             expected = -((p.n ** 2 - p.m ** 2) ** 2) / 4.0
             assert e1 == pytest.approx(expected, rel=1e-13)
             assert e2 == pytest.approx(expected, rel=1e-13)

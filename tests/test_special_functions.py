@@ -165,6 +165,23 @@ class TestJacobi:
         assert jacobi_sncndn(-1e-200, m) == (-1e-200, 1.0, 1.0)
         assert jacobi_am(1e-200, m) == 1e-200
 
+    @pytest.mark.parametrize("k", [0.0, 0.3, 0.77, 0.9922, 1.0])
+    def test_array_argument_is_the_scalar_call_elementwise(self, k):
+        m = mod(k)
+        w = np.linspace(-7.0, 7.0, 57)
+        sn, cn, dn = jacobi_sncndn(w, m)
+        am = jacobi_am(w, m)
+        assert sn.shape == cn.shape == dn.shape == am.shape == w.shape
+        for i, x in enumerate(w.tolist()):
+            assert (sn[i], cn[i], dn[i]) == jacobi_sncndn(x, m)
+            assert am[i] == jacobi_am(x, m)
+
+    def test_amplitude_at_k1_is_the_gudermannian(self):
+        # numpy's arctan(sinh(w)) is within one ulp of libm's (one ulp at w = 0.7)
+        for w in (0.7, -2.3, 0.1, 5.0):
+            ref = math.atan(math.sinh(w))
+            assert abs(jacobi_am(w, mod(1.0)) - ref) <= math.ulp(ref)
+
     def test_amplitude_matches_scipy(self):
         rng = np.random.default_rng(13)
         for k in (0.3, 0.77):

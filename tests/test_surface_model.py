@@ -20,13 +20,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from lawson_bipolar.phi_system import closed_form_weierstrass, weierstrass_tables
+from lawson_bipolar.phi_system import (
+    closed_form_theta,
+    closed_form_weierstrass,
+    weierstrass_tables,
+)
 from lawson_bipolar.special_functions import (
     DomainError,
     PoleProximityError,
     WeierstrassInvariants,
     complete_E,
     complete_K,
+    jacobi_am,
+    jacobi_sncndn,
     weierstrass_p,
 )
 from lawson_bipolar import surface_model as sm
@@ -41,10 +47,8 @@ from lawson_bipolar.surface_model import (
     area_closed_form,
     bipolar_column,
     bipolar_immersion,
-    bipolar_immersion_array,
     bipolar_metric,
     derive_params,
-    h1_inverse,
     h_transforms,
     immersion_rows,
     klein_deck_map,
@@ -218,7 +222,7 @@ class TestBipolarImmersion:
             for _ in range(200):
                 u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
                 pt = bipolar_immersion(u, v, p)        # runtime-checks orthogonality
-                assert abs(pt.norm() - 1.0) < 1e-13
+                assert abs(np.linalg.norm(pt) - 1.0) < 1e-13
 
     def test_wedge_matches_printed_column_even_rk(self):
         p = derive_params(2, 1)
@@ -226,7 +230,7 @@ class TestBipolarImmersion:
         w = bipolar_immersion(0.0, 0.0, p)
         # coordinate slots: (12-plane, c6, c3, c5, c4)
         np.testing.assert_allclose(
-            w.coords, [0.0, col[5], col[2], col[4], col[3]], atol=1e-13)
+            w, [0.0, col[5], col[2], col[4], col[3]], atol=1e-13)
 
     def test_wedge_matches_parambip_odd_rk(self):
         rng = np.random.default_rng(37)
@@ -238,7 +242,7 @@ class TestBipolarImmersion:
             w = bipolar_immersion(u, v, p)
             expected = [kept @ np.pad(col[:2], (0, 4)),
                         col[5], col[2], col[4], col[3]]
-            np.testing.assert_allclose(w.coords, expected, atol=1e-12)
+            np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_parambip_equals_universal_column(self):
         rng = np.random.default_rng(41)
@@ -332,7 +336,7 @@ class TestHTransforms:
         p = params_from_nm(2, 1)
         for v in np.linspace(0.0, math.pi, 21):
             assert v_of_z(z_of_v(v, p), p) == pytest.approx(v, abs=1e-12)
-        assert h1_inverse(h_transforms((0.1, 0.8), HTransform.H1, p), p)[1] == \
+        assert v_of_z(h_transforms((0.1, 0.8), HTransform.H1, p)[1], p) == \
             pytest.approx(0.8, abs=1e-12)
 
     def test_h1_period_identity(self):
@@ -516,7 +520,7 @@ class TestExcludedDirectionGuard:
     def test_projection_passes_orthogonal_rows(self):
         rng = np.random.default_rng(53)
         u, v = rng.uniform(0, 2 * math.pi, 64), rng.uniform(0, math.pi, 64)
-        pts = bipolar_immersion_array(u, v, derive_params(7, 6))
+        pts = bipolar_immersion(u, v, derive_params(7, 6))
         assert pts.shape == (64, 5)
 
 
@@ -538,7 +542,7 @@ def _scalar_immersion(u, v, r, k):
 def test_array_path_matches_scalar_reference(r, k):
     rng = np.random.default_rng(59)
     u, v = rng.uniform(-20.0, 20.0, 20000), rng.uniform(-10.0, 10.0, 20000)
-    got = bipolar_immersion_array(u, v, derive_params(r, k))
+    got = bipolar_immersion(u, v, derive_params(r, k))
     want = np.array([_scalar_immersion(a, b, r, k) for a, b in zip(u.tolist(), v.tolist())])
     assert np.array_equal(got, want)
 
@@ -551,7 +555,9 @@ def test_immersion_rows_match_pointwise(pair, n_u, n_v):
     rows = immersion_rows(params, n_u, n_v)
     assert rows.shape == (n_u * n_v, 7)
     for row in rows:
-        assert np.array_equal(row[2:], bipolar_immersion(row[0], row[1], params).coords)
+        assert np.array_equal(row[2:], bipolar_immersion(row[0], row[1], params))
+    # the first n_v rows share u = 0, which broadcasts against their v
+    assert np.array_equal(rows[:n_v, 2:], bipolar_immersion(0.0, rows[:n_v, 1], params))
     np.testing.assert_allclose(np.linalg.norm(rows[:, 2:], axis=1), 1.0,
                                rtol=0.0, atol=1e-12)
 
@@ -565,8 +571,9 @@ def _bits(values):
        st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-20.0, 20.0)),
                 min_size=1, max_size=12))
 def test_array_chart_maps(pair, points):
-    """The chart maps on arrays: z(v) is scipy's F(v, kh)/(n+m), v(z(v)) = v,
-    and every element is bit-equal to the one-point call."""
+    """The chart maps, theta(y) and f(y) on arrays: z(v) is scipy's
+    F(v, kh)/(n+m), v(z(v)) = v, and every element is bit-equal to the
+    one-point call."""
     params = derive_params(*pair)
     u, v = np.array(points).T
     z = z_of_v(v, params)
@@ -574,13 +581,14 @@ def test_array_chart_maps(pair, points):
     np.testing.assert_allclose(z, oracle, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(v_of_z(z, params), v, rtol=0.0, atol=1e-12)
     assert _bits(z) == _bits([z_of_v(x, params) for x in v.tolist()])
+    for fn in (theta_of_y, metric_f_array):
+        assert _bits(fn(v, params)) == _bits([fn(x, params) for x in v.tolist()])
     pointwise = [klein_deck_map(a, b, params) for a, b in zip(u.tolist(), v.tolist())]
     assert _bits(klein_deck_map(u, v, params)) == _bits(list(zip(*pointwise)))
 
     # P and the profile closed form at the points where the one-point call
     # is defined (away from lattice poles)
-    row = weierstrass_tables(params).a_matrix[0]
-    inv = WeierstrassInvariants(g2=row[0], g3=row[1])
+    inv = WeierstrassInvariants(*weierstrass_tables(params.n, params.m)[0][0])
     for fn in (lambda y: weierstrass_p(y, inv), lambda y: closed_form_weierstrass(y, params)):
         defined, values = [], []
         for y in v.tolist():
@@ -592,3 +600,25 @@ def test_array_chart_maps(pair, points):
         if defined:
             got = np.asarray(fn(np.array(defined)), float)
             assert _bits(got.T) == _bits(values)
+
+
+_P21 = params_from_nm(2, 1)
+_EVALUATORS = {
+    "jacobi_sncndn": lambda x: jacobi_sncndn(x, _P21.modulus),
+    "jacobi_am": lambda x: jacobi_am(x, _P21.modulus),
+    "metric_f_array": lambda x: metric_f_array(x, _P21),
+    "closed_form_theta": lambda x: closed_form_theta(x, _P21),
+    "bipolar_immersion-u": lambda x: bipolar_immersion(x, np.full_like(x, 0.3), _P21),
+    "bipolar_immersion-v": lambda x: bipolar_immersion(np.full_like(x, 0.3), x, _P21),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_evaluators_reject_non_finite(name, bad, as_array):
+    """A NaN or an infinity raises DomainError, in a scalar or among
+    finite array elements, rather than giving NaN rows."""
+    x = np.array([0.1, bad]) if as_array else bad
+    with pytest.raises(DomainError, match="argument must be finite"):
+        _EVALUATORS[name](x)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import verification as vf
-from lawson_bipolar.phi_system import closed_form_theta, closed_form_theta_array
+from lawson_bipolar.phi_system import closed_form_theta
 from lawson_bipolar.special_functions import EllipticModulus, complete_E
 from lawson_bipolar.surface_model import (
     Topology,
@@ -38,11 +38,11 @@ class TestProfileBattery:
         p = derive_params(2, 1)
         a = period_a(p)
         for y in np.linspace(0.0, a, 64):
-            st = closed_form_theta(y, p)
+            phi0, phi1, phi2, *_ = closed_form_theta(y, p)
             for x in (0.0, 0.43):
-                comps = [st.phi0,
-                         math.cos(p.m * x) * st.phi1, math.sin(p.m * x) * st.phi1,
-                         math.cos(p.n * x) * st.phi2, math.sin(p.n * x) * st.phi2]
+                comps = [phi0,
+                         math.cos(p.m * x) * phi1, math.sin(p.m * x) * phi1,
+                         math.cos(p.n * x) * phi2, math.sin(p.n * x) * phi2]
                 assert len(comps) == 5
                 assert abs(sum(c * c for c in comps) - 1.0) < 1e-13
 
@@ -141,8 +141,8 @@ def test_theta_rows_and_exact_geodesic_beyond_table(pair, ys):
     # the array path is the scalar closed form row for row, bit for bit,
     # and the exact-derivative geodesic residual sits near rounding
     params = derive_params(*pair)
-    rows = closed_form_theta_array(np.array(ys), params)
-    scalar = np.array([closed_form_theta(y, params).as_array() for y in ys])
+    rows = closed_form_theta(np.array(ys), params)
+    scalar = np.array([closed_form_theta(y, params) for y in ys])
     assert np.array_equal(rows, scalar)
     geo = vf.orbit_space_checks(params)[-1]
     assert geo.residual < 1e-10, (pair, geo.residual)
