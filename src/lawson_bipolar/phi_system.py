@@ -92,22 +92,56 @@ def odesystem_rhs(y, state, params: SurfaceParams) -> tuple:
     return d0, d1, d2, -twof * p0, (m2 - twof) * p1, (n2 - twof) * p2
 
 
-def _stage_sum(s, row, k) -> tuple:
-    """s + sum of c * k[j] over the (j, c) of row, on 6-tuples of floats."""
-    s0, s1, s2, s3, s4, s5 = s
-    for j, c in row:
-        k0, k1, k2, k3, k4, k5 = k[j]
-        s0 += c * k0; s1 += c * k1; s2 += c * k2
-        s3 += c * k3; s4 += c * k4; s5 += c * k5
-    return s0, s1, s2, s3, s4, s5
+@lru_cache(maxsize=1)
+def _rk8_step_factory():
+    """Compile, on first use, the straight-line Cooper-Verner step.
+
+    factory(m2, n2, *coefs) returns step(x0, ..., x5), which gives the six
+    floats sum_i (h b_i) k_i for the state x; coefs are the h-scaled
+    entries of the rows of _CV_A, then of _CV_B.  The source is written
+    from the tableau: each stage sum adds its terms in row order, and
+    each slope is odesystem_rhs spelt out, so the step matches the stage
+    loop over the tableau bit for bit."""
+    rows = _CV_A + [_CV_B]
+    coefs = [f"c{i}_{j}" for i, row in enumerate(rows) for j, _ in row]
+    lines = [f"def factory(m2, n2, {', '.join(coefs)}):",
+             "    def step(x0, x1, x2, x3, x4, x5):"]
+    slope = []  # slope[j][q]: the name of component q of k_j
+    for i, row in enumerate(_CV_A):
+        s = [f"x{q}" for q in range(6)]
+        if row:
+            for q in range(6):
+                terms = "".join(f" + c{i}_{j} * {slope[j][q]}" for j, _ in row)
+                lines.append(f"        s{i}_{q} = x{q}{terms}")
+            s = [f"s{i}_{q}" for q in range(6)]
+        lines += [f"        t = 2.0 * (m2 * {s[1]} * {s[1]} + n2 * {s[2]} * {s[2]})",
+                  f"        k{i}_3, k{i}_4, k{i}_5 = "
+                  f"-t * {s[0]}, (m2 - t) * {s[1]}, (n2 - t) * {s[2]}"]
+        slope.append(s[3:] + [f"k{i}_3", f"k{i}_4", f"k{i}_5"])
+    last = len(_CV_A)
+    sums = ["0.0" + "".join(f" + c{last}_{j} * {slope[j][q]}" for j, _ in _CV_B)
+            for q in range(6)]
+    lines += [f"        return ({', '.join(sums)})", "    return step"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<rk8 step>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _rk8_step(params: SurfaceParams, h: float):
+    """The straight-line RK8 step of the profile system at step size h:
+    six floats of the state in, the six floats of its increment out."""
+    coefs = [h * c for row in _CV_A + [_CV_B] for _, c in row]
+    return _rk8_step_factory()(float(params.m * params.m),
+                               float(params.n * params.n), *coefs)
 
 
 def integrate_states(params: SurfaceParams, state0, tol: float,
-                     n_points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     n_points: int | None = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate one period from an arbitrary initial 6-vector by the
     Cooper-Verner RK8 of the Floquet propagation, in Python floats with
     Kahan-summed increments.  Its step count at tol, rounded up to a
-    multiple of n_points, makes every grid point a step end.
+    multiple of n_points, makes every grid point a step end; with
+    n_points None the grid is every step end of the count at tol.
 
     Returns (grid, states, end_state); no periodicity requirement, so
     perturbed initial data can be propagated for orbit-selection tests.
@@ -115,18 +149,16 @@ def integrate_states(params: SurfaceParams, state0, tol: float,
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
     a = period_a(params)
-    per = -(-_steps_for(params, tol, a) // n_points)
-    h = a / (n_points * per)
-    *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
+    steps = _steps_for(params, tol, a)
+    n_points = steps if n_points is None else n_points
+    per = -(-steps // n_points)
+    step = _rk8_step(params, a / (n_points * per))
     x, comp = np.asarray(state0, float).tolist(), [0.0] * 6
     states = []
-    for step in range(n_points * per):
-        if step % per == 0:
+    for i in range(n_points * per):
+        if i % per == 0:
             states.append(x)
-        k = []
-        for row in stages:
-            k.append(odesystem_rhs(0.0, _stage_sum(x, row, k), params))
-        d = [u - c for u, c in zip(_stage_sum((0.0,) * 6, weights, k), comp)]
+        d = [u - c for u, c in zip(step(*x), comp)]
         new = [u + v for u, v in zip(x, d)]
         comp = [(t - u) - v for t, u, v in zip(new, x, d)]
         x = new
@@ -135,8 +167,9 @@ def integrate_states(params: SurfaceParams, state0, tol: float,
 
 
 def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
-                     n_points: int = DEFAULT_POINTS) -> PhiProfile:
-    """Fixed-step RK8 integration of the profile system over [0, a].
+                     n_points: int | None = DEFAULT_POINTS) -> PhiProfile:
+    """Fixed-step RK8 integration of the profile system over [0, a], on
+    n_points grid points, or on every step end when n_points is None.
 
     The orbit must close up: |state(a) - state(0)| <= 10 * tol, else an
     IntegrationFailureError carries the residual.

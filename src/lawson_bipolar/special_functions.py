@@ -194,7 +194,9 @@ def jacobi_sncndn(w, modulus: EllipticModulus):
     if modulus.k == 0.0:
         out = np.sin(ws), np.cos(ws), np.ones_like(ws)
     elif modulus.k == 1.0:
-        sech = 1.0 / np.cosh(ws)
+        # cosh overflows to inf past |w| = 710, where sech = 0 is the limit
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(ws)
         out = np.tanh(ws), sech, sech
     else:
         K = complete_K(modulus)
@@ -213,7 +215,10 @@ def jacobi_am(w, modulus: EllipticModulus):
     if modulus.k == 0.0:
         am = ws + 0.0
     elif modulus.k == 1.0:
-        am = np.arctan(np.sinh(ws))  # gudermannian limit
+        # the gudermannian; sinh overflows to +-inf past |w| = 710, where
+        # arctan gives the limit +-pi/2
+        with np.errstate(over="ignore"):
+            am = np.arctan(np.sinh(ws))
     else:
         K = complete_K(modulus)
         q = np.round(ws / (2.0 * K))

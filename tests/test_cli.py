@@ -172,9 +172,10 @@ class TestSpectrumAndVerifyBytes:
     """sha256 of spectrum and verify outputs with the roots of the
     Cholesky-reduced Galerkin blocks (one eigvalsh per line); the Floquet
     residuals of verify come from the verification battery's own
-    propagation at those roots, its profile residuals from the fixed-step
-    RK8 integration of the profile, and its chart residuals from the H1
-    modulus with the exact complement (n-m)/(n+m).  The CSV digests were
+    propagation at those roots and at R2 sequence points, its profile
+    residuals from the fixed-step RK8 integration of the profile at every
+    step end, and its chart residuals from the H1 modulus with the exact
+    complement (n-m)/(n+m).  The CSV digests were
     recorded from the JSON spectrum's fields written by csv.writer."""
 
     @pytest.mark.parametrize("args, digest", [
@@ -184,7 +185,7 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "f8d94de74f6eb16bae9fb1852ea4ccea4e961d773ed181e24cf5788e61748c18"),
         (["verify", "--r", "8", "--k", "1"],
-         "7bfc687f62c002cd13fed6888c10f4432bb41a0c47dc8d8033515f0467d2b4b9"),
+         "9d167b1202bd0b96e205093abf529b63180ee72125a34908d44840531e4e21a3"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -385,6 +386,18 @@ def test_cli_import_loads_no_scipy():
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_loads_no_numpy_random(tmp_path):
+    """The battery's sample points are a deterministic sequence, so a
+    verify run must not import numpy.random."""
+    out = tmp_path / "verify.json"
+    code = ("import sys; from lawson_bipolar.cli import main; "
+            f"code = main(['verify', '--r', '3', '--k', '1', '--out', {str(out)!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_verify_runs_without_scipy(tmp_path):

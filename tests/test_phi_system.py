@@ -21,10 +21,32 @@ from lawson_bipolar.phi_system import (
     weierstrass_tables,
     weierstrass_tables_exact,
 )
+from lawson_bipolar.hill_spectrum import _CV_A, _CV_B, _steps_for
+from lawson_bipolar.phi_system import _rk8_step
 from lawson_bipolar.surface_model import derive_params, metric_f_array, params_from_nm, period_a
 
 P21 = params_from_nm(2, 1)
 P31 = params_from_nm(3, 1)
+
+
+def _stage_sum(s, row, k) -> tuple:
+    """s + sum of c * k[j] over the (j, c) of row, on 6-tuples of floats."""
+    s0, s1, s2, s3, s4, s5 = s
+    for j, c in row:
+        k0, k1, k2, k3, k4, k5 = k[j]
+        s0 += c * k0; s1 += c * k1; s2 += c * k2
+        s3 += c * k3; s4 += c * k4; s5 += c * k5
+    return s0, s1, s2, s3, s4, s5
+
+
+def _reference_step(x, h, params) -> tuple:
+    """The increment sum_i h b_i k_i of one Cooper-Verner step, by the
+    stage loop over the tableau with k_i = odesystem_rhs(stage sum i)."""
+    *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
+    k = []
+    for row in stages:
+        k.append(odesystem_rhs(0.0, _stage_sum(x, row, k), params))
+    return _stage_sum((0.0,) * 6, weights, k)
 
 
 class TestInitialState:
@@ -113,6 +135,22 @@ class TestIntegration:
             assert np.max(np.abs(end - states[0])) > 1e-6
         _, states, end = integrate_states(p, initial_state(p), tol=1e-10)
         assert np.max(np.abs(end - states[0])) < 1e-6
+
+    @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6)])
+    @pytest.mark.parametrize("steps", ["tol", 512])
+    def test_step_is_the_stage_loop(self, r, k, steps):
+        # the straight-line step spells out odesystem_rhs and the tableau;
+        # it must give the stage loop's increment bit for bit
+        p = derive_params(r, k)
+        a = period_a(p)
+        h = a / (_steps_for(p, 1e-13, a) if steps == "tol" else steps)
+        step = _rk8_step(p, h)
+        states = [*closed_form_theta(np.linspace(0.0, a, 7), p).tolist(),
+                  [0.3, -0.2, 0.9, 1.5, -0.7, 2.0]]
+        for x in states:
+            got = step(*x)
+            want = _reference_step(tuple(x), h, p)
+            assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 
 class TestThetaClosedForm:

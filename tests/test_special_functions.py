@@ -182,6 +182,23 @@ class TestJacobi:
             ref = math.atan(math.sinh(w))
             assert abs(jacobi_am(w, mod(1.0)) - ref) <= math.ulp(ref)
 
+    def test_k1_limits_past_the_overflow(self):
+        # cosh and sinh overflow past |w| = 710; the suite turns a
+        # RuntimeWarning into an error, so the limits must come quietly
+        m = mod(1.0)
+        for w, sign in ((800.0, 1.0), (-800.0, -1.0)):
+            assert jacobi_sncndn(w, m) == (sign, 0.0, 0.0)
+            assert jacobi_am(w, m) == sign * math.pi / 2
+        sn, cn, dn = jacobi_sncndn(np.array([-800.0, 800.0]), m)
+        assert sn.tolist() == [-1.0, 1.0] and cn.tolist() == dn.tolist() == [0.0, 0.0]
+        assert jacobi_am(np.array([-800.0, 800.0]), m).tolist() == [-math.pi / 2, math.pi / 2]
+        # below the overflow the values are the plain numpy expressions
+        w = np.linspace(-700.0, 700.0, 1401)
+        sn, cn, dn = jacobi_sncndn(w, m)
+        assert np.array_equal(sn, np.tanh(w))
+        assert np.array_equal(cn, 1.0 / np.cosh(w)) and np.array_equal(dn, cn)
+        assert np.array_equal(jacobi_am(w, m), np.arctan(np.sinh(w)))
+
     def test_amplitude_matches_scipy(self):
         rng = np.random.default_rng(13)
         for k in (0.3, 0.77):

@@ -28,7 +28,7 @@ class TestCheckResult:
 
 class TestProfileBattery:
     def test_takahashi_check(self):
-        checks = vf.profile_checks(derive_params(2, 1), grid_size=1024, tol=1e-10)
+        checks = vf.profile_checks(derive_params(2, 1), tol=1e-10)
         res = next(c for c in checks if c.name == "takahashi_identity")
         assert res.passed
         assert res.residual < 1e-8
