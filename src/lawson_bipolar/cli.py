@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import hill_spectrum as hs
 from . import surface_model as sm
@@ -24,7 +23,7 @@ from .phi_system import IntegrationFailureError
 from .special_functions import DomainError, PoleProximityError
 from .surface_model import InvalidParametersError, Topology
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 _TOPOLOGY_WORDS = {Topology.TORUS: "torus", Topology.KLEIN_BOTTLE: "klein bottle"}
 _FORMULA_WORDS = {
@@ -32,21 +31,6 @@ _FORMULA_WORDS = {
     sm.ParityClass.RK_1_MOD_4: "2r-2",
     sm.ParityClass.RK_3_MOD_4: "r-2",
 }
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation."""
-
-    command: str
-    r: int = 0
-    k: int = 0
-    grid: int = 64
-    output_path: str = ""
-    fmt: str = "json"
-    sweep: int = 0
-    strict: bool = False
-    jobs: int = 1
 
 
 def _fmt17(x: float) -> str:
@@ -76,34 +60,34 @@ def _json17(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    params = sm.derive_params(config.r, config.k)
-    if config.output_path:
+def _cmd_classify(args: argparse.Namespace) -> int:
+    params = sm.derive_params(args.r, args.k)
+    if args.out:
         doc = {"r": params.r, "k": params.k, "n": params.n, "m": params.m,
                "topology": params.topology.value,
                "parity_class": params.parity_class.value}
-        _emit(config, _json17(doc) + "\n")
+        _emit(args, _json17(doc) + "\n")
     print(f"{params.topology.value}, n={params.n}, m={params.m}")
     return 0
 
 
-def _cmd_rank(config: RunConfig) -> int:
-    if config.sweep:
-        return _cmd_sweep(config)
-    report = hs.extremal_rank(config.r, config.k)
+def _cmd_rank(args: argparse.Namespace) -> int:
+    if args.sweep:
+        return _cmd_sweep(args)
+    report = hs.extremal_rank(args.r, args.k)
     params = report.params
     print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[params.topology]}, "
           f"{_FORMULA_WORDS[params.parity_class]}")
-    if config.output_path:
-        _emit(config, _json17(_report_doc(report)) + "\n")
+    if args.out:
+        _emit(args, _json17(_report_doc(report)) + "\n")
     return 0
 
 
@@ -130,28 +114,30 @@ def _sweep_row(pair: tuple[int, int]) -> tuple:
             report.multiplicity, report.lambda_functional)
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    pairs = sm.admissible_pairs(config.sweep)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    pairs = sm.admissible_pairs(args.sweep)
+    # the pool forks all its workers at start, so none may go without a pair
+    workers = min(args.jobs or 1, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, pairs))
     else:
         rows = [_sweep_row(pair) for pair in pairs]
     rows.sort(key=lambda row: (row[0], row[1]))
-    _emit(config, "r,k,n,m,topology,parity_class,rank_i,rank_formula,"
+    _emit(args, "r,k,n,m,topology,parity_class,rank_i,rank_formula,"
                   "multiplicity,lambda_functional\n" + "".join(map(_csv_line, rows)))
     return 0
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
     """One row per located eigenvalue for p = 0..n; the CSV lists the rows,
     the JSON groups them by line."""
-    params = sm.derive_params(config.r, config.k)
+    params = sm.derive_params(args.r, args.k)
     lines = [(line.p, [{"gamma": e.gamma, "index": e.index,
                         "parity": e.parity.value, "psi_target": e.psi_target}
                        for e in line.eigenvalues])
              for line in hs.surface_lines(params) if line.p <= params.n]
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = "p,branch_index,gamma,parity,psi_target\n" + "".join(
             _csv_line((p, e["index"], e["gamma"], e["parity"], e["psi_target"]))
             for p, eigs in lines for e in eigs)
@@ -160,26 +146,26 @@ def _cmd_spectrum(config: RunConfig) -> int:
                           "n": params.n, "m": params.m},
                "lines": [{"p": p, "eigenvalues": eigs} for p, eigs in lines]}
         text = _json17(doc) + "\n"
-    _emit(config, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_immerse(config: RunConfig) -> int:
-    params = sm.derive_params(config.r, config.k)
-    rows = sm.immersion_rows(params, config.grid, config.grid)
-    writer = sm.write_immersion_csv if config.fmt == "csv" else sm.write_immersion_json
+def _cmd_immerse(args: argparse.Namespace) -> int:
+    params = sm.derive_params(args.r, args.k)
+    rows = sm.immersion_rows(params, args.grid, args.grid)
+    writer = sm.write_immersion_csv if args.fmt == "csv" else sm.write_immersion_json
     # the writer streams its blocks, so no string holds the whole mesh
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             writer(fh, params, rows)
     else:
         writer(sys.stdout, params, rows)
     return 0
 
 
-def _cmd_area(config: RunConfig) -> int:
-    area, lam_value, rank_i = vf.area_and_lambda(config.r, config.k)
-    params = sm.derive_params(config.r, config.k)
+def _cmd_area(args: argparse.Namespace) -> int:
+    area, lam_value, rank_i = vf.area_and_lambda(args.r, args.k)
+    params = sm.derive_params(args.r, args.k)
     closed = sm.area_closed_form(params)
     print(f"area_quadrature={_fmt17(area)}")
     print(f"area_closed_form={_fmt17(closed)}")
@@ -187,41 +173,13 @@ def _cmd_area(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    report = vf.full_report(config.r, config.k, strict=config.strict)
-    _emit(config, _json17(report.to_dict()) + "\n")
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = vf.full_report(args.r, args.k, strict=args.strict)
+    _emit(args, _json17(report.to_dict()) + "\n")
     for check in report.checks:
         if not check.passed:
             print(f"FAILED: {check}", file=sys.stderr)
     return 0 if report.passed else 2
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "spectrum": _cmd_spectrum,
-    "immerse": _cmd_immerse,
-    "verify": _cmd_verify,
-    "rank": _cmd_rank,
-    "area": _cmd_area,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 1
-    try:
-        return handler(config)
-    except InvalidParametersError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 1
-    except (hs.SpectrumMismatchError, IntegrationFailureError,
-            vf.VerificationError, PoleProximityError, DomainError,
-            sm.ExcludedDirectionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,16 +189,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# the optional flags each subcommand honours; no other flag is accepted
+# each subcommand's handler, help text and the optional flags it honours;
+# no other flag is accepted
 _SUBCOMMANDS = {
-    "classify": ("print (n, m), parity class, and topology", {"out"}),
-    "spectrum": ("write the located eigenvalue table for p = 0..n",
+    "classify": (_cmd_classify, "print (n, m), parity class, and topology", {"out"}),
+    "spectrum": (_cmd_spectrum, "write the located eigenvalue table for p = 0..n",
                  {"format", "out"}),
-    "immerse": ("sample the bipolar immersion on a (u, v) grid",
+    "immerse": (_cmd_immerse, "sample the bipolar immersion on a (u, v) grid",
                 {"grid", "format", "out"}),
-    "verify": ("run the full verification battery, emit JSON", {"strict", "out"}),
-    "rank": ("compute the extremal eigenvalue rank", {"out", "sweep"}),
-    "area": ("compare area quadrature against the closed form", set()),
+    "verify": (_cmd_verify, "run the full verification battery, emit JSON",
+               {"strict", "out"}),
+    "rank": (_cmd_rank, "compute the extremal eigenvalue rank", {"out", "sweep"}),
+    "area": (_cmd_area, "compare area quadrature against the closed form", set()),
 }
 
 
@@ -252,8 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(grid=64, out="", fmt="json", strict=False,
                         sweep=0, jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (blurb, flags) in _SUBCOMMANDS.items():
+    for name, (handler, blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
+        p.set_defaults(handler=handler)
         p.add_argument("--r", type=int, help="Lawson parameter r")
         p.add_argument("--k", type=int, help="Lawson parameter k")
         if "grid" in flags:
@@ -271,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sweep", type=int, default=0, metavar="RMAX",
                            help="emit the rank table for all r <= RMAX")
             p.add_argument("--jobs", type=int, default=None,
-                           help="parallel workers for the sweep (default 1)")
+                           help="parallel workers for the sweep, at most one "
+                                "per pair (default 1)")
     return parser
 
 
@@ -288,15 +250,21 @@ def main(argv=None) -> int:
     if args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
         return 1
-    jobs = 1 if args.jobs is None else args.jobs
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print("jobs must be at least 1", file=sys.stderr)
         return 1
-    config = RunConfig(
-        command=args.command, r=args.r or 0, k=args.k or 0,
-        grid=args.grid, output_path=args.out,
-        fmt=args.fmt, sweep=args.sweep, strict=args.strict, jobs=jobs)
-    return run(config)
+    # a missing pair reads as (0, 0), which derive_params rejects
+    args.r, args.k = args.r or 0, args.k or 0
+    try:
+        return args.handler(args)
+    except InvalidParametersError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 1
+    except (hs.SpectrumMismatchError, IntegrationFailureError,
+            vf.VerificationError, PoleProximityError, DomainError,
+            sm.ExcludedDirectionError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ __all__ = [
     "count_zeros",
     "DEFAULT_SOLVER_TOL",
     "CLUSTER_DELTA",
+    "EIGENFUNCTION_SAMPLES",
+    "ZERO_SAMPLE_TOL",
 ]
 
 DEFAULT_SOLVER_TOL = 1e-9
@@ -77,6 +79,10 @@ _F_SAMPLES = 512
 #: largest Fourier coefficient of f at or past index 2 N_MODES, relative to
 #: the mean c_0, that the truncation accepts (r <= 40 stays below 1e-16)
 TAIL_BOUND = 1e-12
+#: samples of an eigenfunction over one period
+EIGENFUNCTION_SAMPLES = 2048
+#: a sample at most this fraction of the largest |sample| counts as a zero
+ZERO_SAMPLE_TOL = 1e-9
 #: most RK8 steps of one Floquet propagation
 MAX_STEPS = 4096
 #: steps x columns of one batch of the Floquet propagation (about 12 MB of
@@ -281,16 +287,23 @@ class ExtremalReport:
 # basic operations
 # ---------------------------------------------------------------------------
 
-def floquet(p: float, lam: float, params: SurfaceParams,
-            tol: float = DEFAULT_SOLVER_TOL) -> tuple[float, float, float, float]:
-    """(z1, z1', z2, z2') at the half period b = a/2 of the fundamental
-    pair, z1 = 1, z1' = 0, z2 = 0, z2' = 1 at y = 0.  The Floquet
-    discriminant is Psi = z1(b) + z2'(b); eigenvalues solve Psi^2 = 4."""
-    if not math.isfinite(lam) or p < 0:
-        raise ValueError("need finite lambda and p >= 0")
+def floquet(p, lam, params: SurfaceParams, y_end=None):
+    """(z1, z1', z2, z2') at y_end, by default the half period b = a/2, of
+    the fundamental pair z1 = 1, z1' = 0, z2 = 0, z2' = 1 at y = 0.  The
+    Floquet discriminant is Psi = z1(b) + z2'(b); eigenvalues solve
+    Psi^2 = 4.
+
+    Scalar p and lam give four floats, 1-D arrays four arrays.  Every
+    y_end takes the step count that b needs at DEFAULT_SOLVER_TOL, so a
+    y_end inside [0, b] runs at that tolerance or better.
+    """
+    ps, lams = np.broadcast_arrays(np.asarray(p, float), np.asarray(lam, float))
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ps)) and np.all(ps >= 0)):
+        raise ValueError("need finite lambda and finite p >= 0")
     b = period_a(params) / 2.0
-    st = _propagate(params, p * p, [lam], b, _steps_for(params, tol, b))
-    return tuple(st[:, 0].tolist())
+    st = _propagate(params, ps * ps, lams, b if y_end is None else y_end,
+                    _steps_for(params, DEFAULT_SOLVER_TOL, b))
+    return tuple(st[:, 0].tolist()) if lams.ndim == 0 else tuple(st)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +536,10 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
 # eigenfunction reconstruction
 # ---------------------------------------------------------------------------
 
-def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue,
-                          n_samples: int = 4096):
-    """Sample the eigenfunction of the located root eig on line p over
-    [0, a), scaled like z1 (even, phi(0) = 1) or z2 (odd, phi'(0) = 1).
+def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue):
+    """Sample the eigenfunction of the located root eig on line p at
+    EIGENFUNCTION_SAMPLES points of [0, a), scaled like z1 (even,
+    phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
     Sums the cosine or sine series of the eigenvector of eig's
     (parity, psi_target) block whose eigenvalue lies within 1e-8 of
@@ -544,18 +557,18 @@ def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue,
     coef = R.T @ v[:, hit[0]]
     a = period_a(params)
     k = 2.0 * math.pi * j / a
-    ys = a * np.arange(n_samples) / n_samples
+    ys = a * np.arange(EIGENFUNCTION_SAMPLES) / EIGENFUNCTION_SAMPLES
     if eig.parity is Parity.EVEN:
         coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
         return ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
     return ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)
 
 
-def count_zeros(values: np.ndarray, rel_tol: float = 1e-9) -> int:
+def count_zeros(values: np.ndarray) -> int:
     """Zeros of a sampled function on one period (sign changes plus
     isolated zero samples; a zero run and its sign flip count once)."""
     scale = float(np.max(np.abs(values)))
-    sign = np.where(np.abs(values) <= rel_tol * scale, 0, np.sign(values))
+    sign = np.where(np.abs(values) <= ZERO_SAMPLE_TOL * scale, 0, np.sign(values))
     zero = sign == 0
     runs = int(zero[0]) + np.count_nonzero(zero[1:] & ~zero[:-1])
     flips = np.count_nonzero(sign[1:] * sign[:-1] < 0)

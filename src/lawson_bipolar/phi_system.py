@@ -65,7 +65,6 @@ class PhiProfile:
     params: SurfaceParams
     grid: np.ndarray
     states: np.ndarray
-    tolerance: float
     end_state: np.ndarray
 
     def periodicity_residual(self) -> float:
@@ -180,8 +179,7 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
     if resid > 10.0 * tol:
         raise IntegrationFailureError(
             f"orbit not periodic: |state(a)-state(0)| = {resid:.3e} > 10*tol")
-    return PhiProfile(params=params, grid=grid, states=states,
-                      tolerance=tol, end_state=end_state)
+    return PhiProfile(params=params, grid=grid, states=states, end_state=end_state)
 
 
 # ---------------------------------------------------------------------------

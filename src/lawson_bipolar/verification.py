@@ -12,7 +12,7 @@ repeated runs reproduce reports bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,16 @@ __all__ = [
 #: frac(1/2 + i (1/g, 1/g^2)) fills the unit square with low discrepancy
 _PLASTIC = 1.324717957244746
 _R2_STEP = np.array([1.0 / _PLASTIC, 1.0 / (_PLASTIC * _PLASTIC)])
+
+
+#: the fixed settings of the battery's checks
+PROFILE_TOL = 1e-13          # profile_checks: RK8 tolerance of the profile
+AGREEMENT_POINTS = 50        # immersion_agreement_check: R2 points (u, v)
+INVARIANCE_POINTS = 100      # invariance_checks: R2 points per group
+ISOMETRY_GRID = 64           # isometry_checks: values of v
+ORBIT_GRID = 512             # orbit_space_checks: interior values of y
+FLOQUET_POINTS = 50          # floquet_structure_checks: R2 points (p, lambda)
+AREA_POINTS = 8192           # area_quadrature: trapezoid nodes
 
 
 def _r2_points(start: int, count: int, lo, hi) -> np.ndarray:
@@ -105,7 +115,7 @@ def _takahashi_residual(profile: ps.PhiProfile) -> tuple[float, str]:
     return float(np.max(list(parts.values()))), ctx
 
 
-def profile_checks(params: SurfaceParams, tol: float = 1e-13) -> list[CheckResult]:
+def profile_checks(params: SurfaceParams) -> list[CheckResult]:
     """Sphere/conformality/Takahashi residuals, first-integral drift,
     periodicity, and the three-way closed-form agreement.
 
@@ -113,9 +123,9 @@ def profile_checks(params: SurfaceParams, tol: float = 1e-13) -> list[CheckResul
     conserved quantities scale like n^4, so the absolute pointwise
     targets (1e-9 conformality, 1e-8 drift) need the extra orders on
     the largest admissible profiles.  The residuals are taken at every
-    step end of the RK8 at tol."""
+    step end of the RK8 at PROFILE_TOL."""
     a = period_a(params)
-    profile = ps.integrate_system(params, tol=tol, n_points=None)
+    profile = ps.integrate_system(params, tol=PROFILE_TOL, n_points=None)
     st = profile.states
     sphere = float(np.max(np.abs(np.sum(st[:, :3] ** 2, axis=1) - 1.0)))
     f = metric_f_array(profile.grid, params)
@@ -158,7 +168,7 @@ def profile_checks(params: SurfaceParams, tol: float = 1e-13) -> list[CheckResul
 # isometry of the two charts
 # ---------------------------------------------------------------------------
 
-def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
+def isometry_checks(r: int, k: int) -> list[CheckResult]:
     """Pull the flat-model metric back through H1 o H3 (even rk) or
     H1 o H3' (odd rk) and compare with the bipolar-chart metric; also
     check the three sn/cn bridging identities along the chart change."""
@@ -169,7 +179,7 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     dx_du = 1.0 if even_rk else 2.0
     K = complete_K(params.modulus)
 
-    v = np.linspace(0.0, math.pi, grid, endpoint=False)
+    v = np.linspace(0.0, math.pi, ISOMETRY_GRID, endpoint=False)
     z = sm.z_of_v(v, params)
     _, y = h_transforms((0.0, z), which, params)
     ftil = metric_f_array(y, params)
@@ -186,12 +196,12 @@ def isometry_checks(r: int, k: int, grid: int = 64) -> list[CheckResult]:
     bridge = [np.cos(th) + sn2, np.sin(th) - cn2, np.cos(th) - sny]
     return [
         CheckResult("isometry_pullback", float(np.max(np.abs(pull))), 1e-8,
-                    f"chart {which.value}, {grid} values of v"),
+                    f"chart {which.value}, {ISOMETRY_GRID} values of v"),
         CheckResult("bridging_identities", float(np.max(np.abs(bridge))), 1e-10),
     ]
 
 
-def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckResult]:
+def invariance_checks(params: SurfaceParams) -> list[CheckResult]:
     """Invariance of the closed-form column under the surface's deck group."""
     r, k = params.r, params.k
     if params.parity_class is ParityClass.EVEN_RK:
@@ -200,14 +210,14 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
     else:
         gens = [("v+pi", lambda u, v: (u, v + math.pi)),
                 ("u+pi", lambda u, v: (u + math.pi, v))]
-    u, v = _r2_points(0, n_points, 0.0, [2.0 * math.pi, math.pi])
+    u, v = _r2_points(0, INVARIANCE_POINTS, 0.0, [2.0 * math.pi, math.pi])
     base = sm.bipolar_column(u, v, r, k)
     res = float(np.max([np.max(np.abs(sm.bipolar_column(*gen(u, v), r, k) - base))
                         for _, gen in gens]))
     out = [CheckResult("group_invariance", res, 1e-12,
                        "generators " + ", ".join(name for name, _ in gens))]
     if params.topology is Topology.KLEIN_BOTTLE:
-        u, v = _r2_points(10_000, n_points, [0.0, 0.01],
+        u, v = _r2_points(10_000, INVARIANCE_POINTS, [0.0, 0.01],
                           [2.0 * math.pi, math.pi - 0.01])
         u2, v2 = klein_deck_map(u, v, params)
         kres = np.abs(sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params))
@@ -216,9 +226,9 @@ def invariance_checks(params: SurfaceParams, n_points: int = 100) -> list[CheckR
     return out
 
 
-def immersion_agreement_check(params: SurfaceParams, n_points: int = 50) -> CheckResult:
+def immersion_agreement_check(params: SurfaceParams) -> CheckResult:
     """Wedge-product route against the printed closed-form column."""
-    u, v = _r2_points(20_000, n_points, 0.0, [2.0 * math.pi, math.pi])
+    u, v = _r2_points(20_000, AGREEMENT_POINTS, 0.0, [2.0 * math.pi, math.pi])
     wedge = sm.bipolar_immersion(u, v, params)
     col6 = sm.bipolar_column(u, v, params.r, params.k)
     closed = sm._project5(col6.T, params.r, params.k, u, v)
@@ -231,12 +241,12 @@ def immersion_agreement_check(params: SurfaceParams, n_points: int = 50) -> Chec
 # area and the eigenvalue functional
 # ---------------------------------------------------------------------------
 
-def area_quadrature(params: SurfaceParams, n_points: int = 8192) -> float:
+def area_quadrature(params: SurfaceParams) -> float:
     """Area 2 pi * integral_0^a f dy by the periodic trapezoid rule
     (spectrally accurate for the analytic periodic integrand); halved
     for a Klein bottle."""
     a = period_a(params)
-    ys = np.linspace(0.0, a, n_points, endpoint=False)
+    ys = np.linspace(0.0, a, AREA_POINTS, endpoint=False)
     area = 2.0 * math.pi * a * float(np.mean(metric_f_array(ys, params)))
     if params.topology is Topology.KLEIN_BOTTLE:
         area /= 2.0
@@ -262,7 +272,7 @@ def area_and_lambda(r: int, k: int) -> tuple[float, float, int]:
 # orbit space
 # ---------------------------------------------------------------------------
 
-def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResult]:
+def orbit_space_checks(params: SurfaceParams) -> list[CheckResult]:
     """The profile curve is a unit-speed geodesic of the psi = 0 slice
     metric g11 d rho^2 + g22 d a^2, g11 = cos^2(rho) (m^2 cos^2 a +
     n^2 sin^2 a), g22 = g11 cos^2(rho), after reparametrizing by
@@ -275,7 +285,7 @@ def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResu
     no step size enters."""
     n2, m2 = params.n ** 2, params.m ** 2
     a_per = period_a(params)
-    ys = np.linspace(0.03 * a_per, 0.97 * a_per, grid)
+    ys = np.linspace(0.03 * a_per, 0.97 * a_per, ORBIT_GRID)
     st = ps.closed_form_theta(ys, params)
     p0, p1, p2, d0, d1, d2 = st.T
     _, _, _, dd0, dd1, dd2 = ps.odesystem_rhs(ys, st.T, params)
@@ -311,7 +321,7 @@ def orbit_space_checks(params: SurfaceParams, grid: int = 512) -> list[CheckResu
         CheckResult("orbit_identification", float(np.max(ident)), 1e-10),
         CheckResult("orbit_ellipse", float(np.max(ellipse)), 1e-12),
         CheckResult("orbit_geodesic", float(np.max(geo)), 1e-6,
-                    f"{grid} interior points, exact derivatives"),
+                    f"{ORBIT_GRID} interior points, exact derivatives"),
     ]
 
 
@@ -345,8 +355,7 @@ def _oracle_flags(p: float, eig: hs.Eigenvalue, z1: float, dz1: float,
     return flags
 
 
-def floquet_structure_checks(params: SurfaceParams,
-                             n_points: int = 50) -> list[CheckResult]:
+def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
     """Wronskian and half-period identities at R2 points (p, lambda), and
     simplicity (exactly one of z2(b), z1'(b) vanishes) at located roots.
 
@@ -355,17 +364,15 @@ def floquet_structure_checks(params: SurfaceParams,
     the solutions grow exponentially and an absolute Wronskian residual
     stops being meaningful.
 
-    Every located root is propagated in one batch and checked by
+    Every located root is propagated in one batch of hs.floquet, the
+    checks' only route to the propagation, and checked by
     _oracle_flags; a flag of the oracle or a coexistence flag of the
     Galerkin blocks fails simplicity_in_window, with the flag texts as
     its context."""
     b = period_a(params) / 2.0
-    pvals, lvals = _r2_points(30_000, n_points, 0.0, [float(params.n), 3.0])
-    n_steps = hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b)
-    full = hs._propagate(params, pvals ** 2, lvals, b, n_steps)
-    half = hs._propagate(params, pvals ** 2, lvals, b / 2.0, n_steps)
-    z1b, dz1b, z2b, dz2b = full
-    z1h, dz1h, z2h, dz2h = half
+    pvals, lvals = _r2_points(30_000, FLOQUET_POINTS, 0.0, [float(params.n), 3.0])
+    z1b, dz1b, z2b, dz2b = hs.floquet(pvals, lvals, params)
+    z1h, dz1h, z2h, dz2h = hs.floquet(pvals, lvals, params, y_end=b / 2.0)
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
     half_ids = float(np.max([
         np.max(np.abs(z1b - (2.0 * z1h * dz2h - 1.0))),
@@ -376,18 +383,18 @@ def floquet_structure_checks(params: SurfaceParams,
 
     lines = hs.surface_lines(params)
     roots = [(line.p, eig) for line in lines for eig in line.eigenvalues]
-    at_roots = hs._propagate(params, [float(p) ** 2 for p, _ in roots],
-                             [eig.gamma for _, eig in roots], b, n_steps)
+    at_roots = hs.floquet(np.array([float(p) for p, _ in roots]),
+                          np.array([eig.gamma for _, eig in roots]), params)
     flags = [f for line in lines for f in line.double_root_flags]
     simp = []
-    for (p, eig), col in zip(roots, at_roots.T):
+    for (p, eig), col in zip(roots, zip(*at_roots)):
         flags.extend(_oracle_flags(p, eig, *col, b))
         if 0.0 < eig.gamma < 3.0:
             simp.append(min(abs(col[1]), abs(col[2]) / b))
     simp_ctx = "; ".join(flags) if flags else "no double-root flags below 3"
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10,
-                    f"{n_points} R2 points (p, lambda)"),
+                    f"{FLOQUET_POINTS} R2 points (p, lambda)"),
         CheckResult("half_period_identities", half_ids, 1e-9),
         CheckResult("simplicity_in_window",
                     float(np.max(simp, initial=0.0)) + (1.0 if flags else 0.0),
@@ -404,7 +411,7 @@ def eigenfunction_zero_checks(params: SurfaceParams) -> CheckResult:
     details = []
     for line, index, want in expected:
         eig = line.eigenvalues[index]
-        _, vals = hs.eigenfunction_samples(params, line.p, eig, n_samples=2048)
+        _, vals = hs.eigenfunction_samples(params, line.p, eig)
         got = hs.count_zeros(vals)
         details.append(f"gamma_{index}({line.p:g})={eig.gamma:.6f}: "
                        f"{got} zeros (want {want})")
@@ -427,7 +434,6 @@ class FullReport:
     lambda_value: float
     area: float
     checks: tuple[CheckResult, ...]
-    extremal: hs.ExtremalReport = field(repr=False, default=None)
 
     @property
     def passed(self) -> bool:
@@ -488,4 +494,4 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     return FullReport(params=params, rank_i=report.rank_i,
                       multiplicity=report.multiplicity,
                       lambda_value=report.lambda_functional,
-                      area=quad_area, checks=tuple(checks), extremal=report)
+                      area=quad_area, checks=tuple(checks))

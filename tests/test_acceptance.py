@@ -190,7 +190,7 @@ def test_criterion_10_closed_form_cross_validation():
         worst_profile = max(worst_profile,
                             checks["phi_theta_vs_ode"].residual,
                             checks["phi_weierstrass_vs_theta"].residual)
-        pull, _ = vf.isometry_checks(r, k, grid=64)
+        pull, _ = vf.isometry_checks(r, k)
         worst_iso = max(worst_iso, pull.residual)
     klein = [c for c in vf.invariance_checks(derive_params(3, 1))
              if c.name == "klein_invariance"][0]
@@ -202,7 +202,7 @@ def test_criterion_10_closed_form_cross_validation():
 
 
 def test_criterion_11_orbit_space():
-    ident, ellipse, geo = vf.orbit_space_checks(params_from_nm(2, 1), grid=512)
+    ident, ellipse, geo = vf.orbit_space_checks(params_from_nm(2, 1))
     ok = geo.residual < 1e-6 and ellipse.residual < 1e-12
     _report(11, ok, f"geodesic residual {geo.residual:.2e} < 1e-6, "
                     f"ellipse constraint {ellipse.residual:.2e} < 1e-12")

@@ -15,7 +15,7 @@ import pytest
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import surface_model as sm
-from lawson_bipolar.cli import RunConfig, main, run, _json17
+from lawson_bipolar.cli import main, _json17
 from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
@@ -301,9 +301,6 @@ class TestArgumentValidation:
     def test_bad_grid(self, capsys):
         assert main(["immerse", "--r", "2", "--k", "1", "--grid", "1"]) == 1
 
-    def test_run_rejects_unknown_command(self):
-        assert run(RunConfig(command="nope", r=2, k=1)) == 1
-
     # every flag a subcommand does not honour is a usage error
     @pytest.mark.parametrize("argv", [
         ["classify", "--tol", "1e-9"], ["classify", "--grid", "8"],
@@ -363,6 +360,38 @@ class TestArgumentValidation:
         out = tmp_path / "table.csv"
         assert main(["rank", "--sweep", "-3", "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_jobs_capped_at_pair_count(self, monkeypatch, tmp_path, capsys):
+        # a started pool forks all max_workers processes, so --jobs above the
+        # pair count asks for one worker per pair, and one pair or none for
+        # no pool; the fake runs serially and starts no process
+        from lawson_bipolar import cli as climod
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        serial = tmp_path / "serial.csv"
+        assert main(["rank", "--sweep", "4", "--out", str(serial)]) == 0
+        monkeypatch.setattr(climod, "ProcessPoolExecutor", SerialPool)
+        pooled = tmp_path / "pooled.csv"
+        assert main(["rank", "--sweep", "4", "--jobs", "64", "--out", str(pooled)]) == 0
+        assert asked == [5]
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert main(["rank", "--sweep", "1", "--jobs", "4"]) == 0
+        assert main(["rank", "--sweep", "2", "--jobs", "4"]) == 0
+        assert asked == [5]
 
     def test_jobs_below_one(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

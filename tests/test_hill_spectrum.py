@@ -181,6 +181,43 @@ class TestFloquetBasics:
         assert (z1 + dz2) ** 2 == pytest.approx(4.0, abs=1e-8)
 
 
+class TestFloquetForms:
+    @pytest.mark.parametrize("r,k", [(3, 1), (8, 1), (7, 6)])
+    @pytest.mark.parametrize("half", [False, True], ids=["b", "b/2"])
+    def test_array_form_is_scalar_form(self, r, k, half):
+        # the array form gives each column the scalar form's bits, and every
+        # y_end runs on the step count of b at DEFAULT_SOLVER_TOL
+        params = derive_params(r, k)
+        b = period_a(params) / 2.0
+        y_end = b / 2.0 if half else None
+        p = np.linspace(0.0, float(params.n), 7)
+        lam = np.linspace(0.0, 3.0, 7)[::-1].copy()
+        batch = floquet(p, lam, params, y_end=y_end)
+        assert len(batch) == 4
+        assert all(isinstance(row, np.ndarray) and row.shape == (7,) for row in batch)
+        for col in range(7):
+            alone = floquet(float(p[col]), float(lam[col]), params, y_end=y_end)
+            assert len(alone) == 4 and all(type(x) is float for x in alone)
+            assert alone == tuple(row[col] for row in batch)
+        if half:
+            ref = hs._propagate(params, p * p, lam, b / 2.0,
+                                hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b))
+            np.testing.assert_array_equal(np.array(batch), ref)
+
+    @pytest.mark.parametrize("p,lam", [
+        (math.nan, 1.0), (math.inf, 1.0), (-0.5, 1.0), (1.0, math.nan),
+    ], ids=["nan-p", "inf-p", "negative-p", "nan-lambda"])
+    def test_bad_input_raises_before_propagation(self, p, lam, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("propagated a rejected input")
+
+        monkeypatch.setattr(hs, "_propagate", boom)
+        with pytest.raises(ValueError, match="need finite lambda and finite p >= 0"):
+            floquet(p, lam, P21)
+        with pytest.raises(ValueError, match="need finite lambda and finite p >= 0"):
+            floquet(np.array([1.0, p, 0.5]), np.array([0.5, lam, 1.5]), P21)
+
+
 class TestBranches:
     def test_line_p0_anchors(self):
         line = surface_lines(P31)[0]
@@ -330,7 +367,7 @@ def test_reduced_blocks_match_pencil_reference(pair):
         assert np.max(np.abs(got - [g for g, *_ in ref]), initial=0.0) <= 1e-10
     for p, index in ((0, 1), (0, 2), (1, 0), (params.m, 1), (params.n, 0)):
         eig = lines[p].eigenvalues[index]
-        _, vals = eigenfunction_samples(params, p, eig, n_samples=2048)
+        _, vals = eigenfunction_samples(params, p, eig)
         ref = _reference_samples(params, pencils, p, eig.gamma, eig.parity, 2048)
         assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert count_zeros(vals) == count_zeros(ref)
@@ -349,7 +386,7 @@ def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
     assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
                  "--out", str(out)]) == 0
     eig = surface_lines(P31)[0].eigenvalues[2]
-    _, vals = eigenfunction_samples(P31, 0, eig, n_samples=2048)
+    _, vals = eigenfunction_samples(P31, 0, eig)
     assert count_zeros(vals) == 2
 
 
@@ -429,7 +466,7 @@ class TestEigenfunctions:
         ]
         for line, index, expected in cases:
             eig = line.eigenvalues[index]
-            _, vals = eigenfunction_samples(P31, line.p, eig, n_samples=2048)
+            _, vals = eigenfunction_samples(P31, line.p, eig)
             assert count_zeros(vals) == expected
 
     @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (8, 1), (7, 6), (5, 2),

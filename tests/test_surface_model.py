@@ -360,7 +360,7 @@ class TestHTransforms:
     @pytest.mark.parametrize("r,k", [(2, 1), (3, 1)])
     def test_pullback_isometry_on_grid(self, r, k):
         from lawson_bipolar.verification import isometry_checks
-        pull, _ = isometry_checks(r, k, grid=64)
+        pull, _ = isometry_checks(r, k)
         assert pull.passed
 
 

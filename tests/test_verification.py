@@ -28,7 +28,7 @@ class TestCheckResult:
 
 class TestProfileBattery:
     def test_takahashi_check(self):
-        checks = vf.profile_checks(derive_params(2, 1), tol=1e-10)
+        checks = vf.profile_checks(derive_params(2, 1))
         res = next(c for c in checks if c.name == "takahashi_identity")
         assert res.passed
         assert res.residual < 1e-8
@@ -63,12 +63,12 @@ def test_profile_checks_pass_through_r41(pair):
 class TestIsometry:
     @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (5, 1)])
     def test_pullback(self, r, k):
-        res, _ = vf.isometry_checks(r, k, grid=64)
+        res, _ = vf.isometry_checks(r, k)
         assert res.passed
         assert res.residual < 1e-8
 
     def test_bridging_identities(self):
-        pull, bridge = vf.isometry_checks(3, 1, grid=64)
+        pull, bridge = vf.isometry_checks(3, 1)
         assert bridge.residual < 1e-10
 
 
@@ -105,18 +105,18 @@ class TestAreaAndLambda:
 class TestOrbitSpace:
     def test_identification_from_state(self):
         # (phi0, phi1, phi2) = (sin rho, cos rho cos a, cos rho sin a)
-        ident, _, _ = vf.orbit_space_checks(params_from_nm(2, 1), grid=512)
+        ident, _, _ = vf.orbit_space_checks(params_from_nm(2, 1))
         assert ident.name == "orbit_identification"
         assert ident.residual < 1e-12
 
     def test_geodesic_residual_2_1(self):
-        res = vf.orbit_space_checks(params_from_nm(2, 1), grid=512)[-1]
+        res = vf.orbit_space_checks(params_from_nm(2, 1))[-1]
         assert res.name == "orbit_geodesic"
         assert res.passed
         assert res.residual < 1e-6
 
     def test_ellipse_and_identification_residuals(self):
-        ident, ellipse, _ = vf.orbit_space_checks(params_from_nm(2, 1), grid=128)
+        ident, ellipse, _ = vf.orbit_space_checks(params_from_nm(2, 1))
         assert ident.residual < 1e-10
         assert ellipse.residual < 1e-12
 
