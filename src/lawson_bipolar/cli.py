@@ -26,11 +26,6 @@ from .surface_model import InvalidParametersError, Topology
 __all__ = ["main"]
 
 _TOPOLOGY_WORDS = {Topology.TORUS: "torus", Topology.KLEIN_BOTTLE: "klein bottle"}
-_FORMULA_WORDS = {
-    sm.ParityClass.EVEN_RK: "4r-2",
-    sm.ParityClass.RK_1_MOD_4: "2r-2",
-    sm.ParityClass.RK_3_MOD_4: "r-2",
-}
 
 
 def _fmt17(x: float) -> str:
@@ -80,12 +75,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    if args.sweep:
+    if args.sweep is not None:
         return _cmd_sweep(args)
     report = hs.extremal_rank(args.r, args.k)
     params = report.params
     print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[params.topology]}, "
-          f"{_FORMULA_WORDS[params.parity_class]}")
+          f"{hs.RANK_FORMULAS[params.parity_class][0]}")
     if args.out:
         _emit(args, _json17(_report_doc(report)) + "\n")
     return 0
@@ -98,7 +93,7 @@ def _report_doc(report: hs.ExtremalReport) -> dict:
         "topology": p.topology.value,
         "parity_class": p.parity_class.value,
         "rank_i": report.rank_i,
-        "rank_formula": _FORMULA_WORDS[p.parity_class],
+        "rank_formula": hs.RANK_FORMULAS[p.parity_class][0],
         "multiplicity": report.multiplicity,
         "lambda_functional": report.lambda_functional,
         "residuals": report.residuals,
@@ -110,7 +105,7 @@ def _sweep_row(pair: tuple[int, int]) -> tuple:
     report = hs.extremal_rank(r, k)
     p = report.params
     return (r, k, p.n, p.m, p.topology.value, p.parity_class.value,
-            report.rank_i, _FORMULA_WORDS[p.parity_class],
+            report.rank_i, hs.RANK_FORMULAS[p.parity_class][0],
             report.multiplicity, report.lambda_functional)
 
 
@@ -164,8 +159,8 @@ def _cmd_immerse(args: argparse.Namespace) -> int:
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
-    area, lam_value, rank_i = vf.area_and_lambda(args.r, args.k)
     params = sm.derive_params(args.r, args.k)
+    area, lam_value, rank_i = vf.area_and_lambda(params)
     closed = sm.area_closed_form(params)
     print(f"area_quadrature={_fmt17(area)}")
     print(f"area_closed_form={_fmt17(closed)}")
@@ -210,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bipolar Lawson surfaces: classification, Hill spectra, "
                     "immersion sampling, and verification.")
     parser.set_defaults(grid=64, out="", fmt="json", strict=False,
-                        sweep=0, jobs=None)
+                        sweep=None, jobs=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
@@ -229,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true",
                            help="halve every verification threshold")
         if "sweep" in flags:
-            p.add_argument("--sweep", type=int, default=0, metavar="RMAX",
+            p.add_argument("--sweep", type=int, default=None, metavar="RMAX",
                            help="emit the rank table for all r <= RMAX")
             p.add_argument("--jobs", type=int, default=None,
                            help="parallel workers for the sweep, at most one "
@@ -240,14 +235,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.sweep and (args.r is not None or args.k is not None):
+    sweep = args.sweep is not None
+    if sweep and (args.r is not None or args.k is not None):
         parser.error("rank: --sweep takes no --r or --k")
-    if args.jobs is not None and not args.sweep:
+    if args.jobs is not None and not sweep:
         parser.error("rank: --jobs needs --sweep")
     if args.grid < 2:
         print("grid must be at least 2", file=sys.stderr)
         return 1
-    if args.sweep < 0:
+    if sweep and args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
         return 1
     if args.jobs is not None and args.jobs < 1:

@@ -37,7 +37,6 @@ from .surface_model import (
     area_closed_form,
     derive_params,
     metric_f_array,
-    params_from_nm,
     period_a,
 )
 
@@ -54,6 +53,7 @@ __all__ = [
     "count_below_two",
     "multiplicity_at_two",
     "extremal_rank",
+    "RANK_FORMULAS",
     "surface_lines",
     "eigenfunction_samples",
     "count_zeros",
@@ -131,11 +131,11 @@ _CV_B = [(0, 1 / 20), (7, 49 / 180), (8, 16 / 45), (9, 49 / 180), (10, 1 / 20)]
 
 
 @lru_cache(maxsize=8)
-def _f_nodes(n: int, m: int, y_end: float, n_steps: int) -> np.ndarray:
+def _f_nodes(params: SurfaceParams, y_end: float, n_steps: int) -> np.ndarray:
     """f at the RK8 stage nodes of n_steps steps over [0, y_end]."""
     h = y_end / n_steps
     nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
-    out = metric_f_array(nodes.ravel(), params_from_nm(n, m)).reshape(n_steps, 11)
+    out = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11)
     out.flags.writeable = False
     return out
 
@@ -171,7 +171,7 @@ def _propagate(params: SurfaceParams, p2, lam, y_end: float,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
-    f = _f_nodes(params.n, params.m, float(y_end), int(n_steps)).T[:, :, None]
+    f = _f_nodes(params, float(y_end), int(n_steps)).T[:, :, None]
     h = y_end / n_steps
     width = max(1, _BLOCK // n_steps)
     out = np.empty((4, lam.shape[0]))
@@ -311,8 +311,8 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
-    """The four blocks (parity, psi_target, j, R, A, G) of profile (n, m).
+def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
+    """The four blocks (parity, psi_target, j, R, A, G) of the profile.
 
     With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
     orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
@@ -324,14 +324,13 @@ def _galerkin_blocks(n: int, m: int) -> tuple[tuple, ...]:
     the standard problem (A + p^2 G) w = lambda w, A = R diag(k_j^2) R^T,
     G = R R^T, v = R^T w: one Cholesky reduction serves every line.
     """
-    params = params_from_nm(n, m)
     a = period_a(params)
     ys = a * np.arange(_F_SAMPLES) / _F_SAMPLES
     c = np.fft.rfft(metric_f_array(ys, params)).real / _F_SAMPLES
     tail = float(np.max(np.abs(c[2 * N_MODES:])) / c[0])
     if tail > TAIL_BOUND:
         raise SpectrumMismatchError(
-            f"Fourier tail of f for (n,m)=({n},{m}) is {tail:.3e} c_0 past "
+            f"Fourier tail of f for (n,m)=({params.n},{params.m}) is {tail:.3e} c_0 past "
             f"index {2 * N_MODES}, above {TAIL_BOUND:g}: {N_MODES} modes per "
             "block do not resolve the profile")
     blocks = []
@@ -355,7 +354,7 @@ def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[Spectr
     """All eigenvalues <= LAMBDA_MAX_COUNT on several lines, one eigvalsh
     call over the four blocks per line, each line checked against the
     interlacing sign pattern."""
-    blocks = _galerkin_blocks(params.n, params.m)
+    blocks = _galerkin_blocks(params)
     A = np.stack([a for *_, a, _ in blocks])
     G = np.stack([g for *_, g in blocks])
     lines = []
@@ -395,14 +394,15 @@ def _check_sign_pattern(line: SpectralLine) -> None:
             f"discriminant sign pattern broken on line p={line.p}: {targets}")
 
 
+# a plain function over the cache: perfbench/trace.py wraps only plain functions
 def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
     """Spectral lines p = 0..n+1 up to just past lambda = 2 (cached)."""
-    return _surface_lines(params.n, params.m)
+    return _surface_lines(params)
 
 
 @lru_cache(maxsize=64)
-def _surface_lines(n: int, m: int) -> tuple[SpectralLine, ...]:
-    return tuple(_scan_lines(params_from_nm(n, m), list(range(n + 2))))
+def _surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
+    return tuple(_scan_lines(params, list(range(params.n + 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +477,25 @@ def count_below_two(params: SurfaceParams,
     return CountResult(count=total, closed_form=closed, contributing=contributing)
 
 
-def multiplicity_at_two(params: SurfaceParams,
-                        topology_override: Optional[Topology] = None) -> tuple[int, tuple]:
+def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:
     """Weighted count of eigenvalues inside [2 - delta, 2 + delta]."""
-    topo = topology_override or params.topology
     cluster = tuple((p, e.index, e.gamma, e.parity.value, w)
-                    for p, e, w in _selected_roots(params, topo)
+                    for p, e, w in _selected_roots(params, params.topology)
                     if abs(e.gamma - 2.0) <= CLUSTER_DELTA)
     return sum(entry[-1] for entry in cluster), cluster
 
 
-_RANK_FORMULAS = {
-    ParityClass.EVEN_RK: lambda r: 4 * r - 2,
-    ParityClass.RK_1_MOD_4: lambda r: 2 * r - 2,
-    ParityClass.RK_3_MOD_4: lambda r: r - 2,
+#: each parity class's closed-form extremal rank s r - 2, as (words, s)
+RANK_FORMULAS = {
+    ParityClass.EVEN_RK: ("4r-2", 4),
+    ParityClass.RK_1_MOD_4: ("2r-2", 2),
+    ParityClass.RK_3_MOD_4: ("r-2", 1),
 }
 
 
 def rank_formula(params: SurfaceParams) -> int:
     """Closed-form extremal rank: 4r-2, 2r-2, or r-2 by parity class."""
-    return _RANK_FORMULAS[params.parity_class](params.r)
+    return RANK_FORMULAS[params.parity_class][1] * params.r - 2
 
 
 def extremal_rank(r: int, k: int) -> ExtremalReport:
@@ -546,7 +545,7 @@ def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue):
     eig.gamma (block spectra are simple, so it is unique).
     """
     _, _, j, R, A, G = next(
-        blk for blk in _galerkin_blocks(params.n, params.m)
+        blk for blk in _galerkin_blocks(params)
         if blk[:2] == (eig.parity, eig.psi_target))
     w, v = np.linalg.eigh(A + (p * p) * G)
     hit = np.flatnonzero(np.abs(w - eig.gamma) <= 1e-8)

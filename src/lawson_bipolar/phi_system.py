@@ -39,7 +39,6 @@ __all__ = [
     "integrate_states",
     "closed_form_theta",
     "closed_form_weierstrass",
-    "weierstrass_tables",
     "weierstrass_tables_exact",
     "first_integrals",
     "odesystem_rhs",
@@ -217,7 +216,9 @@ def closed_form_theta(y, params: SurfaceParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def weierstrass_tables_exact(n: int, m: int) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact rational entries of the constant matrices."""
+    """The constant tables feeding the P-function closed forms, exactly:
+    row i of a holds the invariants (g2, g3) of the i-th profile
+    function, b the shifts in the denominators 2 P + b_i."""
     n2, m2 = Fraction(n * n), Fraction(m * m)
     a = [
         [n2 * m2 + (m2 + n2) ** 2 / 12,
@@ -231,15 +232,6 @@ def weierstrass_tables_exact(n: int, m: int) -> tuple[list[list[Fraction]], list
     return a, b
 
 
-@lru_cache(maxsize=64)
-def weierstrass_tables(n: int, m: int) -> tuple[tuple, tuple]:
-    """The constant tables feeding the P-function closed forms, in floats:
-    row i of a holds the invariants (g2, g3) of the i-th profile
-    function, b the shifts in the denominators 2 P + b_i."""
-    a, b = weierstrass_tables_exact(n, m)
-    return tuple(tuple(map(float, row)) for row in a), tuple(map(float, b))
-
-
 def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
     """Magnitudes (|phi0|, |phi1|, |phi2|) from the P-function closed forms,
     at a scalar y (three floats) or an array (three arrays of its shape).
@@ -249,12 +241,13 @@ def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
     does not fix the odd sign convention.
     """
     n, m = params.n, params.m
-    g, b = weierstrass_tables(n, m)
+    g, b = weierstrass_tables_exact(n, m)
     y = np.asarray(y, float)
     shift = complete_K(params.modulus) / n
     dens = []
     for i, arg in enumerate((y, y + shift, y)):
-        den = 2.0 * weierstrass_p(arg, WeierstrassInvariants(*g[i])) + b[i]
+        inv = WeierstrassInvariants(*map(float, g[i]))
+        den = 2.0 * weierstrass_p(arg, inv) + float(b[i])
         gap = np.abs(np.ravel(den))
         worst = int(np.argmin(gap))
         if not gap[worst] > 1e-6:

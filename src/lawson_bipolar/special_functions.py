@@ -90,30 +90,11 @@ class WeierstrassInvariants:
             raise DomainError("invariants must be finite")
 
 
-def complete_K(modulus: EllipticModulus) -> float:
-    """Complete elliptic integral of the first kind K(k)."""
-    if modulus.k >= 1.0:
-        raise DomainError("K(k) requires k < 1")
+def _agm(modulus: EllipticModulus) -> tuple[float, float]:
+    """AGM a of 1 and k', with s = sum_(n>=0) 2^(n-1) c_n^2 accumulated
+    along it (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2); returns (a, s)."""
     a, b = 1.0, modulus.k_prime
-    for _ in range(_AGM_ITMAX):
-        if abs(a - b) <= 2e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def complete_E(modulus: EllipticModulus) -> float:
-    """Complete elliptic integral of the second kind E(k).
-
-    Uses the AGM together with the accumulated c_n^2 sum,
-    E = K (1 - sum 2^{n-1} c_n^2) with c_0 = k.
-    """
-    if modulus.k == 1.0:
-        return 1.0
-    a, b = 1.0, modulus.k_prime
-    c = modulus.k
-    s = 0.5 * c * c
-    p = 1.0
+    s, p = 0.5 * modulus.k * modulus.k, 1.0
     for _ in range(_AGM_ITMAX):
         if abs(a - b) <= 2e-16 * a:
             break
@@ -121,6 +102,22 @@ def complete_E(modulus: EllipticModulus) -> float:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         s += p * c * c
         p *= 2.0
+    return a, s
+
+
+def complete_K(modulus: EllipticModulus) -> float:
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM)."""
+    if modulus.k >= 1.0:
+        raise DomainError("K(k) requires k < 1")
+    a, _ = _agm(modulus)
+    return math.pi / (2.0 * a)
+
+
+def complete_E(modulus: EllipticModulus) -> float:
+    """Complete elliptic integral of the second kind E(k) = K (1 - s)."""
+    if modulus.k == 1.0:
+        return 1.0
+    a, s = _agm(modulus)
     return math.pi / (2.0 * a) * (1.0 - s)
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -95,7 +96,8 @@ class HTransform(Enum):
 
 @dataclass(frozen=True)
 class SurfaceParams:
-    """Classified parameters of a bipolar Lawson surface."""
+    """Classified parameters of a bipolar Lawson surface.  Its moduli are
+    built on first use, in the instance dict; equality and hash read the fields."""
 
     r: int
     k: int
@@ -104,12 +106,12 @@ class SurfaceParams:
     parity_class: ParityClass
     topology: Topology
 
-    @property
+    @cached_property
     def modulus(self) -> EllipticModulus:
         """Profile modulus m/n (distinct from the orbit-space angle)."""
         return EllipticModulus.from_k(self.m / self.n)
 
-    @property
+    @cached_property
     def h_modulus(self) -> EllipticModulus:
         """Modulus 2 sqrt(mn)/(n+m) used by the H1 substitution, with its
         complement (n-m)/(n+m) exact rather than taken from the rounded k."""

@@ -168,11 +168,10 @@ def profile_checks(params: SurfaceParams) -> list[CheckResult]:
 # isometry of the two charts
 # ---------------------------------------------------------------------------
 
-def isometry_checks(r: int, k: int) -> list[CheckResult]:
+def isometry_checks(params: SurfaceParams) -> list[CheckResult]:
     """Pull the flat-model metric back through H1 o H3 (even rk) or
     H1 o H3' (odd rk) and compare with the bipolar-chart metric; also
     check the three sn/cn bridging identities along the chart change."""
-    params = derive_params(r, k)
     n, m = params.n, params.m
     even_rk = params.parity_class is ParityClass.EVEN_RK
     which = HTransform.H3 if even_rk else HTransform.H3PRIME
@@ -253,10 +252,9 @@ def area_quadrature(params: SurfaceParams) -> float:
     return area
 
 
-def area_and_lambda(r: int, k: int) -> tuple[float, float, int]:
+def area_and_lambda(params: SurfaceParams) -> tuple[float, float, int]:
     """(area, Lambda value, extremal rank); quadrature and closed form
     must agree to 1e-9 relative or a VerificationError is raised."""
-    params = derive_params(r, k)
     quad_area = area_quadrature(params)
     closed = sm.area_closed_form(params)
     rel = abs(quad_area - closed) / closed
@@ -264,7 +262,7 @@ def area_and_lambda(r: int, k: int) -> tuple[float, float, int]:
         raise VerificationError(
             f"area quadrature {quad_area!r} vs closed form {closed!r} "
             f"(relative gap {rel:.3e}) for {params}")
-    report = hs.extremal_rank(r, k)
+    report = hs.extremal_rank(params.r, params.k)
     return quad_area, 2.0 * quad_area, report.rank_i
 
 
@@ -464,7 +462,7 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     checks.extend(profile_checks(params))
     checks.append(immersion_agreement_check(params))
     checks.extend(invariance_checks(params))
-    checks.extend(isometry_checks(r, k))
+    checks.extend(isometry_checks(params))
     checks.extend(orbit_space_checks(params))
     checks.extend(floquet_structure_checks(params))
     checks.append(eigenfunction_zero_checks(params))

@@ -190,7 +190,7 @@ def test_criterion_10_closed_form_cross_validation():
         worst_profile = max(worst_profile,
                             checks["phi_theta_vs_ode"].residual,
                             checks["phi_weierstrass_vs_theta"].residual)
-        pull, _ = vf.isometry_checks(r, k)
+        pull, _ = vf.isometry_checks(derive_params(r, k))
         worst_iso = max(worst_iso, pull.residual)
     klein = [c for c in vf.invariance_checks(derive_params(3, 1))
              if c.name == "klein_invariance"][0]

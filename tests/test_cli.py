@@ -1,8 +1,11 @@
 """Tests for the command-line interface: output shapes, exit codes, and
 byte-level determinism."""
 
+import ast
 import csv
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -344,8 +347,9 @@ class TestArgumentValidation:
         (["--sweep", "1", "--r", "9", "--k", "5"], "--sweep takes no --r or --k"),
         (["--sweep", "3", "--k", "1"], "--sweep takes no --r or --k"),
         (["--sweep", "3", "--r", "2"], "--sweep takes no --r or --k"),
+        (["--sweep", "0", "--r", "3", "--k", "1"], "--sweep takes no --r or --k"),
     ], ids=["jobs-without-sweep", "jobs-1-without-sweep", "sweep-with-r-k",
-            "sweep-with-k", "sweep-with-r"])
+            "sweep-with-k", "sweep-with-r", "sweep-0-with-r-k"])
     def test_unread_rank_flag_is_rejected(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -397,6 +401,15 @@ class TestArgumentValidation:
         out = tmp_path / "table.csv"
         assert main(["rank", "--sweep", "3", "--jobs", "0", "--out", str(out)]) == 1
         assert not out.exists()
+
+    # --sweep 0 is a sweep over no pair, as --sweep 1 is
+    @pytest.mark.parametrize("argv", [["--sweep", "0"], ["--sweep", "0", "--jobs", "2"]],
+                             ids=["sweep-0", "sweep-0-jobs-2"])
+    def test_sweep_0_writes_the_header_alone(self, argv, capsys):
+        assert main(["rank", *argv]) == 0
+        assert capsys.readouterr().out == (
+            "r,k,n,m,topology,parity_class,rank_i,rank_formula,"
+            "multiplicity,lambda_functional\n")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -463,3 +476,102 @@ def test_layer_probe_call_forms():
         stream = io.StringIO()
         writer(stream, mesh, rows)
         assert stream.getvalue().count("\n") > 128 * 128
+
+
+#: the public names perfbench/trace.py keys its spans on, by layer: the
+#: probe's calls and every check full_report runs
+TRACED_NAMES = {
+    "special_functions": ("jacobi_sncndn", "jacobi_am"),
+    "surface_model": ("metric_f_array", "write_immersion_csv", "write_immersion_json"),
+    "phi_system": ("integrate_system", "closed_form_theta"),
+    "hill_spectrum": ("floquet", "surface_lines"),
+    "verification": ("full_report", "profile_checks", "immersion_agreement_check",
+                     "invariance_checks", "isometry_checks", "orbit_space_checks",
+                     "floquet_structure_checks", "eigenfunction_zero_checks",
+                     "area_quadrature"),
+}
+
+
+def test_traced_names_are_plain_functions_of_their_layer():
+    """The tracer wraps a name only when it is a plain function defined in
+    its module; a cache or an alias there would drop the name's spans."""
+    for layer, names in TRACED_NAMES.items():
+        mod = importlib.import_module(f"lawson_bipolar.{layer}")
+        for name in names:
+            fn = getattr(mod, name)
+            assert inspect.isfunction(fn), (layer, name)
+            assert fn.__module__ == mod.__name__, (layer, name)
+
+
+def test_full_report_calls_each_check_by_its_module_name(monkeypatch):
+    """The tracer rebinds the checks' names in verification, so full_report
+    must look each one up there, once per report."""
+    from lawson_bipolar import verification as vf
+
+    checks = TRACED_NAMES["verification"][1:]
+    calls = []
+    for name in checks:
+        def counted(*args, _name=name, _fn=getattr(vf, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(vf, name, counted)
+    vf.full_report(3, 1)
+    assert sorted(calls) == sorted(checks)
+
+
+#: the private names one module reads from a sibling, with the reason each
+#: read stays; any other read of a sibling's "_" name fails the test below
+ALLOWED_PRIVATE_READS = {
+    ("phi_system", "hill_spectrum", "_CV_A"):
+        "the profile ODE and the Floquet oracle run one RK8 tableau",
+    ("phi_system", "hill_spectrum", "_CV_B"):
+        "the profile ODE and the Floquet oracle run one RK8 tableau",
+    ("phi_system", "hill_spectrum", "_steps_for"):
+        "both RK8 integrators take their step count from one rule",
+    ("surface_model", "special_functions", "_ellip_f_array"):
+        "z(v) is F(v, kh)/(n+m), and F has no public use of its own",
+    ("surface_model", "special_functions", "_finite"):
+        "the immersion rejects a NaN or an infinity as the special functions do",
+    ("verification", "surface_model", "_project5"):
+        "the closed-form column is projected as the wedge route is",
+    ("verification", "surface_model", "_row_dot"):
+        "the unit-norm check takes the wedge route's per-row dot product",
+}
+
+
+def _private_reads() -> set:
+    """(reader, sibling, name) for every "_" name of a sibling module that
+    a module of the package imports or reads through a module alias."""
+    package = SRC / "lawson_bipolar"
+    siblings = {path.stem for path in package.glob("*.py")}
+
+    def sibling(module, level):
+        name = module if level == 1 else (module or "").removeprefix("lawson_bipolar.")
+        return name if name in siblings else None
+
+    reads = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = sibling(node.module, node.level)
+                for alias in node.names:
+                    if source is not None and alias.name.startswith("_"):
+                        reads.add((path.stem, source, alias.name))
+                    elif node.module in (None, "lawson_bipolar") and alias.name in siblings:
+                        aliases[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and sibling(alias.name, 0):
+                        aliases[alias.asname] = sibling(alias.name, 0)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                reads.add((path.stem, aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_cross_module_private_reads_are_listed():
+    assert _private_reads() == set(ALLOWED_PRIVATE_READS)

@@ -274,7 +274,7 @@ class TestBranches:
         # a profile the Galerkin modes cannot resolve is refused, not truncated
         monkeypatch.setattr(hs, "TAIL_BOUND", 0.0)
         with pytest.raises(hs.SpectrumMismatchError, match="Fourier tail"):
-            hs._galerkin_blocks.__wrapped__(P31.n, P31.m)
+            hs._galerkin_blocks.__wrapped__(P31)
 
     def test_fourier_galerkin_oracle(self):
         # modes e^{2 pi i j y / a}: ((2 pi j / a)^2 + p^2) c = lambda (F c)

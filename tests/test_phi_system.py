@@ -18,7 +18,6 @@ from lawson_bipolar.phi_system import (
     integrate_states,
     integrate_system,
     odesystem_rhs,
-    weierstrass_tables,
     weierstrass_tables_exact,
 )
 from lawson_bipolar.hill_spectrum import _CV_A, _CV_B, _steps_for
@@ -201,15 +200,6 @@ class TestWeierstrassClosedForm:
         assert b[1] == Fraction(8, 6)
         assert b[2] == Fraction(11, 6)
 
-    def test_table_floats_match_exact(self):
-        for nm in [(2, 1), (5, 2)]:
-            a_float, b_float = weierstrass_tables(*nm)
-            a, b = weierstrass_tables_exact(*nm)
-            for i in range(3):
-                assert a_float[i][0] == float(a[i][0])
-                assert a_float[i][1] == float(a[i][1])
-                assert b_float[i] == float(b[i])
-
     def test_magnitudes_match_theta_form(self):
         a = period_a(P21)
         ys = (np.arange(100) + 0.37) / 100.0 * a
@@ -238,7 +228,7 @@ class TestWeierstrassClosedForm:
         from lawson_bipolar import phi_system
         from lawson_bipolar.special_functions import PoleProximityError
 
-        b1 = weierstrass_tables(2, 1)[1][0]
+        b1 = float(weierstrass_tables_exact(2, 1)[1][0])
         monkeypatch.setattr(phi_system, "weierstrass_p",
                             lambda y, inv: -0.5 * b1 + 1e-9)
         with pytest.raises(PoleProximityError, match=r"2P\+b_1 too close to zero"):

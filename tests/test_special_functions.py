@@ -24,10 +24,37 @@ from lawson_bipolar.special_functions import (
     weierstrass_p,
 )
 from lawson_bipolar.special_functions import _wp_reduction
+from lawson_bipolar.surface_model import derive_params
 
 
 def mod(k):
     return EllipticModulus.from_k(k)
+
+
+def _reference_K(modulus):
+    """K by its own AGM loop, as written before K and E shared one."""
+    a, b = 1.0, modulus.k_prime
+    for _ in range(40):
+        if abs(a - b) <= 2e-16 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def _reference_E(modulus):
+    """E by its own AGM loop with the c_n^2 sum, as written before."""
+    a, b = 1.0, modulus.k_prime
+    c = modulus.k
+    s = 0.5 * c * c
+    p = 1.0
+    for _ in range(40):
+        if abs(a - b) <= 2e-16 * a:
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        s += p * c * c
+        p *= 2.0
+    return math.pi / (2.0 * a) * (1.0 - s)
 
 
 # (g2, g3) rows of the (n, m) = (2, 1) profile tables: covers both
@@ -95,6 +122,18 @@ class TestCompleteIntegrals:
     def test_against_scipy(self, k):
         assert complete_K(mod(k)) == pytest.approx(ss.ellipk(k * k), rel=1e-14)
         assert complete_E(mod(k)) == pytest.approx(ss.ellipe(k * k), rel=1e-14)
+
+    @pytest.mark.parametrize("modulus", [
+        *(mod(k) for k in (0.0, 1e-9, 0.5, 7 / 9, 1.0 - 2.0 ** -40)),
+        derive_params(1000, 999).h_modulus,
+    ], ids=["0", "1e-9", "0.5", "7/9", "1-2^-40", "h-1000-999"])
+    def test_shared_agm_keeps_the_bits(self, modulus):
+        # K and E read one AGM loop; each must equal its own loop bit for bit
+        assert complete_K(modulus).hex() == _reference_K(modulus).hex()
+        assert complete_E(modulus).hex() == _reference_E(modulus).hex()
+
+    def test_E_at_one_skips_the_agm(self):
+        assert complete_E(mod(1.0)) == 1.0
 
 
 class TestJacobi:

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from lawson_bipolar.phi_system import (
     closed_form_theta,
     closed_form_weierstrass,
-    weierstrass_tables,
+    weierstrass_tables_exact,
 )
 from lawson_bipolar.special_functions import (
     DomainError,
@@ -100,6 +100,15 @@ class TestDeriveParams:
         for r, k in admissible_pairs(8):
             p = derive_params(r, k)
             assert params_from_nm(p.n, p.m) == p
+
+    def test_moduli_are_built_once(self):
+        p = derive_params(8, 1)
+        assert p.modulus is p.modulus
+        assert p.h_modulus is p.h_modulus
+        # the cached moduli do not enter equality or the hash
+        fresh = derive_params(8, 1)
+        assert fresh == p and hash(fresh) == hash(p)
+        assert fresh.modulus == p.modulus and fresh.modulus is not p.modulus
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -360,7 +369,7 @@ class TestHTransforms:
     @pytest.mark.parametrize("r,k", [(2, 1), (3, 1)])
     def test_pullback_isometry_on_grid(self, r, k):
         from lawson_bipolar.verification import isometry_checks
-        pull, _ = isometry_checks(r, k)
+        pull, _ = isometry_checks(derive_params(r, k))
         assert pull.passed
 
 
@@ -588,7 +597,7 @@ def test_array_chart_maps(pair, points):
 
     # P and the profile closed form at the points where the one-point call
     # is defined (away from lattice poles)
-    inv = WeierstrassInvariants(*weierstrass_tables(params.n, params.m)[0][0])
+    inv = WeierstrassInvariants(*map(float, weierstrass_tables_exact(params.n, params.m)[0][0]))
     for fn in (lambda y: weierstrass_p(y, inv), lambda y: closed_form_weierstrass(y, params)):
         defined, values = [], []
         for y in v.tolist():

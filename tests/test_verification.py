@@ -63,30 +63,30 @@ def test_profile_checks_pass_through_r41(pair):
 class TestIsometry:
     @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (5, 1)])
     def test_pullback(self, r, k):
-        res, _ = vf.isometry_checks(r, k)
+        res, _ = vf.isometry_checks(derive_params(r, k))
         assert res.passed
         assert res.residual < 1e-8
 
     def test_bridging_identities(self):
-        pull, bridge = vf.isometry_checks(3, 1)
+        pull, bridge = vf.isometry_checks(derive_params(3, 1))
         assert bridge.residual < 1e-10
 
 
 class TestAreaAndLambda:
     def test_klein_3_1(self):
-        area, lam_value, rank_i = vf.area_and_lambda(3, 1)
+        area, lam_value, rank_i = vf.area_and_lambda(derive_params(3, 1))
         expected = 12.0 * math.pi * complete_E(EllipticModulus.from_k(2 * math.sqrt(2) / 3))
         assert rank_i == 1
         assert lam_value == pytest.approx(expected, rel=1e-9)
 
     def test_torus_2_1(self):
-        area, lam_value, rank_i = vf.area_and_lambda(2, 1)
+        area, lam_value, rank_i = vf.area_and_lambda(derive_params(2, 1))
         expected = 16.0 * math.pi * 2.0 * complete_E(EllipticModulus.from_k(math.sqrt(3) / 2))
         assert rank_i == 6
         assert lam_value == pytest.approx(expected, rel=1e-9)
 
     def test_klein_5_3(self):
-        area, lam_value, rank_i = vf.area_and_lambda(5, 3)
+        area, lam_value, rank_i = vf.area_and_lambda(derive_params(5, 3))
         expected = 4.0 * math.pi * 5.0 * complete_E(EllipticModulus.from_k(4.0 / 5.0))
         assert rank_i == 3
         assert lam_value == pytest.approx(expected, rel=1e-9)
@@ -238,3 +238,12 @@ class TestFullReport:
         a = vf.full_report(2, 1).to_dict()
         b = vf.full_report(2, 1).to_dict()
         assert a == b
+
+    def test_cold_report_builds_each_cache_entry_once(self):
+        # the caches key on SurfaceParams: one Galerkin reduction and one
+        # set of lines per surface, f at the nodes for b and for b/2
+        caches = (hs._surface_lines, hs._galerkin_blocks, hs._f_nodes)
+        for cache in caches:
+            cache.cache_clear()
+        vf.full_report(8, 1)
+        assert [cache.cache_info().misses for cache in caches] == [1, 1, 2]
