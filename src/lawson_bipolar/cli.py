@@ -5,8 +5,8 @@ floating-point output is rendered with 17 significant digits so files
 round-trip double precision exactly; identical invocations produce
 byte-identical files on one platform.  No environment variable is read.
 
-Exit codes: 0 success, 1 invalid parameters, 2 a verification check
-failed, 3 numerical failure.
+Exit codes: 0 success, 1 invalid parameters or an unwritable --out, 2 a
+verification check failed, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import hill_spectrum as hs
 from . import surface_model as sm
@@ -78,49 +77,30 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.sweep is not None:
         return _cmd_sweep(args)
     report = hs.extremal_rank(args.r, args.k)
-    params = report.params
-    print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[params.topology]}, "
-          f"{hs.RANK_FORMULAS[params.parity_class][0]}")
+    p = report.params
+    formula = hs.RANK_FORMULAS[p.parity_class][0]
+    print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[p.topology]}, {formula}")
     if args.out:
-        _emit(args, _json17(_report_doc(report)) + "\n")
+        doc = {"params": {"r": p.r, "k": p.k, "n": p.n, "m": p.m},
+               "topology": p.topology.value, "parity_class": p.parity_class.value,
+               "rank_i": report.rank_i, "rank_formula": formula,
+               "multiplicity": report.multiplicity,
+               "lambda_functional": report.lambda_functional,
+               "residuals": report.residuals}
+        _emit(args, _json17(doc) + "\n")
     return 0
 
 
-def _report_doc(report: hs.ExtremalReport) -> dict:
-    p = report.params
-    return {
-        "params": {"r": p.r, "k": p.k, "n": p.n, "m": p.m},
-        "topology": p.topology.value,
-        "parity_class": p.parity_class.value,
-        "rank_i": report.rank_i,
-        "rank_formula": hs.RANK_FORMULAS[p.parity_class][0],
-        "multiplicity": report.multiplicity,
-        "lambda_functional": report.lambda_functional,
-        "residuals": report.residuals,
-    }
-
-
-def _sweep_row(pair: tuple[int, int]) -> tuple:
-    r, k = pair
-    report = hs.extremal_rank(r, k)
-    p = report.params
-    return (r, k, p.n, p.m, p.topology.value, p.parity_class.value,
-            report.rank_i, hs.RANK_FORMULAS[p.parity_class][0],
-            report.multiplicity, report.lambda_functional)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    pairs = sm.admissible_pairs(args.sweep)
-    # the pool forks all its workers at start, so none may go without a pair
-    workers = min(args.jobs or 1, len(pairs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, pairs))
-    else:
-        rows = [_sweep_row(pair) for pair in pairs]
-    rows.sort(key=lambda row: (row[0], row[1]))
+    rows = []
+    for r, k in sm.admissible_pairs(args.sweep):
+        report = hs.extremal_rank(r, k)
+        p = report.params
+        rows.append(_csv_line((r, k, p.n, p.m, p.topology.value, p.parity_class.value,
+                               report.rank_i, hs.RANK_FORMULAS[p.parity_class][0],
+                               report.multiplicity, report.lambda_functional)))
     _emit(args, "r,k,n,m,topology,parity_class,rank_i,rank_formula,"
-                  "multiplicity,lambda_functional\n" + "".join(map(_csv_line, rows)))
+                  "multiplicity,lambda_functional\n" + "".join(rows))
     return 0
 
 
@@ -204,8 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lawson-bipolar",
         description="Bipolar Lawson surfaces: classification, Hill spectra, "
                     "immersion sampling, and verification.")
-    parser.set_defaults(grid=64, out="", fmt="json", strict=False,
-                        sweep=None, jobs=None)
+    parser.set_defaults(grid=64, out="", fmt="json", strict=False, sweep=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, blurb, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
@@ -226,9 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if "sweep" in flags:
             p.add_argument("--sweep", type=int, default=None, metavar="RMAX",
                            help="emit the rank table for all r <= RMAX")
-            p.add_argument("--jobs", type=int, default=None,
-                           help="parallel workers for the sweep, at most one "
-                                "per pair (default 1)")
     return parser
 
 
@@ -238,16 +214,11 @@ def main(argv=None) -> int:
     sweep = args.sweep is not None
     if sweep and (args.r is not None or args.k is not None):
         parser.error("rank: --sweep takes no --r or --k")
-    if args.jobs is not None and not sweep:
-        parser.error("rank: --jobs needs --sweep")
     if args.grid < 2:
         print("grid must be at least 2", file=sys.stderr)
         return 1
     if sweep and args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
-        return 1
-    if args.jobs is not None and args.jobs < 1:
-        print("jobs must be at least 1", file=sys.stderr)
         return 1
     # a missing pair reads as (0, 0), which derive_params rejects
     args.r, args.k = args.r or 0, args.k or 0
@@ -261,6 +232,10 @@ def main(argv=None) -> int:
             sm.ExcludedDirectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ Cooper-Verner RK8 taken as a product of per-step transfer matrices,
 built for all steps and (p, lambda) columns at once from f precomputed
 at the stage nodes.
 
-Counting the eigenvalues below lambda = 2 with the torus or Klein-bottle
-selection rules yields the rank of the extremal eigenvalue and the
-multiplicity-5 cluster at 2.
+The extremal rank and the multiplicity-5 cluster at lambda = 2 come from
+the inertia of each block's 2F - diag(k_j^2) under the torus or
+Klein-bottle selection rules, with no line solved for them.
 """
 
 from __future__ import annotations
@@ -59,15 +59,17 @@ __all__ = [
     "count_zeros",
     "DEFAULT_SOLVER_TOL",
     "CLUSTER_DELTA",
+    "MU_SQUARE_TOL",
     "EIGENFUNCTION_SAMPLES",
     "ZERO_SAMPLE_TOL",
 ]
 
 DEFAULT_SOLVER_TOL = 1e-9
-#: half-width of the eigenvalue cluster identified with lambda = 2
+#: adjacent roots of one Floquet target closer than this are a double root
 CLUSTER_DELTA = 1e-6
-#: below this, a located root counts as the zero eigenvalue
-ZERO_EIGENVALUE_TOL = 1e-6
+#: a mu_i within MU_SQUARE_TOL n^2 of a square q^2 is the eigenvalue 2 on
+#: line q; the members at q = 0 and 1 carry rounding near u n^2
+MU_SQUARE_TOL = 1e-12
 #: top of every scanned spectral line, just past lambda = 2; it must stay
 #: below 3, where coexistence becomes possible and an eigenvalue shared by
 #: an even and an odd eigenfunction has no single parity label
@@ -254,7 +256,7 @@ class CountResult:
 
     count: int
     closed_form: int
-    contributing: tuple[tuple, ...]   # (p, branch_index, gamma, parity, weight)
+    contributing: tuple[tuple, ...]   # (parity, psi_target, mu, weight)
 
 
 @dataclass(frozen=True)
@@ -312,7 +314,7 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
 
 @lru_cache(maxsize=64)
 def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
-    """The four blocks (parity, psi_target, j, R, A, G) of the profile.
+    """The four blocks (parity, psi_target, j, R, A, G, mu) of the profile.
 
     With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
     orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
@@ -323,6 +325,9 @@ def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
     diag(k_j^2 + p^2) v = lambda F v.  With F = L L^T and R = L^-1 that is
     the standard problem (A + p^2 G) w = lambda w, A = R diag(k_j^2) R^T,
     G = R R^T, v = R^T w: one Cholesky reduction serves every line.
+    mu holds the eigenvalues of 2F - diag(k_j^2), ascending; F is positive
+    definite, so by Sylvester's law of inertia the block has as many
+    eigenvalues below 2 on line p as mu has entries above p^2.
     """
     a = period_a(params)
     ys = a * np.arange(_F_SAMPLES) / _F_SAMPLES
@@ -341,12 +346,14 @@ def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
             if first == 0:
                 F[0] /= math.sqrt(2.0)
                 F[:, 0] /= math.sqrt(2.0)
+            k2 = (2.0 * math.pi * j / a) ** 2
+            mu = np.linalg.eigvalsh(2.0 * F - np.diag(k2))
             R = np.linalg.inv(np.linalg.cholesky(F))
-            A = (R * (2.0 * math.pi * j / a) ** 2) @ R.T
+            A = (R * k2) @ R.T
             G = R @ R.T
-            for arr in (j, R, A, G):
+            for arr in (j, R, A, G, mu):
                 arr.flags.writeable = False
-            blocks.append((parity, target, j, R, A, G))
+            blocks.append((parity, target, j, R, A, G, mu))
     return tuple(blocks)
 
 
@@ -355,8 +362,8 @@ def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[Spectr
     call over the four blocks per line, each line checked against the
     interlacing sign pattern."""
     blocks = _galerkin_blocks(params)
-    A = np.stack([a for *_, a, _ in blocks])
-    G = np.stack([g for *_, g in blocks])
+    A = np.stack([a for *_, a, _, _ in blocks])
+    G = np.stack([g for *_, g, _ in blocks])
     lines = []
     for p in p_values:
         gammas = np.linalg.eigvalsh(A + (p * p) * G)
@@ -431,57 +438,66 @@ def branch_monotonicity(params: SurfaceParams, branch_index: int,
 def _keeps(parity: Parity, p: int, topology: Topology) -> bool:
     """Klein-bottle selection: cos(px) phi(y) survives the deck map
     (x, y) -> (x + pi, -y) iff (-1)^p matches the parity of phi."""
-    if topology is Topology.TORUS:
-        return True
-    even_p = p % 2 == 0
-    return even_p == (parity is Parity.EVEN)
+    return topology is Topology.TORUS or (p % 2 == 0) == (parity is Parity.EVEN)
 
 
-def _selected_roots(params: SurfaceParams, topology: Topology):
-    """(p, eig, weight) for every located root that survives the selection
-    rule of the topology; a line p > 0 carries cos(px) and sin(px)."""
-    for line in surface_lines(params):
-        p = int(line.p)
-        for eig in line.eigenvalues:
-            if _keeps(eig.parity, p, topology):
-                yield p, eig, 1 if p == 0 else 2
+def _inertia(params: SurfaceParams) -> list[tuple]:
+    """(parity, psi_target, mu, lines, member) for each block's mu_i above
+    -tol, largest first: mu_i is one root below 2 on each line p with
+    p^2 < mu_i, and a member, on the square lines^2, is the root 2 on line
+    p = lines.  A mu_i below -tol is below 2 on no line."""
+    tol = MU_SQUARE_TOL * params.n ** 2
+    out = []
+    for parity, target, *_, mu in _galerkin_blocks(params):
+        for x in mu[mu >= -tol][::-1].tolist():
+            q = round(math.sqrt(max(x, 0.0)))
+            member = abs(x - q * q) <= tol
+            lines = q if member else math.floor(math.sqrt(x)) + 1
+            out.append((parity, target, x, lines, member))
+    return out
+
+
+def _line_weight(lines: int, parity: Parity, topology: Topology) -> int:
+    """Weight of the lines p = 0..lines-1 the topology keeps for a root of
+    this parity: 1 for p = 0, 2 (cos px and sin px) for each p > 0."""
+    kept = lines if topology is Topology.TORUS else (lines + (parity is Parity.EVEN)) // 2
+    return 2 * kept - (lines > 0 and _keeps(parity, 0, topology))
 
 
 def count_below_two(params: SurfaceParams,
                     topology_override: Optional[Topology] = None) -> CountResult:
-    """Count nonzero eigenvalues of the surface below lambda = 2.
-
-    Every root located on the lines p = 0..n+1 is inspected, so a stray
-    branch would break the exact match with the closed-form count
-    2(n+m) - 3 (torus) or n+m - 3 (Klein bottle), raising
-    SpectrumMismatchError with the branch data.  Roots under
-    ZERO_EIGENVALUE_TOL are the zero mode gamma_0(0) = 0.
-    """
+    """Count nonzero eigenvalues of the surface below lambda = 2: each mu_i
+    of _inertia on the lines the topology keeps, less the zero mode (the
+    constants, the lowest root of block 0 on line 0).  A total off the
+    closed form 2(n+m) - 3 (torus) or n+m - 3 (Klein bottle) raises
+    SpectrumMismatchError with each block's mu."""
     topo = topology_override or params.topology
-    contributing = tuple(
-        (p, e.index, e.gamma, e.parity.value, w)
-        for p, e, w in _selected_roots(params, topo)
-        if ZERO_EIGENVALUE_TOL <= e.gamma < 2.0 - CLUSTER_DELTA)
-    total = sum(entry[-1] for entry in contributing)
+    roots = _inertia(params)
+    weights = [_line_weight(lines, parity, topo) for parity, _, _, lines, _ in roots]
+    weights[0] -= 1       # the zero mode; roots[0] is block 0's largest mu
+    contributing = tuple((parity.value, target, mu, w)
+                         for (parity, target, mu, *_), w in zip(roots, weights) if w)
+    total = sum(weights)
     n, m = params.n, params.m
     closed = 2 * (n + m) - 3 if topo is Topology.TORUS else n + m - 3
     if total != closed:
-        dump = "\n".join(
-            f"  p={line.p}: " + ", ".join(
-                f"g{e.index}={e.gamma:.9f}[{e.parity.value}]"
-                for e in line.eigenvalues)
-            for line in surface_lines(params))
+        mus = "\n".join(f"  {parity.value}, Psi={target:+g}: {mu[::-1].tolist()}"
+                        for parity, target, *_, mu in _galerkin_blocks(params))
         raise SpectrumMismatchError(
             f"count below 2 is {total}, closed form {closed} "
-            f"({params}, counting as {topo.value});\n{dump}")
+            f"({params}, counting as {topo.value}); each block's mu:\n{mus}")
     return CountResult(count=total, closed_form=closed, contributing=contributing)
 
 
 def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:
-    """Weighted count of eigenvalues inside [2 - delta, 2 + delta]."""
-    cluster = tuple((p, e.index, e.gamma, e.parity.value, w)
-                    for p, e, w in _selected_roots(params, params.topology)
-                    if abs(e.gamma - 2.0) <= CLUSTER_DELTA)
+    """Weighted count of the eigenvalues lambda = 2, the members of
+    _inertia on a line q the topology keeps, as (q, branch_index, mu,
+    parity, weight); the branch index counts the roots below 2 on line q."""
+    roots = _inertia(params)
+    cluster = tuple((q, sum(lines > q for *_, lines, _ in roots), mu, parity.value,
+                     1 if q == 0 else 2)
+                    for parity, _, mu, q, member in roots
+                    if member and _keeps(parity, q, params.topology))
     return sum(entry[-1] for entry in cluster), cluster
 
 
@@ -501,8 +517,10 @@ def rank_formula(params: SurfaceParams) -> int:
 def extremal_rank(r: int, k: int) -> ExtremalReport:
     """Smallest index i with lambda_i = 2, checked against the closed form.
 
-    Also verifies mult(2) = 5 and the branch anchors gamma_0(n) = 2,
-    gamma_1(m) = 2, gamma_2(0) = 2, gamma_0(0) = 0.
+    Also verifies mult(2) = 5 and reports the anchor residuals of
+    gamma_0(0) = 0, gamma_2(0) = gamma_1(m) = gamma_0(n) = 2, each the
+    lowest root of its block: the constants and phi2 of block 0 (even,
+    b-periodic), phi0 of block 1 and phi1 of block 3 (b-antiperiodic).
     """
     params = derive_params(r, k)
     counted = count_below_two(params)
@@ -516,15 +534,16 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
         raise SpectrumMismatchError(
             f"multiplicity at 2 is {mult}, expected 5 for {params}; "
             f"cluster: {cluster}")
-    lines = {int(line.p): line for line in surface_lines(params)}
-    anomalies = [f for line in lines.values() for f in line.double_root_flags]
+    blocks = _galerkin_blocks(params)
+    g00, g20, g1m, g0n = np.linalg.eigvalsh(np.stack(
+        [blocks[b][4] + (p * p) * blocks[b][5]
+         for b, p in ((0, 0), (1, 0), (3, params.m), (0, params.n))]))[:, 0].tolist()
     residuals = {
-        "anchor_gamma0_at_0": abs(lines[0].gamma(0)),
-        "anchor_gamma2_at_0": abs(lines[0].gamma(2) - 2.0),
-        "anchor_gamma1_at_m": abs(lines[params.m].gamma(1) - 2.0),
-        "anchor_gamma0_at_n": abs(lines[params.n].gamma(0) - 2.0),
+        "anchor_gamma0_at_0": abs(g00),
+        "anchor_gamma2_at_0": abs(g20 - 2.0),
+        "anchor_gamma1_at_m": abs(g1m - 2.0),
+        "anchor_gamma0_at_n": abs(g0n - 2.0),
         "count_gap": float(abs(counted.count - counted.closed_form)),
-        "double_root_flags": float(len(anomalies)),
     }
     return ExtremalReport(params=params, rank_i=rank, multiplicity=mult,
                           lambda_functional=2.0 * area_closed_form(params),
@@ -544,7 +563,7 @@ def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue):
     (parity, psi_target) block whose eigenvalue lies within 1e-8 of
     eig.gamma (block spectra are simple, so it is unique).
     """
-    _, _, j, R, A, G = next(
+    _, _, j, R, A, G, _ = next(
         blk for blk in _galerkin_blocks(params)
         if blk[:2] == (eig.parity, eig.psi_target))
     w, v = np.linalg.eigh(A + (p * p) * G)

@@ -23,7 +23,7 @@ from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
 
-RANK_8_1_DIGEST = "ddaadd90db58694149e9deb6b68be62f4f64fe327486df01ba923876a08ec9a6"
+RANK_8_1_DIGEST = "a0b1d9c2747d9d7d0ad43b96b7813df6200202b937ac04eecdd097858c6f8e54"
 SPECTRUM_8_1_CSV_DIGEST = "c097dda5b4dbd65d2b6bd8941b4debc38b81688928e3dec2ac8f903ba9189ecf"
 
 
@@ -63,6 +63,17 @@ class TestRank:
     def test_5_3(self, capsys):
         assert main(["rank", "--r", "5", "--k", "3"]) == 0
         assert capsys.readouterr().out.strip() == "i=3, klein bottle, r-2"
+
+    @pytest.mark.parametrize("r,k,line", [
+        (708, 707, "i=2830, torus, 4r-2"), (751, 750, "i=3002, torus, 4r-2"),
+        (1001, 1000, "i=4002, torus, 4r-2"), (4801, 1, "i=9600, torus, 2r-2"),
+        (6001, 1, "i=12000, torus, 2r-2"), (99999, 99998, "i=399994, torus, 4r-2"),
+    ])
+    def test_large_n(self, r, k, line, capsys):
+        # n from 1415 to 199997, where the gaps near lambda = 2 (about 2/n^2)
+        # are narrower than any fixed lambda window
+        assert main(["rank", "--r", str(r), "--k", str(k)]) == 0
+        assert capsys.readouterr().out.strip() == line
 
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -252,6 +263,14 @@ class TestVerify:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["classify", "spectrum", "immerse", "verify",
+                                         "rank"])
+    def test_unwritable_out_exits_1(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main([command, "--r", "3", "--k", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write {out}: No such file or directory\n"
+
     def test_failed_check_exits_2(self, monkeypatch, tmp_path):
         from lawson_bipolar import cli as climod
         from lawson_bipolar.verification import CheckResult, FullReport
@@ -331,25 +350,27 @@ class TestArgumentValidation:
         ["spectrum", "--r", "2", "--k", "1", "--format", "xml"],
         ["rank", "--r", "2", "--k", "1", "--bogus"],
         ["rank", "--r", "two", "--k", "1"],
+        ["rank", "--sweep", "4", "--jobs", "2", "--out", "table.csv"],
         ["nope"],
         [],
-    ], ids=["bad-choice", "unknown-flag", "bad-int", "unknown-command", "no-command"])
-    def test_usage_errors_exit_1(self, argv, capsys):
+    ], ids=["bad-choice", "unknown-flag", "bad-int", "removed-jobs", "unknown-command",
+            "no-command"])
+    def test_usage_errors_exit_1(self, argv, tmp_path, monkeypatch, capsys):
         # exit 2 is reserved for a failed verification check
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "table.csv").exists()
 
     # a flag that the rest of the invocation leaves unread is a usage error
     @pytest.mark.parametrize("argv, message", [
-        (["--r", "2", "--k", "1", "--jobs", "4"], "--jobs needs --sweep"),
-        (["--r", "2", "--k", "1", "--jobs", "1"], "--jobs needs --sweep"),
         (["--sweep", "1", "--r", "9", "--k", "5"], "--sweep takes no --r or --k"),
         (["--sweep", "3", "--k", "1"], "--sweep takes no --r or --k"),
         (["--sweep", "3", "--r", "2"], "--sweep takes no --r or --k"),
         (["--sweep", "0", "--r", "3", "--k", "1"], "--sweep takes no --r or --k"),
-    ], ids=["jobs-without-sweep", "jobs-1-without-sweep", "sweep-with-r-k",
-            "sweep-with-k", "sweep-with-r", "sweep-0-with-r-k"])
+    ], ids=["sweep-with-r-k", "sweep-with-k", "sweep-with-r", "sweep-0-with-r-k"])
     def test_unread_rank_flag_is_rejected(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -365,46 +386,8 @@ class TestArgumentValidation:
         assert main(["rank", "--sweep", "-3", "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_jobs_capped_at_pair_count(self, monkeypatch, tmp_path, capsys):
-        # a started pool forks all max_workers processes, so --jobs above the
-        # pair count asks for one worker per pair, and one pair or none for
-        # no pool; the fake runs serially and starts no process
-        from lawson_bipolar import cli as climod
-
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        serial = tmp_path / "serial.csv"
-        assert main(["rank", "--sweep", "4", "--out", str(serial)]) == 0
-        monkeypatch.setattr(climod, "ProcessPoolExecutor", SerialPool)
-        pooled = tmp_path / "pooled.csv"
-        assert main(["rank", "--sweep", "4", "--jobs", "64", "--out", str(pooled)]) == 0
-        assert asked == [5]
-        assert pooled.read_bytes() == serial.read_bytes()
-        assert main(["rank", "--sweep", "1", "--jobs", "4"]) == 0
-        assert main(["rank", "--sweep", "2", "--jobs", "4"]) == 0
-        assert asked == [5]
-
-    def test_jobs_below_one(self, tmp_path, capsys):
-        out = tmp_path / "table.csv"
-        assert main(["rank", "--sweep", "3", "--jobs", "0", "--out", str(out)]) == 1
-        assert not out.exists()
-
     # --sweep 0 is a sweep over no pair, as --sweep 1 is
-    @pytest.mark.parametrize("argv", [["--sweep", "0"], ["--sweep", "0", "--jobs", "2"]],
-                             ids=["sweep-0", "sweep-0-jobs-2"])
+    @pytest.mark.parametrize("argv", [["--sweep", "0"]], ids=["sweep-0"])
     def test_sweep_0_writes_the_header_alone(self, argv, capsys):
         assert main(["rank", *argv]) == 0
         assert capsys.readouterr().out == (
@@ -425,6 +408,17 @@ def test_cli_import_loads_no_scipy():
     scipy module in."""
     code = ("import lawson_bipolar.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    """The sweep runs in one process: the CLI import must not pull in
+    concurrent.futures or multiprocessing."""
+    code = ("import lawson_bipolar.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -469,7 +463,6 @@ def test_layer_probe_call_forms():
     residuals = hs.extremal_rank(8, 1).residuals
     anchors = [v for key, v in residuals.items() if key.startswith("anchor")]
     assert len(anchors) == 4 and max(anchors) < 1e-7
-    assert residuals["double_root_flags"] == 0.0
     mesh = derive_params(2, 1)
     rows = sm.immersion_rows(mesh, 128, 128)
     for writer in (sm.write_immersion_csv, sm.write_immersion_json):

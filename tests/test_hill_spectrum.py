@@ -2,12 +2,14 @@
 
 Independent oracles: scipy's adaptive DOP853 for the propagation, a
 Fourier-Galerkin generalized eigenproblem for whole spectral lines,
-scipy.linalg.eigh of the unreduced parity-block pencils, and the
-closed-form counting identities for ranks.
+scipy.linalg.eigh of the unreduced parity-block pencils, the
+line-by-line count of the located roots for the count by inertia, and
+the closed-form counting identities for ranks.
 """
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -405,6 +407,18 @@ class TestCounting:
         res = count_below_two(P21, topology_override=Topology.TORUS)
         assert res.count == 3           # first index 2(n+m-1) = 4
 
+    def test_lost_member_raises_with_each_blocks_mu(self, monkeypatch):
+        # with no tolerance the member mu = 0 of (3, 1), 8.2e-16 after
+        # rounding, counts on line 0 and breaks the closed form
+        monkeypatch.setattr(hs, "MU_SQUARE_TOL", 0.0)
+        with pytest.raises(hs.SpectrumMismatchError) as exc:
+            count_below_two(P21)
+        msg = str(exc.value)
+        assert msg.startswith("count below 2 is 3, closed form 0 (")
+        for block in ("Even, Psi=+2: [", "Even, Psi=-2: [", "Odd, Psi=+2: [",
+                      "Odd, Psi=-2: ["):
+            assert block in msg
+
     def test_multiplicity_cluster(self):
         mult, cluster = multiplicity_at_two(P31)
         assert mult == 5
@@ -437,7 +451,7 @@ class TestCounting:
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(st.sampled_from(admissible_pairs(20)))
+@given(st.sampled_from(admissible_pairs(200)))
 def test_rank_properties_beyond_table(pair):
     rep = extremal_rank(*pair)
     params = rep.params
@@ -449,6 +463,81 @@ def test_rank_properties_beyond_table(pair):
     if params.topology is Topology.KLEIN_BOTTLE:
         cover = count_below_two(params, topology_override=Topology.TORUS)
         assert cover.count == 2 * (params.n + params.m) - 3
+
+
+def _line_scan_count(params, topology):
+    """The count by scanning every line p = 0..n+1: the located roots the
+    topology keeps, weighted 1 at p = 0 and 2 beyond, counted in
+    [1e-6, 2 - 1e-6) and in the cluster within 1e-6 of 2.  Returns the
+    counted weight per (parity, psi_target) block and the cluster as
+    {(p, branch_index, weight)}."""
+    selected = [(int(line.p), e, 1 if line.p == 0 else 2)
+                for line in surface_lines(params) for e in line.eigenvalues
+                if hs._keeps(e.parity, int(line.p), topology)]
+    blocks = Counter()
+    for _, e, w in selected:
+        if 1e-6 <= e.gamma < 2.0 - 1e-6:
+            blocks[e.parity.value, e.psi_target] += w
+    cluster = {(p, e.index, w) for p, e, w in selected if abs(e.gamma - 2.0) <= 1e-6}
+    return blocks, cluster
+
+
+@pytest.mark.parametrize("pair", admissible_pairs(12), ids=str)
+def test_inertia_matches_line_scan(pair):
+    """The count by inertia gives each block the weight of the line scan,
+    on the surface and on the torus cover of a Klein bottle, and the
+    cluster the scan's points and weights."""
+    params = derive_params(*pair)
+    for topology in {params.topology, Topology.TORUS}:
+        blocks, _ = _line_scan_count(params, topology)
+        res = count_below_two(params, topology_override=topology)
+        got = Counter()
+        for parity, target, _, w in res.contributing:
+            got[parity, target] += w
+        assert got == blocks
+        assert res.count == sum(blocks.values())
+    _, cluster = _line_scan_count(params, params.topology)
+    mult, got = multiplicity_at_two(params)
+    assert {(p, i, w) for p, i, *_, w in got} == cluster
+    assert mult == sum(w for *_, w in cluster) == 5
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([(r, r - 1) for r in range(701, 3001)])
+       | st.sampled_from([(r, 1) for r in range(2799, 12002, 2)]))
+def test_rank_by_inertia_at_large_n(pair):
+    """Flat profiles (r, r-1) and the pairs (r, 1) with n >= 1400, where
+    lambda windows of fixed width miscount: the three largest mu are the
+    squares n^2, m^2 and 0 of the profile, and the next lies far below."""
+    rep = extremal_rank(*pair)
+    params = rep.params
+    n2 = params.n ** 2
+    assert params.n >= 1400
+    assert rep.rank_i == rank_formula(params)
+    assert rep.multiplicity == 5
+    for key, value in rep.residuals.items():
+        if key.startswith("anchor"):
+            assert value < 1e-7, key
+    mu = np.sort(np.concatenate([blk[-1] for blk in hs._galerkin_blocks(params)]))[::-1]
+    assert np.all(np.abs(mu[:3] - [n2, params.m ** 2, 0]) <= hs.MU_SQUARE_TOL * n2)
+    assert mu[3] < -0.1 * n2
+
+
+@pytest.mark.parametrize("r,k", [(8, 1), (6001, 1)])
+def test_extremal_rank_takes_five_eigen_solves(r, k, monkeypatch):
+    # one mu per block and one stacked solve of the four anchors, whatever n is
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    hs._galerkin_blocks.cache_clear()
+    hs._surface_lines.cache_clear()
+    extremal_rank(r, k)
+    assert len(calls) <= 5
 
 
 def _simplicity_check(params):
