@@ -132,16 +132,6 @@ _CV_A = [
 _CV_B = [(0, 1 / 20), (7, 49 / 180), (8, 16 / 45), (9, 49 / 180), (10, 1 / 20)]
 
 
-@lru_cache(maxsize=8)
-def _f_nodes(params: SurfaceParams, y_end: float, n_steps: int) -> np.ndarray:
-    """f at the RK8 stage nodes of n_steps steps over [0, y_end]."""
-    h = y_end / n_steps
-    nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
-    out = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11)
-    out.flags.writeable = False
-    return out
-
-
 def _steps_for(params: SurfaceParams, tol: float, y_end: float) -> int:
     """Fixed step count giving global error below tol for the RK8 scheme.
 
@@ -164,17 +154,19 @@ def _propagate(params: SurfaceParams, p2, lam, y_end: float,
 
     The equation is linear, so one RK8 step is a 2x2 matrix per column,
     S = I + h sum_i b_i K_i with K_i = A_i (I + h sum_j a_ij K_j) and
-    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i.  The
-    step matrices of all steps are built at once and multiplied pairwise,
-    later @ earlier.  Columns go in blocks of at most _BLOCK / n_steps;
-    each column's result does not depend on the others.
+    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i, f
+    taken once at the nodes of all steps.  The step matrices of all steps
+    are built at once and multiplied pairwise, later @ earlier.  Columns
+    go in blocks of at most _BLOCK / n_steps; each column's result does
+    not depend on the others.
 
     Returns shape (4, B): rows z1, z1', z2, z2'.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
-    f = _f_nodes(params, float(y_end), int(n_steps)).T[:, :, None]
     h = y_end / n_steps
+    nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
+    f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).T[:, :, None]
     width = max(1, _BLOCK // n_steps)
     out = np.empty((4, lam.shape[0]))
     for lo in range(0, lam.shape[0], width):
@@ -297,13 +289,17 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
 
     Scalar p and lam give four floats, 1-D arrays four arrays.  Every
     y_end takes the step count that b needs at DEFAULT_SOLVER_TOL, so a
-    y_end inside [0, b] runs at that tolerance or better.
+    y_end inside [0, b] runs at that tolerance or better; a y_end outside
+    [0, b], or not finite, raises ValueError.
     """
     ps, lams = np.broadcast_arrays(np.asarray(p, float), np.asarray(lam, float))
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ps)) and np.all(ps >= 0)):
         raise ValueError("need finite lambda and finite p >= 0")
     b = period_a(params) / 2.0
-    st = _propagate(params, ps * ps, lams, b if y_end is None else y_end,
+    y_end = b if y_end is None else y_end
+    if not 0.0 <= y_end <= b:     # also false for a NaN
+        raise ValueError(f"need y_end in [0, b], b = {b!r}; got {y_end!r}")
+    st = _propagate(params, ps * ps, lams, y_end,
                     _steps_for(params, DEFAULT_SOLVER_TOL, b))
     return tuple(st[:, 0].tolist()) if lams.ndim == 0 else tuple(st)
 
@@ -401,14 +397,8 @@ def _check_sign_pattern(line: SpectralLine) -> None:
             f"discriminant sign pattern broken on line p={line.p}: {targets}")
 
 
-# a plain function over the cache: perfbench/trace.py wraps only plain functions
 def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
-    """Spectral lines p = 0..n+1 up to just past lambda = 2 (cached)."""
-    return _surface_lines(params)
-
-
-@lru_cache(maxsize=64)
-def _surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
+    """Spectral lines p = 0..n+1 up to just past lambda = 2."""
     return tuple(_scan_lines(params, list(range(params.n + 2))))
 
 
@@ -543,7 +533,6 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
         "anchor_gamma2_at_0": abs(g20 - 2.0),
         "anchor_gamma1_at_m": abs(g1m - 2.0),
         "anchor_gamma0_at_n": abs(g0n - 2.0),
-        "count_gap": float(abs(counted.count - counted.closed_form)),
     }
     return ExtremalReport(params=params, rank_i=rank, multiplicity=mult,
                           lambda_functional=2.0 * area_closed_form(params),
@@ -554,32 +543,27 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
 # eigenfunction reconstruction
 # ---------------------------------------------------------------------------
 
-def eigenfunction_samples(params: SurfaceParams, p: float, eig: Eigenvalue):
-    """Sample the eigenfunction of the located root eig on line p at
-    EIGENFUNCTION_SAMPLES points of [0, a), scaled like z1 (even,
+def eigenfunction_samples(params: SurfaceParams, parity: Parity,
+                          psi_target: float, p: float):
+    """(gamma, ys, values): the lowest root gamma of the (parity,
+    psi_target) block on line p, and its eigenfunction sampled at
+    EIGENFUNCTION_SAMPLES points ys of [0, a), scaled like z1 (even,
     phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
-    Sums the cosine or sine series of the eigenvector of eig's
-    (parity, psi_target) block whose eigenvalue lies within 1e-8 of
-    eig.gamma (block spectra are simple, so it is unique).
+    Sums the cosine or sine series R^T w of the block's lowest
+    eigenvector w.
     """
-    _, _, j, R, A, G, _ = next(
-        blk for blk in _galerkin_blocks(params)
-        if blk[:2] == (eig.parity, eig.psi_target))
+    _, _, j, R, A, G, _ = {blk[:2]: blk for blk in _galerkin_blocks(params)}[
+        parity, psi_target]
     w, v = np.linalg.eigh(A + (p * p) * G)
-    hit = np.flatnonzero(np.abs(w - eig.gamma) <= 1e-8)
-    if not hit.size:
-        raise SpectrumMismatchError(
-            f"no {eig.parity.value} Galerkin eigenvalue with Psi = "
-            f"{eig.psi_target:+g} within 1e-8 of gamma={eig.gamma!r} at p={p}")
-    coef = R.T @ v[:, hit[0]]
+    coef = R.T @ v[:, 0]
     a = period_a(params)
     k = 2.0 * math.pi * j / a
     ys = a * np.arange(EIGENFUNCTION_SAMPLES) / EIGENFUNCTION_SAMPLES
-    if eig.parity is Parity.EVEN:
+    if parity is Parity.EVEN:
         coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
-        return ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
-    return ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)
+        return float(w[0]), ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
+    return float(w[0]), ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)
 
 
 def count_zeros(values: np.ndarray) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,12 +120,12 @@ def complete_E(modulus: EllipticModulus) -> float:
     return math.pi / (2.0 * a) * (1.0 - s)
 
 
-@lru_cache(maxsize=64)
 def _landen_chain(kp2: float):
     """Descending Landen chain for complementary parameter kp2 = k'^2.
 
-    The chain depends only on the modulus, so it is shared by every
-    argument; returns (scale c, a-levels, geometric-mean levels).
+    The chain depends only on the modulus, so one chain serves every
+    element of an argument array; returns (scale c, a-levels,
+    geometric-mean levels).
     """
     emc = kp2
     a = 1.0
@@ -142,7 +141,7 @@ def _landen_chain(kp2: float):
             break
         emc = emc * a
         a = c
-    return c, tuple(em), tuple(en)
+    return c, em, en
 
 
 def _sncndn_reduced(u, kp2: float):
@@ -256,7 +255,6 @@ def _ellip_f_array(phi, modulus: EllipticModulus):
     return s * rf + 2.0 * complete_K(modulus) * j
 
 
-@lru_cache(maxsize=64)
 def _wp_reduction(g2: float, g3: float):
     """Root data for P(y; g2, g3) on the real axis.
 

@@ -362,14 +362,20 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
     the solutions grow exponentially and an absolute Wronskian residual
     stops being meaningful.
 
-    Every located root is propagated in one batch of hs.floquet, the
-    checks' only route to the propagation, and checked by
-    _oracle_flags; a flag of the oracle or a coexistence flag of the
-    Galerkin blocks fails simplicity_in_window, with the flag texts as
-    its context."""
+    The R2 points and every located root go to b in one batch of
+    hs.floquet, the checks' only route to the propagation, and the R2
+    points to b/2 in a second; each column's bits do not depend on the
+    others in its batch.  _oracle_flags checks each root; a flag of the
+    oracle or a coexistence flag of the Galerkin blocks fails
+    simplicity_in_window, with the flag texts as its context."""
     b = period_a(params) / 2.0
     pvals, lvals = _r2_points(30_000, FLOQUET_POINTS, 0.0, [float(params.n), 3.0])
-    z1b, dz1b, z2b, dz2b = hs.floquet(pvals, lvals, params)
+    lines = hs.surface_lines(params)
+    roots = [(line.p, eig) for line in lines for eig in line.eigenvalues]
+    at_b = np.array(hs.floquet(
+        np.concatenate([pvals, [p for p, _ in roots]]),
+        np.concatenate([lvals, [eig.gamma for _, eig in roots]]), params))
+    z1b, dz1b, z2b, dz2b = at_b[:, :FLOQUET_POINTS]
     z1h, dz1h, z2h, dz2h = hs.floquet(pvals, lvals, params, y_end=b / 2.0)
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
     half_ids = float(np.max([
@@ -379,13 +385,9 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
         np.max(np.abs(dz2b - z1b))]))
 
-    lines = hs.surface_lines(params)
-    roots = [(line.p, eig) for line in lines for eig in line.eigenvalues]
-    at_roots = hs.floquet(np.array([float(p) for p, _ in roots]),
-                          np.array([eig.gamma for _, eig in roots]), params)
     flags = [f for line in lines for f in line.double_root_flags]
     simp = []
-    for (p, eig), col in zip(roots, zip(*at_roots)):
+    for (p, eig), col in zip(roots, at_b[:, FLOQUET_POINTS:].T.tolist()):
         flags.extend(_oracle_flags(p, eig, *col, b))
         if 0.0 < eig.gamma < 3.0:
             simp.append(min(abs(col[1]), abs(col[2]) / b))
@@ -402,17 +404,17 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
 
 def eigenfunction_zero_checks(params: SurfaceParams) -> CheckResult:
     """gamma_1 and gamma_2 eigenfunctions have exactly 2 zeros per period,
-    the gamma_0 ground line none."""
-    lines = hs.surface_lines(params)
-    expected = [(lines[0], 1, 2), (lines[0], 2, 2), (lines[1], 0, 0)]
+    the gamma_0 ground line none.  Each is the lowest root of its block:
+    gamma_1(0) of the odd and gamma_2(0) of the even b-antiperiodic
+    block on line 0, gamma_0(1) of the even b-periodic block on line 1."""
+    expected = [(hs.Parity.ODD, -2.0, 0, 1, 2), (hs.Parity.EVEN, -2.0, 0, 2, 2),
+                (hs.Parity.EVEN, 2.0, 1, 0, 0)]
     worst = 0
     details = []
-    for line, index, want in expected:
-        eig = line.eigenvalues[index]
-        _, vals = hs.eigenfunction_samples(params, line.p, eig)
+    for parity, target, p, index, want in expected:
+        gamma, _, vals = hs.eigenfunction_samples(params, parity, target, p)
         got = hs.count_zeros(vals)
-        details.append(f"gamma_{index}({line.p:g})={eig.gamma:.6f}: "
-                       f"{got} zeros (want {want})")
+        details.append(f"gamma_{index}({p})={gamma:.6f}: {got} zeros (want {want})")
         worst = max(worst, abs(got - want))
     return CheckResult("eigenfunction_zero_counts", float(worst), 0.5,
                        "; ".join(details))

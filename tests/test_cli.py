@@ -23,7 +23,7 @@ from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
 
-RANK_8_1_DIGEST = "a0b1d9c2747d9d7d0ad43b96b7813df6200202b937ac04eecdd097858c6f8e54"
+RANK_8_1_DIGEST = "a4c5e8f874be23a9a65d21c6bd17c61f63168cad841e918e7b571330330135cf"
 SPECTRUM_8_1_CSV_DIGEST = "c097dda5b4dbd65d2b6bd8941b4debc38b81688928e3dec2ac8f903ba9189ecf"
 
 
@@ -214,7 +214,6 @@ def test_rank_and_spectrum_json_run_no_floquet_propagation(monkeypatch, tmp_path
         raise AssertionError("Floquet propagation on a production path")
 
     monkeypatch.setattr(hs, "_propagate", boom)
-    hs._surface_lines.cache_clear()
     hs._galerkin_blocks.cache_clear()
     assert hs.extremal_rank(8, 1).rank_i == 30
     assert main(["rank", "--sweep", "3"]) == 0
@@ -568,3 +567,45 @@ def _private_reads() -> set:
 
 def test_cross_module_private_reads_are_listed():
     assert _private_reads() == set(ALLOWED_PRIVATE_READS)
+
+
+#: every cache in the package, with the reason it stays; any other
+#: lru_cache, cache or cached_property fails the test below
+ALLOWED_CACHES = {
+    ("hill_spectrum", "_galerkin_blocks"):
+        "the rank, the line scan and the eigenfunction samples of one surface "
+        "read the reduced blocks: three times per rank report, seven per verify",
+    ("phi_system", "_rk8_step_factory"):
+        "the generated RK8 step compiles once per process, not at import",
+    ("surface_model", "SurfaceParams.modulus"):
+        "each surface builds its profile modulus once",
+    ("surface_model", "SurfaceParams.h_modulus"):
+        "each surface builds its H1 modulus once",
+}
+_CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _caches() -> set:
+    """(module, qualified name) of every definition in the package that
+    carries lru_cache, cache or cached_property, bare, called or read
+    through functools."""
+    found = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    label = getattr(target, "id", getattr(target, "attr", None))
+                    if label in _CACHE_DECORATORS:
+                        found.add((module, name))
+                visit(child, module, name + ".")
+
+    for path in sorted((SRC / "lawson_bipolar").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_every_cache_is_listed():
+    assert _caches() == set(ALLOWED_CACHES)

@@ -219,6 +219,28 @@ class TestFloquetForms:
         with pytest.raises(ValueError, match="need finite lambda and finite p >= 0"):
             floquet(np.array([1.0, p, 0.5]), np.array([0.5, lam, 1.5]), P21)
 
+    @pytest.mark.parametrize("y_end", [math.nan, math.inf, -math.inf, -1e-3, 1.001, 5.0],
+                             ids=["nan", "inf", "-inf", "negative", "past-b", "5b"])
+    def test_y_end_outside_half_period_raises_before_propagation(self, y_end,
+                                                                 monkeypatch):
+        # every y_end runs on b's step count, which misses the tolerance
+        # past b: at (8, 1), 20 b is off by 4.6e-5 relative
+        def boom(*args, **kwargs):
+            raise AssertionError("propagated a rejected y_end")
+
+        b = period_a(P21) / 2.0
+        y = y_end * b if math.isfinite(y_end) else y_end
+        monkeypatch.setattr(hs, "_propagate", boom)
+        with pytest.raises(ValueError, match=r"need y_end in \[0, b\]"):
+            floquet(1.0, 0.5, P21, y_end=y)
+        with pytest.raises(ValueError, match=r"need y_end in \[0, b\]"):
+            floquet(np.array([1.0, 0.5]), np.array([0.5, 1.5]), P21, y_end=y)
+
+    def test_y_end_at_either_end_of_half_period(self):
+        b = period_a(P21) / 2.0
+        assert floquet(1.0, 0.5, P21, y_end=b) == floquet(1.0, 0.5, P21)
+        assert floquet(1.0, 0.5, P21, y_end=0.0) == (1.0, 0.0, 0.0, 1.0)
+
 
 class TestBranches:
     def test_line_p0_anchors(self):
@@ -352,6 +374,41 @@ def _reference_samples(params, pencils, p, gamma, parity, n_samples):
     return np.sin(np.outer(ys, k)) @ coef / (k @ coef)
 
 
+def _ground_states(params):
+    """(p, branch_index, parity, psi_target) of the five sampled
+    eigenfunctions gamma_1(0), gamma_2(0), gamma_0(1), gamma_1(m) and
+    gamma_0(n), each the lowest root of its block on its line."""
+    return ((0, 1, Parity.ODD, -2.0), (0, 2, Parity.EVEN, -2.0),
+            (1, 0, Parity.EVEN, 2.0), (params.m, 1, Parity.ODD, -2.0),
+            (params.n, 0, Parity.EVEN, 2.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(200))
+       | st.sampled_from([(r, r - 1) for r in range(701, 3001)])
+       | st.sampled_from([(r, 1) for r in range(2799, 12002, 2)]))
+def test_ground_state_labels_beyond_table(pair):
+    """At each sampled label the located root is its block's lowest root,
+    with the same parity and target, also on the flat profiles and the
+    pairs (r, 1) with n >= 1400.  Only the four lines the labels name are
+    scanned.  gamma agrees within 1e-12 for r <= 200; past n = 1400 the
+    line scan's eigvalsh and the sampler's eigh may each round by
+    u |A + p^2 G|, which exceeds 1e-10 for (r, 1) there (the measured gap
+    reaches 1.6e-11, 3% of that bound)."""
+    params = derive_params(*pair)
+    lines = dict(zip((0, 1, params.m, params.n),
+                     hs._scan_lines(params, [0, 1, params.m, params.n])))
+    blocks = {blk[:2]: blk for blk in hs._galerkin_blocks(params)}
+    for p, index, parity, target in _ground_states(params):
+        eig = lines[p].eigenvalues[index]
+        assert (eig.parity, eig.psi_target) == (parity, target), (p, index)
+        gamma, _, _ = eigenfunction_samples(params, parity, target, p)
+        _, _, _, _, A, G, _ = blocks[parity, target]
+        tol = (1e-12 if params.n < 1400
+               else np.finfo(float).eps * np.linalg.norm(A + (p * p) * G, 2))
+        assert abs(gamma - eig.gamma) <= tol, (p, index)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(admissible_pairs(40)))
 def test_reduced_blocks_match_pencil_reference(pair):
@@ -367,9 +424,10 @@ def test_reduced_blocks_match_pencil_reference(pair):
             (parity, target) for _, parity, target in ref]
         got = np.array([e.gamma for e in line.eigenvalues])
         assert np.max(np.abs(got - [g for g, *_ in ref]), initial=0.0) <= 1e-10
-    for p, index in ((0, 1), (0, 2), (1, 0), (params.m, 1), (params.n, 0)):
+    for p, index, parity, target in _ground_states(params):
         eig = lines[p].eigenvalues[index]
-        _, vals = eigenfunction_samples(params, p, eig)
+        gamma, _, vals = eigenfunction_samples(params, parity, target, p)
+        assert abs(gamma - eig.gamma) <= 1e-12
         ref = _reference_samples(params, pencils, p, eig.gamma, eig.parity, 2048)
         assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert count_zeros(vals) == count_zeros(ref)
@@ -381,14 +439,12 @@ def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
 
     monkeypatch.setattr(scipy.linalg, "eigh", boom)
     monkeypatch.setattr(scipy.linalg, "eigvalsh", boom)
-    hs._surface_lines.cache_clear()
     hs._galerkin_blocks.cache_clear()
     assert extremal_rank(8, 1).rank_i == 30
     out = tmp_path / "lines.json"
     assert main(["spectrum", "--r", "5", "--k", "2", "--format", "json",
                  "--out", str(out)]) == 0
-    eig = surface_lines(P31)[0].eigenvalues[2]
-    _, vals = eigenfunction_samples(P31, 0, eig)
+    _, _, vals = eigenfunction_samples(P31, Parity.EVEN, -2.0, 0)
     assert count_zeros(vals) == 2
 
 
@@ -535,7 +591,6 @@ def test_extremal_rank_takes_five_eigen_solves(r, k, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     hs._galerkin_blocks.cache_clear()
-    hs._surface_lines.cache_clear()
     extremal_rank(r, k)
     assert len(calls) <= 5
 
@@ -547,15 +602,13 @@ def _simplicity_check(params):
 
 class TestEigenfunctions:
     def test_zero_counts(self):
-        lines = {int(l.p): l for l in surface_lines(P31)}
         cases = [
-            (lines[0], 1, 2),   # gamma_1(0), odd, two zeros
-            (lines[0], 2, 2),   # gamma_2(0), even, two zeros
-            (lines[1], 0, 0),   # gamma_0(1), ground, no zeros
+            (Parity.ODD, -2.0, 0, 2),    # gamma_1(0), two zeros
+            (Parity.EVEN, -2.0, 0, 2),   # gamma_2(0), two zeros
+            (Parity.EVEN, 2.0, 1, 0),    # gamma_0(1), ground, no zeros
         ]
-        for line, index, expected in cases:
-            eig = line.eigenvalues[index]
-            _, vals = eigenfunction_samples(P31, line.p, eig)
+        for parity, target, p, expected in cases:
+            _, _, vals = eigenfunction_samples(P31, parity, target, p)
             assert count_zeros(vals) == expected
 
     @pytest.mark.parametrize("r,k", [(3, 1), (2, 1), (8, 1), (7, 6), (5, 2),
@@ -566,30 +619,20 @@ class TestEigenfunctions:
         params = derive_params(r, k)
         lines = surface_lines(params)
         at_0 = closed_form_theta(0.0, params)
-        for p, index, col, scale in ((0, 2, 0, at_0[0]), (params.m, 1, 1, at_0[4]),
-                                     (params.n, 0, 2, at_0[2])):
-            ys, vals = eigenfunction_samples(params, p, lines[p].eigenvalues[index])
+        for p, index, parity, target, col, scale in (
+                (0, 2, Parity.EVEN, -2.0, 0, at_0[0]),
+                (params.m, 1, Parity.ODD, -2.0, 1, at_0[4]),
+                (params.n, 0, Parity.EVEN, 2.0, 2, at_0[2])):
+            gamma, ys, vals = eigenfunction_samples(params, parity, target, p)
+            assert abs(gamma - lines[p].gamma(index)) <= 1e-12, (p, index)
             ref = closed_form_theta(ys, params)[:, col] / scale
             assert np.max(np.abs(vals - ref)) <= 1e-10, (p, index)
-
-    def test_root_off_its_block_raises(self):
-        eig = surface_lines(P31)[0].eigenvalues[2]
-        off = Eigenvalue(gamma=eig.gamma + 1e-6, index=2, parity=eig.parity,
-                         psi_target=eig.psi_target)
-        with pytest.raises(hs.SpectrumMismatchError, match="within 1e-8"):
-            eigenfunction_samples(P31, 0, off)
 
     def test_count_zeros_helper(self):
         t = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
         assert count_zeros(np.sin(2 * t)) == 4
         assert count_zeros(np.cos(t) + 2.0) == 0
         assert count_zeros(np.sin(t)) == 2
-
-    def test_surface_lines_cache_keyed_on_profile(self):
-        # (r, k) = (2, 1) has the profile (n, m) = (3, 1)
-        other = derive_params(2, 1)
-        assert other is not P31
-        assert surface_lines(other) is surface_lines(P31)
 
     def test_double_root_flags_empty_below_three(self):
         for line in surface_lines(P31):

@@ -316,18 +316,6 @@ class TestWeierstrass:
             weierstrass_p(0.5, WeierstrassInvariants(3.0, 1.0))  # disc = 0
 
 
-class TestCaches:
-    def test_float_keyed_caches_are_bounded(self):
-        from lawson_bipolar import special_functions as sf
-
-        for i in range(200):
-            jacobi_sncndn(0.3, mod(0.1 + 0.004 * i))
-            weierstrass_p(0.3, WeierstrassInvariants(4.0 + 0.01 * i, 1.0))
-        for cached in (sf._landen_chain, sf._wp_reduction):
-            assert cached.cache_info().maxsize == 64
-            assert cached.cache_info().currsize <= 64
-
-
 class TestWeierstrassAgainstProfile:
     def test_phi2_formula_matches_ode_profile(self):
         # P-form of the third profile function against direct integration

@@ -239,11 +239,17 @@ class TestFullReport:
         b = vf.full_report(2, 1).to_dict()
         assert a == b
 
-    def test_cold_report_builds_each_cache_entry_once(self):
-        # the caches key on SurfaceParams: one Galerkin reduction and one
-        # set of lines per surface, f at the nodes for b and for b/2
-        caches = (hs._surface_lines, hs._galerkin_blocks, hs._f_nodes)
-        for cache in caches:
-            cache.cache_clear()
+    def test_cold_report_builds_each_cache_entry_once(self, monkeypatch):
+        # one Galerkin reduction per surface, cached on SurfaceParams; one
+        # line scan, for the Floquet checks; one propagation to b (the R2
+        # points and the located roots) and one to b/2
+        calls = {"_scan_lines": 0, "_propagate": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(hs, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(hs, name, counted)
+        hs._galerkin_blocks.cache_clear()
         vf.full_report(8, 1)
-        assert [cache.cache_info().misses for cache in caches] == [1, 1, 2]
+        assert hs._galerkin_blocks.cache_info().misses == 1
+        assert calls == {"_scan_lines": 1, "_propagate": 2}
