@@ -551,24 +551,41 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
     phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
     Sums the cosine or sine series R^T w of the block's lowest
-    eigenvector w.
+    eigenvector w by one inverse real FFT: on the grid ys_i = a i / N,
+    k_j ys_i = 2 pi i j / N, so the series is a DFT of the coefficients.
+    Raises ValueError for a non-finite p or an unknown block.
     """
-    _, _, j, R, A, G, _ = {blk[:2]: blk for blk in _galerkin_blocks(params)}[
-        parity, psi_target]
+    if not math.isfinite(p):
+        raise ValueError(f"need a finite p; got {p!r}")
+    blocks = {blk[:2]: blk for blk in _galerkin_blocks(params)}
+    if (parity, psi_target) not in blocks:
+        raise ValueError(f"no block ({parity!r}, {psi_target!r}); the blocks are "
+                         f"{', '.join(f'({b[0].name}, {b[1]:+g})' for b in blocks)}")
+    _, _, j, R, A, G, _ = blocks[parity, psi_target]
     w, v = np.linalg.eigh(A + (p * p) * G)
     coef = R.T @ v[:, 0]
     a = period_a(params)
-    k = 2.0 * math.pi * j / a
-    ys = a * np.arange(EIGENFUNCTION_SAMPLES) / EIGENFUNCTION_SAMPLES
+    n = EIGENFUNCTION_SAMPLES
+    ys = a * np.arange(n) / n
+    spectrum = np.zeros(n // 2 + 1, complex)
     if parity is Parity.EVEN:
         coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
-        return float(w[0]), ys, np.cos(np.outer(ys, k)) @ coef / coef.sum()
-    return float(w[0]), ys, np.sin(np.outer(ys, k)) @ coef / (k @ coef)
+        spectrum[j] = coef
+        spectrum[0] *= 2.0        # irfft counts X_0 once, the others twice
+        norm = coef.sum()
+    else:
+        spectrum[j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
+        norm = (2.0 * math.pi * j / a) @ coef
+    return float(w[0]), ys, np.fft.irfft(spectrum, n) * (n / 2) / norm
 
 
 def count_zeros(values: np.ndarray) -> int:
     """Zeros of a sampled function on one period (sign changes plus
-    isolated zero samples; a zero run and its sign flip count once)."""
+    isolated zero samples; a zero run and its sign flip count once).
+    Raises ValueError for an empty or non-finite array."""
+    values = np.asarray(values, float)
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise ValueError("need a non-empty array of finite samples")
     scale = float(np.max(np.abs(values)))
     sign = np.where(np.abs(values) <= ZERO_SAMPLE_TOL * scale, 0, np.sign(values))
     zero = sign == 0

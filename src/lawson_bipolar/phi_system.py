@@ -137,31 +137,45 @@ def integrate_states(params: SurfaceParams, state0, tol: float,
                      n_points: int | None = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate one period from an arbitrary initial 6-vector by the
     Cooper-Verner RK8 of the Floquet propagation, in Python floats with
-    Kahan-summed increments.  Its step count at tol, rounded up to a
-    multiple of n_points, makes every grid point a step end; with
-    n_points None the grid is every step end of the count at tol.
+    Kahan-summed increments, state and compensation held in six float
+    locals each.  Its step count at tol, rounded up to a multiple of
+    n_points, makes every grid point a step end; with n_points None the
+    grid is every step end of the count at tol.
 
     Returns (grid, states, end_state); no periodicity requirement, so
     perturbed initial data can be propagated for orbit-selection tests.
+    Raises ValueError, before any step, for a tol outside [1e-13, 1e-6],
+    an n_points that is neither None nor an int >= 1, or a state0 that is
+    not six finite floats.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
+    if n_points is not None and not (isinstance(n_points, int)
+                                     and not isinstance(n_points, bool) and n_points >= 1):
+        raise ValueError(f"need n_points None or an int >= 1; got {n_points!r}")
+    x = np.asarray(state0, float)
+    if x.shape != (6,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"need state0 of six finite floats; got {state0!r}")
     a = period_a(params)
     steps = _steps_for(params, tol, a)
     n_points = steps if n_points is None else n_points
     per = -(-steps // n_points)
     step = _rk8_step(params, a / (n_points * per))
-    x, comp = np.asarray(state0, float).tolist(), [0.0] * 6
+    x0, x1, x2, x3, x4, x5 = x.tolist()
+    c0 = c1 = c2 = c3 = c4 = c5 = 0.0
     states = []
-    for i in range(n_points * per):
-        if i % per == 0:
-            states.append(x)
-        d = [u - c for u, c in zip(step(*x), comp)]
-        new = [u + v for u, v in zip(x, d)]
-        comp = [(t - u) - v for t, u, v in zip(new, x, d)]
-        x = new
+    for _ in range(n_points):
+        states.append((x0, x1, x2, x3, x4, x5))
+        for _ in range(per):
+            s0, s1, s2, s3, s4, s5 = step(x0, x1, x2, x3, x4, x5)
+            d = s0 - c0; t = x0 + d; c0 = (t - x0) - d; x0 = t
+            d = s1 - c1; t = x1 + d; c1 = (t - x1) - d; x1 = t
+            d = s2 - c2; t = x2 + d; c2 = (t - x2) - d; x2 = t
+            d = s3 - c3; t = x3 + d; c3 = (t - x3) - d; x3 = t
+            d = s4 - c4; t = x4 + d; c4 = (t - x4) - d; x4 = t
+            d = s5 - c5; t = x5 + d; c5 = (t - x5) - d; x5 = t
     grid = np.linspace(0.0, a, n_points, endpoint=False)
-    return grid, np.array(states), np.array(x)
+    return grid, np.array(states), np.array((x0, x1, x2, x3, x4, x5))
 
 
 def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
@@ -170,7 +184,8 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
     n_points grid points, or on every step end when n_points is None.
 
     The orbit must close up: |state(a) - state(0)| <= 10 * tol, else an
-    IntegrationFailureError carries the residual.
+    IntegrationFailureError carries the residual.  tol and n_points are
+    checked as in integrate_states.
     """
     grid, states, end_state = integrate_states(params, initial_state(params),
                                                tol, n_points)

@@ -200,8 +200,14 @@ class TestSpectrumAndVerifyBytes:
          "f8d94de74f6eb16bae9fb1852ea4ccea4e961d773ed181e24cf5788e61748c18"),
         (["verify", "--r", "8", "--k", "1"],
          "9d167b1202bd0b96e205093abf529b63180ee72125a34908d44840531e4e21a3"),
+        (["verify", "--r", "3", "--k", "1"],
+         "8f129a128e1f8b415aec67b66a607db4ab3cd82a343b99d6e935e7d9dfb706c7"),
+        (["verify", "--r", "5", "--k", "1"],
+         "269e26cf751b16804e2ab0e58086f67a8eac8fc3263fa99068720f75a6131071"),
+        (["verify", "--r", "7", "--k", "6"],
+         "e23a5035a5ba79357870ea0e58b84253eb3dc5d56f594bfba08ee41f73cdddba"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
-            "verify-8-1"])
+            "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 0

@@ -634,6 +634,50 @@ class TestEigenfunctions:
         assert count_zeros(np.cos(t) + 2.0) == 0
         assert count_zeros(np.sin(t)) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite p"):
+            eigenfunction_samples(P31, Parity.EVEN, 2.0, bad)
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ValueError, match=r"\(EVEN, \+2\), \(EVEN, -2\), "
+                                             r"\(ODD, \+2\), \(ODD, -2\)"):
+            eigenfunction_samples(P31, Parity.EVEN, 0.0, 0)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, -1.0], [1.0, math.inf], []],
+                             ids=["nan", "inf", "empty"])
+    def test_count_zeros_rejects_empty_or_non_finite(self, values):
+        with pytest.raises(ValueError, match="non-empty array of finite"):
+            count_zeros(np.array(values))
+
+    @pytest.mark.parametrize("pair", admissible_pairs(12))
+    def test_fft_samples_are_the_direct_sum(self, pair):
+        # the inverse FFT sums the series R^T w that the cos/sin matrices
+        # summed, on every block and on lines 0, 1, m and n
+        params = derive_params(*pair)
+        a = period_a(params)
+        for parity, target, j, R, A, G, _ in hs._galerkin_blocks(params):
+            for p in sorted({0, 1, params.m, params.n}):
+                gamma, ys, vals = eigenfunction_samples(params, parity, target, p)
+                w, v = np.linalg.eigh(A + (p * p) * G)
+                coef = R.T @ v[:, 0]
+                k = 2.0 * math.pi * j / a
+                if parity is Parity.EVEN:
+                    coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
+                    ref = np.cos(np.outer(ys, k)) @ coef / coef.sum()
+                else:
+                    ref = np.sin(np.outer(ys, k)) @ coef / (k @ coef)
+                assert gamma == float(w[0])
+                assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref)), (
+                    parity, target, p)
+                assert count_zeros(vals) == count_zeros(ref), (parity, target, p)
+
+    def test_modes_stay_below_the_sample_nyquist_index(self):
+        # a mode index at or past N/2 would alias on the N-point grid; the
+        # indices depend on N_MODES alone, 96 at most today
+        for _, _, j, *_ in hs._galerkin_blocks(P31):
+            assert int(j.max()) < hs.EIGENFUNCTION_SAMPLES // 2
+
     def test_double_root_flags_empty_below_three(self):
         for line in surface_lines(P31):
             assert line.double_root_flags == ()

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lawson_bipolar import phi_system
 from lawson_bipolar.phi_system import (
     closed_form_theta,
     closed_form_weierstrass,
@@ -46,6 +47,30 @@ def _reference_step(x, h, params) -> tuple:
     for row in stages:
         k.append(odesystem_rhs(0.0, _stage_sum(x, row, k), params))
     return _stage_sum((0.0,) * 6, weights, k)
+
+
+def _reference_integrate(params, state0, tol, n_points):
+    """integrate_states by the list-based Kahan loop it replaced: the
+    state, its compensation and each step's increment as 6-lists."""
+    a = period_a(params)
+    steps = _steps_for(params, tol, a)
+    n_points = steps if n_points is None else n_points
+    per = -(-steps // n_points)
+    step = _rk8_step(params, a / (n_points * per))
+    x, comp = np.asarray(state0, float).tolist(), [0.0] * 6
+    states = []
+    for i in range(n_points * per):
+        if i % per == 0:
+            states.append(x)
+        d = [u - c for u, c in zip(step(*x), comp)]
+        new = [u + v for u, v in zip(x, d)]
+        comp = [(t - u) - v for t, u, v in zip(new, x, d)]
+        x = new
+    return states, x
+
+
+def _no_step(*args):
+    raise AssertionError("integration started on rejected arguments")
 
 
 class TestInitialState:
@@ -150,6 +175,38 @@ class TestIntegration:
             got = step(*x)
             want = _reference_step(tuple(x), h, p)
             assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+    @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6)])
+    @pytest.mark.parametrize("tol, n_points, shift", [
+        (1e-13, None, 0.0), (1e-10, 2048, 0.0), (1e-10, None, 1e-3)],
+        ids=["every-step-1e-13", "grid-2048-1e-10", "perturbed"])
+    def test_loop_is_the_list_based_loop(self, r, k, tol, n_points, shift):
+        # the Kahan sums on six float locals make the same four operations
+        # in the same order as the loop on lists: every state bit for bit
+        p = derive_params(r, k)
+        state0 = initial_state(p) + shift * np.arange(1, 7)
+        _, states, end = integrate_states(p, state0, tol, n_points)
+        want_states, want_end = _reference_integrate(p, state0, tol, n_points)
+        assert [v.hex() for v in states.ravel().tolist()] == [
+            v.hex() for row in want_states for v in row]
+        assert [v.hex() for v in end.tolist()] == [v.hex() for v in want_end]
+
+    @pytest.mark.parametrize("n_points", [0, -5, 2.5, True, "16"])
+    def test_bad_n_points_rejected_before_any_step(self, monkeypatch, n_points):
+        monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
+        with pytest.raises(ValueError, match="n_points"):
+            integrate_states(P31, initial_state(P31), 1e-10, n_points)
+        with pytest.raises(ValueError, match="n_points"):
+            integrate_system(P31, tol=1e-10, n_points=n_points)
+
+    @pytest.mark.parametrize("state0", [
+        [1.0, 0.0, 0.5], [0.0] * 7, [[0.0] * 6],
+        [math.nan, 0.0, 0.0, 0.0, 1.0, 0.0], [math.inf, 0.0, 0.0, 0.0, 1.0, 0.0]],
+        ids=["three", "seven", "nested", "nan", "inf"])
+    def test_bad_state0_rejected_before_any_step(self, monkeypatch, state0):
+        monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
+        with pytest.raises(ValueError, match="state0"):
+            integrate_states(P31, state0, 1e-10)
 
 
 class TestThetaClosedForm:
