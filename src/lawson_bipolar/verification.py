@@ -90,21 +90,22 @@ class CheckResult:
         return self.residual < self.threshold
 
     def __str__(self):
-        tag = "pass" if self.passed else "FAIL"
-        return f"[{tag}] {self.name}: residual {self.residual:.3e} < {self.threshold:.1e}"
+        tag, rel = ("pass", "<") if self.passed else ("FAIL", ">=")
+        return f"[{tag}] {self.name}: residual {self.residual:.3e} {rel} {self.threshold:.1e}"
 
 
 # ---------------------------------------------------------------------------
 # profile checks
 # ---------------------------------------------------------------------------
 
-def _takahashi_residual(profile: ps.PhiProfile) -> tuple[float, str]:
+def _takahashi_residual(profile: ps.PhiProfile,
+                        f: np.ndarray | None = None) -> tuple[float, str]:
     """Residual of (p_j^2 phi_j - phi_j'') / f - 2 phi_j over the grid,
-    with phi'' taken from the profile system itself."""
+    phi'' from the profile system, f from metric_f_array unless given."""
     params = profile.params
     n2, m2 = params.n ** 2, params.m ** 2
     p0, p1, p2 = profile.states[:, 0], profile.states[:, 1], profile.states[:, 2]
-    f = metric_f_array(profile.grid, params)
+    f = metric_f_array(profile.grid, params) if f is None else f
     twof_hat = 2.0 * (m2 * p1 ** 2 + n2 * p2 ** 2)
     parts = {
         "phi0": np.max(np.abs((0.0 * p0 + twof_hat * p0) / f - 2.0 * p0)),
@@ -129,12 +130,10 @@ def profile_checks(params: SurfaceParams) -> list[CheckResult]:
     st = profile.states
     sphere = float(np.max(np.abs(np.sum(st[:, :3] ** 2, axis=1) - 1.0)))
     f = metric_f_array(profile.grid, params)
-    conf = float(np.max(np.abs(
-        np.sum(st[:, 3:] ** 2, axis=1)
-        - (params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2))))
-    metric_gap = float(np.max(np.abs(
-        (params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2) - f)))
-    taka, taka_ctx = _takahashi_residual(profile)
+    f_hat = params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2
+    conf = float(np.max(np.abs(np.sum(st[:, 3:] ** 2, axis=1) - f_hat)))
+    metric_gap = float(np.max(np.abs(f_hat - f)))
+    taka, taka_ctx = _takahashi_residual(profile, f)
 
     e1, e2 = ps.first_integrals(st, params)
     e1_drift = float(np.max(np.abs(e1 - e1[0])))

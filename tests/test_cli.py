@@ -22,9 +22,10 @@ from lawson_bipolar.cli import main, _json17
 from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
+from lawson_bipolar.verification import CheckResult
 
 RANK_8_1_DIGEST = "a4c5e8f874be23a9a65d21c6bd17c61f63168cad841e918e7b571330330135cf"
-SPECTRUM_8_1_CSV_DIGEST = "c097dda5b4dbd65d2b6bd8941b4debc38b81688928e3dec2ac8f903ba9189ecf"
+SPECTRUM_8_1_CSV_DIGEST = "39bde500812418cd7f02087b7114ddbc956426348c39cd508f86e531644dcc6b"
 
 
 class TestJsonFormatter:
@@ -190,22 +191,23 @@ class TestSpectrumAndVerifyBytes:
     residuals from the fixed-step RK8 integration of the profile at every
     step end, and its chart residuals from the H1 modulus with the exact
     complement (n-m)/(n+m).  The CSV digests were
-    recorded from the JSON spectrum's fields written by csv.writer."""
+    recorded from the JSON spectrum's fields written by csv.writer, and
+    the blocks' Fourier coefficients of f from its nome series."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
-         "d7067fdd15c0d2e3eff58ba56594a87db73ebcb9727893c7489ee5ea72ea518f"),
+         "34c8af5a48127203960134f8b4524fc941c535bbf924b5ea10ceb81d02379bd9"),
         (["spectrum", "--r", "8", "--k", "1", "--format", "csv"], SPECTRUM_8_1_CSV_DIGEST),
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
-         "f8d94de74f6eb16bae9fb1852ea4ccea4e961d773ed181e24cf5788e61748c18"),
+         "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
          "9d167b1202bd0b96e205093abf529b63180ee72125a34908d44840531e4e21a3"),
         (["verify", "--r", "3", "--k", "1"],
-         "8f129a128e1f8b415aec67b66a607db4ab3cd82a343b99d6e935e7d9dfb706c7"),
+         "0a54e92ed8dd2d70f172b0e7b1804cf0bb7ebb12ee9d25bd1a07726f4c5d693e"),
         (["verify", "--r", "5", "--k", "1"],
          "269e26cf751b16804e2ab0e58086f67a8eac8fc3263fa99068720f75a6131071"),
         (["verify", "--r", "7", "--k", "6"],
-         "e23a5035a5ba79357870ea0e58b84253eb3dc5d56f594bfba08ee41f73cdddba"),
+         "1190300ff5d8872b5802ac730fa3f30933f595d6d2a378359d3f5dd1eda52235"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -258,6 +260,18 @@ class TestVerify:
             "isometry_pullback", "orbit_geodesic", "area_identity",
             "rank_matches_formula", "multiplicity_is_5"}
 
+
+    def test_failed_check_line_states_residual_at_or_above_threshold(self, tmp_path,
+                                                                     capsys):
+        # (42, 41) is past the range verify passes: E1 drifts 12% above 1e-8
+        out = tmp_path / "r42.json"
+        assert main(["verify", "--r", "42", "--k", "41", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "FAILED: [FAIL] first_integral_E1_drift: residual 1.118e-08 >= 1.0e-08\n")
+        drift = [c for c in json.loads(out.read_text())["checks"]
+                 if c["name"] == "first_integral_E1_drift"]
+        assert drift[0]["residual"] >= drift[0]["threshold"]
+        assert str(CheckResult("x", 1e-9, 1e-8)) == "[pass] x: residual 1.000e-09 < 1.0e-08"
 
     def test_verify_6_1_reports_rank_22(self, tmp_path):
         out = tmp_path / "r61.json"

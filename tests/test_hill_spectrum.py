@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
+from lawson_bipolar import surface_model as sm
 from lawson_bipolar import verification as vf
 from lawson_bipolar.cli import main
 from lawson_bipolar.hill_spectrum import (
@@ -326,12 +327,23 @@ class TestBranches:
             assert len(got) == len(oracle)
 
 
+#: samples of f over one period for the reference FFT coefficients
+REFERENCE_F_SAMPLES = 512
+
+
+def _fft_cosines(params):
+    """c_0..c_256 of f from the FFT of REFERENCE_F_SAMPLES samples of f,
+    each from the Landen sn of metric_f_array."""
+    a = period_a(params)
+    ys = a * np.arange(REFERENCE_F_SAMPLES) / REFERENCE_F_SAMPLES
+    return np.fft.rfft(metric_f_array(ys, params)).real / REFERENCE_F_SAMPLES
+
+
 def _reference_pencils(params):
     """The four Galerkin blocks as unreduced pencils (parity, psi_target,
     j, k_j^2, F), built from the FFT coefficients of f."""
     a = period_a(params)
-    ys = a * np.arange(hs._F_SAMPLES) / hs._F_SAMPLES
-    c = np.fft.rfft(metric_f_array(ys, params)).real / hs._F_SAMPLES
+    c = _fft_cosines(params)
     pencils = []
     for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
         for target, first in ((2.0, first_even), (-2.0, 1)):
@@ -431,6 +443,66 @@ def test_reduced_blocks_match_pencil_reference(pair):
         ref = _reference_samples(params, pencils, p, eig.gamma, eig.parity, 2048)
         assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert count_zeros(vals) == count_zeros(ref)
+
+
+#: the flat and large pairs of the coefficient checks, as (r, k) and as (n, m)
+LARGE_PAIRS = ((8, 1), (800, 1), (801, 799), (2401, 2400), (4801, 1))
+
+
+def _series_error(params):
+    """Largest |c_l| gap of the nome series against the reference FFT,
+    relative to c_0."""
+    c = hs._f_cosines(params)
+    return float(np.max(np.abs(c - _fft_cosines(params)[:c.size])) / c[0])
+
+
+def test_series_coefficients_match_fft():
+    """The nome series of dn^2 gives the FFT's cosine coefficients of f
+    within 1e-15 c_0 at every pair with r <= 40 and at the flat and large
+    pairs, whose nome q runs from 2.7e-9 to 0.37."""
+    params = ([derive_params(*pair) for pair in admissible_pairs(40) + list(LARGE_PAIRS)]
+              + [params_from_nm(*pair) for pair in LARGE_PAIRS])
+    worst = max((_series_error(p), str(p)) for p in params)
+    assert worst[0] <= 1e-15, worst
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([(2 * r - 1, 1) for r in range(701, 6002)])
+       | st.sampled_from([(r, r - 1) for r in range(1400, 6001)]))
+def test_series_coefficients_on_flat_profiles(nm):
+    """Nearly flat profiles (n, m) = (2r-1, 1) and (r, r-1) with n >= 1400:
+    the series agrees with the FFT within 1e-15 c_0 and resolves f within
+    the tail bound."""
+    params = params_from_nm(*nm)
+    assert params.n >= 1400
+    assert _series_error(params) <= 1e-15
+    c = hs._f_cosines(params)
+    assert abs(c[2 * hs.N_MODES]) <= hs.TAIL_BOUND * c[0]
+
+
+def test_blocks_read_no_sample_of_f(monkeypatch):
+    """The blocks take f's coefficients from the series alone, so a cold
+    rank report makes no call to f or to a Jacobi function."""
+    def boom(*args, **kwargs):
+        raise AssertionError("f or a Jacobi function called on the rank path")
+
+    monkeypatch.setattr(hs, "metric_f_array", boom)
+    hs._galerkin_blocks.__wrapped__(P31)
+    monkeypatch.setattr(sm, "jacobi_sncndn", boom)
+    monkeypatch.setattr(sm, "jacobi_am", boom)
+    hs._galerkin_blocks.cache_clear()
+    assert extremal_rank(8, 1).rank_i == 30
+
+
+def test_closed_form_count_is_the_rank_formula():
+    """count_below_two accepts only the closed form 2(n+m) - 3 (torus) or
+    n+m - 3 (Klein bottle), and one more is rank_formula for every pair
+    that derive_params gives: extremal_rank needs no check of its own."""
+    for pair in admissible_pairs(200):
+        params = derive_params(*pair)
+        n, m = params.n, params.m
+        closed = 2 * (n + m) - 3 if params.topology is Topology.TORUS else n + m - 3
+        assert closed + 1 == rank_formula(params), pair
 
 
 def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
