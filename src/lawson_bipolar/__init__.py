@@ -30,7 +30,6 @@ from .surface_model import (
     derive_params,
     params_from_nm,
     period_a,
-    theta_of_y,
 )
 from .phi_system import (
     IntegrationFailureError,

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "count_below_two",
     "multiplicity_at_two",
     "extremal_rank",
+    "rank_formula",
     "RANK_FORMULAS",
     "surface_lines",
     "eigenfunction_samples",
@@ -246,7 +247,6 @@ class CountResult:
     """Eigenvalues below lambda = 2 with their selection bookkeeping."""
 
     count: int
-    closed_form: int
     contributing: tuple[tuple, ...]   # (parity, psi_target, mu, weight)
 
 
@@ -466,14 +466,13 @@ def _line_weight(lines: int, parity: Parity, topology: Topology) -> int:
     return 2 * kept - (lines > 0 and _keeps(parity, 0, topology))
 
 
-def count_below_two(params: SurfaceParams,
-                    topology_override: Optional[Topology] = None) -> CountResult:
+def count_below_two(params: SurfaceParams) -> CountResult:
     """Count nonzero eigenvalues of the surface below lambda = 2: each mu_i
     of _inertia on the lines the topology keeps, less the zero mode (the
     constants, the lowest root of block 0 on line 0).  A total off the
     closed form 2(n+m) - 3 (torus) or n+m - 3 (Klein bottle) raises
     SpectrumMismatchError with each block's mu."""
-    topo = topology_override or params.topology
+    topo = params.topology
     roots = _inertia(params)
     weights = [_line_weight(lines, parity, topo) for parity, _, _, lines, _ in roots]
     weights[0] -= 1       # the zero mode; roots[0] is block 0's largest mu
@@ -487,8 +486,8 @@ def count_below_two(params: SurfaceParams,
                         for parity, target, *_, mu in _galerkin_blocks(params))
         raise SpectrumMismatchError(
             f"count below 2 is {total}, closed form {closed} "
-            f"({params}, counting as {topo.value}); each block's mu:\n{mus}")
-    return CountResult(count=total, closed_form=closed, contributing=contributing)
+            f"({params}); each block's mu:\n{mus}")
+    return CountResult(count=total, contributing=contributing)
 
 
 def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:

@@ -27,9 +27,10 @@ from .special_functions import (
     PoleProximityError,
     WeierstrassInvariants,
     complete_K,
+    jacobi_sncndn,
     weierstrass_p,
 )
-from .surface_model import SurfaceParams, period_a, theta_of_y
+from .surface_model import SurfaceParams, period_a
 
 __all__ = [
     "IntegrationFailureError",
@@ -184,15 +185,18 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
     n_points grid points, or on every step end when n_points is None.
 
     The orbit must close up: |state(a) - state(0)| <= 10 * tol, else an
-    IntegrationFailureError carries the residual.  tol and n_points are
-    checked as in integrate_states.
+    IntegrationFailureError names the surface, the residual, tol, the
+    bound and the step count.  tol and n_points are checked as in
+    integrate_states.
     """
     grid, states, end_state = integrate_states(params, initial_state(params),
                                                tol, n_points)
     resid = float(np.max(np.abs(end_state - states[0])))
     if resid > 10.0 * tol:
+        per = -(-_steps_for(params, tol, period_a(params)) // len(grid))
         raise IntegrationFailureError(
-            f"orbit not periodic: |state(a)-state(0)| = {resid:.3e} > 10*tol")
+            f"orbit not periodic for {params}: |state(a)-state(0)| = {resid:.3e} "
+            f"> 10*tol = {10.0 * tol:.1e} at tol {tol:.1e}, {len(grid) * per} RK8 steps")
     return PhiProfile(params=params, grid=grid, states=states, end_state=end_state)
 
 
@@ -205,23 +209,23 @@ def closed_form_theta(y, params: SurfaceParams) -> np.ndarray:
     theta parametrization, at a scalar y (giving one 6-vector) or a 1-D
     array (giving one row each).
 
-    phi0 = sqrt((n^2+m^2)/(2n^2)) cos(theta), phi1 = sin(theta)/sqrt(2),
-    phi2 the positive square root of the remainder (phi2 never vanishes);
-    derivatives use theta' = sqrt(n^2 - m^2 cos^2 theta) > 0.
+    phi0 = sqrt((n^2+m^2)/(2n^2)) cos(theta), phi1 = sin(theta)/sqrt(2)
+    and phi2 = theta'/(sqrt(2) n), where cos(theta) = sn(K - n y, m/n), so
+    sin(theta) = cn and theta' = sqrt(n^2 - m^2 cos^2 theta) = n dn: one
+    Jacobi triple gives every row.
     """
     n, m = params.n, params.m
     ys = np.asarray(y, float)
-    th = theta_of_y(ys.reshape(-1), params)
-    c, s = np.cos(th), np.sin(th)
-    dth = np.sqrt(n * n - m * m * c * c)
+    sn, cn, dn = jacobi_sncndn(complete_K(params.modulus) - n * ys.reshape(-1),
+                               params.modulus)
     c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
     rows = np.column_stack((
-        c0 * c,
-        s / math.sqrt(2.0),
-        dth / (math.sqrt(2.0) * n),
-        -c0 * s * dth,
-        c * dth / math.sqrt(2.0),
-        m * m * s * c / (math.sqrt(2.0) * n),
+        c0 * sn,
+        cn / math.sqrt(2.0),
+        dn / math.sqrt(2.0),
+        -c0 * n * cn * dn,
+        n * sn * dn / math.sqrt(2.0),
+        m * m * sn * cn / (math.sqrt(2.0) * n),
     ))
     return rows[0] if ys.ndim == 0 else rows
 

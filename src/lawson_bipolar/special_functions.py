@@ -53,10 +53,11 @@ class PoleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticModulus:
-    """Modulus k with its complement k' = sqrt(1 - k^2).
+    """Modulus k with its complement k' = sqrt(1 - k^2) >= 0.
 
-    k must lie in [0, 1]; k = 1 is admitted only so that E(1) = 1 is
-    expressible (K diverges there and raises).
+    k must lie in [0, 1] and k' must not be NaN or negative; k = 1 is
+    admitted only so that E(1) = 1 is expressible (K diverges there and
+    raises).
     """
 
     k: float
@@ -65,8 +66,10 @@ class EllipticModulus:
     def __post_init__(self):
         if not (0.0 <= self.k <= 1.0) or not math.isfinite(self.k):
             raise DomainError(f"modulus k={self.k!r} outside [0, 1]")
-        if abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) > 1e-14:
-            raise DomainError("k^2 + k_prime^2 must equal 1")
+        if not (self.k_prime >= 0.0
+                and abs(self.k * self.k + self.k_prime * self.k_prime - 1.0) <= 1e-14):
+            raise DomainError(f"k_prime={self.k_prime!r} is not sqrt(1 - k^2) >= 0 "
+                              f"for k={self.k!r}")
 
     @classmethod
     def from_k(cls, k: float) -> "EllipticModulus":

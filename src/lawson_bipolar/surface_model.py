@@ -3,10 +3,10 @@
 The integer pair (r, k) with 0 < k < r, gcd(r, k) = 1 selects a Lawson
 surface; the derived pair (n, m) indexes the conformal model of its
 bipolar surface.  This module holds the parameter map, the immersions
-(Lawson in S^3, bipolar in S^4), the flat-chart metrics, the profile
-coordinate change theta(y), and the H-transforms gluing the charts.
-Everything is a pure function of its arguments; the chart maps take
-scalars or equal-shape arrays.
+(Lawson in S^3, bipolar in S^4), the flat-chart metrics, and the chart
+maps gluing the (u, v) chart to the flat (x, y) model.  Everything is a
+pure function of its arguments; the chart maps take scalars or
+equal-shape arrays.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ __all__ = [
     "ExcludedDirectionError",
     "Topology",
     "ParityClass",
-    "HTransform",
     "SurfaceParams",
     "derive_params",
     "params_from_nm",
     "admissible_pairs",
     "period_a",
-    "theta_of_y",
     "metric_f_array",
     "lawson_I",
     "lawson_normal",
@@ -49,7 +47,6 @@ __all__ = [
     "bipolar_column",
     "parambip_column",
     "bipolar_metric",
-    "h_transforms",
     "klein_deck_map",
     "z_of_v",
     "v_of_z",
@@ -85,13 +82,6 @@ class ParityClass(Enum):
     EVEN_RK = "EvenRK"
     RK_1_MOD_4 = "RK1mod4"
     RK_3_MOD_4 = "RK3mod4"
-
-
-class HTransform(Enum):
-    H1 = "H1"
-    H2 = "H2"
-    H3 = "H3"
-    H3PRIME = "H3prime"
 
 
 @dataclass(frozen=True)
@@ -170,26 +160,15 @@ def period_a(params: SurfaceParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# theta(y) and the metric profile
+# the metric profile
 # ---------------------------------------------------------------------------
-
-def theta_of_y(y, params: SurfaceParams):
-    """Profile angle theta(y), the inversion of
-    y = (1/n) * integral_0^theta dt / sqrt(1 - (m/n)^2 cos^2 t), at a
-    scalar y (giving a float) or an array (giving an array of its shape).
-
-    Evaluated through the Jacobi amplitude: theta = pi/2 - am(K - n y),
-    which also encodes cos(theta(y)) = sn(K - n y, m/n).
-    """
-    K = complete_K(params.modulus)
-    return math.pi / 2.0 - jacobi_am(K - params.n * np.asarray(y, float), params.modulus)
-
 
 def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
     """Conformal factor f(y) = (m^2+n^2)/2 - m^2 cos^2(theta(y)) of the
-    metric f (dx^2 + dy^2); f > 0 with f(y) = f(-y) = f(y + a/2).  y is a
-    scalar (giving a float) or an array (giving an array of its shape); a
-    NaN or an infinity raises DomainError."""
+    metric f (dx^2 + dy^2), with cos(theta(y)) = sn(K - n y, m/n); f > 0
+    with f(y) = f(-y) = f(y + a/2).  y is a scalar (giving a float) or an
+    array (giving an array of its shape); a NaN or an infinity raises
+    DomainError."""
     K = complete_K(params.modulus)
     sn, _, _ = jacobi_sncndn(K - params.n * np.asarray(y, float), params.modulus)
     return (params.m ** 2 + params.n ** 2) / 2.0 - params.m ** 2 * (sn * sn)
@@ -332,10 +311,10 @@ def parambip_column(u, v, params: SurfaceParams) -> np.ndarray:
     ])
 
 
-def bipolar_metric(u, v, params: SurfaceParams):
+def bipolar_metric(v, params: SurfaceParams):
     """Diagonal first-fundamental-form coefficients (g_uu, g_vv) of the
-    bipolar surface in the (u, v) chart, at scalars or equal-shape
-    arrays.  There is no cross term."""
+    bipolar surface in the (u, v) chart, at a scalar v or an array; they
+    do not depend on u, and there is no cross term."""
     r, k = params.r, params.k
     sv = np.sin(v)
     w2 = r * r - (r * r - k * k) * sv * sv
@@ -344,10 +323,11 @@ def bipolar_metric(u, v, params: SurfaceParams):
 
 
 # ---------------------------------------------------------------------------
-# chart changes H1, H2, H3, H3'
+# chart changes
 # ---------------------------------------------------------------------------
-# Points are (u, z) pairs of scalars or of equal-shape arrays; a scalar
-# coordinate maps to a float.
+# H1: (u, v) -> (u, z(v));  H2: (u, z) -> (u + pi/2, a/4 - z);
+# H3: (u, z) -> (u, 2z + K(m/n)/n);  H3': (u, z) -> (2u, 2z + K(m/n)/n).
+# The maps take scalars or equal-shape arrays; a scalar maps to a float.
 
 def z_of_v(v, params: SurfaceParams):
     """The H1 substitution z(v) = F(v, kh)/(n+m), with F the incomplete
@@ -361,31 +341,10 @@ def v_of_z(z, params: SurfaceParams):
     return jacobi_am((params.n + params.m) * np.asarray(z, float), params.h_modulus)
 
 
-def h_transforms(point: tuple, which: HTransform, params: SurfaceParams) -> tuple:
-    """Apply one of the chart transforms.
-
-    H1: (u, v) -> (u, z(v));  H2: (u, z) -> (u + pi/2, a/4 - z);
-    H3: (u, z) -> (u, 2z + K(m/n)/n);  H3': (u, z) -> (2u, 2z + K(m/n)/n).
-    """
-    x0, x1 = point
-    if which is HTransform.H1:
-        return x0, z_of_v(x1, params)
-    if which is HTransform.H2:
-        return x0 + math.pi / 2.0, period_a(params) / 4.0 - x1
-    shift = complete_K(params.modulus) / params.n
-    if which is HTransform.H3:
-        return x0, 2.0 * x1 + shift
-    if which is HTransform.H3PRIME:
-        return 2.0 * x0, 2.0 * x1 + shift
-    raise ValueError(f"unknown transform {which!r}")
-
-
 def klein_deck_map(u, v, params: SurfaceParams) -> tuple:
     """The composite H1^{-1} o H2 o H1 turning the torus into a Klein bottle
     when n is even and m is odd; the immersion is pointwise invariant."""
-    p = h_transforms((u, v), HTransform.H1, params)
-    u2, z2 = h_transforms(p, HTransform.H2, params)
-    return u2, v_of_z(z2, params)
+    return u + math.pi / 2.0, v_of_z(period_a(params) / 4.0 - z_of_v(v, params), params)
 
 
 # ---------------------------------------------------------------------------

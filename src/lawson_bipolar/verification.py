@@ -21,12 +21,10 @@ from . import phi_system as ps
 from . import surface_model as sm
 from .special_functions import complete_K, jacobi_sncndn
 from .surface_model import (
-    HTransform,
     SurfaceParams,
     Topology,
     ParityClass,
     derive_params,
-    h_transforms,
     klein_deck_map,
     metric_f_array,
     period_a,
@@ -39,10 +37,12 @@ __all__ = [
     "profile_checks",
     "isometry_checks",
     "invariance_checks",
+    "immersion_agreement_check",
     "area_quadrature",
     "area_and_lambda",
     "orbit_space_checks",
     "floquet_structure_checks",
+    "eigenfunction_zero_checks",
     "full_report",
 ]
 
@@ -98,14 +98,12 @@ class CheckResult:
 # profile checks
 # ---------------------------------------------------------------------------
 
-def _takahashi_residual(profile: ps.PhiProfile,
-                        f: np.ndarray | None = None) -> tuple[float, str]:
+def _takahashi_residual(profile: ps.PhiProfile, f: np.ndarray) -> tuple[float, str]:
     """Residual of (p_j^2 phi_j - phi_j'') / f - 2 phi_j over the grid,
-    phi'' from the profile system, f from metric_f_array unless given."""
+    phi'' from the profile system, f the conformal factor on the grid."""
     params = profile.params
     n2, m2 = params.n ** 2, params.m ** 2
     p0, p1, p2 = profile.states[:, 0], profile.states[:, 1], profile.states[:, 2]
-    f = metric_f_array(profile.grid, params) if f is None else f
     twof_hat = 2.0 * (m2 * p1 ** 2 + n2 * p2 ** 2)
     parts = {
         "phi0": np.max(np.abs((0.0 * p0 + twof_hat * p0) / f - 2.0 * p0)),
@@ -170,31 +168,28 @@ def profile_checks(params: SurfaceParams) -> list[CheckResult]:
 def isometry_checks(params: SurfaceParams) -> list[CheckResult]:
     """Pull the flat-model metric back through H1 o H3 (even rk) or
     H1 o H3' (odd rk) and compare with the bipolar-chart metric; also
-    check the three sn/cn bridging identities along the chart change."""
+    check the sn/cn bridging identities along the chart change."""
     n, m = params.n, params.m
     even_rk = params.parity_class is ParityClass.EVEN_RK
-    which = HTransform.H3 if even_rk else HTransform.H3PRIME
-    dx_du = 1.0 if even_rk else 2.0
+    chart, dx_du = ("H3", 1.0) if even_rk else ("H3prime", 2.0)
     K = complete_K(params.modulus)
 
     v = np.linspace(0.0, math.pi, ISOMETRY_GRID, endpoint=False)
     z = sm.z_of_v(v, params)
-    _, y = h_transforms((0.0, z), which, params)
+    y = 2.0 * z + K / n     # H3 and H3' alike; x = u or 2u gives dx_du
     ftil = metric_f_array(y, params)
     sv = np.sin(v)
     P = (n + m) ** 2 - 4.0 * m * n * sv * sv
-    # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P); the bipolar
-    # metric depends on v alone, so u = 0 stands for each row
-    g_uu, g_vv = sm.bipolar_metric(0.0, v, params)
+    # dz/dv = 1/sqrt(P) and dy/dz = 2, so dy/dv = 2/sqrt(P)
+    g_uu, g_vv = sm.bipolar_metric(v, params)
     pull = [ftil * dx_du ** 2 - g_uu, ftil * 4.0 / P - g_vv]
-    # the three sn/cn bridging identities at each z
+    # sn(K - n y) = -sn(2 n z) and cn(K - n y) = cn(2 n z) at each z
     sn2, cn2, _ = jacobi_sncndn(2.0 * n * z, params.modulus)
-    th = sm.theta_of_y(y, params)
-    sny, _, _ = jacobi_sncndn(K - n * y, params.modulus)
-    bridge = [np.cos(th) + sn2, np.sin(th) - cn2, np.cos(th) - sny]
+    sny, cny, _ = jacobi_sncndn(K - n * y, params.modulus)
+    bridge = [sny + sn2, cny - cn2]
     return [
         CheckResult("isometry_pullback", float(np.max(np.abs(pull))), 1e-8,
-                    f"chart {which.value}, {ISOMETRY_GRID} values of v"),
+                    f"chart {chart}, {ISOMETRY_GRID} values of v"),
         CheckResult("bridging_identities", float(np.max(np.abs(bridge))), 1e-10),
     ]
 

@@ -8,6 +8,7 @@ fixtures.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ def test_criterion_03_named_anchors():
 
 def test_criterion_04_klein_vs_double_cover():
     klein31 = hs.count_below_two(derive_params(3, 1)).count + 1
-    cover31 = hs.count_below_two(derive_params(3, 1),
-                                 topology_override=Topology.TORUS).count + 1
+    cover31 = hs.count_below_two(replace(derive_params(3, 1),
+                                         topology=Topology.TORUS)).count + 1
     klein53 = hs.count_below_two(derive_params(5, 3)).count + 1
     ok = (klein31, cover31, klein53) == (1, 4, 3)
     _report(4, ok, f"(3,1) Klein rank {klein31}, double cover {cover31}; "
@@ -127,7 +128,7 @@ def test_criterion_06_minimal_immersion_residuals(profiles):
             np.sum(st[:, 3:] ** 2, axis=1)
             - (params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2)))))
         worst["takahashi"] = max(worst["takahashi"],
-                                 vf._takahashi_residual(profile)[0])
+                                 vf._takahashi_residual(profile, f)[0])
     ok = all(v < 1e-8 for v in worst.values())
     _report(6, ok, "1024-point grid over all pairs: " +
             ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))

@@ -190,9 +190,11 @@ class TestSpectrumAndVerifyBytes:
     propagation at those roots and at R2 sequence points, its profile
     residuals from the fixed-step RK8 integration of the profile at every
     step end, and its chart residuals from the H1 modulus with the exact
-    complement (n-m)/(n+m).  The CSV digests were
-    recorded from the JSON spectrum's fields written by csv.writer, and
-    the blocks' Fourier coefficients of f from its nome series."""
+    complement (n-m)/(n+m), its closed-form profile rows and bridging
+    identities from one Jacobi triple (sn, cn, dn)(K - n y).  The CSV
+    digests were recorded from the JSON spectrum's fields written by
+    csv.writer, and the blocks' Fourier coefficients of f from its nome
+    series."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
@@ -201,13 +203,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "9d167b1202bd0b96e205093abf529b63180ee72125a34908d44840531e4e21a3"),
+         "db4e9f8542e0c6f3a3cc10de44b8fb9fb1a82034e1229f599182e7a0b58d1fd0"),
         (["verify", "--r", "3", "--k", "1"],
-         "0a54e92ed8dd2d70f172b0e7b1804cf0bb7ebb12ee9d25bd1a07726f4c5d693e"),
+         "5df205d7b83ea94ba7418a1928b16a34aa42c3cc84f5d6d63be67a6987bb6e47"),
         (["verify", "--r", "5", "--k", "1"],
-         "269e26cf751b16804e2ab0e58086f67a8eac8fc3263fa99068720f75a6131071"),
+         "05141feb8f4158c6f4bf168c149ca71e9d522c987c85f9fa33d0f3c74164a1ee"),
         (["verify", "--r", "7", "--k", "6"],
-         "1190300ff5d8872b5802ac730fa3f30933f595d6d2a378359d3f5dd1eda52235"),
+         "403bb504fb93ae858a702b27f92802b0b00e37098d7215637cc8f289afdf6f65"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -629,3 +631,22 @@ def _caches() -> set:
 
 def test_every_cache_is_listed():
     assert _caches() == set(ALLOWED_CACHES)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lawson_bipolar").glob("[!_]*.py")),
+                         ids=lambda path: path.stem)
+def test_all_lists_the_public_functions_and_classes(path):
+    """A module's __all__ holds, once each, names the module has; its
+    functions and classes are exactly the public ones the module defines,
+    and its other names are module constants."""
+    mod = importlib.import_module(f"lawson_bipolar.{path.stem}")
+    defined = {name for name, obj in vars(mod).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__}
+    listed = mod.__all__
+    assert len(set(listed)) == len(listed)
+    assert [name for name in listed if not hasattr(mod, name)] == []
+    assert {name for name in listed
+            if inspect.isfunction(getattr(mod, name))
+            or inspect.isclass(getattr(mod, name))} == defined

@@ -10,6 +10,7 @@ the closed-form counting identities for ranks.
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -523,16 +524,16 @@ def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
 class TestCounting:
     def test_count_torus_3_1(self):
         res = count_below_two(P31)
-        assert res.count == res.closed_form == 5
+        assert res.count == 5
         assert sum(w for *_, w in res.contributing) == 5
 
     def test_count_klein_4_1(self):
         p41 = params_from_nm(4, 1)      # (r, k) = (5, 3)
         res = count_below_two(p41)
-        assert res.count == res.closed_form == 2
+        assert res.count == 2
 
     def test_double_cover_of_klein(self):
-        res = count_below_two(P21, topology_override=Topology.TORUS)
+        res = count_below_two(replace(P21, topology=Topology.TORUS))
         assert res.count == 3           # first index 2(n+m-1) = 4
 
     def test_lost_member_raises_with_each_blocks_mu(self, monkeypatch):
@@ -589,7 +590,7 @@ def test_rank_properties_beyond_table(pair):
         if key.startswith("anchor"):
             assert value < 1e-7, key
     if params.topology is Topology.KLEIN_BOTTLE:
-        cover = count_below_two(params, topology_override=Topology.TORUS)
+        cover = count_below_two(replace(params, topology=Topology.TORUS))
         assert cover.count == 2 * (params.n + params.m) - 3
 
 
@@ -618,7 +619,7 @@ def test_inertia_matches_line_scan(pair):
     params = derive_params(*pair)
     for topology in {params.topology, Topology.TORUS}:
         blocks, _ = _line_scan_count(params, topology)
-        res = count_below_two(params, topology_override=topology)
+        res = count_below_two(replace(params, topology=topology))
         got = Counter()
         for parity, target, _, w in res.contributing:
             got[parity, target] += w

@@ -23,7 +23,14 @@ from lawson_bipolar.phi_system import (
 )
 from lawson_bipolar.hill_spectrum import _CV_A, _CV_B, _steps_for
 from lawson_bipolar.phi_system import _rk8_step
-from lawson_bipolar.surface_model import derive_params, metric_f_array, params_from_nm, period_a
+from lawson_bipolar.special_functions import complete_K, jacobi_am
+from lawson_bipolar.surface_model import (
+    admissible_pairs,
+    derive_params,
+    metric_f_array,
+    params_from_nm,
+    period_a,
+)
 
 P21 = params_from_nm(2, 1)
 P31 = params_from_nm(3, 1)
@@ -247,6 +254,25 @@ class TestThetaClosedForm:
             dn = closed_form_theta(y - h, P31)
             for i in range(3):
                 assert abs((up[i] - dn[i]) / (2 * h) - st[3 + i]) < 1e-8
+
+    def test_jacobi_triple_matches_the_amplitude_route(self):
+        # the amplitude route: theta = pi/2 - am(K - n y), then cos, sin
+        # and theta' = sqrt(n^2 - m^2 cos^2 theta); the gap is taken per
+        # column, relative to the column's largest value
+        for pair in admissible_pairs(40):
+            params = derive_params(*pair)
+            n, m = params.n, params.m
+            ys = np.linspace(0.0, period_a(params), 512, endpoint=False)
+            w = complete_K(params.modulus) - n * ys
+            th = math.pi / 2.0 - jacobi_am(w, params.modulus)
+            c, s = np.cos(th), np.sin(th)
+            dth = np.sqrt(n * n - m * m * c * c)
+            c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
+            ref = np.column_stack((c0 * c, s / math.sqrt(2.0), dth / (math.sqrt(2.0) * n),
+                                   -c0 * s * dth, c * dth / math.sqrt(2.0),
+                                   m * m * s * c / (math.sqrt(2.0) * n)))
+            gap = np.max(np.abs(closed_form_theta(ys, params) - ref), axis=0)
+            assert np.all(gap <= 1e-14 * np.max(np.abs(ref), axis=0)), (pair, gap)
 
 
 class TestWeierstrassClosedForm:

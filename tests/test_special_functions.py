@@ -79,6 +79,18 @@ class TestModulus:
         with pytest.raises(DomainError):
             EllipticModulus(0.5, 0.5)
 
+    def test_rejects_nan_complement(self):
+        # NaN fails every comparison, so it must not pass for a small
+        # |k^2 + k'^2 - 1|; K would be NaN and sn, cn, dn (NaN, -1, 1)
+        with pytest.raises(DomainError, match="k_prime=nan"):
+            EllipticModulus(0.6, math.nan)
+
+    def test_rejects_negative_complement(self):
+        # k^2 + k'^2 = 1 holds for k' = -0.8, but the AGM would take its
+        # square root
+        with pytest.raises(DomainError, match="k_prime=-0.8"):
+            EllipticModulus(0.6, -0.8)
+
 
 class TestCompleteIntegrals:
     def test_K_at_zero(self):

@@ -39,7 +39,6 @@ from lawson_bipolar import surface_model as sm
 from lawson_bipolar.surface_model import (
     EXCLUDED_DIRECTION_NOTE,
     ExcludedDirectionError,
-    HTransform,
     InvalidParametersError,
     ParityClass,
     Topology,
@@ -49,7 +48,6 @@ from lawson_bipolar.surface_model import (
     bipolar_immersion,
     bipolar_metric,
     derive_params,
-    h_transforms,
     immersion_rows,
     klein_deck_map,
     lawson_I,
@@ -58,7 +56,6 @@ from lawson_bipolar.surface_model import (
     params_from_nm,
     parambip_column,
     period_a,
-    theta_of_y,
     v_of_z,
     write_immersion_csv,
     write_immersion_json,
@@ -152,19 +149,29 @@ class TestPeriodAndTheta:
         assert period_a(p) == pytest.approx(oracle, abs=1e-12)
 
     def test_theta_anchors(self):
+        # theta(0) = 0 and theta(a/4) = pi/2, read through
+        # phi0 = c0 cos(theta) and phi1 = sin(theta)/sqrt(2)
         p = params_from_nm(2, 1)
         a = period_a(p)
-        assert theta_of_y(0.0, p) == pytest.approx(0.0, abs=1e-14)
-        assert theta_of_y(a / 4.0, p) == pytest.approx(math.pi / 2, abs=1e-12)
-        assert theta_of_y(a, p) == pytest.approx(2.0 * math.pi, abs=1e-12)
+        c0 = math.sqrt(5.0 / 8.0)
+        phi0, phi1 = closed_form_theta(0.0, p)[:2]
+        assert phi0 == pytest.approx(c0, abs=1e-14)
+        assert phi1 == pytest.approx(0.0, abs=1e-14)
+        phi0, phi1 = closed_form_theta(a / 4.0, p)[:2]
+        assert phi0 == pytest.approx(0.0, abs=1e-12)
+        assert phi1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_theta_quadrature_cross_residual(self):
         for nm in [(2, 1), (3, 2), (9, 7)]:
             p = params_from_nm(*nm)
             a = period_a(p)
+            c0 = math.sqrt((p.n ** 2 + p.m ** 2) / (2.0 * p.n ** 2))
             theta_ref = _theta_quadrature(p)
             for y in np.linspace(-0.3 * a, 1.4 * a, 61):
-                assert abs(theta_of_y(y, p) - theta_ref(y)) < 1e-10
+                phi0, phi1 = closed_form_theta(y, p)[:2]
+                th = theta_ref(y)
+                assert abs(phi0 - c0 * math.cos(th)) < 1e-10
+                assert abs(phi1 - math.sin(th) / math.sqrt(2.0)) < 1e-10
 
     def test_metric_anchor_values(self):
         p = params_from_nm(2, 1)
@@ -276,7 +283,7 @@ class TestBipolarMetric:
     def test_value_at_v0_odd_chart(self):
         # (n, m) = (2, 1): du^2 coefficient ((n+m)^4 + (n^2-m^2)^2)/(n+m)^2 = 10
         p = derive_params(3, 1)
-        guu, gvv = bipolar_metric(0.3, 0.0, p)
+        guu, gvv = bipolar_metric(0.0, p)
         assert guu == pytest.approx(10.0, abs=1e-12)
         assert gvv == pytest.approx(10.0 / 9.0, abs=1e-12)
 
@@ -287,7 +294,7 @@ class TestBipolarMetric:
         for v in np.linspace(0.0, math.pi, 9):
             P = (n + m) ** 2 - 4 * m * n * math.sin(v) ** 2
             Q = (P * P + (n * n - m * m) ** 2) / P
-            guu, gvv = bipolar_metric(0.0, v, p_even)
+            guu, gvv = bipolar_metric(v, p_even)
             assert guu == pytest.approx(Q / 4.0, rel=1e-13)
             assert gvv == pytest.approx(Q / P, rel=1e-13)
 
@@ -298,7 +305,7 @@ class TestBipolarMetric:
             u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0.05, math.pi - 0.05)
             du = _fd_partial(lambda t: bipolar_column(t, v, 3, 1), u)
             dv = _fd_partial(lambda t: bipolar_column(u, t, 3, 1), v)
-            guu, gvv = bipolar_metric(u, v, p)
+            guu, gvv = bipolar_metric(v, p)
             assert abs(du @ du - guu) < 1e-6
             assert abs(dv @ dv - gvv) < 1e-6
             assert abs(du @ dv) < 1e-6
@@ -307,22 +314,14 @@ class TestBipolarMetric:
 class TestHTransforms:
     def test_h1_at_zero(self):
         p = derive_params(3, 1)
-        assert h_transforms((0.7, 0.0), HTransform.H1, p) == (0.7, 0.0)
+        assert z_of_v(0.0, p) == 0.0
 
     def test_h2_squared_advances_u_by_pi(self):
+        # the deck map twice is H1^-1 o H2 o H2 o H1: (u, v) -> (u + pi, v)
         p = derive_params(3, 1)
-        pt = (0.3, 0.11)
-        pt2 = h_transforms(h_transforms(pt, HTransform.H2, p), HTransform.H2, p)
-        assert pt2[0] == pytest.approx(pt[0] + math.pi, abs=1e-15)
-        assert pt2[1] == pytest.approx(pt[1], abs=1e-15)
-
-    def test_h3_shift(self):
-        p = derive_params(2, 1)
-        K = complete_K(p.modulus)
-        u, y = h_transforms((0.5, 0.2), HTransform.H3, p)
-        assert (u, y) == (0.5, pytest.approx(0.4 + K / 3.0, abs=1e-15))
-        u2, y2 = h_transforms((0.5, 0.2), HTransform.H3PRIME, p)
-        assert (u2, y2) == (1.0, pytest.approx(y, abs=1e-15))
+        u2, v2 = klein_deck_map(*klein_deck_map(0.3, 0.11, p), p)
+        assert u2 == pytest.approx(0.3 + math.pi, abs=1e-15)
+        assert v2 == pytest.approx(0.11, abs=1e-15)
 
     def test_z_of_v_against_scipy(self):
         for nm in [(2, 1), (3, 2), (9, 7)]:
@@ -345,8 +344,6 @@ class TestHTransforms:
         p = params_from_nm(2, 1)
         for v in np.linspace(0.0, math.pi, 21):
             assert v_of_z(z_of_v(v, p), p) == pytest.approx(v, abs=1e-12)
-        assert v_of_z(h_transforms((0.1, 0.8), HTransform.H1, p)[1], p) == \
-            pytest.approx(0.8, abs=1e-12)
 
     def test_h1_period_identity(self):
         # K(2 sqrt(mn)/(n+m))/(n+m) = a/4 (Landen); with k' taken from the
@@ -580,9 +577,9 @@ def _bits(values):
        st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-20.0, 20.0)),
                 min_size=1, max_size=12))
 def test_array_chart_maps(pair, points):
-    """The chart maps, theta(y) and f(y) on arrays: z(v) is scipy's
-    F(v, kh)/(n+m), v(z(v)) = v, and every element is bit-equal to the
-    one-point call."""
+    """The chart maps, the profile closed form and f(y) on arrays: z(v) is
+    scipy's F(v, kh)/(n+m), v(z(v)) = v, and every element is bit-equal to
+    the one-point call."""
     params = derive_params(*pair)
     u, v = np.array(points).T
     z = z_of_v(v, params)
@@ -590,7 +587,7 @@ def test_array_chart_maps(pair, points):
     np.testing.assert_allclose(z, oracle, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(v_of_z(z, params), v, rtol=0.0, atol=1e-12)
     assert _bits(z) == _bits([z_of_v(x, params) for x in v.tolist()])
-    for fn in (theta_of_y, metric_f_array):
+    for fn in (closed_form_theta, metric_f_array):
         assert _bits(fn(v, params)) == _bits([fn(x, params) for x in v.tolist()])
     pointwise = [klein_deck_map(a, b, params) for a, b in zip(u.tolist(), v.tolist())]
     assert _bits(klein_deck_map(u, v, params)) == _bits(list(zip(*pointwise)))

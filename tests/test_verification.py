@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import verification as vf
-from lawson_bipolar.phi_system import closed_form_theta
+from lawson_bipolar.phi_system import IntegrationFailureError, closed_form_theta
 from lawson_bipolar.special_functions import EllipticModulus, complete_E
 from lawson_bipolar.surface_model import (
     Topology,
@@ -49,6 +49,15 @@ class TestProfileBattery:
     def test_profile_checks_pass_for_2_1(self):
         for res in vf.profile_checks(derive_params(2, 1)):
             assert res.passed, str(res)
+
+    def test_unclosed_orbit_names_its_data(self):
+        # at (n, m) = (1601, 1) the RK8 orbit misses its start by 1.5e-12,
+        # above the bound 10 tol = 1e-12 of integrate_system
+        with pytest.raises(IntegrationFailureError) as err:
+            vf.profile_checks(params_from_nm(1601, 1))
+        msg = str(err.value)
+        assert "(n,m)=(1601,1)" in msg
+        assert "> 10*tol = 1.0e-12 at tol 1.0e-13, 567 RK8 steps" in msg
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -224,7 +233,8 @@ class TestFullReport:
         for r, k in [(3, 1), (5, 3), (7, 5)]:
             params = derive_params(r, k)
             klein = hs.count_below_two(params).count + 1
-            cover = hs.count_below_two(params, topology_override=Topology.TORUS).count + 1
+            cover = hs.count_below_two(
+                dataclasses.replace(params, topology=Topology.TORUS)).count + 1
             assert klein == r - 2
             assert cover == 2 * r - 2 == 2 * klein + 2
 
