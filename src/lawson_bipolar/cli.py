@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import hill_spectrum as hs
@@ -49,7 +50,7 @@ def _json17(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, float) and math.isfinite(obj):
         return _fmt17(obj)
     return json.dumps(obj)
 
@@ -220,8 +221,10 @@ def main(argv=None) -> int:
     if sweep and args.sweep < 0:
         print("sweep must not be negative", file=sys.stderr)
         return 1
-    # a missing pair reads as (0, 0), which derive_params rejects
-    args.r, args.k = args.r or 0, args.k or 0
+    missing = [f"--{name}" for name in ("r", "k") if getattr(args, name) is None]
+    if missing and not sweep:
+        print(f"invalid parameters: missing {' and '.join(missing)}", file=sys.stderr)
+        return 1
     try:
         return args.handler(args)
     except InvalidParametersError as exc:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .surface_model import (
 __all__ = [
     "SpectrumMismatchError",
     "Parity",
+    "BLOCKS",
     "Eigenvalue",
     "SpectralLine",
     "CountResult",
@@ -99,6 +100,10 @@ class SpectrumMismatchError(RuntimeError):
 class Parity(Enum):
     EVEN = "Even"
     ODD = "Odd"
+
+
+#: (parity, psi_target) of the four Galerkin blocks, in the order they are stacked
+BLOCKS = ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, 2.0), (Parity.ODD, -2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +326,19 @@ def _f_cosines(params: SurfaceParams) -> np.ndarray:
     return c
 
 
+class _Blocks(NamedTuple):
+    """The reduced blocks of one profile, each field stacked over BLOCKS."""
+
+    j: np.ndarray     # (4, N) mode indices
+    R: np.ndarray     # (4, N, N) inverse Cholesky factors of F
+    A: np.ndarray     # (4, N, N) R diag(k_j^2) R^T
+    G: np.ndarray     # (4, N, N) R R^T
+    mu: np.ndarray    # (4, N) eigenvalues of 2F - diag(k_j^2), ascending
+
+
 @lru_cache(maxsize=64)
-def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
-    """The four blocks (parity, psi_target, j, R, A, G, mu) of the profile.
+def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
+    """The four blocks of the profile, stacked in the order of BLOCKS.
 
     With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
     orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
@@ -346,23 +361,20 @@ def _galerkin_blocks(params: SurfaceParams) -> tuple[tuple, ...]:
             f"Fourier tail of f for (n,m)=({params.n},{params.m}) is {tail:.3e} c_0 past "
             f"index {2 * N_MODES}, above {TAIL_BOUND:g}: {N_MODES} modes per "
             "block do not resolve the profile")
-    blocks = []
-    for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
-        for target, first in ((2.0, first_even), (-2.0, 1)):
-            j = first + 2 * np.arange(N_MODES)
-            F = c[np.abs(j[:, None] - j)] + sign * c[j[:, None] + j]
-            if first == 0:
-                F[0] /= math.sqrt(2.0)
-                F[:, 0] /= math.sqrt(2.0)
-            k2 = (2.0 * math.pi * j / a) ** 2
-            mu = np.linalg.eigvalsh(2.0 * F - np.diag(k2))
-            R = np.linalg.inv(np.linalg.cholesky(F))
-            A = (R * k2) @ R.T
-            G = R @ R.T
-            for arr in (j, R, A, G, mu):
-                arr.flags.writeable = False
-            blocks.append((parity, target, j, R, A, G, mu))
-    return tuple(blocks)
+    j = np.array([[0], [1], [2], [1]]) + 2 * np.arange(N_MODES)
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+    # |j_i - j_k| is the same in every block
+    F = c[np.abs(j[0, :, None] - j[0])] + sign * c[j[:, :, None] + j[:, None]]
+    F[0, 0] /= math.sqrt(2.0)
+    F[0, :, 0] /= math.sqrt(2.0)
+    k2 = (2.0 * math.pi * j / a) ** 2
+    mu = np.linalg.eigvalsh(2.0 * F - k2[:, :, None] * np.eye(N_MODES))
+    R = np.linalg.inv(np.linalg.cholesky(F))
+    Rt = R.transpose(0, 2, 1)
+    blocks = _Blocks(j, R, (R * k2[:, None]) @ Rt, R @ Rt, mu)
+    for arr in blocks:
+        arr.flags.writeable = False
+    return blocks
 
 
 def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[SpectralLine]:
@@ -370,14 +382,12 @@ def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[Spectr
     call over the four blocks per line, each line checked against the
     interlacing sign pattern."""
     blocks = _galerkin_blocks(params)
-    A = np.stack([a for *_, a, _, _ in blocks])
-    G = np.stack([g for *_, g, _ in blocks])
     lines = []
     for p in p_values:
-        gammas = np.linalg.eigvalsh(A + (p * p) * G)
+        gammas = np.linalg.eigvalsh(blocks.A + (p * p) * blocks.G)
         roots = sorted(
             ((float(g), parity, target)
-             for (parity, target, *_), row in zip(blocks, gammas)
+             for (parity, target), row in zip(BLOCKS, gammas)
              for g in row[row <= LAMBDA_MAX_COUNT]),
             key=lambda root: root[0])
         eigs = tuple(Eigenvalue(gamma=g, index=i, parity=parity, psi_target=target)
@@ -450,7 +460,7 @@ def _inertia(params: SurfaceParams) -> list[tuple]:
     p = lines.  A mu_i below -tol is below 2 on no line."""
     tol = MU_SQUARE_TOL * params.n ** 2
     out = []
-    for parity, target, *_, mu in _galerkin_blocks(params):
+    for (parity, target), mu in zip(BLOCKS, _galerkin_blocks(params).mu):
         for x in mu[mu >= -tol][::-1].tolist():
             q = round(math.sqrt(max(x, 0.0)))
             member = abs(x - q * q) <= tol
@@ -483,7 +493,7 @@ def count_below_two(params: SurfaceParams) -> CountResult:
     closed = 2 * (n + m) - 3 if topo is Topology.TORUS else n + m - 3
     if total != closed:
         mus = "\n".join(f"  {parity.value}, Psi={target:+g}: {mu[::-1].tolist()}"
-                        for parity, target, *_, mu in _galerkin_blocks(params))
+                        for (parity, target), mu in zip(BLOCKS, _galerkin_blocks(params).mu))
         raise SpectrumMismatchError(
             f"count below 2 is {total}, closed form {closed} "
             f"({params}); each block's mu:\n{mus}")
@@ -520,8 +530,8 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
 
     Also verifies mult(2) = 5 and reports the anchor residuals of
     gamma_0(0) = 0, gamma_2(0) = gamma_1(m) = gamma_0(n) = 2, each the
-    lowest root of its block: the constants and phi2 of block 0 (even,
-    b-periodic), phi0 of block 1 and phi1 of block 3 (b-antiperiodic).
+    lowest root of its block: the constants and phi2 of (EVEN, +2), phi0
+    of (EVEN, -2) and phi1 of (ODD, -2).
     """
     params = derive_params(r, k)
     rank = count_below_two(params).count + 1
@@ -531,9 +541,10 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
             f"multiplicity at 2 is {mult}, expected 5 for {params}; "
             f"cluster: {cluster}")
     blocks = _galerkin_blocks(params)
+    anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, -2.0),
+                                     (Parity.EVEN, 2.0))), (0, 0, params.m, params.n))
     g00, g20, g1m, g0n = np.linalg.eigvalsh(np.stack(
-        [blocks[b][4] + (p * p) * blocks[b][5]
-         for b, p in ((0, 0), (1, 0), (3, params.m), (0, params.n))]))[:, 0].tolist()
+        [blocks.A[b] + (p * p) * blocks.G[b] for b, p in anchors]))[:, 0].tolist()
     residuals = {
         "anchor_gamma0_at_0": abs(g00),
         "anchor_gamma2_at_0": abs(g20 - 2.0),
@@ -563,25 +574,24 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
     """
     if not math.isfinite(p):
         raise ValueError(f"need a finite p; got {p!r}")
-    blocks = {blk[:2]: blk for blk in _galerkin_blocks(params)}
-    if (parity, psi_target) not in blocks:
+    if (parity, psi_target) not in BLOCKS:
         raise ValueError(f"no block ({parity!r}, {psi_target!r}); the blocks are "
-                         f"{', '.join(f'({b[0].name}, {b[1]:+g})' for b in blocks)}")
-    _, _, j, R, A, G, _ = blocks[parity, psi_target]
-    w, v = np.linalg.eigh(A + (p * p) * G)
-    coef = R.T @ v[:, 0]
+                         f"{', '.join(f'({b[0].name}, {b[1]:+g})' for b in BLOCKS)}")
+    blk = _Blocks._make(x[BLOCKS.index((parity, psi_target))] for x in _galerkin_blocks(params))
+    w, v = np.linalg.eigh(blk.A + (p * p) * blk.G)
+    coef = blk.R.T @ v[:, 0]
     a = period_a(params)
     n = EIGENFUNCTION_SAMPLES
     ys = a * np.arange(n) / n
     spectrum = np.zeros(n // 2 + 1, complex)
     if parity is Parity.EVEN:
-        coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
-        spectrum[j] = coef
+        coef = np.where(blk.j == 0, coef / math.sqrt(2.0), coef)
+        spectrum[blk.j] = coef
         spectrum[0] *= 2.0        # irfft counts X_0 once, the others twice
         norm = coef.sum()
     else:
-        spectrum[j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
-        norm = (2.0 * math.pi * j / a) @ coef
+        spectrum[blk.j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
+        norm = (2.0 * math.pi * blk.j / a) @ coef
     return float(w[0]), ys, np.fft.irfft(spectrum, n) * (n / 2) / norm
 
 

@@ -206,24 +206,13 @@ def _wedge6(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exterior product of two 4-vectors (or columns of 4-vectors along
     axis 0), components ordered (12, 34, 13, 24, 23, 14) so rotation pairs
     sit in adjacent slots."""
-    return np.array([
-        x[0] * y[1] - x[1] * y[0],
-        x[2] * y[3] - x[3] * y[2],
-        x[0] * y[2] - x[2] * y[0],
-        x[1] * y[3] - x[3] * y[1],
-        x[1] * y[2] - x[2] * y[1],
-        x[0] * y[3] - x[3] * y[0],
-    ])
+    out = np.empty((6,) + np.shape(x[0]))
+    for i, (a, b) in enumerate(((0, 1), (2, 3), (0, 2), (1, 3), (1, 2), (0, 3))):
+        np.subtract(x[a] * y[b], x[b] * y[a], out=out[i, ...])
+    return out
 
 
 _SQRT2 = math.sqrt(2.0)
-_A_BLOCKS = np.zeros((6, 6))
-for _blk in range(3):
-    _i = 2 * _blk
-    _A_BLOCKS[_i, _i] = 1.0 / _SQRT2
-    _A_BLOCKS[_i, _i + 1] = 1.0 / _SQRT2
-    _A_BLOCKS[_i + 1, _i] = -1.0 / _SQRT2
-    _A_BLOCKS[_i + 1, _i + 1] = 1.0 / _SQRT2
 
 EXCLUDED_DIRECTION_NOTE = (
     "The image of the rotated wedge is orthogonal to (r+k, k-r, 0, 0, 0, 0); "
@@ -234,26 +223,17 @@ EXCLUDED_DIRECTION_NOTE = (
 )
 
 
-def _row_dot(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Dot product of each row with vec (a vector, or rows of the same
-    shape).  The stacked (1, n) @ (n, 1) matmul takes the same per-row dot
-    as rows[i] @ vec, so the bits do not depend on how many rows are
-    evaluated together."""
-    return np.matmul(rows[:, None, :], vec[..., None])[:, 0, 0]
-
-
 def _project5(w6: np.ndarray, r: int, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows of rotated 6-vectors -> rows of 5-vectors on the S^4 equator.
-    Every row must be orthogonal to the excluded direction; (u, v) only
-    name the worst point when one is not."""
+    """Rotated 6-vectors, components along axis 0 -> rows of 5-vectors on
+    the S^4 equator.  Every column must be orthogonal to the excluded
+    direction; (u, v) only name the worst point when one is not."""
     norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
-    excluded = np.array([r + k, k - r, 0.0, 0.0, 0.0, 0.0]) / norm
-    dots = np.abs(_row_dot(w6, excluded))
+    dots = np.abs((r + k) / norm * w6[0] + (k - r) / norm * w6[1])
     worst = int(np.argmax(dots))
     if dots[worst] > 1e-12:
         raise ExcludedDirectionError(float(u[worst]), float(v[worst]), float(dots[worst]))
-    kept = np.array([r - k, r + k, 0.0, 0.0, 0.0, 0.0]) / norm
-    return np.column_stack((_row_dot(w6, kept), w6[:, 5], w6[:, 2], w6[:, 4], w6[:, 3]))
+    kept = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
+    return np.column_stack((kept, w6[5], w6[2], w6[4], w6[3]))
 
 
 def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
@@ -262,15 +242,18 @@ def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
     an array (giving one row each), built as the wedge I ^ I* of the
     Lawson immersion with its normal, rotated by the block matrix A and
     projected onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the
-    basis).  A is applied one point at a time by a stacked matmul, which
-    keeps every row bit-identical to the one-point evaluation; a single
-    2-D product rounds differently.  A NaN or an infinity raises
-    DomainError."""
+    basis).  A turns each component pair (a, b) of the wedge into
+    ((a + b)/sqrt 2, (b - a)/sqrt 2).  Every operation is elementwise, so
+    every row is bit-identical to the one-point evaluation.  A NaN or an
+    infinity raises DomainError."""
     us, vs = np.broadcast_arrays(_finite(u), _finite(v))
     u1, v1 = us.reshape(-1), vs.reshape(-1)
     r, k = params.r, params.k
-    wedge = _wedge6(lawson_I(u1, v1, r, k), lawson_normal(u1, v1, r, k))
-    w6 = np.matmul(_A_BLOCKS, wedge.T[:, :, None])[:, :, 0]
+    w6 = _wedge6(lawson_I(u1, v1, r, k), lawson_normal(u1, v1, r, k))
+    total = w6[0::2] + w6[1::2]
+    w6[1::2] -= w6[0::2]
+    w6[0::2] = total
+    w6 /= _SQRT2
     rows = _project5(w6, r, k, u1, v1)
     return rows[0] if us.ndim == 0 else rows
 

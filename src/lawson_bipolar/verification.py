@@ -223,9 +223,8 @@ def immersion_agreement_check(params: SurfaceParams) -> CheckResult:
     """Wedge-product route against the printed closed-form column."""
     u, v = _r2_points(20_000, AGREEMENT_POINTS, 0.0, [2.0 * math.pi, math.pi])
     wedge = sm.bipolar_immersion(u, v, params)
-    col6 = sm.bipolar_column(u, v, params.r, params.k)
-    closed = sm._project5(col6.T, params.r, params.k, u, v)
-    norm = np.sqrt(sm._row_dot(wedge, wedge))
+    closed = sm._project5(sm.bipolar_column(u, v, params.r, params.k), params.r, params.k, u, v)
+    norm = np.linalg.norm(wedge, axis=1)
     res = float(np.max([np.max(np.abs(wedge - closed)), np.max(np.abs(norm - 1.0))]))
     return CheckResult("immersion_column_agreement", res, 1e-12)
 
@@ -443,8 +442,8 @@ class FullReport:
             "lambda_value": self.lambda_value,
             "area": self.area,
             "passed": self.passed,
-            "checks": [{"name": c.name, "residual": c.residual,
-                        "threshold": c.threshold, "passed": c.passed}
+            "checks": [{"name": c.name, "residual": c.residual, "threshold": c.threshold,
+                        "passed": c.passed, "context": c.context}
                        for c in self.checks],
         }
 

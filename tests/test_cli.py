@@ -8,9 +8,11 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import surface_model as sm
+from lawson_bipolar import verification as vf
 from lawson_bipolar.cli import main, _json17
 from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
@@ -37,6 +40,12 @@ class TestJsonFormatter:
         assert parsed["items"][0] == 1.0 / 3.0
         assert parsed["flag"] is True
 
+    def test_non_finite_floats_parse(self):
+        text = _json17({"nan": math.nan, "inf": math.inf, "ninf": -math.inf})
+        assert text == '{\n "nan": NaN,\n "inf": Infinity,\n "ninf": -Infinity\n}'
+        parsed = json.loads(text)
+        assert math.isnan(parsed["nan"]) and parsed["inf"] == -parsed["ninf"] == math.inf
+
 
 class TestClassify:
     def test_output_line(self, capsys):
@@ -54,6 +63,16 @@ class TestClassify:
                 assert captured.out == "", argv
                 assert captured.err.startswith("invalid parameters: "), argv
                 assert not out.exists(), argv
+
+    def test_missing_flag_is_named(self, capsys):
+        # a missing --r or --k is named, not shown as a pair the user did not give
+        for command in ("classify", "spectrum", "immerse", "verify", "rank", "area"):
+            for given, missing in ((["--r", "5"], "--k"), (["--k", "2"], "--r"),
+                                   ([], "--r and --k")):
+                assert main([command, *given]) == 1, (command, given)
+                captured = capsys.readouterr()
+                assert captured.out == "", (command, given)
+                assert captured.err == f"invalid parameters: missing {missing}\n"
 
 
 class TestRank:
@@ -138,15 +157,16 @@ class TestImmerseBytes:
     (test_surface_model._scalar_immersion) and the csv/json module writers
     the vectorized path replaced.  The (2, 1) grid-78 mesh contains a v
     whose squared sine rounds differently under the C library's pow than
-    under x * x, so its digest pins that the immersion squares by x * x."""
+    under x * x, so its digest pins that the immersion squares by x * x.
+    The wedge is rotated pair by pair as ((a + b)/sqrt 2, (b - a)/sqrt 2)."""
 
     @pytest.mark.parametrize("args, digest", [
         (["--r", "2", "--k", "1", "--grid", "16", "--format", "csv"],
-         "8a548b89238196c9be7e6c1dc1dd4774801e1f7dfd79b0086495359d90fa35b1"),
+         "b888729933f0b3c6ffe5d05de39609dcad1bbe9f0f165fcb0674b5108a2287a2"),
         (["--r", "5", "--k", "2", "--grid", "16", "--format", "json"],
-         "0e918055eca8c9740b6b705586968762b1d96aa4da5089f52a0ce970007436cf"),
+         "a17b25dfcca94f62fdcc82c477907c1889517065654b92c10dd84c190b211e5e"),
         (["--r", "2", "--k", "1", "--grid", "78", "--format", "csv"],
-         "ba957b9d893f7a6352dc853a3b9c90852e080b7a2fbe1499e588ae548e6a2f42"),
+         "926da6db9e9c95c4d21a2f83ec31932c240b4e7d975e987a1c0978615fb5709f"),
     ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv"])
     def test_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "mesh"
@@ -194,7 +214,8 @@ class TestSpectrumAndVerifyBytes:
     identities from one Jacobi triple (sn, cn, dn)(K - n y).  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
-    series."""
+    series.  Each verify entry carries its check's context, and the
+    immersion agreement compares against the pairwise-rotated wedge."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
@@ -203,13 +224,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "db4e9f8542e0c6f3a3cc10de44b8fb9fb1a82034e1229f599182e7a0b58d1fd0"),
+         "103e0c5936b8a7b5ef53bbd3f9ad5f0e3944b2da32865ee0f102990a1fd7e056"),
         (["verify", "--r", "3", "--k", "1"],
-         "5df205d7b83ea94ba7418a1928b16a34aa42c3cc84f5d6d63be67a6987bb6e47"),
+         "1d76ceaaa2513d5838d7803330f282cdf74acd2b64e43c56ae6b1d9a696f5161"),
         (["verify", "--r", "5", "--k", "1"],
-         "05141feb8f4158c6f4bf168c149ca71e9d522c987c85f9fa33d0f3c74164a1ee"),
+         "7a67e15568286ed7bc07aeea8ea1a895391e4bb8d55436e7d9601c01fc3e89d5"),
         (["verify", "--r", "7", "--k", "6"],
-         "403bb504fb93ae858a702b27f92802b0b00e37098d7215637cc8f289afdf6f65"),
+         "a7678aa3c91ddd8d265b79271d454109ee58f15dd6198ee30d3fcaf07f42e7ef"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -282,6 +303,15 @@ class TestVerify:
         assert doc["rank_i"] == 22
         assert doc["passed"] is True
 
+    def test_each_entry_carries_its_check_context(self, tmp_path):
+        out = tmp_path / "r81.json"
+        assert main(["verify", "--r", "8", "--k", "1", "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["checks"]
+        checks = vf.full_report(8, 1).checks
+        assert [(e["name"], e["context"]) for e in entries] == [
+            (c.name, c.context) for c in checks]
+        assert sum(bool(e["context"]) for e in entries) >= 5
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["classify", "spectrum", "immerse", "verify",
@@ -306,6 +336,24 @@ class TestExitCodes:
         assert main(["verify", "--r", "2", "--k", "1", "--out", str(out)]) == 2
         assert json.loads(out.read_text())["passed"] is False
 
+    def test_nan_residual_fails_and_the_report_parses(self, monkeypatch, tmp_path, capsys):
+        # README: a NaN residual fails its check; the report must still be JSON
+        orbit_space_checks = vf.orbit_space_checks
+
+        def first_nan(params):
+            first, *rest = orbit_space_checks(params)
+            return [replace(first, residual=math.nan), *rest]
+
+        monkeypatch.setattr(vf, "orbit_space_checks", first_nan)
+        out = tmp_path / "nan.json"
+        assert main(["verify", "--r", "3", "--k", "1", "--out", str(out)]) == 2
+        assert '"residual": NaN,' in out.read_text()
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False
+        nan = [c for c in doc["checks"] if math.isnan(c["residual"])]
+        assert [c["passed"] for c in nan] == [False]
+        assert "residual nan" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, monkeypatch):
         from lawson_bipolar import cli as climod
         from lawson_bipolar.hill_spectrum import SpectrumMismatchError
@@ -319,8 +367,9 @@ class TestExitCodes:
     def test_excluded_direction_failure_exits_3(self, monkeypatch, capsys):
         from lawson_bipolar import cli as climod
 
-        # without the rotation A the wedge leaves the S^4 equator
-        monkeypatch.setattr(climod.sm, "_A_BLOCKS", np.eye(6))
+        # with its (12, 34) pair swapped the rotated wedge leaves the S^4 equator
+        wedge6 = climod.sm._wedge6
+        monkeypatch.setattr(climod.sm, "_wedge6", lambda x, y: wedge6(x, y)[[1, 0, 2, 3, 4, 5]])
         assert main(["immerse", "--r", "2", "--k", "1", "--grid", "4"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: orthogonality")
@@ -548,8 +597,6 @@ ALLOWED_PRIVATE_READS = {
         "the immersion rejects a NaN or an infinity as the special functions do",
     ("verification", "surface_model", "_project5"):
         "the closed-form column is projected as the wedge route is",
-    ("verification", "surface_model", "_row_dot"):
-        "the unit-norm check takes the wedge route's per-row dot product",
 }
 
 

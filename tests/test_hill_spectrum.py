@@ -411,12 +411,13 @@ def test_ground_state_labels_beyond_table(pair):
     params = derive_params(*pair)
     lines = dict(zip((0, 1, params.m, params.n),
                      hs._scan_lines(params, [0, 1, params.m, params.n])))
-    blocks = {blk[:2]: blk for blk in hs._galerkin_blocks(params)}
+    blocks = hs._galerkin_blocks(params)
     for p, index, parity, target in _ground_states(params):
         eig = lines[p].eigenvalues[index]
         assert (eig.parity, eig.psi_target) == (parity, target), (p, index)
         gamma, _, _ = eigenfunction_samples(params, parity, target, p)
-        _, _, _, _, A, G, _ = blocks[parity, target]
+        b = hs.BLOCKS.index((parity, target))
+        A, G = blocks.A[b], blocks.G[b]
         tol = (1e-12 if params.n < 1400
                else np.finfo(float).eps * np.linalg.norm(A + (p * p) * G, 2))
         assert abs(gamma - eig.gamma) <= tol, (p, index)
@@ -647,25 +648,63 @@ def test_rank_by_inertia_at_large_n(pair):
     for key, value in rep.residuals.items():
         if key.startswith("anchor"):
             assert value < 1e-7, key
-    mu = np.sort(np.concatenate([blk[-1] for blk in hs._galerkin_blocks(params)]))[::-1]
+    mu = np.sort(hs._galerkin_blocks(params).mu.ravel())[::-1]
     assert np.all(np.abs(mu[:3] - [n2, params.m ** 2, 0]) <= hs.MU_SQUARE_TOL * n2)
     assert mu[3] < -0.1 * n2
 
 
 @pytest.mark.parametrize("r,k", [(8, 1), (6001, 1)])
 def test_extremal_rank_takes_five_eigen_solves(r, k, monkeypatch):
-    # one mu per block and one stacked solve of the four anchors, whatever n is
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    # whatever n is, the blocks take one stacked eigvalsh for mu, one
+    # cholesky and one inv, and the four anchors one stacked eigvalsh
+    calls = Counter()
+    for name in ("eigvalsh", "cholesky", "inv"):
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(a, *args, **kwargs)
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     hs._galerkin_blocks.cache_clear()
     extremal_rank(r, k)
-    assert len(calls) <= 5
+    assert calls == {"eigvalsh": 2, "cholesky": 1, "inv": 1}
+
+
+def _per_block_reference(params):
+    """The blocks built one at a time, as (j, R, A, G, mu) per entry of
+    BLOCKS: the loop the stacked build replaced, kept as its reference."""
+    a = period_a(params)
+    c = hs._f_cosines(params)
+    blocks = []
+    for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
+        for target, first in ((2.0, first_even), (-2.0, 1)):
+            j = first + 2 * np.arange(hs.N_MODES)
+            F = c[np.abs(j[:, None] - j)] + sign * c[j[:, None] + j]
+            if first == 0:
+                F[0] /= math.sqrt(2.0)
+                F[:, 0] /= math.sqrt(2.0)
+            k2 = (2.0 * math.pi * j / a) ** 2
+            mu = np.linalg.eigvalsh(2.0 * F - np.diag(k2))
+            R = np.linalg.inv(np.linalg.cholesky(F))
+            blocks.append(((parity, target), (j, R, (R * k2) @ R.T, R @ R.T, mu)))
+    return blocks
+
+
+@pytest.mark.parametrize("pairs", [admissible_pairs(40),
+                                   [(801, 799), (4801, 1), (1601, 1), (99999, 99998)]],
+                         ids=["r<=40", "large-n"])
+def test_stacked_blocks_match_per_block_build(pairs):
+    """Every field of the stacked record is bit-equal to the per-block
+    build, in the order of BLOCKS, and read-only."""
+    for pair in pairs:
+        params = derive_params(*pair)
+        stacked = hs._galerkin_blocks.__wrapped__(params)
+        reference = _per_block_reference(params)
+        assert [block for block, _ in reference] == list(hs.BLOCKS)
+        for b, (_, fields) in enumerate(reference):
+            for name, want in zip(stacked._fields, fields):
+                got = getattr(stacked, name)
+                assert got.dtype == want.dtype and np.array_equal(got[b], want), (pair, b, name)
+        assert not any(field.flags.writeable for field in stacked)
 
 
 def _simplicity_check(params):
@@ -729,7 +768,9 @@ class TestEigenfunctions:
         # summed, on every block and on lines 0, 1, m and n
         params = derive_params(*pair)
         a = period_a(params)
-        for parity, target, j, R, A, G, _ in hs._galerkin_blocks(params):
+        blocks = hs._galerkin_blocks(params)
+        for (parity, target), j, R, A, G in zip(hs.BLOCKS, blocks.j, blocks.R,
+                                                  blocks.A, blocks.G):
             for p in sorted({0, 1, params.m, params.n}):
                 gamma, ys, vals = eigenfunction_samples(params, parity, target, p)
                 w, v = np.linalg.eigh(A + (p * p) * G)
@@ -748,8 +789,7 @@ class TestEigenfunctions:
     def test_modes_stay_below_the_sample_nyquist_index(self):
         # a mode index at or past N/2 would alias on the N-point grid; the
         # indices depend on N_MODES alone, 96 at most today
-        for _, _, j, *_ in hs._galerkin_blocks(P31):
-            assert int(j.max()) < hs.EIGENFUNCTION_SAMPLES // 2
+        assert int(hs._galerkin_blocks(P31).j.max()) < hs.EIGENFUNCTION_SAMPLES // 2
 
     def test_double_root_flags_empty_below_three(self):
         for line in surface_lines(P31):

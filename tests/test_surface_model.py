@@ -510,11 +510,11 @@ class TestRender17:
 class TestExcludedDirectionGuard:
     def test_every_row_is_checked(self):
         r, k = 2, 1
-        w6 = np.zeros((40, 6))
-        w6[:, 5] = 1.0
+        w6 = np.zeros((6, 40))
+        w6[5] = 1.0
         excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        w6[33, :2] = 1e-9 * excluded
-        w6[37, :2] = 1e-6 * excluded
+        w6[:2, 33] = 1e-9 * excluded
+        w6[:2, 37] = 1e-6 * excluded
         u = np.arange(40) * 0.1
         v = np.arange(40) * 0.01
         with pytest.raises(ExcludedDirectionError) as info:
@@ -539,9 +539,13 @@ def _scalar_immersion(u, v, r, k):
     w = math.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
     normal = np.array([k * math.sin(r * u) * math.sin(v), -k * math.cos(r * u) * math.sin(v),
                        -r * math.sin(k * u) * math.cos(v), r * math.cos(k * u) * math.cos(v)]) / w
-    w6 = sm._A_BLOCKS @ sm._wedge6(lawson, normal)
-    kept = np.array([r - k, r + k, 0.0, 0.0, 0.0, 0.0]) / math.hypot(r + k, r - k)
-    return np.array([float(w6 @ kept), w6[5], w6[2], w6[4], w6[3]])
+    wedge = sm._wedge6(lawson, normal).tolist()
+    w6 = []
+    for a, b in zip(wedge[0::2], wedge[1::2]):
+        w6 += [(a + b) / math.sqrt(2.0), (b - a) / math.sqrt(2.0)]
+    norm = math.hypot(r + k, r - k)
+    kept = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
+    return np.array([kept, w6[5], w6[2], w6[4], w6[3]])
 
 
 @pytest.mark.parametrize("r, k", [(2, 1), (3, 1), (7, 6), (13, 4)])
