@@ -16,8 +16,8 @@ built for all steps and (p, lambda) columns at once from f precomputed
 at the stage nodes.
 
 The extremal rank and the multiplicity-5 cluster at lambda = 2 come from
-the inertia of each block's 2F - diag(k_j^2) under the torus or
-Klein-bottle selection rules, with no line solved for them.
+each block's 2F - diag(k_j^2), certified to hold the ell = 1 Lame cluster,
+under the torus or Klein-bottle selection rules, with no line solved.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "SpectrumMismatchError",
     "Parity",
     "BLOCKS",
+    "CLUSTER",
     "Eigenvalue",
     "SpectralLine",
     "CountResult",
@@ -62,7 +63,7 @@ __all__ = [
     "count_zeros",
     "DEFAULT_SOLVER_TOL",
     "CLUSTER_DELTA",
-    "MU_SQUARE_TOL",
+    "CLUSTER_TOL",
     "EIGENFUNCTION_SAMPLES",
     "ZERO_SAMPLE_TOL",
 ]
@@ -70,9 +71,9 @@ __all__ = [
 DEFAULT_SOLVER_TOL = 1e-9
 #: adjacent roots of one Floquet target closer than this are a double root
 CLUSTER_DELTA = 1e-6
-#: a mu_i within MU_SQUARE_TOL n^2 of a square q^2 is the eigenvalue 2 on
-#: line q; the members at q = 0 and 1 carry rounding near u n^2
-MU_SQUARE_TOL = 1e-12
+#: the cluster's mu lie within CLUSTER_TOL n^2 of p^2, every other mu below
+#: -CLUSTER_TOL n^2; the members at p = 0 and 1 carry rounding near u n^2
+CLUSTER_TOL = 1e-12
 #: top of every scanned spectral line, just past lambda = 2; it must stay
 #: below 3, where coexistence becomes possible and an eigenvalue shared by
 #: an even and an odd eigenfunction has no single parity label
@@ -104,6 +105,9 @@ class Parity(Enum):
 
 #: (parity, psi_target) of the four Galerkin blocks, in the order they are stacked
 BLOCKS = ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, 2.0), (Parity.ODD, -2.0))
+#: the blocks whose largest mu is p^2 on line p = 0, m, n: phi0, phi1 and phi2
+#: of the cluster at lambda = 2, Lame's band edges sn, cn and dn
+CLUSTER = ((Parity.EVEN, -2.0), (Parity.ODD, -2.0), (Parity.EVEN, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,8 @@ class ExtremalReport:
     rank_i: int
     multiplicity: int
     lambda_functional: float
+    cluster_gap: float         # worst |mu - p^2| / n^2 of the cluster
+    next_mu: float             # largest mu / n^2 outside the cluster
     residuals: dict = field(default_factory=dict)
 
 
@@ -453,20 +459,26 @@ def _keeps(parity: Parity, p: int, topology: Topology) -> bool:
     return topology is Topology.TORUS or (p % 2 == 0) == (parity is Parity.EVEN)
 
 
-def _inertia(params: SurfaceParams) -> list[tuple]:
-    """(parity, psi_target, mu, lines, member) for each block's mu_i above
-    -tol, largest first: mu_i is one root below 2 on each line p with
-    p^2 < mu_i, and a member, on the square lines^2, is the root 2 on line
-    p = lines.  A mu_i below -tol is below 2 on no line."""
-    tol = MU_SQUARE_TOL * params.n ** 2
-    out = []
-    for (parity, target), mu in zip(BLOCKS, _galerkin_blocks(params).mu):
-        for x in mu[mu >= -tol][::-1].tolist():
-            q = round(math.sqrt(max(x, 0.0)))
-            member = abs(x - q * q) <= tol
-            lines = q if member else math.floor(math.sqrt(x)) + 1
-            out.append((parity, target, x, lines, member))
-    return out
+def _cluster(params: SurfaceParams) -> tuple[tuple, float, float]:
+    """The certificate of the cluster at lambda = 2: the largest mu of each
+    CLUSTER block is p^2 on line p = 0, m, n within CLUSTER_TOL n^2, and
+    every other mu is below -CLUSTER_TOL n^2, so below 2 on no line.
+    Returns the members ((parity, psi_target), p, mu), the worst |mu - p^2|
+    and the next mu, both over n^2; raises SpectrumMismatchError otherwise."""
+    mu = _galerkin_blocks(params).mu
+    rows, lines = [BLOCKS.index(block) for block in CLUSTER], (0, params.m, params.n)
+    rest = mu.copy()
+    rest[rows, -1] = -np.inf
+    gap = float(np.max(np.abs(mu[rows, -1] - np.square(lines)))) / params.n ** 2
+    next_mu = float(np.max(rest)) / params.n ** 2
+    if not (gap <= CLUSTER_TOL and next_mu < -CLUSTER_TOL):
+        tops = ", ".join(f"({parity.value}, Psi={target:+g}) {x!r}"
+                         for (parity, target), x in zip(BLOCKS, mu[:, -1].tolist()))
+        raise SpectrumMismatchError(
+            f"no cluster at lambda = 2 for {params}: worst gap |mu - p^2| = {gap:.3e} n^2, "
+            f"next mu = {next_mu:.3e} n^2, bound {CLUSTER_TOL:g} n^2; "
+            f"each block's largest mu: {tops}")
+    return tuple(zip(CLUSTER, lines, mu[rows, -1].tolist())), gap, next_mu
 
 
 def _line_weight(lines: int, parity: Parity, topology: Topology) -> int:
@@ -477,38 +489,25 @@ def _line_weight(lines: int, parity: Parity, topology: Topology) -> int:
 
 
 def count_below_two(params: SurfaceParams) -> CountResult:
-    """Count nonzero eigenvalues of the surface below lambda = 2: each mu_i
-    of _inertia on the lines the topology keeps, less the zero mode (the
-    constants, the lowest root of block 0 on line 0).  A total off the
-    closed form 2(n+m) - 3 (torus) or n+m - 3 (Klein bottle) raises
-    SpectrumMismatchError with each block's mu."""
-    topo = params.topology
-    roots = _inertia(params)
-    weights = [_line_weight(lines, parity, topo) for parity, _, _, lines, _ in roots]
-    weights[0] -= 1       # the zero mode; roots[0] is block 0's largest mu
+    """Count nonzero eigenvalues of the surface below lambda = 2: each
+    member of _cluster on the kept lines below its p, less the zero mode
+    (the constants, the lowest root of (EVEN, +2) on line 0)."""
+    members, _, _ = _cluster(params)
+    weights = [_line_weight(p, parity, params.topology) for (parity, _), p, _ in members]
+    weights[-1] -= 1      # the zero mode; members[-1] is block (EVEN, +2)
     contributing = tuple((parity.value, target, mu, w)
-                         for (parity, target, mu, *_), w in zip(roots, weights) if w)
-    total = sum(weights)
-    n, m = params.n, params.m
-    closed = 2 * (n + m) - 3 if topo is Topology.TORUS else n + m - 3
-    if total != closed:
-        mus = "\n".join(f"  {parity.value}, Psi={target:+g}: {mu[::-1].tolist()}"
-                        for (parity, target), mu in zip(BLOCKS, _galerkin_blocks(params).mu))
-        raise SpectrumMismatchError(
-            f"count below 2 is {total}, closed form {closed} "
-            f"({params}); each block's mu:\n{mus}")
-    return CountResult(count=total, contributing=contributing)
+                         for ((parity, target), _, mu), w in zip(members, weights) if w)
+    return CountResult(count=sum(weights), contributing=contributing)
 
 
 def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:
     """Weighted count of the eigenvalues lambda = 2, the members of
-    _inertia on a line q the topology keeps, as (q, branch_index, mu,
-    parity, weight); the branch index counts the roots below 2 on line q."""
-    roots = _inertia(params)
-    cluster = tuple((q, sum(lines > q for *_, lines, _ in roots), mu, parity.value,
-                     1 if q == 0 else 2)
-                    for parity, _, mu, q, member in roots
-                    if member and _keeps(parity, q, params.topology))
+    _cluster on a line p the topology keeps, as (p, branch_index, mu,
+    parity, weight); the branch index counts the roots below 2 on line p."""
+    members, _, _ = _cluster(params)
+    cluster = tuple((p, sum(q > p for _, q, _ in members), mu, parity.value,
+                     1 if p == 0 else 2)
+                    for (parity, _), p, mu in members if _keeps(parity, p, params.topology))
     return sum(entry[-1] for entry in cluster), cluster
 
 
@@ -526,23 +525,20 @@ def rank_formula(params: SurfaceParams) -> int:
 
 
 def extremal_rank(r: int, k: int) -> ExtremalReport:
-    """Smallest index i with lambda_i = 2, checked against the closed form.
+    """Smallest index i with lambda_i = 2 and the multiplicity of 2.
 
-    Also verifies mult(2) = 5 and reports the anchor residuals of
+    Both follow from the certificate of _cluster, which also gives the
+    report its worst gap and next mu.  Reports the anchor residuals of
     gamma_0(0) = 0, gamma_2(0) = gamma_1(m) = gamma_0(n) = 2, each the
     lowest root of its block: the constants and phi2 of (EVEN, +2), phi0
     of (EVEN, -2) and phi1 of (ODD, -2).
     """
     params = derive_params(r, k)
     rank = count_below_two(params).count + 1
-    mult, cluster = multiplicity_at_two(params)
-    if mult != 5:
-        raise SpectrumMismatchError(
-            f"multiplicity at 2 is {mult}, expected 5 for {params}; "
-            f"cluster: {cluster}")
+    mult, _ = multiplicity_at_two(params)
+    _, gap, next_mu = _cluster(params)
     blocks = _galerkin_blocks(params)
-    anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, -2.0),
-                                     (Parity.EVEN, 2.0))), (0, 0, params.m, params.n))
+    anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0),) + CLUSTER), (0, 0, params.m, params.n))
     g00, g20, g1m, g0n = np.linalg.eigvalsh(np.stack(
         [blocks.A[b] + (p * p) * blocks.G[b] for b, p in anchors]))[:, 0].tolist()
     residuals = {
@@ -553,7 +549,7 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     }
     return ExtremalReport(params=params, rank_i=rank, multiplicity=mult,
                           lambda_functional=2.0 * area_closed_form(params),
-                          residuals=residuals)
+                          cluster_gap=gap, next_mu=next_mu, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

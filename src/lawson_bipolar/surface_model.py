@@ -45,7 +45,6 @@ __all__ = [
     "lawson_normal",
     "bipolar_immersion",
     "bipolar_column",
-    "parambip_column",
     "bipolar_metric",
     "klein_deck_map",
     "z_of_v",
@@ -272,25 +271,6 @@ def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
         ((r + k) + (r - k) * c2v) * np.sin((r + k) * u),
         ((r + k) + (r - k) * c2v) * np.cos((r + k) * u),
         ((r - k) + (r + k) * c2v) * np.cos((r - k) * u),
-    ])
-
-
-def parambip_column(u, v, params: SurfaceParams) -> np.ndarray:
-    """Odd-rk form of the closed-form column, written in (n, m); shapes as
-    in bipolar_column."""
-    if params.parity_class is ParityClass.EVEN_RK:
-        raise InvalidParametersError("the (n, m) column form applies to odd rk only")
-    n, m = params.n, params.m
-    sv, s2v, c2v = np.sin(v), np.sin(2 * v), np.cos(2 * v)
-    P = (n + m) ** 2 - 4.0 * m * n * sv * sv
-    pref = 1.0 / (_SQRT2 * np.sqrt(P))
-    return pref * np.array([
-        m * s2v,
-        n * s2v,
-        (m + n * c2v) * np.sin(2 * m * u),
-        (n + m * c2v) * np.sin(2 * n * u),
-        (n + m * c2v) * np.cos(2 * n * u),
-        (m + n * c2v) * np.cos(2 * m * u),
     ])
 
 

@@ -213,7 +213,7 @@ def invariance_checks(params: SurfaceParams) -> list[CheckResult]:
         u, v = _r2_points(10_000, INVARIANCE_POINTS, [0.0, 0.01],
                           [2.0 * math.pi, math.pi - 0.01])
         u2, v2 = klein_deck_map(u, v, params)
-        kres = np.abs(sm.parambip_column(u2, v2, params) - sm.parambip_column(u, v, params))
+        kres = np.abs(sm.bipolar_column(u2, v2, r, k) - sm.bipolar_column(u, v, r, k))
         out.append(CheckResult("klein_invariance", float(np.max(kres)), 1e-9,
                                "deck map H1^-1 o H2 o H1"))
     return out
@@ -473,8 +473,9 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
         "rank_matches_formula",
         float(abs(report.rank_i - hs.rank_formula(params))), 0.5,
         f"rank {report.rank_i}, formula {hs.rank_formula(params)}"))
-    checks.append(CheckResult("multiplicity_is_5",
-                              float(abs(report.multiplicity - 5)), 0.5))
+    checks.append(CheckResult(
+        "multiplicity_is_5", float(abs(report.multiplicity - 5)), 0.5,
+        f"cluster within {report.cluster_gap:.3e} n^2 of p^2, next mu {report.next_mu:.3e} n^2"))
     checks.append(CheckResult(
         "branch_anchors",
         float(np.max([report.residuals[key] for key in

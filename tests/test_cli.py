@@ -214,8 +214,10 @@ class TestSpectrumAndVerifyBytes:
     identities from one Jacobi triple (sn, cn, dn)(K - n y).  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
-    series.  Each verify entry carries its check's context, and the
-    immersion agreement compares against the pairwise-rotated wedge."""
+    series.  Each verify entry carries its check's context, the
+    multiplicity's the cluster certificate's worst gap and next mu; the
+    immersion agreement compares against the pairwise-rotated wedge, and
+    the Klein-bottle invariance the (r, k) closed-form column."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
@@ -224,13 +226,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "103e0c5936b8a7b5ef53bbd3f9ad5f0e3944b2da32865ee0f102990a1fd7e056"),
+         "4328ceba69e8f2f700d7f55a00c402c6db052794a18d4e013ca140b10c641faf"),
         (["verify", "--r", "3", "--k", "1"],
-         "1d76ceaaa2513d5838d7803330f282cdf74acd2b64e43c56ae6b1d9a696f5161"),
+         "c6f99e9beb74ea02c768068eb138953ca129a34484445d5269420475c3523d22"),
         (["verify", "--r", "5", "--k", "1"],
-         "7a67e15568286ed7bc07aeea8ea1a895391e4bb8d55436e7d9601c01fc3e89d5"),
+         "c1275cd309e7a8b26679120d81d44d984ea7b9624a74098f23aa42fda50c6f18"),
         (["verify", "--r", "7", "--k", "6"],
-         "a7678aa3c91ddd8d265b79271d454109ee58f15dd6198ee30d3fcaf07f42e7ef"),
+         "5ca58bbe6505151cfc2e5680a8078c839c06187222da4b056e38d225fb773977"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -678,6 +680,31 @@ def _caches() -> set:
 
 def test_every_cache_is_listed():
     assert _caches() == set(ALLOWED_CACHES)
+
+
+def _mu_readers() -> set:
+    """(module, qualified name of the enclosing definition) of every read
+    of an attribute named mu in the package, "" at module level."""
+    found = set()
+
+    def visit(node, module, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{name}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "mu":
+                found.add((module, name))
+            visit(child, module, name)
+
+    for path in sorted((SRC / "lawson_bipolar").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_only_the_cluster_certificate_reads_mu():
+    """The blocks' mu decide the rank and the multiplicity through one
+    rule, the certificate of the cluster at lambda = 2."""
+    assert _mu_readers() == {("hill_spectrum", "_cluster")}
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "lawson_bipolar").glob("[!_]*.py")),

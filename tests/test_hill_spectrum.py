@@ -3,8 +3,8 @@
 Independent oracles: scipy's adaptive DOP853 for the propagation, a
 Fourier-Galerkin generalized eigenproblem for whole spectral lines,
 scipy.linalg.eigh of the unreduced parity-block pencils, the
-line-by-line count of the located roots for the count by inertia, and
-the closed-form counting identities for ranks.
+line-by-line count of the located roots for the count by the cluster
+certificate, and the closed-form counting identities for ranks.
 """
 
 import math
@@ -507,6 +507,28 @@ def test_closed_form_count_is_the_rank_formula():
         assert closed + 1 == rank_formula(params), pair
 
 
+def test_certified_cluster_gives_the_closed_forms(monkeypatch):
+    """Given the certificate, the count is the closed form 2(n+m) - 3
+    (torus) or n+m - 3 (Klein bottle) and the multiplicity is 5, for every
+    pair that derive_params gives and for each Klein bottle's torus cover:
+    the count and the multiplicity need no check of their own.  The blocks
+    carry the exact cluster, mu = p^2 on line p = 0, m, n, and -n^2 else."""
+    def exact_blocks(params):
+        mu = np.full((len(hs.BLOCKS), hs.N_MODES), -float(params.n ** 2))
+        for block, p in zip(hs.CLUSTER, (0, params.m, params.n)):
+            mu[hs.BLOCKS.index(block), -1] = p * p
+        return hs._Blocks(None, None, None, None, mu)
+
+    monkeypatch.setattr(hs, "_galerkin_blocks", exact_blocks)
+    for pair in admissible_pairs(200):
+        params = derive_params(*pair)
+        n, m = params.n, params.m
+        for topology in {params.topology, Topology.TORUS}:
+            closed = 2 * (n + m) - 3 if topology is Topology.TORUS else n + m - 3
+            assert count_below_two(replace(params, topology=topology)).count == closed, pair
+        assert multiplicity_at_two(params)[0] == 5, pair
+
+
 def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise AssertionError("scipy.linalg on a production path")
@@ -538,16 +560,32 @@ class TestCounting:
         assert res.count == 3           # first index 2(n+m-1) = 4
 
     def test_lost_member_raises_with_each_blocks_mu(self, monkeypatch):
-        # with no tolerance the member mu = 0 of (3, 1), 8.2e-16 after
-        # rounding, counts on line 0 and breaks the closed form
-        monkeypatch.setattr(hs, "MU_SQUARE_TOL", 0.0)
+        # with no tolerance the member mu = 0 of (n, m) = (2, 1), rounded off 0, fails
+        # the certificate, whose message names the gap, the bound and mu
+        monkeypatch.setattr(hs, "CLUSTER_TOL", 0.0)
         with pytest.raises(hs.SpectrumMismatchError) as exc:
             count_below_two(P21)
         msg = str(exc.value)
-        assert msg.startswith("count below 2 is 3, closed form 0 (")
-        for block in ("Even, Psi=+2: [", "Even, Psi=-2: [", "Odd, Psi=+2: [",
-                      "Odd, Psi=-2: ["):
+        assert msg.startswith("no cluster at lambda = 2 for ")
+        assert "worst gap |mu - p^2| = " in msg and "bound 0 n^2" in msg
+        for block in ("(Even, Psi=+2) ", "(Even, Psi=-2) ", "(Odd, Psi=+2) ",
+                      "(Odd, Psi=-2) "):
             assert block in msg
+
+    def test_next_mu_above_zero_raises(self, monkeypatch):
+        """A mu outside the cluster at +0.5 n^2 would be one more root below
+        2 on line 0: extremal_rank raises and names the gap, the next mu
+        and the bound."""
+        blocks = hs._galerkin_blocks(P31)
+        mu = blocks.mu.copy()
+        mu[hs.BLOCKS.index((Parity.ODD, 2.0)), -1] = 0.5 * P31.n ** 2
+        monkeypatch.setattr(hs, "_galerkin_blocks", lambda params: blocks._replace(mu=mu))
+        with pytest.raises(hs.SpectrumMismatchError) as exc:
+            extremal_rank(P31.r, P31.k)
+        msg = str(exc.value)
+        assert "worst gap |mu - p^2| = " in msg
+        assert "next mu = 5.000e-01 n^2" in msg
+        assert "bound 1e-12 n^2" in msg
 
     def test_multiplicity_cluster(self):
         mult, cluster = multiplicity_at_two(P31)
@@ -649,8 +687,10 @@ def test_rank_by_inertia_at_large_n(pair):
         if key.startswith("anchor"):
             assert value < 1e-7, key
     mu = np.sort(hs._galerkin_blocks(params).mu.ravel())[::-1]
-    assert np.all(np.abs(mu[:3] - [n2, params.m ** 2, 0]) <= hs.MU_SQUARE_TOL * n2)
+    assert np.all(np.abs(mu[:3] - [n2, params.m ** 2, 0]) <= hs.CLUSTER_TOL * n2)
     assert mu[3] < -0.1 * n2
+    assert rep.cluster_gap <= hs.CLUSTER_TOL
+    assert rep.next_mu == mu[3] / n2
 
 
 @pytest.mark.parametrize("r,k", [(8, 1), (6001, 1)])

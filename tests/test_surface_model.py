@@ -54,7 +54,6 @@ from lawson_bipolar.surface_model import (
     lawson_normal,
     metric_f_array,
     params_from_nm,
-    parambip_column,
     period_a,
     v_of_z,
     write_immersion_csv,
@@ -248,25 +247,17 @@ class TestBipolarImmersion:
         np.testing.assert_allclose(
             w, [0.0, col[5], col[2], col[4], col[3]], atol=1e-13)
 
-    def test_wedge_matches_parambip_odd_rk(self):
+    def test_wedge_matches_printed_column_odd_rk(self):
         rng = np.random.default_rng(37)
         p = derive_params(3, 1)
         kept = np.array([p.m, p.n, 0, 0, 0, 0]) / math.hypot(p.m, p.n)
         for _ in range(200):
             u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
-            col = parambip_column(u, v, p)
+            col = bipolar_column(u, v, 3, 1)
             w = bipolar_immersion(u, v, p)
             expected = [kept @ np.pad(col[:2], (0, 4)),
                         col[5], col[2], col[4], col[3]]
             np.testing.assert_allclose(w, expected, atol=1e-12)
-
-    def test_parambip_equals_universal_column(self):
-        rng = np.random.default_rng(41)
-        p = derive_params(5, 3)
-        for _ in range(50):
-            u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
-            np.testing.assert_allclose(parambip_column(u, v, p),
-                                       bipolar_column(u, v, 5, 3), atol=1e-14)
 
     def test_group_invariance_of_column(self):
         rng = np.random.default_rng(43)
@@ -360,8 +351,8 @@ class TestHTransforms:
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(0.01, math.pi - 0.01)
             u2, v2 = klein_deck_map(u, v, p)
-            np.testing.assert_allclose(parambip_column(u2, v2, p),
-                                       parambip_column(u, v, p), atol=1e-9)
+            np.testing.assert_allclose(bipolar_column(u2, v2, 3, 1),
+                                       bipolar_column(u, v, 3, 1), atol=1e-9)
 
     @pytest.mark.parametrize("r,k", [(2, 1), (3, 1)])
     def test_pullback_isometry_on_grid(self, r, k):
