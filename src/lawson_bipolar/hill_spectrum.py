@@ -78,11 +78,15 @@ CLUSTER_TOL = 1e-12
 #: below 3, where coexistence becomes possible and an eigenvalue shared by
 #: an even and an odd eigenfunction has no single parity label
 LAMBDA_MAX_COUNT = 2.0513713
-#: Galerkin modes per parity block: frequencies 2 pi j / a with j < 2 N_MODES
+#: most Galerkin modes per parity block: frequencies 2 pi j / a with j <= 2 N_MODES
 N_MODES = 48
-#: largest |c_2N| / c_0, N = N_MODES, that the truncation accepts; c_2N is the
-#: largest |c_l| past l = 2N - 1 for q < exp(-1/N), which any q that passes meets
+#: largest bound on the coefficients of f that N modes drop, sum_(j >= N) |c_2j|,
+#: over c_0, that the truncation accepts
 TAIL_BOUND = 1e-12
+#: modes each block gets past the fewest that meet TAIL_BOUND, and the fewest
+#: any block gets
+MODE_MARGIN = 2
+MIN_MODES = 6
 #: samples of an eigenfunction over one period
 EIGENFUNCTION_SAMPLES = 2048
 #: a sample at most this fraction of the largest |sample| counts as a zero
@@ -92,6 +96,8 @@ MAX_STEPS = 4096
 #: steps x columns of one batch of the Floquet propagation (about 12 MB of
 #: stage arrays, whatever the number of columns)
 _BLOCK = 1 << 15
+#: matrix entries of one batched eigvalsh of the line scan (8 MB a stack)
+_SCAN_BLOCK = 1 << 20
 
 
 class SpectrumMismatchError(RuntimeError):
@@ -284,6 +290,9 @@ class ExtremalReport:
     lambda_functional: float
     cluster_gap: float         # worst |mu - p^2| / n^2 of the cluster
     next_mu: float             # largest mu / n^2 outside the cluster
+    modes: int                 # Galerkin modes per block
+    nome: float                # q of the profile's modulus
+    tail: float                # bound on the coefficients of f the modes drop, over c_0
     residuals: dict = field(default_factory=dict)
 
 
@@ -318,17 +327,50 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
 # Hill's method: Fourier-Galerkin parity blocks
 # ---------------------------------------------------------------------------
 
-def _f_cosines(params: SurfaceParams) -> np.ndarray:
-    """c_0..c_4N (N = N_MODES) of f = (m^2-n^2)/2 + n^2 dn^2(K - n y, m/n), from
-    the nome series of dn^2 with q = exp(-pi K'/K) (DLMF 22.11.13).  K' swaps
-    k and k' of the modulus, which keeps it accurate where k' rounds to 1."""
+def _nome_series(params: SurfaceParams) -> tuple[float, float, float]:
+    """(q, s, c_0) of the cosine coefficients of f = (m^2-n^2)/2 +
+    n^2 dn^2(K - n y, m/n): c_0 = (m^2-n^2)/2 + n^2 E/K and c_2j =
+    s (-1)^j j q^j / (1 - q^2j), s = (pi n/K)^2, with the nome
+    q = exp(-pi K'/K) (DLMF 22.11.13).  K' swaps k and k' of the modulus,
+    which keeps it accurate where k' rounds to 1."""
     n, mod = params.n, params.modulus
     K = complete_K(mod)
     q = math.exp(-math.pi * complete_K(EllipticModulus(mod.k_prime, mod.k)) / K)
-    i = np.arange(1, 2 * N_MODES + 1)
-    c = np.zeros(4 * N_MODES + 1)
-    c[0] = (params.m ** 2 - n * n) / 2.0 + n * n * complete_E(mod) / K
-    c[2::2] = (math.pi * n / K) ** 2 * (-1.0) ** i * i * q ** i / (1.0 - q ** (2 * i))
+    return q, (math.pi * n / K) ** 2, (params.m ** 2 - n * n) / 2.0 + n * n * complete_E(mod) / K
+
+
+def _truncation(params: SurfaceParams) -> tuple[int, float, float]:
+    """(N, q, tail): the Galerkin modes per block the nome q needs, and the
+    bound on the coefficients of f they drop, over c_0.
+
+    N modes leave out c_2j for j >= N, whose sum is at most
+    s q^N (N - (N-1) q) / ((1-q)^2 (1-q^2N)), as |c_2j| <= s j q^j / (1-q^2N)
+    there.  N is the fewest modes that bring this within TAIL_BOUND c_0,
+    plus MODE_MARGIN, and at least MIN_MODES; tail is the bound at that N.
+    Raises SpectrumMismatchError where N would pass N_MODES."""
+    q, s, c0 = _nome_series(params)
+    counts = np.arange(1, N_MODES + 1)
+    tails = (s / c0) * q ** counts * (counts - (counts - 1) * q) / (
+        (1.0 - q) ** 2 * (1.0 - q ** (2 * counts)))
+    fits = np.flatnonzero(tails <= TAIL_BOUND)
+    modes = max(int(fits[0]) + 1 + MODE_MARGIN, MIN_MODES) if fits.size else None
+    if modes is None or modes > N_MODES:
+        asked = f"more than {N_MODES}" if modes is None else modes
+        raise SpectrumMismatchError(
+            f"Fourier tail of f for (n,m)=({params.n},{params.m}) at nome q = {q:.6g} "
+            f"asks for {asked} modes per block, above N_MODES = {N_MODES}, whose "
+            f"tail is {tails[-1]:.3e} c_0 against TAIL_BOUND = {TAIL_BOUND:g}")
+    return modes, q, float(tails[modes - 1])
+
+
+def _f_cosines(params: SurfaceParams) -> np.ndarray:
+    """c_0..c_4N of f from its nome series, N the modes of _truncation."""
+    q, s, c0 = _nome_series(params)
+    modes, _, _ = _truncation(params)
+    i = np.arange(1, 2 * modes + 1)
+    c = np.zeros(4 * modes + 1)
+    c[0] = c0
+    c[2::2] = s * (-1.0) ** i * i * q ** i / (1.0 - q ** (2 * i))
     return c
 
 
@@ -344,7 +386,8 @@ class _Blocks(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
-    """The four blocks of the profile, stacked in the order of BLOCKS.
+    """The four blocks of the profile, stacked in the order of BLOCKS, each
+    of the N modes that _truncation gives for the profile's nome.
 
     With c_l = (1/a) int_0^a f(y) cos(2 pi l y / a) dy, f acts on the
     orthonormal cosine modes as F_ij = c_|i-j| + c_(i+j) (the j = 0 mode
@@ -361,20 +404,15 @@ def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
     """
     a = period_a(params)
     c = _f_cosines(params)
-    tail = float(abs(c[2 * N_MODES]) / c[0])
-    if tail > TAIL_BOUND:
-        raise SpectrumMismatchError(
-            f"Fourier tail of f for (n,m)=({params.n},{params.m}) is {tail:.3e} c_0 past "
-            f"index {2 * N_MODES}, above {TAIL_BOUND:g}: {N_MODES} modes per "
-            "block do not resolve the profile")
-    j = np.array([[0], [1], [2], [1]]) + 2 * np.arange(N_MODES)
+    modes = (c.size - 1) // 4
+    j = np.array([[0], [1], [2], [1]]) + 2 * np.arange(modes)
     sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
     # |j_i - j_k| is the same in every block
     F = c[np.abs(j[0, :, None] - j[0])] + sign * c[j[:, :, None] + j[:, None]]
     F[0, 0] /= math.sqrt(2.0)
     F[0, :, 0] /= math.sqrt(2.0)
     k2 = (2.0 * math.pi * j / a) ** 2
-    mu = np.linalg.eigvalsh(2.0 * F - k2[:, :, None] * np.eye(N_MODES))
+    mu = np.linalg.eigvalsh(2.0 * F - k2[:, :, None] * np.eye(modes))
     R = np.linalg.inv(np.linalg.cholesky(F))
     Rt = R.transpose(0, 2, 1)
     blocks = _Blocks(j, R, (R * k2[:, None]) @ Rt, R @ Rt, mu)
@@ -385,12 +423,15 @@ def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
 
 def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[SpectralLine]:
     """All eigenvalues <= LAMBDA_MAX_COUNT on several lines, one eigvalsh
-    call over the four blocks per line, each line checked against the
-    interlacing sign pattern."""
+    call over the four blocks of every line (of _SCAN_BLOCK entries at
+    most), each line checked against the interlacing sign pattern."""
     blocks = _galerkin_blocks(params)
+    p2 = np.square(np.asarray(p_values, dtype=float))[:, None, None, None]
+    width = max(1, _SCAN_BLOCK // blocks.G.size)
+    solved = [gammas for lo in range(0, len(p2), width)
+              for gammas in np.linalg.eigvalsh(blocks.A + p2[lo:lo + width] * blocks.G)]
     lines = []
-    for p in p_values:
-        gammas = np.linalg.eigvalsh(blocks.A + (p * p) * blocks.G)
+    for p, gammas in zip(p_values, solved):
         roots = sorted(
             ((float(g), parity, target)
              for (parity, target), row in zip(BLOCKS, gammas)
@@ -528,7 +569,8 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     """Smallest index i with lambda_i = 2 and the multiplicity of 2.
 
     Both follow from the certificate of _cluster, which also gives the
-    report its worst gap and next mu.  Reports the anchor residuals of
+    report its worst gap and next mu, and _truncation gives its modes,
+    nome and tail.  Reports the anchor residuals of
     gamma_0(0) = 0, gamma_2(0) = gamma_1(m) = gamma_0(n) = 2, each the
     lowest root of its block: the constants and phi2 of (EVEN, +2), phi0
     of (EVEN, -2) and phi1 of (ODD, -2).
@@ -537,6 +579,7 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     rank = count_below_two(params).count + 1
     mult, _ = multiplicity_at_two(params)
     _, gap, next_mu = _cluster(params)
+    modes, nome, tail = _truncation(params)
     blocks = _galerkin_blocks(params)
     anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0),) + CLUSTER), (0, 0, params.m, params.n))
     g00, g20, g1m, g0n = np.linalg.eigvalsh(np.stack(
@@ -549,7 +592,8 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     }
     return ExtremalReport(params=params, rank_i=rank, multiplicity=mult,
                           lambda_functional=2.0 * area_closed_form(params),
-                          cluster_gap=gap, next_mu=next_mu, residuals=residuals)
+                          cluster_gap=gap, next_mu=next_mu, modes=modes, nome=nome,
+                          tail=tail, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

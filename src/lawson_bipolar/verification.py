@@ -480,7 +480,9 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
         "branch_anchors",
         float(np.max([report.residuals[key] for key in
                       ("anchor_gamma0_at_0", "anchor_gamma2_at_0",
-                       "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7))
+                       "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7,
+        f"{report.modes} modes per block at nome q = {report.nome:.3e}, "
+        f"Fourier tail {report.tail:.3e} c_0"))
 
     if strict:
         checks = [CheckResult(c.name, c.residual, c.threshold / 2.0, c.context)

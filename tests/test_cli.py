@@ -27,8 +27,8 @@ from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
 from lawson_bipolar.verification import CheckResult
 
-RANK_8_1_DIGEST = "a4c5e8f874be23a9a65d21c6bd17c61f63168cad841e918e7b571330330135cf"
-SPECTRUM_8_1_CSV_DIGEST = "39bde500812418cd7f02087b7114ddbc956426348c39cd508f86e531644dcc6b"
+RANK_8_1_DIGEST = "27ec9b059516e39f3c494839e2bf807572b9c1713c6b0c411a968774ee082c02"
+SPECTRUM_8_1_CSV_DIGEST = "60f9c73727acd1d15b9b0c620fe84fafc2eff9fda1fb41788273ad943cb43164"
 
 
 class TestJsonFormatter:
@@ -190,7 +190,7 @@ class TestRankBytes:
     alone, so no Floquet rounding may move a byte.  The sweep stdout was
     recorded from the stage-by-stage Floquet loop and has not moved since;
     the report JSON carries the anchor residuals of the Cholesky-reduced
-    blocks."""
+    blocks, each of the modes the profile's nome needs."""
 
     def test_sweep_stdout_digest(self, capsys):
         assert main(["rank", "--sweep", "8"]) == 0
@@ -214,8 +214,10 @@ class TestSpectrumAndVerifyBytes:
     identities from one Jacobi triple (sn, cn, dn)(K - n y).  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
-    series.  Each verify entry carries its check's context, the
-    multiplicity's the cluster certificate's worst gap and next mu; the
+    series, each block of the modes that nome needs.  Each verify entry
+    carries its check's context, the multiplicity's the cluster
+    certificate's worst gap and next mu, the anchors' the modes, the nome
+    and the Fourier tail; the
     immersion agreement compares against the pairwise-rotated wedge, and
     the Klein-bottle invariance the (r, k) closed-form column."""
 
@@ -226,13 +228,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "4328ceba69e8f2f700d7f55a00c402c6db052794a18d4e013ca140b10c641faf"),
+         "26ab97b1f916d45fdbb6459778b059104f62d7e63f905215500ef64ddbd7113c"),
         (["verify", "--r", "3", "--k", "1"],
-         "c6f99e9beb74ea02c768068eb138953ca129a34484445d5269420475c3523d22"),
+         "dbc80c83dfb9247c95232dc7caf6bc334b0a9db454cf73b67c6362979ae33b57"),
         (["verify", "--r", "5", "--k", "1"],
-         "c1275cd309e7a8b26679120d81d44d984ea7b9624a74098f23aa42fda50c6f18"),
+         "d7a02378834a34f616594d215c258c36cb5ce9a91754feb036001a53da6bde72"),
         (["verify", "--r", "7", "--k", "6"],
-         "5ca58bbe6505151cfc2e5680a8078c839c06187222da4b056e38d225fb773977"),
+         "020caf8f964f4560cae830d44b0fb65fdacbed28eac3c0c6657cb55456793bfa"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):

@@ -302,6 +302,14 @@ class TestBranches:
         with pytest.raises(hs.SpectrumMismatchError, match="Fourier tail"):
             hs._galerkin_blocks.__wrapped__(P31)
 
+    def test_mode_count_past_the_cap_raises(self, monkeypatch):
+        # the margin pushes the 9 modes of (n, m) = (3, 1) past N_MODES: the
+        # error names the nome, the modes asked for and the tail at the cap
+        monkeypatch.setattr(hs, "MODE_MARGIN", 42)
+        with pytest.raises(hs.SpectrumMismatchError,
+                           match=r"q = 0\.00736091 asks for 49 modes .* tail is 1\.498e-100 c_0"):
+            hs._galerkin_blocks.__wrapped__(P31)
+
     def test_fourier_galerkin_oracle(self):
         # modes e^{2 pi i j y / a}: ((2 pi j / a)^2 + p^2) c = lambda (F c)
         # with F the Toeplitz matrix of the Fourier coefficients of f
@@ -479,7 +487,8 @@ def test_series_coefficients_on_flat_profiles(nm):
     assert params.n >= 1400
     assert _series_error(params) <= 1e-15
     c = hs._f_cosines(params)
-    assert abs(c[2 * hs.N_MODES]) <= hs.TAIL_BOUND * c[0]
+    modes = (c.size - 1) // 4
+    assert abs(c[2 * modes]) <= hs.TAIL_BOUND * c[0]
 
 
 def test_blocks_read_no_sample_of_f(monkeypatch):
@@ -709,15 +718,15 @@ def test_extremal_rank_takes_five_eigen_solves(r, k, monkeypatch):
     assert calls == {"eigvalsh": 2, "cholesky": 1, "inv": 1}
 
 
-def _per_block_reference(params):
-    """The blocks built one at a time, as (j, R, A, G, mu) per entry of
-    BLOCKS: the loop the stacked build replaced, kept as its reference."""
+def _per_block_reference(params, modes, c):
+    """The blocks of `modes` modes built one at a time from the cosine
+    coefficients c of f, as (j, R, A, G, mu) per entry of BLOCKS: the loop
+    the stacked build replaced, kept as its reference."""
     a = period_a(params)
-    c = hs._f_cosines(params)
     blocks = []
     for parity, sign, first_even in ((Parity.EVEN, 1.0, 0), (Parity.ODD, -1.0, 2)):
         for target, first in ((2.0, first_even), (-2.0, 1)):
-            j = first + 2 * np.arange(hs.N_MODES)
+            j = first + 2 * np.arange(modes)
             F = c[np.abs(j[:, None] - j)] + sign * c[j[:, None] + j]
             if first == 0:
                 F[0] /= math.sqrt(2.0)
@@ -738,13 +747,88 @@ def test_stacked_blocks_match_per_block_build(pairs):
     for pair in pairs:
         params = derive_params(*pair)
         stacked = hs._galerkin_blocks.__wrapped__(params)
-        reference = _per_block_reference(params)
+        reference = _per_block_reference(params, stacked.j.shape[1], hs._f_cosines(params))
         assert [block for block, _ in reference] == list(hs.BLOCKS)
         for b, (_, fields) in enumerate(reference):
             for name, want in zip(stacked._fields, fields):
                 got = getattr(stacked, name)
                 assert got.dtype == want.dtype and np.array_equal(got[b], want), (pair, b, name)
         assert not any(field.flags.writeable for field in stacked)
+
+
+@pytest.mark.parametrize("pair", [(8, 1), (7, 6), (3, 1)], ids=str)
+def test_line_scan_is_one_eigvalsh_bit_equal_to_per_line_solves(pair, monkeypatch):
+    """The scan solves all its lines in one batched eigvalsh, and each line
+    gets the bits of its own solve of the four blocks."""
+    params = derive_params(*pair)
+    blocks = hs._galerkin_blocks(params)
+    per_line = [np.linalg.eigvalsh(blocks.A + (p * p) * blocks.G) for p in range(params.n + 2)]
+    calls = Counter()
+
+    def counted(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        calls["eigvalsh"] += 1
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    lines = surface_lines(params)
+    assert calls == {"eigvalsh": 1}
+    for line, gammas in zip(lines, per_line):
+        want = sorted(float(g) for row in gammas for g in row[row <= hs.LAMBDA_MAX_COUNT])
+        assert [e.gamma for e in line.eigenvalues] == want
+
+
+def test_report_states_its_truncation():
+    """extremal_rank carries the modes of its blocks, the nome and the tail
+    they leave, and verify's anchor check states them."""
+    report = extremal_rank(8, 1)
+    assert report.modes == hs._galerkin_blocks(report.params).j.shape[1] == 14
+    assert report.nome == pytest.approx(0.0577865, rel=1e-5)
+    assert 0.0 < report.tail <= hs.TAIL_BOUND
+    anchors = {c.name: c for c in vf.full_report(8, 1).checks}["branch_anchors"]
+    assert anchors.context == (f"14 modes per block at nome q = {report.nome:.3e}, "
+                               f"Fourier tail {report.tail:.3e} c_0")
+
+
+def _cosines_48(params):
+    """c_0..c_192 of f from its nome series: the coefficients of a
+    48-mode build, whatever modes the profile's nome asks for."""
+    q, s, c0 = hs._nome_series(params)
+    j = np.arange(1, 97)
+    c = np.zeros(193)
+    c[0] = c0
+    c[2::2] = s * (-1.0) ** j * j * q ** j / (1.0 - q ** (2 * j))
+    return c
+
+
+@settings(max_examples=16, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(admissible_pairs(200))
+       | st.sampled_from([(r, r - 1) for r in range(2, 201)])
+       | st.sampled_from([(r, 1) for r in range(3, 201, 2)]))
+def test_mode_count_from_the_nome_matches_48_modes(pair):
+    """The modes the nome asks for give every line the roots of a 48-mode
+    build, one block at a time, within 1e-10, and the rank and the
+    multiplicity that build's lines count; sampled over r <= 200, with the
+    nearly flat profiles (n, m) = (2r-1, 1) and the pairs (r, 1), whose
+    m/n tends to 1, drawn as often as the rest."""
+    params = derive_params(*pair)
+    assert 6 <= hs._galerkin_blocks(params).j.shape[1] <= 48
+    reference = _per_block_reference(params, 48, _cosines_48(params))
+    A, G = (np.stack([fields[i] for _, fields in reference]) for i in (2, 3))
+    p2 = np.square(np.arange(params.n + 2.0))[:, None, None, None]
+    below = at_two = 0
+    for line, rows in zip(surface_lines(params), np.linalg.eigvalsh(A + p2 * G)):
+        p = int(line.p)
+        for (parity, target), row in zip(hs.BLOCKS, rows):
+            want = row[row <= hs.LAMBDA_MAX_COUNT]
+            got = [e.gamma for e in line.eigenvalues if (e.parity, e.psi_target) == (parity, target)]
+            assert len(got) == want.size, (p, parity, target)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-10, (p, parity, target)
+            if hs._keeps(parity, p, params.topology):
+                weight = 1 if p == 0 else 2
+                below += weight * int(np.count_nonzero(want < 2.0 - 1e-9))
+                at_two += weight * int(np.count_nonzero(np.abs(want - 2.0) <= 1e-9))
+    report = extremal_rank(*pair)
+    assert (report.rank_i, report.multiplicity) == (below, at_two)
 
 
 def _simplicity_check(params):
