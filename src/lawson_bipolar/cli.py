@@ -5,16 +5,23 @@ floating-point output is rendered with 17 significant digits so files
 round-trip double precision exactly; identical invocations produce
 byte-identical files on one platform.  No environment variable is read.
 
-Exit codes: 0 success, 1 invalid parameters or an unwritable --out, 2 a
-verification check failed, 3 numerical failure.
+Exit codes: 0 success, 1 invalid parameters, a usage error or an
+unwritable --out, 2 a verification check failed, 3 numerical failure.
+
+The command line is read from the _SUBCOMMANDS and _FLAGS tables with
+argparse's grammar and messages, without building a parser: each flag
+takes its value as --flag value or --flag=value, any unique prefix of a
+flag stands for it, the last of a repeated flag wins, and -h or --help
+prints help on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import hill_spectrum as hs
 from . import surface_model as sm
@@ -55,7 +62,7 @@ def _json17(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: _Args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -63,7 +70,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: _Args) -> int:
     params = sm.derive_params(args.r, args.k)
     if args.out:
         doc = {"r": params.r, "k": params.k, "n": params.n, "m": params.m,
@@ -74,7 +81,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: _Args) -> int:
     if args.sweep is not None:
         return _cmd_sweep(args)
     report = hs.extremal_rank(args.r, args.k)
@@ -92,7 +99,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: _Args) -> int:
     rows = []
     for r, k in sm.admissible_pairs(args.sweep):
         report = hs.extremal_rank(r, k)
@@ -105,7 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: _Args) -> int:
     """One row per located eigenvalue for p = 0..n; the CSV lists the rows,
     the JSON groups them by line."""
     params = sm.derive_params(args.r, args.k)
@@ -126,7 +133,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_immerse(args: argparse.Namespace) -> int:
+def _cmd_immerse(args: _Args) -> int:
     params = sm.derive_params(args.r, args.k)
     rows = sm.immersion_rows(params, args.grid, args.grid)
     writer = sm.write_immersion_csv if args.fmt == "csv" else sm.write_immersion_json
@@ -139,7 +146,7 @@ def _cmd_immerse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
+def _cmd_area(args: _Args) -> int:
     params = sm.derive_params(args.r, args.k)
     area, lam_value, rank_i = vf.area_and_lambda(params)
     closed = sm.area_closed_form(params)
@@ -149,7 +156,7 @@ def _cmd_area(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: _Args) -> int:
     report = vf.full_report(args.r, args.k, strict=args.strict)
     _emit(args, _json17(report.to_dict()) + "\n")
     for check in report.checks:
@@ -158,11 +165,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Usage errors exit 1: argparse's own code 2 means a failed check here."""
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+class _Args(NamedTuple):
+    """One parsed command line: the subcommand's handler and every flag."""
+
+    handler: Callable[[_Args], int]
+    r: int | None = None
+    k: int | None = None
+    grid: int = 64
+    out: str = ""
+    fmt: str = "json"
+    strict: bool = False
+    sweep: int | None = None
 
 
 # each subcommand's handler, help text and the optional flags it honours;
@@ -179,42 +192,184 @@ _SUBCOMMANDS = {
     "area": (_cmd_area, "compare area quadrature against the closed form", set()),
 }
 
+# each flag's _Args field, metavar, value (int, str, its choices, or None
+# for a switch) and help text; every subcommand takes --r and --k
+_FLAGS = {
+    "r": ("r", "R", int, "Lawson parameter r"),
+    "k": ("k", "K", int, "Lawson parameter k"),
+    "grid": ("grid", "GRID", int, "grid size per axis (default 64)"),
+    "out": ("out", "OUT", str, "output file path"),
+    "format": ("fmt", "{json,csv}", ("json", "csv"), "output format"),
+    "strict": ("strict", "", None, "halve every verification threshold"),
+    "sweep": ("sweep", "RMAX", int, "emit the rank table for all r <= RMAX"),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lawson-bipolar",
-        description="Bipolar Lawson surfaces: classification, Hill spectra, "
-                    "immersion sampling, and verification.")
-    parser.set_defaults(grid=64, out="", fmt="json", strict=False, sweep=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, blurb, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=blurb)
-        p.set_defaults(handler=handler)
-        p.add_argument("--r", type=int, help="Lawson parameter r")
-        p.add_argument("--k", type=int, help="Lawson parameter k")
-        if "grid" in flags:
-            p.add_argument("--grid", type=int, default=64,
-                           help="grid size per axis (default 64)")
-        if "out" in flags:
-            p.add_argument("--out", type=str, default="", help="output file path")
-        if "format" in flags:
-            p.add_argument("--format", dest="fmt", choices=["json", "csv"],
-                           default="json", help="output format")
-        if "strict" in flags:
-            p.add_argument("--strict", action="store_true",
-                           help="halve every verification threshold")
-        if "sweep" in flags:
-            p.add_argument("--sweep", type=int, default=None, metavar="RMAX",
-                           help="emit the rank table for all r <= RMAX")
-    return parser
+_PROG = "lawson-bipolar"
+
+
+def _honoured(command: str) -> list[str]:
+    """The flags of a subcommand, in the order of _FLAGS."""
+    return [name for name in _FLAGS if name in ("r", "k") or name in _SUBCOMMANDS[command][2]]
+
+
+def _options(command: str | None) -> dict[str, str]:
+    """Option string -> flag name, before the subcommand (help alone) or
+    after it, in the order argparse lists them in an ambiguity."""
+    names = _honoured(command) if command else []
+    return {"-h": "help", "--help": "help", **{f"--{name}": name for name in names}}
+
+
+def _flag_usage(name: str) -> str:
+    metavar = _FLAGS[name][1]
+    return f"--{name} {metavar}" if metavar else f"--{name}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {{{','.join(_SUBCOMMANDS)}}} ...\n"
+    flags = "".join(f" [{_flag_usage(name)}]" for name in _honoured(command))
+    return f"usage: {_PROG} {command} [-h]{flags}\n"
+
+
+def _help_text(command: str | None) -> str:
+    grammar = ("\nA flag takes its value as --flag value or --flag=value, any unique\n"
+               "prefix of a flag stands for it, and the last of a repeated flag wins.\n"
+               "A usage error exits 1.\n")
+    if command is None:
+        width = max(map(len, _SUBCOMMANDS))
+        rows = "".join(
+            f"  {name:<{width}}  {blurb}\n  {'':<{width}}  "
+            f"{' '.join(_flag_usage(flag) for flag in _honoured(name))}\n"
+            for name, (_, blurb, _) in _SUBCOMMANDS.items())
+        return (f"{_usage(None)}\nBipolar Lawson surfaces: classification, Hill spectra, "
+                f"immersion sampling, and verification.\n\ncommands:\n{rows}"
+                f"\n{_PROG} <command> -h describes a command and its flags.\n{grammar}")
+    flags = [(_flag_usage(name), _FLAGS[name][3]) for name in _honoured(command)]
+    flags.append(("-h, --help", "print this help and exit"))
+    width = max(len(usage) for usage, _ in flags)
+    rows = "".join(f"  {usage:<{width}}  {text}\n" for usage, text in flags)
+    return f"{_usage(command)}\n{_SUBCOMMANDS[command][1]}\n\nflags:\n{rows}{grammar}"
+
+
+def _usage_error(message: str, command: str | None = None):
+    """Every usage error: the usage line and argparse's message on stderr,
+    then exit 1, as exit 2 means a failed verification check."""
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _option(arg: str, options: dict[str, str], command: str | None):
+    """argparse's reading of one argument: None for a value (a word, "-",
+    a negative number or a string with a space), else (option string,
+    explicit value or None), with option string "" for an unknown option.
+    A prefix of two or more options is a usage error."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in options:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in options:
+        return head, value
+    if arg[1] == "-":
+        matches = [string for string in options if string.startswith(head)]
+        explicit = value if eq else None
+    else:
+        matches = [string for string in options if string == arg[:2]]
+        explicit = arg[2:]
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {arg} could match {', '.join(matches)}", command)
+    if matches:
+        return matches[0], explicit
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _help(command: str | None, string: str, explicit: str | None):
+    """-h or --help: print the help on stdout and exit 0.  An explicit
+    value is a usage error, but -hh... is -h given again."""
+    if string == "-h" and explicit:
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        _usage_error(f"argument -h/--help: ignored explicit argument {explicit!r}", command)
+    sys.stdout.write(_help_text(command))
+    raise SystemExit(0)
+
+
+def _value(name: str, text: str, command: str) -> int | str:
+    kind = _FLAGS[name][2]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _usage_error(f"argument --{name}: invalid int value: {text!r}", command)
+    if isinstance(kind, tuple) and text not in kind:
+        _usage_error(f"argument --{name}: invalid choice: {text!r} "
+                     f"(choose from {', '.join(map(repr, kind))})", command)
+    return text
+
+
+def _parse(argv: list[str]) -> _Args:
+    """Read argv as the subcommand's argparse parser would.  Help and
+    unknown options may come before the subcommand; after it, "--" ends
+    the options, each option is read left to right, and a word that no
+    option takes is an unrecognized argument."""
+    top, extras = _options(None), []
+    for i, arg in enumerate(argv):
+        opt = None if arg == "--" else _option(arg, top, None)
+        if opt is None:
+            break
+        if opt[0]:
+            _help(None, *opt)
+        extras.append(arg)
+    else:
+        i = len(argv)
+    if argv[i:] in ([], ["--"]):
+        _usage_error("the following arguments are required: command")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in _SUBCOMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+    options = _options(command)
+    cut = rest.index("--") if "--" in rest else len(rest)
+    # argparse reads every argument before it takes any, so an ambiguous
+    # prefix fails ahead of a bad value
+    read = [_option(arg, options, command) for arg in rest[:cut]] + [None] * (len(rest) - cut)
+    values, j = {}, 0
+    while j < len(rest):
+        if read[j] is None or not read[j][0]:
+            extras.append(rest[j])
+            j += 1
+            continue
+        string, explicit = read[j]
+        name = options[string]
+        if name == "help":
+            _help(command, string, explicit)
+        field, _, kind, _ = _FLAGS[name]
+        if kind is None:
+            if explicit is not None:
+                _usage_error(f"argument --{name}: ignored explicit argument {explicit!r}",
+                             command)
+            values[field] = True
+        elif explicit is not None:
+            values[field] = _value(name, explicit, command)
+        elif j + 1 < cut and read[j + 1] is None:
+            j += 1
+            values[field] = _value(name, rest[j], command)
+        else:
+            _usage_error(f"argument --{name}: expected one argument", command)
+        j += 1
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return _Args(_SUBCOMMANDS[command][0], **values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     sweep = args.sweep is not None
     if sweep and (args.r is not None or args.k is not None):
-        parser.error("rank: --sweep takes no --r or --k")
+        _usage_error("rank: --sweep takes no --r or --k")
     if args.grid < 2:
         print("grid must be at least 2", file=sys.stderr)
         return 1

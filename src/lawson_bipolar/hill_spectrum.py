@@ -339,9 +339,10 @@ def _nome_series(params: SurfaceParams) -> tuple[float, float, float]:
     return q, (math.pi * n / K) ** 2, (params.m ** 2 - n * n) / 2.0 + n * n * complete_E(mod) / K
 
 
-def _truncation(params: SurfaceParams) -> tuple[int, float, float]:
-    """(N, q, tail): the Galerkin modes per block the nome q needs, and the
-    bound on the coefficients of f they drop, over c_0.
+def _truncation(params: SurfaceParams) -> tuple[np.ndarray, float, float]:
+    """(c, q, tail): c_0..c_4N of f from its nome series, with N the
+    Galerkin modes per block the nome q needs, and the bound on the
+    coefficients of f they drop, over c_0.
 
     N modes leave out c_2j for j >= N, whose sum is at most
     s q^N (N - (N-1) q) / ((1-q)^2 (1-q^2N)), as |c_2j| <= s j q^j / (1-q^2N)
@@ -360,28 +361,29 @@ def _truncation(params: SurfaceParams) -> tuple[int, float, float]:
             f"Fourier tail of f for (n,m)=({params.n},{params.m}) at nome q = {q:.6g} "
             f"asks for {asked} modes per block, above N_MODES = {N_MODES}, whose "
             f"tail is {tails[-1]:.3e} c_0 against TAIL_BOUND = {TAIL_BOUND:g}")
-    return modes, q, float(tails[modes - 1])
-
-
-def _f_cosines(params: SurfaceParams) -> np.ndarray:
-    """c_0..c_4N of f from its nome series, N the modes of _truncation."""
-    q, s, c0 = _nome_series(params)
-    modes, _, _ = _truncation(params)
     i = np.arange(1, 2 * modes + 1)
     c = np.zeros(4 * modes + 1)
     c[0] = c0
     c[2::2] = s * (-1.0) ** i * i * q ** i / (1.0 - q ** (2 * i))
-    return c
+    return c, q, float(tails[modes - 1])
+
+
+def _f_cosines(params: SurfaceParams) -> np.ndarray:
+    """c_0..c_4N of f, the coefficients of _truncation."""
+    return _truncation(params)[0]
 
 
 class _Blocks(NamedTuple):
-    """The reduced blocks of one profile, each field stacked over BLOCKS."""
+    """The reduced blocks of one profile, each array stacked over BLOCKS,
+    and the truncation they were built with."""
 
     j: np.ndarray     # (4, N) mode indices
     R: np.ndarray     # (4, N, N) inverse Cholesky factors of F
     A: np.ndarray     # (4, N, N) R diag(k_j^2) R^T
     G: np.ndarray     # (4, N, N) R R^T
     mu: np.ndarray    # (4, N) eigenvalues of 2F - diag(k_j^2), ascending
+    nome: float       # q of the profile's modulus
+    tail: float       # bound on the coefficients of f the N modes drop, over c_0
 
 
 @lru_cache(maxsize=64)
@@ -403,7 +405,7 @@ def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
     eigenvalues below 2 on line p as mu has entries above p^2.
     """
     a = period_a(params)
-    c = _f_cosines(params)
+    c, nome, tail = _truncation(params)
     modes = (c.size - 1) // 4
     j = np.array([[0], [1], [2], [1]]) + 2 * np.arange(modes)
     sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
@@ -415,10 +417,10 @@ def _galerkin_blocks(params: SurfaceParams) -> _Blocks:
     mu = np.linalg.eigvalsh(2.0 * F - k2[:, :, None] * np.eye(modes))
     R = np.linalg.inv(np.linalg.cholesky(F))
     Rt = R.transpose(0, 2, 1)
-    blocks = _Blocks(j, R, (R * k2[:, None]) @ Rt, R @ Rt, mu)
-    for arr in blocks:
+    arrays = (j, R, (R * k2[:, None]) @ Rt, R @ Rt, mu)
+    for arr in arrays:
         arr.flags.writeable = False
-    return blocks
+    return _Blocks(*arrays, nome, tail)
 
 
 def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[SpectralLine]:
@@ -533,7 +535,10 @@ def count_below_two(params: SurfaceParams) -> CountResult:
     """Count nonzero eigenvalues of the surface below lambda = 2: each
     member of _cluster on the kept lines below its p, less the zero mode
     (the constants, the lowest root of (EVEN, +2) on line 0)."""
-    members, _, _ = _cluster(params)
+    return _count_below(params, _cluster(params)[0])
+
+
+def _count_below(params: SurfaceParams, members: tuple) -> CountResult:
     weights = [_line_weight(p, parity, params.topology) for (parity, _), p, _ in members]
     weights[-1] -= 1      # the zero mode; members[-1] is block (EVEN, +2)
     contributing = tuple((parity.value, target, mu, w)
@@ -545,7 +550,10 @@ def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:
     """Weighted count of the eigenvalues lambda = 2, the members of
     _cluster on a line p the topology keeps, as (p, branch_index, mu,
     parity, weight); the branch index counts the roots below 2 on line p."""
-    members, _, _ = _cluster(params)
+    return _multiplicity(params, _cluster(params)[0])
+
+
+def _multiplicity(params: SurfaceParams, members: tuple) -> tuple[int, tuple]:
     cluster = tuple((p, sum(q > p for _, q, _ in members), mu, parity.value,
                      1 if p == 0 else 2)
                     for (parity, _), p, mu in members if _keeps(parity, p, params.topology))
@@ -568,18 +576,17 @@ def rank_formula(params: SurfaceParams) -> int:
 def extremal_rank(r: int, k: int) -> ExtremalReport:
     """Smallest index i with lambda_i = 2 and the multiplicity of 2.
 
-    Both follow from the certificate of _cluster, which also gives the
-    report its worst gap and next mu, and _truncation gives its modes,
-    nome and tail.  Reports the anchor residuals of
+    Both follow from one certificate of _cluster, which also gives the
+    report its worst gap and next mu, and the blocks give its modes, nome
+    and tail.  Reports the anchor residuals of
     gamma_0(0) = 0, gamma_2(0) = gamma_1(m) = gamma_0(n) = 2, each the
     lowest root of its block: the constants and phi2 of (EVEN, +2), phi0
     of (EVEN, -2) and phi1 of (ODD, -2).
     """
     params = derive_params(r, k)
-    rank = count_below_two(params).count + 1
-    mult, _ = multiplicity_at_two(params)
-    _, gap, next_mu = _cluster(params)
-    modes, nome, tail = _truncation(params)
+    members, gap, next_mu = _cluster(params)
+    rank = _count_below(params, members).count + 1
+    mult, _ = _multiplicity(params, members)
     blocks = _galerkin_blocks(params)
     anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0),) + CLUSTER), (0, 0, params.m, params.n))
     g00, g20, g1m, g0n = np.linalg.eigvalsh(np.stack(
@@ -592,8 +599,8 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     }
     return ExtremalReport(params=params, rank_i=rank, multiplicity=mult,
                           lambda_functional=2.0 * area_closed_form(params),
-                          cluster_gap=gap, next_mu=next_mu, modes=modes, nome=nome,
-                          tail=tail, residuals=residuals)
+                          cluster_gap=gap, next_mu=next_mu, modes=blocks.j.shape[1],
+                          nome=blocks.nome, tail=blocks.tail, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +624,22 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
     if (parity, psi_target) not in BLOCKS:
         raise ValueError(f"no block ({parity!r}, {psi_target!r}); the blocks are "
                          f"{', '.join(f'({b[0].name}, {b[1]:+g})' for b in BLOCKS)}")
-    blk = _Blocks._make(x[BLOCKS.index((parity, psi_target))] for x in _galerkin_blocks(params))
-    w, v = np.linalg.eigh(blk.A + (p * p) * blk.G)
-    coef = blk.R.T @ v[:, 0]
+    blocks, b = _galerkin_blocks(params), BLOCKS.index((parity, psi_target))
+    j = blocks.j[b]
+    w, v = np.linalg.eigh(blocks.A[b] + (p * p) * blocks.G[b])
+    coef = blocks.R[b].T @ v[:, 0]
     a = period_a(params)
     n = EIGENFUNCTION_SAMPLES
     ys = a * np.arange(n) / n
     spectrum = np.zeros(n // 2 + 1, complex)
     if parity is Parity.EVEN:
-        coef = np.where(blk.j == 0, coef / math.sqrt(2.0), coef)
-        spectrum[blk.j] = coef
+        coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
+        spectrum[j] = coef
         spectrum[0] *= 2.0        # irfft counts X_0 once, the others twice
         norm = coef.sum()
     else:
-        spectrum[blk.j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
-        norm = (2.0 * math.pi * blk.j / a) @ coef
+        spectrum[j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
+        norm = (2.0 * math.pi * j / a) @ coef
     return float(w[0]), ys, np.fft.irfft(spectrum, n) * (n / 2) / norm
 
 

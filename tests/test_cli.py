@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output shapes, exit codes, and
 byte-level determinism."""
 
+import argparse
 import ast
 import csv
 import hashlib
@@ -12,16 +13,19 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lawson_bipolar import cli
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import surface_model as sm
 from lawson_bipolar import verification as vf
-from lawson_bipolar.cli import main, _json17
+from lawson_bipolar.cli import _SUBCOMMANDS, main, _json17
 from lawson_bipolar.phi_system import closed_form_theta, integrate_system
 from lawson_bipolar.special_functions import jacobi_am, jacobi_sncndn
 from lawson_bipolar.surface_model import derive_params
@@ -469,6 +473,146 @@ class TestArgumentValidation:
             "multiplicity,lambda_functional\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 1: argparse's own code 2 means a failed check here."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="lawson-bipolar",
+        description="Bipolar Lawson surfaces: classification, Hill spectra, "
+                    "immersion sampling, and verification.")
+    parser.set_defaults(grid=64, out="", fmt="json", strict=False, sweep=None)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, blurb, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=blurb)
+        p.set_defaults(handler=handler)
+        p.add_argument("--r", type=int, help="Lawson parameter r")
+        p.add_argument("--k", type=int, help="Lawson parameter k")
+        if "grid" in flags:
+            p.add_argument("--grid", type=int, default=64,
+                           help="grid size per axis (default 64)")
+        if "out" in flags:
+            p.add_argument("--out", type=str, default="", help="output file path")
+        if "format" in flags:
+            p.add_argument("--format", dest="fmt", choices=["json", "csv"],
+                           default="json", help="output format")
+        if "strict" in flags:
+            p.add_argument("--strict", action="store_true",
+                           help="halve every verification threshold")
+        if "sweep" in flags:
+            p.add_argument("--sweep", type=int, default=None, metavar="RMAX",
+                           help="emit the rank table for all r <= RMAX")
+    return parser
+
+
+_PARSED_FIELDS = ("handler", "r", "k", "grid", "out", "fmt", "strict", "sweep")
+
+
+def _outcome(parse, argv):
+    """(the parsed fields, or the exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return tuple(getattr(args, name) for name in _PARSED_FIELDS), out.getvalue(), err.getvalue()
+
+
+_INTS = ["0", "1", "2", "3", "8", "12", "-3"]
+#: values each flag accepts; None for the switch --strict
+_GOOD_VALUES = {"r": _INTS, "k": _INTS, "grid": _INTS, "sweep": _INTS, "strict": [None],
+                "out": ["out.json", "-", "a b", "-5"], "format": ["json", "csv"]}
+_BAD_VALUES = ["two", "1.5", "", "-1e3", "-x", "xml", "-2.5"]
+_words = st.sampled_from([f"--{name}" for name in cli._FLAGS] + ["--tol", "--help", "-h"])
+# prefixes from two characters on: "--" alone ends the options, "--=x"
+# is a prefix of every flag
+_prefix = _words.flatmap(lambda word: st.integers(2, len(word)).map(lambda n: word[:n]))
+_value = st.sampled_from([*_INTS, "json", "csv", "out.json", *_BAD_VALUES])
+
+
+def _honoured_pair(command):
+    """A flag the subcommand honours with a value it accepts."""
+    names = cli._honoured(command) if command in _SUBCOMMANDS else list(cli._FLAGS)
+    return st.sampled_from(names).flatmap(lambda name: st.sampled_from(_GOOD_VALUES[name]).map(
+        lambda value: (f"--{name}",) if value is None else (f"--{name}", value)))
+
+
+def _chunks(command):
+    good = _honoured_pair(command)
+    return st.lists(st.one_of(
+        good, good, good, st.tuples(_prefix, _value),
+        st.tuples(_prefix, _value).map(lambda t: (f"{t[0]}={t[1]}",)),
+        st.tuples(_words | _prefix | _value
+                  | st.sampled_from(["foo", "-r", "-5", "-hh", "-hx", "---x", "rank"]))),
+        max_size=5).map(lambda chunks: [word for chunk in chunks for word in chunk])
+
+
+_argv = st.tuples(
+    st.sampled_from([[]] * 24 + [["-h"], ["--he"], ["--bogus"], ["-x"], ["--"], ["-h="]]),
+    st.sampled_from([*_SUBCOMMANDS, *_SUBCOMMANDS, "nope", ""]),
+).flatmap(lambda t: _chunks(t[1]).map(lambda rest: [*t[0], t[1], *rest]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_argv)
+def test_parser_matches_argparse(argv):
+    """The table-driven parser against argparse's parser as the CLI built
+    it before: the same fields where argparse accepts, help on stdout
+    where it prints help, and exit 1 with the same error line where it
+    rejects.  No draw gives a flag the explicit value "--", which argparse
+    turns into an empty list."""
+    want, want_out, want_err = _outcome(_build_parser().parse_args, argv)
+    got, got_out, got_err = _outcome(cli._parse, argv)
+    if isinstance(want, tuple):
+        assert (got, got_out, got_err) == (want, "", ""), argv
+    elif want == 0:
+        assert got == 0 and got_out and not got_err, argv
+    else:
+        assert want == 1 and got == 1 and got_out == "", argv
+        assert got_err.startswith("usage: "), argv
+        assert got_err.splitlines()[-1] == want_err.splitlines()[-1], argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "--help"] for name in _SUBCOMMANDS)],
+                         ids=lambda argv: "-".join(argv))
+def test_help_names_every_subcommand_and_flag(argv, capsys):
+    """Help goes to stdout and exits 0; the overview names every
+    subcommand with its flags, a subcommand's help every flag it honours."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    names = list(_SUBCOMMANDS) if len(argv) == 1 else argv[:1]
+    for name in names:
+        assert name in captured.out
+        for flag in ("r", "k", *_SUBCOMMANDS[name][2]):
+            assert f"--{flag}" in captured.out, (name, flag)
+
+
+def test_flag_equals_value_writes_the_same_rank_bytes(tmp_path):
+    out = tmp_path / "rank.json"
+    assert main(["rank", "--r=8", "--k=1", f"--out={out}"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RANK_8_1_DIGEST
+
+
+@pytest.mark.parametrize("argv", [["rank", "--r"], ["rank", "--out", "--r", "2"]],
+                         ids=["value-missing", "option-as-value"])
+def test_flag_without_its_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "expected one argument" in captured.err
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -482,6 +626,16 @@ def test_cli_import_loads_no_scipy():
     scipy module in."""
     code = ("import lawson_bipolar.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_argparse():
+    """The CLI reads its arguments from its own tables, so the import must
+    not pull in argparse or the gettext it loads."""
+    code = ("import lawson_bipolar.cli, sys; "
+            "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))")
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -526,7 +526,7 @@ def test_certified_cluster_gives_the_closed_forms(monkeypatch):
         mu = np.full((len(hs.BLOCKS), hs.N_MODES), -float(params.n ** 2))
         for block, p in zip(hs.CLUSTER, (0, params.m, params.n)):
             mu[hs.BLOCKS.index(block), -1] = p * p
-        return hs._Blocks(None, None, None, None, mu)
+        return hs._Blocks(None, None, None, None, mu, None, None)
 
     monkeypatch.setattr(hs, "_galerkin_blocks", exact_blocks)
     for pair in admissible_pairs(200):
@@ -742,18 +742,21 @@ def _per_block_reference(params, modes, c):
                                    [(801, 799), (4801, 1), (1601, 1), (99999, 99998)]],
                          ids=["r<=40", "large-n"])
 def test_stacked_blocks_match_per_block_build(pairs):
-    """Every field of the stacked record is bit-equal to the per-block
-    build, in the order of BLOCKS, and read-only."""
+    """Every array of the stacked record is bit-equal to the per-block
+    build, in the order of BLOCKS, and read-only; its nome and tail are
+    those of _truncation."""
     for pair in pairs:
         params = derive_params(*pair)
         stacked = hs._galerkin_blocks.__wrapped__(params)
-        reference = _per_block_reference(params, stacked.j.shape[1], hs._f_cosines(params))
+        c, nome, tail = hs._truncation(params)
+        reference = _per_block_reference(params, stacked.j.shape[1], c)
         assert [block for block, _ in reference] == list(hs.BLOCKS)
         for b, (_, fields) in enumerate(reference):
             for name, want in zip(stacked._fields, fields):
                 got = getattr(stacked, name)
                 assert got.dtype == want.dtype and np.array_equal(got[b], want), (pair, b, name)
-        assert not any(field.flags.writeable for field in stacked)
+        assert (stacked.nome, stacked.tail) == (nome, tail), pair
+        assert not any(field.flags.writeable for field in stacked[:5])   # the arrays
 
 
 @pytest.mark.parametrize("pair", [(8, 1), (7, 6), (3, 1)], ids=str)
