@@ -368,11 +368,6 @@ def _truncation(params: SurfaceParams) -> tuple[np.ndarray, float, float]:
     return c, q, float(tails[modes - 1])
 
 
-def _f_cosines(params: SurfaceParams) -> np.ndarray:
-    """c_0..c_4N of f, the coefficients of _truncation."""
-    return _truncation(params)[0]
-
-
 class _Blocks(NamedTuple):
     """The reduced blocks of one profile, each array stacked over BLOCKS,
     and the truncation they were built with."""

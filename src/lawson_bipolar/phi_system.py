@@ -82,9 +82,9 @@ def initial_state(params: SurfaceParams) -> np.ndarray:
                      math.sqrt((n2 - m2) / 2.0), 0.0])
 
 
-def odesystem_rhs(y, state, params: SurfaceParams) -> tuple:
-    """First-order form of the coupled profile system, on floats or
-    equal-shape arrays; y is unused, as the system is autonomous."""
+def odesystem_rhs(state, params: SurfaceParams) -> tuple:
+    """First-order form of the coupled profile system, which is
+    autonomous, on floats or equal-shape arrays."""
     p0, p1, p2, d0, d1, d2 = state
     n2, m2 = params.n * params.n, params.m * params.m
     twof = 2.0 * (m2 * p1 * p1 + n2 * p2 * p2)

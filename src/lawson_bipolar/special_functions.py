@@ -1,9 +1,10 @@
 """Elliptic special functions on the real line.
 
 Complete elliptic integrals K and E are evaluated with the
-arithmetic-geometric mean, the incomplete integral F by Carlson's
-duplication for R_F, the Jacobi functions sn, cn, dn with a descending
-Landen transformation (Bulirsch's recursion), and the Weierstrass P
+arithmetic-geometric mean, the Jacobi functions sn, cn, dn with a
+descending Landen transformation (Bulirsch's recursion) over the levels
+of that same AGM loop, which also gives their period, the incomplete
+integral F by Carlson's duplication for R_F, and the Weierstrass P
 function by reduction to Jacobi functions through the roots of the
 cubic 4t^3 - g2 t - g3.  Everything is plain double precision; accuracy
 is near machine epsilon away from poles.
@@ -92,11 +93,15 @@ class WeierstrassInvariants:
             raise DomainError("invariants must be finite")
 
 
-def _agm(modulus: EllipticModulus) -> tuple[float, float]:
-    """AGM a of 1 and k', with s = sum_(n>=0) 2^(n-1) c_n^2 accumulated
-    along it (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2); returns (a, s)."""
+def _agm(modulus: EllipticModulus) -> tuple[list, float]:
+    """AGM of 1 and k': its levels (a_n, b_n) from (1, k') until
+    |a - b| <= 2e-16 a, at most _AGM_ITMAX steps, with s = sum_(n>=0)
+    2^(n-1) c_n^2 along them (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2);
+    returns (levels, s).  Rounded, the AGM may cycle one ulp apart, so
+    only a wider last gap (k' = 0 with k < 1) raises DomainError."""
     a, b = 1.0, modulus.k_prime
     s, p = 0.5 * modulus.k * modulus.k, 1.0
+    levels = [(a, b)]
     for _ in range(_AGM_ITMAX):
         if abs(a - b) <= 2e-16 * a:
             break
@@ -104,55 +109,42 @@ def _agm(modulus: EllipticModulus) -> tuple[float, float]:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         s += p * c * c
         p *= 2.0
-    return a, s
+        levels.append((a, b))
+    if abs(a - b) > math.ulp(a):
+        raise DomainError(f"AGM of 1 and k'={modulus.k_prime!r} for k={modulus.k!r} not "
+                          f"converged in {_AGM_ITMAX} steps: |a - b|/a = {abs(a - b) / a:.3g}")
+    return levels, s
 
 
 def complete_K(modulus: EllipticModulus) -> float:
     """Complete elliptic integral of the first kind K(k) = pi / (2 AGM)."""
     if modulus.k >= 1.0:
         raise DomainError("K(k) requires k < 1")
-    a, _ = _agm(modulus)
-    return math.pi / (2.0 * a)
+    levels, _ = _agm(modulus)
+    return math.pi / (2.0 * levels[-1][0])
 
 
 def complete_E(modulus: EllipticModulus) -> float:
     """Complete elliptic integral of the second kind E(k) = K (1 - s)."""
     if modulus.k == 1.0:
         return 1.0
-    a, s = _agm(modulus)
-    return math.pi / (2.0 * a) * (1.0 - s)
+    levels, s = _agm(modulus)
+    return math.pi / (2.0 * levels[-1][0]) * (1.0 - s)
 
 
-def _landen_chain(kp2: float):
-    """Descending Landen chain for complementary parameter kp2 = k'^2.
-
-    The chain depends only on the modulus, so one chain serves every
-    element of an argument array; returns (scale c, a-levels,
-    geometric-mean levels).
-    """
-    emc = kp2
-    a = 1.0
-    em = []
-    en = []
-    c = 1.0
-    for _ in range(13):
-        emc = math.sqrt(emc)
-        em.append(a)
-        en.append(emc)
-        c = 0.5 * (a + emc)
-        if abs(a - emc) <= 1e-8 * a:
-            break
-        emc = emc * a
-        a = c
-    return c, em, en
-
-
-def _sncndn_reduced(u, kp2: float):
-    """Bulirsch sn/cn/dn for array u, |u| <= K(k); kp2 = k'^2 in (0, 1]."""
-    u = np.asarray(u, dtype=float)
-    if kp2 == 1.0:
-        return np.sin(u), np.cos(u), np.ones_like(u)
-    c, em, en = _landen_chain(kp2)
+def _sncndn_reduced(w, modulus: EllipticModulus):
+    """(q, sn, cn, dn) for array w, 0 < k < 1: the triple at w - 2Kq,
+    q the nearest integer to w/2K.  One AGM gives K and the levels of
+    Bulirsch's descending Landen recursion (Numer. Math. 7, 1965), run up
+    from the first with |a - b| <= 1e-8 a, for every element of w."""
+    levels, _ = _agm(modulus)
+    K = math.pi / (2.0 * levels[-1][0])
+    q = np.round(w / (2.0 * K))
+    u = w - 2.0 * K * q
+    if modulus.k_prime == 1.0:
+        return q, np.sin(u), np.cos(u), np.ones_like(u)
+    depth = next(i for i, (a, b) in enumerate(levels) if abs(a - b) <= 1e-8 * a)
+    c = 0.5 * sum(levels[depth])
     sn = np.sin(c * u)
     cn = np.cos(c * u)
     dn = np.ones_like(sn)
@@ -160,7 +152,7 @@ def _sncndn_reduced(u, kp2: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(nz, cn / np.where(nz, sn, 1.0), 0.0)
         cc = c * a
-        for b, e in zip(reversed(em), reversed(en)):
+        for b, e in reversed(levels[:depth + 1]):
             a = a * cc
             cc = cc * dn
             dn = (e + a) / (b + a)
@@ -170,7 +162,7 @@ def _sncndn_reduced(u, kp2: float):
     sn_out = np.where(nz, np.where(sn >= 0.0, amp, -amp), u + 0.0)
     cn_out = np.where(nz, cc * sn_out, 1.0)
     dn_out = np.where(nz, dn, 1.0)
-    return sn_out, cn_out, dn_out
+    return q, sn_out, cn_out, dn_out
 
 
 def _finite(x) -> np.ndarray:
@@ -198,9 +190,7 @@ def jacobi_sncndn(w, modulus: EllipticModulus):
             sech = 1.0 / np.cosh(ws)
         out = np.tanh(ws), sech, sech
     else:
-        K = complete_K(modulus)
-        q = np.round(ws / (2.0 * K))
-        sn, cn, dn = _sncndn_reduced(ws - 2.0 * K * q, modulus.k_prime ** 2)
+        q, sn, cn, dn = _sncndn_reduced(ws, modulus)
         sgn = np.where((q % 2.0) != 0.0, -1.0, 1.0)
         out = sgn * sn, sgn * cn, dn
     return tuple(map(float, out)) if ws.ndim == 0 else out
@@ -219,9 +209,7 @@ def jacobi_am(w, modulus: EllipticModulus):
         with np.errstate(over="ignore"):
             am = np.arctan(np.sinh(ws))
     else:
-        K = complete_K(modulus)
-        q = np.round(ws / (2.0 * K))
-        sn, cn, _ = _sncndn_reduced(ws - 2.0 * K * q, modulus.k_prime ** 2)
+        q, sn, cn, _ = _sncndn_reduced(ws, modulus)
         # sn^2 + cn^2 = 1 exactly by construction, so atan2 is uniformly stable
         am = q * math.pi + np.arctan2(sn, cn)
     return float(am) if ws.ndim == 0 else am

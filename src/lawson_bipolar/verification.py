@@ -279,7 +279,7 @@ def orbit_space_checks(params: SurfaceParams) -> list[CheckResult]:
     ys = np.linspace(0.03 * a_per, 0.97 * a_per, ORBIT_GRID)
     st = ps.closed_form_theta(ys, params)
     p0, p1, p2, d0, d1, d2 = st.T
-    _, _, _, dd0, dd1, dd2 = ps.odesystem_rhs(ys, st.T, params)
+    _, _, _, dd0, dd1, dd2 = ps.odesystem_rhs(st.T, params)
 
     rho, al = np.arcsin(p0), np.arctan2(p2, p1)
     cr, sr, ca, sa = np.cos(rho), np.sin(rho), np.cos(al), np.sin(al)

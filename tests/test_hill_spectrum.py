@@ -462,7 +462,7 @@ LARGE_PAIRS = ((8, 1), (800, 1), (801, 799), (2401, 2400), (4801, 1))
 def _series_error(params):
     """Largest |c_l| gap of the nome series against the reference FFT,
     relative to c_0."""
-    c = hs._f_cosines(params)
+    c = hs._truncation(params)[0]
     return float(np.max(np.abs(c - _fft_cosines(params)[:c.size])) / c[0])
 
 
@@ -479,14 +479,24 @@ def test_series_coefficients_match_fft():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from([(2 * r - 1, 1) for r in range(701, 6002)])
        | st.sampled_from([(r, r - 1) for r in range(1400, 6001)]))
+@example((1752, 1751))
+@example((2045, 2044))
+@example((5694, 5693))
 def test_series_coefficients_on_flat_profiles(nm):
     """Nearly flat profiles (n, m) = (2r-1, 1) and (r, r-1) with n >= 1400:
-    the series agrees with the FFT within 1e-15 c_0 and resolves f within
-    the tail bound."""
-    params = params_from_nm(*nm)
+    the series agrees with the FFT within 8 ulps of max f = (n^2+m^2)/2,
+    the largest sample the FFT reads, and resolves f within the tail bound.
+
+    Both routes round at that scale: over every pair of the strategy, and
+    over (r, r-1) for r < 1400, the gap is at most 4 such ulps, while 264
+    of the (r, r-1) pairs, among them the three examples, exceed 1e-15 c_0
+    (2.0e-15 c_0 at (5694, 5693))."""
+    n, m = nm
+    params = params_from_nm(n, m)
     assert params.n >= 1400
-    assert _series_error(params) <= 1e-15
-    c = hs._f_cosines(params)
+    c = hs._truncation(params)[0]
+    gap = np.max(np.abs(c - _fft_cosines(params)[:c.size]))
+    assert gap <= 8 * math.ulp((n * n + m * m) / 2.0)
     modes = (c.size - 1) // 4
     assert abs(c[2 * modes]) <= hs.TAIL_BOUND * c[0]
 

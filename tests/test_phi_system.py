@@ -52,7 +52,7 @@ def _reference_step(x, h, params) -> tuple:
     *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
     k = []
     for row in stages:
-        k.append(odesystem_rhs(0.0, _stage_sum(x, row, k), params))
+        k.append(odesystem_rhs(_stage_sum(x, row, k), params))
     return _stage_sum((0.0,) * 6, weights, k)
 
 
@@ -149,7 +149,7 @@ class TestIntegration:
         profile = integrate_system(P21, tol=1e-10, n_points=512)
         n2, m2 = 4.0, 1.0
         for y, row in zip(profile.grid, profile.states):
-            rhs = odesystem_rhs(y, row, P21)
+            rhs = odesystem_rhs(row, P21)
             f = float(metric_f_array(y, P21))
             assert abs(-rhs[3] - 2 * f * row[0]) < 1e-8
             assert abs(-rhs[4] + m2 * row[1] - 2 * f * row[1]) < 1e-8

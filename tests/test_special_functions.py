@@ -23,8 +23,8 @@ from lawson_bipolar.special_functions import (
     jacobi_sncndn,
     weierstrass_p,
 )
-from lawson_bipolar.special_functions import _wp_reduction
-from lawson_bipolar.surface_model import derive_params
+from lawson_bipolar.special_functions import _SN_TINY, _wp_reduction
+from lawson_bipolar.surface_model import admissible_pairs, derive_params
 
 
 def mod(k):
@@ -147,6 +147,17 @@ class TestCompleteIntegrals:
     def test_E_at_one_skips_the_agm(self):
         assert complete_E(mod(1.0)) == 1.0
 
+    def test_unconverged_agm_raises(self):
+        # k' = 0 with k < 1 passes the modulus's 1e-14 tolerance, and the
+        # AGM of 1 and 0 never converges: every function must say so
+        # rather than return K = 1.7e12 or E = 0.79
+        m = EllipticModulus(0.999999999999995, 0.0)
+        for call in (complete_K, complete_E,
+                     lambda m: jacobi_sncndn(1.0, m), lambda m: jacobi_am(1.0, m)):
+            with pytest.raises(DomainError, match=r"k'=0\.0 for k=0\.999999999999995 "
+                               r"not converged in 40 steps: \|a - b\|/a = 1"):
+                call(m)
+
 
 class TestJacobi:
     def test_origin(self):
@@ -258,6 +269,108 @@ class TestJacobi:
             for w in rng.uniform(-4 * K, 4 * K, 100):
                 assert jacobi_am(w, m) == pytest.approx(
                     ss.ellipj(w, k * k)[3], abs=1e-13)
+
+
+def _reference_landen_chain(kp2: float):
+    """The descending Landen chain as written before the Jacobi functions
+    read the levels of complete_K's AGM, verbatim."""
+    emc = kp2
+    a = 1.0
+    em = []
+    en = []
+    c = 1.0
+    for _ in range(13):
+        emc = math.sqrt(emc)
+        em.append(a)
+        en.append(emc)
+        c = 0.5 * (a + emc)
+        if abs(a - emc) <= 1e-8 * a:
+            break
+        emc = emc * a
+        a = c
+    return c, em, en
+
+
+def _reference_sncndn_reduced(u, kp2: float):
+    """Bulirsch sn/cn/dn on its own chain, verbatim as written before."""
+    u = np.asarray(u, dtype=float)
+    if kp2 == 1.0:
+        return np.sin(u), np.cos(u), np.ones_like(u)
+    c, em, en = _reference_landen_chain(kp2)
+    sn = np.sin(c * u)
+    cn = np.cos(c * u)
+    dn = np.ones_like(sn)
+    nz = np.abs(u) >= _SN_TINY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(nz, cn / np.where(nz, sn, 1.0), 0.0)
+        cc = c * a
+        for b, e in zip(reversed(em), reversed(en)):
+            a = a * cc
+            cc = cc * dn
+            dn = (e + a) / (b + a)
+            a = cc / b
+        amp = 1.0 / np.sqrt(cc * cc + 1.0)
+    sn_out = np.where(nz, np.where(sn >= 0.0, amp, -amp), u + 0.0)
+    cn_out = np.where(nz, cc * sn_out, 1.0)
+    dn_out = np.where(nz, dn, 1.0)
+    return sn_out, cn_out, dn_out
+
+
+def _reference_jacobi(ws, modulus):
+    """(sn, cn, dn, am) for 0 < k < 1 by the general branches of
+    jacobi_sncndn and jacobi_am as written before, with K from its own
+    AGM loop."""
+    K = _reference_K(modulus)
+    q = np.round(ws / (2.0 * K))
+    sn, cn, dn = _reference_sncndn_reduced(ws - 2.0 * K * q, modulus.k_prime ** 2)
+    sgn = np.where((q % 2.0) != 0.0, -1.0, 1.0)
+    return sgn * sn, sgn * cn, dn, q * math.pi + np.arctan2(sn, cn)
+
+
+def _modulus_of_complement(kp):
+    """A modulus with complement kp and k < 1, below kp = 1.5e-8 the
+    largest float under 1."""
+    return EllipticModulus(min(math.sqrt((1.0 - kp) * (1.0 + kp)), math.nextafter(1.0, 0.0)), kp)
+
+
+def test_jacobi_functions_keep_the_bits_of_their_own_landen_chain():
+    """Reading the levels of one AGM, jacobi_sncndn and jacobi_am give the
+    bits of the former route, a Landen chain on k'^2 beside complete_K's
+    AGM, and K and E keep the bits of their own loops.  The moduli are the
+    profile and H1 moduli of every pair with r <= 40 (the H1 moduli of
+    eight, (5, 1) first, run all 40 AGM steps with a and b one ulp apart,
+    above 2e-16 a), k' = 1 at small k, and k' from 0.8 down to 1e-150."""
+    surfaces = [derive_params(*pair) for pair in admissible_pairs(40)]
+    moduli = ([m for p in surfaces for m in (p.modulus, p.h_modulus)] + [mod(1e-9), mod(1e-8)]
+              + [_modulus_of_complement(float(kp)) for kp in np.logspace(-0.1, -150.0, 76)])
+    rng = np.random.default_rng(5)
+    around_tiny = _SN_TINY * np.array([0.5, 1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52, 2.0])
+    base = np.concatenate([[0.0, -0.0, 1e-200], around_tiny, -around_tiny,
+                           np.linspace(-1e3, 1e3, 201), rng.uniform(-20.0, 20.0, 200)])
+    for modulus in moduli:
+        K = _reference_K(modulus)
+        assert complete_K(modulus).hex() == K.hex()
+        assert complete_E(modulus).hex() == _reference_E(modulus).hex()
+        periods = K * np.arange(-8.0, 9.0)
+        ws = np.concatenate([base, periods, np.nextafter(periods, np.inf)])
+        got = (*jacobi_sncndn(ws, modulus), jacobi_am(ws, modulus))
+        for mine, ref in zip(got, _reference_jacobi(ws, modulus)):
+            assert mine.tobytes() == ref.tobytes(), modulus
+
+
+@pytest.mark.parametrize("kp", [1e-158, 1e-200, 5e-324])
+def test_jacobi_functions_at_a_vanishing_complement(kp):
+    """Where k'^2 is subnormal or underflows to 0, the triple is
+    (tanh, sech, sech) and the amplitude the gudermannian, each within
+    8 (1 + |w|) eps relative: sech(w) carries the rounding of w, relative
+    eps |w|, times w tanh(w)."""
+    m = _modulus_of_complement(kp)
+    w = np.linspace(-300.0, 300.0, 2001)
+    tol = 8.0 * (1.0 + np.abs(w)) * np.finfo(float).eps
+    sech = 1.0 / np.cosh(w)
+    *triple, am = (*jacobi_sncndn(w, m), jacobi_am(w, m))
+    for got, ref in zip((*triple, am), (np.tanh(w), sech, sech, np.arctan(np.sinh(w)))):
+        assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
 
 
 def _real_period(inv):

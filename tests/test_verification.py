@@ -132,8 +132,8 @@ class TestOrbitSpace:
     def test_non_finite_residual_fails(self, monkeypatch):
         rhs = vf.ps.odesystem_rhs
 
-        def nan_at_one_point(y, state, params):
-            out = np.array(rhs(y, state, params))
+        def nan_at_one_point(state, params):
+            out = np.array(rhs(state, params))
             out[3, 7] = np.nan
             return out
 
