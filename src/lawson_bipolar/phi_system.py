@@ -6,11 +6,14 @@ The profile solves the coupled second-order system
     phi1'' = (m^2 - 2 (m^2 phi1^2 + n^2 phi2^2)) phi1
     phi2'' = (n^2 - 2 (m^2 phi1^2 + n^2 phi2^2)) phi2
 
-with phi1 odd, phi0 and phi2 even, and sits on the unit sphere.  Three
-evaluation routes are provided: direct fixed-step RK8 integration, the
-theta closed form (authoritative; needs only Jacobi functions), and the
-Weierstrass closed form (magnitudes only).  Two first integrals E1, E2
-are evaluated for drift checks.
+with phi1 odd, phi0 and phi2 even, and sits on the unit sphere.  The
+orbit is also reversible about y = a/4 = K/n (phi0 odd, phi1 and phi2
+even there), so the fundamental quarter [0, a/4] fixes the whole period.
+Three evaluation routes are provided: direct fixed-step RK8 integration
+(over the quarter for the profile, over a full period from arbitrary
+initial data), the theta closed form (authoritative; needs only Jacobi
+functions), and the Weierstrass closed form (magnitudes only).  Two
+first integrals E1, E2 are evaluated for drift checks.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .surface_model import SurfaceParams, period_a
 __all__ = [
     "IntegrationFailureError",
     "PhiProfile",
+    "REVERSE_AT_0",
+    "REVERSE_AT_QUARTER",
     "initial_state",
     "integrate_system",
     "integrate_states",
@@ -48,17 +53,26 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_POINTS = 2048
 
+#: the reversors of the profile orbit, as sign flips of (phi0, phi1, phi2,
+#: phi0', phi1', phi2'): x(-y) = REVERSE_AT_0 x(y) (phi1 odd, phi0 and phi2
+#: even) and x(a/2 - y) = REVERSE_AT_QUARTER x(y) (phi0 odd about a/4,
+#: phi1 and phi2 even)
+REVERSE_AT_0 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+REVERSE_AT_QUARTER = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+
 
 class IntegrationFailureError(RuntimeError):
-    """The integrated orbit did not close up after one period."""
+    """The integrated orbit missed the reversal symmetry at y = a/4 that
+    closes it up."""
 
 
 @dataclass(frozen=True)
 class PhiProfile:
-    """Sampled profile over one period: states[i] belongs to grid[i].
+    """Sampled profile over the fundamental quarter [0, a/4): states[i]
+    belongs to grid[i].
 
     states has one row (phi0, phi1, phi2, phi0', phi1', phi2') per grid
-    point; end_state is the integrated state at y = a for periodicity
+    point; end_state is the integrated state at y = a/4 for the reversal
     diagnostics.
     """
 
@@ -67,8 +81,10 @@ class PhiProfile:
     states: np.ndarray
     end_state: np.ndarray
 
-    def periodicity_residual(self) -> float:
-        return float(np.max(np.abs(self.end_state - self.states[0])))
+    def reversal_residual(self) -> float:
+        """max(|phi0|, |phi1'|, |phi2'|) at y = a/4: the components the
+        reversor about a/4 reverses, which vanish on its fixed set."""
+        return float(np.max(np.abs(self.end_state[REVERSE_AT_QUARTER < 0.0])))
 
 
 def initial_state(params: SurfaceParams) -> np.ndarray:
@@ -134,6 +150,39 @@ def _rk8_step(params: SurfaceParams, h: float):
                                float(params.n * params.n), *coefs)
 
 
+def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
+               span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The Kahan-summed RK8 loop over [0, span] of integrate_states and
+    integrate_system: (grid, states, end_state, step count)."""
+    if not (1e-13 <= tol <= 1e-6):
+        raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
+    if n_points is not None and not (isinstance(n_points, int)
+                                     and not isinstance(n_points, bool) and n_points >= 1):
+        raise ValueError(f"need n_points None or an int >= 1; got {n_points!r}")
+    x = np.asarray(state0, float)
+    if x.shape != (6,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"need state0 of six finite floats; got {state0!r}")
+    steps = _steps_for(params, tol, span)
+    n_points = steps if n_points is None else n_points
+    per = -(-steps // n_points)
+    step = _rk8_step(params, span / (n_points * per))
+    x0, x1, x2, x3, x4, x5 = x.tolist()
+    c0 = c1 = c2 = c3 = c4 = c5 = 0.0
+    states = []
+    for _ in range(n_points):
+        states.append((x0, x1, x2, x3, x4, x5))
+        for _ in range(per):
+            s0, s1, s2, s3, s4, s5 = step(x0, x1, x2, x3, x4, x5)
+            d = s0 - c0; t = x0 + d; c0 = (t - x0) - d; x0 = t
+            d = s1 - c1; t = x1 + d; c1 = (t - x1) - d; x1 = t
+            d = s2 - c2; t = x2 + d; c2 = (t - x2) - d; x2 = t
+            d = s3 - c3; t = x3 + d; c3 = (t - x3) - d; x3 = t
+            d = s4 - c4; t = x4 + d; c4 = (t - x4) - d; x4 = t
+            d = s5 - c5; t = x5 + d; c5 = (t - x5) - d; x5 = t
+    grid = np.linspace(0.0, span, n_points, endpoint=False)
+    return grid, np.array(states), np.array((x0, x1, x2, x3, x4, x5)), n_points * per
+
+
 def integrate_states(params: SurfaceParams, state0, tol: float,
                      n_points: int | None = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate one period from an arbitrary initial 6-vector by the
@@ -149,55 +198,37 @@ def integrate_states(params: SurfaceParams, state0, tol: float,
     an n_points that is neither None nor an int >= 1, or a state0 that is
     not six finite floats.
     """
-    if not (1e-13 <= tol <= 1e-6):
-        raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
-    if n_points is not None and not (isinstance(n_points, int)
-                                     and not isinstance(n_points, bool) and n_points >= 1):
-        raise ValueError(f"need n_points None or an int >= 1; got {n_points!r}")
-    x = np.asarray(state0, float)
-    if x.shape != (6,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"need state0 of six finite floats; got {state0!r}")
-    a = period_a(params)
-    steps = _steps_for(params, tol, a)
-    n_points = steps if n_points is None else n_points
-    per = -(-steps // n_points)
-    step = _rk8_step(params, a / (n_points * per))
-    x0, x1, x2, x3, x4, x5 = x.tolist()
-    c0 = c1 = c2 = c3 = c4 = c5 = 0.0
-    states = []
-    for _ in range(n_points):
-        states.append((x0, x1, x2, x3, x4, x5))
-        for _ in range(per):
-            s0, s1, s2, s3, s4, s5 = step(x0, x1, x2, x3, x4, x5)
-            d = s0 - c0; t = x0 + d; c0 = (t - x0) - d; x0 = t
-            d = s1 - c1; t = x1 + d; c1 = (t - x1) - d; x1 = t
-            d = s2 - c2; t = x2 + d; c2 = (t - x2) - d; x2 = t
-            d = s3 - c3; t = x3 + d; c3 = (t - x3) - d; x3 = t
-            d = s4 - c4; t = x4 + d; c4 = (t - x4) - d; x4 = t
-            d = s5 - c5; t = x5 + d; c5 = (t - x5) - d; x5 = t
-    grid = np.linspace(0.0, a, n_points, endpoint=False)
-    return grid, np.array(states), np.array((x0, x1, x2, x3, x4, x5))
+    return _integrate(params, state0, tol, n_points, period_a(params))[:3]
 
 
 def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
                      n_points: int | None = DEFAULT_POINTS) -> PhiProfile:
-    """Fixed-step RK8 integration of the profile system over [0, a], on
-    n_points grid points, or on every step end when n_points is None.
+    """Fixed-step RK8 integration of the profile system over the
+    fundamental quarter [0, a/4], on n_points grid points, or on every
+    step end when n_points is None.  The step count is that at tol over
+    a/4, rounded up as in integrate_states.
 
-    The orbit must close up: |state(a) - state(0)| <= 10 * tol, else an
+    The orbit is reversible about y = 0 and about y = a/4, where the
+    state must be (0, 1/sqrt2, 1/sqrt2, -c0 n, 0, 0); meeting the fixed
+    sets of both reversors makes it periodic, so the quarter fixes the
+    whole orbit.  The reversal residual max(|phi0|, |phi1'|, |phi2'|) at
+    a/4 must be <= 10 * tol relative to the largest component there,
+    |phi0'(a/4)| = c0 n = sqrt((n^2 + m^2)/2), else an
     IntegrationFailureError names the surface, the residual, tol, the
     bound and the step count.  tol and n_points are checked as in
     integrate_states.
     """
-    grid, states, end_state = integrate_states(params, initial_state(params),
-                                               tol, n_points)
-    resid = float(np.max(np.abs(end_state - states[0])))
-    if resid > 10.0 * tol:
-        per = -(-_steps_for(params, tol, period_a(params)) // len(grid))
+    grid, states, end_state, steps = _integrate(
+        params, initial_state(params), tol, n_points, period_a(params) / 4.0)
+    profile = PhiProfile(params=params, grid=grid, states=states, end_state=end_state)
+    resid = profile.reversal_residual()
+    bound = 10.0 * tol * math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
+    if resid > bound:
         raise IntegrationFailureError(
-            f"orbit not periodic for {params}: |state(a)-state(0)| = {resid:.3e} "
-            f"> 10*tol = {10.0 * tol:.1e} at tol {tol:.1e}, {len(grid) * per} RK8 steps")
-    return PhiProfile(params=params, grid=grid, states=states, end_state=end_state)
+            f"orbit not reversible for {params}: "
+            f"|(phi0, phi1', phi2')(a/4)| = {resid:.3e} > 10*tol*c0*n = {bound:.1e} "
+            f"at tol {tol:.1e}, {steps} RK8 steps")
+    return profile
 
 
 # ---------------------------------------------------------------------------

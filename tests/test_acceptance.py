@@ -47,10 +47,15 @@ def sweep():
 def profiles():
     # criterion 6 states thresholds and the grid but leaves the integration
     # tolerance free; 1e-12 keeps the absolute residuals of the largest
-    # (n, m) profiles (conserved quantities of size O(n^4)) within 1e-8
-    return {pair: ps.integrate_system(derive_params(*pair), tol=1e-12,
-                                      n_points=1024)
-            for pair in PAIRS}
+    # (n, m) profiles (conserved quantities of size O(n^4)) within 1e-8.
+    # Each profile spans the whole period [0, a).
+    out = {}
+    for pair in PAIRS:
+        params = derive_params(*pair)
+        grid, states, _ = ps.integrate_states(params, ps.initial_state(params),
+                                              tol=1e-12, n_points=1024)
+        out[pair] = params, grid, states
+    return out
 
 
 def test_criterion_01_rank_table(sweep):
@@ -118,17 +123,15 @@ def test_criterion_05_area_identity():
 
 def test_criterion_06_minimal_immersion_residuals(profiles):
     worst = {"sphere": 0.0, "conformality": 0.0, "takahashi": 0.0}
-    for pair, profile in profiles.items():
-        params = profile.params
-        st = profile.states
+    for params, grid, st in profiles.values():
         worst["sphere"] = max(worst["sphere"], float(np.max(np.abs(
             np.sum(st[:, :3] ** 2, axis=1) - 1.0))))
-        f = metric_f_array(profile.grid, params)
+        f = metric_f_array(grid, params)
         worst["conformality"] = max(worst["conformality"], float(np.max(np.abs(
             np.sum(st[:, 3:] ** 2, axis=1)
             - (params.m ** 2 * st[:, 1] ** 2 + params.n ** 2 * st[:, 2] ** 2)))))
         worst["takahashi"] = max(worst["takahashi"],
-                                 vf._takahashi_residual(profile, f)[0])
+                                 vf._takahashi_residual(params, st, f)[0])
     ok = all(v < 1e-8 for v in worst.values())
     _report(6, ok, "1024-point grid over all pairs: " +
             ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
@@ -140,13 +143,14 @@ def test_criterion_07_first_integral_drift():
     # sizes the canonical (n, m) = (2, 1) profile that anchors the phi
     # examples; E1, E2 grow like (n^2 - m^2)^2/4, so larger profiles carry
     # the same relative accuracy at proportionally larger absolute drift
-    profile = ps.integrate_system(params_from_nm(2, 1), tol=1e-10,
-                                  n_points=1024)
-    e1, e2 = ps.first_integrals(profile.states[::4], profile.params)
+    params = params_from_nm(2, 1)
+    _, states, _ = ps.integrate_states(params, ps.initial_state(params),
+                                       tol=1e-10, n_points=1024)
+    e1, e2 = ps.first_integrals(states[::4], params)
     worst = max(float(np.max(np.abs(e1 - e1[0]))),
                 float(np.max(np.abs(e2 - e2[0]))))
     ok = worst < 1e-8
-    _report(7, ok, f"E1/E2 drift at tol 1e-10 over one period of the "
+    _report(7, ok, f"E1/E2 drift at tol 1e-10 over one period [0, a) of the "
                    f"(2,1) profile, worst {worst:.2e} < 1e-8")
     assert ok
 

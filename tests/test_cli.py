@@ -213,9 +213,12 @@ class TestSpectrumAndVerifyBytes:
     residuals of verify come from the verification battery's own
     propagation at those roots and at R2 sequence points, its profile
     residuals from the fixed-step RK8 integration of the profile at every
-    step end, and its chart residuals from the H1 modulus with the exact
-    complement (n-m)/(n+m), its closed-form profile rows and bridging
-    identities from one Jacobi triple (sn, cn, dn)(K - n y).  The CSV
+    step end of the fundamental quarter [0, a/4], its phi_reversal entry
+    from the state at a/4, its phi_theta_vs_ode entry from the quarter's
+    states and their reversor images over the period, and its chart
+    residuals from the H1 modulus with the exact complement (n-m)/(n+m),
+    its closed-form profile rows and bridging identities from one Jacobi
+    triple (sn, cn, dn)(K - n y).  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
     series, each block of the modes that nome needs.  Each verify entry
@@ -232,13 +235,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "26ab97b1f916d45fdbb6459778b059104f62d7e63f905215500ef64ddbd7113c"),
+         "d631b7f391dfeb85edd89d476c0423aab10cb16ef31a9956c0c2e2f9c5beab38"),
         (["verify", "--r", "3", "--k", "1"],
-         "dbc80c83dfb9247c95232dc7caf6bc334b0a9db454cf73b67c6362979ae33b57"),
+         "fa524c8fe1883b33647c71c85d49d6aba9f37d8abaf0f8bf72234f7af9c0a1a0"),
         (["verify", "--r", "5", "--k", "1"],
-         "d7a02378834a34f616594d215c258c36cb5ce9a91754feb036001a53da6bde72"),
+         "164324cf57d1fc8a83204f1de7d46945a037d554332ba120c1b59b2b6f18fede"),
         (["verify", "--r", "7", "--k", "6"],
-         "020caf8f964f4560cae830d44b0fb65fdacbed28eac3c0c6657cb55456793bfa"),
+         "74e352164beeacd1a18378c7f140d201f51a6957da094b4e366461181901bf1a"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):

@@ -12,6 +12,8 @@ import pytest
 
 from lawson_bipolar import phi_system
 from lawson_bipolar.phi_system import (
+    REVERSE_AT_0,
+    REVERSE_AT_QUARTER,
     closed_form_theta,
     closed_form_weierstrass,
     first_integrals,
@@ -106,23 +108,23 @@ class TestInitialState:
 
 class TestIntegration:
     def test_periodicity(self):
-        profile = integrate_system(P21, tol=1e-10)
-        assert profile.periodicity_residual() < 1e-8
+        _, states, end = integrate_states(P21, initial_state(P21), tol=1e-10)
+        assert np.max(np.abs(end - states[0])) < 1e-8
 
     def test_sphere_drift(self):
-        profile = integrate_system(P21, tol=1e-10)
-        drift = np.max(np.abs(np.sum(profile.states[:, :3] ** 2, axis=1) - 1.0))
+        _, states, _ = integrate_states(P21, initial_state(P21), tol=1e-10)
+        drift = np.max(np.abs(np.sum(states[:, :3] ** 2, axis=1) - 1.0))
         assert drift < 1e-9
 
     def test_matches_theta_closed_form(self):
-        profile = integrate_system(P21, tol=1e-10, n_points=512)
-        for y, row in zip(profile.grid, profile.states):
+        grid, states, _ = integrate_states(P21, initial_state(P21), 1e-10, 512)
+        for y, row in zip(grid, states):
             ref = closed_form_theta(y, P21)
             np.testing.assert_allclose(row, ref, atol=1e-8)
 
     def test_coarse_grid_points_are_step_ends(self):
-        # 16 grid points at tol 1e-13 take 51 RK8 steps each; one state
-        # is kept per grid point
+        # 16 grid points of the quarter at tol 1e-13 take 16 RK8 steps
+        # each (246 rounded up to 256); one state is kept per grid point
         profile = integrate_system(P31, tol=1e-13, n_points=16)
         assert profile.states.shape == (16, 6)
         ref = closed_form_theta(profile.grid, P31)
@@ -136,8 +138,7 @@ class TestIntegration:
 
     def test_parity_through_the_period(self):
         # phi(-y) = phi(a - y): phi1 odd, phi0 and phi2 even
-        profile = integrate_system(P31, tol=1e-10, n_points=512)
-        st = profile.states
+        _, st, _ = integrate_states(P31, initial_state(P31), 1e-10, 512)
         rev = st[::-1]          # index j -> y = a - y_j (up to the offset row)
         for j in range(1, 256):
             assert abs(st[j, 0] - rev[j - 1, 0]) < 1e-9
@@ -146,9 +147,9 @@ class TestIntegration:
 
     def test_takahashi_pointwise(self):
         # -phi_j'' + p_j^2 phi_j = 2 f phi_j with (p_0, p_1, p_2) = (0, m, n)
-        profile = integrate_system(P21, tol=1e-10, n_points=512)
+        grid, states, _ = integrate_states(P21, initial_state(P21), 1e-10, 512)
         n2, m2 = 4.0, 1.0
-        for y, row in zip(profile.grid, profile.states):
+        for y, row in zip(grid, states):
             rhs = odesystem_rhs(row, P21)
             f = float(metric_f_array(y, P21))
             assert abs(-rhs[3] - 2 * f * row[0]) < 1e-8
@@ -214,6 +215,33 @@ class TestIntegration:
         monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
         with pytest.raises(ValueError, match="state0"):
             integrate_states(P31, state0, 1e-10)
+
+
+class TestReversalSymmetry:
+    """The two reversal symmetries that let integrate_system stop at a/4,
+    read off the RK8 orbit at the battery's tolerance 1e-13."""
+
+    @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6), (42, 41)])
+    def test_quarter_ends_on_the_fixed_set(self, r, k):
+        # at y = a/4, cos theta = sn(0) = 0: the state is
+        # (0, 1/sqrt2, 1/sqrt2, -c0 n, 0, 0)
+        p = derive_params(r, k)
+        n, m = p.n, p.m
+        c0 = math.sqrt((n * n + m * m) / (2.0 * n * n))
+        fixed = [0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), -c0 * n, 0.0, 0.0]
+        profile = integrate_system(p, tol=1e-13, n_points=None)
+        assert np.max(np.abs(profile.end_state - fixed)) <= 1e-12
+
+    @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6), (42, 41)])
+    def test_full_period_is_the_reversed_quarter(self, r, k):
+        # rows at 0, a/4, a/2, 3a/4: x(a/4) is fixed by the reversor about
+        # a/4, x(a/2) is its image of x(0) and x(3a/4) = x(-a/4) the image
+        # of x(a/4) under the reversor about 0
+        p = derive_params(r, k)
+        _, (x0, xq, xh, x3q), _ = integrate_states(p, initial_state(p), 1e-13, 4)
+        assert np.max(np.abs(xq - REVERSE_AT_QUARTER * xq)) <= 1e-12
+        assert np.max(np.abs(xh - REVERSE_AT_QUARTER * x0)) <= 1e-12
+        assert np.max(np.abs(x3q - REVERSE_AT_0 * xq)) <= 1e-12
 
 
 class TestThetaClosedForm:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lawson_bipolar import hill_spectrum as hs
+from lawson_bipolar import phi_system as ps
 from lawson_bipolar import verification as vf
 from lawson_bipolar.phi_system import IntegrationFailureError, closed_form_theta
 from lawson_bipolar.special_functions import EllipticModulus, complete_E
@@ -50,14 +51,38 @@ class TestProfileBattery:
         for res in vf.profile_checks(derive_params(2, 1)):
             assert res.passed, str(res)
 
-    def test_unclosed_orbit_names_its_data(self):
-        # at (n, m) = (1601, 1) the RK8 orbit misses its start by 1.5e-12,
-        # above the bound 10 tol = 1e-12 of integrate_system
+    def test_unclosed_orbit_names_its_data(self, monkeypatch):
+        # started 1e-8 off phi1'(0), the RK8 quarter of (n, m) = (767, 765)
+        # misses the fixed set of the reversor about a/4 by 7.0e-8, above
+        # the bound 10 tol c0 n = 7.7e-10 of integrate_system
+        start = ps.initial_state
+        monkeypatch.setattr(ps, "initial_state",
+                            lambda p: start(p) + [0.0, 0.0, 0.0, 0.0, 1e-8, 0.0])
         with pytest.raises(IntegrationFailureError) as err:
-            vf.profile_checks(params_from_nm(1601, 1))
+            vf.profile_checks(params_from_nm(767, 765))
         msg = str(err.value)
-        assert "(n,m)=(1601,1)" in msg
-        assert "> 10*tol = 1.0e-12 at tol 1.0e-13, 567 RK8 steps" in msg
+        assert "(n,m)=(767,765)" in msg
+        assert "> 10*tol*c0*n = 7.7e-10 at tol 1.0e-13, 445 RK8 steps" in msg
+
+    def test_800_1_reports_its_profile_checks(self):
+        # the quarter of (n, m) = (801, 799) misses the fixed set by
+        # 1.0e-12, within 10 tol c0 n = 8.0e-10, so the battery reports;
+        # its failing profile checks are those of the full-period battery
+        checks = {c.name: c for c in vf.profile_checks(derive_params(800, 1))}
+        assert 1e-12 < checks["phi_reversal"].residual < 1e-8
+        assert {name for name, c in checks.items() if not c.passed} == {
+            "first_integral_E1_drift", "first_integral_E2_drift",
+            "phi_weierstrass_vs_theta"}
+
+    def test_1601_1_closes_and_fails_on_its_drift(self):
+        # the quarter of (n, m) = (1601, 1) closes (reversal residual
+        # 2.7e-13 against the bound 1.1e-9), so the battery reports, and
+        # the first integrals of size n^4 drift far above 1e-8
+        checks = {c.name: c for c in vf.profile_checks(params_from_nm(1601, 1))}
+        assert checks["phi_reversal"].residual < 1e-12
+        assert {name for name, c in checks.items() if not c.passed} == {
+            "first_integral_E1_drift", "first_integral_E2_drift"}
+        assert checks["first_integral_E1_drift"].residual > 1e-4
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -223,8 +248,9 @@ class TestFullReport:
 
     @pytest.mark.parametrize("r,k", [(14, 13), (17, 2), (23, 6)])
     def test_passes_past_r13(self, r, k):
-        # the first pairs whose periodicity, E1 and E2 drift checks an
-        # adaptive DOP853 integrator at rtol = atol = 1e-13 fails
+        # the first pairs whose closure, E1 and E2 drift checks an
+        # adaptive DOP853 integrator over the full period at
+        # rtol = atol = 1e-13 fails
         rep = vf.full_report(r, k)
         assert rep.passed, [str(c) for c in rep.checks if not c.passed]
 
