@@ -95,15 +95,16 @@ class WeierstrassInvariants:
 
 def _agm(modulus: EllipticModulus) -> tuple[list, float]:
     """AGM of 1 and k': its levels (a_n, b_n) from (1, k') until
-    |a - b| <= 2e-16 a, at most _AGM_ITMAX steps, with s = sum_(n>=0)
+    |a - b| <= ulp(a), at most _AGM_ITMAX steps, with s = sum_(n>=0)
     2^(n-1) c_n^2 along them (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2);
-    returns (levels, s).  Rounded, the AGM may cycle one ulp apart, so
-    only a wider last gap (k' = 0 with k < 1) raises DomainError."""
+    returns (levels, s).  Rounded, the AGM may cycle one ulp apart, so it
+    stops there; a wider gap after _AGM_ITMAX steps (k' = 0 with k < 1)
+    raises DomainError."""
     a, b = 1.0, modulus.k_prime
     s, p = 0.5 * modulus.k * modulus.k, 1.0
     levels = [(a, b)]
     for _ in range(_AGM_ITMAX):
-        if abs(a - b) <= 2e-16 * a:
+        if abs(a - b) <= math.ulp(a):
             break
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -260,7 +261,11 @@ def _wp_reduction(g2: float, g3: float):
         raise DomainError("degenerate invariants: discriminant is zero")
     roots = np.roots([4.0, 0.0, -g2, -g3])
     for _ in range(4):
-        roots = roots - (4.0 * roots ** 3 - g2 * roots - g3) / (12.0 * roots ** 2 - g2)
+        # np.roots may return two near roots as one float, where the slope
+        # is 0 (the phi2 row at (n, m) = (54, 1)): that root stays as it is
+        slope = 12.0 * roots ** 2 - g2
+        roots = roots - np.divide(4.0 * roots ** 3 - g2 * roots - g3, slope,
+                                  out=np.zeros_like(roots), where=slope != 0)
     if disc > 0:
         e1, e2, e3 = np.sort(roots.real)[::-1]
         scale = math.sqrt(e1 - e3)

@@ -177,31 +177,41 @@ def metric_f_array(y, params: SurfaceParams) -> np.ndarray:
 # immersions
 # ---------------------------------------------------------------------------
 
+def _u_factors(u, r: int, k: int) -> tuple:
+    """The factors of I and I* that vary with u alone: cos ru, sin ru,
+    cos ku, sin ku, then the normal's k sin ru, -k cos ru, -r sin ku, r cos ku."""
+    cru, sru, cku, sku = np.cos(r * u), np.sin(r * u), np.cos(k * u), np.sin(k * u)
+    return cru, sru, cku, sku, k * sru, -k * cru, -r * sku, r * cku
+
+
+def _v_factors(v, r: int, k: int) -> tuple:
+    """The factors that vary with v alone: cos v, sin v and the normal's
+    length w = sqrt(r^2 cos^2 v + k^2 sin^2 v)."""
+    cv, sv = np.cos(v), np.sin(v)
+    return cv, sv, np.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
+
+
+def _frame(u_factors, v_factors) -> tuple:
+    """The components of I and of I*, each broadcast from its u factor and
+    its v factor; every element is the one-point product."""
+    cru, sru, cku, sku, ksr, kcr, rsk, rck = u_factors
+    cv, sv, w = v_factors
+    return ((cru * cv, sru * cv, cku * sv, sku * sv),
+            (ksr * sv / w, kcr * sv / w, rsk * cv / w, rck * cv / w))
+
+
 def lawson_I(u, v, r: int, k: int) -> np.ndarray:
     """Lawson's doubly periodic minimal immersion of tau_{r,k} into S^3.
     u and v are scalars or equal-shape arrays; components run along axis 0."""
-    cv, sv = np.cos(v), np.sin(v)
-    return np.array([
-        np.cos(r * u) * cv,
-        np.sin(r * u) * cv,
-        np.cos(k * u) * sv,
-        np.sin(k * u) * sv,
-    ])
+    return np.array(_frame(_u_factors(u, r, k), _v_factors(v, r, k))[0])
 
 
 def lawson_normal(u, v, r: int, k: int) -> np.ndarray:
     """Unit normal of tau_{r,k} tangent to S^3 (shapes as lawson_I)."""
-    cv, sv = np.cos(v), np.sin(v)
-    w = np.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
-    return np.array([
-        k * np.sin(r * u) * sv,
-        -k * np.cos(r * u) * sv,
-        -r * np.sin(k * u) * cv,
-        r * np.cos(k * u) * cv,
-    ]) / w
+    return np.array(_frame(_u_factors(u, r, k), _v_factors(v, r, k))[1])
 
 
-def _wedge6(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _wedge6(x, y) -> np.ndarray:
     """Exterior product of two 4-vectors (or columns of 4-vectors along
     axis 0), components ordered (12, 34, 13, 24, 23, 14) so rotation pairs
     sit in adjacent slots."""
@@ -222,17 +232,36 @@ EXCLUDED_DIRECTION_NOTE = (
 )
 
 
-def _project5(w6: np.ndarray, r: int, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotated 6-vectors, components along axis 0 -> rows of 5-vectors on
-    the S^4 equator.  Every column must be orthogonal to the excluded
-    direction; (u, v) only name the worst point when one is not."""
+def _rotated_wedge(u_factors, v_factors) -> np.ndarray:
+    """A o (I ^ I*), components along axis 0: A turns each component pair
+    (a, b) of the wedge into ((a + b)/sqrt 2, (b - a)/sqrt 2)."""
+    w6 = _wedge6(*_frame(u_factors, v_factors))
+    total = w6[0::2] + w6[1::2]
+    w6[1::2] -= w6[0::2]
+    w6[0::2] = total
+    w6 /= _SQRT2
+    return w6
+
+
+def _project5(w6: np.ndarray, r: int, k: int, u, v, out=None) -> np.ndarray:
+    """Rotated 6-vectors, components along axis 0 -> 5-vectors on the S^4
+    equator, components along the last axis of out (a new array when out is
+    None).  Every column must be orthogonal to the excluded direction;
+    (u, v), broadcast against a component, only name the worst point when
+    one is not."""
     norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
     dots = np.abs((r + k) / norm * w6[0] + (k - r) / norm * w6[1])
     worst = int(np.argmax(dots))
-    if dots[worst] > 1e-12:
-        raise ExcludedDirectionError(float(u[worst]), float(v[worst]), float(dots[worst]))
-    kept = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
-    return np.column_stack((kept, w6[5], w6[2], w6[4], w6[3]))
+    if dots.flat[worst] > 1e-12:
+        us, vs = np.broadcast_arrays(u, v)
+        raise ExcludedDirectionError(float(us.flat[worst]), float(vs.flat[worst]),
+                                     float(dots.flat[worst]))
+    if out is None:
+        out = np.empty(dots.shape + (5,))
+    out[..., 0] = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
+    for col, comp in enumerate((5, 2, 4, 3), 1):
+        out[..., col] = w6[comp]
+    return out
 
 
 def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
@@ -241,18 +270,12 @@ def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
     an array (giving one row each), built as the wedge I ^ I* of the
     Lawson immersion with its normal, rotated by the block matrix A and
     projected onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the
-    basis).  A turns each component pair (a, b) of the wedge into
-    ((a + b)/sqrt 2, (b - a)/sqrt 2).  Every operation is elementwise, so
-    every row is bit-identical to the one-point evaluation.  A NaN or an
-    infinity raises DomainError."""
+    basis).  Every operation is elementwise, so every row is bit-identical
+    to the one-point evaluation.  A NaN or an infinity raises DomainError."""
     us, vs = np.broadcast_arrays(_finite(u), _finite(v))
     u1, v1 = us.reshape(-1), vs.reshape(-1)
     r, k = params.r, params.k
-    w6 = _wedge6(lawson_I(u1, v1, r, k), lawson_normal(u1, v1, r, k))
-    total = w6[0::2] + w6[1::2]
-    w6[1::2] -= w6[0::2]
-    w6[0::2] = total
-    w6 /= _SQRT2
+    w6 = _rotated_wedge(_u_factors(u1, r, k), _v_factors(v1, r, k))
     rows = _project5(w6, r, k, u1, v1)
     return rows[0] if us.ndim == 0 else rows
 
@@ -332,14 +355,43 @@ def area_closed_form(params: SurfaceParams) -> float:
 # sampling / export
 # ---------------------------------------------------------------------------
 
+#: mesh points per block of immersion_rows (one value of u when the row of
+#: v is longer).  A block's largest temporary, its (6, points) wedge, takes
+#: 96 KiB: under the 128 KiB at which glibc's malloc serves an allocation
+#: with fresh pages from mmap, so each block reuses the heap memory the
+#: block before it freed.
+_BLOCK_POINTS = 2048
+
+
 def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
     """Sample the fundamental domain on an n_u x n_v grid; rows are
     (u, v, x1..x5), u-major.  The u-period is 2 pi for even rk and pi
-    otherwise."""
+    otherwise.  The transcendentals are taken once per distinct u and per
+    distinct v; the immersion then runs over blocks of u against the row of
+    v, each written into its rows, and every row is bit-identical to
+    bipolar_immersion at that point.  An ExcludedDirectionError names the
+    worst point of the whole mesh."""
+    r, k = params.r, params.k
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
-    u = np.repeat(np.linspace(0.0, u_period, n_u, endpoint=False), n_v)
-    v = np.tile(np.linspace(0.0, math.pi, n_v, endpoint=False), n_u)
-    return np.column_stack((u, v, bipolar_immersion(u, v, params)))
+    u = np.linspace(0.0, u_period, n_u, endpoint=False)[:, None]
+    v = np.linspace(0.0, math.pi, n_v, endpoint=False)
+    u_factors, v_factors = _u_factors(u, r, k), _v_factors(v, r, k)
+    rows = np.empty((n_u, n_v, 7))
+    rows[..., 0] = u
+    rows[..., 1] = v
+    step = max(1, _BLOCK_POINTS // max(n_v, 1))
+    worst = None
+    for start in range(0, n_u, step):
+        block = slice(start, start + step)
+        w6 = _rotated_wedge([f[block] for f in u_factors], v_factors)
+        try:
+            _project5(w6, r, k, u[block], v, out=rows[block, :, 2:])
+        except ExcludedDirectionError as exc:
+            if worst is None or exc.residual > worst.residual:
+                worst = exc
+    if worst is not None:
+        raise worst
+    return rows.reshape(-1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +406,11 @@ def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
 # value's text sits null-padded in three 8-byte words between template
 # words holding the separators, and deleting the nulls joins a block of rows.
 
-#: rows rendered and written per block (about 0.6 MB of words)
-_BLOCK_ROWS = 2048
+#: bytes of words per block of rows: 512 CSV rows or 409 JSON rows.  The
+#: block's word array and its bytes and str copies each stay under the
+#: 128 KiB at which glibc's malloc serves an allocation with fresh pages
+#: from mmap, so each block reuses the heap memory the one before it freed.
+_BLOCK_BYTES = 112 * 1024
 #: Dekker's splitter 2^27 + 1
 _SPLIT = 134217729.0
 #: 10^(16-E) for E = 0, -1, ..., -4, exact doubles, split into 26-bit halves
@@ -441,8 +496,9 @@ def _write_rows(stream: IO[str], rows: np.ndarray, suffixes, prefixes=None) -> N
         template[:, 0] = _words(prefixes)
     template[:, -1] = _words(suffixes)
     rows = np.asarray(rows, float)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
+    step = max(1, _BLOCK_BYTES // template.nbytes)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
         out = np.empty((len(block),) + template.shape, "<u8")
         out[:] = template
         out[:, :, lead:lead + 3] = _render17(block.ravel()).reshape(len(block), -1, 3)

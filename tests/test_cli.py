@@ -180,7 +180,7 @@ class TestImmerseBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_out_file(self, tmp_path, capsys, fmt):
         """The writers stream to --out or to stdout alike; 48 x 48 rows
-        span two blocks."""
+        span five CSV blocks of 512 rows and six JSON blocks of 409."""
         args = ["immerse", "--r", "5", "--k", "2", "--grid", "48", "--format", fmt]
         out = tmp_path / "mesh"
         assert main([*args, "--out", str(out)]) == 0
@@ -364,6 +364,14 @@ class TestExitCodes:
         nan = [c for c in doc["checks"] if math.isnan(c["residual"])]
         assert [c["passed"] for c in nan] == [False]
         assert "residual nan" in capsys.readouterr().err
+
+    def test_near_double_weierstrass_root_passes(self, tmp_path):
+        # (n, m) = (54, 1): the phi2 row's cubic has two roots one float
+        # apart, and the Newton polish of its roots divided by a zero slope
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--r", "55", "--k", "53", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["phi_weierstrass_vs_theta"]["residual"] < 1e-14
 
     def test_numerical_failure_exits_3(self, monkeypatch):
         from lawson_bipolar import cli as climod
@@ -700,6 +708,38 @@ def test_layer_probe_call_forms():
         stream = io.StringIO()
         writer(stream, mesh, rows)
         assert stream.getvalue().count("\n") > 128 * 128
+
+
+_ROOT = SRC.parent
+_WORKLOADS = [w["name"] for w in json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+@pytest.mark.parametrize("mode, workload", [("replay", w) for w in _WORKLOADS]
+                         + [("probe", _WORKLOADS[0])])
+def test_traced_run_writes_a_finite_result(tmp_path, mode, workload):
+    """perfbench/trace.py, as the traced benchmark run starts it: it exits
+    0, reports no error, every replayed command exits 0, and every metric
+    is a finite number.  json.dump writes NaN or Infinity for a non-finite
+    float, which is not JSON, so the result is parsed without them."""
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "trace.py"), mode, "--workload", workload,
+         "--seed", "0", "--result", str(result), "--spans", str(tmp_path / "spans.npz")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1",
+             "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(result.read_text(), parse_constant=_no_constant)
+    assert doc["errors"] == []
+    if mode == "replay":
+        assert doc["exit_codes"] and set(doc["exit_codes"]) == {0}
+    assert doc["metrics"]
+    for name, (value, unit) in doc["metrics"].items():
+        assert isinstance(value, (int, float)) and math.isfinite(value), (name, value, unit)
 
 
 #: the public names perfbench/trace.py keys its spans on, by layer: the

@@ -23,7 +23,7 @@ from lawson_bipolar.special_functions import (
     jacobi_sncndn,
     weierstrass_p,
 )
-from lawson_bipolar.special_functions import _SN_TINY, _wp_reduction
+from lawson_bipolar.special_functions import _SN_TINY, _agm, _wp_reduction
 from lawson_bipolar.surface_model import admissible_pairs, derive_params
 
 
@@ -143,6 +143,14 @@ class TestCompleteIntegrals:
         # K and E read one AGM loop; each must equal its own loop bit for bit
         assert complete_K(modulus).hex() == _reference_K(modulus).hex()
         assert complete_E(modulus).hex() == _reference_E(modulus).hex()
+
+    def test_agm_stops_at_one_ulp(self):
+        # the H1 modulus of (5, 1) reaches a and b one ulp apart after five
+        # steps, and the rounded AGM would cycle there until _AGM_ITMAX
+        levels, _ = _agm(derive_params(5, 1).h_modulus)
+        (a, b), (a0, b0) = levels[-1], levels[-2]
+        assert len(levels) == 6
+        assert abs(a - b) <= math.ulp(a) < abs(a0 - b0)
 
     def test_E_at_one_skips_the_agm(self):
         assert complete_E(mod(1.0)) == 1.0
@@ -336,10 +344,12 @@ def _modulus_of_complement(kp):
 def test_jacobi_functions_keep_the_bits_of_their_own_landen_chain():
     """Reading the levels of one AGM, jacobi_sncndn and jacobi_am give the
     bits of the former route, a Landen chain on k'^2 beside complete_K's
-    AGM, and K and E keep the bits of their own loops.  The moduli are the
+    AGM, and K and E keep the bits of their own loops, which stop at
+    |a - b| <= 2e-16 a, not at one ulp.  The moduli are the
     profile and H1 moduli of every pair with r <= 40 (the H1 moduli of
-    eight, (5, 1) first, run all 40 AGM steps with a and b one ulp apart,
-    above 2e-16 a), k' = 1 at small k, and k' from 0.8 down to 1e-150."""
+    eight, (5, 1) first, reach a and b one ulp apart, above 2e-16 a, where
+    the old loops ran all 40 steps), k' = 1 at small k, and k' from 0.8
+    down to 1e-150."""
     surfaces = [derive_params(*pair) for pair in admissible_pairs(40)]
     moduli = ([m for p in surfaces for m in (p.modulus, p.h_modulus)] + [mod(1e-9), mod(1e-8)]
               + [_modulus_of_complement(float(kp)) for kp in np.logspace(-0.1, -150.0, 76)])

@@ -361,6 +361,11 @@ class TestHTransforms:
         assert pull.passed
 
 
+#: rows per block of the CSV and the JSON writer: a CSV value takes three
+#: words and its separator one, a JSON value one more for its indent
+_WRITER_BLOCK_ROWS = [sm._BLOCK_BYTES // (8 * 7 * words) for words in (4, 5)]
+
+
 class TestAreaAndExport:
     def test_klein_area_is_half(self):
         klein = derive_params(3, 1)
@@ -394,11 +399,12 @@ class TestAreaAndExport:
         assert doc["params"] == {"r": 2, "k": 1, "n": 3, "m": 1}
         assert len(doc["rows"]) == 30
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 9, sm._BLOCK_ROWS - 1, sm._BLOCK_ROWS,
-                                        sm._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", sorted({0, 1, 9, 2047, 2048, 2049}.union(
+        *({b - 1, b, b + 1} for b in _WRITER_BLOCK_ROWS))))
     def test_writers_match_csv_and_json_modules(self, n_rows):
         """The block-streaming writers against csv.writer and
-        json.dump(indent=1) with every value rendered by format(x, ".17g");
+        json.dump(indent=1) with every value rendered by format(x, ".17g"),
+        at the block lengths of both writers and across several blocks;
         odd rows hold values of the integer-arithmetic range 1e-4..10."""
         p = derive_params(3, 1)
         rng = np.random.default_rng(47)
@@ -429,8 +435,9 @@ class TestAreaAndExport:
     @pytest.mark.parametrize("writer", [write_immersion_csv, write_immersion_json])
     def test_writer_memory_is_one_block(self, tmp_path, writer):
         """A 256 x 256 mesh is written block by block: no string holds the
-        whole document (9-12 MB), so the writer's peak allocation stays
-        under 8 MB."""
+        whole document (9-12 MB), and a block's words, their bytes and str
+        copies and the renderer's arrays (about 0.6 MiB in all) stay under
+        1 MiB."""
         p = derive_params(2, 1)
         rows = immersion_rows(p, 256, 256)
         tracemalloc.start()
@@ -440,7 +447,20 @@ class TestAreaAndExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 2 ** 20
+
+    def test_immersion_memory_is_the_rows_and_one_block(self):
+        """immersion_rows holds its output and one block's temporaries at a
+        time: its peak allocation is within 1 MiB of the 3.5 MiB of rows."""
+        p = derive_params(2, 1)
+        tracemalloc.start()
+        try:
+            rows = immersion_rows(p, 256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (256 * 256, 7)
+        assert peak <= rows.nbytes + 2 ** 20
 
 
 def _rendered(values):
@@ -513,6 +533,35 @@ class TestExcludedDirectionGuard:
         assert (info.value.u, info.value.v) == (u[37], v[37])
         assert info.value.residual == pytest.approx(1e-6, rel=1e-12)
         assert "at (u, v) = (3.7" in str(info.value)
+
+    def test_mesh_names_its_worst_row(self, monkeypatch):
+        """A row of a late block of immersion_rows tilted towards the
+        excluded direction is named, though an earlier block holds a
+        smaller tilt, and every block is checked."""
+        r, k, n = 2, 1, 256
+        step = sm._BLOCK_POINTS // n
+        blocks = n // step
+        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
+        # block -> (u row within the block, v column, tilt)
+        tilts = {1: (2, 40, 1e-9), blocks - 2: (step - 1, 200, 1e-6)}
+        rotated_wedge, calls = sm._rotated_wedge, []
+
+        def tilted(u_factors, v_factors):
+            w6 = rotated_wedge(u_factors, v_factors)
+            if len(calls) in tilts:
+                i, j, size = tilts[len(calls)]
+                w6[:2, i, j] += size * excluded
+            calls.append(w6.shape)
+            return w6
+
+        monkeypatch.setattr(sm, "_rotated_wedge", tilted)
+        with pytest.raises(ExcludedDirectionError) as info:
+            immersion_rows(derive_params(r, k), n, n)
+        assert calls == [(6, step, n)] * blocks
+        u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[(blocks - 1) * step - 1]
+        v = np.linspace(0.0, math.pi, n, endpoint=False)[200]
+        assert (info.value.u, info.value.v) == (u, v)
+        assert info.value.residual == pytest.approx(1e-6, rel=1e-9)
 
     def test_projection_passes_orthogonal_rows(self):
         rng = np.random.default_rng(53)
