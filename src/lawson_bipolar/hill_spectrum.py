@@ -199,20 +199,37 @@ def _identity(shape: tuple) -> np.ndarray:
 
 
 def _step_matrices(q: np.ndarray, h: float) -> np.ndarray:
-    """RK8 step matrices (4, n_steps, B) from q (11, n_steps, B) at the nodes."""
+    """RK8 step matrices (4, n_steps, B) from q (11, n_steps, B) at the nodes.
+
+    Stage i builds M_i = I + h sum_j a_ij K_j in place in k[i], its entries
+    in the order 10, 11, 00, 01: the first term, then the identity, then
+    each further term through one reused temporary, so every entry takes
+    the additions of I + sum_j in row order.  Scaling entries 00 and 01 by
+    q_i then leaves K_i = A_i M_i = [[M10, M11], [q_i M00, q_i M01]] in
+    k[i].  The step matrix I + h sum_i b_i K_i is summed alike."""
     shape = q.shape[1:]
     k = np.empty((11, 4) + shape)
+    tmp = np.empty((4,) + shape)
+    # k and tmp as pairs of entries (00, 01), (10, 11); swapped[j] holds
+    # K_j's entries in the order 10, 11, 00, 01, the order of M_i in k[i]
+    pairs, tmp_pairs = k.reshape((11, 2, 2) + shape), tmp.reshape((2, 2) + shape)
+    swapped = pairs[:, ::-1]
     for i, row in enumerate(_CV_A):
-        m = _identity(shape)
-        for j, a in row:
-            m += (h * a) * k[j]
-        k[i, 0] = m[2]
-        k[i, 1] = m[3]
-        np.multiply(q[i], m[0], out=k[i, 2])
-        np.multiply(q[i], m[1], out=k[i, 3])
-    s = _identity(shape)
-    for i, w in _CV_B:
-        s += (h * w) * k[i]
+        m = k[i]
+        if row:
+            np.multiply(swapped[row[0][0]], h * row[0][1], out=pairs[i])
+        else:
+            m.fill(0.0)
+        m[1:3] += 1.0          # the identity: entries 11 and 00
+        for j, a in row[1:]:
+            np.multiply(swapped[j], h * a, out=tmp_pairs)
+            m += tmp
+        m[2:] *= q[i]          # q_i M00, q_i M01
+    (i, w), *rest = _CV_B
+    s = np.multiply(k[i], h * w)
+    s[::3] += 1.0              # entries 00 and 11
+    for i, w in rest:
+        s += np.multiply(k[i], h * w, out=tmp)
     return s
 
 
@@ -610,8 +627,11 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
     phi(0) = 1) or z2 (odd, phi'(0) = 1).
 
     Sums the cosine or sine series R^T w of the block's lowest
-    eigenvector w by one inverse real FFT: on the grid ys_i = a i / N,
-    k_j ys_i = 2 pi i j / N, so the series is a DFT of the coefficients.
+    eigenvector w by Horner's rule: on the grid ys_t = a t / N the mode
+    j = j_0 + 2 l is z_t^j with z_t = exp(2 pi i t / N), so the series is
+    z^j_0 times a polynomial in z^2, and its real part (cosines) or
+    imaginary part (sines) is the sample.  As z_(t + N/2) = -z_t, the
+    second half of the grid repeats the first times (-1)^j_0.
     Raises ValueError for a non-finite p or an unknown block.
     """
     if not math.isfinite(p):
@@ -626,16 +646,20 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
     a = period_a(params)
     n = EIGENFUNCTION_SAMPLES
     ys = a * np.arange(n) / n
-    spectrum = np.zeros(n // 2 + 1, complex)
+    z = np.exp((2j * math.pi / n) * np.arange(n // 2))
+    z2 = z * z
     if parity is Parity.EVEN:
         coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
-        spectrum[j] = coef
-        spectrum[0] *= 2.0        # irfft counts X_0 once, the others twice
         norm = coef.sum()
     else:
-        spectrum[j] = -1j * coef   # Re(-i c e^(i theta)) = c sin(theta)
         norm = (2.0 * math.pi * j / a) @ coef
-    return float(w[0]), ys, np.fft.irfft(spectrum, n) * (n / 2) / norm
+    series = np.full(n // 2, coef[-1], complex)
+    for c in coef[-2::-1].tolist():
+        series *= z2
+        series += c
+    series *= (1.0, z, z2)[j[0]]
+    half = (series.real if parity is Parity.EVEN else series.imag) / norm
+    return float(w[0]), ys, np.concatenate((half, -half if j[0] % 2 else half))
 
 
 def count_zeros(values: np.ndarray) -> int:

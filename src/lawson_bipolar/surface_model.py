@@ -41,8 +41,6 @@ __all__ = [
     "admissible_pairs",
     "period_a",
     "metric_f_array",
-    "lawson_I",
-    "lawson_normal",
     "bipolar_immersion",
     "bipolar_column",
     "bipolar_metric",
@@ -198,17 +196,6 @@ def _frame(u_factors, v_factors) -> tuple:
     cv, sv, w = v_factors
     return ((cru * cv, sru * cv, cku * sv, sku * sv),
             (ksr * sv / w, kcr * sv / w, rsk * cv / w, rck * cv / w))
-
-
-def lawson_I(u, v, r: int, k: int) -> np.ndarray:
-    """Lawson's doubly periodic minimal immersion of tau_{r,k} into S^3.
-    u and v are scalars or equal-shape arrays; components run along axis 0."""
-    return np.array(_frame(_u_factors(u, r, k), _v_factors(v, r, k))[0])
-
-
-def lawson_normal(u, v, r: int, k: int) -> np.ndarray:
-    """Unit normal of tau_{r,k} tangent to S^3 (shapes as lawson_I)."""
-    return np.array(_frame(_u_factors(u, r, k), _v_factors(v, r, k))[1])
 
 
 def _wedge6(x, y) -> np.ndarray:

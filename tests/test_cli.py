@@ -675,6 +675,22 @@ def test_verify_loads_no_numpy_random(tmp_path):
     assert proc.stdout.strip() == "0 False"
 
 
+def test_verify_compiles_and_imports_nothing(tmp_path):
+    """Once the CLI is imported, a verify run is arithmetic alone: it
+    compiles no source, execs no code and imports no further module."""
+    out = tmp_path / "verify.json"
+    code = ("import builtins, sys; from lawson_bipolar.cli import main\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('compile or exec during verify')\n"
+            "before = set(sys.modules)\n"
+            "builtins.compile = builtins.exec = refuse\n"
+            f"code = main(['verify', '--r', '8', '--k', '1', '--out', {str(out)!r}])\n"
+            "print(code, sorted(set(sys.modules) ^ before))")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
 def test_verify_runs_without_scipy(tmp_path):
     out = tmp_path / "verify.json"
     code = ("import sys; sys.modules['scipy'] = None; "
@@ -845,8 +861,6 @@ ALLOWED_CACHES = {
     ("hill_spectrum", "_galerkin_blocks"):
         "the rank, the line scan and the eigenfunction samples of one surface "
         "read the reduced blocks: three times per rank report, seven per verify",
-    ("phi_system", "_rk8_step_factory"):
-        "the generated RK8 step compiles once per process, not at import",
     ("surface_model", "SurfaceParams.modulus"):
         "each surface builds its profile modulus once",
     ("surface_model", "SurfaceParams.h_modulus"):

@@ -92,6 +92,50 @@ def test_transfer_product_matches_stage_loop(pair, cols, half, n_steps):
     assert np.max(np.abs(z1 * dz2 - z2 * dz1 - 1.0)) < 1e-11
 
 
+def _step_matrices_reference(q, h):
+    """_step_matrices as it was before it built its stages in place: a
+    fresh identity per stage, a fresh temporary per term, then copies."""
+    shape = q.shape[1:]
+
+    def identity():
+        eye = np.zeros((4,) + shape)
+        eye[0] = eye[3] = 1.0
+        return eye
+
+    k = np.empty((11, 4) + shape)
+    for i, row in enumerate(hs._CV_A):
+        m = identity()
+        for j, a in row:
+            m += (h * a) * k[j]
+        k[i, 0] = m[2]
+        k[i, 1] = m[3]
+        np.multiply(q[i], m[0], out=k[i, 2])
+        np.multiply(q[i], m[1], out=k[i, 3])
+    s = identity()
+    for i, w in hs._CV_B:
+        s += (h * w) * k[i]
+    return s
+
+
+@pytest.mark.parametrize("r, k", [(3, 1), (5, 1), (8, 1), (7, 6)])
+@pytest.mark.parametrize("n_steps", [96, 139, 157])
+@pytest.mark.parametrize("cols", [1, 3, 70])
+def test_step_matrices_keep_their_bits(r, k, n_steps, cols):
+    # q = p^2 - lambda f at the stage nodes of the battery's surfaces, over
+    # random columns and the zero column p = lambda = 0
+    params = derive_params(r, k)
+    h = period_a(params) / 2.0 / n_steps
+    nodes = (np.arange(n_steps)[:, None] + hs._CV_C) * h
+    f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).T[:, :, None]
+    rng = np.random.default_rng(r * 1000 + n_steps + cols)
+    p2 = rng.uniform(0.0, float(params.n), cols) ** 2
+    lam = rng.uniform(0.0, 3.0, cols)
+    p2[0] = lam[0] = 0.0
+    q = p2 - lam * f
+    np.testing.assert_array_equal(hs._step_matrices(q, h),
+                                  _step_matrices_reference(q, h))
+
+
 class TestFloquetBasics:
     def test_zero_potential_zero_p(self):
         z1, _, z2, dz2 = floquet(0.0, 0.0, P21)
@@ -901,8 +945,8 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("pair", admissible_pairs(12))
     def test_fft_samples_are_the_direct_sum(self, pair):
-        # the inverse FFT sums the series R^T w that the cos/sin matrices
-        # summed, on every block and on lines 0, 1, m and n
+        # Horner's rule sums the series R^T w that the cos/sin matrices
+        # sum, on every block and on lines 0, 1, m and n
         params = derive_params(*pair)
         a = period_a(params)
         blocks = hs._galerkin_blocks(params)
@@ -921,6 +965,29 @@ class TestEigenfunctions:
                 assert gamma == float(w[0])
                 assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref)), (
                     parity, target, p)
+                assert count_zeros(vals) == count_zeros(ref), (parity, target, p)
+
+    @pytest.mark.parametrize("pair", admissible_pairs(12))
+    def test_zero_counts_are_those_of_the_inverse_fft(self, pair):
+        # numpy.fft.irfft of the coefficients, the route the samples took
+        # before Horner's rule, counts the same zeros on every block and on
+        # lines 0, 1, m and n
+        params = derive_params(*pair)
+        n = hs.EIGENFUNCTION_SAMPLES
+        blocks = hs._galerkin_blocks(params)
+        for (parity, target), j, R, A, G in zip(hs.BLOCKS, blocks.j, blocks.R,
+                                                  blocks.A, blocks.G):
+            for p in sorted({0, 1, params.m, params.n}):
+                _, _, vals = eigenfunction_samples(params, parity, target, p)
+                coef = R.T @ np.linalg.eigh(A + (p * p) * G)[1][:, 0]
+                spectrum = np.zeros(n // 2 + 1, complex)
+                if parity is Parity.EVEN:
+                    coef = np.where(j == 0, coef / math.sqrt(2.0), coef)
+                    spectrum[j] = coef
+                    spectrum[0] *= 2.0
+                else:
+                    spectrum[j] = -1j * coef
+                ref = np.fft.irfft(spectrum, n)
                 assert count_zeros(vals) == count_zeros(ref), (parity, target, p)
 
     def test_modes_stay_below_the_sample_nyquist_index(self):

@@ -50,8 +50,6 @@ from lawson_bipolar.surface_model import (
     derive_params,
     immersion_rows,
     klein_deck_map,
-    lawson_I,
-    lawson_normal,
     metric_f_array,
     params_from_nm,
     period_a,
@@ -202,16 +200,23 @@ def _fd_partial(fun, x, h=1e-5):
     return (8.0 * (fun(x + h) - fun(x - h)) - (fun(x + 2 * h) - fun(x - 2 * h))) / (12.0 * h)
 
 
+def _lawson_frame(u, v, r, k):
+    """Lawson's immersion I of tau_{r,k} into S^3 and its unit normal N
+    tangent to S^3, as 4-vectors."""
+    I, N = sm._frame(sm._u_factors(u, r, k), sm._v_factors(v, r, k))
+    return np.array(I), np.array(N)
+
+
 class TestLawsonImmersion:
     def test_base_point(self):
-        np.testing.assert_allclose(lawson_I(0.0, 0.0, 2, 1), [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(_lawson_frame(0.0, 0.0, 2, 1)[0], [1, 0, 0, 0],
+                                   atol=1e-15)
 
     def test_unit_norm_and_normal(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             u, v = rng.uniform(0, 2 * math.pi, 2)
-            I = lawson_I(u, v, 3, 2)
-            N = lawson_normal(u, v, 3, 2)
+            I, N = _lawson_frame(u, v, 3, 2)
             assert abs(I @ I - 1.0) < 1e-14
             assert abs(N @ N - 1.0) < 1e-13
             assert abs(I @ N) < 1e-13
@@ -221,8 +226,8 @@ class TestLawsonImmersion:
         r, k = 3, 2
         for _ in range(30):
             u, v = rng.uniform(0.1, 2.9, 2)
-            du = _fd_partial(lambda t: lawson_I(t, v, r, k), u)
-            dv = _fd_partial(lambda t: lawson_I(u, t, r, k), v)
+            du = _fd_partial(lambda t: _lawson_frame(t, v, r, k)[0], u)
+            dv = _fd_partial(lambda t: _lawson_frame(u, t, r, k)[0], v)
             guu = r * r * math.cos(v) ** 2 + k * k * math.sin(v) ** 2
             assert abs(du @ du - guu) < 1e-6
             assert abs(dv @ dv - 1.0) < 1e-6
