@@ -45,7 +45,6 @@ from .hill_spectrum import (
     Parity,
     SpectralLine,
     SpectrumMismatchError,
-    count_below_two,
     extremal_rank,
     floquet,
 )

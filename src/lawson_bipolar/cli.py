@@ -147,13 +147,17 @@ def _cmd_immerse(args: _Args) -> int:
 
 
 def _cmd_area(args: _Args) -> int:
-    params = sm.derive_params(args.r, args.k)
-    area, lam_value, rank_i = vf.area_and_lambda(params)
-    closed = sm.area_closed_form(params)
-    print(f"area_quadrature={_fmt17(area)}")
+    """Both areas, Lambda from the closed form, and verify's area_identity check."""
+    report = hs.extremal_rank(args.r, args.k)
+    quad, closed = vf.area_quadrature(report.params), sm.area_closed_form(report.params)
+    print(f"area_quadrature={_fmt17(quad)}")
     print(f"area_closed_form={_fmt17(closed)}")
-    print(f"Lambda_{rank_i}={_fmt17(lam_value)}")
-    return 0
+    print(f"Lambda_{report.rank_i}={_fmt17(report.lambda_functional)}")
+    check = vf.CheckResult("area_identity", abs(quad - closed) / closed, vf.AREA_BOUND,
+                           f"quadrature {quad!r}, closed {closed!r}")
+    if not check.passed:
+        print(f"FAILED: {check}", file=sys.stderr)
+    return 0 if check.passed else 2
 
 
 def _cmd_verify(args: _Args) -> int:
@@ -385,9 +389,8 @@ def main(argv=None) -> int:
     except InvalidParametersError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
-    except (hs.SpectrumMismatchError, IntegrationFailureError,
-            vf.VerificationError, PoleProximityError, DomainError,
-            sm.ExcludedDirectionError) as exc:
+    except (hs.SpectrumMismatchError, IntegrationFailureError, PoleProximityError,
+            DomainError, sm.ExcludedDirectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -48,13 +48,10 @@ __all__ = [
     "CLUSTER",
     "Eigenvalue",
     "SpectralLine",
-    "CountResult",
     "MonotonicityReport",
     "ExtremalReport",
     "floquet",
     "branch_monotonicity",
-    "count_below_two",
-    "multiplicity_at_two",
     "extremal_rank",
     "rank_formula",
     "RANK_FORMULAS",
@@ -275,14 +272,6 @@ class SpectralLine:
 
 
 @dataclass(frozen=True)
-class CountResult:
-    """Eigenvalues below lambda = 2 with their selection bookkeeping."""
-
-    count: int
-    contributing: tuple[tuple, ...]   # (parity, psi_target, mu, weight)
-
-
-@dataclass(frozen=True)
 class MonotonicityReport:
     p_grid: np.ndarray
     gammas: np.ndarray
@@ -491,7 +480,11 @@ def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
 
 def branch_monotonicity(params: SurfaceParams, branch_index: int,
                         p_grid: Sequence[float]) -> MonotonicityReport:
-    """gamma_{branch_index}(p) on a real p grid with consecutive differences."""
+    """gamma_{branch_index}(p) on a real p grid with consecutive differences.
+
+    No production caller reads it: it stays because perfbench/trace.py
+    times it (the hill_spectrum.monotonicity_s metrics), and goes when the
+    benchmark is next revised."""
     lines = _scan_lines(params, list(p_grid))
     gammas = []
     for line in lines:
@@ -543,29 +536,21 @@ def _line_weight(lines: int, parity: Parity, topology: Topology) -> int:
     return 2 * kept - (lines > 0 and _keeps(parity, 0, topology))
 
 
-def count_below_two(params: SurfaceParams) -> CountResult:
-    """Count nonzero eigenvalues of the surface below lambda = 2: each
+def _count_below(params: SurfaceParams, members: tuple) -> tuple[int, tuple]:
+    """(count, contributing): the nonzero eigenvalues below lambda = 2, each
     member of _cluster on the kept lines below its p, less the zero mode
-    (the constants, the lowest root of (EVEN, +2) on line 0)."""
-    return _count_below(params, _cluster(params)[0])
-
-
-def _count_below(params: SurfaceParams, members: tuple) -> CountResult:
+    (the constants), and the members that add, as (parity, psi_target, mu, weight)."""
     weights = [_line_weight(p, parity, params.topology) for (parity, _), p, _ in members]
     weights[-1] -= 1      # the zero mode; members[-1] is block (EVEN, +2)
     contributing = tuple((parity.value, target, mu, w)
                          for ((parity, target), _, mu), w in zip(members, weights) if w)
-    return CountResult(count=sum(weights), contributing=contributing)
-
-
-def multiplicity_at_two(params: SurfaceParams) -> tuple[int, tuple]:
-    """Weighted count of the eigenvalues lambda = 2, the members of
-    _cluster on a line p the topology keeps, as (p, branch_index, mu,
-    parity, weight); the branch index counts the roots below 2 on line p."""
-    return _multiplicity(params, _cluster(params)[0])
+    return sum(weights), contributing
 
 
 def _multiplicity(params: SurfaceParams, members: tuple) -> tuple[int, tuple]:
+    """Weighted count of the eigenvalues lambda = 2, the members of
+    _cluster on a line p the topology keeps, as (p, branch_index, mu,
+    parity, weight); the branch index counts the roots below 2 on line p."""
     cluster = tuple((p, sum(q > p for _, q, _ in members), mu, parity.value,
                      1 if p == 0 else 2)
                     for (parity, _), p, mu in members if _keeps(parity, p, params.topology))
@@ -597,7 +582,7 @@ def extremal_rank(r: int, k: int) -> ExtremalReport:
     """
     params = derive_params(r, k)
     members, gap, next_mu = _cluster(params)
-    rank = _count_below(params, members).count + 1
+    rank = _count_below(params, members)[0] + 1
     mult, _ = _multiplicity(params, members)
     blocks = _galerkin_blocks(params)
     anchors = zip(map(BLOCKS.index, ((Parity.EVEN, 2.0),) + CLUSTER), (0, 0, params.m, params.n))

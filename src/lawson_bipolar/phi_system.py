@@ -10,9 +10,8 @@ with phi1 odd, phi0 and phi2 even, and sits on the unit sphere.  The
 orbit is also reversible about y = a/4 = K/n (phi0 odd, phi1 and phi2
 even there), so the fundamental quarter [0, a/4] fixes the whole period.
 Three evaluation routes are provided: direct fixed-step RK8 integration
-in Python floats, each step a loop over the rows of the Cooper-Verner
-tableau (over the quarter for the profile, over a full period from
-arbitrary initial data), the theta closed form (authoritative; needs
+over the quarter in Python floats, each step a loop over the rows of the
+Cooper-Verner tableau, the theta closed form (authoritative; needs
 only Jacobi functions), and the Weierstrass closed form (magnitudes
 only).  Two first integrals E1, E2 are evaluated for drift checks.
 """
@@ -42,7 +41,6 @@ __all__ = [
     "REVERSE_AT_QUARTER",
     "initial_state",
     "integrate_system",
-    "integrate_states",
     "closed_form_theta",
     "closed_form_weierstrass",
     "weierstrass_tables_exact",
@@ -141,8 +139,13 @@ def _rk8_step(params: SurfaceParams, h: float):
 
 def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
                span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The Kahan-summed RK8 loop over [0, span] of integrate_states and
-    integrate_system: (grid, states, end_state, step count)."""
+    """The RK8 loop of integrate_system over [0, span] from any 6-vector
+    state0, Kahan-summed in Python floats: (grid, states, end_state, step
+    count).  The step count at tol, rounded up to a multiple of n_points,
+    makes every grid point a step end; with n_points None the grid is
+    every step end.  Raises ValueError, before any step, for a tol outside
+    [1e-13, 1e-6], an n_points that is neither None nor an int >= 1, or a
+    state0 that is not six finite floats."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError(f"tolerance {tol!r} outside [1e-13, 1e-6]")
     if n_points is not None and not (isinstance(n_points, int)
@@ -172,30 +175,12 @@ def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
     return grid, np.array(states), np.array((x0, x1, x2, x3, x4, x5)), n_points * per
 
 
-def integrate_states(params: SurfaceParams, state0, tol: float,
-                     n_points: int | None = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate one period from an arbitrary initial 6-vector by the
-    Cooper-Verner RK8 of the Floquet propagation, in Python floats with
-    Kahan-summed increments, state and compensation held in six float
-    locals each.  Its step count at tol, rounded up to a multiple of
-    n_points, makes every grid point a step end; with n_points None the
-    grid is every step end of the count at tol.
-
-    Returns (grid, states, end_state); no periodicity requirement, so
-    perturbed initial data can be propagated for orbit-selection tests.
-    Raises ValueError, before any step, for a tol outside [1e-13, 1e-6],
-    an n_points that is neither None nor an int >= 1, or a state0 that is
-    not six finite floats.
-    """
-    return _integrate(params, state0, tol, n_points, period_a(params))[:3]
-
-
 def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
                      n_points: int | None = DEFAULT_POINTS) -> PhiProfile:
     """Fixed-step RK8 integration of the profile system over the
     fundamental quarter [0, a/4], on n_points grid points, or on every
     step end when n_points is None.  The step count is that at tol over
-    a/4, rounded up as in integrate_states.
+    a/4, rounded up as in _integrate.
 
     The orbit is reversible about y = 0 and about y = a/4, where the
     state must be (0, 1/sqrt2, 1/sqrt2, -c0 n, 0, 0); meeting the fixed
@@ -205,7 +190,7 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
     |phi0'(a/4)| = c0 n = sqrt((n^2 + m^2)/2), else an
     IntegrationFailureError names the surface, the residual, tol, the
     bound and the step count.  tol and n_points are checked as in
-    integrate_states.
+    _integrate.
     """
     grid, states, end_state, steps = _integrate(
         params, initial_state(params), tol, n_points, period_a(params) / 4.0)

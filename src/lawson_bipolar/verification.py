@@ -31,7 +31,6 @@ from .surface_model import (
 )
 
 __all__ = [
-    "VerificationError",
     "CheckResult",
     "FullReport",
     "profile_checks",
@@ -39,7 +38,6 @@ __all__ = [
     "invariance_checks",
     "immersion_agreement_check",
     "area_quadrature",
-    "area_and_lambda",
     "orbit_space_checks",
     "floquet_structure_checks",
     "eigenfunction_zero_checks",
@@ -60,6 +58,7 @@ ISOMETRY_GRID = 64           # isometry_checks: values of v
 ORBIT_GRID = 512             # orbit_space_checks: interior values of y
 FLOQUET_POINTS = 50          # floquet_structure_checks: R2 points (p, lambda)
 AREA_POINTS = 8192           # area_quadrature: trapezoid nodes
+AREA_BOUND = 1e-9            # area_identity: relative gap, quadrature to closed form
 
 
 def _r2_points(start: int, count: int, lo, hi) -> np.ndarray:
@@ -70,10 +69,6 @@ def _r2_points(start: int, count: int, lo, hi) -> np.ndarray:
     unit = (0.5 + i[:, None] * _R2_STEP) % 1.0
     lo = np.asarray(lo, float)
     return (lo + unit * (np.asarray(hi, float) - lo)).T
-
-
-class VerificationError(RuntimeError):
-    """A hard consistency failure (quadrature vs closed form and the like)."""
 
 
 @dataclass(frozen=True)
@@ -256,20 +251,6 @@ def area_quadrature(params: SurfaceParams) -> float:
     if params.topology is Topology.KLEIN_BOTTLE:
         area /= 2.0
     return area
-
-
-def area_and_lambda(params: SurfaceParams) -> tuple[float, float, int]:
-    """(area, Lambda value, extremal rank); quadrature and closed form
-    must agree to 1e-9 relative or a VerificationError is raised."""
-    quad_area = area_quadrature(params)
-    closed = sm.area_closed_form(params)
-    rel = abs(quad_area - closed) / closed
-    if rel > 1e-9:
-        raise VerificationError(
-            f"area quadrature {quad_area!r} vs closed form {closed!r} "
-            f"(relative gap {rel:.3e}) for {params}")
-    report = hs.extremal_rank(params.r, params.k)
-    return quad_area, 2.0 * quad_area, report.rank_i
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +459,7 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     quad_area = area_quadrature(params)
     closed_area = sm.area_closed_form(params)
     checks.append(CheckResult("area_identity",
-                              abs(quad_area - closed_area) / closed_area, 1e-9,
+                              abs(quad_area - closed_area) / closed_area, AREA_BOUND,
                               f"quadrature {quad_area!r}, closed {closed_area!r}"))
 
     report = hs.extremal_rank(r, k)
@@ -503,4 +484,4 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     return FullReport(params=params, rank_i=report.rank_i,
                       multiplicity=report.multiplicity,
                       lambda_value=report.lambda_functional,
-                      area=quad_area, checks=tuple(checks))
+                      area=closed_area, checks=tuple(checks))

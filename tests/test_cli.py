@@ -11,10 +11,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +228,9 @@ class TestSpectrumAndVerifyBytes:
     certificate's worst gap and next mu, the anchors' the modes, the nome
     and the Fourier tail; the
     immersion agreement compares against the pairwise-rotated wedge, and
-    the Klein-bottle invariance the (r, k) closed-form column."""
+    the Klein-bottle invariance the (r, k) closed-form column.  The
+    report's "area" is the closed form, the area that lambda_value is
+    twice; the quadrature stays in the area_identity entry alone."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
@@ -235,11 +239,11 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "d631b7f391dfeb85edd89d476c0423aab10cb16ef31a9956c0c2e2f9c5beab38"),
+         "ba411359811204ecb625763a0d20caba5b14d3fd196277160471469becd19077"),
         (["verify", "--r", "3", "--k", "1"],
          "fa524c8fe1883b33647c71c85d49d6aba9f37d8abaf0f8bf72234f7af9c0a1a0"),
         (["verify", "--r", "5", "--k", "1"],
-         "164324cf57d1fc8a83204f1de7d46945a037d554332ba120c1b59b2b6f18fede"),
+         "a6e4fb16099325c2aee45872ed9bd707731bc56b90a7cd1a82775e503634c457"),
         (["verify", "--r", "7", "--k", "6"],
          "74e352164beeacd1a18378c7f140d201f51a6957da094b4e366461181901bf1a"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
@@ -276,6 +280,68 @@ class TestArea:
         assert "area_quadrature=" in out
         assert "area_closed_form=" in out
         assert "Lambda_1=" in out
+
+    def test_failed_comparison_exits_2(self, monkeypatch, capsys):
+        """A quadrature 2e-9 off the closed form fails the area_identity
+        check, as in verify: area prints its three lines, names the failed
+        check on stderr and exits 2."""
+        closed = sm.area_closed_form(derive_params(3, 1))
+        monkeypatch.setattr(vf, "area_quadrature", lambda params: closed * (1.0 + 2e-9))
+        assert main(["area", "--r", "3", "--k", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "area_quadrature", "area_closed_form", "Lambda_1"]
+        assert "FAILED: [FAIL] area_identity" in err
+
+
+_LAMBDA_FIELD = re.compile(r'"(?:lambda_functional|lambda_value)": (\S+),\n')
+
+
+@lru_cache(maxsize=None)
+def _sweep_lambdas(rmax: int) -> dict:
+    """(rank_i, Lambda as printed) of each row of rank --sweep rmax, by pair."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["rank", "--sweep", str(rmax)]) == 0
+    return {(int(row["r"]), int(row["k"])): (int(row["rank_i"]), row["lambda_functional"])
+            for row in csv.DictReader(io.StringIO(out.getvalue()))}
+
+
+def _printed_lambdas(r: int, k: int, work: Path) -> tuple:
+    """(i, Lambda) of area's Lambda_i line, then (rank_i, Lambda) of the
+    rank report and (rank_i, lambda_value) of the verify report, each
+    Lambda as the text printed, not a parsed float."""
+    pair = ["--r", str(r), "--k", str(k)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["area", *pair]) == 0
+    i, value = re.fullmatch(r"Lambda_(\d+)=(\S+)", out.getvalue().splitlines()[2]).groups()
+    printed = [(int(i), value)]
+    for command in ("rank", "verify"):
+        path = work / f"{command}.json"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main([command, *pair, "--out", str(path)]) in (0, 2)
+        text = path.read_text()
+        printed.append((json.loads(text)["rank_i"], _LAMBDA_FIELD.search(text).group(1)))
+    return tuple(printed)
+
+
+def test_one_lambda_for_every_pair_to_r8(tmp_path):
+    """area, rank, rank --sweep and verify print the same rank and the
+    same 17 digits of Lambda for every pair with r <= 8."""
+    sweep = _sweep_lambdas(8)
+    assert set(sweep) == set(sm.admissible_pairs(8))
+    for pair, row in sweep.items():
+        assert _printed_lambdas(*pair, tmp_path) == (row, row, row), pair
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(sm.admissible_pairs(40)))
+def test_one_lambda_for_a_sample_to_r40(tmp_path_factory, pair):
+    """As above, for a fixed sample of twelve pairs with r <= 40, each
+    against its row of rank --sweep 40."""
+    row = _sweep_lambdas(40)[pair]
+    assert _printed_lambdas(*pair, tmp_path_factory.mktemp("lambda")) == (row, row, row)
 
 
 class TestVerify:
@@ -756,6 +822,42 @@ def test_traced_run_writes_a_finite_result(tmp_path, mode, workload):
     assert doc["metrics"]
     for name, (value, unit) in doc["metrics"].items():
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value, unit)
+
+
+#: the per-layer metrics the benchmark lists, and the two of them that
+#: perfbench/run.py computes itself rather than reads from a trace child
+_PER_LAYER = {m["name"] for m in json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+_RUN_METRICS = {"cli.output_bytes", "trace.overhead_s"}
+
+
+def test_traced_result_holds_exactly_the_listed_metrics(tmp_path):
+    """The two trace children of a traced rank-sweep run, started as
+    perfbench/run.py starts them: hermetic environment, PYTHONPATH src
+    alone, the scratch directory as working directory.  Each result
+    parses with NaN and Infinity rejected, every value is finite, and
+    their names with run.py's own two are exactly the per-layer metrics
+    of BENCHMARK.json: a missing or extra name, or a non-finite value,
+    makes the run's result line unreadable to the benchmark."""
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("LAWSON_BIPOLAR_TOL", "PYTHONPATH")}
+    env.update(PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    names = set(_RUN_METRICS)
+    for mode in ("replay", "probe"):
+        result = tmp_path / f"trace-{mode}.json"
+        proc = subprocess.run(
+            [sys.executable, str(_ROOT / "perfbench" / "trace.py"), mode,
+             "--workload", "rank-sweep", "--seed", "0", "--result", str(result),
+             "--spans", str(tmp_path / f"{mode}.spans.npz")],
+            cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(result.read_text(), parse_constant=_no_constant)
+        assert doc["errors"] == [], mode
+        for name, (value, _) in doc["metrics"].items():
+            assert isinstance(value, (int, float)) and math.isfinite(value), (mode, name)
+        names |= set(doc["metrics"])
+    assert names == _PER_LAYER, (sorted(names - _PER_LAYER), sorted(_PER_LAYER - names))
 
 
 #: the public names perfbench/trace.py keys its spans on, by layer: the

@@ -27,12 +27,10 @@ from lawson_bipolar.hill_spectrum import (
     Eigenvalue,
     Parity,
     branch_monotonicity,
-    count_below_two,
     count_zeros,
     eigenfunction_samples,
     extremal_rank,
     floquet,
-    multiplicity_at_two,
     rank_formula,
     surface_lines,
 )
@@ -559,8 +557,19 @@ def test_blocks_read_no_sample_of_f(monkeypatch):
     assert extremal_rank(8, 1).rank_i == 30
 
 
+def _below_two(params):
+    """(count, contributing) below lambda = 2 from the cluster certificate,
+    as extremal_rank takes them."""
+    return hs._count_below(params, hs._cluster(params)[0])
+
+
+def _at_two(params):
+    """(multiplicity, cluster) at lambda = 2, as extremal_rank takes them."""
+    return hs._multiplicity(params, hs._cluster(params)[0])
+
+
 def test_closed_form_count_is_the_rank_formula():
-    """count_below_two accepts only the closed form 2(n+m) - 3 (torus) or
+    """_count_below accepts only the closed form 2(n+m) - 3 (torus) or
     n+m - 3 (Klein bottle), and one more is rank_formula for every pair
     that derive_params gives: extremal_rank needs no check of its own."""
     for pair in admissible_pairs(200):
@@ -588,8 +597,8 @@ def test_certified_cluster_gives_the_closed_forms(monkeypatch):
         n, m = params.n, params.m
         for topology in {params.topology, Topology.TORUS}:
             closed = 2 * (n + m) - 3 if topology is Topology.TORUS else n + m - 3
-            assert count_below_two(replace(params, topology=topology)).count == closed, pair
-        assert multiplicity_at_two(params)[0] == 5, pair
+            assert _below_two(replace(params, topology=topology))[0] == closed, pair
+        assert _at_two(params)[0] == 5, pair
 
 
 def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
@@ -609,25 +618,25 @@ def test_spectrum_needs_no_scipy_linalg(monkeypatch, tmp_path):
 
 class TestCounting:
     def test_count_torus_3_1(self):
-        res = count_below_two(P31)
-        assert res.count == 5
-        assert sum(w for *_, w in res.contributing) == 5
+        count, contributing = _below_two(P31)
+        assert count == 5
+        assert sum(w for *_, w in contributing) == 5
 
     def test_count_klein_4_1(self):
         p41 = params_from_nm(4, 1)      # (r, k) = (5, 3)
-        res = count_below_two(p41)
-        assert res.count == 2
+        count, _ = _below_two(p41)
+        assert count == 2
 
     def test_double_cover_of_klein(self):
-        res = count_below_two(replace(P21, topology=Topology.TORUS))
-        assert res.count == 3           # first index 2(n+m-1) = 4
+        count, _ = _below_two(replace(P21, topology=Topology.TORUS))
+        assert count == 3               # first index 2(n+m-1) = 4
 
     def test_lost_member_raises_with_each_blocks_mu(self, monkeypatch):
         # with no tolerance the member mu = 0 of (n, m) = (2, 1), rounded off 0, fails
         # the certificate, whose message names the gap, the bound and mu
         monkeypatch.setattr(hs, "CLUSTER_TOL", 0.0)
         with pytest.raises(hs.SpectrumMismatchError) as exc:
-            count_below_two(P21)
+            _below_two(P21)
         msg = str(exc.value)
         assert msg.startswith("no cluster at lambda = 2 for ")
         assert "worst gap |mu - p^2| = " in msg and "bound 0 n^2" in msg
@@ -651,7 +660,7 @@ class TestCounting:
         assert "bound 1e-12 n^2" in msg
 
     def test_multiplicity_cluster(self):
-        mult, cluster = multiplicity_at_two(P31)
+        mult, cluster = _at_two(P31)
         assert mult == 5
         points = {(p, i) for p, i, *_ in cluster}
         assert points == {(0, 2), (P31.m, 1), (P31.n, 0)}
@@ -692,8 +701,8 @@ def test_rank_properties_beyond_table(pair):
         if key.startswith("anchor"):
             assert value < 1e-7, key
     if params.topology is Topology.KLEIN_BOTTLE:
-        cover = count_below_two(replace(params, topology=Topology.TORUS))
-        assert cover.count == 2 * (params.n + params.m) - 3
+        cover, _ = _below_two(replace(params, topology=Topology.TORUS))
+        assert cover == 2 * (params.n + params.m) - 3
 
 
 def _line_scan_count(params, topology):
@@ -721,14 +730,14 @@ def test_inertia_matches_line_scan(pair):
     params = derive_params(*pair)
     for topology in {params.topology, Topology.TORUS}:
         blocks, _ = _line_scan_count(params, topology)
-        res = count_below_two(replace(params, topology=topology))
+        count, contributing = _below_two(replace(params, topology=topology))
         got = Counter()
-        for parity, target, _, w in res.contributing:
+        for parity, target, _, w in contributing:
             got[parity, target] += w
         assert got == blocks
-        assert res.count == sum(blocks.values())
+        assert count == sum(blocks.values())
     _, cluster = _line_scan_count(params, params.topology)
-    mult, got = multiplicity_at_two(params)
+    mult, got = _at_two(params)
     assert {(p, i, w) for p, i, *_, w in got} == cluster
     assert mult == sum(w for *_, w in cluster) == 5
 

@@ -18,7 +18,6 @@ from lawson_bipolar.phi_system import (
     closed_form_weierstrass,
     first_integrals,
     initial_state,
-    integrate_states,
     integrate_system,
     odesystem_rhs,
     weierstrass_tables_exact,
@@ -58,9 +57,16 @@ def _reference_step(x, h, params) -> tuple:
     return _stage_sum((0.0,) * 6, weights, k)
 
 
+def _full_period(params, state0, tol, n_points=phi_system.DEFAULT_POINTS):
+    """(grid, states, end_state): the profile's RK8 loop over one full
+    period [0, a] from any initial 6-vector."""
+    return phi_system._integrate(params, state0, tol, n_points, period_a(params))[:3]
+
+
 def _reference_integrate(params, state0, tol, n_points):
-    """integrate_states by the list-based Kahan loop it replaced: the
-    state, its compensation and each step's increment as 6-lists."""
+    """_integrate over a full period by the list-based Kahan loop it
+    replaced: the state, its compensation and each step's increment as
+    6-lists."""
     a = period_a(params)
     steps = _steps_for(params, tol, a)
     n_points = steps if n_points is None else n_points
@@ -108,16 +114,16 @@ class TestInitialState:
 
 class TestIntegration:
     def test_periodicity(self):
-        _, states, end = integrate_states(P21, initial_state(P21), tol=1e-10)
+        _, states, end = _full_period(P21, initial_state(P21), tol=1e-10)
         assert np.max(np.abs(end - states[0])) < 1e-8
 
     def test_sphere_drift(self):
-        _, states, _ = integrate_states(P21, initial_state(P21), tol=1e-10)
+        _, states, _ = _full_period(P21, initial_state(P21), tol=1e-10)
         drift = np.max(np.abs(np.sum(states[:, :3] ** 2, axis=1) - 1.0))
         assert drift < 1e-9
 
     def test_matches_theta_closed_form(self):
-        grid, states, _ = integrate_states(P21, initial_state(P21), 1e-10, 512)
+        grid, states, _ = _full_period(P21, initial_state(P21), 1e-10, 512)
         for y, row in zip(grid, states):
             ref = closed_form_theta(y, P21)
             np.testing.assert_allclose(row, ref, atol=1e-8)
@@ -138,7 +144,7 @@ class TestIntegration:
 
     def test_parity_through_the_period(self):
         # phi(-y) = phi(a - y): phi1 odd, phi0 and phi2 even
-        _, st, _ = integrate_states(P31, initial_state(P31), 1e-10, 512)
+        _, st, _ = _full_period(P31, initial_state(P31), 1e-10, 512)
         rev = st[::-1]          # index j -> y = a - y_j (up to the offset row)
         for j in range(1, 256):
             assert abs(st[j, 0] - rev[j - 1, 0]) < 1e-9
@@ -147,7 +153,7 @@ class TestIntegration:
 
     def test_takahashi_pointwise(self):
         # -phi_j'' + p_j^2 phi_j = 2 f phi_j with (p_0, p_1, p_2) = (0, m, n)
-        grid, states, _ = integrate_states(P21, initial_state(P21), 1e-10, 512)
+        grid, states, _ = _full_period(P21, initial_state(P21), 1e-10, 512)
         n2, m2 = 4.0, 1.0
         for y, row in zip(grid, states):
             rhs = odesystem_rhs(row, P21)
@@ -163,9 +169,9 @@ class TestIntegration:
         for eps in (1e-2, -1e-2):
             phi2 = math.sqrt(s + eps)
             perturbed = [math.sqrt(1.0 - s - eps), 0.0, phi2, 0.0, p.n * phi2, 0.0]
-            _, states, end = integrate_states(p, perturbed, tol=1e-10)
+            _, states, end = _full_period(p, perturbed, tol=1e-10)
             assert np.max(np.abs(end - states[0])) > 1e-6
-        _, states, end = integrate_states(p, initial_state(p), tol=1e-10)
+        _, states, end = _full_period(p, initial_state(p), tol=1e-10)
         assert np.max(np.abs(end - states[0])) < 1e-6
 
     @pytest.mark.parametrize("r, k", [(3, 1), (8, 1), (7, 6)])
@@ -193,7 +199,7 @@ class TestIntegration:
         # in the same order as the loop on lists: every state bit for bit
         p = derive_params(r, k)
         state0 = initial_state(p) + shift * np.arange(1, 7)
-        _, states, end = integrate_states(p, state0, tol, n_points)
+        _, states, end = _full_period(p, state0, tol, n_points)
         want_states, want_end = _reference_integrate(p, state0, tol, n_points)
         assert [v.hex() for v in states.ravel().tolist()] == [
             v.hex() for row in want_states for v in row]
@@ -203,7 +209,7 @@ class TestIntegration:
     def test_bad_n_points_rejected_before_any_step(self, monkeypatch, n_points):
         monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
         with pytest.raises(ValueError, match="n_points"):
-            integrate_states(P31, initial_state(P31), 1e-10, n_points)
+            _full_period(P31, initial_state(P31), 1e-10, n_points)
         with pytest.raises(ValueError, match="n_points"):
             integrate_system(P31, tol=1e-10, n_points=n_points)
 
@@ -214,7 +220,7 @@ class TestIntegration:
     def test_bad_state0_rejected_before_any_step(self, monkeypatch, state0):
         monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
         with pytest.raises(ValueError, match="state0"):
-            integrate_states(P31, state0, 1e-10)
+            _full_period(P31, state0, 1e-10)
 
 
 class TestReversalSymmetry:
@@ -238,7 +244,7 @@ class TestReversalSymmetry:
         # a/4, x(a/2) is its image of x(0) and x(3a/4) = x(-a/4) the image
         # of x(a/4) under the reversor about 0
         p = derive_params(r, k)
-        _, (x0, xq, xh, x3q), _ = integrate_states(p, initial_state(p), 1e-13, 4)
+        _, (x0, xq, xh, x3q), _ = _full_period(p, initial_state(p), 1e-13, 4)
         assert np.max(np.abs(xq - REVERSE_AT_QUARTER * xq)) <= 1e-12
         assert np.max(np.abs(xh - REVERSE_AT_QUARTER * x0)) <= 1e-12
         assert np.max(np.abs(x3q - REVERSE_AT_0 * xq)) <= 1e-12

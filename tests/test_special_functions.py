@@ -454,14 +454,13 @@ class TestWeierstrass:
 class TestWeierstrassAgainstProfile:
     def test_phi2_formula_matches_ode_profile(self):
         # P-form of the third profile function against direct integration
-        from lawson_bipolar.phi_system import (closed_form_weierstrass,
-                                               initial_state, integrate_states)
+        from lawson_bipolar.phi_system import (_integrate, closed_form_weierstrass,
+                                               initial_state)
         from lawson_bipolar.surface_model import params_from_nm, period_a
 
         params = params_from_nm(2, 1)
-        grid, states, _ = integrate_states(params, initial_state(params),
-                                           tol=1e-10, n_points=512)
         a = period_a(params)
+        grid, states, _, _ = _integrate(params, initial_state(params), 1e-10, 512, a)
         poles = np.array([0.0, 0.25 * a, 0.5 * a, 0.75 * a, a])
         checked = 0
         for y, state in zip(grid, states):

@@ -107,23 +107,27 @@ class TestIsometry:
 
 
 class TestAreaAndLambda:
+    """Lambda and the rank from extremal_rank, and Lambda again as twice
+    the quadrature area, against the paper's closed forms."""
+
+    @staticmethod
+    def _check(r, k, rank, expected):
+        rep = hs.extremal_rank(r, k)
+        assert rep.rank_i == rank
+        assert rep.lambda_functional == pytest.approx(expected, rel=1e-9)
+        assert 2.0 * vf.area_quadrature(rep.params) == pytest.approx(expected, rel=1e-9)
+
     def test_klein_3_1(self):
-        area, lam_value, rank_i = vf.area_and_lambda(derive_params(3, 1))
         expected = 12.0 * math.pi * complete_E(EllipticModulus.from_k(2 * math.sqrt(2) / 3))
-        assert rank_i == 1
-        assert lam_value == pytest.approx(expected, rel=1e-9)
+        self._check(3, 1, 1, expected)
 
     def test_torus_2_1(self):
-        area, lam_value, rank_i = vf.area_and_lambda(derive_params(2, 1))
         expected = 16.0 * math.pi * 2.0 * complete_E(EllipticModulus.from_k(math.sqrt(3) / 2))
-        assert rank_i == 6
-        assert lam_value == pytest.approx(expected, rel=1e-9)
+        self._check(2, 1, 6, expected)
 
     def test_klein_5_3(self):
-        area, lam_value, rank_i = vf.area_and_lambda(derive_params(5, 3))
         expected = 4.0 * math.pi * 5.0 * complete_E(EllipticModulus.from_k(4.0 / 5.0))
-        assert rank_i == 3
-        assert lam_value == pytest.approx(expected, rel=1e-9)
+        self._check(5, 3, 3, expected)
 
     def test_klein_area_is_half_of_double_cover(self):
         klein = derive_params(3, 1)
@@ -258,9 +262,10 @@ class TestFullReport:
         # double cover of a Klein bottle: 2r - 2 = 2 (r - 2) + 2
         for r, k in [(3, 1), (5, 3), (7, 5)]:
             params = derive_params(r, k)
-            klein = hs.count_below_two(params).count + 1
-            cover = hs.count_below_two(
-                dataclasses.replace(params, topology=Topology.TORUS)).count + 1
+            members = hs._cluster(params)[0]
+            klein = hs._count_below(params, members)[0] + 1
+            cover = hs._count_below(
+                dataclasses.replace(params, topology=Topology.TORUS), members)[0] + 1
             assert klein == r - 2
             assert cover == 2 * r - 2 == 2 * klein + 2
 
