@@ -59,15 +59,12 @@ __all__ = [
     "eigenfunction_samples",
     "count_zeros",
     "DEFAULT_SOLVER_TOL",
-    "CLUSTER_DELTA",
     "CLUSTER_TOL",
     "EIGENFUNCTION_SAMPLES",
     "ZERO_SAMPLE_TOL",
 ]
 
 DEFAULT_SOLVER_TOL = 1e-9
-#: adjacent roots of one Floquet target closer than this are a double root
-CLUSTER_DELTA = 1e-6
 #: the cluster's mu lie within CLUSTER_TOL n^2 of p^2, every other mu below
 #: -CLUSTER_TOL n^2; the members at p = 0 and 1 carry rounding near u n^2
 CLUSTER_TOL = 1e-12
@@ -265,7 +262,6 @@ class SpectralLine:
 
     p: float
     eigenvalues: tuple[Eigenvalue, ...]
-    double_root_flags: tuple[str, ...] = ()
 
     def gamma(self, index: int) -> float:
         return self.eigenvalues[index].gamma
@@ -442,21 +438,10 @@ def _scan_lines(params: SurfaceParams, p_values: Sequence[float]) -> list[Spectr
             key=lambda root: root[0])
         eigs = tuple(Eigenvalue(gamma=g, index=i, parity=parity, psi_target=target)
                      for i, (g, parity, target) in enumerate(roots))
-        line = SpectralLine(p=p, eigenvalues=eigs,
-                            double_root_flags=_double_root_flags(p, eigs))
+        line = SpectralLine(p=p, eigenvalues=eigs)
         _check_sign_pattern(line)
         lines.append(line)
     return lines
-
-
-def _double_root_flags(p: float, eigs: Sequence[Eigenvalue]) -> tuple[str, ...]:
-    """Adjacent roots of one Floquet target closer than CLUSTER_DELTA: an
-    even and an odd eigenfunction sharing an eigenvalue (coexistence)."""
-    return tuple(
-        f"gamma_{lo.index}({p})={lo.gamma:.12g}, gamma_{hi.index}({p})="
-        f"{hi.gamma:.12g}: coexistence at Psi={lo.psi_target:+g}"
-        for lo, hi in zip(eigs, eigs[1:])
-        if lo.psi_target == hi.psi_target and hi.gamma - lo.gamma < CLUSTER_DELTA)
 
 
 def _check_sign_pattern(line: SpectralLine) -> None:

@@ -59,6 +59,7 @@ ORBIT_GRID = 512             # orbit_space_checks: interior values of y
 FLOQUET_POINTS = 50          # floquet_structure_checks: R2 points (p, lambda)
 AREA_POINTS = 8192           # area_quadrature: trapezoid nodes
 AREA_BOUND = 1e-9            # area_identity: relative gap, quadrature to closed form
+SIMPLICITY_FLOOR = 1e-9      # simplicity_in_window: a root's own entry at b/2, relative
 
 
 def _r2_points(start: int, count: int, lo, hi) -> np.ndarray:
@@ -314,56 +315,63 @@ def orbit_space_checks(params: SurfaceParams) -> list[CheckResult]:
 # Floquet structure
 # ---------------------------------------------------------------------------
 
-#: below this, z1'(b) or z2(b)/b counts as vanishing at a located root
-PARITY_THRESHOLD = 1e-7
+#: the entry of the scaled pair (z1, c z1', z2/c, z2') at c = b/2 that
+#: vanishes at a root of each block, in the order of hs.BLOCKS: z1' (EVEN,
+#: +2), z1 (EVEN, -2), z2 (ODD, +2), z2' (ODD, -2).  Entry 3 - own is the
+#: partner's, the block of the other parity with the same Psi.
+_OWN_ENTRY = np.array([1, 0, 2, 3])
+_ENTRY_NAMES = ("z1", "c z1'", "z2/c", "z2'")
 
 
-def _oracle_flags(p: float, eig: hs.Eigenvalue, z1: float, dz1: float,
-                  z2: float, dz2: float, b: float) -> list[str]:
-    """The Floquet oracle's verdict on one located root: Psi must hit the
-    block target, and exactly one of z1'(b) (even) and z2(b) (odd) vanish,
-    the one of the block's parity."""
-    tag = f"gamma_{eig.index}({p})={eig.gamma:.12g}"
+def _simplicity(roots: list, pair: np.ndarray, c: float) -> CheckResult:
+    """simplicity_in_window from the fundamental pair (4, R) at c = b/2 of
+    the located roots [(p, Eigenvalue)].
+
+    f is even about 0 and about c, so a root of a block is a zero of one
+    entry of the pair at c (Magnus & Winkler, Hill's Equation, ch. 1).  The
+    pair is scaled as (z1, c z1', z2/c, z2'), whose Wronskian is 1, and
+    over its largest entry.  A root is simple when its own entry is below
+    SIMPLICITY_FLOOR and its partner's is not; the Wronskian keeps the
+    other two entries away from 0, and the half-period identities make a
+    zero own entry Psi = +-2."""
+    scaled = np.abs(pair * np.array([[1.0], [c], [1.0 / c], [1.0]]))
+    scaled /= scaled.max(axis=0)
+    own = _OWN_ENTRY[[hs.BLOCKS.index((eig.parity, eig.psi_target)) for _, eig in roots]]
+    own_q, partner_q = scaled[[own, 3 - own], np.arange(len(roots))]
     flags = []
-    psi = z1 + dz2
-    if abs(psi - eig.psi_target) > 1e-6:
-        flags.append(f"{tag}: Psi={psi!r}, not the block target {eig.psi_target:+g}")
-    s_even, s_odd = abs(dz1), abs(z2) / b
-    if s_even < PARITY_THRESHOLD and s_odd < PARITY_THRESHOLD:
-        flags.append(f"{tag}: coexistence: both z2(b) and z1'(b) vanish")
-    elif min(s_even, s_odd) >= PARITY_THRESHOLD:
-        flags.append(f"{tag}: unresolved parity: |z1'(b)|={s_even:.3e}, "
-                     f"|z2(b)|/b={s_odd:.3e}")
-    elif (s_even < s_odd) != (eig.parity is hs.Parity.EVEN):
-        flags.append(f"{tag}: parity mismatch: block {eig.parity.value}, "
-                     f"|z1'(b)|={s_even:.3e}, |z2(b)|/b={s_odd:.3e}")
-    return flags
+    for i in np.flatnonzero(~((own_q < SIMPLICITY_FLOOR) & (partner_q >= SIMPLICITY_FLOOR))):
+        (p, eig), entry = roots[i], own[i]
+        flags.append(f"gamma_{eig.index}({p})={eig.gamma:.12g}: {eig.parity.value}, "
+                     f"Psi={eig.psi_target:+g}, own {_ENTRY_NAMES[entry]} {own_q[i]:.3e}, "
+                     f"partner {_ENTRY_NAMES[3 - entry]} {partner_q[i]:.3e}")
+    ctx = "; ".join(flags) if flags else (
+        f"{len(roots)} roots at b/2: worst own {own_q.max():.3e}, "
+        f"smallest partner {partner_q.min():.3e}, floor {SIMPLICITY_FLOOR:g}")
+    return CheckResult("simplicity_in_window",
+                       float(own_q.max()) + (1.0 if flags else 0.0), SIMPLICITY_FLOOR, ctx)
 
 
 def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
     """Wronskian and half-period identities at R2 points (p, lambda), and
-    simplicity (exactly one of z2(b), z1'(b) vanishes) at located roots.
+    simplicity at located roots, each judged at b/2 by _simplicity.
 
     The points fill the spectral window lambda in [0, 3), p in [0, n],
     where the fundamental pair stays O(1) (n * b = 2 K(m/n)); outside it
     the solutions grow exponentially and an absolute Wronskian residual
     stops being meaningful.
 
-    The R2 points and every located root go to b in one batch of
-    hs.floquet, the checks' only route to the propagation, and the R2
-    points to b/2 in a second; each column's bits do not depend on the
-    others in its batch.  _oracle_flags checks each root; a flag of the
-    oracle or a coexistence flag of the Galerkin blocks fails
-    simplicity_in_window, with the flag texts as its context."""
+    The R2 points go to b in one batch of hs.floquet, the checks' only
+    route to the propagation, and the R2 points and every located root to
+    b/2 in a second; each column's bits do not depend on the others in
+    its batch."""
     b = period_a(params) / 2.0
     pvals, lvals = _r2_points(30_000, FLOQUET_POINTS, 0.0, [float(params.n), 3.0])
-    lines = hs.surface_lines(params)
-    roots = [(line.p, eig) for line in lines for eig in line.eigenvalues]
-    at_b = np.array(hs.floquet(
+    roots = [(line.p, eig) for line in hs.surface_lines(params) for eig in line.eigenvalues]
+    z1b, dz1b, z2b, dz2b = hs.floquet(pvals, lvals, params)
+    at_half = np.array(hs.floquet(
         np.concatenate([pvals, [p for p, _ in roots]]),
-        np.concatenate([lvals, [eig.gamma for _, eig in roots]]), params))
-    z1b, dz1b, z2b, dz2b = at_b[:, :FLOQUET_POINTS]
-    z1h, dz1h, z2h, dz2h = hs.floquet(pvals, lvals, params, y_end=b / 2.0)
+        np.concatenate([lvals, [eig.gamma for _, eig in roots]]), params, y_end=b / 2.0))
+    z1h, dz1h, z2h, dz2h = at_half[:, :FLOQUET_POINTS]
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
     half_ids = float(np.max([
         np.max(np.abs(z1b - (2.0 * z1h * dz2h - 1.0))),
@@ -371,21 +379,11 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
         np.max(np.abs(dz1b - 2.0 * z1h * dz1h)),
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
         np.max(np.abs(dz2b - z1b))]))
-
-    flags = [f for line in lines for f in line.double_root_flags]
-    simp = []
-    for (p, eig), col in zip(roots, at_b[:, FLOQUET_POINTS:].T.tolist()):
-        flags.extend(_oracle_flags(p, eig, *col, b))
-        if 0.0 < eig.gamma < 3.0:
-            simp.append(min(abs(col[1]), abs(col[2]) / b))
-    simp_ctx = "; ".join(flags) if flags else "no double-root flags below 3"
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10,
                     f"{FLOQUET_POINTS} R2 points (p, lambda)"),
         CheckResult("half_period_identities", half_ids, 1e-9),
-        CheckResult("simplicity_in_window",
-                    float(np.max(simp, initial=0.0)) + (1.0 if flags else 0.0),
-                    1e-7, simp_ctx),
+        _simplicity(roots, at_half[:, FLOQUET_POINTS:], b / 2.0),
     ]
 
 

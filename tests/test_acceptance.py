@@ -87,7 +87,7 @@ def test_criterion_02_multiplicity(sweep):
     mults = {pair: rep.multiplicity for pair, rep in reports.items()}
     ok = all(m == 5 for m in mults.values())
     _report(2, ok, f"mult(2) = 5 for all {len(mults)} pairs "
-                   f"(cluster window {hs.CLUSTER_DELTA:g})")
+                   f"(cluster certificate CLUSTER_TOL {hs.CLUSTER_TOL:g} n^2)")
     assert ok, mults
 
 

@@ -227,8 +227,10 @@ class TestSpectrumAndVerifyBytes:
     carries its check's context, the multiplicity's the cluster
     certificate's worst gap and next mu, the anchors' the modes, the nome
     and the Fourier tail; the
-    immersion agreement compares against the pairwise-rotated wedge, and
-    the Klein-bottle invariance the (r, k) closed-form column.  The
+    immersion agreement compares against the pairwise-rotated wedge, the
+    Klein-bottle invariance the (r, k) closed-form column, and
+    simplicity_in_window each located root's own entry of the
+    fundamental pair at b/2 against a relative floor of 1e-9.  The
     report's "area" is the closed form, the area that lambda_value is
     twice; the quadrature stays in the area_identity entry alone."""
 
@@ -239,13 +241,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "ba411359811204ecb625763a0d20caba5b14d3fd196277160471469becd19077"),
+         "cbd9810339c851f0d8b84d9d8f7e8438c3bdeb29814e4dd181fd9f4741887bb1"),
         (["verify", "--r", "3", "--k", "1"],
-         "fa524c8fe1883b33647c71c85d49d6aba9f37d8abaf0f8bf72234f7af9c0a1a0"),
+         "7b380a0123355cbb47debaeada7b0fd13c1199d0c488c805a87f437a0169cc21"),
         (["verify", "--r", "5", "--k", "1"],
-         "a6e4fb16099325c2aee45872ed9bd707731bc56b90a7cd1a82775e503634c457"),
+         "a74d6d4e147f72128fd5e7120eed0cda52d9615aa8635105db1cd437e1f3748f"),
         (["verify", "--r", "7", "--k", "6"],
-         "74e352164beeacd1a18378c7f140d201f51a6957da094b4e366461181901bf1a"),
+         "1c6be77b48a44cf6e80f064893d316532479a2872e20cde11df41b5924e4540a"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -800,16 +802,18 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a number")
 
 
-@pytest.mark.parametrize("mode, workload", [("replay", w) for w in _WORKLOADS]
-                         + [("probe", _WORKLOADS[0])])
-def test_traced_run_writes_a_finite_result(tmp_path, mode, workload):
-    """perfbench/trace.py, as the traced benchmark run starts it: it exits
-    0, reports no error, every replayed command exits 0, and every metric
-    is a finite number.  json.dump writes NaN or Infinity for a non-finite
-    float, which is not JSON, so the result is parsed without them."""
+@pytest.mark.parametrize("workload", [w for w in _WORKLOADS if w != "rank-sweep"],
+                         ids=lambda w: f"replay-{w}")
+def test_traced_run_writes_a_finite_result(tmp_path, workload):
+    """perfbench/trace.py replaying a workload, as the traced benchmark run
+    starts it: it exits 0, reports no error, every replayed command exits
+    0, and every metric is a finite number.  json.dump writes NaN or
+    Infinity for a non-finite float, which is not JSON, so the result is
+    parsed without them.  rank-sweep's replay and the probe are
+    test_traced_result_holds_exactly_the_listed_metrics's."""
     result = tmp_path / "result.json"
     proc = subprocess.run(
-        [sys.executable, str(_ROOT / "perfbench" / "trace.py"), mode, "--workload", workload,
+        [sys.executable, str(_ROOT / "perfbench" / "trace.py"), "replay", "--workload", workload,
          "--seed", "0", "--result", str(result), "--spans", str(tmp_path / "spans.npz")],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1",
@@ -817,8 +821,7 @@ def test_traced_run_writes_a_finite_result(tmp_path, mode, workload):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result.read_text(), parse_constant=_no_constant)
     assert doc["errors"] == []
-    if mode == "replay":
-        assert doc["exit_codes"] and set(doc["exit_codes"]) == {0}
+    assert doc["exit_codes"] and set(doc["exit_codes"]) == {0}
     assert doc["metrics"]
     for name, (value, unit) in doc["metrics"].items():
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value, unit)
@@ -834,10 +837,11 @@ def test_traced_result_holds_exactly_the_listed_metrics(tmp_path):
     """The two trace children of a traced rank-sweep run, started as
     perfbench/run.py starts them: hermetic environment, PYTHONPATH src
     alone, the scratch directory as working directory.  Each result
-    parses with NaN and Infinity rejected, every value is finite, and
-    their names with run.py's own two are exactly the per-layer metrics
-    of BENCHMARK.json: a missing or extra name, or a non-finite value,
-    makes the run's result line unreadable to the benchmark."""
+    parses with NaN and Infinity rejected, every replayed command exits
+    0, every value is finite, and their names with run.py's own two are
+    exactly the per-layer metrics of BENCHMARK.json: a missing or extra
+    name, or a non-finite value, makes the run's result line unreadable
+    to the benchmark."""
     env = {key: val for key, val in os.environ.items()
            if key not in ("LAWSON_BIPOLAR_TOL", "PYTHONPATH")}
     env.update(PYTHONPATH=str(SRC), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -854,6 +858,8 @@ def test_traced_result_holds_exactly_the_listed_metrics(tmp_path):
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(result.read_text(), parse_constant=_no_constant)
         assert doc["errors"] == [], mode
+        if mode == "replay":
+            assert doc["exit_codes"] and set(doc["exit_codes"]) == {0}
         for name, (value, _) in doc["metrics"].items():
             assert isinstance(value, (int, float)) and math.isfinite(value), (mode, name)
         names |= set(doc["metrics"])

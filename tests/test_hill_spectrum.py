@@ -23,8 +23,6 @@ from lawson_bipolar import surface_model as sm
 from lawson_bipolar import verification as vf
 from lawson_bipolar.cli import main
 from lawson_bipolar.hill_spectrum import (
-    CLUSTER_DELTA,
-    Eigenvalue,
     Parity,
     branch_monotonicity,
     count_zeros,
@@ -336,7 +334,7 @@ class TestBranches:
         line = surface_lines(p151)[1]
         gammas = [e.gamma for e in line.eigenvalues]
         assert gammas[1] == pytest.approx(2.0, abs=1e-7)
-        assert 2.0 + CLUSTER_DELTA < gammas[2] < 2.02
+        assert 2.0 + 1e-6 < gammas[2] < 2.02
 
     def test_unresolved_fourier_tail_raises(self, monkeypatch):
         # a profile the Galerkin modes cannot resolve is refused, not truncated
@@ -1004,43 +1002,29 @@ class TestEigenfunctions:
         # indices depend on N_MODES alone, 96 at most today
         assert int(hs._galerkin_blocks(P31).j.max()) < hs.EIGENFUNCTION_SAMPLES // 2
 
-    def test_double_root_flags_empty_below_three(self):
-        for line in surface_lines(P31):
-            assert line.double_root_flags == ()
-        assert _simplicity_check(P31).context == "no double-root flags below 3"
-
     def test_simplicity_in_window(self):
-        # the check's residual is the largest min(|z1'(b)|, |z2(b)|/b) over
-        # the located roots in (0, 3), plus 1 for any flag
-        assert _simplicity_check(P31).residual < 1e-7
+        # the check's residual is the largest own entry at b/2 over the
+        # located roots, plus 1 for any flag
+        check = _simplicity_check(P31)
+        assert check.residual < 1e-13
+        roots = sum(len(line.eigenvalues) for line in surface_lines(P31))
+        assert check.context.startswith(f"{roots} roots at b/2: worst own ")
 
-    @pytest.mark.parametrize("r", [160, 300])
+    @pytest.mark.parametrize("r", [160, 300, 800])
     def test_no_unresolved_parity_on_flat_profiles(self, r):
-        # roots accurate to rounding keep |z1'(b)| of the even
-        # eigenfunctions under the 1e-7 parity threshold
+        # roots accurate to rounding keep the own entry at b/2 under the
+        # floor, relative to the pair's largest entry whatever p is
         check = _simplicity_check(derive_params(r, 1))
         assert check.passed, check.context
 
-
-class TestDoubleRootFlags:
-    @staticmethod
-    def _line(gammas, targets):
-        return [Eigenvalue(gamma=g, index=i, parity=Parity.EVEN, psi_target=t)
-                for i, (g, t) in enumerate(zip(gammas, targets))]
-
-    def test_same_target_pair_within_cluster_delta_is_flagged(self):
-        eigs = self._line([0.5, 1.2, 1.2 + 1e-9], [2.0, -2.0, -2.0])
-        flags = hs._double_root_flags(3, eigs)
-        assert len(flags) == 1
-        assert flags[0].startswith("gamma_1(3)=1.2, gamma_2(3)=1.200000001:")
-        assert "coexistence" in flags[0]
-
-    def test_separated_or_opposite_target_pairs_are_not_flagged(self):
-        # 3.2e-4 is the smallest same-target gap over the pairs with r <= 40
-        assert hs._double_root_flags(0, self._line([1.2, 1.2 + 3.2e-4],
-                                                   [-2.0, -2.0])) == ()
-        assert hs._double_root_flags(0, self._line([1.2, 1.2 + 1e-9],
-                                                   [2.0, -2.0])) == ()
+    def test_no_false_coexistence_past_n_1415(self):
+        # (801, 800) -> (1601, 1): gamma_2(0) - gamma_1(0) is 2/n^2 = 7.8e-7,
+        # two simple roots of blocks (EVEN, -2) and (ODD, -2), each with its
+        # partner's entry far above the floor
+        check = _simplicity_check(derive_params(801, 800))
+        assert check.passed, check.context[:500]
+        partner = float(check.context.split("smallest partner ")[1].split(",")[0])
+        assert partner > 1e-8
 
 
 def _count_zeros_loop(values, rel_tol=1e-9):

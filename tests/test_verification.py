@@ -193,7 +193,8 @@ class TestFloquetStructure:
         return checks["simplicity_in_window"]
 
     def test_root_off_its_target_fails_simplicity(self, monkeypatch):
-        # gamma_0(1) shifted by 1e-3 moves Psi off +2 by far more than 1e-6
+        # gamma_0(1) shifted by 1e-3 moves z1'(b/2) of the (EVEN, +2) block
+        # far above the floor
         params = params_from_nm(3, 1)
         lines = list(hs.surface_lines(params))
         eigs = list(lines[1].eigenvalues)
@@ -203,31 +204,79 @@ class TestFloquetStructure:
         monkeypatch.setattr(hs, "surface_lines", lambda p: tuple(lines))
         check = self._simplicity(params)
         assert not check.passed
-        assert f"gamma_0(1)={eigs[0].gamma:.12g}: Psi=" in check.context
-        assert "not the block target +2" in check.context
+        assert check.context.startswith(
+            f"gamma_0(1)={eigs[0].gamma:.12g}: Even, Psi=+2, own c z1' ")
+        own = float(check.context.split("own c z1' ")[1].split(",")[0])
+        assert own > 1e-6 and check.residual == pytest.approx(1.0 + own)
 
     def test_block_coexistence_flag_fails_simplicity(self, monkeypatch):
+        # gamma_0(1), of block (EVEN, +2), with the entry of its partner
+        # (ODD, +2), z2(b/2), forced to 0: an even and an odd eigenfunction
+        # would share the root
         params = params_from_nm(3, 1)
-        lines = list(hs.surface_lines(params))
-        lines[2] = dataclasses.replace(lines[2], double_root_flags=("synthetic",))
-        monkeypatch.setattr(hs, "surface_lines", lambda p: tuple(lines))
+        lines = hs.surface_lines(params)
+        col = vf.FLOQUET_POINTS + len(lines[0].eigenvalues)
+        floquet = hs.floquet
+
+        def forced(p, lam, params, y_end=None):
+            pair = np.array(floquet(p, lam, params, y_end))
+            if y_end is not None:
+                pair[2, col] = 0.0
+            return tuple(pair)
+
+        monkeypatch.setattr(hs, "floquet", forced)
         check = self._simplicity(params)
         assert not check.passed
-        assert check.context == "synthetic"
+        assert check.context.startswith(f"gamma_0(1)={lines[1].gamma(0):.12g}: Even, Psi=+2")
+        assert check.context.endswith("partner z2/c 0.000e+00")
+        assert ";" not in check.context
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (8, 1), (7, 6)])
+    def test_every_block_judged_by_its_own_entry(self, r, k):
+        # the lowest root of each block on lines 0 and 1, from its Galerkin
+        # block: the (ODD, +2) ones lie above the scanned window, so no
+        # located root reaches that block's entry.  Each root is simple
+        # under its own label, and fails under each other block's.
+        params = derive_params(r, k)
+        blocks, c = hs._galerkin_blocks(params), period_a(params) / 4.0
+        roots = [(p, hs.Eigenvalue(float(np.linalg.eigvalsh(A + (p * p) * G)[0]), 0,
+                                   parity, target))
+                 for p in (0, 1)
+                 for (parity, target), A, G in zip(hs.BLOCKS, blocks.A, blocks.G)]
+        pair = np.array(hs.floquet([p for p, _ in roots], [e.gamma for _, e in roots],
+                                   params, y_end=c))
+        check = vf._simplicity(roots, pair, c)
+        assert check.passed and check.residual < 1e-13, check.context
+        for i, (p, eig) in enumerate(roots):
+            for parity, target in hs.BLOCKS:
+                if (parity, target) != (eig.parity, eig.psi_target):
+                    other = dataclasses.replace(eig, parity=parity, psi_target=target)
+                    assert not vf._simplicity([(p, other)], pair[:, i:i + 1], c).passed
 
     def test_oracle_flags(self):
-        eig = hs.Eigenvalue(gamma=1.5, index=1, parity=hs.Parity.ODD,
-                            psi_target=-2.0)
-        b = 0.5
-        # odd: z2(b) vanishes, z1'(b) does not
-        assert vf._oracle_flags(2, eig, -1.0, 0.3, 1e-9, -1.0, b) == []
-        assert "parity mismatch: block Odd" in vf._oracle_flags(
-            2, eig, -1.0, 1e-9, 0.3, -1.0, b)[0]
-        assert "coexistence" in vf._oracle_flags(2, eig, -1.0, 1e-9, 1e-9, -1.0, b)[0]
-        assert "unresolved parity" in vf._oracle_flags(
-            2, eig, -1.0, 0.3, 0.3, -1.0, b)[0]
-        assert vf._oracle_flags(2, eig, -1.0, 0.3, 1e-9, -0.99, b) == [
-            "gamma_1(2)=1.5: Psi=-1.99, not the block target -2"]
+        # one root of block (ODD, -2), whose own entry is z2' at c = b/2 and
+        # whose partner's, (EVEN, -2), is z1; the other two entries are O(1)
+        def judge(parity, z1, dz2):
+            eig = hs.Eigenvalue(gamma=1.5, index=1, parity=parity, psi_target=-2.0)
+            pair = np.array([[z1], [0.6], [0.5], [dz2]])
+            return vf._simplicity([(2, eig)], pair, 0.5)
+
+        simple = judge(hs.Parity.ODD, -1.0, 1e-12)
+        assert simple.passed and simple.residual == pytest.approx(1e-12)
+        assert simple.context == ("1 roots at b/2: worst own 1.000e-12, "
+                                  "smallest partner 1.000e+00, floor 1e-09")
+        off = judge(hs.Parity.ODD, -1.0, 1e-6)
+        assert not off.passed and off.residual == pytest.approx(1.0 + 1e-6)
+        assert off.context == ("gamma_1(2)=1.5: Odd, Psi=-2, own z2' 1.000e-06, "
+                               "partner z1 1.000e+00")
+        both = judge(hs.Parity.ODD, 1e-12, 1e-12)
+        assert not both.passed
+        assert both.context.endswith("own z2' 1.000e-12, partner z1 1.000e-12")
+        # the odd eigenfunction's root labelled with the even block
+        label = judge(hs.Parity.EVEN, -1.0, 1e-12)
+        assert not label.passed
+        assert label.context == ("gamma_1(2)=1.5: Even, Psi=-2, own z1 1.000e+00, "
+                                 "partner z2' 1.000e-12")
 
 
 class TestFullReport:
