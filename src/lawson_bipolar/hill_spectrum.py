@@ -157,24 +157,25 @@ def _steps_for(params: SurfaceParams, tol: float, y_end: float) -> int:
     return max(n_steps, 96)
 
 
-def _propagate(params: SurfaceParams, p2, lam, y_end: float,
+def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
                n_steps: int) -> np.ndarray:
-    """Fundamental pair of the Hill equation at y_end, batched over columns.
+    """Fundamental pair of the Hill equation at y_end, started as z1 = 1,
+    z1' = 0, z2 = 0, z2' = 1 at y_start, batched over columns.
 
     The equation is linear, so one RK8 step is a 2x2 matrix per column,
     S = I + h sum_i b_i K_i with K_i = A_i (I + h sum_j a_ij K_j) and
-    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i, f
-    taken once at the nodes of all steps.  The step matrices of all steps
-    are built at once and multiplied pairwise, later @ earlier.  Columns
-    go in blocks of at most _BLOCK / n_steps; each column's result does
-    not depend on the others.
+    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i,
+    y_start + (step + c_i) h, f taken once at the nodes of all steps.  The
+    step matrices of all steps are built at once and multiplied pairwise,
+    later @ earlier.  Columns go in blocks of at most _BLOCK / n_steps;
+    each column's result does not depend on the others.
 
     Returns shape (4, B): rows z1, z1', z2, z2'.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
-    h = y_end / n_steps
-    nodes = (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
+    h = (y_end - y_start) / n_steps
+    nodes = y_start + (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
     f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).T[:, :, None]
     width = max(1, _BLOCK // n_steps)
     out = np.empty((4, lam.shape[0]))
@@ -308,21 +309,33 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
     Floquet discriminant is Psi = z1(b) + z2'(b); eigenvalues solve
     Psi^2 = 4.
 
-    Scalar p and lam give four floats, 1-D arrays four arrays.  Every
-    y_end takes the step count that b needs at DEFAULT_SOLVER_TOL, so a
-    y_end inside [0, b] runs at that tolerance or better; a y_end outside
-    [0, b], or not finite, raises ValueError.
+    y_end is b, b/2 or a tuple of these, which gives one result per entry;
+    any other y_end raises ValueError.  Scalar p and lam give four floats,
+    1-D arrays four arrays.  Both ends lie on one grid of N steps of
+    h = b/N, N the step count that b needs at DEFAULT_SOLVER_TOL rounded up
+    to even: the pair at b/2 takes the first N/2 steps, and the pair at b
+    is the product of the last N/2, with stage nodes from b/2 on, times
+    the pair at b/2.
     """
     ps, lams = np.broadcast_arrays(np.asarray(p, float), np.asarray(lam, float))
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ps)) and np.all(ps >= 0)):
         raise ValueError("need finite lambda and finite p >= 0")
     b = period_a(params) / 2.0
-    y_end = b if y_end is None else y_end
-    if not 0.0 <= y_end <= b:     # also false for a NaN
-        raise ValueError(f"need y_end in [0, b], b = {b!r}; got {y_end!r}")
-    st = _propagate(params, ps * ps, lams, y_end,
-                    _steps_for(params, DEFAULT_SOLVER_TOL, b))
-    return tuple(st[:, 0].tolist()) if lams.ndim == 0 else tuple(st)
+    c = b / 2.0
+    ends = y_end if isinstance(y_end, tuple) else (b if y_end is None else y_end,)
+    if not all(end in (c, b) for end in ends):     # also false for a NaN
+        raise ValueError(f"need y_end b/2 or b, or a tuple of them, b = {b!r}; "
+                         f"got {y_end!r}")
+    p2, half = ps * ps, (_steps_for(params, DEFAULT_SOLVER_TOL, b) + 1) // 2
+    pairs = {c: _propagate(params, p2, lams, 0.0, c, half)}
+    if b in ends:
+        x1, dx1, x2, dx2 = pairs[c]
+        y1, dy1, y2, dy2 = _propagate(params, p2, lams, c, b, half)
+        pairs[b] = np.array([y1 * x1 + y2 * dx1, dy1 * x1 + dy2 * dx1,
+                             y1 * x2 + y2 * dx2, dy1 * x2 + dy2 * dx2])
+    out = tuple(tuple(pairs[end][:, 0].tolist()) if lams.ndim == 0 else tuple(pairs[end])
+                for end in ends)
+    return out if isinstance(y_end, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------

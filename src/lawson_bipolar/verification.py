@@ -360,18 +360,18 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
     the solutions grow exponentially and an absolute Wronskian residual
     stops being meaningful.
 
-    The R2 points go to b in one batch of hs.floquet, the checks' only
-    route to the propagation, and the R2 points and every located root to
-    b/2 in a second; each column's bits do not depend on the others in
-    its batch."""
+    hs.floquet, the checks' only route to the propagation, takes the R2
+    points to b/2 and on to b in one call, the pair at b composed from a
+    propagation over each half, and every located root to b/2 alone in a
+    second; each column's bits do not depend on the others in its call."""
     b = period_a(params) / 2.0
+    c = b / 2.0
     pvals, lvals = _r2_points(30_000, FLOQUET_POINTS, 0.0, [float(params.n), 3.0])
     roots = [(line.p, eig) for line in hs.surface_lines(params) for eig in line.eigenvalues]
-    z1b, dz1b, z2b, dz2b = hs.floquet(pvals, lvals, params)
-    at_half = np.array(hs.floquet(
-        np.concatenate([pvals, [p for p, _ in roots]]),
-        np.concatenate([lvals, [eig.gamma for _, eig in roots]]), params, y_end=b / 2.0))
-    z1h, dz1h, z2h, dz2h = at_half[:, :FLOQUET_POINTS]
+    (z1h, dz1h, z2h, dz2h), (z1b, dz1b, z2b, dz2b) = hs.floquet(
+        pvals, lvals, params, y_end=(c, b))
+    at_roots = np.array(hs.floquet([p for p, _ in roots], [eig.gamma for _, eig in roots],
+                                   params, y_end=c))
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
     half_ids = float(np.max([
         np.max(np.abs(z1b - (2.0 * z1h * dz2h - 1.0))),
@@ -383,7 +383,7 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
         CheckResult("floquet_wronskian", wronsk, 1e-10,
                     f"{FLOQUET_POINTS} R2 points (p, lambda)"),
         CheckResult("half_period_identities", half_ids, 1e-9),
-        _simplicity(roots, at_half[:, FLOQUET_POINTS:], b / 2.0),
+        _simplicity(roots, at_roots, c),
     ]
 
 

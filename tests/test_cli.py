@@ -213,7 +213,9 @@ class TestSpectrumAndVerifyBytes:
     """sha256 of spectrum and verify outputs with the roots of the
     Cholesky-reduced Galerkin blocks (one eigvalsh per line); the Floquet
     residuals of verify come from the verification battery's own
-    propagation at those roots and at R2 sequence points, its profile
+    propagation at those roots, to b/2 on half of b's even step count,
+    and at R2 sequence points, to b/2 and on to b, the pair at b composed
+    from the two halves, its profile
     residuals from the fixed-step RK8 integration of the profile at every
     step end of the fundamental quarter [0, a/4], its phi_reversal entry
     from the state at a/4, its phi_theta_vs_ode entry from the quarter's
@@ -241,13 +243,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "cbd9810339c851f0d8b84d9d8f7e8438c3bdeb29814e4dd181fd9f4741887bb1"),
+         "557d6b04e01ec3c1bb45a5dca7d96b1d9b37a2f4f734769f9fdb9f4d5a53020e"),
         (["verify", "--r", "3", "--k", "1"],
-         "7b380a0123355cbb47debaeada7b0fd13c1199d0c488c805a87f437a0169cc21"),
+         "2995d14d960b3cf42ca9804b4c32383e1bc2f2ca83fa25535093eeb40356e22d"),
         (["verify", "--r", "5", "--k", "1"],
-         "a74d6d4e147f72128fd5e7120eed0cda52d9615aa8635105db1cd437e1f3748f"),
+         "0574b377ba6315ae069d71cebdf2a56a02da0ce921380d7301b3b1cdf421c757"),
         (["verify", "--r", "7", "--k", "6"],
-         "1c6be77b48a44cf6e80f064893d316532479a2872e20cde11df41b5924e4540a"),
+         "9f6c0e029bc0db3926e6deafc344d44a17d1cee5dca12a5601a606fbfe0c0185"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):

@@ -46,12 +46,13 @@ P21 = params_from_nm(2, 1)     # (r, k) = (3, 1), Klein bottle
 P31 = params_from_nm(3, 1)     # (r, k) = (2, 1), torus
 
 
-def _propagate_reference(params, p, lam, y_end, n_steps):
-    """(z1, z1', z2, z2') at y_end by the stage-by-stage RK8 loop over one
-    (p, lambda) column in Python floats, f taken at the same stage nodes:
-    the reference for the batched transfer-matrix product."""
-    h = y_end / n_steps
-    nodes = (np.arange(n_steps)[:, None] + hs._CV_C) * h
+def _propagate_reference(params, p, lam, y_end, n_steps, y_start=0.0):
+    """(z1, z1', z2, z2') at y_end, started at y_start, by the stage-by-stage
+    RK8 loop over one (p, lambda) column in Python floats, f taken at the
+    same stage nodes: the reference for the batched transfer-matrix
+    product."""
+    h = (y_end - y_start) / n_steps
+    nodes = y_start + (np.arange(n_steps)[:, None] + hs._CV_C) * h
     f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).tolist()
     state = [1.0, 0.0, 0.0, 1.0]
     for f_step in f:
@@ -72,17 +73,19 @@ def _propagate_reference(params, p, lam, y_end, n_steps):
        cols=st.lists(st.tuples(st.floats(0.0, 1.0),
                                st.floats(0.0, 3.0, exclude_max=True)),
                      min_size=1, max_size=4),
-       half=st.booleans(),
+       span=st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]),
        n_steps=st.sampled_from([96, 97, 128, 129]))
-def test_transfer_product_matches_stage_loop(pair, cols, half, n_steps):
+def test_transfer_product_matches_stage_loop(pair, cols, span, n_steps):
+    # over [0, b], [0, b/2] and [b/2, b]
     params = derive_params(*pair)
     b = period_a(params) / 2.0
-    y_end = b / 2.0 if half else b
+    y_start, y_end = span[0] * b, span[1] * b
     p = np.array([u * params.n for u, _ in cols])
     lam = np.array([lam for _, lam in cols])
-    got = hs._propagate(params, p * p, lam, y_end, n_steps)
+    got = hs._propagate(params, p * p, lam, y_start, y_end, n_steps)
     for col in range(len(cols)):
-        ref = np.array(_propagate_reference(params, p[col], lam[col], y_end, n_steps))
+        ref = np.array(_propagate_reference(params, p[col], lam[col], y_end, n_steps,
+                                            y_start))
         assert np.all(np.abs(got[:, col] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     z1, dz1, z2, dz2 = got
     assert np.max(np.abs(z1 * dz2 - z2 * dz1 - 1.0)) < 1e-11
@@ -175,7 +178,7 @@ class TestFloquetBasics:
             lam = rng.uniform(0.0, 3.0)
             z1b, dz1b, z2b, dz2b = floquet(p, lam, P31)
             z1h, dz1h, z2h, dz2h = hs._propagate(
-                P31, p * p, [lam], b / 2.0,
+                P31, p * p, [lam], 0.0, b / 2.0,
                 hs._steps_for(P31, hs.DEFAULT_SOLVER_TOL, b / 2.0))[:, 0]
             assert abs(z1b - (2.0 * z1h * dz2h - 1.0)) < 1e-9
             assert abs(z1b - (1.0 + 2.0 * z2h * dz1h)) < 1e-9
@@ -191,9 +194,9 @@ class TestFloquetBasics:
         p2 = rng.uniform(0.0, float(P31.n), 300) ** 2
         lam = rng.uniform(0.0, 3.0, 300)
         assert 300 * 129 > hs._BLOCK
-        batch = hs._propagate(P31, p2, lam, b, 129)
+        batch = hs._propagate(P31, p2, lam, 0.0, b, 129)
         for i in (0, 1, 253, 254, 299):
-            alone = hs._propagate(P31, p2[i], lam[i], b, 129)[:, 0]
+            alone = hs._propagate(P31, p2[i], lam[i], 0.0, b, 129)[:, 0]
             np.testing.assert_array_equal(batch[:, i], alone)
 
     def test_working_memory_is_bounded(self):
@@ -202,7 +205,7 @@ class TestFloquetBasics:
         lam = np.linspace(0.0, 3.0, 64)
         tracemalloc.start()
         try:
-            hs._propagate(P21, 1.0, lam, 1.0, hs.MAX_STEPS)
+            hs._propagate(P21, 1.0, lam, 0.0, 1.0, hs.MAX_STEPS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,8 +232,9 @@ class TestFloquetForms:
     @pytest.mark.parametrize("r,k", [(3, 1), (8, 1), (7, 6)])
     @pytest.mark.parametrize("half", [False, True], ids=["b", "b/2"])
     def test_array_form_is_scalar_form(self, r, k, half):
-        # the array form gives each column the scalar form's bits, and every
-        # y_end runs on the step count of b at DEFAULT_SOLVER_TOL
+        # the array form gives each column the scalar form's bits, and b/2
+        # takes half of b's step count at DEFAULT_SOLVER_TOL, rounded up
+        # to even (139 -> 140 steps at (8, 1))
         params = derive_params(r, k)
         b = period_a(params) / 2.0
         y_end = b / 2.0 if half else None
@@ -244,8 +248,8 @@ class TestFloquetForms:
             assert len(alone) == 4 and all(type(x) is float for x in alone)
             assert alone == tuple(row[col] for row in batch)
         if half:
-            ref = hs._propagate(params, p * p, lam, b / 2.0,
-                                hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b))
+            steps = hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b)
+            ref = hs._propagate(params, p * p, lam, 0.0, b / 2.0, (steps + 1) // 2)
             np.testing.assert_array_equal(np.array(batch), ref)
 
     @pytest.mark.parametrize("p,lam", [
@@ -261,27 +265,59 @@ class TestFloquetForms:
         with pytest.raises(ValueError, match="need finite lambda and finite p >= 0"):
             floquet(np.array([1.0, p, 0.5]), np.array([0.5, lam, 1.5]), P21)
 
-    @pytest.mark.parametrize("y_end", [math.nan, math.inf, -math.inf, -1e-3, 1.001, 5.0],
-                             ids=["nan", "inf", "-inf", "negative", "past-b", "5b"])
+    @pytest.mark.parametrize("y_end", [math.nan, math.inf, -math.inf, -1e-3, 1.001, 5.0,
+                                       0.0, 0.3, 0.75],
+                             ids=["nan", "inf", "-inf", "negative", "past-b", "5b",
+                                  "zero", "inside", "three-quarters"])
     def test_y_end_outside_half_period_raises_before_propagation(self, y_end,
                                                                  monkeypatch):
-        # every y_end runs on b's step count, which misses the tolerance
-        # past b: at (8, 1), 20 b is off by 4.6e-5 relative
+        # the step grid serves the two ends the oracle reads, b/2 and b, and
+        # past b its step would miss the tolerance: at (8, 1), 20 b is off
+        # by 4.6e-5 relative
         def boom(*args, **kwargs):
             raise AssertionError("propagated a rejected y_end")
 
         b = period_a(P21) / 2.0
         y = y_end * b if math.isfinite(y_end) else y_end
         monkeypatch.setattr(hs, "_propagate", boom)
-        with pytest.raises(ValueError, match=r"need y_end in \[0, b\]"):
+        with pytest.raises(ValueError, match=r"need y_end b/2 or b"):
             floquet(1.0, 0.5, P21, y_end=y)
-        with pytest.raises(ValueError, match=r"need y_end in \[0, b\]"):
+        with pytest.raises(ValueError, match=r"need y_end b/2 or b"):
             floquet(np.array([1.0, 0.5]), np.array([0.5, 1.5]), P21, y_end=y)
+        with pytest.raises(ValueError, match=r"need y_end b/2 or b"):
+            floquet(1.0, 0.5, P21, y_end=(b, y))
 
     def test_y_end_at_either_end_of_half_period(self):
+        # a tuple of ends gives each end's own result
         b = period_a(P21) / 2.0
         assert floquet(1.0, 0.5, P21, y_end=b) == floquet(1.0, 0.5, P21)
-        assert floquet(1.0, 0.5, P21, y_end=0.0) == (1.0, 0.0, 0.0, 1.0)
+        assert floquet(1.0, 0.5, P21, y_end=(b / 2.0, b, b / 2.0)) == (
+            floquet(1.0, 0.5, P21, y_end=b / 2.0), floquet(1.0, 0.5, P21),
+            floquet(1.0, 0.5, P21, y_end=b / 2.0))
+        p, lam = np.array([0.0, 1.0, 2.0]), np.array([2.5, 0.5, 1.0])
+        at_half, at_b = floquet(p, lam, P21, y_end=(b / 2.0, b))
+        np.testing.assert_array_equal(at_half, floquet(p, lam, P21, y_end=b / 2.0))
+        np.testing.assert_array_equal(at_b, floquet(p, lam, P21))
+
+    @pytest.mark.parametrize("r,k", [(3, 1), (8, 1), (7, 6), (100, 1)])
+    def test_halves_match_the_stage_loop(self, r, k):
+        # the pair at b, composed from the propagations over [0, b/2] and
+        # [b/2, b], against the stage-by-stage loop over the same N steps
+        # of [0, b]; the pair at b/2 against the loop over N/2 steps
+        params = derive_params(r, k)
+        b = period_a(params) / 2.0
+        steps = hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b)
+        steps += steps % 2
+        p = np.array([0.0, 0.3, 0.7, 1.0]) * params.n
+        lam = np.array([2.9, 0.1, 1.7, 2.0])
+        at_half, at_b = floquet(p, lam, params, y_end=(b / 2.0, b))
+        for col in range(p.size):
+            for got, y_end, n_steps in ((at_b, b, steps), (at_half, b / 2.0, steps // 2)):
+                ref = np.array(_propagate_reference(params, p[col], lam[col], y_end,
+                                                    n_steps))
+                got = np.array([row[col] for row in got])
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (
+                    col, y_end, got - ref)
 
 
 class TestBranches:

@@ -213,15 +213,18 @@ class TestFloquetStructure:
         # gamma_0(1), of block (EVEN, +2), with the entry of its partner
         # (ODD, +2), z2(b/2), forced to 0: an even and an odd eigenfunction
         # would share the root
+        # (the R2 points go to both ends in a call of their own)
         params = params_from_nm(3, 1)
         lines = hs.surface_lines(params)
-        col = vf.FLOQUET_POINTS + len(lines[0].eigenvalues)
+        col = len(lines[0].eigenvalues)
         floquet = hs.floquet
 
         def forced(p, lam, params, y_end=None):
-            pair = np.array(floquet(p, lam, params, y_end))
-            if y_end is not None:
-                pair[2, col] = 0.0
+            pair = floquet(p, lam, params, y_end)
+            if isinstance(y_end, tuple):
+                return pair
+            pair = np.array(pair)
+            pair[2, col] = 0.0
             return tuple(pair)
 
         monkeypatch.setattr(hs, "floquet", forced)
@@ -331,9 +334,8 @@ class TestFullReport:
 
     def test_cold_report_builds_each_cache_entry_once(self, monkeypatch):
         # one Galerkin reduction per surface, cached on SurfaceParams; one
-        # line scan, for the Floquet checks; one propagation to b (the R2
-        # points and the located roots) and one to b/2
-        calls = {"_scan_lines": 0, "_propagate": 0}
+        # line scan, for the Floquet checks
+        calls = {"_scan_lines": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(hs, name), **kwargs):
                 calls[_name] += 1
@@ -342,4 +344,45 @@ class TestFullReport:
         hs._galerkin_blocks.cache_clear()
         vf.full_report(8, 1)
         assert hs._galerkin_blocks.cache_info().misses == 1
-        assert calls == {"_scan_lines": 1, "_propagate": 2}
+        assert calls == {"_scan_lines": 1}
+
+    @staticmethod
+    def _floquet_work(monkeypatch, run):
+        """[y_end, steps x columns passed to _step_matrices] per hs.floquet
+        call made by run()."""
+        work = []
+        floquet, step_matrices = hs.floquet, hs._step_matrices
+
+        def counted_floquet(p, lam, params, y_end=None):
+            work.append([y_end, 0])
+            return floquet(p, lam, params, y_end)
+
+        def counted_steps(q, h):
+            work[-1][1] += q.shape[1] * q.shape[2]
+            return step_matrices(q, h)
+
+        monkeypatch.setattr(hs, "floquet", counted_floquet)
+        monkeypatch.setattr(hs, "_step_matrices", counted_steps)
+        run()
+        return work
+
+    @pytest.mark.parametrize("r,k,total", [(8, 1, 8400), (3, 1, 8268)])
+    def test_report_propagates_each_column_as_far_as_it_is_read(self, r, k, total,
+                                                                monkeypatch):
+        # b's N = 140 and 156 steps: the 50 R2 points over both halves of
+        # N/2, the 20 and 6 located roots over the first half alone
+        work = self._floquet_work(monkeypatch, lambda: vf.full_report(r, k))
+        assert sum(steps for _, steps in work) == total
+
+    def test_roots_take_half_of_b_steps_at_large_n(self, monkeypatch):
+        # (400, 1) -> (401, 399): b needs N = 259 steps, rounded up to 260;
+        # its 839 located roots go over N/2 of them, to b/2 only
+        params = derive_params(400, 1)
+        b = period_a(params) / 2.0
+        half = (hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b) + 1) // 2
+        roots = sum(len(line.eigenvalues) for line in hs.surface_lines(params))
+        assert (half, roots) == (130, 839)
+        work = self._floquet_work(monkeypatch,
+                                  lambda: vf.floquet_structure_checks(params))
+        assert work == [[(b / 2.0, b), 2 * half * vf.FLOQUET_POINTS],
+                        [b / 2.0, half * roots]]
