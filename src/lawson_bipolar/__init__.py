@@ -28,7 +28,6 @@ from .surface_model import (
     area_closed_form,
     bipolar_immersion,
     derive_params,
-    params_from_nm,
     period_a,
 )
 from .phi_system import (

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -134,15 +135,24 @@ def _cmd_spectrum(args: _Args) -> int:
 
 
 def _cmd_immerse(args: _Args) -> int:
+    """Compute the mesh and write it in one pass, each block of rows as it
+    is computed, so no array or string holds the whole mesh.  A failure
+    removes the --out file the command created."""
     params = sm.derive_params(args.r, args.k)
-    rows = sm.immersion_rows(params, args.grid, args.grid)
+    blocks = sm.immersion_blocks(params, args.grid, args.grid)
     writer = sm.write_immersion_csv if args.fmt == "csv" else sm.write_immersion_json
-    # the writer streams its blocks, so no string holds the whole mesh
-    if args.out:
-        with open(args.out, "w") as fh:
-            writer(fh, params, rows)
-    else:
-        writer(sys.stdout, params, rows)
+    if not args.out:
+        writer(sys.stdout, params, blocks)
+        return 0
+    created = not os.path.exists(args.out)
+    fh = open(args.out, "w")
+    try:
+        with fh:
+            writer(fh, params, blocks)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     return 0
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "ParityClass",
     "SurfaceParams",
     "derive_params",
-    "params_from_nm",
     "admissible_pairs",
     "period_a",
     "metric_f_array",
@@ -48,6 +47,7 @@ __all__ = [
     "z_of_v",
     "v_of_z",
     "area_closed_form",
+    "immersion_blocks",
     "immersion_rows",
     "write_immersion_csv",
     "write_immersion_json",
@@ -132,17 +132,6 @@ def derive_params(r: int, k: int) -> SurfaceParams:
         parity = ParityClass.RK_1_MOD_4 if rk % 4 == 1 else ParityClass.RK_3_MOD_4
     topo = Topology.KLEIN_BOTTLE if rk % 4 == 3 else Topology.TORUS
     return SurfaceParams(r=r, k=k, n=n, m=m, parity_class=parity, topology=topo)
-
-
-def params_from_nm(n: int, m: int) -> SurfaceParams:
-    """Recover the (r, k) pair whose bipolar surface has profile (n, m)."""
-    n, m = int(n), int(m)
-    if not (n > m >= 1) or math.gcd(n, m) != 1:
-        raise InvalidParametersError(f"need coprime n > m >= 1, got ({n},{m})")
-    if (n - m) % 2 == 0:
-        # both odd: the even-rk branch
-        return derive_params((n + m) // 2, (n - m) // 2)
-    return derive_params(n + m, n - m)
 
 
 def admissible_pairs(r_max: int) -> list[tuple[int, int]]:
@@ -342,43 +331,56 @@ def area_closed_form(params: SurfaceParams) -> float:
 # sampling / export
 # ---------------------------------------------------------------------------
 
-#: mesh points per block of immersion_rows (one value of u when the row of
-#: v is longer).  A block's largest temporary, its (6, points) wedge, takes
-#: 96 KiB: under the 128 KiB at which glibc's malloc serves an allocation
-#: with fresh pages from mmap, so each block reuses the heap memory the
-#: block before it freed.
+#: mesh points per block of the immersion (one value of u when the row of
+#: v is longer).  A block's largest temporaries, its (6, points) wedge and
+#: its (points, 7) rows, take 96 and 112 KiB: under the 128 KiB at which
+#: glibc's malloc serves an allocation with fresh pages from mmap, so each
+#: block reuses the heap memory the block before it freed.
 _BLOCK_POINTS = 2048
 
 
-def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
-    """Sample the fundamental domain on an n_u x n_v grid; rows are
-    (u, v, x1..x5), u-major.  The u-period is 2 pi for even rk and pi
-    otherwise.  The transcendentals are taken once per distinct u and per
-    distinct v; the immersion then runs over blocks of u against the row of
-    v, each written into its rows, and every row is bit-identical to
-    bipolar_immersion at that point.  An ExcludedDirectionError names the
-    worst point of the whole mesh."""
+def immersion_blocks(params: SurfaceParams, n_u: int, n_v: int) -> Iterator[np.ndarray]:
+    """Sample the fundamental domain on an n_u x n_v grid, yielding the
+    rows (u, v, x1..x5) u-major, as (points, 7) arrays of whole rows of v.
+    The u-period is 2 pi for even rk and pi otherwise.  The transcendentals
+    are taken once per distinct u and per distinct v; each block of u runs
+    against the row of v, and every row is bit-identical to
+    bipolar_immersion at that point.  A block with a point off the S^4
+    equator is not yielded; after the last block, an ExcludedDirectionError
+    names the worst point of the whole mesh."""
     r, k = params.r, params.k
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
     u = np.linspace(0.0, u_period, n_u, endpoint=False)[:, None]
     v = np.linspace(0.0, math.pi, n_v, endpoint=False)
     u_factors, v_factors = _u_factors(u, r, k), _v_factors(v, r, k)
-    rows = np.empty((n_u, n_v, 7))
-    rows[..., 0] = u
-    rows[..., 1] = v
     step = max(1, _BLOCK_POINTS // max(n_v, 1))
     worst = None
     for start in range(0, n_u, step):
         block = slice(start, start + step)
-        w6 = _rotated_wedge([f[block] for f in u_factors], v_factors)
+        rows = np.empty((len(u[block]), n_v, 7))
+        rows[..., 0] = u[block]
+        rows[..., 1] = v
         try:
-            _project5(w6, r, k, u[block], v, out=rows[block, :, 2:])
+            _project5(_rotated_wedge([f[block] for f in u_factors], v_factors),
+                      r, k, u[block], v, out=rows[..., 2:])
         except ExcludedDirectionError as exc:
             if worst is None or exc.residual > worst.residual:
                 worst = exc
+            continue
+        yield rows.reshape(-1, 7)
     if worst is not None:
         raise worst
-    return rows.reshape(-1, 7)
+
+
+def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
+    """The rows of immersion_blocks as one (n_u n_v, 7) array, each block
+    copied into it as it is computed."""
+    rows = np.empty((n_u * n_v, 7))
+    start = 0
+    for block in immersion_blocks(params, n_u, n_v):
+        rows[start:start + len(block)] = block
+        start += len(block)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +396,8 @@ def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
 # words holding the separators, and deleting the nulls joins a block of rows.
 
 #: bytes of words per block of rows: 512 CSV rows or 409 JSON rows.  The
-#: block's word array and its bytes and str copies each stay under the
-#: 128 KiB at which glibc's malloc serves an allocation with fresh pages
+#: writer's one word array and each block's bytes and str copies stay under
+#: the 128 KiB at which glibc's malloc serves an allocation with fresh pages
 #: from mmap, so each block reuses the heap memory the one before it freed.
 _BLOCK_BYTES = 112 * 1024
 #: Dekker's splitter 2^27 + 1
@@ -474,40 +476,55 @@ def _render17(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _write_rows(stream: IO[str], rows: np.ndarray, suffixes, prefixes=None) -> None:
-    """Write each row as its values rendered by format(v, ".17g"), column
-    i between prefixes[i] and suffixes[i], one block of rows at a time."""
+def _write_rows(stream: IO[str], rows, suffixes, prefixes=None, sep: str = "",
+                opening: str = "") -> bool:
+    """Write opening, then each row of rows (an array of rows or an
+    iterable of them) as its values rendered by format(v, ".17g"), column i
+    between prefixes[i] and suffixes[i], the rows joined by sep.  Each
+    block goes out in batches rendered into one buffer of _BLOCK_BYTES of
+    words, so that no batch allocates or frees it.  Nothing is written, and
+    False returned, when there is no row."""
     lead = 0 if prefixes is None else 1
     template = np.zeros((len(suffixes), lead + 4), "<u8")
     if prefixes is not None:
         template[:, 0] = _words(prefixes)
-    template[:, -1] = _words(suffixes)
-    rows = np.asarray(rows, float)
+    template[:, -1] = _words(suffixes[:-1] + [suffixes[-1] + sep])
+    end = _words(suffixes[-1:])[0]
     step = max(1, _BLOCK_BYTES // template.nbytes)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        out = np.empty((len(block),) + template.shape, "<u8")
-        out[:] = template
-        out[:, :, lead:lead + 3] = _render17(block.ravel()).reshape(len(block), -1, 3)
-        stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))
+    words = np.empty((step,) + template.shape, "<u8")
+    written = False
+    for block in [rows] if isinstance(rows, np.ndarray) else rows:
+        for start in range(0, len(block), step):
+            batch = np.asarray(block[start:start + step], float)
+            out = words[:len(batch)]
+            out[:] = template
+            out[-1, -1, -1] = end
+            out[:, :, lead:lead + 3] = _render17(batch.ravel()).reshape(len(batch), -1, 3)
+            stream.write(sep if written else opening)
+            stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))
+            written = True
+    return written
 
 
 _COLUMNS = ["u", "v", "x1", "x2", "x3", "x4", "x5"]
 _CSV_SUFFIXES = [","] * 6 + ["\n"]
 _JSON_PREFIXES = ['  [\n   "'] + ['   "'] * 6
-_JSON_SUFFIXES = ['",\n'] * 6 + ['"\n  ],\n']
+_JSON_SUFFIXES = ['",\n'] * 6 + ['"\n  ]']
 
 
-def write_immersion_csv(stream: IO[str], params: SurfaceParams, rows: np.ndarray) -> None:
+def write_immersion_csv(stream: IO[str], params: SurfaceParams, rows) -> None:
+    """The header lines, then the rows (an (N, 7) array or an iterable of
+    them, such as immersion_blocks), each block written as it arrives."""
     stream.write(f"# r={params.r} k={params.k} n={params.n} m={params.m} "
                  f"topology={params.topology.value}\n")
     stream.write(",".join(_COLUMNS) + "\n")
     _write_rows(stream, rows, _CSV_SUFFIXES)
 
 
-def write_immersion_json(stream: IO[str], params: SurfaceParams, rows: np.ndarray) -> None:
+def write_immersion_json(stream: IO[str], params: SurfaceParams, rows) -> None:
     """The document json.dump(indent=1) would write with every value a
-    17-digit string, the rows written as they are rendered."""
+    17-digit string.  rows is an (N, 7) array or an iterable of them, such
+    as immersion_blocks; each block is written as it arrives."""
     doc = {
         "params": {"r": params.r, "k": params.k, "n": params.n, "m": params.m},
         "topology": params.topology.value,
@@ -516,10 +533,7 @@ def write_immersion_json(stream: IO[str], params: SurfaceParams, rows: np.ndarra
         "rows": [],
     }
     text = json.dumps(doc, indent=1)
-    if len(rows):
-        head, tail = text.rsplit("[]", 1)
-        stream.write(head + "[\n")
-        _write_rows(stream, rows[:-1], _JSON_SUFFIXES, _JSON_PREFIXES)
-        _write_rows(stream, rows[-1:], _JSON_SUFFIXES[:-1] + ['"\n  ]'], _JSON_PREFIXES)
+    head, tail = text.rsplit("[]", 1)
+    if _write_rows(stream, rows, _JSON_SUFFIXES, _JSON_PREFIXES, ",\n", head + "[\n"):
         text = "\n ]" + tail
     stream.write(text + "\n")

@@ -23,9 +23,10 @@ from lawson_bipolar.surface_model import (
     area_closed_form,
     derive_params,
     metric_f_array,
-    params_from_nm,
     period_a,
 )
+
+from pairs import params_from_nm
 
 PAIRS = admissible_pairs(8)
 ANCHOR_NM = [(2, 1), (3, 1), (3, 2), (4, 1)]

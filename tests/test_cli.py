@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import lru_cache
@@ -189,6 +190,89 @@ class TestImmerseBytes:
         assert capsys.readouterr().out == ""
         assert main(args) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+class TestImmerseStream:
+    """immerse computes the mesh and writes it in one pass, block by block."""
+
+    @pytest.mark.parametrize("grid", [2, 10, 101])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stream_is_the_writer_on_the_rows(self, tmp_path, capsys, fmt, grid):
+        """Meshes inside one block (grids 2 and 10) and of six blocks whose
+        last is short (grid 101), to --out and to stdout."""
+        args = ["immerse", "--r", "5", "--k", "2", "--grid", str(grid), "--format", fmt]
+        params = derive_params(5, 2)
+        want = io.StringIO()
+        writer = sm.write_immersion_csv if fmt == "csv" else sm.write_immersion_json
+        writer(want, params, sm.immersion_rows(params, grid, grid))
+        out = tmp_path / "mesh"
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_text() == want.getvalue()
+        assert main(args) == 0
+        assert capsys.readouterr().out == want.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, fmt):
+        """No array, string or list holds the whole mesh: the command's
+        allocations peak under 1 MiB at grid 256 and at grid 1024 (16 times
+        the rows), and only the per-u and per-v arrays grow between them."""
+        out, peaks = tmp_path / "mesh", []
+        for grid in (256, 1024):
+            tracemalloc.start()
+            try:
+                assert main(["immerse", "--r", "2", "--k", "1", "--grid", str(grid),
+                             "--format", fmt, "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            out.unlink()
+        assert max(peaks) < 2 ** 20, peaks
+        assert peaks[1] - peaks[0] <= 2 ** 18, peaks
+
+    @staticmethod
+    def _tilt_two_blocks(monkeypatch, grid):
+        """Tilt a point of block 1 by 1e-9 and one of the next-to-last block
+        by 1e-6 towards the excluded direction; return the (u, v) of the
+        larger tilt and the rows of one block."""
+        r, k = 2, 1
+        step = sm._BLOCK_POINTS // grid
+        blocks = grid // step
+        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
+        tilts = {1: (2, 40, 1e-9), blocks - 2: (step - 1, 200, 1e-6)}
+        rotated_wedge, calls = sm._rotated_wedge, []
+
+        def tilted(u_factors, v_factors):
+            w6 = rotated_wedge(u_factors, v_factors)
+            if len(calls) in tilts:
+                i, j, size = tilts[len(calls)]
+                w6[:2, i, j] += size * excluded
+            calls.append(w6.shape)
+            return w6
+
+        monkeypatch.setattr(sm, "_rotated_wedge", tilted)
+        u = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)[(blocks - 1) * step - 1]
+        v = np.linspace(0.0, math.pi, grid, endpoint=False)[200]
+        return (float(u), float(v)), step * grid
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_names_the_worst_point_and_leaves_no_file(self, tmp_path, capsys,
+                                                               monkeypatch, fmt):
+        (u, v), _ = self._tilt_two_blocks(monkeypatch, 256)
+        out = tmp_path / "mesh"
+        assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
+                     "--format", fmt, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: orthogonality")
+        assert f"at (u, v) = ({u!r}, {v!r})" in err
+        assert not out.exists()
+
+    def test_failure_on_stdout_keeps_the_blocks_that_passed(self, capsys, monkeypatch):
+        _, block_rows = self._tilt_two_blocks(monkeypatch, 256)
+        assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
+                     "--format", "csv"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# r=2 k=1 n=3 m=1 topology=Torus", "u,v,x1,x2,x3,x4,x5"]
+        assert len(lines) == 2 + 256 * 256 - 2 * block_rows
 
 
 class TestRankBytes:

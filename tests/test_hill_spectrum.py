@@ -38,9 +38,10 @@ from lawson_bipolar.surface_model import (
     admissible_pairs,
     derive_params,
     metric_f_array,
-    params_from_nm,
     period_a,
 )
+
+from pairs import params_from_nm
 
 P21 = params_from_nm(2, 1)     # (r, k) = (3, 1), Klein bottle
 P31 = params_from_nm(3, 1)     # (r, k) = (2, 1), torus
@@ -205,20 +206,20 @@ class TestFloquetBasics:
         lam = np.linspace(0.0, 3.0, 64)
         tracemalloc.start()
         try:
-            hs._propagate(P21, 1.0, lam, 0.0, 1.0, hs.MAX_STEPS)
+            hs._propagate(P21, 1.0, lam, 0.0, 1.0, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32e6
 
-    def test_step_count_above_cap_raises(self):
-        b = period_a(P21) / 2.0
-        with pytest.raises(hs.SpectrumMismatchError) as exc:
-            hs._steps_for(P21, hs.DEFAULT_SOLVER_TOL, 40.0 * b)
-        msg = str(exc.value)
-        assert "(n,m)=(2,1)" in msg and "tol=1e-09" in msg
-        assert f"y_end={40.0 * b!r}" in msg
-        assert f"needs 6203 RK8 steps, above {hs.MAX_STEPS}" in msg
+    def test_largest_step_counts(self):
+        """No admissible pair has a larger K(m/n) than one whose m/n is the
+        largest double below 1, so none needs more RK8 steps."""
+        params = derive_params(2 ** 54 - 1, 1)
+        assert params.m / params.n == math.nextafter(1.0, 0.0)
+        b = period_a(params) / 2.0
+        assert hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b) == 1359
+        assert hs._steps_for(params, 1e-13, b / 2.0) == 2148
 
     @pytest.mark.parametrize("p_lam", [("n", 2.0), ("m", 2.0)])
     def test_known_eigenvalues_close_discriminant(self, p_lam):

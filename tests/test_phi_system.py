@@ -29,9 +29,10 @@ from lawson_bipolar.surface_model import (
     admissible_pairs,
     derive_params,
     metric_f_array,
-    params_from_nm,
     period_a,
 )
+
+from pairs import params_from_nm
 
 P21 = params_from_nm(2, 1)
 P31 = params_from_nm(3, 1)

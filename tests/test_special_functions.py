@@ -456,7 +456,8 @@ class TestWeierstrassAgainstProfile:
         # P-form of the third profile function against direct integration
         from lawson_bipolar.phi_system import (_integrate, closed_form_weierstrass,
                                                initial_state)
-        from lawson_bipolar.surface_model import params_from_nm, period_a
+        from lawson_bipolar.surface_model import period_a
+        from pairs import params_from_nm
 
         params = params_from_nm(2, 1)
         a = period_a(params)

@@ -48,16 +48,18 @@ from lawson_bipolar.surface_model import (
     bipolar_immersion,
     bipolar_metric,
     derive_params,
+    immersion_blocks,
     immersion_rows,
     klein_deck_map,
     metric_f_array,
-    params_from_nm,
     period_a,
     v_of_z,
     write_immersion_csv,
     write_immersion_json,
     z_of_v,
 )
+
+from pairs import params_from_nm
 
 
 class TestDeriveParams:
@@ -466,6 +468,49 @@ class TestAreaAndExport:
             tracemalloc.stop()
         assert rows.shape == (256 * 256, 7)
         assert peak <= rows.nbytes + 2 ** 20
+
+
+
+class TestMeshStream:
+    """immersion_blocks yields the rows of immersion_rows in blocks of whole
+    rows of v, and the writers render an iterable of blocks as they render
+    the one array."""
+
+    @pytest.mark.parametrize("pair, n_u, n_v, sizes", [
+        ((2, 1), 1, 1, [1]),                          # grid 1
+        ((3, 1), 3000, 1, [2048, 952]),               # n_v = 1, n_u large
+        ((7, 6), 5, 1000, [2000, 2000, 1000]),        # a row of v > 512 CSV rows
+        ((5, 2), 10, 10, [100]),                      # a mesh inside one block
+        ((13, 4), 101, 101, [2020] * 5 + [101]),      # an odd grid, last block short
+    ])
+    @pytest.mark.parametrize("writer", [write_immersion_csv, write_immersion_json])
+    def test_streamed_mesh_is_the_rows(self, writer, pair, n_u, n_v, sizes):
+        p = derive_params(*pair)
+        rows = immersion_rows(p, n_u, n_v)
+        blocks = list(immersion_blocks(p, n_u, n_v))
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), rows)
+        want, got = io.StringIO(), io.StringIO()
+        writer(want, p, rows)
+        writer(got, p, immersion_blocks(p, n_u, n_v))
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("writer", [write_immersion_csv, write_immersion_json])
+    def test_writers_take_any_split_of_the_rows(self, writer):
+        """Empty blocks write nothing, and no blocks at all write the
+        document of no rows."""
+        p = derive_params(3, 1)
+        rows = immersion_rows(p, 9, 7)
+        want = io.StringIO()
+        writer(want, p, rows)
+        for cuts in ([0], [63], [1, 1, 62], [20, 40], list(range(1, 63))):
+            got = io.StringIO()
+            writer(got, p, np.split(rows, cuts))
+            assert got.getvalue() == want.getvalue(), cuts
+        want, got = io.StringIO(), io.StringIO()
+        writer(want, p, rows[:0])
+        writer(got, p, iter([]))
+        assert got.getvalue() == want.getvalue()
 
 
 def _rendered(values):

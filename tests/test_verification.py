@@ -16,9 +16,10 @@ from lawson_bipolar.surface_model import (
     Topology,
     admissible_pairs,
     derive_params,
-    params_from_nm,
     period_a,
 )
+
+from pairs import params_from_nm
 
 
 class TestCheckResult:
