@@ -10,10 +10,10 @@ parity, even or odd mode index a b-periodic (Psi = +2) or b-antiperiodic
 discriminant of the fundamental pair over the half period.
 
 The eigenvalues come from the blocks alone.  The Floquet propagation is
-kept as an independent oracle for the verification battery: a fixed-step
-Cooper-Verner RK8 taken as a product of per-step transfer matrices,
-built for all steps and (p, lambda) columns at once from f precomputed
-at the stage nodes.
+kept as an independent oracle for the verification battery: the
+fixed-step RK8 scheme of rk8 taken as a product of per-step transfer
+matrices, built for all steps and (p, lambda) columns at once from f
+precomputed at the stage nodes.
 
 The extremal rank and the multiplicity-5 cluster at lambda = 2 come from
 each block's 2F - diag(k_j^2), certified to hold the ell = 1 Lame cluster,
@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import rk8
 from .special_functions import EllipticModulus, complete_E, complete_K
 from .surface_model import (
     SurfaceParams,
@@ -48,7 +49,6 @@ __all__ = [
     "CLUSTER",
     "Eigenvalue",
     "SpectralLine",
-    "MonotonicityReport",
     "ExtremalReport",
     "floquet",
     "branch_monotonicity",
@@ -108,57 +108,14 @@ BLOCKS = ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, 2.0), (Parity.OD
 CLUSTER = ((Parity.EVEN, -2.0), (Parity.ODD, -2.0), (Parity.EVEN, 2.0))
 
 
-# ---------------------------------------------------------------------------
-# Cooper-Verner eighth-order tableau (stage sums keep sqrt(21) exactly)
-# ---------------------------------------------------------------------------
-
-_S21 = math.sqrt(21.0)
-_CV_C = np.array([0.0, 0.5, 0.5, (7 + _S21) / 14, (7 + _S21) / 14, 0.5,
-                  (7 - _S21) / 14, (7 - _S21) / 14, 0.5, (7 + _S21) / 14, 1.0])
-_CV_A = [
-    [],
-    [(0, 0.5)],
-    [(0, 0.25), (1, 0.25)],
-    [(0, 1 / 7), (1, (-7 - 3 * _S21) / 98), (2, (21 + 5 * _S21) / 49)],
-    [(0, (11 + _S21) / 84), (2, (18 + 4 * _S21) / 63), (3, (21 - _S21) / 252)],
-    [(0, (5 + _S21) / 48), (2, (9 + _S21) / 36), (3, (-231 + 14 * _S21) / 360),
-     (4, (63 - 7 * _S21) / 80)],
-    [(0, (10 - _S21) / 42), (2, (-432 + 92 * _S21) / 315),
-     (3, (633 - 145 * _S21) / 90), (4, (-504 + 115 * _S21) / 70),
-     (5, (63 - 13 * _S21) / 35)],
-    [(0, 1 / 14), (4, (14 - 3 * _S21) / 126), (5, (13 - 3 * _S21) / 63), (6, 1 / 9)],
-    [(0, 1 / 32), (4, (91 - 21 * _S21) / 576), (5, 11 / 72),
-     (6, (-385 - 75 * _S21) / 1152), (7, (63 + 13 * _S21) / 128)],
-    [(0, 1 / 14), (4, 1 / 9), (5, (-733 - 147 * _S21) / 2205),
-     (6, (515 + 111 * _S21) / 504), (7, (-51 - 11 * _S21) / 56),
-     (8, (132 + 28 * _S21) / 245)],
-    [(4, (-42 + 7 * _S21) / 18), (5, (-18 + 28 * _S21) / 45),
-     (6, (-273 - 53 * _S21) / 72), (7, (301 + 53 * _S21) / 72),
-     (8, (28 - 28 * _S21) / 45), (9, (49 - 7 * _S21) / 18)],
-]
-_CV_B = [(0, 1 / 20), (7, 49 / 180), (8, 16 / 45), (9, 49 / 180), (10, 1 / 20)]
-
-
-def _steps_for(params: SurfaceParams, tol: float, y_end: float) -> int:
-    """Fixed step count giving global error below tol for the RK8 scheme.
-    The count grows with K(m/n), which the largest n whose m/n is below 1
-    as a double bounds: no admissible pair needs more than 1359 steps to b
-    at the Floquet tolerance, or 2148 to a/4 at the profile's tightest."""
-    n, m = params.n, params.m
-    omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
-    return max(int(math.ceil(1.5 * omega * y_end * tol ** (-1.0 / 8.0))), 96)
-
-
 def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
                n_steps: int) -> np.ndarray:
     """Fundamental pair of the Hill equation at y_end, started as z1 = 1,
     z1' = 0, z2 = 0, z2' = 1 at y_start, batched over columns.
 
-    The equation is linear, so one RK8 step is a 2x2 matrix per column,
-    S = I + h sum_i b_i K_i with K_i = A_i (I + h sum_j a_ij K_j) and
-    A_i = [[0, 1], [q_i, 0]], q_i = p^2 - lambda f at stage node i,
-    y_start + (step + c_i) h, f taken once at the nodes of all steps.  The
-    step matrices of all steps are built at once and multiplied pairwise,
+    The equation is z'' = q z with q = p^2 - lambda f, f taken once at the
+    stage nodes y_start + (step + c_i) h of all steps.  The RK8 step
+    matrices of all steps are built at once and multiplied pairwise,
     later @ earlier.  Columns go in blocks of at most _BLOCK / n_steps;
     each column's result does not depend on the others.
 
@@ -167,72 +124,15 @@ def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p2 = np.broadcast_to(np.asarray(p2, dtype=float), lam.shape)
     h = (y_end - y_start) / n_steps
-    nodes = y_start + (np.arange(n_steps)[:, None] + _CV_C[None, :]) * h
+    nodes = y_start + (np.arange(n_steps)[:, None] + rk8.C[None, :]) * h
     f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).T[:, :, None]
     width = max(1, _BLOCK // n_steps)
     out = np.empty((4, lam.shape[0]))
     for lo in range(0, lam.shape[0], width):
         cols = slice(lo, lo + width)
-        prod = _pairwise_product(_step_matrices(p2[cols] - lam[cols] * f, h))
+        prod = rk8.pairwise_product(rk8.step_matrices(p2[cols] - lam[cols] * f, h))
         out[:, cols] = prod[[0, 2, 1, 3], 0]
     return out
-
-
-def _identity(shape: tuple) -> np.ndarray:
-    """2x2 identities as (4, *shape) entry rows 00, 01, 10, 11."""
-    eye = np.zeros((4,) + shape)
-    eye[0] = eye[3] = 1.0
-    return eye
-
-
-def _step_matrices(q: np.ndarray, h: float) -> np.ndarray:
-    """RK8 step matrices (4, n_steps, B) from q (11, n_steps, B) at the nodes.
-
-    Stage i builds M_i = I + h sum_j a_ij K_j in place in k[i], its entries
-    in the order 10, 11, 00, 01: the first term, then the identity, then
-    each further term through one reused temporary, so every entry takes
-    the additions of I + sum_j in row order.  Scaling entries 00 and 01 by
-    q_i then leaves K_i = A_i M_i = [[M10, M11], [q_i M00, q_i M01]] in
-    k[i].  The step matrix I + h sum_i b_i K_i is summed alike."""
-    shape = q.shape[1:]
-    k = np.empty((11, 4) + shape)
-    tmp = np.empty((4,) + shape)
-    # k and tmp as pairs of entries (00, 01), (10, 11); swapped[j] holds
-    # K_j's entries in the order 10, 11, 00, 01, the order of M_i in k[i]
-    pairs, tmp_pairs = k.reshape((11, 2, 2) + shape), tmp.reshape((2, 2) + shape)
-    swapped = pairs[:, ::-1]
-    for i, row in enumerate(_CV_A):
-        m = k[i]
-        if row:
-            np.multiply(swapped[row[0][0]], h * row[0][1], out=pairs[i])
-        else:
-            m.fill(0.0)
-        m[1:3] += 1.0          # the identity: entries 11 and 00
-        for j, a in row[1:]:
-            np.multiply(swapped[j], h * a, out=tmp_pairs)
-            m += tmp
-        m[2:] *= q[i]          # q_i M00, q_i M01
-    (i, w), *rest = _CV_B
-    s = np.multiply(k[i], h * w)
-    s[::3] += 1.0              # entries 00 and 11
-    for i, w in rest:
-        s += np.multiply(k[i], h * w, out=tmp)
-    return s
-
-
-def _pairwise_product(s: np.ndarray) -> np.ndarray:
-    """Product s[:, -1] @ ... @ s[:, 0] of 2x2 matrices (4, n, B), as (4, 1, B).
-
-    Neighbours multiply level by level; an odd level gets an identity last.
-    """
-    while s.shape[1] > 1:
-        if s.shape[1] % 2:
-            s = np.concatenate([s, _identity((1,) + s.shape[2:])], axis=1)
-        e00, e01, e10, e11 = s[:, 0::2]
-        o00, o01, o10, o11 = s[:, 1::2]
-        s = np.stack([o00 * e00 + o01 * e10, o00 * e01 + o01 * e11,
-                      o10 * e00 + o11 * e10, o10 * e01 + o11 * e11])
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +155,6 @@ class SpectralLine:
 
     p: float
     eigenvalues: tuple[Eigenvalue, ...]
-
-    def gamma(self, index: int) -> float:
-        return self.eigenvalues[index].gamma
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    p_grid: np.ndarray
-    gammas: np.ndarray
-    diffs: np.ndarray
-
-    @property
-    def strictly_increasing(self) -> bool:
-        return bool(np.all(self.diffs > 0.0))
-
-    @property
-    def min_diff(self) -> float:
-        return float(np.min(self.diffs))
 
 
 @dataclass(frozen=True)
@@ -318,7 +200,7 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
     if not all(end in (c, b) for end in ends):     # also false for a NaN
         raise ValueError(f"need y_end b/2 or b, or a tuple of them, b = {b!r}; "
                          f"got {y_end!r}")
-    p2, half = ps * ps, (_steps_for(params, DEFAULT_SOLVER_TOL, b) + 1) // 2
+    p2, half = ps * ps, (rk8.steps_for(params.n, params.m, DEFAULT_SOLVER_TOL, b) + 1) // 2
     pairs = {c: _propagate(params, p2, lams, 0.0, c, half)}
     if b in ends:
         x1, dx1, x2, dx2 = pairs[c]
@@ -469,22 +351,19 @@ def surface_lines(params: SurfaceParams) -> tuple[SpectralLine, ...]:
 # ---------------------------------------------------------------------------
 
 def branch_monotonicity(params: SurfaceParams, branch_index: int,
-                        p_grid: Sequence[float]) -> MonotonicityReport:
-    """gamma_{branch_index}(p) on a real p grid with consecutive differences.
+                        p_grid: Sequence[float]) -> np.ndarray:
+    """gamma_{branch_index}(p) on a real p grid, one entry per grid point.
 
     No production caller reads it: it stays because perfbench/trace.py
     times it (the hill_spectrum.monotonicity_s metrics), and goes when the
     benchmark is next revised."""
-    lines = _scan_lines(params, list(p_grid))
     gammas = []
-    for line in lines:
+    for line in _scan_lines(params, list(p_grid)):
         if branch_index >= len(line.eigenvalues):
             raise SpectrumMismatchError(
                 f"branch {branch_index} not found at p={line.p}")
-        gammas.append(line.gamma(branch_index))
-    gammas = np.array(gammas)
-    return MonotonicityReport(p_grid=np.asarray(p_grid, float), gammas=gammas,
-                              diffs=np.diff(gammas))
+        gammas.append(line.eigenvalues[branch_index].gamma)
+    return np.array(gammas)
 
 
 # ---------------------------------------------------------------------------

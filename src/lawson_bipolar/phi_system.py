@@ -11,7 +11,7 @@ orbit is also reversible about y = a/4 = K/n (phi0 odd, phi1 and phi2
 even there), so the fundamental quarter [0, a/4] fixes the whole period.
 Three evaluation routes are provided: direct fixed-step RK8 integration
 over the quarter in Python floats, each step a loop over the rows of the
-Cooper-Verner tableau, the theta closed form (authoritative; needs
+Cooper-Verner tableau of rk8, the theta closed form (authoritative; needs
 only Jacobi functions), and the Weierstrass closed form (magnitudes
 only).  Two first integrals E1, E2 are evaluated for drift checks.
 """
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hill_spectrum import _CV_A, _CV_B, _steps_for
+from . import rk8
 from .special_functions import (
     PoleProximityError,
     WeierstrassInvariants,
@@ -47,9 +47,6 @@ __all__ = [
     "first_integrals",
     "odesystem_rhs",
 ]
-
-DEFAULT_TOL = 1e-10
-DEFAULT_POINTS = 2048
 
 #: the reversors of the profile orbit, as sign flips of (phi0, phi1, phi2,
 #: phi0', phi1', phi2'): x(-y) = REVERSE_AT_0 x(y) (phi1 odd, phi0 and phi2
@@ -74,7 +71,6 @@ class PhiProfile:
     diagnostics.
     """
 
-    params: SurfaceParams
     grid: np.ndarray
     states: np.ndarray
     end_state: np.ndarray
@@ -108,13 +104,13 @@ def odesystem_rhs(state, params: SurfaceParams) -> tuple:
 def _rk8_step(params: SurfaceParams, h: float):
     """The Cooper-Verner RK8 step of the profile system at step size h:
     step(x0, ..., x5) gives the six floats sum_i (h b_i) k_i for the
-    state x.  It loops over the h-scaled rows of _CV_A and _CV_B; each
+    state x.  It loops over the h-scaled rows of rk8.A and rk8.B; each
     stage sum adds its terms in row order and each slope is odesystem_rhs
     spelt out, so the step is the stage loop over the tableau bit for
     bit."""
     m2, n2 = float(params.m * params.m), float(params.n * params.n)
-    stages = [[(j, h * c) for j, c in row] for row in _CV_A]
-    weights = [(j, h * c) for j, c in _CV_B]
+    stages = [[(j, h * c) for j, c in row] for row in rk8.A]
+    weights = [(j, h * c) for j, c in rk8.B]
 
     def step(x0, x1, x2, x3, x4, x5):
         k = []
@@ -154,7 +150,7 @@ def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
     x = np.asarray(state0, float)
     if x.shape != (6,) or not np.all(np.isfinite(x)):
         raise ValueError(f"need state0 of six finite floats; got {state0!r}")
-    steps = _steps_for(params, tol, span)
+    steps = rk8.steps_for(params.n, params.m, tol, span)
     n_points = steps if n_points is None else n_points
     per = -(-steps // n_points)
     step = _rk8_step(params, span / (n_points * per))
@@ -175,8 +171,8 @@ def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
     return grid, np.array(states), np.array((x0, x1, x2, x3, x4, x5)), n_points * per
 
 
-def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
-                     n_points: int | None = DEFAULT_POINTS) -> PhiProfile:
+def integrate_system(params: SurfaceParams, tol: float,
+                     n_points: int | None) -> PhiProfile:
     """Fixed-step RK8 integration of the profile system over the
     fundamental quarter [0, a/4], on n_points grid points, or on every
     step end when n_points is None.  The step count is that at tol over
@@ -194,7 +190,7 @@ def integrate_system(params: SurfaceParams, tol: float = DEFAULT_TOL,
     """
     grid, states, end_state, steps = _integrate(
         params, initial_state(params), tol, n_points, period_a(params) / 4.0)
-    profile = PhiProfile(params=params, grid=grid, states=states, end_state=end_state)
+    profile = PhiProfile(grid=grid, states=states, end_state=end_state)
     resid = profile.reversal_residual()
     bound = 10.0 * tol * math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
     if resid > bound:

@@ -98,10 +98,10 @@ def test_criterion_03_named_anchors():
         params = params_from_nm(*nm)
         lines = {int(l.p): l for l in hs.surface_lines(params)}
         worst = max(worst,
-                    abs(lines[0].gamma(0)),
-                    abs(lines[params.n].gamma(0) - 2.0),
-                    abs(lines[params.m].gamma(1) - 2.0),
-                    abs(lines[0].gamma(2) - 2.0))
+                    abs(lines[0].eigenvalues[0].gamma),
+                    abs(lines[params.n].eigenvalues[0].gamma - 2.0),
+                    abs(lines[params.m].eigenvalues[1].gamma - 2.0),
+                    abs(lines[0].eigenvalues[2].gamma - 2.0))
     ok = worst < 1e-7
     _report(3, ok, f"gamma anchors for (n,m) in {ANCHOR_NM}, "
                    f"worst residual {worst:.2e} < 1e-7")
@@ -185,13 +185,10 @@ def test_criterion_09_monotonicity():
     min_slope = math.inf
     for nm in ANCHOR_NM:
         params = params_from_nm(*nm)
-        g0 = hs.branch_monotonicity(params, 0, np.arange(0.5, params.n + 1e-9, 0.25))
-        grids_ok = g0.strictly_increasing
-        min_slope = min(min_slope, g0.min_diff)
-        g1 = hs.branch_monotonicity(params, 1, np.arange(0.0, params.m + 1e-9, 0.25))
-        grids_ok = grids_ok and g1.strictly_increasing
-        min_slope = min(min_slope, g1.min_diff)
-        assert grids_ok, nm
+        d0 = np.diff(hs.branch_monotonicity(params, 0, np.arange(0.5, params.n + 1e-9, 0.25)))
+        d1 = np.diff(hs.branch_monotonicity(params, 1, np.arange(0.0, params.m + 1e-9, 0.25)))
+        min_slope = min(min_slope, d0.min(), d1.min())
+        assert np.all(d0 > 0.0) and np.all(d1 > 0.0), nm
     ok = min_slope > 0.0
     _report(9, ok, f"gamma_0, gamma_1 strictly increasing on real p-grids "
                    f"for {ANCHOR_NM}, min step {min_slope:.2e}")

@@ -868,7 +868,7 @@ def test_layer_probe_call_forms():
     assert integrate_system(params, tol=1e-13, n_points=1024).states.shape == (1024, 6)
     for width in (1, 8, 32):
         grid = np.linspace(0.5, params.n - 0.5, width)
-        assert hs.branch_monotonicity(params, 0, grid).gammas.shape == (width,)
+        assert hs.branch_monotonicity(params, 0, grid).shape == (width,)
     residuals = hs.extremal_rank(8, 1).residuals
     anchors = [v for key, v in residuals.items() if key.startswith("anchor")]
     assert len(anchors) == 4 and max(anchors) < 1e-7
@@ -996,12 +996,6 @@ def test_full_report_calls_each_check_by_its_module_name(monkeypatch):
 #: the private names one module reads from a sibling, with the reason each
 #: read stays; any other read of a sibling's "_" name fails the test below
 ALLOWED_PRIVATE_READS = {
-    ("phi_system", "hill_spectrum", "_CV_A"):
-        "the profile ODE and the Floquet oracle run one RK8 tableau",
-    ("phi_system", "hill_spectrum", "_CV_B"):
-        "the profile ODE and the Floquet oracle run one RK8 tableau",
-    ("phi_system", "hill_spectrum", "_steps_for"):
-        "both RK8 integrators take their step count from one rule",
     ("surface_model", "special_functions", "_ellip_f_array"):
         "z(v) is F(v, kh)/(n+m), and F has no public use of its own",
     ("surface_model", "special_functions", "_finite"):
@@ -1047,6 +1041,40 @@ def _private_reads() -> set:
 
 def test_cross_module_private_reads_are_listed():
     assert _private_reads() == set(ALLOWED_PRIVATE_READS)
+
+
+#: the modules of the package, lowest first: each imports only modules
+#: below it, so rk8, the integrators' scheme, imports none
+LAYER_ORDER = ("rk8", "special_functions", "surface_model", "phi_system",
+               "hill_spectrum", "verification", "cli")
+
+
+def _sibling_imports() -> set:
+    """(importer, imported) for every import, at any depth, of one module
+    of the package by another."""
+    package = SRC / "lawson_bipolar"
+    siblings = {path.stem for path in package.glob("*.py")}
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("lawson_bipolar").lstrip(".")
+                names = [module] if module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.removeprefix("lawson_bipolar.") for alias in node.names]
+            else:
+                continue
+            found |= {(path.stem, name) for name in names if name in siblings}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    # the package's __init__ re-exports the layers and is none of them
+    rank = {name: i for i, name in enumerate(LAYER_ORDER)}
+    imports = {(a, b) for a, b in _sibling_imports() if a != "__init__"}
+    assert {(a, b) for a, b in imports if rank[b] >= rank[a]} == set()
+    modules = {path.stem for path in (SRC / "lawson_bipolar").glob("[!_]*.py")}
+    assert modules == set(LAYER_ORDER)
 
 
 #: every cache in the package, with the reason it stays; any other

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lawson_bipolar import phi_system
+from lawson_bipolar import phi_system, rk8
 from lawson_bipolar.phi_system import (
     REVERSE_AT_0,
     REVERSE_AT_QUARTER,
@@ -22,7 +22,6 @@ from lawson_bipolar.phi_system import (
     odesystem_rhs,
     weierstrass_tables_exact,
 )
-from lawson_bipolar.hill_spectrum import _CV_A, _CV_B, _steps_for
 from lawson_bipolar.phi_system import _rk8_step
 from lawson_bipolar.special_functions import complete_K, jacobi_am
 from lawson_bipolar.surface_model import (
@@ -51,14 +50,14 @@ def _stage_sum(s, row, k) -> tuple:
 def _reference_step(x, h, params) -> tuple:
     """The increment sum_i h b_i k_i of one Cooper-Verner step, by the
     stage loop over the tableau with k_i = odesystem_rhs(stage sum i)."""
-    *stages, weights = [[(j, h * c) for j, c in row] for row in _CV_A + [_CV_B]]
+    *stages, weights = [[(j, h * c) for j, c in row] for row in rk8.A + [rk8.B]]
     k = []
     for row in stages:
         k.append(odesystem_rhs(_stage_sum(x, row, k), params))
     return _stage_sum((0.0,) * 6, weights, k)
 
 
-def _full_period(params, state0, tol, n_points=phi_system.DEFAULT_POINTS):
+def _full_period(params, state0, tol, n_points=2048):
     """(grid, states, end_state): the profile's RK8 loop over one full
     period [0, a] from any initial 6-vector."""
     return phi_system._integrate(params, state0, tol, n_points, period_a(params))[:3]
@@ -69,7 +68,7 @@ def _reference_integrate(params, state0, tol, n_points):
     replaced: the state, its compensation and each step's increment as
     6-lists."""
     a = period_a(params)
-    steps = _steps_for(params, tol, a)
+    steps = rk8.steps_for(params.n, params.m, tol, a)
     n_points = steps if n_points is None else n_points
     per = -(-steps // n_points)
     step = _rk8_step(params, a / (n_points * per))
@@ -139,9 +138,9 @@ class TestIntegration:
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
-            integrate_system(P21, tol=1e-5)
+            integrate_system(P21, tol=1e-5, n_points=2048)
         with pytest.raises(ValueError):
-            integrate_system(P21, tol=1e-14)
+            integrate_system(P21, tol=1e-14, n_points=2048)
 
     def test_parity_through_the_period(self):
         # phi(-y) = phi(a - y): phi1 odd, phi0 and phi2 even
@@ -182,7 +181,7 @@ class TestIntegration:
         # it must give the stage loop's increment bit for bit
         p = derive_params(r, k)
         a = period_a(p)
-        h = a / (_steps_for(p, 1e-13, a) if steps == "tol" else steps)
+        h = a / (rk8.steps_for(p.n, p.m, 1e-13, a) if steps == "tol" else steps)
         step = _rk8_step(p, h)
         states = [*closed_form_theta(np.linspace(0.0, a, 7), p).tolist(),
                   [0.3, -0.2, 0.9, 1.5, -0.7, 2.0]]
@@ -374,7 +373,7 @@ class TestFirstIntegrals:
             assert e2 == pytest.approx(expected, rel=1e-13)
 
     def test_drift_along_trajectory(self):
-        profile = integrate_system(P21, tol=1e-10)
+        profile = integrate_system(P21, tol=1e-10, n_points=2048)
         e1, e2 = first_integrals(profile.states[::8], P21)
         assert np.max(np.abs(e1 - e1[0])) < 1e-8
         assert np.max(np.abs(e2 - e2[0])) < 1e-8

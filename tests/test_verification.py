@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import phi_system as ps
+from lawson_bipolar import rk8
 from lawson_bipolar import verification as vf
 from lawson_bipolar.phi_system import IntegrationFailureError, closed_form_theta
 from lawson_bipolar.special_functions import EllipticModulus, complete_E
@@ -231,7 +232,7 @@ class TestFloquetStructure:
         monkeypatch.setattr(hs, "floquet", forced)
         check = self._simplicity(params)
         assert not check.passed
-        assert check.context.startswith(f"gamma_0(1)={lines[1].gamma(0):.12g}: Even, Psi=+2")
+        assert check.context.startswith(f"gamma_0(1)={lines[1].eigenvalues[0].gamma:.12g}: Even, Psi=+2")
         assert check.context.endswith("partner z2/c 0.000e+00")
         assert ";" not in check.context
 
@@ -349,10 +350,10 @@ class TestFullReport:
 
     @staticmethod
     def _floquet_work(monkeypatch, run):
-        """[y_end, steps x columns passed to _step_matrices] per hs.floquet
+        """[y_end, steps x columns passed to rk8.step_matrices] per hs.floquet
         call made by run()."""
         work = []
-        floquet, step_matrices = hs.floquet, hs._step_matrices
+        floquet, step_matrices = hs.floquet, rk8.step_matrices
 
         def counted_floquet(p, lam, params, y_end=None):
             work.append([y_end, 0])
@@ -363,7 +364,7 @@ class TestFullReport:
             return step_matrices(q, h)
 
         monkeypatch.setattr(hs, "floquet", counted_floquet)
-        monkeypatch.setattr(hs, "_step_matrices", counted_steps)
+        monkeypatch.setattr(rk8, "step_matrices", counted_steps)
         run()
         return work
 
@@ -380,7 +381,7 @@ class TestFullReport:
         # its 839 located roots go over N/2 of them, to b/2 only
         params = derive_params(400, 1)
         b = period_a(params) / 2.0
-        half = (hs._steps_for(params, hs.DEFAULT_SOLVER_TOL, b) + 1) // 2
+        half = (rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b) + 1) // 2
         roots = sum(len(line.eigenvalues) for line in hs.surface_lines(params))
         assert (half, roots) == (130, 839)
         work = self._floquet_work(monkeypatch,
