@@ -12,8 +12,9 @@ discriminant of the fundamental pair over the half period.
 The eigenvalues come from the blocks alone.  The Floquet propagation is
 kept as an independent oracle for the verification battery: the
 fixed-step RK8 scheme of rk8 taken as a product of per-step transfer
-matrices, built for all steps and (p, lambda) columns at once from f
-precomputed at the stage nodes.
+matrices from f precomputed at the stage nodes, built and multiplied a
+tile of steps x (p, lambda) columns at a time, so its stage arrays stay
+under a megabyte whatever the steps and columns.
 
 The extremal rank and the multiplicity-5 cluster at lambda = 2 come from
 each block's 2F - diag(k_j^2), certified to hold the ell = 1 Lame cluster,
@@ -85,11 +86,11 @@ MIN_MODES = 6
 EIGENFUNCTION_SAMPLES = 2048
 #: a sample at most this fraction of the largest |sample| counts as a zero
 ZERO_SAMPLE_TOL = 1e-9
-#: steps x columns of one batch of the Floquet propagation (about 12 MB of
-#: stage arrays, whatever the number of columns)
-_BLOCK = 1 << 15
-#: matrix entries of one batched eigvalsh of the line scan (8 MB a stack)
-_SCAN_BLOCK = 1 << 20
+#: most steps x columns of one tile of the Floquet propagation (about
+#: 0.8 MB of stage arrays, whatever the number of steps and columns)
+_TILE = 1 << 11
+#: matrix entries of one batched eigvalsh of the line scan (1 MB a stack)
+_SCAN_BLOCK = 1 << 17
 
 
 class SpectrumMismatchError(RuntimeError):
@@ -115,9 +116,11 @@ def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
 
     The equation is z'' = q z with q = p^2 - lambda f, f taken once at the
     stage nodes y_start + (step + c_i) h of all steps.  The RK8 step
-    matrices of all steps are built at once and multiplied pairwise,
-    later @ earlier.  Columns go in blocks of at most _BLOCK / n_steps;
-    each column's result does not depend on the others.
+    matrices are multiplied pairwise, later @ earlier, by
+    rk8.tiled_product: columns go in blocks of at most _TILE / 16, and
+    the steps of a block in tiles of the largest power of two that keeps
+    a tile within _TILE steps x columns, each built and reduced before
+    the next.  Each column's result does not depend on the others.
 
     Returns shape (4, B): rows z1, z1', z2, z2'.
     """
@@ -126,12 +129,17 @@ def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
     h = (y_end - y_start) / n_steps
     nodes = y_start + (np.arange(n_steps)[:, None] + rk8.C[None, :]) * h
     f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).T[:, :, None]
-    width = max(1, _BLOCK // n_steps)
-    out = np.empty((4, lam.shape[0]))
-    for lo in range(0, lam.shape[0], width):
-        cols = slice(lo, lo + width)
-        prod = rk8.pairwise_product(rk8.step_matrices(p2[cols] - lam[cols] * f, h))
-        out[:, cols] = prod[[0, 2, 1, 3], 0]
+    cols = lam.shape[0]
+    # blocks of at most _TILE / 16 columns, so that a tile spans 16 steps
+    # or more
+    width = min(cols, _TILE >> 4) or 1
+    tile = 1 << (_TILE // width).bit_length() - 1
+    out = np.empty((4, cols))
+    for lo in range(0, cols, width):
+        p2_block, lam_block = p2[lo:lo + width], lam[lo:lo + width]
+        prod = rk8.tiled_product(lambda steps: p2_block - lam_block * f[:, steps],
+                                 n_steps, h, tile)
+        out[:, lo:lo + width] = prod[[0, 2, 1, 3], 0]
     return out
 
 
@@ -518,7 +526,9 @@ def eigenfunction_samples(params: SurfaceParams, parity: Parity,
 
 def count_zeros(values: np.ndarray) -> int:
     """Zeros of a sampled function on one period (sign changes plus
-    isolated zero samples; a zero run and its sign flip count once).
+    isolated zero samples; a zero run and its sign flip count once).  The
+    last sample neighbours the first: a sign change between them counts,
+    and a zero run at both ends is one run.
     Raises ValueError for an empty or non-finite array."""
     values = np.asarray(values, float)
     if values.size == 0 or not np.all(np.isfinite(values)):
@@ -526,7 +536,8 @@ def count_zeros(values: np.ndarray) -> int:
     scale = float(np.max(np.abs(values)))
     sign = np.where(np.abs(values) <= ZERO_SAMPLE_TOL * scale, 0, np.sign(values))
     zero = sign == 0
-    runs = int(zero[0]) + np.count_nonzero(zero[1:] & ~zero[:-1])
-    flips = np.count_nonzero(sign[1:] * sign[:-1] < 0)
+    if zero.all():
+        return 1
+    runs = np.count_nonzero(zero & ~np.roll(zero, 1))
+    flips = np.count_nonzero(sign * np.roll(sign, 1) < 0)
     return int(runs + flips)
-

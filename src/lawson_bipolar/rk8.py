@@ -4,7 +4,8 @@ the profile system of phi_system and the Floquet oracle of
 hill_spectrum.
 
 It holds the tableau, the fixed step count both integrators take, and
-the batched step of a linear 2x2 system with the product of its steps.
+the batched step of a linear 2x2 system with the product of its steps,
+whole or tile by tile.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-__all__ = ["C", "A", "B", "steps_for", "step_matrices", "pairwise_product"]
+__all__ = ["C", "A", "B", "steps_for", "step_matrices", "pairwise_product",
+           "tiled_product"]
 
 # stage sums keep sqrt(21) exactly
 _S21 = math.sqrt(21.0)
@@ -94,18 +96,49 @@ def step_matrices(q: np.ndarray, h: float) -> np.ndarray:
     return s
 
 
+def _halve(s: np.ndarray) -> np.ndarray:
+    """One level of the product tree of (4, n, B): s[:, 2i+1] @ s[:, 2i],
+    an identity after the last of an odd n.  Entry (i, j) of a product is
+    o_i0 e_0j + o_i1 e_1j, all four entries in one broadcast."""
+    if s.shape[1] % 2:
+        eye = np.zeros((4, 1) + s.shape[2:])
+        eye[0] = eye[3] = 1.0
+        s = np.concatenate([s, eye], axis=1)
+    pairs = s.reshape((2, 2) + s.shape[1:])
+    e, o = pairs[:, :, 0::2], pairs[:, :, 1::2]
+    prod = o[:, 0, None] * e[0]
+    prod += o[:, 1, None] * e[1]
+    return prod.reshape((4,) + prod.shape[2:])
+
+
 def pairwise_product(s: np.ndarray) -> np.ndarray:
     """Product s[:, -1] @ ... @ s[:, 0] of 2x2 matrices (4, n, B), as (4, 1, B).
 
     Neighbours multiply level by level; an odd level gets an identity last.
     """
     while s.shape[1] > 1:
-        if s.shape[1] % 2:
-            eye = np.zeros((4, 1) + s.shape[2:])
-            eye[0] = eye[3] = 1.0
-            s = np.concatenate([s, eye], axis=1)
-        e00, e01, e10, e11 = s[:, 0::2]
-        o00, o01, o10, o11 = s[:, 1::2]
-        s = np.stack([o00 * e00 + o01 * e10, o00 * e01 + o01 * e11,
-                      o10 * e00 + o11 * e10, o10 * e01 + o11 * e11])
+        s = _halve(s)
     return s
+
+
+def tiled_product(q_at, n_steps: int, h: float, tile: int) -> np.ndarray:
+    """pairwise_product(step_matrices(q, h)), bit for bit, with no more than
+    tile steps of q (11, n_steps, B) and of its step matrices at a time;
+    q_at(steps), for a slice of steps, gives q[:, steps].
+
+    tile is a power of two, so tiles of it from step 0 are the subtrees of
+    pairwise_product's tree at level log2(tile).  Each tile is reduced by
+    that many levels as soon as it is built, the last, short one too: a
+    level where it is down to one matrix pads it with the identity, as
+    the whole tree would.  The tree then goes on over the tile products.
+    """
+    if n_steps <= tile:
+        return pairwise_product(step_matrices(q_at(slice(0, n_steps)), h))
+    levels = tile.bit_length() - 1
+    products = []
+    for lo in range(0, n_steps, tile):
+        s = step_matrices(q_at(slice(lo, lo + tile)), h)
+        for _ in range(levels):
+            s = _halve(s)
+        products.append(s)
+    return pairwise_product(np.concatenate(products, axis=1))

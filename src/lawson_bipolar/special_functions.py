@@ -247,32 +247,59 @@ def _ellip_f_array(phi, modulus: EllipticModulus):
     return s * rf + 2.0 * complete_K(modulus) * j
 
 
+def _newton(t: float, g2: float, g3: float) -> float:
+    """Four Newton steps on 4t^3 - g2 t - g3 from t; a step where the
+    slope 12 t^2 - g2 is 0 leaves t as it is."""
+    for _ in range(4):
+        slope = 12.0 * t * t - g2
+        if slope != 0.0:
+            t -= (4.0 * t ** 3 - g2 * t - g3) / slope
+    return t
+
+
 def _wp_reduction(g2: float, g3: float):
     """Root data for P(y; g2, g3) on the real axis.
 
-    Roots of 4t^3 - g2 t - g3 are polished with Newton steps.  Two
-    reductions apply: three real roots e1 >= e2 >= e3 (positive
+    Two reductions apply: three real roots e1 >= e2 >= e3 (positive
     discriminant) or a single real root with a complex pair (negative
     discriminant), told apart exactly: in floats g2^3 - 27 g3^2 cancels to
-    0 for the phi2 row at (n, m) = (65, 1).  Returns (case, params, period).
+    0 for the phi2 row at (n, m) = (65, 1).  The roots are closed forms of
+    the depressed cubic t^3 - (g2/4) t - g3/4, and every quantity that
+    cancels in floats comes from the exact discriminant instead.
+
+    Three real roots are 2 s cos((theta - 2 pi j)/3), s^2 = g2/12, with
+    cos(theta) = sqrt(27) g3 / g2^(3/2) and sin(theta)^2 = disc / g2^3,
+    so theta holds its relative precision where two roots nearly meet
+    (the phi2 row's lower two at (n, m) = (54, 1) are 2.1e-5 apart).
+    Four Newton steps polish the root e apart from the other two, and the
+    near pair is -e/2 +- gap/2, its gap 2 sqrt(3) s sin(theta/3) (or
+    sin(pi/3 - theta/3)) from theta: Newton's steps on two near roots
+    would only add the cubic's rounding to them.  The single real root is
+    Cardano's u + g2 / (12 u), u^3 = g3/8 + sign(g3) sqrt(-disc / 1728),
+    polished by four Newton steps.
+    Returns (case, params, period).
     """
     disc = Fraction(g2) ** 3 - 27 * Fraction(g3) ** 2
     if disc == 0:
         raise DomainError("degenerate invariants: discriminant is zero")
-    roots = np.roots([4.0, 0.0, -g2, -g3])
-    for _ in range(4):
-        # np.roots may return two near roots as one float, where the slope
-        # is 0 (the phi2 row at (n, m) = (54, 1)): that root stays as it is
-        slope = 12.0 * roots ** 2 - g2
-        roots = roots - np.divide(4.0 * roots ** 3 - g2 * roots - g3, slope,
-                                  out=np.zeros_like(roots), where=slope != 0)
     if disc > 0:
-        e1, e2, e3 = np.sort(roots.real)[::-1]
+        s = math.sqrt(g2 / 12.0)
+        third = math.atan2(math.sqrt(float(disc / Fraction(g2) ** 3)),
+                           math.sqrt(27.0) * g3 / g2 ** 1.5) / 3.0
+        if g3 >= 0.0:
+            e1 = _newton(2.0 * s * math.cos(third), g2, g3)
+            gap = 2.0 * math.sqrt(3.0) * s * math.sin(third)
+            e2, e3 = 0.5 * (gap - e1), -0.5 * (gap + e1)
+        else:
+            e3 = _newton(2.0 * s * math.cos(third + 2.0 * math.pi / 3.0), g2, g3)
+            gap = 2.0 * math.sqrt(3.0) * s * math.sin(math.pi / 3.0 - third)
+            e1, e2 = 0.5 * (gap - e3), -0.5 * (gap + e3)
         scale = math.sqrt(e1 - e3)
         mod = EllipticModulus.from_k(math.sqrt((e2 - e3) / (e1 - e3)))
         period = 2.0 * complete_K(mod) / scale
         return "real_roots", (e1, e2, e3, scale, mod), period
-    e = float(roots[np.argmin(np.abs(roots.imag))].real)
+    u = np.cbrt(g3 / 8.0 + math.copysign(math.sqrt(float(-disc / 1728)), g3))
+    e = _newton(float(u + g2 / (12.0 * u)), g2, g3)
     big_a = math.sqrt(2.0 * e * e + g3 / (4.0 * e))
     mod = EllipticModulus.from_k(math.sqrt(0.5 - 3.0 * e / (4.0 * big_a)))
     scale = 2.0 * math.sqrt(big_a)

@@ -306,7 +306,8 @@ class TestSpectrumAndVerifyBytes:
     states and their reversor images over the period, and its chart
     residuals from the H1 modulus with the exact complement (n-m)/(n+m),
     its closed-form profile rows and bridging identities from one Jacobi
-    triple (sn, cn, dn)(K - n y).  The CSV
+    triple (sn, cn, dn)(K - n y), and its phi_weierstrass_vs_theta entry
+    from the closed-form roots of each row's cubic.  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
     series, each block of the modes that nome needs.  Each verify entry
@@ -327,13 +328,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "557d6b04e01ec3c1bb45a5dca7d96b1d9b37a2f4f734769f9fdb9f4d5a53020e"),
+         "1aee9399dea403448c6337de17d145730c3096c4294521b3c6a3f12da8e0e9ef"),
         (["verify", "--r", "3", "--k", "1"],
-         "2995d14d960b3cf42ca9804b4c32383e1bc2f2ca83fa25535093eeb40356e22d"),
+         "6012aa5f48a8c81c93922d797b7eda358706ecdf9ec2be5113452ba0f8a79bac"),
         (["verify", "--r", "5", "--k", "1"],
-         "0574b377ba6315ae069d71cebdf2a56a02da0ce921380d7301b3b1cdf421c757"),
+         "518ccc450131fe8c588dac0d0c47f9d715403c7b62a9869942b3c06e00d957e0"),
         (["verify", "--r", "7", "--k", "6"],
-         "9f6c0e029bc0db3926e6deafc344d44a17d1cee5dca12a5601a606fbfe0c0185"),
+         "3d4bb13ab212453f2b206a2b431095953a8af790b9e1448d576f08cc70eb0f7b"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -520,8 +521,7 @@ class TestExitCodes:
         assert "residual nan" in capsys.readouterr().err
 
     def test_near_double_weierstrass_root_passes(self, tmp_path):
-        # (n, m) = (54, 1): the phi2 row's cubic has two roots one float
-        # apart, and the Newton polish of its roots divided by a zero slope
+        # (n, m) = (54, 1): the phi2 row's cubic has two roots 2.1e-5 apart
         out = tmp_path / "verify.json"
         assert main(["verify", "--r", "55", "--k", "53", "--out", str(out)]) == 0
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}

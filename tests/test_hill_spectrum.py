@@ -137,6 +137,55 @@ def test_step_matrices_keep_their_bits(r, k, n_steps, cols):
                                   _step_matrices_reference(q, h))
 
 
+def _same_bits(got, want):
+    """Equal as IEEE doubles, the sign of a zero included."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(n_steps=st.one_of(st.integers(1, 300),
+                         st.sampled_from([2 ** e + d for e in range(9) for d in (-1, 0, 1)
+                                          if 1 <= 2 ** e + d <= 300])),
+       tile=st.sampled_from([2 ** e for e in range(9)]),
+       cols=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16))
+@example(n_steps=1, tile=1, cols=1, seed=0)
+@example(n_steps=300, tile=256, cols=2, seed=1)
+@example(n_steps=257, tile=256, cols=3, seed=2)
+@example(n_steps=129, tile=2, cols=1, seed=3)
+def test_tiled_product_is_the_pairwise_product(n_steps, tile, cols, seed):
+    # tiles of 1 to 256 steps over 1 to 300 steps, one tile or more, the
+    # last full or short, and a zero column q = 0
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-40.0, 10.0, (11, n_steps, cols))
+    q[:, :, 0] = 0.0
+    h = rng.uniform(0.005, 0.05)
+    got = rk8.tiled_product(lambda steps: q[:, steps], n_steps, h, tile)
+    _same_bits(got, rk8.pairwise_product(rk8.step_matrices(q, h)))
+
+
+_WIDTH = hs._TILE >> 4     # most columns of one block of _propagate
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(n_steps=st.sampled_from([1, 15, 16, 17, 49, 64, 78, 129, 256, 300]),
+       cols=st.sampled_from([1, 2, 6, 50, _WIDTH - 1, _WIDTH, _WIDTH + 1,
+                             2 * _WIDTH, 2 * _WIDTH + 1, 300]))
+def test_propagate_keeps_the_bits_of_one_product(n_steps, cols):
+    # column counts on both sides of the block width, which sets the tile:
+    # each column's pair is that of one product over all steps
+    b = period_a(P31) / 2.0
+    rng = np.random.default_rng(n_steps * 1000 + cols)
+    p2 = rng.uniform(0.0, float(P31.n), cols) ** 2
+    lam = rng.uniform(0.0, 3.0, cols)
+    h = b / n_steps
+    nodes = (np.arange(n_steps)[:, None] + rk8.C) * h
+    f = metric_f_array(nodes.ravel(), P31).reshape(n_steps, 11).T[:, :, None]
+    want = rk8.pairwise_product(rk8.step_matrices(p2 - lam * f, h))[[0, 2, 1, 3], 0]
+    _same_bits(hs._propagate(P31, p2, lam, 0.0, b, n_steps), want)
+
+
 class TestFloquetBasics:
     def test_zero_potential_zero_p(self):
         z1, _, z2, dz2 = floquet(0.0, 0.0, P21)
@@ -189,29 +238,33 @@ class TestFloquetBasics:
             assert abs(dz2b - z1b) < 1e-9
 
     def test_column_blocks_keep_each_column(self):
-        # 300 columns of 129 steps fill more than one block of the batch;
-        # every column keeps the bits it has when propagated alone
+        # 300 columns of 129 steps go in blocks of _TILE / 16 = 128, 128
+        # and 44 columns; every column keeps the bits it has when propagated
+        # alone
         b = period_a(P31) / 2.0
         rng = np.random.default_rng(79)
         p2 = rng.uniform(0.0, float(P31.n), 300) ** 2
         lam = rng.uniform(0.0, 3.0, 300)
-        assert 300 * 129 > hs._BLOCK
+        assert 2 * _WIDTH < 300 <= 3 * _WIDTH
         batch = hs._propagate(P31, p2, lam, 0.0, b, 129)
-        for i in (0, 1, 253, 254, 299):
+        for i in (0, 1, _WIDTH - 1, _WIDTH, 2 * _WIDTH - 1, 2 * _WIDTH, 299):
             alone = hs._propagate(P31, p2[i], lam[i], 0.0, b, 129)[:, 0]
             np.testing.assert_array_equal(batch[:, i], alone)
 
     def test_working_memory_is_bounded(self):
         # in one piece, 4096 steps x 64 columns would take about 92 MB of
-        # stage arrays
-        lam = np.linspace(0.0, 3.0, 64)
-        tracemalloc.start()
-        try:
-            hs._propagate(P21, 1.0, lam, 0.0, 1.0, 4096)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        # stage arrays; in tiles the 45056 values of f at the stage nodes
+        # take most of the peak.  At the 680 steps of the longest half
+        # period and 3000 columns the tiles stay near 0.6 MiB beyond f.
+        for n_steps, cols, bound in ((4096, 64, 5e6), (680, 3000, 2 ** 21)):
+            lam = np.linspace(0.0, 3.0, cols)
+            tracemalloc.start()
+            try:
+                hs._propagate(P21, 1.0, lam, 0.0, 1.0, n_steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (n_steps, cols, peak)
 
     def test_largest_step_counts(self):
         """No admissible pair has a larger K(m/n) than one whose m/n is the
@@ -970,6 +1023,14 @@ class TestEigenfunctions:
         assert count_zeros(np.cos(t) + 2.0) == 0
         assert count_zeros(np.sin(t)) == 2
 
+    def test_count_zeros_counts_the_sign_change_across_the_period(self):
+        # no sample falls on a zero: the one at y = 0 lies between the
+        # last sample and the first
+        t = (np.arange(2048) + 0.5) / 2048
+        assert count_zeros(np.sin(2 * math.pi * t)) == 2
+        assert count_zeros(np.cos(2 * math.pi * t)) == 2
+        assert count_zeros(np.sin(4 * math.pi * t)) == 4
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_p_rejected(self, bad):
         with pytest.raises(ValueError, match="finite p"):
@@ -1064,14 +1125,19 @@ class TestEigenfunctions:
 
 
 def _count_zeros_loop(values, rel_tol=1e-9):
-    """Sample-by-sample reference for count_zeros: a zero run counts once,
-    and a sign change counts only between adjacent nonzero samples."""
+    """Sample-by-sample reference for count_zeros on one period: a zero run
+    counts once, a sign change counts only between adjacent nonzero
+    samples, and the last sample is adjacent to the first.  The loop walks
+    the cycle from a nonzero sample back to it."""
     scale = float(np.max(np.abs(values)))
+    start = next((i for i, v in enumerate(values) if abs(v) > rel_tol * scale), None)
+    if start is None:
+        return 1
     zeros = 0
     last_sign = 0
     after_zero_run = False
     in_zero_run = False
-    for v in values:
+    for v in [*values[start:], *values[:start + 1]]:
         if abs(v) <= rel_tol * scale:
             if not in_zero_run:
                 zeros += 1
@@ -1093,8 +1159,11 @@ def _count_zeros_loop(values, rel_tol=1e-9):
 @example([0.0, 0.0, 0.0])
 @example([0.0, 1.0, -1.0, 0.0])
 @example([1.0, 0.0, 1e-12, -1.0, 1.0])
+@example([0.0, 1.0, -1.0, 1e-12])
+@example([-1.0, 2.0, 1.0])
 def test_count_zeros_matches_loop_reference(values):
     """Zero runs (1e-12 is below the relative threshold), zeros at either
-    end, all-zero arrays and sign flips right after a zero run."""
+    end and a zero run across both, all-zero arrays, sign flips right
+    after a zero run and between the last sample and the first."""
     arr = np.array(values)
     assert count_zeros(arr) == _count_zeros_loop(arr)

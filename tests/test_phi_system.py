@@ -331,9 +331,9 @@ class TestWeierstrassClosedForm:
     def test_magnitudes_where_float_discriminant_cancels(self, r, k):
         # the phi2 row's g2^3 - 27 g3^2 is 0.0 in floats at (n, m) = (65, 1)
         # and (87, 1); the exact discriminant of the invariants is not.  At
-        # (54, 1) np.roots gives the row's two lower roots, 2.1e-5 apart, as
-        # one float, where the Newton slope 12 e^2 - g2 is 0 (a RuntimeWarning
-        # fails the suite)
+        # (54, 1) the row's two lower roots are 2.1e-5 apart, where the
+        # Newton slope 12 e^2 - g2 is near 0 (a RuntimeWarning fails the
+        # suite)
         p = derive_params(r, k)
         ys = np.linspace(0.037, 0.963, 100) * period_a(p)
         mags = np.column_stack(closed_form_weierstrass(ys, p))
