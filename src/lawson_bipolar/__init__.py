@@ -11,7 +11,6 @@ from .special_functions import (
     DomainError,
     EllipticModulus,
     PoleProximityError,
-    WeierstrassInvariants,
     complete_E,
     complete_K,
     jacobi_am,

@@ -13,21 +13,21 @@ Three evaluation routes are provided: direct fixed-step RK8 integration
 over the quarter in Python floats, each step a loop over the rows of the
 Cooper-Verner tableau of rk8, the theta closed form (authoritative; needs
 only Jacobi functions), and the Weierstrass closed form (magnitudes
-only).  Two first integrals E1, E2 are evaluated for drift checks.
+only), its P read off the roots of each row's cubic, which are closed
+forms in (n, m).  Two first integrals E1, E2 are evaluated for drift
+checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import rk8
 from .special_functions import (
     PoleProximityError,
-    WeierstrassInvariants,
     complete_K,
     jacobi_sncndn,
     weierstrass_p,
@@ -235,21 +235,22 @@ def closed_form_theta(y, params: SurfaceParams) -> np.ndarray:
 # Weierstrass closed form
 # ---------------------------------------------------------------------------
 
-def weierstrass_tables_exact(n: int, m: int) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """The constant tables feeding the P-function closed forms, exactly:
-    row i of a holds the invariants (g2, g3) of the i-th profile
-    function, b the shifts in the denominators 2 P + b_i."""
-    n2, m2 = Fraction(n * n), Fraction(m * m)
-    a = [
-        [n2 * m2 + (m2 + n2) ** 2 / 12,
-         -n2 * m2 * (m2 + n2) / 6 + (m2 + n2) ** 3 / 216],
-        [m2 * (m2 - n2) + (2 * m2 - n2) ** 2 / 12,
-         m2 * (m2 - n2) * (2 * m2 - n2) / 6 - (2 * m2 - n2) ** 3 / 216],
-        [n2 * (n2 - m2) + (2 * n2 - m2) ** 2 / 12,
-         n2 * (n2 - m2) * (2 * n2 - m2) / 6 - (2 * n2 - m2) ** 3 / 216],
+def weierstrass_tables_exact(n: int, m: int) -> tuple[list[tuple], list[float]]:
+    """The constants of the P-function closed forms: row i holds the
+    roots (e1, e2, e3) of the i-th profile function's cubic, closed forms
+    in (n, m) (three real roots in rows 0 and 2, a real root and a
+    conjugate pair in row 1), and b the shifts in the denominators
+    2 P + b_i."""
+    n2, m2, s = n * n, m * m, math.sqrt(n * n - m * m)
+    pair = complex((2 * m2 - n2) / 12, 0.5 * m * s)
+    roots = [
+        ((n2 + m2) / 6, (6 * n * m - n2 - m2) / 12, -(6 * n * m + n2 + m2) / 12),
+        ((n2 - 2 * m2) / 6, pair, pair.conjugate()),
+        ((2 * n2 - m2) / 12 + 0.5 * n * s, (2 * n2 - m2) / 12 - 0.5 * n * s,
+         (m2 - 2 * n2) / 6),
     ]
     b = [(n2 - 5 * m2) / 6, (4 * m2 + n2) / 6, (4 * n2 - 5 * m2) / 6]
-    return a, b
+    return roots, b
 
 
 def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
@@ -261,13 +262,12 @@ def closed_form_weierstrass(y, params: SurfaceParams) -> tuple:
     does not fix the odd sign convention.
     """
     n, m = params.n, params.m
-    g, b = weierstrass_tables_exact(n, m)
+    roots, b = weierstrass_tables_exact(n, m)
     y = np.asarray(y, float)
     shift = complete_K(params.modulus) / n
     dens = []
     for i, arg in enumerate((y, y + shift, y)):
-        inv = WeierstrassInvariants(*map(float, g[i]))
-        den = 2.0 * weierstrass_p(arg, inv) + float(b[i])
+        den = 2.0 * weierstrass_p(arg, roots[i]) + b[i]
         gap = np.abs(np.ravel(den))
         worst = int(np.argmin(gap))
         if not gap[worst] > 1e-6:

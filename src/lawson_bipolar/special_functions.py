@@ -5,18 +5,18 @@ arithmetic-geometric mean, the Jacobi functions sn, cn, dn with a
 descending Landen transformation (Bulirsch's recursion) over the levels
 of that same AGM loop, which also gives their period, the incomplete
 integral F by Carlson's duplication for R_F, and the Weierstrass P
-function by reduction to Jacobi functions through the roots of the
-cubic 4t^3 - g2 t - g3.  Everything is plain double precision; accuracy
-is near machine epsilon away from poles.
+function by reduction to Jacobi functions read off the roots of its
+cubic 4t^3 - g2 t - g3, which the caller gives.  Everything is plain
+double precision; accuracy is near machine epsilon away from poles.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "DomainError",
     "PoleProximityError",
     "EllipticModulus",
-    "WeierstrassInvariants",
     "complete_K",
     "complete_E",
     "jacobi_sncndn",
@@ -79,18 +78,6 @@ class EllipticModulus:
             raise DomainError(f"modulus k={k!r} outside [0, 1]")
         # (1-k)(1+k) keeps k' accurate for k near 1
         return cls(k, math.sqrt((1.0 - k) * (1.0 + k)))
-
-
-@dataclass(frozen=True)
-class WeierstrassInvariants:
-    """Invariants (g2, g3) of the cubic 4t^3 - g2 t - g3."""
-
-    g2: float
-    g3: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
-            raise DomainError("invariants must be finite")
 
 
 def _agm(modulus: EllipticModulus) -> tuple[list, float]:
@@ -247,75 +234,50 @@ def _ellip_f_array(phi, modulus: EllipticModulus):
     return s * rf + 2.0 * complete_K(modulus) * j
 
 
-def _newton(t: float, g2: float, g3: float) -> float:
-    """Four Newton steps on 4t^3 - g2 t - g3 from t; a step where the
-    slope 12 t^2 - g2 is 0 leaves t as it is."""
-    for _ in range(4):
-        slope = 12.0 * t * t - g2
-        if slope != 0.0:
-            t -= (4.0 * t ** 3 - g2 * t - g3) / slope
-    return t
+def _wp_reduction(roots):
+    """Reduction of P to Jacobi functions (DLMF 23.6(ii)) read off the
+    roots (e1, e2, e3) of its cubic 4t^3 - g2 t - g3, which sum to 0.
 
-
-def _wp_reduction(g2: float, g3: float):
-    """Root data for P(y; g2, g3) on the real axis.
-
-    Two reductions apply: three real roots e1 >= e2 >= e3 (positive
-    discriminant) or a single real root with a complex pair (negative
-    discriminant), told apart exactly: in floats g2^3 - 27 g3^2 cancels to
-    0 for the phi2 row at (n, m) = (65, 1).  The roots are closed forms of
-    the depressed cubic t^3 - (g2/4) t - g3/4, and every quantity that
-    cancels in floats comes from the exact discriminant instead.
-
-    Three real roots are 2 s cos((theta - 2 pi j)/3), s^2 = g2/12, with
-    cos(theta) = sqrt(27) g3 / g2^(3/2) and sin(theta)^2 = disc / g2^3,
-    so theta holds its relative precision where two roots nearly meet
-    (the phi2 row's lower two at (n, m) = (54, 1) are 2.1e-5 apart).
-    Four Newton steps polish the root e apart from the other two, and the
-    near pair is -e/2 +- gap/2, its gap 2 sqrt(3) s sin(theta/3) (or
-    sin(pi/3 - theta/3)) from theta: Newton's steps on two near roots
-    would only add the cubic's rounding to them.  The single real root is
-    Cardano's u + g2 / (12 u), u^3 = g3/8 + sign(g3) sqrt(-disc / 1728),
-    polished by four Newton steps.
-    Returns (case, params, period).
+    Three distinct real roots e1 > e2 > e3 give P(y) = e3 + (e1 - e3) /
+    sn^2(y sqrt(e1 - e3)) at k^2 = (e2 - e3)/(e1 - e3), k'^2 = (e1 - e2) /
+    (e1 - e3).  A real e1 with a conjugate pair e2, e3 gives P(y) = e1 +
+    H (1 + cn)/(1 - cn) at 2 y sqrt(H), H = |e1 - e2|, k^2 = 1/2 -
+    3 e1/(4H), k'^2 = 1/2 + 3 e1/(4H).  Roots of any other shape, not
+    finite, or whose sum is above 1e-14 |e1 - e3|, raise DomainError.
+    Returns (three_real, base, coefficient, scale, modulus, period).
     """
-    disc = Fraction(g2) ** 3 - 27 * Fraction(g3) ** 2
-    if disc == 0:
-        raise DomainError("degenerate invariants: discriminant is zero")
-    if disc > 0:
-        s = math.sqrt(g2 / 12.0)
-        third = math.atan2(math.sqrt(float(disc / Fraction(g2) ** 3)),
-                           math.sqrt(27.0) * g3 / g2 ** 1.5) / 3.0
-        if g3 >= 0.0:
-            e1 = _newton(2.0 * s * math.cos(third), g2, g3)
-            gap = 2.0 * math.sqrt(3.0) * s * math.sin(third)
-            e2, e3 = 0.5 * (gap - e1), -0.5 * (gap + e1)
-        else:
-            e3 = _newton(2.0 * s * math.cos(third + 2.0 * math.pi / 3.0), g2, g3)
-            gap = 2.0 * math.sqrt(3.0) * s * math.sin(math.pi / 3.0 - third)
-            e1, e2 = 0.5 * (gap - e3), -0.5 * (gap + e3)
-        scale = math.sqrt(e1 - e3)
-        mod = EllipticModulus.from_k(math.sqrt((e2 - e3) / (e1 - e3)))
-        period = 2.0 * complete_K(mod) / scale
-        return "real_roots", (e1, e2, e3, scale, mod), period
-    u = np.cbrt(g3 / 8.0 + math.copysign(math.sqrt(float(-disc / 1728)), g3))
-    e = _newton(float(u + g2 / (12.0 * u)), g2, g3)
-    big_a = math.sqrt(2.0 * e * e + g3 / (4.0 * e))
-    mod = EllipticModulus.from_k(math.sqrt(0.5 - 3.0 * e / (4.0 * big_a)))
-    scale = 2.0 * math.sqrt(big_a)
-    period = 4.0 * complete_K(mod) / scale
-    return "one_real_root", (e, big_a, scale, mod), period
+    e1, e2, e3 = (complex(e) for e in roots)
+    if not (all(map(cmath.isfinite, (e1, e2, e3)))
+            and abs(e1 + e2 + e3) <= 1e-14 * abs(e1 - e3)):
+        raise DomainError(f"roots {roots!r} are not finite or do not sum to 0")
+    if e1.imag == e2.imag == e3.imag == 0.0 and e1.real > e2.real > e3.real:
+        d = e1.real - e3.real
+        mod = EllipticModulus(math.sqrt((e2.real - e3.real) / d),
+                              math.sqrt((e1.real - e2.real) / d))
+        scale = math.sqrt(d)
+        return True, e3.real, d, scale, mod, 2.0 * complete_K(mod) / scale
+    if e1.imag == 0.0 and e2.imag != 0.0 and e3 == e2.conjugate():
+        h = abs(e1 - e2)
+        t = 0.75 * e1.real / h
+        mod = EllipticModulus(math.sqrt(0.5 - t), math.sqrt(0.5 + t))
+        scale = 2.0 * math.sqrt(h)
+        return False, e1.real, h, scale, mod, 4.0 * complete_K(mod) / scale
+    raise DomainError(f"roots {roots!r} are neither three distinct reals e1 > e2 > e3 "
+                      "nor a real e1 and a conjugate pair e2, e3")
 
 
-def weierstrass_p(y, inv: WeierstrassInvariants):
-    """Weierstrass P at real y away from lattice points; y is a scalar
+def weierstrass_p(y, roots):
+    """Weierstrass P at real y away from lattice points, from the roots
+    (e1, e2, e3) of its cubic, summing to 0: three distinct reals
+    e1 > e2 > e3, or a real e1 and a conjugate pair e2, e3.  y is a scalar
     (giving a float) or an array (giving an array of its shape).
 
-    Raises DomainError for a non-finite y, and PoleProximityError naming
-    the worst point when any y is within POLE_THRESHOLD of a pole.
+    Raises DomainError for a non-finite y or roots of another shape, and
+    PoleProximityError naming the worst point when any y is within
+    POLE_THRESHOLD of a pole.
     """
     ys = _finite(y)
-    case, par, period = _wp_reduction(inv.g2, inv.g3)
+    three_real, base, c, scale, mod, period = _wp_reduction(roots)
     flat = ys.ravel()
     d = np.abs(flat) % period
     gap = np.minimum(d, period - d)
@@ -323,18 +285,14 @@ def weierstrass_p(y, inv: WeierstrassInvariants):
     if gap[worst] < POLE_THRESHOLD:
         raise PoleProximityError(
             f"y={float(flat[worst])!r} within {POLE_THRESHOLD} of a pole (period {period})")
-    mod: EllipticModulus
-    if case == "real_roots":
-        e1, e2, e3, scale, mod = par
-        sn, _, _ = jacobi_sncndn(ys * scale, mod)
-        out = e3 + (e1 - e3) / (sn * sn)
+    sn, cn, _ = jacobi_sncndn(ys * scale, mod)
+    if three_real:
+        out = base + c / (sn * sn)
     else:
-        e, big_a, scale, mod = par
-        sn, cn, _ = jacobi_sncndn(ys * scale, mod)
         # (1+cn)/(1-cn) in the form that avoids cancellation: near poles
         # (cn -> 1) divide by sn^2, near the minimum (cn -> -1) by (1-cn)^2
         near_pole = cn >= 0.0
         num = np.where(near_pole, (1.0 + cn) * (1.0 + cn), sn * sn)
         den = np.where(near_pole, sn * sn, (1.0 - cn) * (1.0 - cn))
-        out = e + big_a * num / den
+        out = base + c * num / den
     return float(out) if ys.ndim == 0 else out

@@ -307,7 +307,7 @@ class TestSpectrumAndVerifyBytes:
     residuals from the H1 modulus with the exact complement (n-m)/(n+m),
     its closed-form profile rows and bridging identities from one Jacobi
     triple (sn, cn, dn)(K - n y), and its phi_weierstrass_vs_theta entry
-    from the closed-form roots of each row's cubic.  The CSV
+    from P read off each row's roots, closed forms in (n, m).  The CSV
     digests were recorded from the JSON spectrum's fields written by
     csv.writer, and the blocks' Fourier coefficients of f from its nome
     series, each block of the modes that nome needs.  Each verify entry
@@ -328,13 +328,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "1aee9399dea403448c6337de17d145730c3096c4294521b3c6a3f12da8e0e9ef"),
+         "006899626e1570899c96aa5dfd98c43f7c691d4c7a9d995c81659c5667d7e643"),
         (["verify", "--r", "3", "--k", "1"],
-         "6012aa5f48a8c81c93922d797b7eda358706ecdf9ec2be5113452ba0f8a79bac"),
+         "9d67ec9f74b7788ec6af6da183662cf5597ce31252a299f83548d8194eda62c0"),
         (["verify", "--r", "5", "--k", "1"],
-         "518ccc450131fe8c588dac0d0c47f9d715403c7b62a9869942b3c06e00d957e0"),
+         "7892d8bd90463a18cecdf80d9f4dad7dc8e67b3f91b1ee941e73c7097ecb3a01"),
         (["verify", "--r", "7", "--k", "6"],
-         "3d4bb13ab212453f2b206a2b431095953a8af790b9e1448d576f08cc70eb0f7b"),
+         "013baf15f70001b3733c62c1b7f330c6f726e6fc2c5a6826eb855f4ccea04414"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):

@@ -84,6 +84,43 @@ def _reference_integrate(params, state0, tol, n_points):
     return states, x
 
 
+def _paper_tables(n, m):
+    """The invariants (g2, g3) of each profile row's cubic 4t^3 - g2 t - g3
+    and the shifts b of its denominator 2 P + b, as the paper prints them,
+    in exact rationals."""
+    n2, m2 = Fraction(n * n), Fraction(m * m)
+    invariants = [
+        (n2 * m2 + (m2 + n2) ** 2 / 12,
+         -n2 * m2 * (m2 + n2) / 6 + (m2 + n2) ** 3 / 216),
+        (m2 * (m2 - n2) + (2 * m2 - n2) ** 2 / 12,
+         m2 * (m2 - n2) * (2 * m2 - n2) / 6 - (2 * m2 - n2) ** 3 / 216),
+        (n2 * (n2 - m2) + (2 * n2 - m2) ** 2 / 12,
+         n2 * (n2 - m2) * (2 * n2 - m2) / 6 - (2 * n2 - m2) ** 3 / 216),
+    ]
+    return invariants, [(n2 - 5 * m2) / 6, (4 * m2 + n2) / 6, (4 * n2 - 5 * m2) / 6]
+
+
+def _symmetric_functions(roots):
+    """e1 + e2 + e3, e1 e2 + e1 e3 + e2 e3 and e1 e2 e3 of three float or
+    complex roots, exactly: each a (real, imaginary) pair of Fractions."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def add(*terms):
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    e1, e2, e3 = ((Fraction(complex(e).real), Fraction(complex(e).imag)) for e in roots)
+    return add(e1, e2, e3), add(mul(e1, e2), mul(e1, e3), mul(e2, e3)), mul(mul(e1, e2), e3)
+
+
+def _weierstrass_vs_theta(params):
+    """The largest gap between the Weierstrass magnitudes and those of the
+    theta closed form on verify's 100 points of the period."""
+    ys = np.linspace(0.037, 0.963, 100) * period_a(params)
+    mags = np.column_stack(closed_form_weierstrass(ys, params))
+    return np.max(np.abs(mags - np.abs(closed_form_theta(ys, params)[:, :3])))
+
+
 def _no_step(*args):
     raise AssertionError("integration started on rejected arguments")
 
@@ -311,11 +348,28 @@ class TestThetaClosedForm:
 
 class TestWeierstrassClosedForm:
     def test_exact_tables_for_2_1(self):
-        a, b = weierstrass_tables_exact(2, 1)
-        assert a[0][0] == Fraction(73, 12)
-        assert b[0] == Fraction(-1, 6)
-        assert b[1] == Fraction(8, 6)
-        assert b[2] == Fraction(11, 6)
+        roots, b = weierstrass_tables_exact(2, 1)
+        pair = complex(-1 / 6, math.sqrt(3.0) / 2)
+        assert roots == [(5 / 6, 7 / 12, -17 / 12), (1 / 3, pair, pair.conjugate()),
+                         (7 / 12 + math.sqrt(3.0), 7 / 12 - math.sqrt(3.0), -7 / 6)]
+        assert b == [-1 / 6, 8 / 6, 11 / 6]
+
+    def test_roots_are_the_papers_roots(self):
+        # the roots' symmetric functions give the paper's invariants within
+        # 4 ulps of n^4 and n^6 (at most 2.9 and 0.9 over these pairs), the
+        # roots sum to 0 within 4 ulps of n^2, and b is the paper's, rounded
+        for r, k in admissible_pairs(60):
+            p = derive_params(r, k)
+            n, m = p.n, p.m
+            roots, b = weierstrass_tables_exact(n, m)
+            invariants, shifts = _paper_tables(n, m)
+            assert b == [float(x) for x in shifts], (r, k)
+            for i, (row, (g2, g3)) in enumerate(zip(roots, invariants)):
+                s1, s2, s3 = _symmetric_functions(row)
+                assert s1[1] == s2[1] == s3[1] == 0, (r, k, i)
+                assert abs(s1[0]) <= 4 * math.ulp(n * n), (r, k, i)
+                assert abs(-4 * s2[0] - g2) <= 4 * math.ulp(n ** 4), (r, k, i)
+                assert abs(4 * s3[0] - g3) <= 4 * math.ulp(n ** 6), (r, k, i)
 
     def test_magnitudes_match_theta_form(self):
         a = period_a(P21)
@@ -327,18 +381,20 @@ class TestWeierstrassClosedForm:
             assert abs(mags[1] - abs(ref[1])) < 1e-6
             assert abs(mags[2] - abs(ref[2])) < 1e-6
 
-    @pytest.mark.parametrize("r,k", [(33, 32), (44, 43), (55, 53)])
+    @pytest.mark.parametrize("r,k", [(33, 32), (44, 43), (55, 53), (31, 30), (50, 49)])
     def test_magnitudes_where_float_discriminant_cancels(self, r, k):
-        # the phi2 row's g2^3 - 27 g3^2 is 0.0 in floats at (n, m) = (65, 1)
-        # and (87, 1); the exact discriminant of the invariants is not.  At
-        # (54, 1) the row's two lower roots are 2.1e-5 apart, where the
-        # Newton slope 12 e^2 - g2 is near 0 (a RuntimeWarning fails the
-        # suite)
-        p = derive_params(r, k)
-        ys = np.linspace(0.037, 0.963, 100) * period_a(p)
-        mags = np.column_stack(closed_form_weierstrass(ys, p))
-        ref = np.abs(closed_form_theta(ys, p)[:, :3])
-        assert np.max(np.abs(mags - ref)) < 1e-12
+        # (n, m) = (65, 1), (87, 1), (54, 1), (61, 1) and (99, 1): the phi2
+        # row's lower two roots are 6.4e-6 to 2.1e-5 apart, so rounding its
+        # invariants to floats moves the cubic's discriminant past its size
+        # (g2^3 - 27 g3^2 is 0.0 in floats at three of them, and the rounded
+        # invariants have one real root at all but (54, 1)); the closed-form
+        # roots keep the pair apart
+        assert _weierstrass_vs_theta(derive_params(r, k)) < 1e-12
+
+    @pytest.mark.parametrize("r,k", [(100, 1), (400, 1), (800, 1), (2000, 1)])
+    def test_magnitudes_at_large_n(self, r, k):
+        # (n, m) = (101, 99) to (2001, 1999)
+        assert _weierstrass_vs_theta(derive_params(r, k)) < 1e-9
 
     def test_initial_value_recovered_near_origin(self):
         got = closed_form_weierstrass(1e-4, P21)[0]
@@ -348,9 +404,9 @@ class TestWeierstrassClosedForm:
         from lawson_bipolar import phi_system
         from lawson_bipolar.special_functions import PoleProximityError
 
-        b1 = float(weierstrass_tables_exact(2, 1)[1][0])
+        b1 = weierstrass_tables_exact(2, 1)[1][0]
         monkeypatch.setattr(phi_system, "weierstrass_p",
-                            lambda y, inv: -0.5 * b1 + 1e-9)
+                            lambda y, roots: -0.5 * b1 + 1e-9)
         with pytest.raises(PoleProximityError, match=r"2P\+b_1 too close to zero"):
             closed_form_weierstrass(0.3, P21)
 

@@ -16,7 +16,6 @@ from lawson_bipolar.special_functions import (
     DomainError,
     EllipticModulus,
     PoleProximityError,
-    WeierstrassInvariants,
     complete_E,
     complete_K,
     jacobi_am,
@@ -57,13 +56,22 @@ def _reference_E(modulus):
     return math.pi / (2.0 * a) * (1.0 - s)
 
 
-# (g2, g3) rows of the (n, m) = (2, 1) profile tables: covers both
-# discriminant signs and a near-degenerate positive case
+# each case, inv in the tests, fixes (g2, g3) by its roots: the (n, m) =
+# (2, 1) profile rows (three real roots, a real root with a conjugate
+# pair, three real roots of which the lower two are 1.9e-2 apart), then
+# (g2, g3) = (-4, 0), whose real root is 0
 WP_CASES = [
-    WeierstrassInvariants(73 / 12, -10 / 3 + 125 / 216),
-    WeierstrassInvariants(-8 / 3, 1 + 1 / 27),
-    WeierstrassInvariants(193 / 12, 14 - 343 / 216),
+    (5 / 6, 7 / 12, -17 / 12),
+    (1 / 3, complex(-1 / 6, math.sqrt(3.0) / 2), complex(-1 / 6, -math.sqrt(3.0) / 2)),
+    (7 / 12 + math.sqrt(3.0), 7 / 12 - math.sqrt(3.0), -7 / 6),
+    (0.0, 1j, -1j),
 ]
+
+
+def _invariants(roots):
+    """(g2, g3) = (-4 (e1 e2 + e1 e3 + e2 e3), 4 e1 e2 e3), as floats."""
+    e1, e2, e3 = roots
+    return (-4.0 * (e1 * e2 + e1 * e3 + e2 * e3)).real, (4.0 * e1 * e2 * e3).real
 
 
 class TestModulus:
@@ -384,8 +392,9 @@ def test_jacobi_functions_at_a_vanishing_complement(kp):
 
 
 def _real_period(inv):
-    """Real lattice period of P(y; g2, g3); poles sit at its multiples."""
-    return _wp_reduction(inv.g2, inv.g3)[2]
+    """Real lattice period of P with the roots inv; poles sit at its
+    multiples."""
+    return _wp_reduction(inv)[-1]
 
 
 def _wp_band_points(inv, rng, count):
@@ -405,12 +414,13 @@ class TestWeierstrass:
     def test_defining_ode_by_finite_differences(self, inv):
         rng = np.random.default_rng(17)
         h = 3e-4
+        g2, g3 = _invariants(inv)
         for y in _wp_band_points(inv, rng, 100):
             f = lambda t: weierstrass_p(t, inv)
             dp = (-f(y - 3 * h) + 9 * f(y - 2 * h) - 45 * f(y - h)
                   + 45 * f(y + h) - 9 * f(y + 2 * h) + f(y + 3 * h)) / (60 * h)
             p = f(y)
-            assert abs(dp * dp - (4 * p ** 3 - inv.g2 * p - inv.g3)) < 1e-8
+            assert abs(dp * dp - (4 * p ** 3 - g2 * p - g3)) < 1e-8
 
     @pytest.mark.parametrize("inv", WP_CASES)
     def test_evenness(self, inv):
@@ -447,8 +457,22 @@ class TestWeierstrass:
             weierstrass_p(np.array([0.3, bad]), WP_CASES[1])
 
     def test_degenerate_invariants_rejected(self):
+        # repeated roots: (g2, g3) = (3, 1) and (12, -8), discriminant 0
+        for roots in ((1.0, -0.5, -0.5), (1.0, 1.0, -2.0)):
+            with pytest.raises(DomainError, match="neither three distinct reals"):
+                weierstrass_p(0.5, roots)
+
+    @pytest.mark.parametrize("roots", [
+        (-17 / 12, 7 / 12, 5 / 6),
+        (5 / 6, -17 / 12, 7 / 12),
+        (WP_CASES[1][1], WP_CASES[1][0], WP_CASES[1][2]),
+        (1 / 3, complex(-1 / 6, 0.8), complex(-1 / 6, 0.9)),
+        (1.0, 0.5, -2.0),
+        (1.0, 0.0, math.nan),
+    ], ids=["ascending", "unordered", "pair-first", "not-conjugate", "nonzero-sum", "nan"])
+    def test_roots_of_another_shape_rejected(self, roots):
         with pytest.raises(DomainError):
-            weierstrass_p(0.5, WeierstrassInvariants(3.0, 1.0))  # disc = 0
+            weierstrass_p(0.5, roots)
 
 
 class TestWeierstrassAgainstProfile:

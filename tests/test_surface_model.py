@@ -28,7 +28,6 @@ from lawson_bipolar.phi_system import (
 from lawson_bipolar.special_functions import (
     DomainError,
     PoleProximityError,
-    WeierstrassInvariants,
     complete_E,
     complete_K,
     jacobi_am,
@@ -688,8 +687,8 @@ def test_array_chart_maps(pair, points):
 
     # P and the profile closed form at the points where the one-point call
     # is defined (away from lattice poles)
-    inv = WeierstrassInvariants(*map(float, weierstrass_tables_exact(params.n, params.m)[0][0]))
-    for fn in (lambda y: weierstrass_p(y, inv), lambda y: closed_form_weierstrass(y, params)):
+    roots = weierstrass_tables_exact(params.n, params.m)[0][0]
+    for fn in (lambda y: weierstrass_p(y, roots), lambda y: closed_form_weierstrass(y, params)):
         defined, values = [], []
         for y in v.tolist():
             try:
