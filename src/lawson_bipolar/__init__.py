@@ -30,7 +30,6 @@ from .surface_model import (
     period_a,
 )
 from .phi_system import (
-    IntegrationFailureError,
     PhiProfile,
     closed_form_theta,
     closed_form_weierstrass,

@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from . import hill_spectrum as hs
 from . import surface_model as sm
 from . import verification as vf
-from .phi_system import IntegrationFailureError
 from .special_functions import DomainError, PoleProximityError
 from .surface_model import InvalidParametersError, Topology
 
@@ -88,7 +87,6 @@ def _cmd_rank(args: _Args) -> int:
     report = hs.extremal_rank(args.r, args.k)
     p = report.params
     formula = hs.RANK_FORMULAS[p.parity_class][0]
-    print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[p.topology]}, {formula}")
     if args.out:
         doc = {"params": {"r": p.r, "k": p.k, "n": p.n, "m": p.m},
                "topology": p.topology.value, "parity_class": p.parity_class.value,
@@ -97,6 +95,7 @@ def _cmd_rank(args: _Args) -> int:
                "lambda_functional": report.lambda_functional,
                "residuals": report.residuals}
         _emit(args, _json17(doc) + "\n")
+    print(f"i={report.rank_i}, {_TOPOLOGY_WORDS[p.topology]}, {formula}")
     return 0
 
 
@@ -137,21 +136,19 @@ def _cmd_spectrum(args: _Args) -> int:
 def _cmd_immerse(args: _Args) -> int:
     """Compute the mesh and write it in one pass, each block of rows as it
     is computed, so no array or string holds the whole mesh.  A failure
-    removes the --out file the command created."""
+    removes the --out file, so no partial mesh is left behind."""
     params = sm.derive_params(args.r, args.k)
     blocks = sm.immersion_blocks(params, args.grid, args.grid)
     writer = sm.write_immersion_csv if args.fmt == "csv" else sm.write_immersion_json
     if not args.out:
         writer(sys.stdout, params, blocks)
         return 0
-    created = not os.path.exists(args.out)
     fh = open(args.out, "w")
     try:
         with fh:
             writer(fh, params, blocks)
     except BaseException:
-        if created:
-            os.remove(args.out)
+        os.remove(args.out)
         raise
     return 0
 
@@ -163,8 +160,7 @@ def _cmd_area(args: _Args) -> int:
     print(f"area_quadrature={_fmt17(quad)}")
     print(f"area_closed_form={_fmt17(closed)}")
     print(f"Lambda_{report.rank_i}={_fmt17(report.lambda_functional)}")
-    check = vf.CheckResult("area_identity", abs(quad - closed) / closed, vf.AREA_BOUND,
-                           f"quadrature {quad!r}, closed {closed!r}")
+    check = vf._area_identity(quad, closed)
     if not check.passed:
         print(f"FAILED: {check}", file=sys.stderr)
     return 0 if check.passed else 2
@@ -399,8 +395,8 @@ def main(argv=None) -> int:
     except InvalidParametersError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
-    except (hs.SpectrumMismatchError, IntegrationFailureError, PoleProximityError,
-            DomainError, sm.ExcludedDirectionError) as exc:
+    except (hs.SpectrumMismatchError, PoleProximityError, DomainError,
+            sm.ExcludedDirectionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -48,7 +48,7 @@ def _full_period(params, tol: float, n_points: int):
     """(grid, states, end_state) of the profile's RK8 loop over one full
     period [0, a]."""
     return ps._integrate(params, ps.initial_state(params), tol, n_points,
-                         period_a(params))[:3]
+                         period_a(params))
 
 
 @pytest.fixture(scope="module")

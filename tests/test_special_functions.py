@@ -485,7 +485,7 @@ class TestWeierstrassAgainstProfile:
 
         params = params_from_nm(2, 1)
         a = period_a(params)
-        grid, states, _, _ = _integrate(params, initial_state(params), 1e-10, 512, a)
+        grid, states, _ = _integrate(params, initial_state(params), 1e-10, 512, a)
         poles = np.array([0.0, 0.25 * a, 0.5 * a, 0.75 * a, a])
         checked = 0
         for y, state in zip(grid, states):
