@@ -174,7 +174,13 @@ class TestImmerseBytes:
          "a17b25dfcca94f62fdcc82c477907c1889517065654b92c10dd84c190b211e5e"),
         (["--r", "2", "--k", "1", "--grid", "78", "--format", "csv"],
          "926da6db9e9c95c4d21a2f83ec31932c240b4e7d975e987a1c0978615fb5709f"),
-    ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv"])
+        # the benchmark's own meshes, 65536 rows each, as the streaming writers wrote them
+        (["--r", "2", "--k", "1", "--grid", "256", "--format", "csv"],
+         "dc2968c472dd6ac5be15927ff9d176e17117ceefb76b566faad0f367e34b07db"),
+        (["--r", "5", "--k", "2", "--grid", "256", "--format", "json"],
+         "b6e1a124039bf3acfc1fd5f2a31485189b3f60446a58c317ddab7753d85847d3"),
+    ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv",
+            "2-1-grid256-csv", "5-2-grid256-json"])
     def test_output_digest(self, tmp_path, args, digest):
         out = tmp_path / "mesh"
         assert main(["immerse", *args, "--out", str(out)]) == 0
