@@ -394,7 +394,9 @@ def _cluster(params: SurfaceParams) -> tuple[tuple, float, float]:
     rows, lines = [BLOCKS.index(block) for block in CLUSTER], (0, params.m, params.n)
     rest = mu.copy()
     rest[rows, -1] = -np.inf
-    gap = float(np.max(np.abs(mu[rows, -1] - np.square(lines)))) / params.n ** 2
+    # squared in float64: an int64 n^2 wraps once n > 3.04e9
+    squares = np.square(lines, dtype=float)
+    gap = float(np.max(np.abs(mu[rows, -1] - squares))) / params.n ** 2
     next_mu = float(np.max(rest)) / params.n ** 2
     if not (gap <= CLUSTER_TOL and next_mu < -CLUSTER_TOL):
         tops = ", ".join(f"({parity.value}, Psi={target:+g}) {x!r}"

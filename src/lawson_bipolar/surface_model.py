@@ -388,32 +388,59 @@ def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Every value is written with 17 significant digits, so files round-trip
 # double precision exactly.  A finite value with 1e-4 <= |x| < 10 (all but
-# the zeros of a mesh) is rendered by integer arithmetic on arrays: with
-# E = floor(log10|x|), N = round-half-even(|x| 10^(16-E)) holds the 17
-# digits and format(x, ".17g") prints them in fixed notation, trailing
-# zeros dropped.  Every other value goes through one %-format call.  A
-# value's text sits null-padded in three 8-byte words between template
-# words holding the separators, and deleting the nulls joins a block of rows.
+# the zeros and the e-notation values of a mesh) is rendered by integer
+# arithmetic on arrays: with j = -floor(log10|x|) in 0..4,
+# N = round-half-even(|x| 10^(16+j)) holds the 17 digits and
+# format(x, ".17g") prints them in fixed notation, trailing zeros dropped.
+# Every other value goes through one %-format call.  A value's text sits
+# null-padded in three 8-byte words between template words holding the
+# separators, and deleting the nulls joins a batch of rows.
+#
+# j is counted by comparisons: j = #{t in (1, 0.1, 0.01, 0.001) : |x| < t}
+# is exact, because each literal t is its power of ten or the double next
+# above it.  The sign and exponent bits of x name its binade, which holds at
+# most one of the bounds 10, 1, ..., 1e-4, so two tables and one comparison
+# give j.  Then 10^16 <= N < 10^17 with no correction: N reaches 10^17 only
+# within 5e-18 |x| below a power of ten, and no double lies that close below
+# 10, 1, 0.1, 0.01 or 0.001.
 
-#: bytes of words per block of rows: 512 CSV rows or 409 JSON rows.  The
-#: writer's one word array and each block's bytes and str copies stay under
+#: bytes of words per batch of rows: 512 CSV rows or 409 JSON rows.  The
+#: writer's one word array and each batch's bytes and str copies stay under
 #: the 128 KiB at which glibc's malloc serves an allocation with fresh pages
-#: from mmap, so each block reuses the heap memory the one before it freed.
+#: from mmap, so each batch reuses the heap memory the one before it freed.
 _BLOCK_BYTES = 112 * 1024
 #: Dekker's splitter 2^27 + 1
 _SPLIT = 134217729.0
-#: 10^(16-E) for E = 0, -1, ..., -4, exact doubles, split into 26-bit halves
-_POW = np.array([float(10 ** (16 + j)) for j in range(5)])
+
+
+def _key_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each key x.view(int64) >> 52 of sign and exponent bits (a negative
+    key reads from the end): the code j + 1 + 7 sign of the largest |x| of
+    its binade, with j = -1 at 10 and above and j = 5 below 1e-4; and the
+    bound inside the binade below which j is one more (0 where none is)."""
+    e = np.clip(np.arange(2048), 1, 2045) - 1023
+    low, high = np.ldexp(1.0, e)[:, None], np.ldexp(1.0, e + 1)[:, None]
+    bounds = np.array([10.0, 1.0, 0.1, 0.01, 0.001, 1e-4])
+    code = np.count_nonzero(high <= bounds, axis=1)
+    bound = np.where((low < bounds) & (bounds < high), bounds, 0.0).max(axis=1)
+    return np.concatenate([code, code + 7]), np.concatenate([bound, bound])
+
+
+_KEY_CODE, _KEY_BOUND = _key_tables()
+#: by code: j in 0..4, or j = 0 for the %-format values (codes 0, 6, 7, 13)
+_J = np.arange(14) % 7 - 1
+_SLOW = (_J < 0) | (_J > 4)
+_J[_SLOW] = 0
+#: 10^(16+j), exact doubles, split into 26-bit halves
+_POW = np.array([float(10 ** (16 + j)) for j in _J.tolist()])
 _POW_HI = _SPLIT * _POW - (_SPLIT * _POW - _POW)
 _POW_LO = _POW - _POW_HI
 _I4 = np.arange(10_000)
-#: the ASCII digits of i as 4 bytes, thousands first, and their trailing
-#: zero count (4 for i = 0)
-_DIGITS4 = sum((48 + _I4 // 10 ** (3 - i) % 10) << (8 * i) for i in range(4)).astype("<u8")
+#: the ASCII digits of i as 4 bytes, thousands first, and the same with the
+#: trailing zeros as nulls (all four for i = 0)
+_DIGITS4 = sum((48 + _I4 // 10 ** (3 - i) % 10) << (8 * i) for i in range(4)).astype("<u4")
 _TRAILING = (_I4 % 10 == 0).astype(np.intp) + (_I4 % 100 == 0) + (_I4 % 1000 == 0) + (_I4 == 0)
-#: the two words keeping the first 16 - t bytes, t = 0..16
-_KEEP1, _KEEP2 = np.where(np.arange(16) < 16 - np.arange(17)[:, None], 255, 0).astype(
-    np.uint8).view("<u8").T.copy()
+_TAIL4 = (_DIGITS4 & (1 << 8 * (4 - _TRAILING)) - 1).astype("<u4")
 
 
 def _words(texts) -> np.ndarray:
@@ -421,69 +448,139 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(t.encode().ljust(8, b"\0") for t in texts), "<u8")
 
 
-#: "0.", "0.0", ..., "0.000" ending at byte 5 for E = 0, -1, ..., -4, then
-#: the first digit in byte 6, after the sign in byte 0 and before the
-#: point in byte 7 when E = 0
-_LEAD = _words(("0." + "0" * (j - 1) if j else "").rjust(6, "\0") for j in range(5))
-_FIRST = _words("\0" * 6 + str(d) for d in range(10))
-_MINUS, _POINT = _words(["-", "\0" * 7 + "."])
+def _head(d: int, code: int) -> str:
+    """Word 0 of a value: the sign in byte 0, "0.", "0.0", ... ending at
+    byte 5 for j = 1..4, the first digit d in byte 6 and, for j = 0, the
+    point in byte 7."""
+    sign, j = divmod(code, 7)
+    j -= 1
+    if not 0 <= j <= 4:
+        return ""
+    lead = "0." + "0" * (j - 1) if j else ""
+    return ("-" * sign).ljust(6 - len(lead), "\0") + lead + str(d) + "." * (j == 0)
 
 
-def _scaled(a: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """round-half-even(a 10^(16+j)), exactly where it is at least 2^53:
-    the product is hi + lo by Dekker's two-product, hi is then an even
-    integer, and lo rounds alone."""
-    ph, pl = _POW_HI[j], _POW_LO[j]
-    hi = a * _POW[j]
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+#: word 0 of each (first digit d, code), at d * 14 + code
+_HEAD = _words(_head(d, code) for d in range(10) for code in range(14))
+_POINT = _words(["\0" * 7 + "."])[0]
+
+
+def _codes(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The code j + 1 + 7 sign of each value of x, a = |x|: its binade's,
+    one more below the binade's bound."""
+    key = x.view(np.int64) >> 52
+    code = _KEY_CODE.take(key)
+    code += a < _KEY_BOUND.take(key)
+    return code
+
+
+def _scaled(a: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """round-half-even(a 10^(16+j)) for the j of each code, exactly where it
+    is at least 2^53: the product is hi + lo by Dekker's two-product, hi is
+    then an even integer, and lo rounds alone.  Overwrites a."""
+    hi = _POW.take(code)
+    hi *= a
+    ah = a * _SPLIT
+    lo = ah - a
+    ah -= lo
+    a -= ah
+    ph, pl = _POW_HI.take(code), _POW_LO.take(code)
+    # lo = ((ah ph - hi) + ah pl + al ph) + al pl, with al in a
+    np.multiply(ah, ph, out=lo)
+    lo -= hi
+    ah *= pl
+    lo += ah
+    ph *= a
+    lo += ph
+    pl *= a
+    lo += pl
+    np.rint(lo, out=lo)
+    n = hi.astype(np.int64)
+    np.add(n, lo, out=n, dtype=np.int64, casting="unsafe")
+    return n
 
 
 def _render17(x: np.ndarray) -> np.ndarray:
-    """format(v, ".17g") for each v of the 1-D array x, as rows of three
-    null-padded "<u8" words."""
+    """format(v, ".17g") for each v of the 1-D float64 array x, as rows of
+    three null-padded "<u8" words."""
+    # each array is dropped once read: a batch's arrays peak at about nine
+    # times the size of x
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 10.0)
-    a = np.where(fast, a, 1.0)
-    j = np.clip(-np.floor(np.log10(a)), 0, 4).astype(np.intp)
-    n = _scaled(a, j)
-    # log10 may land on the power of ten next to a value: one step more
-    step = (n < 10 ** 16).astype(np.intp) - (n >= 10 ** 17)
-    fix = np.flatnonzero(step)
-    if fix.size:
-        j[fix] = np.clip(j[fix] + step[fix], 0, 4)
-        n[fix] = _scaled(a[fix], j[fix])
-        fast &= (n >= 10 ** 16) & (n < 10 ** 17)
-    d0 = n // 10 ** 16
-    g12 = (n - d0 * 10 ** 16) // 10 ** 8
-    g34 = n - d0 * 10 ** 16 - g12 * 10 ** 8
-    g1, g3 = g12 // 10 ** 4, g34 // 10 ** 4
-    g2, g4 = g12 - g1 * 10 ** 4, g34 - g3 * 10 ** 4
-    tz = _TRAILING[g4] + (g4 == 0) * (
-        _TRAILING[g3] + (g3 == 0) * (_TRAILING[g2] + (g2 == 0) * _TRAILING[g1]))
+    code = _codes(x, a)
+    slow = _SLOW.take(code).nonzero()[0]
+    # a value rendered by %-format passes as 1.1, whose 17 digits end in 0001
+    a[slow] = 1.1
+    n = _scaled(a, code)
+    del a
+    # n = d0 g1 g2 g3 g4: the first digit, then four groups of four
+    q = n // 10 ** 8
+    n -= q * 10 ** 8
+    d0 = q // 10 ** 8
+    q -= d0 * 10 ** 8
+    d0 *= 14
+    d0 += code
     words = np.empty((x.size, 3), "<u8")
-    words[:, 0] = (_LEAD[j] | _FIRST[d0] | (x < 0) * _MINUS
-                   | ((j == 0) & (tz < 16)) * _POINT)
-    words[:, 1] = (_DIGITS4[g1] | _DIGITS4[g2] << np.uint64(32)) & _KEEP1[tz]
-    words[:, 2] = (_DIGITS4[g3] | _DIGITS4[g4] << np.uint64(32)) & _KEEP2[tz]
-    slow = np.flatnonzero(~fast)
+    words[:, 0] = _HEAD.take(d0)
+    del d0, code
+    g1 = q // 10 ** 4
+    q -= g1 * 10 ** 4
+    g3 = n // 10 ** 4
+    n -= g3 * 10 ** 4
+    groups = (g1, q, g3, n)
+    digits = words.view("<u4")
+    for col, g in enumerate(groups[:3], 2):
+        digits[:, col] = _DIGITS4.take(g)
+    digits[:, 5] = _TAIL4.take(n)
+    # where g4 is 0000, the trailing zeros run on into g3, g2 and g1, and
+    # past all four they take the point of j = 0 too ("3", not "3.")
+    zero = (n == 0).nonzero()[0]
+    if zero.size:
+        for col in (4, 3, 2):
+            g = groups[col - 2].take(zero)
+            digits[zero, col] = _TAIL4.take(g)
+            zero = zero[g == 0]
+        words[zero, 0] &= ~_POINT
     if slow.size:
         text = ("%.17g " * slow.size % tuple(x[slow].tolist())).split()
         words[slow] = np.array(text, "S24").view("<u8").reshape(-1, 3)
     return words
 
 
+def _batches(blocks, size: int) -> Iterator[np.ndarray]:
+    """The rows of blocks (arrays of rows) in arrays of size rows, the last
+    one shorter.  A batch that spans blocks is gathered in one buffer; the
+    others are views of their block."""
+    buf, held = None, 0
+    for block in blocks:
+        block = np.asarray(block, float)
+        if held:
+            take = min(size - held, len(block))
+            buf[held:held + take] = block[:take]
+            held += take
+            if held < size:
+                continue
+            yield buf
+            block, held = block[take:], 0
+        whole = len(block) - len(block) % size
+        for start in range(0, whole, size):
+            yield block[start:start + size]
+        if whole < len(block):
+            if buf is None:
+                buf = np.empty((size,) + block.shape[1:])
+            held = len(block) - whole
+            buf[:held] = block[whole:]
+    if held:
+        yield buf[:held]
+
+
 def _write_rows(stream: IO[str], rows, suffixes, prefixes=None, sep: str = "",
                 opening: str = "") -> bool:
     """Write opening, then each row of rows (an array of rows or an
     iterable of them) as its values rendered by format(v, ".17g"), column i
-    between prefixes[i] and suffixes[i], the rows joined by sep.  Each
-    block goes out in batches rendered into one buffer of _BLOCK_BYTES of
-    words, so that no batch allocates or frees it.  Nothing is written, and
-    False returned, when there is no row."""
+    between prefixes[i] and suffixes[i], the rows joined by sep.  The rows
+    go out in batches, across blocks, rendered into one buffer of
+    _BLOCK_BYTES of words, so that no batch allocates or frees it.  Nothing
+    is written, and False returned, when there is no row."""
     lead = 0 if prefixes is None else 1
     template = np.zeros((len(suffixes), lead + 4), "<u8")
     if prefixes is not None:
@@ -493,16 +590,14 @@ def _write_rows(stream: IO[str], rows, suffixes, prefixes=None, sep: str = "",
     step = max(1, _BLOCK_BYTES // template.nbytes)
     words = np.empty((step,) + template.shape, "<u8")
     written = False
-    for block in [rows] if isinstance(rows, np.ndarray) else rows:
-        for start in range(0, len(block), step):
-            batch = np.asarray(block[start:start + step], float)
-            out = words[:len(batch)]
-            out[:] = template
-            out[-1, -1, -1] = end
-            out[:, :, lead:lead + 3] = _render17(batch.ravel()).reshape(len(batch), -1, 3)
-            stream.write(sep if written else opening)
-            stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))
-            written = True
+    for batch in _batches([rows] if isinstance(rows, np.ndarray) else rows, step):
+        out = words[:len(batch)]
+        out[:] = template
+        out[-1, -1, -1] = end
+        out[:, :, lead:lead + 3] = _render17(batch.ravel()).reshape(len(batch), -1, 3)
+        stream.write(sep if written else opening)
+        stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))
+        written = True
     return written
 
 

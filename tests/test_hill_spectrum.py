@@ -852,6 +852,18 @@ def test_rank_by_inertia_at_large_n(pair):
     assert rep.next_mu == mu[3] / n2
 
 
+def test_cluster_squares_past_int64(monkeypatch):
+    """n = 3162277661 squares past 2^63, where an int64 p^2 wraps and the
+    certificate would read a gap of 1.845 n^2.  Given room for its modes,
+    the pair gets the formula rank and the multiplicity 5."""
+    monkeypatch.setattr(hs, "N_MODES", 400)
+    rep = extremal_rank(3162277660, 1)
+    assert rep.params.n ** 2 > 2 ** 63
+    assert rep.rank_i == rank_formula(rep.params) == 12649110638
+    assert rep.multiplicity == 5
+    assert rep.cluster_gap <= hs.CLUSTER_TOL
+
+
 @pytest.mark.parametrize("r,k", [(8, 1), (6001, 1)])
 def test_extremal_rank_takes_five_eigen_solves(r, k, monkeypatch):
     # whatever n is, the blocks take one stacked eigvalsh for mu, one

@@ -442,7 +442,7 @@ class TestAreaAndExport:
     def test_writer_memory_is_one_block(self, tmp_path, writer):
         """A 256 x 256 mesh is written block by block: no string holds the
         whole document (9-12 MB), and a block's words, their bytes and str
-        copies and the renderer's arrays (about 0.6 MiB in all) stay under
+        copies and the renderer's arrays (about 0.4 MiB in all) stay under
         1 MiB."""
         p = derive_params(2, 1)
         rows = immersion_rows(p, 256, 256)
@@ -493,6 +493,25 @@ class TestMeshStream:
         writer(want, p, rows)
         writer(got, p, immersion_blocks(p, n_u, n_v))
         assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("writer, batches", [(write_immersion_csv, 128),
+                                                 (write_immersion_json, 161)])
+    def test_batches_span_blocks(self, monkeypatch, writer, batches):
+        """A batch takes rows from the next block: the 256 x 256 mesh, in
+        blocks of 2048 rows, is rendered in 65536 / 512 CSV batches and
+        ceil(65536 / 409) JSON batches, every one full but the last."""
+        sizes, render = [], sm._render17
+
+        def counted(x):
+            sizes.append(x.size // 7)
+            return render(x)
+
+        monkeypatch.setattr(sm, "_render17", counted)
+        p = derive_params(5, 2)
+        writer(io.StringIO(), p, immersion_blocks(p, 256, 256))
+        step = _WRITER_BLOCK_ROWS[writer is write_immersion_json]
+        assert len(sizes) == batches == -(-256 * 256 // step)
+        assert set(sizes[:-1]) == {step}
 
     @pytest.mark.parametrize("writer", [write_immersion_csv, write_immersion_json])
     def test_writers_take_any_split_of_the_rows(self, writer):
@@ -565,6 +584,38 @@ class TestRender17:
     def test_integer_arithmetic_range(self, signed):
         values = [-x if neg else x for x, neg in signed]
         assert _rendered(values) == [format(x, ".17g") for x in values]
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_largest_double_below_each_decade(self, j):
+        """The largest double below 10^(1-j) keeps its j: N would reach
+        10^17 only within 5e-18 |x| below the power, and this double lies
+        further off, so no value of the range steps to the next decade."""
+        power = Fraction(10) ** (1 - j)
+        x = math.nextafter(float(power), 0.0)
+        assert Fraction(x) < power <= Fraction(math.nextafter(x, math.inf))
+        assert Fraction(x) * 10 ** (16 + j) < 10 ** 17 - Fraction(1, 2)
+        assert _rendered([x, -x]) == [format(x, ".17g"), format(-x, ".17g")]
+
+    @pytest.mark.parametrize("zeros, values", [
+        (4, [4097 / 4096, 4097 / 8192]), (8, [257 / 256, 257 / 512]),
+        (12, [17 / 16, 17 / 32]), (16, [3.0, 0.5])])
+    def test_trailing_zero_groups(self, zeros, values):
+        """17 digits ending in 4, 8, 12 or 16 zeros, at j = 0 and j = 1,
+        both signs: the zeros of g4 run on into g3, g2 and g1, and past all
+        four the point of j = 0 goes too ("3", not "3.")."""
+        for x in values:
+            digits = str(Fraction(x) * 10 ** (16 + (x < 1)))
+            assert len(digits) - len(digits.rstrip("0")) == zeros, x
+        values = values + [-x for x in values]
+        assert _rendered(values) == [format(x, ".17g") for x in values]
+
+    def test_range_ends_and_signed_zero(self):
+        """The neighbours of 1e-4 and of 10, the ends of the integer-
+        arithmetic range, and both zeros."""
+        values = [math.nextafter(t, to) for t in (1e-4, 10.0) for to in (0.0, t, math.inf)]
+        values += [-x for x in values] + [0.0, -0.0]
+        assert _rendered(values) == [format(x, ".17g") for x in values]
+        assert _rendered([-0.0]) == ["-0"]
 
 
 class TestExcludedDirectionGuard:
