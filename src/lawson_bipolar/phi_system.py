@@ -11,7 +11,8 @@ orbit is also reversible about y = a/4 = K/n (phi0 odd, phi1 and phi2
 even there), so the fundamental quarter [0, a/4] fixes the whole period.
 Three evaluation routes are provided: direct fixed-step RK8 integration
 over the quarter in Python floats, each step a loop over the rows of the
-Cooper-Verner tableau of rk8, the theta closed form (authoritative; needs
+Cooper-Verner tableau of rk8, on the step count of the profile's own
+error model (profile_steps), the theta closed form (authoritative; needs
 only Jacobi functions), and the Weierstrass closed form (magnitudes
 only), its P read off the roots of each row's cubic, which are closed
 forms in (n, m).  Two first integrals E1, E2 are evaluated for drift
@@ -35,6 +36,8 @@ __all__ = [
     "REVERSE_AT_QUARTER",
     "initial_state",
     "integrate_system",
+    "step_error",
+    "profile_steps",
     "closed_form_theta",
     "closed_form_weierstrass",
     "weierstrass_tables_exact",
@@ -48,6 +51,12 @@ __all__ = [
 #: phi1 and phi2 even)
 REVERSE_AT_0 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 REVERSE_AT_QUARTER = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+
+#: C of the RK8 error model of step_error: step doubling measures at most
+#: 5.7e-6 over the modulus m/n, near m/n = 1/2, and 1.1e-6 as m/n -> 0
+STEP_ERROR_C = 1e-5
+#: how far under tol profile_steps keeps the modelled error
+STEP_ERROR_MARGIN = 1000.0
 
 
 @dataclass(frozen=True)
@@ -122,11 +131,40 @@ def _rk8_step(params: SurfaceParams, h: float):
     return step
 
 
+def _omega_span(params: SurfaceParams, span: float) -> float:
+    """omega span, omega = sqrt(2 n^2 + 3 m^2): the square root of the
+    largest eigenvalue of the Jacobian of (phi0'', phi1'', phi2'') in
+    (phi0, phi1, phi2) over the orbit, which is 2 n^2 as m/n -> 0 and
+    5 n^2 as m/n -> 1; between, omega is at most 3.4% below it."""
+    return math.sqrt(2.0 * params.n ** 2 + 3.0 * params.m ** 2) * span
+
+
+def step_error(params: SurfaceParams, steps: int, span: float) -> float:
+    """Modelled global error of the profile's RK8 over [0, span] on steps
+    steps of h = span / steps, relative to c0 n: C (omega h)^8 omega span,
+    C = STEP_ERROR_C.  An eighth-order step errs by O((omega h)^9) and
+    steps times omega h is omega span (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.3).  The profile, in units of n y, depends on m/n alone,
+    so C depends on m/n and the tableau; a tier-1 test measures it by
+    step doubling (ibid., II.4)."""
+    w = _omega_span(params, span)
+    return STEP_ERROR_C * (w / steps) ** 8 * w
+
+
+def profile_steps(params: SurfaceParams, tol: float, span: float) -> int:
+    """The fewest RK8 steps over [0, span] whose step_error is within
+    tol / STEP_ERROR_MARGIN.  Over a quarter a/4 = K/n or more, omega span
+    is at least sqrt(2) pi/2, so omega h stays below 1, where the model
+    holds, for every tol in [1e-13, 1e-6]."""
+    w = _omega_span(params, span)
+    return math.ceil(w * (STEP_ERROR_C * STEP_ERROR_MARGIN * w / tol) ** 0.125)
+
+
 def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
                span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The RK8 loop of integrate_system over [0, span] from any 6-vector
     state0, Kahan-summed in Python floats: (grid, states, end_state).
-    The step count at tol, rounded up to a multiple of n_points,
+    profile_steps at tol over span, rounded up to a multiple of n_points,
     makes every grid point a step end; with n_points None the grid is
     every step end.  Raises ValueError, before any step, for a tol outside
     [1e-13, 1e-6], an n_points that is neither None nor an int >= 1, or a
@@ -139,7 +177,7 @@ def _integrate(params: SurfaceParams, state0, tol: float, n_points: int | None,
     x = np.asarray(state0, float)
     if x.shape != (6,) or not np.all(np.isfinite(x)):
         raise ValueError(f"need state0 of six finite floats; got {state0!r}")
-    steps = rk8.steps_for(params.n, params.m, tol, span)
+    steps = profile_steps(params, tol, span)
     n_points = steps if n_points is None else n_points
     per = -(-steps // n_points)
     step = _rk8_step(params, span / (n_points * per))

@@ -3,9 +3,10 @@ SIAM J. Numer. Anal. 9, 1972) beneath both integrators of the package:
 the profile system of phi_system and the Floquet oracle of
 hill_spectrum.
 
-It holds the tableau, the fixed step count both integrators take, and
+It holds the tableau, the fixed step count of the Floquet oracle, and
 the batched step of a linear 2x2 system with the product of its steps,
-whole or tile by tile.
+whole or tile by tile.  The profile takes its step count from its own
+error model, phi_system.profile_steps.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ B = [(0, 1 / 20), (7, 49 / 180), (8, 16 / 45), (9, 49 / 180), (10, 1 / 20)]
 
 
 def steps_for(n: int, m: int, tol: float, span: float) -> int:
-    """Fixed step count giving global error below tol over span for the
-    profile of (n, m) and the Hill equation on it.  The count grows with
+    """Fixed step count of the Floquet oracle over span for the Hill
+    equation on the profile of (n, m) at tol.  The count grows with
     K(m/n), which the largest n whose m/n is below 1 as a double bounds:
     no admissible pair needs more than 1359 steps to b at the Floquet
-    tolerance, or 2148 to a/4 at the profile's tightest."""
+    tolerance."""
     omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
     return max(int(math.ceil(1.5 * omega * span * tol ** (-1.0 / 8.0))), 96)
 

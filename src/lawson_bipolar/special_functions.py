@@ -55,9 +55,9 @@ class PoleProximityError(ValueError):
 class EllipticModulus:
     """Modulus k with its complement k' = sqrt(1 - k^2) >= 0.
 
-    k must lie in [0, 1] and k' must not be NaN or negative; k = 1 is
+    k must lie in [0, 1] and k' must not be NaN or negative.  k' = 0 is
     admitted only so that E(1) = 1 is expressible (K diverges there and
-    raises).
+    raises); a k that rounds to 1 with k' > 0 is an ordinary modulus.
     """
 
     k: float
@@ -105,16 +105,17 @@ def _agm(modulus: EllipticModulus) -> tuple[list, float]:
 
 
 def complete_K(modulus: EllipticModulus) -> float:
-    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM)."""
-    if modulus.k >= 1.0:
-        raise DomainError("K(k) requires k < 1")
+    """Complete elliptic integral of the first kind K(k) = pi / (2 AGM(1, k'))
+    (DLMF 19.8.5), finite for every k' > 0, a k that rounds to 1 too."""
+    if modulus.k_prime == 0.0:
+        raise DomainError("K(k) requires k' > 0")
     levels, _ = _agm(modulus)
     return math.pi / (2.0 * levels[-1][0])
 
 
 def complete_E(modulus: EllipticModulus) -> float:
     """Complete elliptic integral of the second kind E(k) = K (1 - s)."""
-    if modulus.k == 1.0:
+    if modulus.k_prime == 0.0:
         return 1.0
     levels, s = _agm(modulus)
     return math.pi / (2.0 * levels[-1][0]) * (1.0 - s)

@@ -57,7 +57,11 @@ INVARIANCE_POINTS = 100      # invariance_checks: R2 points per group
 ISOMETRY_GRID = 64           # isometry_checks: values of v
 ORBIT_GRID = 512             # orbit_space_checks: interior values of y
 FLOQUET_POINTS = 50          # floquet_structure_checks: R2 points (p, lambda)
-AREA_POINTS = 8192           # area_quadrature: trapezoid nodes
+#: area_quadrature: trapezoid nodes, the least power of two at or above
+#: 4 N_MODES.  They alias only the coefficients c_2j of f with j >= 2 N_MODES,
+#: which the tail that rank accepts, sum_(j >= N_MODES) |c_2j| <= TAIL_BOUND c_0,
+#: already bounds
+AREA_POINTS = 1 << (4 * hs.N_MODES - 1).bit_length()
 AREA_BOUND = 1e-9            # area_identity: relative gap, quadrature to closed form
 SIMPLICITY_FLOOR = 1e-9      # simplicity_in_window: a root's own entry at b/2, relative
 
@@ -110,23 +114,25 @@ def _takahashi_residual(params: SurfaceParams, states: np.ndarray,
     return float(np.max(list(parts.values()))), ctx
 
 
-def profile_checks(params: SurfaceParams) -> list[CheckResult]:
+def profile_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResult]:
     """Sphere/conformality/Takahashi residuals, first-integral drift,
     the reversal residual at y = a/4, and the three-way closed-form
-    agreement.
+    agreement, each threshold times scale (verify --strict takes 0.5).
 
     The reversal residual max(|phi0|, |phi1'|, |phi2'|) at a/4 says
     whether the quarter closes the orbit.  Its floor is 10 * PROFILE_TOL
     relative to the largest component there, |phi0'(a/4)| = c0 n =
     sqrt((n^2 + m^2)/2); an absolute floor would tighten as n grows.
+    Its context states the floor it is judged against, scale included,
+    and the step count with its modelled error, ps.step_error c0 n.
 
     The battery integrates at the tightest sanctioned tolerance: the
     conserved quantities scale like n^4, so the absolute pointwise
     targets (1e-9 conformality, 1e-8 drift) need the extra orders on
     the largest admissible profiles.  The pointwise residuals are taken
-    at every step end of the RK8 at PROFILE_TOL over the fundamental
-    quarter [0, a/4], which fixes the whole orbit by its two reversal
-    symmetries.  The theta closed form is compared in signed values over
+    at every step end of the RK8 on ps.profile_steps at PROFILE_TOL over
+    the fundamental quarter [0, a/4], which fixes the whole orbit by its
+    two reversal symmetries.  The theta closed form is compared in signed values over
     the whole period, with the quarter's states and their reversor
     images at a/2 - y, a/2 + y and a - y; the Weierstrass magnitudes are
     compared over the period."""
@@ -162,20 +168,23 @@ def profile_checks(params: SurfaceParams) -> list[CheckResult]:
     signed_gap = float(np.max(np.abs(mags[:, 1] - ref[:, 1])))
 
     reversal = profile.reversal_residual()
-    floor = 10.0 * PROFILE_TOL * math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
+    c0n = math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
+    floor = 10.0 * PROFILE_TOL * c0n * scale
+    steps = len(profile.grid)
+    model = ps.step_error(params, steps, a / 4.0) * c0n
     return [
-        CheckResult("sphere_constraint", sphere, 1e-8),
-        CheckResult("conformality", conf, 1e-9,
+        CheckResult("sphere_constraint", sphere, 1e-8 * scale),
+        CheckResult("conformality", conf, 1e-9 * scale,
                     f"profile-vs-f(y) gap {metric_gap:.3e}"),
-        CheckResult("takahashi_identity", taka, 1e-8, taka_ctx),
-        CheckResult("first_integral_E1_drift", e1_drift, 1e-8),
-        CheckResult("first_integral_E2_drift", e2_drift, 1e-8),
+        CheckResult("takahashi_identity", taka, 1e-8 * scale, taka_ctx),
+        CheckResult("first_integral_E1_drift", e1_drift, 1e-8 * scale),
+        CheckResult("first_integral_E2_drift", e2_drift, 1e-8 * scale),
         CheckResult("phi_reversal", reversal, floor,
                     f"max |phi0, phi1', phi2'| at a/4 = {reversal:.3e}, "
                     f"floor 10 tol c0 n = {floor:.1e} "
-                    f"at tol {PROFILE_TOL:.1e}, {len(profile.grid)} RK8 steps"),
-        CheckResult("phi_theta_vs_ode", cross_theta, 1e-8),
-        CheckResult("phi_weierstrass_vs_theta", cross_wp, 1e-6,
+                    f"at tol {PROFILE_TOL:.1e}, {steps} RK8 steps, model error {model:.1e}"),
+        CheckResult("phi_theta_vs_ode", cross_theta, 1e-8 * scale),
+        CheckResult("phi_weierstrass_vs_theta", cross_wp, 1e-6 * scale,
                     f"signed phi1 comparison (diagnostic) {signed_gap:.3e}"),
     ]
 
@@ -341,15 +350,16 @@ _OWN_ENTRY = np.array([1, 0, 2, 3])
 _ENTRY_NAMES = ("z1", "c z1'", "z2/c", "z2'")
 
 
-def _simplicity(roots: list, pair: np.ndarray, c: float) -> CheckResult:
+def _simplicity(roots: list, pair: np.ndarray, c: float,
+                floor: float = SIMPLICITY_FLOOR) -> CheckResult:
     """simplicity_in_window from the fundamental pair (4, R) at c = b/2 of
-    the located roots [(p, Eigenvalue)].
+    the located roots [(p, Eigenvalue)], against floor.
 
     f is even about 0 and about c, so a root of a block is a zero of one
     entry of the pair at c (Magnus & Winkler, Hill's Equation, ch. 1).  The
     pair is scaled as (z1, c z1', z2/c, z2'), whose Wronskian is 1, and
     over its largest entry.  A root is simple when its own entry is below
-    SIMPLICITY_FLOOR and its partner's is not; the Wronskian keeps the
+    floor and its partner's is not; the Wronskian keeps the
     other two entries away from 0, and the half-period identities make a
     zero own entry Psi = +-2."""
     scaled = np.abs(pair * np.array([[1.0], [c], [1.0 / c], [1.0]]))
@@ -357,21 +367,22 @@ def _simplicity(roots: list, pair: np.ndarray, c: float) -> CheckResult:
     own = _OWN_ENTRY[[hs.BLOCKS.index((eig.parity, eig.psi_target)) for _, eig in roots]]
     own_q, partner_q = scaled[[own, 3 - own], np.arange(len(roots))]
     flags = []
-    for i in np.flatnonzero(~((own_q < SIMPLICITY_FLOOR) & (partner_q >= SIMPLICITY_FLOOR))):
+    for i in np.flatnonzero(~((own_q < floor) & (partner_q >= floor))):
         (p, eig), entry = roots[i], own[i]
         flags.append(f"gamma_{eig.index}({p})={eig.gamma:.12g}: {eig.parity.value}, "
                      f"Psi={eig.psi_target:+g}, own {_ENTRY_NAMES[entry]} {own_q[i]:.3e}, "
                      f"partner {_ENTRY_NAMES[3 - entry]} {partner_q[i]:.3e}")
     ctx = "; ".join(flags) if flags else (
         f"{len(roots)} roots at b/2: worst own {own_q.max():.3e}, "
-        f"smallest partner {partner_q.min():.3e}, floor {SIMPLICITY_FLOOR:g}")
+        f"smallest partner {partner_q.min():.3e}, floor {floor:g}")
     return CheckResult("simplicity_in_window",
-                       float(own_q.max()) + (1.0 if flags else 0.0), SIMPLICITY_FLOOR, ctx)
+                       float(own_q.max()) + (1.0 if flags else 0.0), floor, ctx)
 
 
-def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
+def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResult]:
     """Wronskian and half-period identities at R2 points (p, lambda), and
-    simplicity at located roots, each judged at b/2 by _simplicity.
+    simplicity at located roots, each judged at b/2 by _simplicity
+    against SIMPLICITY_FLOOR; every threshold, that floor too, times scale.
 
     The points fill the spectral window lambda in [0, 3), p in [0, n],
     where the fundamental pair stays O(1) (n * b = 2 K(m/n)); outside it
@@ -398,10 +409,10 @@ def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
         np.max(np.abs(dz2b - z1b))]))
     return [
-        CheckResult("floquet_wronskian", wronsk, 1e-10,
+        CheckResult("floquet_wronskian", wronsk, 1e-10 * scale,
                     f"{FLOQUET_POINTS} R2 points (p, lambda)"),
-        CheckResult("half_period_identities", half_ids, 1e-9),
-        _simplicity(roots, at_roots, c),
+        CheckResult("half_period_identities", half_ids, 1e-9 * scale),
+        _simplicity(roots, at_roots, c, SIMPLICITY_FLOOR * scale),
     ]
 
 
@@ -458,43 +469,42 @@ class FullReport:
         }
 
 
+def _scaled(checks: list[CheckResult], scale: float) -> list[CheckResult]:
+    """checks with every threshold times scale."""
+    return [CheckResult(c.name, c.residual, c.threshold * scale, c.context) for c in checks]
+
+
 def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     """Run every check for one surface; passes iff all residuals are in
     tolerance and the computed rank matches the parity-class formula.
-    Strict mode halves every threshold."""
+    Strict mode halves every threshold: profile_checks and
+    floquet_structure_checks halve theirs where they form them, so the
+    floors their contexts state are the halved ones."""
+    scale = 0.5 if strict else 1.0
     params = derive_params(r, k)
-    checks: list[CheckResult] = []
-    checks.extend(profile_checks(params))
-    checks.append(immersion_agreement_check(params))
-    checks.extend(invariance_checks(params))
-    checks.extend(isometry_checks(params))
-    checks.extend(orbit_space_checks(params))
-    checks.extend(floquet_structure_checks(params))
-    checks.append(eigenfunction_zero_checks(params))
-
-    quad_area = area_quadrature(params)
+    checks = profile_checks(params, scale)
+    checks += _scaled([immersion_agreement_check(params), *invariance_checks(params),
+                       *isometry_checks(params), *orbit_space_checks(params)], scale)
+    checks += floquet_structure_checks(params, scale)
     closed_area = sm.area_closed_form(params)
-    checks.append(_area_identity(quad_area, closed_area))
+    checks += _scaled([eigenfunction_zero_checks(params),
+                       _area_identity(area_quadrature(params), closed_area)], scale)
 
     report = hs.extremal_rank(r, k)
-    checks.append(CheckResult(
-        "rank_matches_formula",
-        float(abs(report.rank_i - hs.rank_formula(params))), 0.5,
-        f"rank {report.rank_i}, formula {hs.rank_formula(params)}"))
-    checks.append(CheckResult(
-        "multiplicity_is_5", float(abs(report.multiplicity - 5)), 0.5,
-        f"cluster within {report.cluster_gap:.3e} n^2 of p^2, next mu {report.next_mu:.3e} n^2"))
-    checks.append(CheckResult(
-        "branch_anchors",
-        float(np.max([report.residuals[key] for key in
-                      ("anchor_gamma0_at_0", "anchor_gamma2_at_0",
-                       "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7,
-        f"{report.modes} modes per block at nome q = {report.nome:.3e}, "
-        f"Fourier tail {report.tail:.3e} c_0"))
-
-    if strict:
-        checks = [CheckResult(c.name, c.residual, c.threshold / 2.0, c.context)
-                  for c in checks]
+    checks += _scaled([
+        CheckResult("rank_matches_formula",
+                    float(abs(report.rank_i - hs.rank_formula(params))), 0.5,
+                    f"rank {report.rank_i}, formula {hs.rank_formula(params)}"),
+        CheckResult("multiplicity_is_5", float(abs(report.multiplicity - 5)), 0.5,
+                    f"cluster within {report.cluster_gap:.3e} n^2 of p^2, "
+                    f"next mu {report.next_mu:.3e} n^2"),
+        CheckResult("branch_anchors",
+                    float(np.max([report.residuals[key] for key in
+                                  ("anchor_gamma0_at_0", "anchor_gamma2_at_0",
+                                   "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7,
+                    f"{report.modes} modes per block at nome q = {report.nome:.3e}, "
+                    f"Fourier tail {report.tail:.3e} c_0"),
+    ], scale)
     return FullReport(params=params, rank_i=report.rank_i,
                       multiplicity=report.multiplicity,
                       lambda_value=report.lambda_functional,

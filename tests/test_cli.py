@@ -313,9 +313,11 @@ class TestSpectrumAndVerifyBytes:
     and at R2 sequence points, to b/2 and on to b, the pair at b composed
     from the two halves, its profile
     residuals from the fixed-step RK8 integration of the profile at every
-    step end of the fundamental quarter [0, a/4], its phi_reversal entry
+    step end of the fundamental quarter [0, a/4], on the steps of the
+    profile's own error model, its phi_reversal entry
     from the state at a/4 against the floor 10 tol c0 n, its context the
-    residual, the floor and the step count, its phi_theta_vs_ode entry
+    residual, the floor, the step count and its model error, its
+    phi_theta_vs_ode entry
     from the quarter's states and their reversor images over the period,
     and its chart
     residuals from the H1 modulus with the exact complement (n-m)/(n+m),
@@ -333,7 +335,8 @@ class TestSpectrumAndVerifyBytes:
     simplicity_in_window each located root's own entry of the
     fundamental pair at b/2 against a relative floor of 1e-9.  The
     report's "area" is the closed form, the area that lambda_value is
-    twice; the quadrature stays in the area_identity entry alone."""
+    twice; the quadrature, on AREA_POINTS = 256 trapezoid nodes, stays
+    in the area_identity entry alone."""
 
     @pytest.mark.parametrize("args, digest", [
         (["spectrum", "--r", "3", "--k", "1", "--format", "csv"],
@@ -342,13 +345,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "89e934018bf3b21d2b7289275373435c1e27ea56c770e841757917594d0d67c8"),
+         "b797764eb5f6dc961270278f4975b70b33414615472188d74264cd8847ad5c86"),
         (["verify", "--r", "3", "--k", "1"],
-         "d73b65add38ee5ea331346a60fd924c851bbcda8975a1cbc91cbbbc23248bf4b"),
+         "2328c500aac7f52b6520b2e64faacc6f8e92e4671fcd6a0707fbd34317fdf375"),
         (["verify", "--r", "5", "--k", "1"],
-         "a29b1fd6cf19560b2ec230455bac28ecfe4a963f539a20c9c6ef082e37c42b20"),
+         "54528c2a83d4ce9f9c4cbf80a99ae58ecb2bf6c0805ad93f671079ee8555776e"),
         (["verify", "--r", "7", "--k", "6"],
-         "3cb4b53f9900084c8371cd82d169eeb0779b66e34b1d029b7580d64cfe1c5a11"),
+         "475630ef3a22eed231845a66768404588e14fae3eb28715a194cb1c0a0704339"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):

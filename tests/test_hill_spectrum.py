@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from lawson_bipolar import hill_spectrum as hs
+from lawson_bipolar import phi_system
 from lawson_bipolar import rk8
 from lawson_bipolar import surface_model as sm
 from lawson_bipolar import verification as vf
@@ -268,12 +269,14 @@ class TestFloquetBasics:
 
     def test_largest_step_counts(self):
         """No admissible pair has a larger K(m/n) than one whose m/n is the
-        largest double below 1, so none needs more RK8 steps."""
+        largest double below 1, so none needs more RK8 steps: 1359 to b
+        for the Floquet oracle, 1649 to a/4 = b/2 for the profile at its
+        tightest tolerance."""
         params = derive_params(2 ** 54 - 1, 1)
         assert params.m / params.n == math.nextafter(1.0, 0.0)
         b = period_a(params) / 2.0
         assert rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b) == 1359
-        assert rk8.steps_for(params.n, params.m, 1e-13, b / 2.0) == 2148
+        assert phi_system.profile_steps(params, 1e-13, b / 2.0) == 1649
 
     @pytest.mark.parametrize("p_lam", [("n", 2.0), ("m", 2.0)])
     def test_known_eigenvalues_close_discriminant(self, p_lam):
@@ -862,6 +865,19 @@ def test_cluster_squares_past_int64(monkeypatch):
     assert rep.rank_i == rank_formula(rep.params) == 12649110638
     assert rep.multiplicity == 5
     assert rep.cluster_gap <= hs.CLUSTER_TOL
+
+
+@pytest.mark.parametrize("r, rounds_to_one", [(703752045, True), (10 ** 12, True),
+                                               (10 ** 15, False)])
+def test_flat_pairs_past_k_prime_one(r, rounds_to_one):
+    """The flat pair (r, r-1) has m/n = 1/(2r-1).  From r = 703752045 on,
+    sqrt((1 - m/n)(1 + m/n)) can round to 1, as at the first two pairs
+    (at 10^15 it is 1 - 2^-53): the nome's K(k') then has k = 1.0 and
+    k' = m/n > 0, finite, and rank answers."""
+    rep = extremal_rank(r, r - 1)
+    assert (rep.params.modulus.k_prime == 1.0) == rounds_to_one
+    assert rep.rank_i == rank_formula(rep.params) == 4 * r - 2
+    assert (rep.multiplicity, rep.modes) == (5, 6)
 
 
 @pytest.mark.parametrize("r,k", [(8, 1), (6001, 1)])

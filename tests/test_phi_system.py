@@ -63,25 +63,32 @@ def _full_period(params, state0, tol, n_points=2048):
     return phi_system._integrate(params, state0, tol, n_points, period_a(params))
 
 
-def _reference_integrate(params, state0, tol, n_points):
-    """_integrate over a full period by the list-based Kahan loop it
-    replaced: the state, its compensation and each step's increment as
-    6-lists."""
-    a = period_a(params)
-    steps = rk8.steps_for(params.n, params.m, tol, a)
-    n_points = steps if n_points is None else n_points
-    per = -(-steps // n_points)
-    step = _rk8_step(params, a / (n_points * per))
+def _rk8_states(params, steps, span, state0):
+    """The states at the step ends 0, h, ..., span of steps RK8 steps of
+    h = span / steps from state0, whatever profile_steps asks for, by the
+    list-based Kahan loop _integrate replaced: the state, its
+    compensation and each step's increment as 6-lists."""
+    step = _rk8_step(params, span / steps)
     x, comp = np.asarray(state0, float).tolist(), [0.0] * 6
-    states = []
-    for i in range(n_points * per):
-        if i % per == 0:
-            states.append(x)
+    states = [x]
+    for _ in range(steps):
         d = [u - c for u, c in zip(step(*x), comp)]
         new = [u + v for u, v in zip(x, d)]
         comp = [(t - u) - v for t, u, v in zip(new, x, d)]
         x = new
-    return states, x
+        states.append(x)
+    return states
+
+
+def _reference_integrate(params, state0, tol, n_points):
+    """_integrate over a full period by _rk8_states: the states at the
+    grid points and the end state."""
+    a = period_a(params)
+    steps = phi_system.profile_steps(params, tol, a)
+    n_points = steps if n_points is None else n_points
+    per = -(-steps // n_points)
+    states = _rk8_states(params, n_points * per, a, state0)
+    return states[:-1:per], states[-1]
 
 
 def _paper_tables(n, m):
@@ -258,6 +265,63 @@ class TestIntegration:
         monkeypatch.setattr(phi_system, "_rk8_step", _no_step)
         with pytest.raises(ValueError, match="state0"):
             _full_period(P31, state0, 1e-10)
+
+
+def _doubling_error(params, steps, span):
+    """max |x_steps - x_2steps| / (c0 n) over the common step ends of
+    [0, span] from the initial state: the step-doubling estimate of the
+    RK8 error on steps steps (1/255 below the error itself for an
+    eighth-order scheme)."""
+    x0 = initial_state(params)
+    gap = (np.array(_rk8_states(params, steps, span, x0))
+           - np.array(_rk8_states(params, 2 * steps, span, x0))[::2])
+    return np.max(np.abs(gap)) / math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
+
+
+class TestStepRule:
+    """profile_steps from the error model C (omega h)^8 omega span of
+    step_error, held against step doubling."""
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (9, 7), (13, 1), (1009, 519), (401, 399),
+                                      (10 ** 6 + 1, 10 ** 6 - 1)])
+    def test_error_constant_by_step_doubling(self, n, m):
+        # at 12 and 24 steps over the quarter (omega h from 0.1 to 0.9)
+        # the RK8 error is far above rounding, and err / ((omega h)^8 omega
+        # span) is the tableau's constant for the modulus m/n: 5.7e-6 at
+        # its largest, near m/n = 1/2 ((2, 1) and (1009, 519)), 1.1e-6 as
+        # m/n -> 0, and falling as m/n -> 1 while K grows
+        params = params_from_nm(n, m)
+        quarter = period_a(params) / 4.0
+        for steps in (12, 24):
+            c = (256.0 / 255.0) * _doubling_error(params, steps, quarter) * (
+                phi_system.STEP_ERROR_C / phi_system.step_error(params, steps, quarter))
+            assert 1e-7 < c <= phi_system.STEP_ERROR_C, (steps, c)
+            if (n, m) in ((2, 1), (1009, 519)):
+                assert c > phi_system.STEP_ERROR_C / 2.0, (steps, c)
+
+    @pytest.mark.parametrize("r, k", [
+        (3, 1), (5, 1), (8, 1), (7, 6),
+        (42, 41), (100, 1), (200, 1), (400, 1), (800, 1), (801, 800), (1000, 999), (2000, 1)])
+    def test_profile_error_within_its_bound(self, r, k):
+        # integrate_system takes the fewest steps whose modelled error is
+        # within tol / STEP_ERROR_MARGIN = 1e-16 of c0 n; step doubling then
+        # finds the error within that and four units of rounding (at most
+        # 2.0e-16 here).  76, 91, 108 and 59 steps on the battery
+        params = derive_params(r, k)
+        quarter = period_a(params) / 4.0
+        bound = 1e-13 / phi_system.STEP_ERROR_MARGIN
+        profile = integrate_system(params, tol=1e-13, n_points=None)
+        steps = len(profile.grid)
+        assert (phi_system.step_error(params, steps, quarter) <= bound
+                < phi_system.step_error(params, steps - 1, quarter))
+        states = _rk8_states(params, steps, quarter, initial_state(params))
+        assert np.array_equal(states, np.vstack((profile.states, profile.end_state)))
+        assert _doubling_error(params, steps, quarter) <= bound + 4.0 * 2.0 ** -53
+
+    def test_battery_counts(self):
+        counts = [phi_system.profile_steps(p, 1e-13, period_a(p) / 4.0)
+                  for p in map(derive_params, (3, 5, 8, 7), (1, 1, 1, 6))]
+        assert counts == [76, 91, 108, 59]
 
 
 class TestReversalSymmetry:

@@ -166,13 +166,26 @@ class TestCompleteIntegrals:
     def test_unconverged_agm_raises(self):
         # k' = 0 with k < 1 passes the modulus's 1e-14 tolerance, and the
         # AGM of 1 and 0 never converges: every function must say so
-        # rather than return K = 1.7e12 or E = 0.79
+        # rather than return K = 1.7e12 or E = 0.79.  K refuses k' = 0
+        # before the AGM, and E gives its value there, 1
         m = EllipticModulus(0.999999999999995, 0.0)
-        for call in (complete_K, complete_E,
-                     lambda m: jacobi_sncndn(1.0, m), lambda m: jacobi_am(1.0, m)):
+        with pytest.raises(DomainError, match=r"K\(k\) requires k' > 0"):
+            complete_K(m)
+        assert complete_E(m) == 1.0
+        for call in (lambda m: jacobi_sncndn(1.0, m), lambda m: jacobi_am(1.0, m)):
             with pytest.raises(DomainError, match=r"k'=0\.0 for k=0\.999999999999995 "
                                r"not converged in 40 steps: \|a - b\|/a = 1"):
                 call(m)
+
+    @pytest.mark.parametrize("n", [1407504089, 2 * 10 ** 12 - 1, 2 * 10 ** 15 - 1])
+    def test_k_rounded_to_one_keeps_its_complement(self, n):
+        # the complement k' = 1/n of k = sqrt(1 - 1/n^2), which rounds to
+        # 1: K = pi / (2 AGM(1, k')) and E are finite and near their
+        # series ln(4/k') + O(k'^2 ln k') and 1 + O(k'^2 ln k') (DLMF
+        # 19.12.1-2); E = K (1 - s) loses about K ulps to the cancellation
+        m = EllipticModulus(1.0, 1.0 / n)
+        assert complete_K(m) == pytest.approx(math.log(4.0 * n), rel=1e-15)
+        assert complete_E(m) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestJacobi:

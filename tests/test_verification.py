@@ -1,7 +1,9 @@
 """Tests for the aggregated verification battery."""
 
 import dataclasses
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,16 +61,22 @@ class TestProfileBattery:
         # started 1e-8 off phi1'(0), the RK8 quarter of (n, m) = (767, 765)
         # misses the fixed set of the reversor about a/4 by 7.0e-8, above
         # its floor 10 tol c0 n = 7.7e-10: phi_reversal fails, and verify
-        # reports the whole battery and exits 2
+        # reports the whole battery and exits 2.  The context names the
+        # 280 steps of the profile's rule and their model error
         start = ps.initial_state
         monkeypatch.setattr(ps, "initial_state",
                             lambda p: start(p) + [0.0, 0.0, 0.0, 0.0, 1e-8, 0.0])
         params = params_from_nm(767, 765)
+        c0n = math.sqrt((767 ** 2 + 765 ** 2) / 2)
+        quarter = period_a(params) / 4.0
+        assert ps.profile_steps(params, vf.PROFILE_TOL, quarter) == 280
+        assert f"{ps.step_error(params, 280, quarter) * c0n:.1e}" == "7.6e-14"
         check = next(c for c in vf.profile_checks(params) if c.name == "phi_reversal")
         assert not check.passed
-        assert check.threshold == 10.0 * vf.PROFILE_TOL * math.sqrt((767 ** 2 + 765 ** 2) / 2)
+        assert check.threshold == 10.0 * vf.PROFILE_TOL * c0n
         assert check.context == (f"max |phi0, phi1', phi2'| at a/4 = {check.residual:.3e}, "
-                                 "floor 10 tol c0 n = 7.7e-10 at tol 1.0e-13, 445 RK8 steps")
+                                 "floor 10 tol c0 n = 7.7e-10 at tol 1.0e-13, "
+                                 "280 RK8 steps, model error 7.6e-14")
         assert 7e-8 < check.residual < 7.1e-8
         out = tmp_path / "report.json"
         assert main(["verify", "--r", str(params.r), "--k", str(params.k),
@@ -107,6 +115,25 @@ def test_quarter_closes_within_its_floor_through_r200(pair):
     check = next(c for c in vf.profile_checks(derive_params(*pair))
                  if c.name == "phi_reversal")
     assert check.passed, (pair, str(check))
+
+
+_R42_TO_60 = [(r, k) for r, k in admissible_pairs(60) if r >= 42]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(pair=st.sampled_from(_R42_TO_60))
+@example(pair=(3, 1))
+@example(pair=(5, 1))
+@example(pair=(8, 1))
+@example(pair=(7, 6))
+def test_only_the_drifts_fail_through_r60(pair):
+    # for 42 <= r <= 60 the first integrals, of size n^4, drift past the
+    # absolute 1e-8 at their rounding floor; no other check fails there,
+    # and the battery passes every check
+    failed = {c.name for c in vf.full_report(*pair).checks if not c.passed}
+    assert failed <= {"first_integral_E1_drift", "first_integral_E2_drift"}, (pair, failed)
+    if pair[0] < 42:
+        assert not failed, pair
 
 
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -159,7 +186,7 @@ class TestAreaAndLambda:
         # recompute the unhalved integrand path
         import lawson_bipolar.surface_model as sm
         a = sm.period_a(klein)
-        ys = np.linspace(0.0, a, 8192, endpoint=False)
+        ys = np.linspace(0.0, a, vf.AREA_POINTS, endpoint=False)
         full = 2.0 * math.pi * a * float(np.mean(sm.metric_f_array(ys, klein)))
         assert torus_like == full / 2.0
 
@@ -350,6 +377,19 @@ class TestFullReport:
         strict = vf.full_report(2, 1, strict=True)
         for c, cs in zip(rep.checks, strict.checks):
             assert cs.threshold == c.threshold / 2.0
+
+    def test_strict_contexts_state_the_halved_floors(self, tmp_path):
+        # --strict halves each floor where it is formed: the floor a
+        # context states is the threshold the check is judged against
+        out = tmp_path / "strict.json"
+        assert main(["verify", "--r", "8", "--k", "1", "--strict", "--out", str(out)]) in (0, 2)
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        floors = {name: c for name, c in checks.items() if "floor" in c["context"]}
+        assert set(floors) == {"phi_reversal", "simplicity_in_window"}
+        reversal = re.search(r"floor 10 tol c0 n = (\S+) ", floors["phi_reversal"]["context"])
+        assert reversal[1] == f"{floors['phi_reversal']['threshold']:.1e}" == "4.0e-12"
+        simple = re.search(r"floor (\S+)$", floors["simplicity_in_window"]["context"])
+        assert float(simple[1]) == floors["simplicity_in_window"]["threshold"] == 5e-10
 
     def test_reports_are_deterministic(self):
         a = vf.full_report(2, 1).to_dict()
