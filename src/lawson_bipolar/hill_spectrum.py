@@ -11,10 +11,11 @@ discriminant of the fundamental pair over the half period.
 
 The eigenvalues come from the blocks alone.  The Floquet propagation is
 kept as an independent oracle for the verification battery: the
-fixed-step RK8 scheme of rk8 taken as a product of per-step transfer
-matrices from f precomputed at the stage nodes, built and multiplied a
-tile of steps x (p, lambda) columns at a time, so its stage arrays stay
-under a megabyte whatever the steps and columns.
+fixed-step RK8 scheme of rk8, in Nystrom form, taken as a product of
+per-step transfer matrices from f precomputed at the stage nodes, each
+carried less the identity, built and multiplied a tile of steps x
+(p, lambda) columns at a time, so its stage arrays stay under half a
+megabyte whatever the steps and columns.
 
 The extremal rank and the multiplicity-5 cluster at lambda = 2 come from
 each block's 2F - diag(k_j^2), certified to hold the ell = 1 Lame cluster,
@@ -87,7 +88,7 @@ EIGENFUNCTION_SAMPLES = 2048
 #: a sample at most this fraction of the largest |sample| counts as a zero
 ZERO_SAMPLE_TOL = 1e-9
 #: most steps x columns of one tile of the Floquet propagation (about
-#: 0.8 MB of stage arrays, whatever the number of steps and columns)
+#: 0.4 MB of stage arrays, whatever the number of steps and columns)
 _TILE = 1 << 11
 #: matrix entries of one batched eigvalsh of the line scan (1 MB a stack)
 _SCAN_BLOCK = 1 << 17
@@ -109,6 +110,15 @@ BLOCKS = ((Parity.EVEN, 2.0), (Parity.EVEN, -2.0), (Parity.ODD, 2.0), (Parity.OD
 CLUSTER = ((Parity.EVEN, -2.0), (Parity.ODD, -2.0), (Parity.EVEN, 2.0))
 
 
+def _q(p2: np.ndarray, lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """p2 - lam f in one array, with no second temporary of a tile's size:
+    with one, a tile's arrays outgrow what the allocator keeps after the
+    first call, and every later call faults its pages back in (about 420
+    at (8, 1))."""
+    q = np.multiply(lam, f)
+    return np.subtract(p2, q, out=q)
+
+
 def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
                n_steps: int) -> np.ndarray:
     """Fundamental pair of the Hill equation at y_end, started as z1 = 1,
@@ -116,8 +126,9 @@ def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
 
     The equation is z'' = q z with q = p^2 - lambda f, f taken once at the
     stage nodes y_start + (step + c_i) h of all steps.  The RK8 step
-    matrices are multiplied pairwise, later @ earlier, by
-    rk8.tiled_product: columns go in blocks of at most _TILE / 16, and
+    matrices, less the identity, are multiplied pairwise, later @
+    earlier, by rk8.tiled_product, and the identity is added back to the
+    product: columns go in blocks of at most _TILE / 16, and
     the steps of a block in tiles of the largest power of two that keeps
     a tile within _TILE steps x columns, each built and reduced before
     the next.  Each column's result does not depend on the others.
@@ -137,9 +148,11 @@ def _propagate(params: SurfaceParams, p2, lam, y_start: float, y_end: float,
     out = np.empty((4, cols))
     for lo in range(0, cols, width):
         p2_block, lam_block = p2[lo:lo + width], lam[lo:lo + width]
-        prod = rk8.tiled_product(lambda steps: p2_block - lam_block * f[:, steps],
+        prod = rk8.tiled_product(lambda steps: _q(p2_block, lam_block, f[:, steps]),
                                  n_steps, h, tile)
         out[:, lo:lo + width] = prod[[0, 2, 1, 3], 0]
+    out[0] += 1.0
+    out[3] += 1.0
     return out
 
 
@@ -185,6 +198,13 @@ class ExtremalReport:
 # basic operations
 # ---------------------------------------------------------------------------
 
+def _half_steps(params: SurfaceParams) -> int:
+    """N/2 for floquet's grid of N steps over the half period b: the step
+    count that b needs at DEFAULT_SOLVER_TOL, rounded up to even."""
+    b = period_a(params) / 2.0
+    return (rk8.steps_for(params.n, params.m, DEFAULT_SOLVER_TOL, b) + 1) // 2
+
+
 def floquet(p, lam, params: SurfaceParams, y_end=None):
     """(z1, z1', z2, z2') at y_end, by default the half period b = a/2, of
     the fundamental pair z1 = 1, z1' = 0, z2 = 0, z2' = 1 at y = 0.  The
@@ -208,7 +228,7 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
     if not all(end in (c, b) for end in ends):     # also false for a NaN
         raise ValueError(f"need y_end b/2 or b, or a tuple of them, b = {b!r}; "
                          f"got {y_end!r}")
-    p2, half = ps * ps, (rk8.steps_for(params.n, params.m, DEFAULT_SOLVER_TOL, b) + 1) // 2
+    p2, half = ps * ps, _half_steps(params)
     pairs = {c: _propagate(params, p2, lams, 0.0, c, half)}
     if b in ends:
         x1, dx1, x2, dx2 = pairs[c]
@@ -251,13 +271,19 @@ def _truncation(params: SurfaceParams) -> tuple[np.ndarray, float, float]:
     tails = (s / c0) * q ** counts * (counts - (counts - 1) * q) / (
         (1.0 - q) ** 2 * (1.0 - q ** (2 * counts)))
     fits = np.flatnonzero(tails <= TAIL_BOUND)
-    modes = max(int(fits[0]) + 1 + MODE_MARGIN, MIN_MODES) if fits.size else None
-    if modes is None or modes > N_MODES:
-        asked = f"more than {N_MODES}" if modes is None else modes
+    where = f"Fourier tail of f for (n,m)=({params.n},{params.m}) at nome q = {q:.6g}"
+    if not fits.size:
         raise SpectrumMismatchError(
-            f"Fourier tail of f for (n,m)=({params.n},{params.m}) at nome q = {q:.6g} "
-            f"asks for {asked} modes per block, above N_MODES = {N_MODES}, whose "
-            f"tail is {tails[-1]:.3e} c_0 against TAIL_BOUND = {TAIL_BOUND:g}")
+            f"{where}: no count up to N_MODES = {N_MODES} modes per block brings it "
+            f"within TAIL_BOUND = {TAIL_BOUND:g} c_0; at {N_MODES} it is "
+            f"{tails[-1]:.3e} c_0")
+    fewest = int(fits[0]) + 1
+    modes = max(fewest + MODE_MARGIN, MIN_MODES)
+    if modes > N_MODES:
+        raise SpectrumMismatchError(
+            f"{where} asks for {modes} modes per block: {fewest}, the fewest whose tail "
+            f"({tails[fewest - 1]:.3e} c_0) is within TAIL_BOUND = {TAIL_BOUND:g} c_0, "
+            f"and MODE_MARGIN = {MODE_MARGIN} more, above N_MODES = {N_MODES}")
     i = np.arange(1, 2 * modes + 1)
     c = np.zeros(4 * modes + 1)
     c[0] = c0

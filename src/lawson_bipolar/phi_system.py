@@ -100,33 +100,40 @@ def odesystem_rhs(state, params: SurfaceParams) -> tuple:
 
 
 def _rk8_step(params: SurfaceParams, h: float):
-    """The Cooper-Verner RK8 step of the profile system at step size h:
-    step(x0, ..., x5) gives the six floats sum_i (h b_i) k_i for the
-    state x.  It loops over the h-scaled rows of rk8.A and rk8.B; each
-    stage sum adds its terms in row order and each slope is odesystem_rhs
-    spelt out, so the step is the stage loop over the tableau bit for
-    bit."""
+    """The Cooper-Verner RK8 step of the profile system at step size h, in
+    the Nystrom form of rk8: step(x0, ..., x5) gives the six floats
+    h x' + h^2 sum_j bbar_j g_j and h sum_j b_j g_j for the state
+    x = (phi, phi'), g_j the accelerations (phi0'', phi1'', phi2'') at
+    stage j's value of phi, x + c_j h x' + h^2 sum_k abar_jk g_k.  Each
+    stage sum starts from c_j h x', adds its terms in row order of
+    rk8.A_BAR, then x; each acceleration is odesystem_rhs spelt out; the
+    increments add their terms in stage order, then h x'."""
     m2, n2 = float(params.m * params.m), float(params.n * params.n)
-    stages = [[(j, h * c) for j, c in row] for row in rk8.A]
-    weights = [(j, h * c) for j, c in rk8.B]
+    h2 = h * h
+    stages = [(h * c, [(j, h2 * a) for j, a in row])
+              for c, row in zip(rk8.C.tolist(), rk8.A_BAR)]
+    top = [(j, h2 * w) for j, w in rk8.B_BAR]
+    bottom = [(j, h * w) for j, w in rk8.B]
 
     def step(x0, x1, x2, x3, x4, x5):
-        k = []
-        append = k.append
-        for row in stages:
-            s0 = x0; s1 = x1; s2 = x2; s3 = x3; s4 = x4; s5 = x5
+        g = []
+        append = g.append
+        for hc, row in stages:
+            s0 = hc * x3; s1 = hc * x4; s2 = hc * x5
             for j, c in row:
-                k0, k1, k2, k3, k4, k5 = k[j]
-                s0 += c * k0; s1 += c * k1; s2 += c * k2
-                s3 += c * k3; s4 += c * k4; s5 += c * k5
+                g0, g1, g2 = g[j]
+                s0 += c * g0; s1 += c * g1; s2 += c * g2
+            s0 += x0; s1 += x1; s2 += x2
             t = 2.0 * (m2 * s1 * s1 + n2 * s2 * s2)
-            append((s3, s4, s5, -t * s0, (m2 - t) * s1, (n2 - t) * s2))
+            append((-t * s0, (m2 - t) * s1, (n2 - t) * s2))
         s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-        for j, c in weights:
-            k0, k1, k2, k3, k4, k5 = k[j]
-            s0 += c * k0; s1 += c * k1; s2 += c * k2
-            s3 += c * k3; s4 += c * k4; s5 += c * k5
-        return s0, s1, s2, s3, s4, s5
+        for j, c in top:
+            g0, g1, g2 = g[j]
+            s0 += c * g0; s1 += c * g1; s2 += c * g2
+        for j, c in bottom:
+            g0, g1, g2 = g[j]
+            s3 += c * g0; s4 += c * g1; s5 += c * g2
+        return s0 + h * x3, s1 + h * x4, s2 + h * x5, s3, s4, s5
 
     return step
 

@@ -394,7 +394,7 @@ def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[
     propagation over each half, and every located root to b/2 alone in a
     second; each column's bits do not depend on the others in its call."""
     b = period_a(params) / 2.0
-    c = b / 2.0
+    c, half = b / 2.0, hs._half_steps(params)
     pvals, lvals = _r2_points(30_000, FLOQUET_POINTS, 0.0, [float(params.n), 3.0])
     roots = [(line.p, eig) for line in hs.surface_lines(params) for eig in line.eigenvalues]
     (z1h, dz1h, z2h, dz2h), (z1b, dz1b, z2b, dz2b) = hs.floquet(
@@ -410,7 +410,8 @@ def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[
         np.max(np.abs(dz2b - z1b))]))
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10 * scale,
-                    f"{FLOQUET_POINTS} R2 points (p, lambda)"),
+                    f"{FLOQUET_POINTS} R2 points (p, lambda), {2 * half} RK8 steps "
+                    f"to b, {half} per half"),
         CheckResult("half_period_identities", half_ids, 1e-9 * scale),
         _simplicity(roots, at_roots, c, SIMPLICITY_FLOOR * scale),
     ]

@@ -102,6 +102,18 @@ class TestRank:
         assert main(["rank", "--r", str(r), "--k", str(k)]) == 0
         assert capsys.readouterr().out.strip() == line
 
+    def test_first_k1_pair_past_n_modes(self, capsys):
+        # k = 1 has m/n -> 1 and the nome q -> 1: (290761, 1) is the last
+        # pair whose mode count fits N_MODES, and (290762, 1) the first
+        # refused, whose message names the 47 modes that meet TAIL_BOUND,
+        # the margin and the cap
+        assert main(["rank", "--r", "290761", "--k", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "i=581520, torus, 2r-2"
+        assert main(["rank", "--r", "290762", "--k", "1"]) == 3
+        assert ("asks for 49 modes per block: 47, the fewest whose tail (5.038e-13 c_0) "
+                "is within TAIL_BOUND = 1e-12 c_0, and MODE_MARGIN = 2 more, above "
+                "N_MODES = 48") in capsys.readouterr().err
+
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         assert main(["rank", "--sweep", "4", "--out", str(out)]) == 0
@@ -345,13 +357,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "b797764eb5f6dc961270278f4975b70b33414615472188d74264cd8847ad5c86"),
+         "eb1edef3107bc4ac113ef6ba9bb2aebe05b5751d595123d4110392600b2f181f"),
         (["verify", "--r", "3", "--k", "1"],
-         "2328c500aac7f52b6520b2e64faacc6f8e92e4671fcd6a0707fbd34317fdf375"),
+         "e9e78ddb51d7c441d274c0c06dc9e8dc09e165bbcffaaafd0f5c861efa57f2d0"),
         (["verify", "--r", "5", "--k", "1"],
-         "54528c2a83d4ce9f9c4cbf80a99ae58ecb2bf6c0805ad93f671079ee8555776e"),
+         "564424887ae7fc09cea2d033be84c0be16d01d8c7603d89bfd6d27ee71f3e1fe"),
         (["verify", "--r", "7", "--k", "6"],
-         "475630ef3a22eed231845a66768404588e14fae3eb28715a194cb1c0a0704339"),
+         "fa370e5a3b76daebc9eb495881f3ee79d808c5876fb562c4c4fdc91a60ffe360"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -1025,6 +1037,9 @@ ALLOWED_PRIVATE_READS = {
     ("cli", "verification", "_area_identity"):
         "area judges its two areas by verify's area_identity check; a public "
         "function of verification would be traced as a span the benchmark does not list",
+    ("verification", "hill_spectrum", "_half_steps"):
+        "floquet_wronskian states the oracle's step count; a public function of "
+        "hill_spectrum would be traced as a span the benchmark does not list",
 }
 
 

@@ -49,28 +49,41 @@ P21 = params_from_nm(2, 1)     # (r, k) = (3, 1), Klein bottle
 P31 = params_from_nm(3, 1)     # (r, k) = (2, 1), torus
 
 
+#: whether long double carries more bits than double here; the stage-loop
+#: references run in it, and are skipped where it does not
+_WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_long_double = pytest.mark.skipif(not _WIDE, reason="long double is double here")
+
+
 def _propagate_reference(params, p, lam, y_end, n_steps, y_start=0.0):
-    """(z1, z1', z2, z2') at y_end, started at y_start, by the stage-by-stage
-    RK8 loop over one (p, lambda) column in Python floats, f taken at the
-    same stage nodes: the reference for the batched transfer-matrix
-    product."""
+    """(z1, z1', z2, z2') at y_end, started at y_start, by the classic
+    stage-by-stage RK8 loop on the first-order form (z, z') in long
+    double, one column per entry of p and lam: the reference for the
+    Nystrom transfer-matrix product.  q = p^2 - lambda f is formed in
+    doubles at the same stage nodes, as the oracle forms it."""
+    wide = np.longdouble
     h = (y_end - y_start) / n_steps
     nodes = y_start + (np.arange(n_steps)[:, None] + rk8.C) * h
-    f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11).tolist()
-    state = [1.0, 0.0, 0.0, 1.0]
-    for f_step in f:
+    f = metric_f_array(nodes.ravel(), params).reshape(n_steps, 11, 1)
+    p, lam = np.atleast_1d(p), np.atleast_1d(lam)
+    q = (p * p - lam * f).astype(wide)
+    stages = [[(j, wide(h) * wide(a)) for j, a in row] for row in rk8.A]
+    weights = [(i, wide(h) * wide(w)) for i, w in rk8.B]
+    state = np.zeros((4, p.size), wide)
+    state[0] = state[3] = 1.0
+    for q_step in q:
         ks = []
-        for row, f_node in zip(rk8.A, f_step):
-            y = state
+        for row, q_node in zip(stages, q_step):
+            y = state.copy()
             for j, a in row:
-                y = [yv + (h * a) * kv for yv, kv in zip(y, ks[j])]
-            q = p * p - lam * f_node
-            ks.append([y[1], q * y[0], y[3], q * y[2]])
-        for i, w in rk8.B:
-            state = [sv + (h * w) * kv for sv, kv in zip(state, ks[i])]
+                y += a * ks[j]
+            ks.append(np.array([y[1], q_node * y[0], y[3], q_node * y[2]]))
+        for i, w in weights:
+            state = state + w * ks[i]
     return state
 
 
+@needs_long_double
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(pair=st.sampled_from(admissible_pairs(20)),
        cols=st.lists(st.tuples(st.floats(0.0, 1.0),
@@ -86,37 +99,33 @@ def test_transfer_product_matches_stage_loop(pair, cols, span, n_steps):
     p = np.array([u * params.n for u, _ in cols])
     lam = np.array([lam for _, lam in cols])
     got = hs._propagate(params, p * p, lam, y_start, y_end, n_steps)
-    for col in range(len(cols)):
-        ref = np.array(_propagate_reference(params, p[col], lam[col], y_end, n_steps,
-                                            y_start))
-        assert np.all(np.abs(got[:, col] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    ref = _propagate_reference(params, p, lam, y_end, n_steps, y_start)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     z1, dz1, z2, dz2 = got
     assert np.max(np.abs(z1 * dz2 - z2 * dz1 - 1.0)) < 1e-11
 
 
 def _step_matrices_reference(q, h):
-    """rk8.step_matrices as it was before it built its stages in place: a
-    fresh identity per stage, a fresh temporary per term, then copies."""
-    shape = q.shape[1:]
+    """rk8.step_matrices as a plain Nystrom loop: a fresh array per term,
+    each sum's terms in stage order, then (1, c_i h) for stage i's value
+    of z and (0, h) for the top row of S - I."""
+    h2 = h * h
+    ones = (1,) * (q.ndim - 1)
 
-    def identity():
-        eye = np.zeros((4,) + shape)
-        eye[0] = eye[3] = 1.0
-        return eye
+    def weighted(pairs, scale, f):
+        total = 0.0
+        for j, w in pairs:
+            total = total + (scale * w) * f[j]
+        return total
 
-    k = np.empty((11, 4) + shape)
-    for i, row in enumerate(rk8.A):
-        m = identity()
-        for j, a in row:
-            m += (h * a) * k[j]
-        k[i, 0] = m[2]
-        k[i, 1] = m[3]
-        np.multiply(q[i], m[0], out=k[i, 2])
-        np.multiply(q[i], m[1], out=k[i, 3])
-    s = identity()
-    for i, w in rk8.B:
-        s += (h * w) * k[i]
-    return s
+    def column(*entries):
+        return np.array(entries).reshape((2,) + ones)
+
+    f = []
+    for i, row in enumerate(rk8.A_BAR):
+        f.append(q[i] * (weighted(row, h2, f) + column(1.0, h * rk8.C[i])))
+    return np.concatenate([weighted(rk8.B_BAR, h2, f) + column(0.0, h),
+                           weighted(rk8.B, h, f)])
 
 
 @pytest.mark.parametrize("r, k", [(3, 1), (5, 1), (8, 1), (7, 6)])
@@ -184,6 +193,7 @@ def test_propagate_keeps_the_bits_of_one_product(n_steps, cols):
     nodes = (np.arange(n_steps)[:, None] + rk8.C) * h
     f = metric_f_array(nodes.ravel(), P31).reshape(n_steps, 11).T[:, :, None]
     want = rk8.pairwise_product(rk8.step_matrices(p2 - lam * f, h))[[0, 2, 1, 3], 0]
+    want[[0, 3]] += 1.0
     _same_bits(hs._propagate(P31, p2, lam, 0.0, b, n_steps), want)
 
 
@@ -357,6 +367,7 @@ class TestFloquetForms:
         np.testing.assert_array_equal(at_half, floquet(p, lam, P21, y_end=b / 2.0))
         np.testing.assert_array_equal(at_b, floquet(p, lam, P21))
 
+    @needs_long_double
     @pytest.mark.parametrize("r,k", [(3, 1), (8, 1), (7, 6), (100, 1)])
     def test_halves_match_the_stage_loop(self, r, k):
         # the pair at b, composed from the propagations over [0, b/2] and
@@ -369,13 +380,10 @@ class TestFloquetForms:
         p = np.array([0.0, 0.3, 0.7, 1.0]) * params.n
         lam = np.array([2.9, 0.1, 1.7, 2.0])
         at_half, at_b = floquet(p, lam, params, y_end=(b / 2.0, b))
-        for col in range(p.size):
-            for got, y_end, n_steps in ((at_b, b, steps), (at_half, b / 2.0, steps // 2)):
-                ref = np.array(_propagate_reference(params, p[col], lam[col], y_end,
-                                                    n_steps))
-                got = np.array([row[col] for row in got])
-                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (
-                    col, y_end, got - ref)
+        for got, y_end, n_steps in ((at_b, b, steps), (at_half, b / 2.0, steps // 2)):
+            ref = _propagate_reference(params, p, lam, y_end, n_steps)
+            gap = np.abs(np.array(got) - ref) / np.maximum(1.0, np.abs(ref))
+            assert np.all(gap <= 1e-12), (y_end, gap)
 
 
 class TestBranches:
@@ -436,10 +444,12 @@ class TestBranches:
 
     def test_mode_count_past_the_cap_raises(self, monkeypatch):
         # the margin pushes the 9 modes of (n, m) = (3, 1) past N_MODES: the
-        # error names the nome, the modes asked for and the tail at the cap
+        # error names the nome, the modes asked for, the fewest that meet
+        # TAIL_BOUND with their tail, and the margin
         monkeypatch.setattr(hs, "MODE_MARGIN", 42)
         with pytest.raises(hs.SpectrumMismatchError,
-                           match=r"q = 0\.00736091 asks for 49 modes .* tail is 1\.498e-100 c_0"):
+                           match=r"q = 0\.00736091 asks for 49 modes per block: 7, the fewest "
+                                 r"whose tail \(6\.247e-14 c_0\) .* MODE_MARGIN = 42 more"):
             hs._galerkin_blocks.__wrapped__(P31)
 
     def test_fourier_galerkin_oracle(self):

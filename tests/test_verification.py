@@ -410,13 +410,15 @@ class TestFullReport:
         assert hs._galerkin_blocks.cache_info().misses == 1
         assert calls == {"_scan_lines": 1}
 
-    @pytest.mark.parametrize("r,k,bound", [(3, 1, 2 ** 20), (5, 1, 2 ** 20), (8, 1, 2 ** 20),
-                                           (7, 6, 2 ** 20), (400, 1, 2 ** 22)],
+    @pytest.mark.parametrize("r,k,bound", [(3, 1, 5 * 2 ** 17), (5, 1, 5 * 2 ** 17),
+                                           (8, 1, 5 * 2 ** 17), (7, 6, 5 * 2 ** 17),
+                                           (400, 1, 2 ** 22)],
                              ids=["3-1", "5-1", "8-1", "7-6", "400-1"])
     def test_report_allocations_stay_bounded(self, r, k, bound):
-        # the Floquet oracle's step matrices go a tile at a time and the line
-        # scan's eigvalsh stacks hold 2^17 entries: a cold report's peak is
-        # near 0.85 MiB on the battery and 2.4 MiB at (400, 1)
+        # the Floquet oracle's step matrices go a tile at a time, each stage
+        # holding the two entries of its value of z, and the line scan's
+        # eigvalsh stacks hold 2^17 entries: a cold report's peak is 0.50 to
+        # 0.53 MiB on the battery and 2.4 MiB at (400, 1)
         hs._galerkin_blocks.cache_clear()
         tracemalloc.start()
         try:
