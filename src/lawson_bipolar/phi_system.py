@@ -11,11 +11,11 @@ orbit is also reversible about y = a/4 = K/n (phi0 odd, phi1 and phi2
 even there), so the fundamental quarter [0, a/4] fixes the whole period.
 Three evaluation routes are provided: direct fixed-step RK8 integration
 over the quarter in Python floats, each step a loop over the rows of the
-Cooper-Verner tableau of rk8, on the step count of the profile's own
-error model (profile_steps), the theta closed form (authoritative; needs
-only Jacobi functions), and the Weierstrass closed form (magnitudes
-only), its P read off the roots of each row's cubic, which are closed
-forms in (n, m).  Two first integrals E1, E2 are evaluated for drift
+Nystrom form of the Cooper-Verner tableau of rk8, on the step count of
+the profile's own error model (profile_steps), the theta closed form
+(authoritative; needs only Jacobi functions), and the Weierstrass
+closed form (magnitudes only), its P read off the roots of each row's
+cubic, which are closed forms in (n, m).  Two first integrals E1, E2 are evaluated for drift
 checks.
 """
 
