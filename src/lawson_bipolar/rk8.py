@@ -96,9 +96,9 @@ def step_matrices(q: np.ndarray, h: float) -> np.ndarray:
     The equation is linear and has no z' term, so one step is a 2x2
     matrix per column in Nystrom form: stage i's value of z is the row
     Z_i = (1, c_i h) + h^2 sum_j abar_ij F_j over (z, z') at the step's
-    start, with F_j = q_j Z_j, and
-    S - I = [[h^2 sum_j bbar_j F_j, h + h^2 sum_j bbar_j F_j'],
-             [h sum_j b_j F_j, h sum_j b_j F_j']].
+    start, with F_j = q_j Z_j = (F_j0, F_j1), and
+    S - I = [[h^2 sum_j bbar_j F_j0, h + h^2 sum_j bbar_j F_j1],
+             [h sum_j b_j F_j0, h sum_j b_j F_j1]].
     Stage i builds F_i in place in f[i]: its first term, then each
     further term through one reused temporary, then (1, c_i h), then
     q_i.  The rows of S - I are summed alike, each weight's term in
