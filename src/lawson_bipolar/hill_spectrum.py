@@ -60,13 +60,11 @@ __all__ = [
     "surface_lines",
     "eigenfunction_samples",
     "count_zeros",
-    "DEFAULT_SOLVER_TOL",
     "CLUSTER_TOL",
     "EIGENFUNCTION_SAMPLES",
     "ZERO_SAMPLE_TOL",
 ]
 
-DEFAULT_SOLVER_TOL = 1e-9
 #: the cluster's mu lie within CLUSTER_TOL n^2 of p^2, every other mu below
 #: -CLUSTER_TOL n^2; the members at p = 0 and 1 carry rounding near u n^2
 CLUSTER_TOL = 1e-12
@@ -199,10 +197,12 @@ class ExtremalReport:
 # ---------------------------------------------------------------------------
 
 def _half_steps(params: SurfaceParams) -> int:
-    """N/2 for floquet's grid of N steps over the half period b: the step
-    count that b needs at DEFAULT_SOLVER_TOL, rounded up to even."""
-    b = period_a(params) / 2.0
-    return (rk8.steps_for(params.n, params.m, DEFAULT_SOLVER_TOL, b) + 1) // 2
+    """N/2 for floquet's grid of N steps over the half period b: the fixed
+    count max(96, ceil(1.5 omega b tol^(-1/8))) at tol = 1e-9 rounded up to
+    even.  It grows with K(m/n); no admissible pair needs more than 1359."""
+    n, m, b = params.n, params.m, period_a(params) / 2.0
+    omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
+    return (max(int(math.ceil(1.5 * omega * b * 1e-9 ** (-1.0 / 8.0))), 96) + 1) // 2
 
 
 def floquet(p, lam, params: SurfaceParams, y_end=None):
@@ -214,10 +214,9 @@ def floquet(p, lam, params: SurfaceParams, y_end=None):
     y_end is b, b/2 or a tuple of these, which gives one result per entry;
     any other y_end raises ValueError.  Scalar p and lam give four floats,
     1-D arrays four arrays.  Both ends lie on one grid of N steps of
-    h = b/N, N the step count that b needs at DEFAULT_SOLVER_TOL rounded up
-    to even: the pair at b/2 takes the first N/2 steps, and the pair at b
-    is the product of the last N/2, with stage nodes from b/2 on, times
-    the pair at b/2.
+    h = b/N, N/2 from _half_steps: the pair at b/2 takes the first N/2
+    steps, and the pair at b is the product of the last N/2, with stage
+    nodes from b/2 on, times the pair at b/2.
     """
     ps, lams = np.broadcast_arrays(np.asarray(p, float), np.asarray(lam, float))
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(ps)) and np.all(ps >= 0)):

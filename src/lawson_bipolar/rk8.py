@@ -5,11 +5,11 @@ hill_spectrum.
 
 Both integrate second-order systems y'' = g(y) with no y' term, so both
 step in the tableau's Nystrom form, whose stages need the values of y
-alone.  The module holds the tableau and that form, the fixed step
-count of the Floquet oracle, and the batched step of the linear
-z'' = q z with the product of its steps, whole or tile by tile.  The
-profile takes its step count from its own error model,
-phi_system.profile_steps.
+alone.  The module holds the tableau and that form, and the batched
+step of the linear z'' = q z with the product of its steps, whole or
+tile by tile.  Each integrator takes its own step count: the profile
+from its error model, phi_system.profile_steps, and the Floquet oracle
+from hill_spectrum._half_steps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["C", "A", "B", "A_BAR", "B_BAR", "steps_for", "step_matrices",
+__all__ = ["C", "A", "B", "A_BAR", "B_BAR", "step_matrices",
            "pairwise_product", "tiled_product"]
 
 # stage sums keep sqrt(21) exactly
@@ -76,16 +76,6 @@ def _times_a(terms: list) -> list:
 #: first-order form (y, y'), with the stage values of y alone
 A_BAR = [_times_a(row) for row in A]
 B_BAR = _times_a(B)
-
-
-def steps_for(n: int, m: int, tol: float, span: float) -> int:
-    """Fixed step count of the Floquet oracle over span for the Hill
-    equation on the profile of (n, m) at tol.  The count grows with
-    K(m/n), which the largest n whose m/n is below 1 as a double bounds:
-    no admissible pair needs more than 1359 steps to b at the Floquet
-    tolerance."""
-    omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
-    return max(int(math.ceil(1.5 * omega * span * tol ** (-1.0 / 8.0))), 96)
 
 
 def step_matrices(q: np.ndarray, h: float) -> np.ndarray:

@@ -60,7 +60,7 @@ class InvalidParametersError(ValueError):
 
 
 class ExcludedDirectionError(RuntimeError):
-    """A rotated wedge I ^ I* has a component along the direction the S^4
+    """A rotated 6-vector has a component along the direction the S^4
     projection drops; carries the worst sampled point and its residual."""
 
     def __init__(self, u: float, v: float, residual: float):
@@ -219,25 +219,24 @@ def _rotated_wedge(u_factors, v_factors) -> np.ndarray:
     return w6
 
 
-def _project5(w6: np.ndarray, r: int, k: int, u, v, out=None) -> np.ndarray:
-    """Rotated 6-vectors, components along axis 0 -> 5-vectors on the S^4
-    equator, components along the last axis of out (a new array when out is
-    None).  Every column must be orthogonal to the excluded direction;
-    (u, v), broadcast against a component, only name the worst point when
-    one is not."""
+def _x1(c0, c1, r: int, k: int, u, v):
+    """x1 from components 0 and 1 of rotated 6-vectors, each pair orthogonal
+    to the excluded direction; (u, v), broadcast against c0, name the worst
+    point when one is not."""
     norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
-    dots = np.abs((r + k) / norm * w6[0] + (k - r) / norm * w6[1])
+    dots = np.abs((r + k) / norm * c0 + (k - r) / norm * c1)
     worst = int(np.argmax(dots))
     if dots.flat[worst] > 1e-12:
         us, vs = np.broadcast_arrays(u, v)
         raise ExcludedDirectionError(float(us.flat[worst]), float(vs.flat[worst]),
                                      float(dots.flat[worst]))
-    if out is None:
-        out = np.empty(dots.shape + (5,))
-    out[..., 0] = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
-    for col, comp in enumerate((5, 2, 4, 3), 1):
-        out[..., col] = w6[comp]
-    return out
+    return (r - k) / norm * c0 + (r + k) / norm * c1
+
+
+def _project5(w6: np.ndarray, r: int, k: int, u, v) -> np.ndarray:
+    """Rotated 6-vectors, components along axis 0 -> 5-vectors on the S^4
+    equator, components along the last axis: x1, then components 6, 3, 5, 4."""
+    return np.stack([_x1(w6[0], w6[1], r, k, u, v), w6[5], w6[2], w6[4], w6[3]], -1)
 
 
 def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
@@ -246,8 +245,9 @@ def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
     an array (giving one row each), built as the wedge I ^ I* of the
     Lawson immersion with its normal, rotated by the block matrix A and
     projected onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the
-    basis).  Every operation is elementwise, so every row is bit-identical
-    to the one-point evaluation.  A NaN or an infinity raises DomainError."""
+    basis), the route verify holds the closed form to.  Every operation is
+    elementwise, so every row is bit-identical to the one-point evaluation.
+    A NaN or an infinity raises DomainError."""
     us, vs = np.broadcast_arrays(_finite(u), _finite(v))
     u1, v1 = us.reshape(-1), vs.reshape(-1)
     r, k = params.r, params.k
@@ -256,21 +256,28 @@ def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
     return rows[0] if us.ndim == 0 else rows
 
 
+def _column_u(u, r: int, k: int) -> tuple:
+    """cos and sin of (r-k)u, then of (r+k)u: the column's factors in u."""
+    return tuple(f(s * u) for s in (r - k, r + k) for f in (np.cos, np.sin))
+
+
+def _column_v(v, r: int, k: int) -> tuple:
+    """The column's factors in v: pref = 1/(sqrt 8 w), the amplitudes
+    (r-+k) + (r+-k) cos 2v, then components 0 and 1, pref (r-+k) sin 2v."""
+    pref = 1.0 / (math.sqrt(8.0) * _v_factors(v, r, k)[2])
+    c2v, s2v = np.cos(2 * v), np.sin(2 * v)
+    return (pref, (r - k) + (r + k) * c2v, (r + k) + (r - k) * c2v,
+            pref * ((r - k) * s2v), pref * ((r + k) * s2v))
+
+
 def bipolar_column(u, v, r: int, k: int) -> np.ndarray:
-    """Closed-form 6-vector of the rotated bipolar immersion A o (I ^ I*);
-    u and v are scalars or equal-shape arrays, components along axis 0."""
-    cv, sv = np.cos(v), np.sin(v)
-    w = np.sqrt(r * r * (cv * cv) + k * k * (sv * sv))
-    pref = 1.0 / (math.sqrt(8.0) * w)
-    c2v = np.cos(2 * v)
-    return pref * np.array([
-        (r - k) * np.sin(2 * v),
-        (r + k) * np.sin(2 * v),
-        ((r - k) + (r + k) * c2v) * np.sin((r - k) * u),
-        ((r + k) + (r - k) * c2v) * np.sin((r + k) * u),
-        ((r + k) + (r - k) * c2v) * np.cos((r + k) * u),
-        ((r - k) + (r + k) * c2v) * np.cos((r - k) * u),
-    ])
+    """The paper's explicit S^1-equivariant immersion: the closed-form
+    6-vector of A o (I ^ I*), components along axis 0, at scalars or
+    equal-shape arrays u, v; components 2..5 are pref (amplitude * trig)."""
+    cos_m, sin_m, cos_p, sin_p = _column_u(u, r, k)
+    pref, amp_m, amp_p, c0, c1 = _column_v(v, r, k)
+    return np.array([c0, c1, pref * (amp_m * sin_m), pref * (amp_p * sin_p),
+                     pref * (amp_p * cos_p), pref * (amp_m * cos_m)])
 
 
 def bipolar_metric(v, params: SurfaceParams):
@@ -332,44 +339,42 @@ def area_closed_form(params: SurfaceParams) -> float:
 # ---------------------------------------------------------------------------
 
 #: mesh points per block of the immersion (one value of u when the row of
-#: v is longer).  A block's largest temporaries, its (6, points) wedge and
-#: its (points, 7) rows, take 96 and 112 KiB: under the 128 KiB at which
-#: glibc's malloc serves an allocation with fresh pages from mmap, so each
-#: block reuses the heap memory the block before it freed.
+#: v is longer).  A block's largest array, its (points, 7) rows, takes 112
+#: KiB: under the 128 KiB at which glibc's malloc serves an allocation with
+#: fresh pages from mmap, so each block reuses the heap the one before freed.
 _BLOCK_POINTS = 2048
 
 
 def immersion_blocks(params: SurfaceParams, n_u: int, n_v: int) -> Iterator[np.ndarray]:
-    """Sample the fundamental domain on an n_u x n_v grid, yielding the
+    """Sample _project5(bipolar_column(u, v)) on an n_u x n_v grid of the
+    fundamental domain (u-period 2 pi for even rk, else pi), yielding the
     rows (u, v, x1..x5) u-major, as (points, 7) arrays of whole rows of v.
-    The u-period is 2 pi for even rk and pi otherwise.  The transcendentals
-    are taken once per distinct u and per distinct v; each block of u runs
-    against the row of v, and every row is bit-identical to
-    bipolar_immersion at that point.  A block with a point off the S^4
-    equator is not yielded; after the last block, an ExcludedDirectionError
-    names the worst point of the whole mesh."""
+    The factors in u are taken once per u, those in v and x1 once per v; a
+    block is four products amplitude * trig * pref in bipolar_column's
+    order and x1 broadcast, so every row is bit-identical to the closed
+    form at that point.  x1's components depend on v alone, so the call
+    itself checks the row of v: an ExcludedDirectionError names the worst
+    v, at u = 0, before any block is computed."""
     r, k = params.r, params.k
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
     u = np.linspace(0.0, u_period, n_u, endpoint=False)[:, None]
     v = np.linspace(0.0, math.pi, n_v, endpoint=False)
-    u_factors, v_factors = _u_factors(u, r, k), _v_factors(v, r, k)
+    pref, amp_m, amp_p, c0, c1 = _column_v(v, r, k)
+    x1 = _x1(c0, c1, r, k, 0.0, v)
+    slots = tuple(zip((amp_m, amp_m, amp_p, amp_p), _column_u(u, r, k)))
     step = max(1, _BLOCK_POINTS // max(n_v, 1))
-    worst = None
-    for start in range(0, n_u, step):
-        block = slice(start, start + step)
-        rows = np.empty((len(u[block]), n_v, 7))
-        rows[..., 0] = u[block]
-        rows[..., 1] = v
-        try:
-            _project5(_rotated_wedge([f[block] for f in u_factors], v_factors),
-                      r, k, u[block], v, out=rows[..., 2:])
-        except ExcludedDirectionError as exc:
-            if worst is None or exc.residual > worst.residual:
-                worst = exc
-            continue
-        yield rows.reshape(-1, 7)
-    if worst is not None:
-        raise worst
+
+    def block(start: int) -> np.ndarray:
+        us = slice(start, start + step)
+        rows = np.empty((len(u[us]), n_v, 7))
+        rows[..., 0], rows[..., 1], rows[..., 2] = u[us], v, x1
+        tmp = np.empty(rows.shape[:2])
+        for col, (amp, trig) in enumerate(slots, 3):
+            np.multiply(amp, trig[us], out=tmp)
+            np.multiply(tmp, pref, out=rows[..., col])
+        return rows.reshape(-1, 7)
+
+    return map(block, range(0, n_u, step))
 
 
 def immersion_rows(params: SurfaceParams, n_u: int, n_v: int) -> np.ndarray:

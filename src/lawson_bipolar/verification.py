@@ -359,7 +359,8 @@ def _simplicity(roots: list, pair: np.ndarray, c: float,
     entry of the pair at c (Magnus & Winkler, Hill's Equation, ch. 1).  The
     pair is scaled as (z1, c z1', z2/c, z2'), whose Wronskian is 1, and
     over its largest entry.  A root is simple when its own entry is below
-    floor and its partner's is not; the Wronskian keeps the
+    floor and its partner's is not below SIMPLICITY_FLOOR, so a smaller
+    floor fails every root the default fails; the Wronskian keeps the
     other two entries away from 0, and the half-period identities make a
     zero own entry Psi = +-2."""
     scaled = np.abs(pair * np.array([[1.0], [c], [1.0 / c], [1.0]]))
@@ -367,7 +368,7 @@ def _simplicity(roots: list, pair: np.ndarray, c: float,
     own = _OWN_ENTRY[[hs.BLOCKS.index((eig.parity, eig.psi_target)) for _, eig in roots]]
     own_q, partner_q = scaled[[own, 3 - own], np.arange(len(roots))]
     flags = []
-    for i in np.flatnonzero(~((own_q < floor) & (partner_q >= floor))):
+    for i in np.flatnonzero(~((own_q < floor) & (partner_q >= SIMPLICITY_FLOOR))):
         (p, eig), entry = roots[i], own[i]
         flags.append(f"gamma_{eig.index}({p})={eig.gamma:.12g}: {eig.parity.value}, "
                      f"Psi={eig.psi_target:+g}, own {_ENTRY_NAMES[entry]} {own_q[i]:.3e}, "
@@ -382,7 +383,8 @@ def _simplicity(roots: list, pair: np.ndarray, c: float,
 def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResult]:
     """Wronskian and half-period identities at R2 points (p, lambda), and
     simplicity at located roots, each judged at b/2 by _simplicity
-    against SIMPLICITY_FLOOR; every threshold, that floor too, times scale.
+    against SIMPLICITY_FLOOR; every threshold times scale, of that floor
+    the own entry's bound alone.  The Wronskian states its rounding floor.
 
     The points fill the spectral window lambda in [0, 3), p in [0, n],
     where the fundamental pair stays O(1) (n * b = 2 K(m/n)); outside it
@@ -402,6 +404,7 @@ def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[
     at_roots = np.array(hs.floquet([p for p, _ in roots], [eig.gamma for _, eig in roots],
                                    params, y_end=c))
     wronsk = float(np.max(np.abs(z1b * dz2b - z2b * dz1b - 1.0)))
+    wronsk_floor = 2.0 ** -53 * float(np.max(np.abs(z1b * dz2b) + np.abs(z2b * dz1b)))
     half_ids = float(np.max([
         np.max(np.abs(z1b - (2.0 * z1h * dz2h - 1.0))),
         np.max(np.abs(z1b - (1.0 + 2.0 * z2h * dz1h))),
@@ -411,7 +414,8 @@ def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[
     return [
         CheckResult("floquet_wronskian", wronsk, 1e-10 * scale,
                     f"{FLOQUET_POINTS} R2 points (p, lambda), {2 * half} RK8 steps "
-                    f"to b, {half} per half"),
+                    f"to b, {half} per half; rounding floor u max(|z1 z2'| + |z2 z1'|) = "
+                    f"{wronsk_floor:.3e}"),
         CheckResult("half_period_identities", half_ids, 1e-9 * scale),
         _simplicity(roots, at_roots, c, SIMPLICITY_FLOOR * scale),
     ]

@@ -172,25 +172,25 @@ class TestSpectrumAndImmerse:
 
 
 class TestImmerseBytes:
-    """sha256 of immerse outputs written by the point-by-point evaluation
-    (test_surface_model._scalar_immersion) and the csv/json module writers
-    the vectorized path replaced.  The (2, 1) grid-78 mesh contains a v
-    whose squared sine rounds differently under the C library's pow than
-    under x * x, so its digest pins that the immersion squares by x * x.
-    The wedge is rotated pair by pair as ((a + b)/sqrt 2, (b - a)/sqrt 2)."""
+    """sha256 of immerse outputs: at each point the closed-form column
+    _project5(bipolar_column(u, v)), within 2.7e-15 of the wedge route
+    that wrote the digests before, written as the csv/json module writers
+    would write it.  The (2, 1) grid-78 mesh contains a v whose squared
+    cosine or sine rounds differently under the C library's pow than
+    under x * x, so its digest pins that w squares by x * x."""
 
     @pytest.mark.parametrize("args, digest", [
         (["--r", "2", "--k", "1", "--grid", "16", "--format", "csv"],
-         "b888729933f0b3c6ffe5d05de39609dcad1bbe9f0f165fcb0674b5108a2287a2"),
+         "953750bb74d282db6107ef90ddb826b86068742fa95dee8d6e357e6680fadf76"),
         (["--r", "5", "--k", "2", "--grid", "16", "--format", "json"],
-         "a17b25dfcca94f62fdcc82c477907c1889517065654b92c10dd84c190b211e5e"),
+         "d65bd0c421bac9e1202139c238582bb44339fb76c178a1460ef1708c9ccffca4"),
         (["--r", "2", "--k", "1", "--grid", "78", "--format", "csv"],
-         "926da6db9e9c95c4d21a2f83ec31932c240b4e7d975e987a1c0978615fb5709f"),
+         "ecb5a6af87bf8d346fa453421aa31ab9a4f173e9d739d562f30d10a1ac9786fc"),
         # the benchmark's own meshes, 65536 rows each, as the streaming writers wrote them
         (["--r", "2", "--k", "1", "--grid", "256", "--format", "csv"],
-         "dc2968c472dd6ac5be15927ff9d176e17117ceefb76b566faad0f367e34b07db"),
+         "d87914ba4ec9d35ff3457fda413fd1e122cc250b7defc2eeda4defcdc05130b3"),
         (["--r", "5", "--k", "2", "--grid", "256", "--format", "json"],
-         "b6e1a124039bf3acfc1fd5f2a31485189b3f60446a58c317ddab7753d85847d3"),
+         "e9fc5d1ca87599203723fed7c03f64e818af7173fd61b7902862b1512af2c97d"),
     ], ids=["2-1-grid16-csv", "5-2-grid16-json", "2-1-grid78-csv",
             "2-1-grid256-csv", "5-2-grid256-json"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -248,55 +248,63 @@ class TestImmerseStream:
         assert peaks[1] - peaks[0] <= 2 ** 18, peaks
 
     @staticmethod
-    def _tilt_two_blocks(monkeypatch, grid):
-        """Tilt a point of block 1 by 1e-9 and one of the next-to-last block
-        by 1e-6 towards the excluded direction; return the (u, v) of the
-        larger tilt and the rows of one block."""
+    def _tilt_two_values_of_v(monkeypatch, grid):
+        """Tilt components 0 and 1 of the closed form towards the excluded
+        direction at two values of v, by 1e-9 at v index 40 and by 1e-6 at
+        v index 200; return the (u, v) the failure names, at u = 0."""
         r, k = 2, 1
-        step = sm._BLOCK_POINTS // grid
-        blocks = grid // step
         excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        tilts = {1: (2, 40, 1e-9), blocks - 2: (step - 1, 200, 1e-6)}
-        rotated_wedge, calls = sm._rotated_wedge, []
+        column_v = sm._column_v
 
-        def tilted(u_factors, v_factors):
-            w6 = rotated_wedge(u_factors, v_factors)
-            if len(calls) in tilts:
-                i, j, size = tilts[len(calls)]
-                w6[:2, i, j] += size * excluded
-            calls.append(w6.shape)
-            return w6
+        def tilted(v, r, k):
+            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
+            for j, size in ((40, 1e-9), (200, 1e-6)):
+                c0[j] += size * excluded[0]
+                c1[j] += size * excluded[1]
+            return pref, amp_m, amp_p, c0, c1
 
-        monkeypatch.setattr(sm, "_rotated_wedge", tilted)
-        u = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)[(blocks - 1) * step - 1]
-        v = np.linspace(0.0, math.pi, grid, endpoint=False)[200]
-        return (float(u), float(v)), step * grid
+        monkeypatch.setattr(sm, "_column_v", tilted)
+        return 0.0, float(np.linspace(0.0, math.pi, grid, endpoint=False)[200])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failure_names_the_worst_point_and_leaves_no_file(self, tmp_path, capsys,
                                                                monkeypatch, fmt):
-        """A failure removes --out, also a file that was there before: a
-        truncated mesh would read as a complete one."""
+        """The check on the row of v fails before --out is opened: no file
+        is made, and a file that was there before is left as it was."""
         out = tmp_path / "mesh"
         for before in (None, "an older mesh\n"):
             monkeypatch.undo()
-            (u, v), _ = self._tilt_two_blocks(monkeypatch, 256)
+            u, v = self._tilt_two_values_of_v(monkeypatch, 256)
             if before is not None:
                 out.write_text(before)
             assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
                          "--format", fmt, "--out", str(out)]) == 3
-            err = capsys.readouterr().err
-            assert err.startswith("numerical failure: orthogonality")
-            assert f"at (u, v) = ({u!r}, {v!r})" in err
-            assert not out.exists()
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numerical failure: orthogonality")
+            assert f"at (u, v) = ({u!r}, {v!r})" in captured.err
+            assert captured.out == ""
+            if before is None:
+                assert not out.exists()
+            else:
+                assert out.read_text() == before
 
-    def test_failure_on_stdout_keeps_the_blocks_that_passed(self, capsys, monkeypatch):
-        _, block_rows = self._tilt_two_blocks(monkeypatch, 256)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_on_stdout_writes_nothing(self, capsys, monkeypatch, fmt):
+        self._tilt_two_values_of_v(monkeypatch, 256)
         assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
-                     "--format", "csv"]) == 3
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == ["# r=2 k=1 n=3 m=1 topology=Torus", "u,v,x1,x2,x3,x4,x5"]
-        assert len(lines) == 2 + 256 * 256 - 2 * block_rows
+                     "--format", fmt]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_mesh_runs_no_wedge(self, tmp_path, monkeypatch):
+        """The mesh is the closed form: the wedge I ^ I* of bipolar_immersion,
+        kept for verify's agreement check, is off its path."""
+        def boom(*args):
+            raise AssertionError("the mesh ran the wedge")
+
+        monkeypatch.setattr(sm, "_rotated_wedge", boom)
+        for fmt in ("csv", "json"):
+            assert main(["immerse", "--r", "3", "--k", "1", "--grid", "64",
+                         "--format", fmt, "--out", str(tmp_path / "mesh")]) == 0
 
 
 class TestRankBytes:
@@ -341,7 +349,8 @@ class TestSpectrumAndVerifyBytes:
     series, each block of the modes that nome needs.  Each verify entry
     carries its check's context, the multiplicity's the cluster
     certificate's worst gap and next mu, the anchors' the modes, the nome
-    and the Fourier tail; the
+    and the Fourier tail, floquet_wronskian's its rounding floor
+    u max(|z1 z2'| + |z2 z1'|); the
     immersion agreement compares against the pairwise-rotated wedge, the
     Klein-bottle invariance the (r, k) closed-form column, and
     simplicity_in_window each located root's own entry of the
@@ -357,13 +366,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "eb1edef3107bc4ac113ef6ba9bb2aebe05b5751d595123d4110392600b2f181f"),
+         "f03fc1d1bd8bb2b1775cb19bdd6342034862239a87723e0df2de54000499fa9b"),
         (["verify", "--r", "3", "--k", "1"],
-         "e9e78ddb51d7c441d274c0c06dc9e8dc09e165bbcffaaafd0f5c861efa57f2d0"),
+         "e2f2c45e9e370ff91c18eb25b8eed7e5e8d8a78301794642b2ce8f1dac28bbbf"),
         (["verify", "--r", "5", "--k", "1"],
-         "564424887ae7fc09cea2d033be84c0be16d01d8c7603d89bfd6d27ee71f3e1fe"),
+         "3877c2dfe6ead2d044bf8d473209d8611b3d890c81074aee51905720bf81f26b"),
         (["verify", "--r", "7", "--k", "6"],
-         "fa370e5a3b76daebc9eb495881f3ee79d808c5876fb562c4c4fdc91a60ffe360"),
+         "ad5fcec1f0e0a2dbc3f7fe1dc6a50269fbeb1e948ffa40b8bc02298e3a014af2"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -569,16 +578,26 @@ class TestExitCodes:
         monkeypatch.setattr(climod.hs, "extremal_rank", boom)
         assert main(["rank", "--r", "2", "--k", "1"]) == 3
 
-    def test_excluded_direction_failure_exits_3(self, monkeypatch, capsys):
+    def test_excluded_direction_failure_exits_3(self, monkeypatch, capsys, tmp_path):
         from lawson_bipolar import cli as climod
 
-        # with its (12, 34) pair swapped the rotated wedge leaves the S^4 equator
-        wedge6 = climod.sm._wedge6
-        monkeypatch.setattr(climod.sm, "_wedge6", lambda x, y: wedge6(x, y)[[1, 0, 2, 3, 4, 5]])
-        assert main(["immerse", "--r", "2", "--k", "1", "--grid", "4"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: orthogonality")
-        assert "at (u, v) = (" in err
+        # with its components 0 and 1 swapped, which depend on v alone, the
+        # closed-form column leaves the S^4 equator
+        column_v = climod.sm._column_v
+
+        def swapped(v, r, k):
+            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
+            return pref, amp_m, amp_p, c1, c0
+
+        monkeypatch.setattr(climod.sm, "_column_v", swapped)
+        out = tmp_path / "mesh"
+        for target in ([], ["--out", str(out)]):
+            assert main(["immerse", "--r", "2", "--k", "1", "--grid", "4", *target]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numerical failure: orthogonality")
+            assert "at (u, v) = (0.0, " in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestArgumentValidation:

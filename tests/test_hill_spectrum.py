@@ -197,6 +197,15 @@ def test_propagate_keeps_the_bits_of_one_product(n_steps, cols):
     _same_bits(hs._propagate(P31, p2, lam, 0.0, b, n_steps), want)
 
 
+def _oracle_steps(params):
+    """The Floquet oracle's fixed step count to b at tol = 1e-9,
+    max(96, ceil(1.5 omega b tol^(-1/8))) with
+    omega = sqrt((n + 2)^2 + 1.03 (n^2 + m^2)), spelled out."""
+    n, m, b = params.n, params.m, period_a(params) / 2.0
+    omega = math.sqrt((n + 2) ** 2 + 1.03 * (n * n + m * m))
+    return max(int(math.ceil(1.5 * omega * b * 1e-9 ** (-1.0 / 8.0))), 96)
+
+
 class TestFloquetBasics:
     def test_zero_potential_zero_p(self):
         z1, _, z2, dz2 = floquet(0.0, 0.0, P21)
@@ -240,8 +249,7 @@ class TestFloquetBasics:
             lam = rng.uniform(0.0, 3.0)
             z1b, dz1b, z2b, dz2b = floquet(p, lam, P31)
             z1h, dz1h, z2h, dz2h = hs._propagate(
-                P31, p * p, [lam], 0.0, b / 2.0,
-                rk8.steps_for(P31.n, P31.m, hs.DEFAULT_SOLVER_TOL, b / 2.0))[:, 0]
+                P31, p * p, [lam], 0.0, b / 2.0, hs._half_steps(P31))[:, 0]
             assert abs(z1b - (2.0 * z1h * dz2h - 1.0)) < 1e-9
             assert abs(z1b - (1.0 + 2.0 * z2h * dz1h)) < 1e-9
             assert abs(dz1b - 2.0 * z1h * dz1h) < 1e-9
@@ -280,13 +288,30 @@ class TestFloquetBasics:
     def test_largest_step_counts(self):
         """No admissible pair has a larger K(m/n) than one whose m/n is the
         largest double below 1, so none needs more RK8 steps: 1359 to b
-        for the Floquet oracle, 1649 to a/4 = b/2 for the profile at its
-        tightest tolerance."""
+        for the Floquet oracle, rounded up to 1360, 1649 to a/4 = b/2 for
+        the profile at its tightest tolerance."""
         params = derive_params(2 ** 54 - 1, 1)
         assert params.m / params.n == math.nextafter(1.0, 0.0)
         b = period_a(params) / 2.0
-        assert rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b) == 1359
+        assert _oracle_steps(params) == 1359
+        assert hs._half_steps(params) == 680
         assert phi_system.profile_steps(params, 1e-13, b / 2.0) == 1649
+
+    def test_half_steps_are_the_oracle_count(self):
+        # _half_steps is half the oracle's fixed count at tol = 1e-9,
+        # rounded up, with the count's float operations in their order; the
+        # halves are the ones rk8.steps_for gave before it was folded in
+        small = [derive_params(*pair) for pair in admissible_pairs(60)]
+        halves = [hs._half_steps(params) for params in small]
+        assert halves == [(_oracle_steps(params) + 1) // 2 for params in small]
+        assert (len(halves), sum(halves), min(halves), max(halves)) == (1101, 60087, 48, 99)
+        large = [derive_params(*pair) for pair in [
+            (42, 41), (100, 1), (200, 1), (400, 1), (800, 1), (801, 800), (1000, 999),
+            (2000, 1), (2 ** 54 - 1, 1)]]
+        assert [_oracle_steps(params) for params in large] == [
+            96, 212, 236, 259, 283, 96, 96, 315, 1359]
+        assert [hs._half_steps(params) for params in large] == [
+            48, 106, 118, 130, 142, 48, 48, 158, 680]
 
     @pytest.mark.parametrize("p_lam", [("n", 2.0), ("m", 2.0)])
     def test_known_eigenvalues_close_discriminant(self, p_lam):
@@ -301,8 +326,8 @@ class TestFloquetForms:
     @pytest.mark.parametrize("half", [False, True], ids=["b", "b/2"])
     def test_array_form_is_scalar_form(self, r, k, half):
         # the array form gives each column the scalar form's bits, and b/2
-        # takes half of b's step count at DEFAULT_SOLVER_TOL, rounded up
-        # to even (139 -> 140 steps at (8, 1))
+        # takes half of b's step count, rounded up to even (139 -> 140
+        # steps at (8, 1))
         params = derive_params(r, k)
         b = period_a(params) / 2.0
         y_end = b / 2.0 if half else None
@@ -316,8 +341,7 @@ class TestFloquetForms:
             assert len(alone) == 4 and all(type(x) is float for x in alone)
             assert alone == tuple(row[col] for row in batch)
         if half:
-            steps = rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b)
-            ref = hs._propagate(params, p * p, lam, 0.0, b / 2.0, (steps + 1) // 2)
+            ref = hs._propagate(params, p * p, lam, 0.0, b / 2.0, hs._half_steps(params))
             np.testing.assert_array_equal(np.array(batch), ref)
 
     @pytest.mark.parametrize("p,lam", [
@@ -375,8 +399,7 @@ class TestFloquetForms:
         # of [0, b]; the pair at b/2 against the loop over N/2 steps
         params = derive_params(r, k)
         b = period_a(params) / 2.0
-        steps = rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b)
-        steps += steps % 2
+        steps = 2 * hs._half_steps(params)
         p = np.array([0.0, 0.3, 0.7, 1.0]) * params.n
         lam = np.array([2.9, 0.1, 1.7, 2.0])
         at_half, at_b = floquet(p, lam, params, y_end=(b / 2.0, b))

@@ -260,7 +260,7 @@ class TestIntegration:
         # it must give the stage loop's increment bit for bit
         p = derive_params(r, k)
         a = period_a(p)
-        h = a / (rk8.steps_for(p.n, p.m, 1e-13, a) if steps == "tol" else steps)
+        h = a / (phi_system.profile_steps(p, 1e-13, a) if steps == "tol" else steps)
         step = _rk8_step(p, h)
         states = [*closed_form_theta(np.linspace(0.0, a, 7), p).tolist(),
                   [0.3, -0.2, 0.9, 1.5, -0.7, 2.0]]

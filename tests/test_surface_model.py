@@ -494,6 +494,20 @@ class TestMeshStream:
         writer(got, p, immersion_blocks(p, n_u, n_v))
         assert got.getvalue() == want.getvalue()
 
+    @pytest.mark.parametrize("pair, n_u, n_v", [
+        ((2, 1), 1, 1), ((3, 1), 3000, 1), ((7, 6), 5, 1000), ((5, 2), 10, 10),
+        ((13, 4), 101, 101),
+        ((7, 1), 64, 48),                             # a Klein bottle, u-period pi
+    ])
+    def test_rows_are_the_closed_form(self, pair, n_u, n_v):
+        """Every row is the closed-form column at its point, bit for bit,
+        and the wedge route within 1e-12."""
+        p = derive_params(*pair)
+        rows = immersion_rows(p, n_u, n_v)
+        u, v = rows[:, 0], rows[:, 1]
+        assert np.array_equal(rows[:, 2:], _closed_form(u, v, *pair))
+        assert np.max(np.abs(rows[:, 2:] - bipolar_immersion(u, v, p))) < 1e-12
+
     @pytest.mark.parametrize("writer, batches", [(write_immersion_csv, 128),
                                                  (write_immersion_json, 161)])
     def test_batches_span_blocks(self, monkeypatch, writer, batches):
@@ -635,32 +649,26 @@ class TestExcludedDirectionGuard:
         assert "at (u, v) = (3.7" in str(info.value)
 
     def test_mesh_names_its_worst_row(self, monkeypatch):
-        """A row of a late block of immersion_rows tilted towards the
-        excluded direction is named, though an earlier block holds a
-        smaller tilt, and every block is checked."""
+        """Components 0 and 1 of the closed form depend on v alone, so the
+        mesh checks its row of v once, before any block: two values of v
+        tilted towards the excluded direction, the smaller first, fail the
+        call itself, which names the larger tilt at u = 0."""
         r, k, n = 2, 1, 256
-        step = sm._BLOCK_POINTS // n
-        blocks = n // step
         excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        # block -> (u row within the block, v column, tilt)
-        tilts = {1: (2, 40, 1e-9), blocks - 2: (step - 1, 200, 1e-6)}
-        rotated_wedge, calls = sm._rotated_wedge, []
+        column_v = sm._column_v
 
-        def tilted(u_factors, v_factors):
-            w6 = rotated_wedge(u_factors, v_factors)
-            if len(calls) in tilts:
-                i, j, size = tilts[len(calls)]
-                w6[:2, i, j] += size * excluded
-            calls.append(w6.shape)
-            return w6
+        def tilted(v, r, k):
+            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
+            for j, size in ((40, 1e-9), (200, 1e-6)):
+                c0[j] += size * excluded[0]
+                c1[j] += size * excluded[1]
+            return pref, amp_m, amp_p, c0, c1
 
-        monkeypatch.setattr(sm, "_rotated_wedge", tilted)
+        monkeypatch.setattr(sm, "_column_v", tilted)
         with pytest.raises(ExcludedDirectionError) as info:
-            immersion_rows(derive_params(r, k), n, n)
-        assert calls == [(6, step, n)] * blocks
-        u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[(blocks - 1) * step - 1]
+            immersion_blocks(derive_params(r, k), n, n)
         v = np.linspace(0.0, math.pi, n, endpoint=False)[200]
-        assert (info.value.u, info.value.v) == (u, v)
+        assert (info.value.u, info.value.v) == (0.0, v)
         assert info.value.residual == pytest.approx(1e-6, rel=1e-9)
 
     def test_projection_passes_orthogonal_rows(self):
@@ -697,17 +705,23 @@ def test_array_path_matches_scalar_reference(r, k):
     assert np.array_equal(got, want)
 
 
+def _closed_form(u, v, r, k):
+    return sm._project5(bipolar_column(u, v, r, k), r, k, u, v)
+
+
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(admissible_pairs(20)), st.integers(1, 12), st.integers(1, 12))
 def test_immersion_rows_match_pointwise(pair, n_u, n_v):
-    """The vectorized mesh is the point-by-point immersion, bit for bit."""
+    """The vectorized mesh is the point-by-point closed form, bit for bit,
+    and the point-by-point wedge within 1e-12."""
     params = derive_params(*pair)
     rows = immersion_rows(params, n_u, n_v)
     assert rows.shape == (n_u * n_v, 7)
     for row in rows:
-        assert np.array_equal(row[2:], bipolar_immersion(row[0], row[1], params))
+        assert np.array_equal(row[2:], _closed_form(row[0], row[1], *pair))
+        assert np.max(np.abs(row[2:] - bipolar_immersion(row[0], row[1], params))) < 1e-12
     # the first n_v rows share u = 0, which broadcasts against their v
-    assert np.array_equal(rows[:n_v, 2:], bipolar_immersion(0.0, rows[:n_v, 1], params))
+    assert np.array_equal(rows[:n_v, 2:], _closed_form(0.0, rows[:n_v, 1], *pair))
     np.testing.assert_allclose(np.linalg.norm(rows[:, 2:], axis=1), 1.0,
                                rtol=0.0, atol=1e-12)
 

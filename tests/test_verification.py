@@ -307,6 +307,22 @@ class TestFloquetStructure:
                     other = dataclasses.replace(eig, parity=parity, psi_target=target)
                     assert not vf._simplicity([(p, other)], pair[:, i:i + 1], c).passed
 
+    def test_strict_floor_never_passes_a_root_the_default_fails(self):
+        # one root of block (ODD, -2): own entry z2', partner z1.  Strict
+        # mode halves the own entry's bound alone; the partner is judged
+        # against SIMPLICITY_FLOOR in both modes
+        eig = hs.Eigenvalue(gamma=1.5, index=1, parity=hs.Parity.ODD, psi_target=-2.0)
+
+        def judge(z1, dz2, floor):
+            return vf._simplicity([(2, eig)], np.array([[z1], [0.6], [0.5], [dz2]]), 0.5,
+                                  floor).passed
+
+        near_partner, loose_own = (7e-10, 1e-12), (-1.0, 7e-10)
+        assert not judge(*near_partner, vf.SIMPLICITY_FLOOR)
+        assert not judge(*near_partner, vf.SIMPLICITY_FLOOR / 2.0)
+        assert judge(*loose_own, vf.SIMPLICITY_FLOOR)
+        assert not judge(*loose_own, vf.SIMPLICITY_FLOOR / 2.0)
+
     def test_oracle_flags(self):
         # one root of block (ODD, -2), whose own entry is z2' at c = b/2 and
         # whose partner's, (EVEN, -2), is z1; the other two entries are O(1)
@@ -384,7 +400,9 @@ class TestFullReport:
         out = tmp_path / "strict.json"
         assert main(["verify", "--r", "8", "--k", "1", "--strict", "--out", str(out)]) in (0, 2)
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        floors = {name: c for name, c in checks.items() if "floor" in c["context"]}
+        # floquet_wronskian's rounding floor is a measured level, not a threshold
+        floors = {name: c for name, c in checks.items()
+                  if "floor" in c["context"] and "rounding floor" not in c["context"]}
         assert set(floors) == {"phi_reversal", "simplicity_in_window"}
         reversal = re.search(r"floor 10 tol c0 n = (\S+) ", floors["phi_reversal"]["context"])
         assert reversal[1] == f"{floors['phi_reversal']['threshold']:.1e}" == "4.0e-12"
@@ -461,7 +479,7 @@ class TestFullReport:
         # its 839 located roots go over N/2 of them, to b/2 only
         params = derive_params(400, 1)
         b = period_a(params) / 2.0
-        half = (rk8.steps_for(params.n, params.m, hs.DEFAULT_SOLVER_TOL, b) + 1) // 2
+        half = hs._half_steps(params)
         roots = sum(len(line.eigenvalues) for line in hs.surface_lines(params))
         assert (half, roots) == (130, 839)
         work = self._floquet_work(monkeypatch,
