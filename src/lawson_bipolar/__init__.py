@@ -18,7 +18,6 @@ from .special_functions import (
     weierstrass_p,
 )
 from .surface_model import (
-    ExcludedDirectionError,
     InvalidParametersError,
     ParityClass,
     SurfaceParams,

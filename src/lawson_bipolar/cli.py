@@ -395,8 +395,7 @@ def main(argv=None) -> int:
     except InvalidParametersError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
-    except (hs.SpectrumMismatchError, PoleProximityError, DomainError,
-            sm.ExcludedDirectionError) as exc:
+    except (hs.SpectrumMismatchError, PoleProximityError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

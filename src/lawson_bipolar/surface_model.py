@@ -7,6 +7,11 @@ bipolar surface.  This module holds the parameter map, the immersions
 maps gluing the (u, v) chart to the flat (x, y) model.  Everything is a
 pure function of its arguments; the chart maps take scalars or
 equal-shape arrays.
+
+The bipolar immersion has two routes to the same 6-vectors, the printed
+closed-form column and Lawson's rotated wedge.  The mesh samples the
+first in the 5-vector basis of EXCLUDED_DIRECTION_NOTE; verify judges
+the second's S^4 claim, orthogonality to (r+k, k-r, 0, 0, 0, 0).
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .special_functions import (
 
 __all__ = [
     "InvalidParametersError",
-    "ExcludedDirectionError",
     "Topology",
     "ParityClass",
     "SurfaceParams",
@@ -57,17 +61,6 @@ __all__ = [
 
 class InvalidParametersError(ValueError):
     """(r, k) is not an admissible Lawson parameter pair."""
-
-
-class ExcludedDirectionError(RuntimeError):
-    """A rotated 6-vector has a component along the direction the S^4
-    projection drops; carries the worst sampled point and its residual."""
-
-    def __init__(self, u: float, v: float, residual: float):
-        super().__init__(
-            f"orthogonality to the excluded direction violated: residual "
-            f"{residual:.3e} at (u, v) = ({u!r}, {v!r})")
-        self.u, self.v, self.residual = u, v, residual
 
 
 class Topology(Enum):
@@ -116,7 +109,7 @@ def derive_params(r: int, k: int) -> SurfaceParams:
     n = r+k, m = r-k when rk is even, else n = (r+k)/2, m = (r-k)/2;
     the surface is a Klein bottle exactly when rk = 3 mod 4.
     """
-    if r != int(r) or k != int(k):
+    if any(x != x or abs(x) == math.inf for x in (r, k)) or r != int(r) or k != int(k):
         raise InvalidParametersError("r and k must be integers")
     r, k = int(r), int(k)
     if not (0 < k < r):
@@ -219,41 +212,19 @@ def _rotated_wedge(u_factors, v_factors) -> np.ndarray:
     return w6
 
 
-def _x1(c0, c1, r: int, k: int, u, v):
-    """x1 from components 0 and 1 of rotated 6-vectors, each pair orthogonal
-    to the excluded direction; (u, v), broadcast against c0, name the worst
-    point when one is not."""
-    norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
-    dots = np.abs((r + k) / norm * c0 + (k - r) / norm * c1)
-    worst = int(np.argmax(dots))
-    if dots.flat[worst] > 1e-12:
-        us, vs = np.broadcast_arrays(u, v)
-        raise ExcludedDirectionError(float(us.flat[worst]), float(vs.flat[worst]),
-                                     float(dots.flat[worst]))
-    return (r - k) / norm * c0 + (r + k) / norm * c1
-
-
-def _project5(w6: np.ndarray, r: int, k: int, u, v) -> np.ndarray:
-    """Rotated 6-vectors, components along axis 0 -> 5-vectors on the S^4
-    equator, components along the last axis: x1, then components 6, 3, 5, 4."""
-    return np.stack([_x1(w6[0], w6[1], r, k, u, v), w6[5], w6[2], w6[4], w6[3]], -1)
-
-
 def bipolar_immersion(u, v, params: SurfaceParams) -> np.ndarray:
-    """Bipolar surface points as unit vectors (x1..x5) in R^5, at scalars
-    u, v (giving one vector) or 1-D arrays, a scalar broadcast against
-    an array (giving one row each), built as the wedge I ^ I* of the
-    Lawson immersion with its normal, rotated by the block matrix A and
-    projected onto the S^4 equator (see EXCLUDED_DIRECTION_NOTE for the
-    basis), the route verify holds the closed form to.  Every operation is
-    elementwise, so every row is bit-identical to the one-point evaluation.
-    A NaN or an infinity raises DomainError."""
+    """Lawson's construction of the bipolar surface: the wedge I ^ I* of
+    the Lawson immersion with its normal, rotated by the block matrix A,
+    as 6-vectors with components along axis 0, the shape of
+    bipolar_column, at scalars u, v (giving one 6-vector) or arrays
+    broadcast against each other.  It is the route verify holds the
+    closed form to.  Every operation is elementwise, so every point is
+    bit-identical to the one-point evaluation.  A NaN or an infinity
+    raises DomainError."""
     us, vs = np.broadcast_arrays(_finite(u), _finite(v))
-    u1, v1 = us.reshape(-1), vs.reshape(-1)
     r, k = params.r, params.k
-    w6 = _rotated_wedge(_u_factors(u1, r, k), _v_factors(v1, r, k))
-    rows = _project5(w6, r, k, u1, v1)
-    return rows[0] if us.ndim == 0 else rows
+    w6 = _rotated_wedge(_u_factors(us.reshape(-1), r, k), _v_factors(vs.reshape(-1), r, k))
+    return w6.reshape((6,) + us.shape)
 
 
 def _column_u(u, r: int, k: int) -> tuple:
@@ -346,21 +317,20 @@ _BLOCK_POINTS = 2048
 
 
 def immersion_blocks(params: SurfaceParams, n_u: int, n_v: int) -> Iterator[np.ndarray]:
-    """Sample _project5(bipolar_column(u, v)) on an n_u x n_v grid of the
-    fundamental domain (u-period 2 pi for even rk, else pi), yielding the
-    rows (u, v, x1..x5) u-major, as (points, 7) arrays of whole rows of v.
-    The factors in u are taken once per u, those in v and x1 once per v; a
-    block is four products amplitude * trig * pref in bipolar_column's
-    order and x1 broadcast, so every row is bit-identical to the closed
-    form at that point.  x1's components depend on v alone, so the call
-    itself checks the row of v: an ExcludedDirectionError names the worst
-    v, at u = 0, before any block is computed."""
+    """Sample bipolar_column(u, v) on an n_u x n_v grid of the fundamental
+    domain (u-period 2 pi for even rk, else pi) in the 5-vector basis of
+    EXCLUDED_DIRECTION_NOTE, yielding the rows (u, v, x1..x5) u-major, as
+    (points, 7) arrays of whole rows of v.  The factors in u are taken once
+    per u, those in v and x1 once per v; a block is four products
+    amplitude * trig * pref in bipolar_column's order and x1 broadcast, so
+    every row is bit-identical to the closed form at that point."""
     r, k = params.r, params.k
     u_period = 2.0 * math.pi if params.parity_class is ParityClass.EVEN_RK else math.pi
     u = np.linspace(0.0, u_period, n_u, endpoint=False)[:, None]
     v = np.linspace(0.0, math.pi, n_v, endpoint=False)
     pref, amp_m, amp_p, c0, c1 = _column_v(v, r, k)
-    x1 = _x1(c0, c1, r, k, 0.0, v)
+    norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
+    x1 = (r - k) / norm * c0 + (r + k) / norm * c1
     slots = tuple(zip((amp_m, amp_m, amp_p, amp_p), _column_u(u, r, k)))
     step = max(1, _BLOCK_POINTS // max(n_v, 1))
 
@@ -479,7 +449,7 @@ def _codes(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return code
 
 
-def _scaled(a: np.ndarray, code: np.ndarray) -> np.ndarray:
+def _digits17(a: np.ndarray, code: np.ndarray) -> np.ndarray:
     """round-half-even(a 10^(16+j)) for the j of each code, exactly where it
     is at least 2^53: the product is hi + lo by Dekker's two-product, hi is
     then an even integer, and lo rounds alone.  Overwrites a."""
@@ -515,7 +485,7 @@ def _render17(x: np.ndarray) -> np.ndarray:
     slow = _SLOW.take(code).nonzero()[0]
     # a value rendered by %-format passes as 1.1, whose 17 digits end in 0001
     a[slow] = 1.1
-    n = _scaled(a, code)
+    n = _digits17(a, code)
     del a
     # n = d0 g1 g2 g3 g4: the first digit, then four groups of four
     q = n // 10 ** 8

@@ -12,7 +12,7 @@ repeated runs reproduce reports bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,17 +114,16 @@ def _takahashi_residual(params: SurfaceParams, states: np.ndarray,
     return float(np.max(list(parts.values()))), ctx
 
 
-def profile_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResult]:
-    """Sphere/conformality/Takahashi residuals, first-integral drift,
-    the reversal residual at y = a/4, and the three-way closed-form
-    agreement, each threshold times scale (verify --strict takes 0.5).
+def profile_checks(params: SurfaceParams) -> list[CheckResult]:
+    """Sphere/conformality/Takahashi residuals, first-integral drift, the
+    reversal residual at y = a/4 and the three-way closed-form agreement.
 
     The reversal residual max(|phi0|, |phi1'|, |phi2'|) at a/4 says
     whether the quarter closes the orbit.  Its floor is 10 * PROFILE_TOL
     relative to the largest component there, |phi0'(a/4)| = c0 n =
     sqrt((n^2 + m^2)/2); an absolute floor would tighten as n grows.
-    Its context states the floor it is judged against, scale included,
-    and the step count with its modelled error, ps.step_error c0 n.
+    Its context names that floor's form, and the step count with its
+    modelled error, ps.step_error c0 n.
 
     The battery integrates at the tightest sanctioned tolerance: the
     conserved quantities scale like n^4, so the absolute pointwise
@@ -169,22 +168,20 @@ def profile_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResul
 
     reversal = profile.reversal_residual()
     c0n = math.sqrt((params.n ** 2 + params.m ** 2) / 2.0)
-    floor = 10.0 * PROFILE_TOL * c0n * scale
     steps = len(profile.grid)
     model = ps.step_error(params, steps, a / 4.0) * c0n
     return [
-        CheckResult("sphere_constraint", sphere, 1e-8 * scale),
-        CheckResult("conformality", conf, 1e-9 * scale,
+        CheckResult("sphere_constraint", sphere, 1e-8),
+        CheckResult("conformality", conf, 1e-9,
                     f"profile-vs-f(y) gap {metric_gap:.3e}"),
-        CheckResult("takahashi_identity", taka, 1e-8 * scale, taka_ctx),
-        CheckResult("first_integral_E1_drift", e1_drift, 1e-8 * scale),
-        CheckResult("first_integral_E2_drift", e2_drift, 1e-8 * scale),
-        CheckResult("phi_reversal", reversal, floor,
-                    f"max |phi0, phi1', phi2'| at a/4 = {reversal:.3e}, "
-                    f"floor 10 tol c0 n = {floor:.1e} "
+        CheckResult("takahashi_identity", taka, 1e-8, taka_ctx),
+        CheckResult("first_integral_E1_drift", e1_drift, 1e-8),
+        CheckResult("first_integral_E2_drift", e2_drift, 1e-8),
+        CheckResult("phi_reversal", reversal, 10.0 * PROFILE_TOL * c0n,
+                    f"max |phi0, phi1', phi2'| at a/4 = {reversal:.3e}, floor 10 tol c0 n "
                     f"at tol {PROFILE_TOL:.1e}, {steps} RK8 steps, model error {model:.1e}"),
-        CheckResult("phi_theta_vs_ode", cross_theta, 1e-8 * scale),
-        CheckResult("phi_weierstrass_vs_theta", cross_wp, 1e-6 * scale,
+        CheckResult("phi_theta_vs_ode", cross_theta, 1e-8),
+        CheckResult("phi_weierstrass_vs_theta", cross_wp, 1e-6,
                     f"signed phi1 comparison (diagnostic) {signed_gap:.3e}"),
     ]
 
@@ -248,12 +245,16 @@ def invariance_checks(params: SurfaceParams) -> list[CheckResult]:
 
 
 def immersion_agreement_check(params: SurfaceParams) -> CheckResult:
-    """Wedge-product route against the printed closed-form column."""
+    """Wedge-product route against the printed closed-form column, as
+    6-vectors: their gap, the wedge's distance from the unit sphere, and its
+    component along e = (r+k, k-r, 0, 0, 0, 0)/|.|, which S^4 excludes."""
+    r, k = params.r, params.k
     u, v = _r2_points(20_000, AGREEMENT_POINTS, 0.0, [2.0 * math.pi, math.pi])
     wedge = sm.bipolar_immersion(u, v, params)
-    closed = sm._project5(sm.bipolar_column(u, v, params.r, params.k), params.r, params.k, u, v)
-    norm = np.linalg.norm(wedge, axis=1)
-    res = float(np.max([np.max(np.abs(wedge - closed)), np.max(np.abs(norm - 1.0))]))
+    norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
+    terms = (wedge - sm.bipolar_column(u, v, r, k), np.linalg.norm(wedge, axis=0) - 1.0,
+             (r + k) / norm * wedge[0] + (k - r) / norm * wedge[1])
+    res = float(np.max([np.max(np.abs(term)) for term in terms]))
     return CheckResult("immersion_column_agreement", res, 1e-12)
 
 
@@ -350,41 +351,41 @@ _OWN_ENTRY = np.array([1, 0, 2, 3])
 _ENTRY_NAMES = ("z1", "c z1'", "z2/c", "z2'")
 
 
-def _simplicity(roots: list, pair: np.ndarray, c: float,
-                floor: float = SIMPLICITY_FLOOR) -> CheckResult:
+def _simplicity(roots: list, pair: np.ndarray, c: float) -> CheckResult:
     """simplicity_in_window from the fundamental pair (4, R) at c = b/2 of
-    the located roots [(p, Eigenvalue)], against floor.
+    the located roots [(p, Eigenvalue)], against SIMPLICITY_FLOOR.
 
     f is even about 0 and about c, so a root of a block is a zero of one
     entry of the pair at c (Magnus & Winkler, Hill's Equation, ch. 1).  The
     pair is scaled as (z1, c z1', z2/c, z2'), whose Wronskian is 1, and
     over its largest entry.  A root is simple when its own entry is below
-    floor and its partner's is not below SIMPLICITY_FLOOR, so a smaller
-    floor fails every root the default fails; the Wronskian keeps the
+    SIMPLICITY_FLOOR and its partner's is not; the Wronskian keeps the
     other two entries away from 0, and the half-period identities make a
-    zero own entry Psi = +-2."""
+    zero own entry Psi = +-2.  The context names each flagged root, or
+    else the root of the worst own entry."""
     scaled = np.abs(pair * np.array([[1.0], [c], [1.0 / c], [1.0]]))
     scaled /= scaled.max(axis=0)
     own = _OWN_ENTRY[[hs.BLOCKS.index((eig.parity, eig.psi_target)) for _, eig in roots]]
     own_q, partner_q = scaled[[own, 3 - own], np.arange(len(roots))]
     flags = []
-    for i in np.flatnonzero(~((own_q < floor) & (partner_q >= SIMPLICITY_FLOOR))):
+    for i in np.flatnonzero(~((own_q < SIMPLICITY_FLOOR) & (partner_q >= SIMPLICITY_FLOOR))):
         (p, eig), entry = roots[i], own[i]
         flags.append(f"gamma_{eig.index}({p})={eig.gamma:.12g}: {eig.parity.value}, "
                      f"Psi={eig.psi_target:+g}, own {_ENTRY_NAMES[entry]} {own_q[i]:.3e}, "
                      f"partner {_ENTRY_NAMES[3 - entry]} {partner_q[i]:.3e}")
+    worst = int(np.argmax(own_q))
+    p, eig = roots[worst]
     ctx = "; ".join(flags) if flags else (
-        f"{len(roots)} roots at b/2: worst own {own_q.max():.3e}, "
-        f"smallest partner {partner_q.min():.3e}, floor {floor:g}")
+        f"{len(roots)} roots at b/2: worst own {own_q[worst]:.3e} at gamma_{eig.index}({p}), "
+        f"smallest partner {partner_q.min():.3e}, partner floor {SIMPLICITY_FLOOR:g}")
     return CheckResult("simplicity_in_window",
-                       float(own_q.max()) + (1.0 if flags else 0.0), floor, ctx)
+                       float(own_q[worst]) + (1.0 if flags else 0.0), SIMPLICITY_FLOOR, ctx)
 
 
-def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[CheckResult]:
+def floquet_structure_checks(params: SurfaceParams) -> list[CheckResult]:
     """Wronskian and half-period identities at R2 points (p, lambda), and
     simplicity at located roots, each judged at b/2 by _simplicity
-    against SIMPLICITY_FLOOR; every threshold times scale, of that floor
-    the own entry's bound alone.  The Wronskian states its rounding floor.
+    against SIMPLICITY_FLOOR.  The Wronskian states its rounding floor.
 
     The points fill the spectral window lambda in [0, 3), p in [0, n],
     where the fundamental pair stays O(1) (n * b = 2 K(m/n)); outside it
@@ -412,12 +413,12 @@ def floquet_structure_checks(params: SurfaceParams, scale: float = 1.0) -> list[
         np.max(np.abs(z2b - 2.0 * z2h * dz2h)),
         np.max(np.abs(dz2b - z1b))]))
     return [
-        CheckResult("floquet_wronskian", wronsk, 1e-10 * scale,
+        CheckResult("floquet_wronskian", wronsk, 1e-10,
                     f"{FLOQUET_POINTS} R2 points (p, lambda), {2 * half} RK8 steps "
                     f"to b, {half} per half; rounding floor u max(|z1 z2'| + |z2 z1'|) = "
                     f"{wronsk_floor:.3e}"),
-        CheckResult("half_period_identities", half_ids, 1e-9 * scale),
-        _simplicity(roots, at_roots, c, SIMPLICITY_FLOOR * scale),
+        CheckResult("half_period_identities", half_ids, 1e-9),
+        _simplicity(roots, at_roots, c),
     ]
 
 
@@ -474,29 +475,22 @@ class FullReport:
         }
 
 
-def _scaled(checks: list[CheckResult], scale: float) -> list[CheckResult]:
-    """checks with every threshold times scale."""
-    return [CheckResult(c.name, c.residual, c.threshold * scale, c.context) for c in checks]
-
-
 def full_report(r: int, k: int, strict: bool = False) -> FullReport:
     """Run every check for one surface; passes iff all residuals are in
     tolerance and the computed rank matches the parity-class formula.
-    Strict mode halves every threshold: profile_checks and
-    floquet_structure_checks halve theirs where they form them, so the
-    floors their contexts state are the halved ones."""
-    scale = 0.5 if strict else 1.0
+    Every check forms its default threshold, and strict mode halves each
+    one here; no context states a threshold, so a strict report differs
+    from the default one in its thresholds and verdicts alone."""
     params = derive_params(r, k)
-    checks = profile_checks(params, scale)
-    checks += _scaled([immersion_agreement_check(params), *invariance_checks(params),
-                       *isometry_checks(params), *orbit_space_checks(params)], scale)
-    checks += floquet_structure_checks(params, scale)
+    checks = [*profile_checks(params), immersion_agreement_check(params),
+              *invariance_checks(params), *isometry_checks(params),
+              *orbit_space_checks(params), *floquet_structure_checks(params)]
     closed_area = sm.area_closed_form(params)
-    checks += _scaled([eigenfunction_zero_checks(params),
-                       _area_identity(area_quadrature(params), closed_area)], scale)
+    checks += [eigenfunction_zero_checks(params),
+               _area_identity(area_quadrature(params), closed_area)]
 
     report = hs.extremal_rank(r, k)
-    checks += _scaled([
+    checks += [
         CheckResult("rank_matches_formula",
                     float(abs(report.rank_i - hs.rank_formula(params))), 0.5,
                     f"rank {report.rank_i}, formula {hs.rank_formula(params)}"),
@@ -509,7 +503,9 @@ def full_report(r: int, k: int, strict: bool = False) -> FullReport:
                                    "anchor_gamma1_at_m", "anchor_gamma0_at_n")])), 1e-7,
                     f"{report.modes} modes per block at nome q = {report.nome:.3e}, "
                     f"Fourier tail {report.tail:.3e} c_0"),
-    ], scale)
+    ]
+    if strict:
+        checks = [replace(c, threshold=c.threshold / 2.0) for c in checks]
     return FullReport(params=params, rank_i=report.rank_i,
                       multiplicity=report.multiplicity,
                       lambda_value=report.lambda_functional,

@@ -4,6 +4,7 @@ byte-level determinism."""
 import argparse
 import ast
 import csv
+import errno
 import hashlib
 import importlib
 import inspect
@@ -173,7 +174,8 @@ class TestSpectrumAndImmerse:
 
 class TestImmerseBytes:
     """sha256 of immerse outputs: at each point the closed-form column
-    _project5(bipolar_column(u, v)), within 2.7e-15 of the wedge route
+    bipolar_column(u, v) in the 5-vector basis of EXCLUDED_DIRECTION_NOTE,
+    within 2.7e-15 of the wedge route
     that wrote the digests before, written as the csv/json module writers
     would write it.  The (2, 1) grid-78 mesh contains a v whose squared
     cosine or sine rounds differently under the C library's pow than
@@ -247,53 +249,35 @@ class TestImmerseStream:
         assert max(peaks) < 2 ** 20, peaks
         assert peaks[1] - peaks[0] <= 2 ** 18, peaks
 
-    @staticmethod
-    def _tilt_two_values_of_v(monkeypatch, grid):
-        """Tilt components 0 and 1 of the closed form towards the excluded
-        direction at two values of v, by 1e-9 at v index 40 and by 1e-6 at
-        v index 200; return the (u, v) the failure names, at u = 0."""
-        r, k = 2, 1
-        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        column_v = sm._column_v
-
-        def tilted(v, r, k):
-            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
-            for j, size in ((40, 1e-9), (200, 1e-6)):
-                c0[j] += size * excluded[0]
-                c1[j] += size * excluded[1]
-            return pref, amp_m, amp_p, c0, c1
-
-        monkeypatch.setattr(sm, "_column_v", tilted)
-        return 0.0, float(np.linspace(0.0, math.pi, grid, endpoint=False)[200])
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failure_names_the_worst_point_and_leaves_no_file(self, tmp_path, capsys,
-                                                               monkeypatch, fmt):
-        """The check on the row of v fails before --out is opened: no file
-        is made, and a file that was there before is left as it was."""
-        out = tmp_path / "mesh"
-        for before in (None, "an older mesh\n"):
-            monkeypatch.undo()
-            u, v = self._tilt_two_values_of_v(monkeypatch, 256)
-            if before is not None:
-                out.write_text(before)
-            assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
-                         "--format", fmt, "--out", str(out)]) == 3
-            captured = capsys.readouterr()
-            assert captured.err.startswith("numerical failure: orthogonality")
-            assert f"at (u, v) = ({u!r}, {v!r})" in captured.err
-            assert captured.out == ""
-            if before is None:
-                assert not out.exists()
+    def test_failed_write_removes_the_partial_file(self, tmp_path, capsys, monkeypatch,
+                                                   fmt):
+        """The writer fails on its third batch, after two went to --out: an
+        OSError exits 1 naming the file, a KeyboardInterrupt propagates, and
+        neither leaves the partial file behind."""
+        out, render = tmp_path / "mesh", sm._render17
+        args = ["immerse", "--r", "2", "--k", "1", "--grid", "64", "--format", fmt,
+                "--out", str(out)]
+        for exc in (OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()):
+            written = []
+
+            def failing(x, exc=exc):
+                if len(written) == 2:
+                    written.append(out.stat().st_size)
+                    raise exc
+                written.append(x.size)
+                return render(x)
+
+            monkeypatch.setattr(sm, "_render17", failing)
+            if isinstance(exc, OSError):
+                assert main(args) == 1
+                assert capsys.readouterr().err == (
+                    f"cannot write {out}: No space left on device\n")
             else:
-                assert out.read_text() == before
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failure_on_stdout_writes_nothing(self, capsys, monkeypatch, fmt):
-        self._tilt_two_values_of_v(monkeypatch, 256)
-        assert main(["immerse", "--r", "2", "--k", "1", "--grid", "256",
-                     "--format", fmt]) == 3
-        assert capsys.readouterr().out == ""
+                with pytest.raises(KeyboardInterrupt):
+                    main(args)
+            assert len(written) == 3 and written[2] > 0
+            assert not out.exists()
 
     def test_mesh_runs_no_wedge(self, tmp_path, monkeypatch):
         """The mesh is the closed form: the wedge I ^ I* of bipolar_immersion,
@@ -336,7 +320,7 @@ class TestSpectrumAndVerifyBytes:
     step end of the fundamental quarter [0, a/4], on the steps of the
     profile's own error model, its phi_reversal entry
     from the state at a/4 against the floor 10 tol c0 n, its context the
-    residual, the floor, the step count and its model error, its
+    residual, the floor's form, the step count and its model error, its
     phi_theta_vs_ode entry
     from the quarter's states and their reversor images over the period,
     and its chart
@@ -354,7 +338,9 @@ class TestSpectrumAndVerifyBytes:
     immersion agreement compares against the pairwise-rotated wedge, the
     Klein-bottle invariance the (r, k) closed-form column, and
     simplicity_in_window each located root's own entry of the
-    fundamental pair at b/2 against a relative floor of 1e-9.  The
+    fundamental pair at b/2 against a relative floor of 1e-9, its context
+    the root of the worst own entry and the partner floor; no context
+    states a threshold, which the entry's "threshold" holds.  The
     report's "area" is the closed form, the area that lambda_value is
     twice; the quadrature, on AREA_POINTS = 256 trapezoid nodes, stays
     in the area_identity entry alone."""
@@ -366,13 +352,13 @@ class TestSpectrumAndVerifyBytes:
         (["spectrum", "--r", "7", "--k", "6", "--format", "json"],
          "aa9dc7041e9ae7a34d451f0da3898244a18d9d7f0c354f7e3ce51b1ba39906c0"),
         (["verify", "--r", "8", "--k", "1"],
-         "f03fc1d1bd8bb2b1775cb19bdd6342034862239a87723e0df2de54000499fa9b"),
+         "58cc49c6934b8ebecebfc04507d2fe39523e4fe25312a570c14ca6abc7d400cb"),
         (["verify", "--r", "3", "--k", "1"],
-         "e2f2c45e9e370ff91c18eb25b8eed7e5e8d8a78301794642b2ce8f1dac28bbbf"),
+         "bfc90d793e245a9feaedcbddbd0a51f5c8786e44c357ffa7fa78f3a295f1cb5c"),
         (["verify", "--r", "5", "--k", "1"],
-         "3877c2dfe6ead2d044bf8d473209d8611b3d890c81074aee51905720bf81f26b"),
+         "101af7993600d93031b468412b80914deebd514170cefbe67400a9a409998207"),
         (["verify", "--r", "7", "--k", "6"],
-         "ad5fcec1f0e0a2dbc3f7fe1dc6a50269fbeb1e948ffa40b8bc02298e3a014af2"),
+         "8a62233a16f4741ac6f56969259c7e99ac9254b53cdcc7c1deedf5cb4dd6cd54"),
     ], ids=["spectrum-3-1-csv", "spectrum-8-1-csv", "spectrum-7-6-json",
             "verify-8-1", "verify-3-1", "verify-5-1", "verify-7-6"])
     def test_output_digest(self, tmp_path, args, digest):
@@ -577,27 +563,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(climod.hs, "extremal_rank", boom)
         assert main(["rank", "--r", "2", "--k", "1"]) == 3
-
-    def test_excluded_direction_failure_exits_3(self, monkeypatch, capsys, tmp_path):
-        from lawson_bipolar import cli as climod
-
-        # with its components 0 and 1 swapped, which depend on v alone, the
-        # closed-form column leaves the S^4 equator
-        column_v = climod.sm._column_v
-
-        def swapped(v, r, k):
-            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
-            return pref, amp_m, amp_p, c1, c0
-
-        monkeypatch.setattr(climod.sm, "_column_v", swapped)
-        out = tmp_path / "mesh"
-        for target in ([], ["--out", str(out)]):
-            assert main(["immerse", "--r", "2", "--k", "1", "--grid", "4", *target]) == 3
-            captured = capsys.readouterr()
-            assert captured.err.startswith("numerical failure: orthogonality")
-            assert "at (u, v) = (0.0, " in captured.err
-            assert captured.out == ""
-            assert not out.exists()
 
 
 class TestArgumentValidation:
@@ -1051,8 +1016,6 @@ ALLOWED_PRIVATE_READS = {
         "z(v) is F(v, kh)/(n+m), and F has no public use of its own",
     ("surface_model", "special_functions", "_finite"):
         "the immersion rejects a NaN or an infinity as the special functions do",
-    ("verification", "surface_model", "_project5"):
-        "the closed-form column is projected as the wedge route is",
     ("cli", "verification", "_area_identity"):
         "area judges its two areas by verify's area_identity check; a public "
         "function of verification would be traced as a span the benchmark does not list",

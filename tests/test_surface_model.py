@@ -37,7 +37,6 @@ from lawson_bipolar.special_functions import (
 from lawson_bipolar import surface_model as sm
 from lawson_bipolar.surface_model import (
     EXCLUDED_DIRECTION_NOTE,
-    ExcludedDirectionError,
     InvalidParametersError,
     ParityClass,
     Topology,
@@ -76,6 +75,13 @@ class TestDeriveParams:
     @pytest.mark.parametrize("r,k", [(4, 2), (2, 3), (1, 1), (3, 0), (6, 3)])
     def test_rejects_inadmissible(self, r, k):
         with pytest.raises(InvalidParametersError):
+            derive_params(r, k)
+
+    @pytest.mark.parametrize("r,k", [(math.nan, 1), (math.inf, 1), (-math.inf, 1),
+                                     (5, math.nan), (5, math.inf)])
+    def test_rejects_non_finite(self, r, k):
+        # int() of a NaN raises ValueError and of an infinity OverflowError
+        with pytest.raises(InvalidParametersError, match="must be integers"):
             derive_params(r, k)
 
     def test_topology_rule_exact(self):
@@ -242,28 +248,23 @@ class TestBipolarImmersion:
             p = derive_params(r, k)
             for _ in range(200):
                 u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
-                pt = bipolar_immersion(u, v, p)        # runtime-checks orthogonality
+                pt = bipolar_immersion(u, v, p)
+                assert pt.shape == (6,)
                 assert abs(np.linalg.norm(pt) - 1.0) < 1e-13
+                assert abs(_excluded(r, k) @ pt) < 1e-13
 
     def test_wedge_matches_printed_column_even_rk(self):
         p = derive_params(2, 1)
-        col = bipolar_column(0.0, 0.0, 2, 1)
-        w = bipolar_immersion(0.0, 0.0, p)
-        # coordinate slots: (12-plane, c6, c3, c5, c4)
-        np.testing.assert_allclose(
-            w, [0.0, col[5], col[2], col[4], col[3]], atol=1e-13)
+        np.testing.assert_allclose(bipolar_immersion(0.0, 0.0, p),
+                                   bipolar_column(0.0, 0.0, 2, 1), atol=1e-13)
 
     def test_wedge_matches_printed_column_odd_rk(self):
         rng = np.random.default_rng(37)
         p = derive_params(3, 1)
-        kept = np.array([p.m, p.n, 0, 0, 0, 0]) / math.hypot(p.m, p.n)
         for _ in range(200):
             u, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi)
-            col = bipolar_column(u, v, 3, 1)
-            w = bipolar_immersion(u, v, p)
-            expected = [kept @ np.pad(col[:2], (0, 4)),
-                        col[5], col[2], col[4], col[3]]
-            np.testing.assert_allclose(w, expected, atol=1e-12)
+            np.testing.assert_allclose(bipolar_immersion(u, v, p),
+                                       bipolar_column(u, v, 3, 1), atol=1e-12)
 
     def test_group_invariance_of_column(self):
         rng = np.random.default_rng(43)
@@ -506,7 +507,7 @@ class TestMeshStream:
         rows = immersion_rows(p, n_u, n_v)
         u, v = rows[:, 0], rows[:, 1]
         assert np.array_equal(rows[:, 2:], _closed_form(u, v, *pair))
-        assert np.max(np.abs(rows[:, 2:] - bipolar_immersion(u, v, p))) < 1e-12
+        assert np.max(np.abs(rows[:, 2:] - _project(bipolar_immersion(u, v, p), *pair))) < 1e-12
 
     @pytest.mark.parametrize("writer, batches", [(write_immersion_csv, 128),
                                                  (write_immersion_json, 161)])
@@ -632,55 +633,37 @@ class TestRender17:
         assert _rendered([-0.0]) == ["-0"]
 
 
+def _excluded(r, k):
+    """The direction e = (r+k, k-r, 0, 0, 0, 0)/|.| that S^4 excludes."""
+    return np.array([r + k, k - r, 0, 0, 0, 0]) / math.hypot(r + k, r - k)
+
+
+def _project(w6, r, k):
+    """6-vectors, components along axis 0, in the 5-vector basis of
+    EXCLUDED_DIRECTION_NOTE, components along the last axis, x1 formed
+    as immersion_blocks forms it."""
+    norm = math.sqrt((r + k) ** 2 + (r - k) ** 2)
+    x1 = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
+    return np.stack([x1, w6[5], w6[2], w6[4], w6[3]], -1)
+
+
 class TestExcludedDirectionGuard:
-    def test_every_row_is_checked(self):
-        r, k = 2, 1
-        w6 = np.zeros((6, 40))
-        w6[5] = 1.0
-        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        w6[:2, 33] = 1e-9 * excluded
-        w6[:2, 37] = 1e-6 * excluded
-        u = np.arange(40) * 0.1
-        v = np.arange(40) * 0.01
-        with pytest.raises(ExcludedDirectionError) as info:
-            sm._project5(w6, r, k, u, v)
-        assert (info.value.u, info.value.v) == (u[37], v[37])
-        assert info.value.residual == pytest.approx(1e-6, rel=1e-12)
-        assert "at (u, v) = (3.7" in str(info.value)
-
-    def test_mesh_names_its_worst_row(self, monkeypatch):
-        """Components 0 and 1 of the closed form depend on v alone, so the
-        mesh checks its row of v once, before any block: two values of v
-        tilted towards the excluded direction, the smaller first, fail the
-        call itself, which names the larger tilt at u = 0."""
-        r, k, n = 2, 1, 256
-        excluded = np.array([r + k, k - r]) / math.hypot(r + k, r - k)
-        column_v = sm._column_v
-
-        def tilted(v, r, k):
-            pref, amp_m, amp_p, c0, c1 = column_v(v, r, k)
-            for j, size in ((40, 1e-9), (200, 1e-6)):
-                c0[j] += size * excluded[0]
-                c1[j] += size * excluded[1]
-            return pref, amp_m, amp_p, c0, c1
-
-        monkeypatch.setattr(sm, "_column_v", tilted)
-        with pytest.raises(ExcludedDirectionError) as info:
-            immersion_blocks(derive_params(r, k), n, n)
-        v = np.linspace(0.0, math.pi, n, endpoint=False)[200]
-        assert (info.value.u, info.value.v) == (0.0, v)
-        assert info.value.residual == pytest.approx(1e-6, rel=1e-9)
-
     def test_projection_passes_orthogonal_rows(self):
+        """The wedge has no component along e, so the 5-vector basis,
+        which drops e, keeps the whole of each unit 6-vector."""
         rng = np.random.default_rng(53)
         u, v = rng.uniform(0, 2 * math.pi, 64), rng.uniform(0, math.pi, 64)
-        pts = bipolar_immersion(u, v, derive_params(7, 6))
+        w6 = bipolar_immersion(u, v, derive_params(7, 6))
+        assert w6.shape == (6, 64)
+        assert np.max(np.abs(_excluded(7, 6) @ w6)) < 1e-15
+        pts = _project(w6, 7, 6)
         assert pts.shape == (64, 5)
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
 def _scalar_immersion(u, v, r, k):
     """Point-by-point reference: the scalar math construction the array
-    path replaced, same operations in the same order."""
+    path replaced, same operations in the same order, as a 6-vector."""
     lawson = np.array([math.cos(r * u) * math.cos(v), math.sin(r * u) * math.cos(v),
                        math.cos(k * u) * math.sin(v), math.sin(k * u) * math.sin(v)])
     cv, sv = math.cos(v), math.sin(v)
@@ -691,9 +674,7 @@ def _scalar_immersion(u, v, r, k):
     w6 = []
     for a, b in zip(wedge[0::2], wedge[1::2]):
         w6 += [(a + b) / math.sqrt(2.0), (b - a) / math.sqrt(2.0)]
-    norm = math.hypot(r + k, r - k)
-    kept = (r - k) / norm * w6[0] + (r + k) / norm * w6[1]
-    return np.array([kept, w6[5], w6[2], w6[4], w6[3]])
+    return np.array(w6)
 
 
 @pytest.mark.parametrize("r, k", [(2, 1), (3, 1), (7, 6), (13, 4)])
@@ -702,11 +683,11 @@ def test_array_path_matches_scalar_reference(r, k):
     u, v = rng.uniform(-20.0, 20.0, 20000), rng.uniform(-10.0, 10.0, 20000)
     got = bipolar_immersion(u, v, derive_params(r, k))
     want = np.array([_scalar_immersion(a, b, r, k) for a, b in zip(u.tolist(), v.tolist())])
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want.T)
 
 
 def _closed_form(u, v, r, k):
-    return sm._project5(bipolar_column(u, v, r, k), r, k, u, v)
+    return _project(bipolar_column(u, v, r, k), r, k)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -719,7 +700,8 @@ def test_immersion_rows_match_pointwise(pair, n_u, n_v):
     assert rows.shape == (n_u * n_v, 7)
     for row in rows:
         assert np.array_equal(row[2:], _closed_form(row[0], row[1], *pair))
-        assert np.max(np.abs(row[2:] - bipolar_immersion(row[0], row[1], params))) < 1e-12
+        wedge = _project(bipolar_immersion(row[0], row[1], params), *pair)
+        assert np.max(np.abs(row[2:] - wedge)) < 1e-12
     # the first n_v rows share u = 0, which broadcasts against their v
     assert np.array_equal(rows[:n_v, 2:], _closed_form(0.0, rows[:n_v, 1], *pair))
     np.testing.assert_allclose(np.linalg.norm(rows[:, 2:], axis=1), 1.0,

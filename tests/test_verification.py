@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from lawson_bipolar import hill_spectrum as hs
 from lawson_bipolar import phi_system as ps
 from lawson_bipolar import rk8
+from lawson_bipolar import surface_model as sm
 from lawson_bipolar import verification as vf
 from lawson_bipolar.cli import main
 from lawson_bipolar.phi_system import closed_form_theta
@@ -74,8 +74,9 @@ class TestProfileBattery:
         check = next(c for c in vf.profile_checks(params) if c.name == "phi_reversal")
         assert not check.passed
         assert check.threshold == 10.0 * vf.PROFILE_TOL * c0n
+        assert f"{check.threshold:.1e}" == "7.7e-10"
         assert check.context == (f"max |phi0, phi1', phi2'| at a/4 = {check.residual:.3e}, "
-                                 "floor 10 tol c0 n = 7.7e-10 at tol 1.0e-13, "
+                                 "floor 10 tol c0 n at tol 1.0e-13, "
                                  "280 RK8 steps, model error 7.6e-14")
         assert 7e-8 < check.residual < 7.1e-8
         out = tmp_path / "report.json"
@@ -155,6 +156,47 @@ class TestIsometry:
     def test_bridging_identities(self):
         pull, bridge = vf.isometry_checks(derive_params(3, 1))
         assert bridge.residual < 1e-10
+
+
+class TestImmersionAgreement:
+    """immersion_column_agreement judges the S^4 claim: the rotated wedge
+    has no component along e = (r+k, k-r, 0, 0, 0, 0)/|.|."""
+
+    @staticmethod
+    def _tilt(r, k):
+        return 1e-9 * np.array([[r + k], [k - r], [0], [0], [0], [0]]) / math.hypot(r + k, r - k)
+
+    def test_a_tilted_wedge_fails_verify(self, monkeypatch, tmp_path, capsys):
+        # the wedge alone 1e-9 along e: the check fails, and verify lists
+        # every check and exits 2
+        names = [c.name for c in vf.full_report(2, 1).checks]
+        wedge = sm._rotated_wedge
+        monkeypatch.setattr(sm, "_rotated_wedge", lambda *a: wedge(*a) + self._tilt(2, 1))
+        check = vf.immersion_agreement_check(derive_params(2, 1))
+        assert not check.passed and check.residual == pytest.approx(1e-9, rel=1e-6)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--r", "2", "--k", "1", "--out", str(out)]) == 2
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == names
+        assert [c["name"] for c in checks if not c["passed"]] == ["immersion_column_agreement"]
+        assert capsys.readouterr().err.startswith(
+            "FAILED: [FAIL] immersion_column_agreement: residual 1.000e-09")
+
+    def test_a_tilt_of_both_routes_is_caught_along_e_alone(self, monkeypatch):
+        # both routes 1e-9 along e: their gap stays at rounding and the norm
+        # moves by about 1e-18, so only the component along e fails the check
+        r, k = 5, 2
+        params = derive_params(r, k)
+        wedge, column = sm._rotated_wedge, sm.bipolar_column
+        monkeypatch.setattr(sm, "_rotated_wedge", lambda *a: wedge(*a) + self._tilt(r, k))
+        monkeypatch.setattr(sm, "bipolar_column", lambda *a: column(*a) + self._tilt(r, k))
+        check = vf.immersion_agreement_check(params)
+        assert not check.passed and check.residual == pytest.approx(1e-9, rel=1e-6)
+        rng = np.random.default_rng(61)
+        u, v = rng.uniform(0, 2 * math.pi, 200), rng.uniform(0, math.pi, 200)
+        w6 = sm.bipolar_immersion(u, v, params)
+        assert np.max(np.abs(w6 - sm.bipolar_column(u, v, r, k))) < 1e-13
+        assert np.max(np.abs(np.linalg.norm(w6, axis=0) - 1.0)) < 1e-15
 
 
 class TestAreaAndLambda:
@@ -307,22 +349,6 @@ class TestFloquetStructure:
                     other = dataclasses.replace(eig, parity=parity, psi_target=target)
                     assert not vf._simplicity([(p, other)], pair[:, i:i + 1], c).passed
 
-    def test_strict_floor_never_passes_a_root_the_default_fails(self):
-        # one root of block (ODD, -2): own entry z2', partner z1.  Strict
-        # mode halves the own entry's bound alone; the partner is judged
-        # against SIMPLICITY_FLOOR in both modes
-        eig = hs.Eigenvalue(gamma=1.5, index=1, parity=hs.Parity.ODD, psi_target=-2.0)
-
-        def judge(z1, dz2, floor):
-            return vf._simplicity([(2, eig)], np.array([[z1], [0.6], [0.5], [dz2]]), 0.5,
-                                  floor).passed
-
-        near_partner, loose_own = (7e-10, 1e-12), (-1.0, 7e-10)
-        assert not judge(*near_partner, vf.SIMPLICITY_FLOOR)
-        assert not judge(*near_partner, vf.SIMPLICITY_FLOOR / 2.0)
-        assert judge(*loose_own, vf.SIMPLICITY_FLOOR)
-        assert not judge(*loose_own, vf.SIMPLICITY_FLOOR / 2.0)
-
     def test_oracle_flags(self):
         # one root of block (ODD, -2), whose own entry is z2' at c = b/2 and
         # whose partner's, (EVEN, -2), is z1; the other two entries are O(1)
@@ -333,8 +359,8 @@ class TestFloquetStructure:
 
         simple = judge(hs.Parity.ODD, -1.0, 1e-12)
         assert simple.passed and simple.residual == pytest.approx(1e-12)
-        assert simple.context == ("1 roots at b/2: worst own 1.000e-12, "
-                                  "smallest partner 1.000e+00, floor 1e-09")
+        assert simple.context == ("1 roots at b/2: worst own 1.000e-12 at gamma_1(2), "
+                                  "smallest partner 1.000e+00, partner floor 1e-09")
         off = judge(hs.Parity.ODD, -1.0, 1e-6)
         assert not off.passed and off.residual == pytest.approx(1.0 + 1e-6)
         assert off.context == ("gamma_1(2)=1.5: Odd, Psi=-2, own z2' 1.000e-06, "
@@ -394,20 +420,24 @@ class TestFullReport:
         for c, cs in zip(rep.checks, strict.checks):
             assert cs.threshold == c.threshold / 2.0
 
-    def test_strict_contexts_state_the_halved_floors(self, tmp_path):
-        # --strict halves each floor where it is formed: the floor a
-        # context states is the threshold the check is judged against
-        out = tmp_path / "strict.json"
-        assert main(["verify", "--r", "8", "--k", "1", "--strict", "--out", str(out)]) in (0, 2)
-        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        # floquet_wronskian's rounding floor is a measured level, not a threshold
-        floors = {name: c for name, c in checks.items()
-                  if "floor" in c["context"] and "rounding floor" not in c["context"]}
-        assert set(floors) == {"phi_reversal", "simplicity_in_window"}
-        reversal = re.search(r"floor 10 tol c0 n = (\S+) ", floors["phi_reversal"]["context"])
-        assert reversal[1] == f"{floors['phi_reversal']['threshold']:.1e}" == "4.0e-12"
-        simple = re.search(r"floor (\S+)$", floors["simplicity_in_window"]["context"])
-        assert float(simple[1]) == floors["simplicity_in_window"]["threshold"] == 5e-10
+    @pytest.mark.parametrize("r,k", [(3, 1), (5, 1), (8, 1), (7, 6)])
+    def test_strict_report_differs_in_thresholds_and_verdicts_alone(self, r, k, tmp_path):
+        # --strict halves every threshold in one place and no context
+        # states a threshold, so the strict JSON is the default JSON with
+        # each threshold halved and each verdict re-read: strict mode never
+        # passes a check the default fails
+        docs = []
+        for flags in ([], ["--strict"]):
+            out = tmp_path / "report.json"
+            assert main(["verify", "--r", str(r), "--k", str(k), *flags,
+                         "--out", str(out)]) in (0, 2)
+            docs.append(json.loads(out.read_text()))
+        default, strict = docs
+        for check in default["checks"]:
+            check["threshold"] /= 2.0
+            check["passed"] = check["residual"] < check["threshold"]
+        default["passed"] = all(check["passed"] for check in default["checks"])
+        assert strict == default
 
     def test_reports_are_deterministic(self):
         a = vf.full_report(2, 1).to_dict()
